@@ -3,13 +3,18 @@
 Serial vs DOP-4 execution of the long-tail scan/aggregate pool, under
 both worker-pool backends.  Two timing surfaces are reported:
 
-* **wall clock** — best-of-3 totals over the query pool.  Since the
-  fused region kernels landed, the DOP-4 engine does strictly less work
-  than the serial engine (single-pass scan->filter->reduce per region
-  batch, no intermediate materialisation), so real wall speedup shows
-  even on a single-core container; the headline ``wall_ratio`` (serial /
-  thread-backend parallel) carries an assertion (> 1.5x) plus a
-  regression gate against the committed ``BENCH_parallel.json``.
+* **wall clock** — best-of-3 totals over the query pool.  The serial
+  engine runs the same factorised group coding, direct-lookup join probe
+  and scatter MIN/MAX as the pool tasks, so the headline ``wall_ratio``
+  (serial / thread-backend parallel) measures parallelism, not fusion.
+  Under the GIL on a 2-core box that is at or just under 1.0x (0.83-1.00
+  over seven runs: 4,096-row morsels are too small for numpy to release
+  the GIL for long, so the pool adds dispatch and merge cost and overlaps
+  little).  The assertion is therefore "DOP 4 costs no more than a third
+  over DOP 1" (ratio >= 0.75) plus a regression gate against the
+  committed ``BENCH_parallel.json``.  (Until the serial engine got the
+  kernels the ratio read 2.3x and was asserted > 1.5x; that compared a
+  fused engine with an unfused one.)
 * **simulated speedup** — from the pool's own accounting: serial-
   equivalent cost is the sum of task CPU spans (``busy_seconds``), the
   parallel cost is the list-scheduled makespan of those spans over the
@@ -22,8 +27,12 @@ The summary lands in ``BENCH_parallel.json`` at the repo root.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import time
+
+import numpy
 
 from repro.database import Database
 from repro.workloads.tpcds import flush_tables
@@ -37,6 +46,10 @@ WALL_ROUNDS = 3  # best-of-3 wall timings
 #: Deliberately small morsels so the scaled-down fact table still splits
 #: into enough tasks per operator to load every worker.
 MORSEL_ROWS = 4_096
+
+#: DOP 4 may cost at most a third more wall time than DOP 1 (measured
+#: 0.83-1.00 on 2 vCPUs; see the module docstring).
+WALL_RATIO_FLOOR = 0.75
 
 #: Wall-clock tolerance for the regression gate: the refreshed ratio may
 #: not drop more than this below the committed one (timer noise on shared
@@ -65,15 +78,15 @@ def _best_wall(session, pool):
 def _committed_gate():
     """The committed wall_ratio to gate against, or None.
 
-    Results written before the fused-kernel work (recognised by the
-    missing ``backends`` section) predate real wall speedup and carry no
-    gate.
+    Results whose serial leg ran the unfused engine (recognised by the
+    missing ``serial_engine`` field) measured fusion, not parallelism, and
+    carry no gate.
     """
     try:
         committed = json.loads(_RESULT_PATH.read_text())
     except (OSError, ValueError):
         return None
-    if "backends" not in committed:
+    if "serial_engine" not in committed:
         return None
     return committed.get("wall_ratio")
 
@@ -127,6 +140,8 @@ def test_parallel_speedup_customer_workload(
         [
             "wall: serial %.3fs  thread %.3fs (%.2fx)  process %.3fs (%.2fx)"
             % (serial_wall, thread_wall, wall_ratio, process_wall, process_ratio),
+            "wall assert: ratio >= %.2f (DOP %d vs DOP 1, same kernels)"
+            % (WALL_RATIO_FLOOR, DOP),
             "sim:  busy %.3fs -> makespan %.3fs  speedup %.2fx (assert >= 1.5x)"
             % (busy, makespan, sim_speedup),
             "pool: %d runs, %d tasks at DOP %d; process runs %d, fallbacks %d"
@@ -152,6 +167,20 @@ def test_parallel_speedup_customer_workload(
         json.dumps(
             {
                 "workload": "table1-customer-long-tail",
+                "environment": {
+                    "cores": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__,
+                },
+                "serial_engine": "same kernels as the pool tasks (factorised "
+                "group coding, direct-lookup join, scatter MIN/MAX)",
+                "changed": "the serial leg used to run the unfused engine, so "
+                "wall_ratio read 2.31 (fusion, asserted > 1.5); both legs now "
+                "run the same kernels, wall_ratio is parallelism under the "
+                "GIL and is asserted >= %.2f; sim_speedup >= 1.5 is unchanged"
+                % WALL_RATIO_FLOOR,
+                "not_exercised": "real process execution: the process leg "
+                "falls back to threads on every run (process_runs below)",
                 "queries": len(pool),
                 "dop": DOP,
                 "morsel_rows": MORSEL_ROWS,
@@ -185,9 +214,9 @@ def test_parallel_speedup_customer_workload(
         + "\n"
     )
 
-    assert wall_ratio > 1.5, (
-        "fused DOP-%d execution should beat serial by > 1.5x in wall time,"
-        " got %.2fx" % (DOP, wall_ratio)
+    assert wall_ratio >= WALL_RATIO_FLOOR, (
+        "DOP-%d execution should cost at most a third over DOP 1 in wall"
+        " time, got %.2fx" % (DOP, wall_ratio)
     )
     assert sim_speedup >= 1.5, (
         "morsel parallelism should cut simulated elapsed time by >= 1.5x,"

@@ -31,6 +31,7 @@ from repro.database.database import Database
 from repro.database.result import Result
 from repro.database.session import Session
 from repro.errors import (
+    BindError,
     ClusterError,
     DialectError,
     NoSurvivorsError,
@@ -617,9 +618,10 @@ class Cluster:
         """Split aggregates into shard partials plus a global combine."""
         self.last_stats.mode = "two-phase"
         rewriter = _AggregateSplitter()
+        group_by = _group_key_exprs(select)
         # Partial select: group-key expressions + partial aggregates.
         partial_items = []
-        for i, g in enumerate(select.group_by):
+        for i, g in enumerate(group_by):
             partial_items.append(ast.SelectItem(_deep(g), alias="__G%d" % i))
         global_items = []
         for index, item in enumerate(select.items):
@@ -627,10 +629,10 @@ class Cluster:
 
             alias = item.alias or _default_name(item.expr, index)
             global_items.append(
-                ast.SelectItem(rewriter.rewrite(item.expr, select.group_by), alias)
+                ast.SelectItem(rewriter.rewrite(item.expr, group_by), alias)
             )
         global_having = (
-            rewriter.rewrite(select.having, select.group_by)
+            rewriter.rewrite(select.having, group_by)
             if select.having is not None
             else None
         )
@@ -641,7 +643,7 @@ class Cluster:
             else:
                 global_order.append(
                     ast.OrderItem(
-                        rewriter.rewrite(item.expr, select.group_by),
+                        rewriter.rewrite(item.expr, group_by),
                         item.ascending,
                         item.nulls_first,
                     )
@@ -651,7 +653,7 @@ class Cluster:
             items=partial_items,
             from_items=select.from_items,
             where=select.where,
-            group_by=[_deep(g) for g in select.group_by],
+            group_by=[_deep(g) for g in group_by],
             connect_by=select.connect_by,
         )
         results = self._run_on_shards(partial, session)
@@ -659,7 +661,7 @@ class Cluster:
         global_select = ast.Select(
             items=global_items,
             from_items=[ast.TableRef([_GATHER_TABLE])],
-            group_by=[ast.Identifier(["__G%d" % i]) for i in range(len(select.group_by))],
+            group_by=[ast.Identifier(["__G%d" % i]) for i in range(len(group_by))],
             having=global_having,
             order_by=global_order,
             limit=select.limit,
@@ -884,6 +886,24 @@ class _AggregateSplitter:
             raise UnsupportedFeatureError("cannot split aggregate %s" % func)
         self._memo[signature] = combined
         return combined
+
+
+def _group_key_exprs(select: ast.Select) -> list:
+    """GROUP BY keys with ordinals replaced by the select item they name.
+
+    The shards receive a different select list (``__G``/``__P`` columns),
+    and the coordinator matches key expressions against the original
+    items, so a position has to become its expression before the split.
+    """
+    keys = []
+    for g in select.group_by:
+        if isinstance(g, ast.NumberLit):
+            index = int(g.text) - 1
+            if not 0 <= index < len(select.items):
+                raise BindError("GROUP BY position %s out of range" % g.text)
+            g = select.items[index].expr
+        keys.append(g)
+    return keys
 
 
 def _order_for_gather(select: ast.Select, columns: list[str]):

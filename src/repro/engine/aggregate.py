@@ -1,9 +1,10 @@
 """Vectorised grouping and aggregation (paper II.B.7).
 
-Groups are resolved with a single ``np.unique(return_inverse)`` pass over
-the key columns; aggregates then reduce with ``np.bincount``-style
-scatter-adds, so the whole operator is a handful of vectorised passes
-(the cache-efficient, partition-into-chunks strategy the paper describes,
+Groups are resolved by factorising the key columns into dense codes
+(:func:`repro.engine.fused.group_codes`, the one group-coding routine at
+every DOP); aggregates then reduce with ``np.bincount`` / ``ufunc.at``
+scatter ops, so the whole operator is a handful of vectorised passes (the
+cache-efficient, partition-into-chunks strategy the paper describes,
 expressed in numpy).
 
 Supported aggregates: COUNT(*), COUNT(x), COUNT(DISTINCT x), SUM, AVG,
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import fused
 from repro.engine.expression import Batch, Expr
 from repro.engine.operators import Operator
 from repro.errors import UnsupportedFeatureError
@@ -158,18 +160,14 @@ class GroupByOp(Operator):
             # over a multi-region scan, each pool task scans K regions and
             # reduces them in place — the decoded scan output is never
             # materialised (see repro.engine.fused).
-            from repro.engine import fused
-
             plan = fused.match_scan_agg(self)
             if plan is not None:
-                result = fused.execute_scan_agg(self, plan, pool)
-                if result is not None:
-                    columns, n_groups, input_rows = result
-                    self.stats = GroupStats(
-                        input_rows=input_rows, groups=n_groups
-                    )
-                    yield Batch.from_columns(columns)
-                    return
+                columns, n_groups, input_rows = fused.execute_scan_agg(
+                    self, plan, pool
+                )
+                self.stats = GroupStats(input_rows=input_rows, groups=n_groups)
+                yield Batch.from_columns(columns)
+                return
         batch = self.child.run()
         self.stats = GroupStats(input_rows=batch.n)
         if batch.n == 0 and not batch.columns:
@@ -199,11 +197,13 @@ class GroupByOp(Operator):
             )
             return
         key_vectors = [(alias, expr.eval(batch)) for alias, expr in self.keys]
-        group_ids, representatives, n_groups = _group_ids(key_vectors, batch.n)
-        self.stats.groups = int(n_groups)
+        group_ids, key_cols, n_groups = fused.group_codes(
+            [(vector.values, vector.nulls) for _, vector in key_vectors]
+        )
+        self.stats.groups = n_groups
         columns: dict[str, ColumnVector] = {}
-        for alias, vector in key_vectors:
-            columns[alias] = vector.take(representatives)
+        for (alias, vector), (values, nulls) in zip(key_vectors, key_cols):
+            columns[alias] = ColumnVector(vector.dtype, values, nulls)
         for spec in self.aggregates:
             columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
         yield Batch.from_columns(columns)
@@ -223,10 +223,8 @@ class GroupByOp(Operator):
 
         Key/argument expressions evaluate once over the whole batch, then
         batched morsel spans reduce through the fused array kernels
-        (:mod:`repro.engine.fused`).  Plans whose key encoding cannot be
-        packed fall back to the original per-group state merge."""
-        from repro.engine import fused
-
+        (:mod:`repro.engine.fused`).  An aggregate set the recipe compiler
+        rejects falls back to the original per-group state merge."""
         try:
             columns, n_groups = fused.parallel_group_reduce(self, batch, pool)
         except fused.FusionFallback:
@@ -236,9 +234,9 @@ class GroupByOp(Operator):
 
     def _execute_parallel_states(self, batch: Batch, morsels, pool) -> Batch:
         """Partial per-group states per morsel, merged in morsel order, then
-        groups re-sorted into the serial engine's output order (per column:
-        NULL first, then ascending values — exactly ``np.unique``'s code
-        order in :func:`_group_ids`)."""
+        groups re-sorted into the engine's group output order (per column:
+        NULL first, then ascending values — the code order of
+        :func:`repro.engine.fused.group_codes`)."""
         from repro.parallel.morsel import MorselMerger
 
         def partials(rng):
@@ -264,18 +262,20 @@ class GroupByOp(Operator):
         """One morsel's {group key tuple: [PartialAgg per aggregate]}."""
         n = sub.n
         if self.keys:
-            key_vectors = [(alias, expr.eval(sub)) for alias, expr in self.keys]
-            group_ids, representatives, n_groups = _group_ids(key_vectors, n)
-            group_keys = []
-            for g in range(int(n_groups)):
-                r = int(representatives[g])
-                parts = []
-                for _, vector in key_vectors:
-                    if vector.null_mask()[r]:
-                        parts.append(None)
-                    else:
-                        parts.append(_py_value(vector.values[r]))
-                group_keys.append(tuple(parts))
+            key_vectors = [expr.eval(sub) for _, expr in self.keys]
+            group_ids, key_cols, n_groups = fused.group_codes(
+                [(v.values, v.nulls) for v in key_vectors]
+            )
+            parts = []
+            for values, nulls in key_cols:
+                items = values.tolist()
+                if nulls is not None:
+                    items = [
+                        None if null else item
+                        for item, null in zip(items, nulls.tolist())
+                    ]
+                parts.append(items)
+            group_keys = list(zip(*parts))
         else:
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
@@ -323,13 +323,10 @@ class GroupByOp(Operator):
         return states
 
 
-def _py_value(value):
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def _serial_group_order(key: tuple):
-    """Sort key reproducing the serial engine's group order: per column,
-    NULL sorts first (code 0 in :func:`_group_ids`), then values ascend."""
+    """Sort key reproducing the engine's group output order: per column,
+    NULL sorts first (code 0 in :func:`repro.engine.fused.group_codes`),
+    then values ascend."""
     return tuple((0,) if v is None else (1, v) for v in key)
 
 
@@ -415,29 +412,6 @@ def _synthesize_empty(keys, aggregates) -> Batch:
     return Batch(columns=columns, n=0)
 
 
-def _group_ids(key_vectors, n: int):
-    """Assign dense group ids; returns (ids, representative row per group, k).
-
-    NULL forms its own group (SQL GROUP BY treats NULLs as equal).
-    """
-    encoded = []
-    for _, vector in key_vectors:
-        values = vector.values
-        nulls = vector.null_mask()
-        # Factorise each key column independently, reserving code 0 for NULL.
-        uniq, inverse = np.unique(values, return_inverse=True)
-        codes = inverse.astype(np.int64) + 1
-        codes[nulls] = 0
-        encoded.append(codes)
-    combined = encoded[0]
-    for codes in encoded[1:]:
-        combined = combined * (int(codes.max()) + 1) + codes
-    uniq, first_index, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64), first_index, uniq.size
-
-
 def _compute_aggregate(
     spec: AggregateSpec, batch: Batch, group_ids: np.ndarray, n_groups: int
 ) -> ColumnVector:
@@ -469,7 +443,7 @@ def _compute_aggregate(
     group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
     empty = group_counts == 0  # groups where every input was NULL
     if func in ("MIN", "MAX"):
-        return _min_max(vector, values, ids, n_groups, empty, func, out_dt)
+        return _min_max(values, ids, n_groups, empty, func, out_dt)
     if spec.distinct:
         ids, values = _distinct_pairs(ids, values)
         group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
@@ -532,16 +506,9 @@ def _distinct_pairs(ids: np.ndarray, values: np.ndarray):
     return ids[keep], values[keep]
 
 
-def _min_max(vector, values, ids, n_groups, empty, func, out_dt):
-    np_dtype = vector.values.dtype
-    filler = "" if np_dtype == object else 0
-    out = np.full(n_groups, filler, dtype=np_dtype)
-    initialised = np.zeros(n_groups, dtype=bool)
-    better = (lambda a, b: a < b) if func == "MIN" else (lambda a, b: a > b)
-    for g, v in zip(ids.tolist(), values.tolist()):
-        if not initialised[g] or better(v, out[g]):
-            out[g] = v
-            initialised[g] = True
+def _min_max(values, ids, n_groups, empty, func, out_dt):
+    out = fused.min_max_span(func.lower(), ids, values, n_groups)
+    out[empty] = "" if out.dtype == object else 0  # filler under the NULL mask
     return ColumnVector(out_dt, out, empty if empty.any() else None)
 
 

@@ -550,14 +550,21 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
         if target == np.int64 and values.dtype == np.float64:
             return np.trunc(values).astype(np.int64)
         return values.astype(target)
-    # Slow path through boundary values (strings <-> anything).
-    out = np.empty(values.size, dtype=target)
-    for i, raw in enumerate(values.tolist()):
-        if nulls is not None and nulls[i]:
-            out[i] = "" if target == object else 0
-            continue
-        boundary = to_boundary_scalar(raw, from_dt)
-        out[i] = to_physical_scalar(boundary, to_dt)
+    # Boundary path (strings <-> anything): each distinct raw value goes
+    # through the scalar conversion once, in first-appearance order so the
+    # error of the first bad row is the one raised, then rows gather.
+    live = values if nulls is None else values[~nulls]
+    raws = live.tolist()
+    # Floats are keyed by bit pattern: -0.0 == 0.0 but they print apart.
+    keys = live.view(np.int64).tolist() if live.dtype == np.float64 else raws
+    converted = dict(zip(keys, raws))
+    for key, raw in converted.items():
+        converted[key] = to_physical_scalar(to_boundary_scalar(raw, from_dt), to_dt)
+    gathered = np.fromiter(map(converted.__getitem__, keys), target, len(keys))
+    if nulls is None:
+        return gathered
+    out = np.full(values.size, "" if target == object else 0, dtype=target)
+    out[~nulls] = gathered
     return out
 
 

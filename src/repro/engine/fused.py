@@ -13,11 +13,13 @@ small per-group accumulator arrays that merge associatively.
 Three layers:
 
 * **Span reduction** (:func:`_reduce_span`): factorise the span's group
-  keys with the :mod:`repro.simd.factorize` kernels, then reduce every
-  aggregate with ``bincount`` / ``ufunc.at`` scatter ops.  The accumulator
-  arithmetic is exactly the serial engine's (modular int64 sums, float64
-  division of exact integer sums for AVG), so merged results are
-  bit-identical to the unfused operator for every ``parallel_safe()`` plan.
+  keys (:func:`group_codes`, over the :mod:`repro.simd.factorize`
+  kernels), then reduce every aggregate with ``bincount`` / ``ufunc.at``
+  scatter ops.  :func:`group_codes` and :func:`min_max_span` are also what
+  the whole-column operator in :mod:`repro.engine.aggregate` runs at
+  DOP 1, and the accumulator arithmetic is the same (modular int64 sums,
+  float64 division of exact integer sums for AVG), so merged results are
+  bit-identical to it for every ``parallel_safe()`` plan.
 * **Scan fusion** (:func:`match_scan_agg` / :func:`execute_scan_agg`):
   when the group-by sits on a project/filter chain over a region-organised
   table scan, each pool task scans K regions (synopsis skipping and
@@ -48,7 +50,7 @@ from repro.types.datatypes import BIGINT, DOUBLE
 from repro.verify import sanitizer
 
 #: Combined radix beyond which multi-column key packing would overflow
-#: int64; such plans revert to the unfused (state-merging) path.
+#: int64; :func:`group_codes` compacts the packed codes before going on.
 _RADIX_LIMIT = 1 << 62
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -68,46 +70,42 @@ def group_codes(key_pairs):
 
     ``key_pairs`` is one ``(values, nulls-or-None)`` pair per key column.
     Returns ``(ids, key_cols, k)``: int64 ids in ``0..k-1`` whose ascending
-    order is the serial engine's group output order (per column NULL first,
-    then values ascending), and ``key_cols`` as ``(values, nulls)`` pairs
-    holding each group's key with the physical filler (0 / "") under NULL —
-    the same representation :func:`repro.engine.aggregate._key_column`
-    produces.
+    order is the engine's group output order (per column NULL first, then
+    values ascending), and ``key_cols`` as ``(values, nulls)`` pairs holding
+    each group's key as it stands in the group's first row, with the
+    physical filler (0 / "") under NULL.
     """
-    encoded = []
-    uniques = []
-    radixes = []
+    combined = None
+    size = 1
     for values, nulls in key_pairs:
         codes, uniq = factorize(values, nulls)
-        encoded.append(codes)
-        uniques.append(uniq)
-        radixes.append(uniq.size + 1)
-    combined = encoded[0]
-    size = radixes[0]
-    for codes, radix in zip(encoded[1:], radixes[1:]):
+        radix = uniq.size + 1
+        if combined is None:
+            combined, size = codes, radix
+            continue
         if size > _RADIX_LIMIT // radix:
-            raise FusionFallback("combined group-key radix exceeds int64")
-        size *= radix
+            # The packed code would overflow int64: compact what is packed
+            # so far to its dense ranks (at most n + 1 of them, same order).
+            combined, packed = factorize_int(combined)
+            size = packed.size + 1
         combined = combined * radix + codes
+        size *= radix
     packed_codes, packed_uniques = factorize_int(combined)
     ids = packed_codes - 1
     k = packed_uniques.size
-    # Unpack each group's per-column code right-to-left.
-    codes_per_col: list = [None] * len(key_pairs)
-    rem = packed_uniques
-    for i in range(len(key_pairs) - 1, 0, -1):
-        codes_per_col[i] = rem % radixes[i]
-        rem = rem // radixes[i]
-    codes_per_col[0] = rem
+    first_row = np.full(k, ids.size, dtype=np.int64)
+    np.minimum.at(first_row, ids, np.arange(ids.size))
     key_cols = []
-    for (values, _), uniq, codes in zip(key_pairs, uniques, codes_per_col):
-        nulls = codes == 0
-        filler = "" if values.dtype == object else 0
-        vals = np.full(k, filler, dtype=values.dtype)
-        live = ~nulls
-        if live.any():
-            vals[live] = uniq[codes[live] - 1]
-        key_cols.append((vals, nulls if nulls.any() else None))
+    for values, nulls in key_pairs:
+        vals = values[first_row]
+        group_nulls = None
+        if nulls is not None:
+            group_nulls = nulls[first_row]
+            if group_nulls.any():
+                vals[group_nulls] = "" if values.dtype == object else 0
+            else:
+                group_nulls = None
+        key_cols.append((vals, group_nulls))
     return ids, key_cols, k
 
 
@@ -159,7 +157,7 @@ def compile_recipes(aggregates):
 # -- span kernels (run inside pool tasks) ----------------------------------------
 
 
-def _min_max_span(kind, ids, values, k):
+def min_max_span(kind, ids, values, k):
     """Per-group MIN/MAX accumulators for one span.
 
     Numeric arrays use a single ``ufunc.at`` scatter with the identity
@@ -231,7 +229,7 @@ def _reduce_span(n, key_pairs, arg_pairs, recipe_kinds):
             np.add.at(sums, lids, lvals)
             accs.append((counts, sums))
         else:
-            accs.append((counts, _min_max_span(kind, lids, lvals, k)))
+            accs.append((counts, min_max_span(kind, lids, lvals, k)))
     return key_cols, rows, accs
 
 
@@ -483,7 +481,7 @@ def parallel_group_reduce(op, batch, pool):
     Evaluates key and argument expressions once over the whole batch (one
     vectorised pass each), splits the rows into batched morsel spans, and
     reduces each span with the fused kernels.  Raises
-    :class:`FusionFallback` when the key encoding cannot be packed.
+    :class:`FusionFallback` when an aggregate has no fused recipe.
     """
     recipes, arg_exprs = compile_recipes(op.aggregates)
     key_vectors = [(alias, expr.eval(batch)) for alias, expr in op.keys]
@@ -706,9 +704,7 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
     Each task scans its batch of regions (skipping, compressed predicates,
     buffer-pool charging — all via the scan's own ``_scan_region``), applies
     the pruned project/filter chain, and reduces to per-group accumulators.
-    Returns ``(columns, n_groups, input_rows)`` or ``None`` when a fused
-    kernel bails (the caller then runs the unfused plan; scan stats from
-    the abandoned attempt are discarded).
+    Returns ``(columns, n_groups, input_rows)``.
     """
     scan = fused.scan
     recipes, arg_exprs = compile_recipes(op.aggregates)
@@ -758,35 +754,24 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
     groups = batch_items(
         list(enumerate(scan.regions)), pool.parallelism
     )
-    original_stats = scan.stats
-    scan.stats = ScanStats()
-    try:
-        results = pool.map(
-            task, groups, label="fused-scan:%s" % scan.table.schema.name
-        )
-        run = pool.last_run
-        task_stats = ScanStats()
-        partials = []
-        input_rows = 0
-        for stats, n_rows, parts in results:
-            task_stats.merge(stats)
-            input_rows += n_rows
-            partials.extend(parts)
-        tail = scan._scan_tail(needed)  # charges scan.stats (the fresh one)
-        if tail is not None and tail.n:
-            tail = apply_chain(tail)
-            if tail.n:
-                input_rows += tail.n
-                partials.append(reduce_batch(tail))
-        keys_meta = [(alias, expr.dtype) for alias, expr in key_exprs]
-        columns, n_groups = merge_fused(keys_meta, recipes, partials)
-    except FusionFallback:
-        scan.stats = original_stats
-        return None
-    # Commit: task stats merge in region order, then the tail's charges.
-    original_stats.merge(task_stats)
-    original_stats.merge(scan.stats)
-    scan.stats = original_stats
+    results = pool.map(
+        task, groups, label="fused-scan:%s" % scan.table.schema.name
+    )
+    run = pool.last_run
+    partials = []
+    input_rows = 0
+    for stats, n_rows, parts in results:
+        scan.stats.merge(stats)
+        input_rows += n_rows
+        partials.extend(parts)
+    tail = scan._scan_tail(needed)  # charges scan.stats itself
+    if tail is not None and tail.n:
+        tail = apply_chain(tail)
+        if tail.n:
+            input_rows += tail.n
+            partials.append(reduce_batch(tail))
+    keys_meta = [(alias, expr.dtype) for alias, expr in key_exprs]
+    columns, n_groups = merge_fused(keys_meta, recipes, partials)
     scan.parallel_run = run
     op.parallel_run = run
     op.fused_mode = "scan-agg"

@@ -26,6 +26,10 @@ class JoinStats:
     probe_rows: int = 0
     matched_pairs: int = 0
     output_rows: int = 0
+    #: Probe strategy the equi-join took: "direct" (direct-address lookup
+    #: on a unique, dense int64 build key) or "sorted" (factorise, sort,
+    #: binary-search); None when no probe ran.
+    path: str | None = None
 
 #: Target build-partition size: rows per partition such that a small hash
 #: table stays cache-resident (an L2/L3-sized chunk in the paper's terms).
@@ -116,7 +120,7 @@ class HashJoinOp(Operator):
         return probe_combined, probe_valid, build_combined, build_valid
 
     def _direct_lookup_join(self, probe: Batch, build: Batch,
-                            matched_left: np.ndarray, pool):
+                            matched_left: np.ndarray):
         """Direct-address probe for unique small-domain int64 build keys.
 
         The workhorse analytical joins are foreign-key lookups against a
@@ -164,27 +168,33 @@ class HashJoinOp(Operator):
             hit = in_range & (targets >= 0)
             return rows[hit], targets[hit]
 
-        from repro.parallel.morsel import batch_spans
+        pool = self.pool
+        if pool is not None and pool.is_parallel and probe_rows.size:
+            from repro.parallel.morsel import batch_spans
 
-        spans = batch_spans(
-            probe_rows.size, self.partition_rows, pool.parallelism
-        )
-        if not spans:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        parts = pool.map(probe_span, spans, label="join-probe")
-        self.parallel_run = pool.last_run
-        li = np.concatenate([part[0] for part in parts])
-        ri = np.concatenate([part[1] for part in parts])
+            spans = batch_spans(
+                probe_rows.size, self.partition_rows, pool.parallelism
+            )
+            parts = pool.map(probe_span, spans, label="join-probe")
+            self.parallel_run = pool.last_run
+            li = np.concatenate([part[0] for part in parts])
+            ri = np.concatenate([part[1] for part in parts])
+        else:
+            # DOP 1: one whole-column probe, inline (no pool run recorded).
+            li, ri = probe_span((0, probe_rows.size))
         matched_left[li] = True
-        return li.astype(np.int64), ri.astype(np.int64)
+        return li, ri
 
     def _vector_join(self, probe: Batch, build: Batch, matched_left: np.ndarray):
         """Vectorised equi-join: factorise keys, sort the build side, and
         probe with binary search — whole-column operations only."""
-        if self.pool is not None and self.pool.is_parallel:
-            fast = self._direct_lookup_join(probe, build, matched_left, self.pool)
-            if fast is not None:
-                return fast
+        fast = self._direct_lookup_join(probe, build, matched_left)
+        self.stats.path = "sorted" if fast is None else "direct"
+        metrics = getattr(self.pool, "metrics", None)
+        if metrics is not None:  # the engine's registry, when monitoring is on
+            metrics.counter("engine.join.%s" % self.stats.path).inc()
+        if fast is not None:
+            return fast
         pk, p_valid, bk, b_valid = self._encoded_keys(
             probe, build, self.left_keys, self.right_keys
         )

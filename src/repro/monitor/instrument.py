@@ -144,6 +144,9 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
         line += " [fused=%s cache=%s]" % (
             fused_mode, getattr(op, "fused_cache", None) or "n/a"
         )
+    path = getattr(stats, "path", None)
+    if path is not None:
+        line += " [path=%s]" % path
     return line
 
 

@@ -1,22 +1,20 @@
-"""Vectorised key factorisation kernels for fused group-by pipelines.
+"""Vectorised key factorisation kernels for group-by at every DOP.
 
-The serial engine assigns group codes with ``np.unique(return_inverse)``,
-which sorts every row (``O(n log n)`` with a mergesort under the hood).
+Sorting every row to assign group codes (``np.unique(return_inverse)``) is
+``O(n log n)``, and on string keys each comparison is a Python call.
 Analytical group keys are overwhelmingly *small-domain* — dictionary-coded
 strings and dense surrogate ids — so these kernels factorise in ``O(n)``:
 
 * int64 keys whose value span is comparable to the row count use a
   direct-address presence table plus a ``cumsum`` rank scan (two passes,
   both single numpy calls that release the GIL);
-* object (string) keys use one dict pass over the distinct values and a
-  vectorised rank gather — the dict only ever holds the (small) distinct
-  set, never per-row state;
+* object (string) keys hash every row once in C (``dict.fromkeys``), sort
+  only the distinct values, and gather ranks — no per-row Python bytecode;
 * everything else falls back to ``np.unique``.
 
 All paths produce the same contract: NULL takes code 0 and non-NULL values
-take codes ``1..k`` in ascending value order — exactly the relative order
-``np.unique`` gives the serial engine, so fused group output sorts
-identically to the unfused operator.
+take codes ``1..k`` in ascending value order, so group output sorts per
+column NULL first, then values ascending, whichever path coded the keys.
 """
 
 from __future__ import annotations
@@ -52,19 +50,11 @@ def factorize_int(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def factorize_object(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense 1-based codes for an object (string) array with no NULLs."""
-    seen: dict = {}
-    ids = np.empty(values.size, dtype=np.int64)
-    for i, value in enumerate(values.tolist()):
-        code = seen.get(value)
-        if code is None:
-            code = len(seen)
-            seen[value] = code
-        ids[i] = code
-    ordered = sorted(seen)  # Python str order == np.unique object order
-    rank = np.empty(len(ordered), dtype=np.int64)
-    for r, value in enumerate(ordered):
-        rank[seen[value]] = r + 1
-    return rank[ids], np.array(ordered, dtype=object)
+    items = values.tolist()
+    ordered = sorted(dict.fromkeys(items))  # Python str order, distinct only
+    rank = dict(zip(ordered, range(1, len(ordered) + 1)))
+    codes = np.fromiter(map(rank.__getitem__, items), np.int64, len(items))
+    return codes, np.array(ordered, dtype=object)
 
 
 def factorize(
@@ -74,10 +64,8 @@ def factorize(
 
     Returns ``(codes, uniques)`` with ``codes`` an int64 array over all
     rows (NULL rows 0, others 1..k ascending) and ``uniques`` the distinct
-    non-NULL values ascending.  Unlike the serial ``_group_ids`` this never
-    ranks the garbage values sitting under NULL slots, but because both
-    paths later compact codes per distinct *surviving* combination, the
-    resulting group partition and sort order are identical.
+    non-NULL values ascending.  The values sitting under NULL slots are
+    never ranked, so they cannot open a group or shift a code.
     """
     n = values.shape[0]
     if nulls is not None and nulls.any():

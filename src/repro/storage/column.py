@@ -32,29 +32,29 @@ def physical_dtype(dt: DataType):
     return dt.numpy_dtype
 
 
+#: Boundary -> physical converter per kind, built once at import so a
+#: conversion hashes its ``TypeKind`` once.  Most kinds store what
+#: ``cast_value`` returns; ``TypeKind.NULL`` has no physical form.
+_TO_PHYSICAL = {
+    kind: cast_value for kind in TypeKind if kind is not TypeKind.NULL
+}
+_TO_PHYSICAL.update({
+    TypeKind.DECIMAL: lambda value, dt: int(cast_value(value, dt).scaleb(dt.scale)),
+    TypeKind.DATE: lambda value, dt: date_to_days(cast_value(value, dt)),
+    TypeKind.TIME: lambda value, dt: time_to_seconds(cast_value(value, dt)),
+    TypeKind.TIMESTAMP: lambda value, dt: timestamp_to_micros(cast_value(value, dt)),
+    TypeKind.BOOLEAN: lambda value, dt: int(cast_value(value, dt)),
+})
+
+
 def to_physical_scalar(value, dt: DataType):
     """Convert one boundary value to its physical form (None stays None)."""
     if value is None:
         return None
-    kind = dt.kind
-    if kind is TypeKind.DECIMAL:
-        quantized = cast_value(value, dt)
-        return int(quantized.scaleb(dt.scale))
-    if kind is TypeKind.DATE:
-        return date_to_days(cast_value(value, dt))
-    if kind is TypeKind.TIME:
-        return time_to_seconds(cast_value(value, dt))
-    if kind is TypeKind.TIMESTAMP:
-        return timestamp_to_micros(cast_value(value, dt))
-    if kind is TypeKind.BOOLEAN:
-        return int(cast_value(value, dt))
-    if dt.is_string:
-        return cast_value(value, dt)
-    if dt.is_integer:
-        return cast_value(value, dt)
-    if dt.is_approximate:
-        return cast_value(value, dt)
-    raise ConversionError("cannot store values of type %s" % dt)
+    convert = _TO_PHYSICAL.get(dt.kind)
+    if convert is None:
+        raise ConversionError("cannot store values of type %s" % dt)
+    return convert(value, dt)
 
 
 def to_boundary_scalar(value, dt: DataType):

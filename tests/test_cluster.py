@@ -12,7 +12,12 @@ from repro.cluster import (
 )
 from repro.cluster.autoconfig import shards_for_cluster
 from repro.cluster.shard import hash_value_to_shard
-from repro.errors import ClusterError, NoSurvivorsError, UnknownObjectError
+from repro.errors import (
+    BindError,
+    ClusterError,
+    NoSurvivorsError,
+    UnknownObjectError,
+)
 from repro.util.timer import SimClock
 
 HW = HardwareSpec(cores=8, ram_gb=64, storage_tb=1.0)
@@ -152,6 +157,35 @@ class TestDistributedQueries:
         _, s = cs
         with pytest.raises(UnknownObjectError):
             s.execute("SELECT * FROM nothere")
+
+    def test_ordinal_group_key_over_an_expression(self):
+        """``GROUP BY 1`` naming a CASE item: the coordinator used to bind
+        the CASE over the gathered partials (``BindError: column
+        SS_SALES_PRICE not found``).  Both benchmark queries of that shape
+        must equal the single-node answer on a 4-shard cluster."""
+        from repro.database import Database
+        from repro.workloads import tpcds
+        from repro.workloads.bdinsight import BDINSIGHT_QUERIES
+
+        data = tpcds.generate(scale=0.05, seed=11)
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        assert cluster.n_shards == 4
+        single = Database().connect("db2")
+        sharded = cluster.connect("db2")
+        for system in (single, sharded):
+            for ddl in tpcds.DDL:
+                system.execute(ddl)
+            for name, rows in data.tables().items():
+                tpcds.bulk_insert(system, name, rows)
+        queries = dict(tpcds.TPCDS_QUERIES + BDINSIGHT_QUERIES)
+        for name in ("q11_price_bands", "b07_discount_band"):
+            expected = single.execute(queries[name]).rows
+            assert len(expected) == 3, name
+            assert sharded.execute(queries[name]).rows == expected, name
+            assert cluster.last_stats.mode == "two-phase"
+        with pytest.raises(BindError, match="position 3 out of range"):
+            sharded.execute("SELECT d_year, COUNT(*) FROM date_dim GROUP BY 3")
+        cluster.pool.shutdown()
 
 
 class TestDistributedDml:

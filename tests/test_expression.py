@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     Arith,
@@ -19,9 +21,18 @@ from repro.engine import (
     Not,
 )
 from repro.engine.expression import make_arith, selection_mask
-from repro.errors import DivisionByZeroError
+from repro.errors import ConversionError, DivisionByZeroError
 from repro.storage.column import ColumnVector
-from repro.types import BIGINT, BOOLEAN, DOUBLE, INTEGER, decimal_type, varchar_type
+from repro.types import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INTEGER,
+    char_type,
+    decimal_type,
+    varchar_type,
+)
 from repro.types.datatypes import TypeKind
 
 
@@ -353,3 +364,104 @@ class TestPhysicalAlignmentInternals:
         )
         assert result.scale == 2
         assert result.precision == 31
+
+
+class TestVectorisedBoundaryCast:
+    """The boundary path of ``_cast_physical`` converts each distinct raw
+    value once and gathers; ``_cast_physical_scalar`` applied row by row is
+    the reference, for the values and for which error is raised."""
+
+    _STRINGS = [
+        "a", "ab ", "abc   ", "abcdefgh", "", " 12 ", "7", "-3.5", "1e2",
+        "99999999999999999999", "2017-04-19", "2017-13-40", "x1",
+    ]
+    _SOURCES = {
+        "string": (varchar_type(24), object, _STRINGS),
+        "char": (char_type(4), object, ["a   ", "ab  ", "12  ", "    "]),
+        "int": (INTEGER, np.int64, [0, 7, -12, 123456, 2**31 - 1]),
+        "double": (DOUBLE, np.float64, [0.0, -0.0, 1.5, -2.25, 1e20]),
+        "date": (DATE, np.int64, [0, 17275, -1, 20000]),
+        "decimal": (decimal_type(8, 2), np.int64, [0, 150, -275, 99999999]),
+    }
+    _STRING_TARGETS = [varchar_type(3), varchar_type(12), char_type(2), char_type(6)]
+    _OTHER_TARGETS = [INTEGER, BIGINT, DOUBLE, decimal_type(8, 2), DATE, BOOLEAN]
+
+    @staticmethod
+    def _reference(values, from_dt, to_dt, nulls):
+        from repro.engine.expression import _cast_physical_scalar
+
+        target = to_dt.numpy_dtype
+        out = np.empty(values.size, dtype=target)
+        for i, (raw, null) in enumerate(zip(values.tolist(), nulls.tolist())):
+            if null:
+                out[i] = "" if target == object else 0
+            else:
+                out[i] = _cast_physical_scalar(raw, from_dt, to_dt, 0)
+        return out
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_cast_row_by_row(self, data):
+        from repro.engine.expression import _cast_physical
+
+        source = data.draw(st.sampled_from(sorted(self._SOURCES)))
+        from_dt, np_dtype, pool = self._SOURCES[source]
+        targets = self._STRING_TARGETS + (
+            self._OTHER_TARGETS if np_dtype == object else []
+        )
+        to_dt = data.draw(st.sampled_from(targets))
+        picks = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+        null_bits = data.draw(
+            st.lists(st.booleans(), min_size=len(picks), max_size=len(picks))
+        )
+        values = np.empty(len(picks), dtype=np_dtype)
+        values[:] = picks
+        nulls = np.asarray(null_bits, dtype=bool)
+        mask = nulls if nulls.any() else None
+        try:
+            expected = self._reference(values, from_dt, to_dt, nulls)
+        except (ConversionError, ArithmeticError) as exc:  # decimal.InvalidOperation escapes cast_value
+            with pytest.raises(type(exc)) as caught:
+                _cast_physical(values, from_dt, to_dt, 0, mask)
+            assert str(caught.value) == str(exc)
+            return
+        got = _cast_physical(values, from_dt, to_dt, 0, mask)
+        assert got.dtype == expected.dtype
+        assert [(type(v), v) for v in got.tolist()] == [
+            (type(v), v) for v in expected.tolist()
+        ]
+        if got.dtype == np.float64:  # -0.0 == 0.0: compare the bits too
+            assert got.tobytes() == expected.tobytes()
+
+    def test_bad_value_raises_wherever_it_sits(self):
+        from repro.engine.expression import _cast_physical
+
+        for position in (0, 3, 7):
+            values = np.array(["12"] * 8, dtype=object)
+            values[position] = "twelve"
+            with pytest.raises(ConversionError, match="'twelve'"):
+                _cast_physical(values, varchar_type(8), DOUBLE, 0, None)
+            values[position] = "much too long"
+            with pytest.raises(ConversionError, match="too long"):
+                _cast_physical(values, varchar_type(16), varchar_type(4), 0, None)
+            # ... and not at all when the bad value sits under a NULL.
+            nulls = np.zeros(8, dtype=bool)
+            nulls[position] = True
+            out = _cast_physical(values, varchar_type(16), varchar_type(4), 0, nulls)
+            assert out.tolist() == ["12" if i != position else "" for i in range(8)]
+
+    def test_first_bad_row_decides_the_error(self):
+        from repro.engine.expression import _cast_physical
+
+        values = np.array(["1", "zz", "1", "yy", "zz"], dtype=object)
+        with pytest.raises(ConversionError, match="'zz'"):
+            _cast_physical(values, varchar_type(4), DOUBLE, 0, None)
+        with pytest.raises(ConversionError, match="'yy'"):
+            _cast_physical(values[::-1][1:], varchar_type(4), DOUBLE, 0, None)
+
+    def test_negative_zero_keeps_its_own_text(self):
+        from repro.engine.expression import _cast_physical
+
+        values = np.array([0.0, -0.0, 0.0, -0.0])
+        out = _cast_physical(values, DOUBLE, varchar_type(8), 0, None)
+        assert out[0] == out[2] and out[1] == out[3] and out[0] != out[1]

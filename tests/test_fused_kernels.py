@@ -35,7 +35,7 @@ from repro.engine.operators import FilterOp, ProjectOp
 from repro.parallel import WorkerPool
 from repro.simd import factorize
 from repro.storage.column import ColumnVector
-from repro.types import BIGINT, INTEGER, varchar_type
+from repro.types import BIGINT, DOUBLE, INTEGER, varchar_type
 
 _VARCHAR = varchar_type(4)
 _MORSEL_ROWS = 13
@@ -233,20 +233,25 @@ def test_merge_fused_handles_span_with_no_rows(pool):
     assert _rows(fused_op.run(), aliases) == _rows(serial_op.run(), aliases) == [(2, 1)]
 
 
-def test_radix_overflow_falls_back_to_states(pool):
-    """Huge key domains overflow the radix combine; the fused reduce must
-    hand the batch to the per-morsel state path, not answer wrong."""
-    # The radix combine multiplies per-column cardinalities (+1 for NULL);
-    # seven ~600-distinct columns push the product past 2**62.
+def _wide_key_columns(n=600, width=7):
+    """Seven ~600-distinct columns: the radix combine multiplies per-column
+    cardinalities (+1 for NULL), so the packed code passes 2**62."""
     rng = np.random.default_rng(3)
-    n = 600
-    names = ["k%d" % i for i in range(7)]
-    columns = {
-        name: ColumnVector.from_boundary(
+    return {
+        "k%d" % i: ColumnVector.from_boundary(
             rng.integers(0, 1_000_000, size=n).tolist(), BIGINT
         )
-        for name in names
+        for i in range(width)
     }
+
+
+def test_radix_overflow_compacts_and_stays_fused(pool):
+    """Huge key domains overflow the radix combine; the group coding must
+    compact the packed codes and go on — same answer at every DOP, still
+    the fused reduce, nothing wrapped around."""
+    columns = _wide_key_columns()
+    names = sorted(columns)
+    n = len(columns[names[0]])
     columns["x"] = ColumnVector.from_boundary(list(range(n)), INTEGER)
 
     def build(pool_arg):
@@ -258,12 +263,177 @@ def test_radix_overflow_falls_back_to_states(pool):
             morsel_rows=_MORSEL_ROWS,
         )
 
-    fused_op = build(pool)
     aliases = names + ["a_sum"]
-    assert sorted(_rows(fused_op.run(), aliases)) == sorted(
-        _rows(build(None).run(), aliases)
+    # Every row is its own group: the expected answer needs no engine.
+    expected = sorted(
+        zip(*[columns[name].values.tolist() for name in names], range(n))
     )
-    assert fused_op.fused_mode is None  # fell back before claiming fusion
+    assert len(set(expected)) == n
+    serial_op, fused_op = build(None), build(pool)
+    assert _rows(serial_op.run(), aliases) == expected
+    assert _rows(fused_op.run(), aliases) == expected
+    assert fused_op.fused_mode == "batch-agg"
+
+
+# -- group coding vs an np.unique reference ---------------------------------------
+
+
+def _reference_group_ids(key_pairs):
+    """The sort-based coding the engine used before ``group_codes`` became
+    the only routine: ``np.unique`` per column (NULL = code 0), then
+    ``np.unique`` over the code rows (lexicographic, so no radix to
+    overflow).  Returns ``(ids, first row of each group, k)``."""
+    encoded = []
+    for values, nulls in key_pairs:
+        _, inverse = np.unique(values, return_inverse=True)
+        codes = inverse.astype(np.int64) + 1
+        if nulls is not None:
+            codes[nulls] = 0
+        encoded.append(codes)
+    _, first_index, inverse = np.unique(
+        np.stack(encoded, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return inverse.reshape(-1).astype(np.int64), first_index, first_index.size
+
+
+def _assert_group_coding_matches_reference(key_pairs):
+    ids, key_cols, k = fused.group_codes(key_pairs)
+    ref_ids, first, ref_k = _reference_group_ids(key_pairs)
+    assert k == ref_k
+    assert ids.dtype == np.int64 and ids.tolist() == ref_ids.tolist()
+    for (values, nulls), (group_values, group_nulls) in zip(key_pairs, key_cols):
+        expected_nulls = (
+            np.zeros(k, dtype=bool) if nulls is None else nulls[first]
+        )
+        got_nulls = np.zeros(k, dtype=bool) if group_nulls is None else group_nulls
+        assert got_nulls.tolist() == expected_nulls.tolist()
+        expected = values[first]
+        expected[expected_nulls] = "" if values.dtype == object else 0
+        assert group_values.dtype == values.dtype
+        if values.dtype == object:
+            assert group_values.tolist() == expected.tolist()
+        else:  # bit for bit: -0.0 and 0.0 share a group, the first row names it
+            assert group_values.tobytes() == expected.tobytes()
+
+
+_KEY_COLUMNS = {
+    "int": (np.int64, st.integers(-40, 40)),
+    "wide-int": (np.int64, st.integers(-(2**62), 2**62)),
+    "str": (object, st.sampled_from(["", "a", "aa", "b", "B", "v1", "v10", "v2"])),
+    "float": (np.float64, st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1e300, float("inf")])),
+}
+
+
+@st.composite
+def _key_pairs(draw):
+    n = draw(st.integers(1, 80))
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_KEY_COLUMNS)), min_size=1, max_size=3)):
+        np_dtype, elements = _KEY_COLUMNS[kind]
+        values = np.empty(n, dtype=np_dtype)
+        values[:] = draw(st.lists(elements, min_size=n, max_size=n))
+        null_mode = draw(st.sampled_from(["none", "some", "all"]))
+        if null_mode == "none":
+            nulls = None
+        elif null_mode == "all":
+            nulls = np.ones(n, dtype=bool)
+        else:
+            nulls = np.asarray(
+                draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+            )
+        pairs.append((values, nulls))
+    return pairs
+
+
+@given(key_pairs=_key_pairs())
+@settings(max_examples=200, deadline=None)
+def test_group_codes_match_unique_reference(key_pairs):
+    """Same ids, same group count, same key columns (the group's first
+    row, filler under NULL) as sorting would give — for int, string and
+    float keys, NULL-free, NULL-sprinkled and all-NULL columns; whatever
+    sits under a NULL slot must not open a group."""
+    _assert_group_coding_matches_reference(key_pairs)
+
+
+def test_group_codes_match_unique_reference_on_radix_overflow():
+    columns = _wide_key_columns()
+    nulls = np.zeros(600, dtype=bool)
+    nulls[::7] = True
+    pairs = [(columns[name].values, None) for name in sorted(columns)]
+    pairs[3] = (pairs[3][0], nulls)
+    _assert_group_coding_matches_reference(pairs)
+    # Duplicate every row: the compaction must keep equal keys together.
+    doubled = [
+        (np.concatenate([v, v]), None if m is None else np.concatenate([m, m]))
+        for v, m in pairs
+    ]
+    _assert_group_coding_matches_reference(doubled)
+    assert fused.group_codes(doubled)[2] == 600
+
+
+# -- MIN / MAX scatter vs a row loop ----------------------------------------------
+
+
+def _reference_min_max(func, values, nulls, ids, k):
+    out = [None] * k
+    for value, null, g in zip(values.tolist(), nulls.tolist(), ids.tolist()):
+        if null:
+            continue
+        if out[g] is None or (value < out[g] if func == "MIN" else value > out[g]):
+            out[g] = value
+    return out
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.one_of(
+                st.none(),
+                st.sampled_from([_INT64.min, _INT64.max, -1, 0, 1]),
+                st.integers(-1000, 1000),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    as_double=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_min_max_scatter_matches_row_loop(rows, as_double):
+    """Numeric MIN/MAX through the ``ufunc.at`` scatter: int64 extremes
+    are values, never sentinels, and an all-NULL group is NULL."""
+    dtype = DOUBLE if as_double else BIGINT
+    g = [row[0] for row in rows]
+    x = [None if row[1] is None else (float(row[1]) if as_double else row[1]) for row in rows]
+    batch = Batch.from_columns(
+        {
+            "g": ColumnVector.from_boundary(g, INTEGER),
+            "x": ColumnVector.from_boundary(x, dtype),
+        }
+    )
+    op = GroupByOp(
+        VectorSourceOp(batch),
+        keys=[("kg", ColumnRef("g", INTEGER))],
+        aggregates=[
+            AggregateSpec("MIN", [ColumnRef("x", dtype)], "lo"),
+            AggregateSpec("MAX", [ColumnRef("x", dtype)], "hi"),
+        ],
+    )
+    out = op.run()
+    groups = sorted(set(g))
+    ids = np.array([groups.index(v) for v in g])
+    vector = batch.columns["x"]
+    for func, alias in (("MIN", "lo"), ("MAX", "hi")):
+        expected = _reference_min_max(
+            func, vector.values, vector.null_mask(), ids, len(groups)
+        )
+        assert out.columns[alias].to_boundary() == expected
+        assert out.columns[alias].values.dtype == vector.values.dtype
+    assert out.columns["kg"].to_boundary() == groups
 
 
 def test_mixed_codec_regions_agree():

@@ -129,6 +129,91 @@ class TestHashJoin:
         assert HashJoinOp(right, left, ["k"], ["k"], join_type="left").run().n == 1
 
 
+class TestDirectLookupProbe:
+    """The direct-address probe runs at every DOP whenever its own shape
+    test passes; the sorted probe is the reference (forced by making the
+    shape test fail), and the two must agree byte for byte."""
+
+    JOIN_TYPES = ["inner", "left", "right", "full", "semi", "anti"]
+
+    @staticmethod
+    def _run(left_cols, right_cols, join_type, monkeypatch=None, pool=None):
+        op = HashJoinOp(
+            source(**left_cols), source(**right_cols), ["k"], ["k"],
+            join_type=join_type, pool=pool,
+        )
+        if monkeypatch is not None:
+            monkeypatch.setattr(
+                op, "_direct_lookup_join", lambda *args: None, raising=True
+            )
+        batch = op.run()
+        columns = {
+            name: (vector.values.tolist(), vector.null_mask().tolist())
+            for name, vector in batch.columns.items()
+        }
+        return op.stats, columns
+
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    def test_matches_sorted_probe_on_a_foreign_key_join(self, join_type, monkeypatch):
+        fact = {"k": [3, 1, None, 7, 3, 9, 2, 1, 40, None], "lv": list(range(10))}
+        dim = {"k": [1, 2, 3, None, 5, 9], "rv": [10, 20, 30, 40, 50, 90]}
+        stats, direct = self._run(fact, dim, join_type)
+        assert stats.path == "direct"
+        ref_stats, reference = self._run(fact, dim, join_type, monkeypatch)
+        assert ref_stats.path == "sorted"
+        assert direct == reference
+        assert stats.matched_pairs == ref_stats.matched_pairs == 6
+
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    def test_duplicate_build_keys_take_the_sorted_probe(self, join_type, monkeypatch):
+        left = {"k": [1, 2, 1, 3], "lv": [0, 1, 2, 3]}
+        right = {"k": [1, 1, 3, 4], "rv": [10, 11, 30, 40]}
+        stats, got = self._run(left, right, join_type)
+        assert stats.path == "sorted" and stats.matched_pairs == 5
+        assert got == self._run(left, right, join_type, monkeypatch)[1]
+
+    def test_sparse_build_domain_takes_the_sorted_probe(self):
+        left = {"k": [1, 2_000_000_000, 5], "lv": [0, 1, 2]}
+        right = {"k": [1, 2_000_000_000], "rv": [10, 20]}
+        stats, got = self._run(left, right, "inner")
+        assert stats.path == "sorted"
+        assert got["rv"][0] == [10, 20]
+
+    def test_string_and_multi_column_keys_take_the_sorted_probe(self):
+        stats, _ = self._run({"k": ["a", "b"]}, {"k": ["b"], "rv": [1]}, "inner")
+        assert stats.path == "sorted"
+        op = HashJoinOp(
+            source(a=[1, 2], b=[1, 2]), source(a=[1, 2], b=[1, 3], rv=[7, 8]),
+            ["a", "b"], ["a", "b"],
+        )
+        assert op.run().n == 1 and op.stats.path == "sorted"
+
+    def test_all_null_or_out_of_range_probe_keys(self):
+        stats, got = self._run({"k": [None, None]}, {"k": [1, 2], "rv": [1, 2]}, "left")
+        assert stats.path == "direct" and stats.matched_pairs == 0
+        assert got["rv"][1] == [True, True]
+        stats, got = self._run({"k": [-5, 99]}, {"k": [1, 2], "rv": [1, 2]}, "anti")
+        assert stats.path == "direct" and got["k"][0] == [-5, 99]
+
+    def test_serial_pool_records_no_run_and_parallel_pool_agrees(self):
+        from repro.parallel import WorkerPool
+
+        rng = np.random.default_rng(5)
+        fact = {"k": rng.integers(0, 300, size=5000).tolist(), "lv": list(range(5000))}
+        dim = {"k": list(range(0, 300, 2)), "rv": list(range(150))}
+        serial_pool = WorkerPool(1, name="join-serial")
+        stats, serial = self._run(fact, dim, "inner", pool=serial_pool)
+        assert stats.path == "direct"
+        assert serial_pool.runs_total == 0  # one inline whole-column probe
+        parallel_pool = WorkerPool(4, name="join-parallel")
+        try:
+            par_stats, parallel = self._run(fact, dim, "inner", pool=parallel_pool)
+            assert par_stats.path == "direct" and parallel_pool.runs_total == 1
+        finally:
+            parallel_pool.shutdown()
+        assert parallel == serial == self._run(fact, dim, "inner", pool=None)[1]
+
+
 class TestNestedLoopJoin:
     def test_cross_join(self):
         left = source(a=[1, 2])

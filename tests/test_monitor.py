@@ -307,6 +307,27 @@ class TestExplainAnalyze:
         assert lines[0].startswith("ProjectOp") or not lines[0].startswith(" ")
         assert scan_lines[0].startswith("  ")
 
+    def test_join_line_names_the_probe_path_and_monreport_counts_it(self, traced_db):
+        db, session = traced_db
+        session.execute("CREATE TABLE D (ID INT, NAME VARCHAR(4))")
+        session.execute("INSERT INTO D VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        fk = "SELECT D.NAME, T.V FROM T, D WHERE T.ID = D.ID"
+        by_tag = "SELECT D.NAME, T.V FROM T, D WHERE T.TAG = D.NAME"
+        for sql, path in ((fk, "direct"), (by_tag, "sorted")):
+            lines = [r[0] for r in session.execute("EXPLAIN ANALYZE " + sql).rows]
+            (join_line,) = [l for l in lines if "HashJoinOp" in l]
+            assert "[path=%s]" % path in join_line, join_line
+            assert not any("path=" in l for l in lines if "HashJoinOp" not in l)
+        session.execute(fk)
+        metrics = db.monreport()["metrics"]
+        assert metrics["engine.join.direct"] == 2
+        assert metrics["engine.join.sorted"] == 1
+        (join_span,) = [
+            s for s in db.tracer.find("statement")[-1].walk()
+            if s.name == "operator:HashJoinOp"
+        ]
+        assert join_span.attrs["stats"].path == "direct"
+
     def test_works_without_a_tracer(self):
         db = Database()
         session = db.connect()
