@@ -42,6 +42,7 @@ from repro.errors import (
 from repro.parallel import WorkerPool, default_parallelism, greedy_makespan
 from repro.sql import ast
 from repro.sql.parser import parse_statement
+from repro.storage.column import ColumnVector
 from repro.storage.filesystem import ClusterFileSystem
 from repro.storage.table import TableSchema
 from repro.util.timer import SimClock
@@ -75,6 +76,9 @@ class QueryStats:
     shards_touched: int = 0
     rows_gathered: int = 0
     mode: str = ""  # "scatter", "two-phase", "gather-fallback", "dml", ...
+    #: Why a SELECT took the gather-fallback ("set-op", "cte", "subquery",
+    #: "coordinator-object", "no-from", "unsplittable-aggregate: <agg>").
+    fallback_reason: str = ""
     elapsed_by_node: dict = field(default_factory=dict)
     elapsed_by_shard: dict = field(default_factory=dict)
     #: max shard time / mean shard time — 1.0 is perfectly balanced.
@@ -174,6 +178,8 @@ class Cluster:
         )
         self.tables: dict[str, DistInfo] = {}
         self.last_stats = QueryStats()
+        #: Gather-fallback statements so far, by ``fallback_reason``.
+        self.fallback_counts: dict[str, int] = {}
         #: shard_id -> RecoveryReport from the most recent fail_node().
         self.last_failover_recoveries: dict = {}
         #: Coordinator-phase statement of the last distributed SELECT (kept
@@ -402,13 +408,18 @@ class Cluster:
             raise DialectError(
                 "LIMIT/OFFSET requires the Netezza or PostgreSQL dialect"
             )
-        if self._needs_gather_fallback(select):
-            return self._gather_fallback(select, session)
+        reason = self._needs_gather_fallback(select)
+        if reason is not None:
+            return self._gather_fallback(select, session, reason)
         aggregates = _collect_aggregates(select)
+        for a in aggregates:
+            if a.distinct or a.name.upper() not in _SPLITTABLE:
+                reason = "unsplittable-aggregate: %s%s" % (
+                    a.name.upper(), "(DISTINCT)" if a.distinct else ""
+                )
+                return self._gather_fallback(select, session, reason)
         if aggregates:
-            if all(a.name.upper() in _SPLITTABLE and not a.distinct for a in aggregates):
-                return self._two_phase(select, aggregates, session)
-            return self._gather_fallback(select, session)
+            return self._two_phase(select, aggregates, session)
         # GROUP BY without aggregates deduplicates like DISTINCT; the global
         # phase must dedup across shards.
         force_distinct = bool(select.group_by)
@@ -429,6 +440,7 @@ class Cluster:
                 stats.gather_seconds * 1e3,
                 stats.skew_ratio,
             )
+            + (" reason=%s" % stats.fallback_reason if stats.fallback_reason else "")
         ]
         if stats.worker_busy:
             lines.append(
@@ -491,19 +503,22 @@ class Cluster:
             weights=weights,
         )
 
-    def _needs_gather_fallback(self, select: ast.Select) -> bool:
-        if select.set_op is not None or select.ctes:
-            return True
+    def _needs_gather_fallback(self, select: ast.Select) -> str | None:
+        """The reason this statement's shape cannot be scattered, or None."""
+        if select.set_op is not None:
+            return "set-op"
+        if select.ctes:
+            return "cte"
         if _contains_subquery(select):
-            return True
+            return "subquery"
         # FROM items referencing only coordinator objects (views, DUAL)?
         for item in select.from_items:
             for ref in _table_refs(item):
                 if ref.name.upper() not in self.tables and ref.name.upper() != "DUAL":
-                    return True
+                    return "coordinator-object"
         if not select.from_items:
-            return True
-        return False
+            return "no-from"
+        return None
 
     def _run_on_shards(self, select: ast.Select, session) -> list[Result]:
         """Scatter one statement to every shard, concurrently.
@@ -525,7 +540,7 @@ class Cluster:
             shard = self.shards[sid]
             shard_session = shard.engine.connect(dialect)
             return shard.engine.execute_ast(
-                select, shard_session, snapshot=pinned.get(sid)
+                select, shard_session, snapshot=pinned.get(sid), vectors=True
             )
 
         results = self.pool.map(run_shard, shard_ids, label="scatter")
@@ -567,18 +582,22 @@ class Cluster:
     def _gather_into_temp(
         self, session, results: list[Result], table_name: str = _GATHER_TABLE
     ) -> None:
-        """Materialise gathered partial rows as a coordinator temp table."""
+        """Materialise the shards' partial vectors as a coordinator temp table.
+
+        Each column is concatenated across shards in shard-id order and
+        sealed once: partials never become Python rows on the way.
+        """
         t0 = time.perf_counter()  # lint-ok: wall-clock (gather_seconds is a reported wall metric, never charged to the sim clock)
-        template = next((r for r in results if r.columns), results[0])
-        columns = tuple(
-            (c, dt) for c, dt in zip(template.columns, template.dtypes)
+        schema = TableSchema(
+            table_name, tuple(zip(results[0].columns, results[0].dtypes))
         )
-        session.inner.drop_temp_table(table_name)
-        table = session.inner.declare_temp_table(TableSchema(table_name, columns))
         for result in results:
-            if result.rows:
-                table.insert_rows([list(r) for r in result.rows])
-                self.last_stats.rows_gathered += len(result.rows)
+            schema.check_vectors(result.vectors)  # concat would coerce silently
+        session.inner.drop_temp_table(table_name)
+        table = session.inner.declare_temp_table(schema)
+        self.last_stats.rows_gathered += table.append_vectors(
+            [ColumnVector.concat(parts) for parts in zip(*(r.vectors for r in results))]
+        )
         self.last_stats.gather_seconds += time.perf_counter() - t0  # lint-ok: wall-clock (same reported wall metric as above)
 
     def _scatter_concat(self, select: ast.Select, session, force_distinct=False) -> Result:
@@ -599,7 +618,7 @@ class Cluster:
             partial.limit_syntax = "fetch"
         results = self._run_on_shards(partial, session)
         self._gather_into_temp(session, results)
-        template = next((r for r in results if r.columns), results[0])
+        template = results[0]
         global_select = ast.Select(
             items=[
                 ast.SelectItem(ast.Identifier([c]), alias=c) for c in template.columns
@@ -672,9 +691,11 @@ class Cluster:
         self._last_global_select = global_select
         return self.coordinator.execute_ast(global_select, session.inner)
 
-    def _gather_fallback(self, select: ast.Select, session) -> Result:
+    def _gather_fallback(self, select: ast.Select, session, reason: str) -> Result:
         """Gather every referenced cluster table, run the statement locally."""
         self.last_stats.mode = "gather-fallback"
+        self.last_stats.fallback_reason = reason
+        self.fallback_counts[reason] = self.fallback_counts.get(reason, 0) + 1
         referenced = self._tables_reachable(select)
         for name in sorted(referenced):
             star = ast.Select(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.bufferpool import BufferPool, make_policy
 from repro.catalog.catalog import Catalog, NicknameInfo, TableInfo, ViewInfo
-from repro.database.result import Result, result_from_batch
+from repro.database.result import Result, result_from_batch, vectors_from_batch
 from repro.database.session import Session
 from repro.engine.expression import Batch, selection_mask
 from repro.errors import (
@@ -387,13 +387,17 @@ class Database:
         node: ast.Node,
         session: Session | None = None,
         snapshot: Snapshot | None = None,
+        vectors: bool = False,
     ) -> Result:
         """Execute a pre-parsed statement (used by the MPP layer, which
         rewrites ASTs for partial/global aggregation).  ``snapshot`` pins
         a read statement to an externally chosen MVCC snapshot — the
-        cluster coordinator uses this for consistent cross-shard reads."""
+        cluster coordinator uses this for consistent cross-shard reads.
+        ``vectors`` makes a SELECT answer with its final batch's physical
+        column vectors (``Result.vectors``) instead of boundary rows: the
+        shard-to-coordinator hand-off, same statement wrapper."""
         session = session or self.connect()
-        return self._execute_node(node, session, snapshot=snapshot)
+        return self._execute_node(node, session, snapshot=snapshot, vectors=vectors)
 
     def evaluate_rows(self, ast_rows, session: Session | None = None) -> list[list]:
         """Evaluate constant VALUES rows to boundary values."""
@@ -405,7 +409,9 @@ class Database:
             self, session.dialect, page_source=self.page_source, session=session
         )
 
-    def _execute_select(self, node: ast.Select, session: Session) -> Result:
+    def _execute_select(
+        self, node: ast.Select, session: Session, vectors: bool = False
+    ) -> Result:
         self.last_scans = []
         tracer = self.tracer
         with tracer.span("plan"):
@@ -415,14 +421,14 @@ class Database:
 
             check_plan(planned, database=self)
         if not tracer.enabled:
-            return result_from_batch(
-                planned.run(), planned.names, planned.keys, planned.dtypes
-            )
-        root = instrument_plan(planned.op, clock=self.clock)
-        with tracer.span("execute") as span:
-            batch = root.run()
-        attach_operator_spans(tracer, span, root)
-        return result_from_batch(batch, planned.names, planned.keys, planned.dtypes)
+            batch = planned.run()
+        else:
+            root = instrument_plan(planned.op, clock=self.clock)
+            with tracer.span("execute") as span:
+                batch = root.run()
+            attach_operator_spans(tracer, span, root)
+        build = vectors_from_batch if vectors else result_from_batch
+        return build(batch, planned.names, planned.keys, planned.dtypes)
 
     #: Statement classes that never mutate shared database state: they run
     #: on the lock-free snapshot-read path.  (SET only touches the session;
@@ -440,10 +446,13 @@ class Database:
         session: Session,
         sql: str | None = None,
         snapshot: Snapshot | None = None,
+        vectors: bool = False,
     ) -> Result:
         """Statement wrapper: spans, per-statement stats, query history."""
+        if vectors and not isinstance(node, ast.Select):
+            raise SQLError("only a SELECT can answer with column vectors")
         if isinstance(node, self._READ_NODES):
-            return self._execute_read_node(node, session, sql, snapshot)
+            return self._execute_read_node(node, session, sql, snapshot, vectors)
         return self._execute_write_node(node, session, sql)
 
     def _bump_statement_count(self) -> int:
@@ -462,6 +471,7 @@ class Database:
         session: Session,
         sql: str | None,
         snapshot: Snapshot | None,
+        vectors: bool = False,
     ) -> Result:
         """Snapshot-read path: no statement lock, never blocks a writer.
 
@@ -483,7 +493,10 @@ class Database:
                 "statement", statement=type(node).__name__, sql=sql
             ):
                 try:
-                    result = self._dispatch_node(node, session)
+                    if vectors:
+                        result = self._execute_select(node, session, vectors=True)
+                    else:
+                        result = self._dispatch_node(node, session)
                 except BaseException:
                     if self.durability is not None:
                         self.durability.abort()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.column import to_boundary
+import numpy as np
+
+from repro.storage.column import ColumnVector, to_boundary
 from repro.types.values import format_value
 
 
@@ -14,7 +16,8 @@ class Result:
 
     For queries, ``columns`` and ``rows`` are populated (rows hold boundary
     Python values).  For DML/DDL, ``rowcount`` and ``message`` describe the
-    effect.
+    effect.  A shard answering the MPP coordinator fills ``vectors`` (one
+    physical :class:`ColumnVector` per column) instead of ``rows``.
     """
 
     columns: list[str] = field(default_factory=list)
@@ -22,6 +25,7 @@ class Result:
     rowcount: int = -1
     message: str = ""
     dtypes: list = field(default_factory=list)  # DataType per column (queries)
+    vectors: list | None = None  # physical columns, in place of rows
 
     @property
     def is_query(self) -> bool:
@@ -77,4 +81,20 @@ def result_from_batch(batch, names: list[str], keys: list[str], dtypes) -> Resul
         rows=rows,
         rowcount=len(rows),
         dtypes=list(dtypes),
+    )
+
+
+def vectors_from_batch(batch, names: list[str], keys: list[str], dtypes) -> Result:
+    """The engine batch itself as a result: physical vectors, no rows."""
+    vectors = []
+    for key, dtype in zip(keys, dtypes):
+        vector = batch.columns.get(key)
+        if vector is None:  # an empty batch carries no columns
+            vector = ColumnVector(dtype, np.empty(0, dtype=dtype.numpy_dtype))
+        vectors.append(vector)
+    return Result(
+        columns=[n.upper() for n in names],
+        rowcount=batch.n if batch.columns else 0,
+        dtypes=list(dtypes),
+        vectors=vectors,
     )

@@ -518,6 +518,9 @@ def _sum_result(vector, values, ids, n_groups, float_sums, empty, out_dt):
         sums = np.zeros(n_groups, dtype=np.int64)
         np.add.at(sums, ids, values)
         return ColumnVector(out_dt, sums, empty if empty.any() else None)
+    # np.bincount of an empty (all-NULL) input ignores its float weights
+    # and returns integer zeros: keep the vector physically DOUBLE.
+    float_sums = float_sums.astype(np.float64, copy=False)
     return ColumnVector(DOUBLE, float_sums, empty if empty.any() else None)
 
 

@@ -121,6 +121,7 @@ def cluster_report(cluster) -> dict:
         },
         "last_query": {
             "mode": last.mode,
+            "fallback_reason": last.fallback_reason,
             "shards_touched": last.shards_touched,
             "rows_gathered": last.rows_gathered,
             "elapsed_by_node": dict(last.elapsed_by_node),
@@ -130,6 +131,7 @@ def cluster_report(cluster) -> dict:
             "parallelism": last.parallelism,
             "worker_busy": dict(last.worker_busy),
         },
+        "gather_fallbacks": dict(cluster.fallback_counts),
         "parallel": worker_pool_report(cluster.pool),
         "tables": {
             name: cluster.total_rows(name) for name in sorted(cluster.tables)

@@ -130,6 +130,9 @@ class BaseRel:
     on_scan: object = None  # callback(scan) for statistics collection
     pool: object = None  # WorkerPool for region-parallel scans
     snapshot: object = None  # MVCC Snapshot pinned at plan time
+    #: False for session temp tables: buffer-pool frames are keyed by table
+    #: *name*, and two sessions' (or two successive) temp tables share one.
+    pooled: bool = True
 
     def build(self, needed_keys: set[str], page_source) -> Operator:
         wanted = [c for c in self.columns if c.key in needed_keys]
@@ -139,7 +142,7 @@ class BaseRel:
             self.table,
             [c.name for c in wanted],
             pushed=self.pushed,
-            page_source=page_source,
+            page_source=page_source if self.pooled else None,
             pool=self.pool,
             snapshot=self.snapshot,
             **(self.scan_options or {}),
@@ -337,7 +340,7 @@ class SelectPlanner:
         if self.session is not None and ref.schema is None:
             temp = self.session.get_temp_table(name)
             if temp is not None:
-                return self._base_rel(alias, temp)
+                return self._base_rel(alias, temp, pooled=False)
         obj = self.database.catalog.resolve(name, ref.schema)
         from repro.catalog.catalog import NicknameInfo, TableInfo, ViewInfo
 
@@ -370,7 +373,7 @@ class SelectPlanner:
             return MaterialRel(alias, VectorSourceOp(batch), columns)
         raise BindError("%s is not a table, view, or nickname" % name)
 
-    def _base_rel(self, alias: str, table) -> BaseRel:
+    def _base_rel(self, alias: str, table, pooled: bool = True) -> BaseRel:
         columns = [
             ScopeColumn("%s.%s" % (alias, cname.upper()), cname.upper(), alias, dtype)
             for cname, dtype in table.schema.columns
@@ -384,7 +387,7 @@ class SelectPlanner:
         return BaseRel(
             alias=alias, table=table, columns=columns, pushed=[],
             scan_options=options, on_scan=on_scan, pool=self.pool,
-            snapshot=snapshot,
+            snapshot=snapshot, pooled=pooled,
         )
 
     def _realias(self, rel: MaterialRel, alias: str) -> MaterialRel:

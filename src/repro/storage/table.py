@@ -63,6 +63,32 @@ class TableSchema:
     def column_type(self, name: str) -> DataType:
         return self.columns[self.column_index(name)][1]
 
+    def check_vectors(self, vectors) -> int:
+        """Row count of *vectors* if they are physically this schema.
+
+        One equal-length vector per column whose SQL type and numpy dtype
+        are exactly the column's; anything else raises rather than being
+        coerced.
+        """
+        if len(vectors) != len(self.columns):
+            raise SQLError(
+                "%d vectors for the %d columns of table %s"
+                % (len(vectors), len(self.columns), self.name)
+            )
+        n = len(vectors[0]) if vectors else 0
+        for (name, dt), vector in zip(self.columns, vectors):
+            if vector.dtype != dt or vector.values.dtype != dt.numpy_dtype:
+                raise SQLError(
+                    "column %s.%s is %s, got a %s vector of %s"
+                    % (self.name, name, dt, vector.dtype, vector.values.dtype)
+                )
+            if len(vector) != n:
+                raise SQLError(
+                    "column %s.%s has %d rows, expected %d"
+                    % (self.name, name, len(vector), n)
+                )
+        return n
+
     def __len__(self) -> int:
         return len(self.columns)
 
@@ -264,38 +290,55 @@ class ColumnTable:
         if self._tail_rows:
             self._seal_tail()
 
+    def append_vectors(self, vectors: list[ColumnVector]) -> int:
+        """Seal physical column vectors straight into compressed regions.
+
+        The columnar twin of :meth:`insert_rows` for data that is already
+        in physical form (a shard's partial result): no per-value
+        conversion or validation, so the vectors must be exactly the
+        schema's types.  The table keeps the arrays — callers must not
+        mutate them afterwards.  NULL slots may hold any filler.  Rows
+        are stamped ancient (visible to every snapshot); any buffered
+        tail is sealed first so the logical scan order stays append-only.
+        Unique columns are refused: their seen-sets are kept per value.
+        """
+        if self.unique_columns:
+            raise SQLError(
+                "table %s has unique columns; use insert_rows" % self.schema.name
+            )
+        n = self.schema.check_vectors(vectors)
+        for (name, _), vector in zip(self.schema.columns, vectors):
+            if vector.nulls is not None and name in self.not_null_columns:
+                raise ConstraintViolationError(
+                    "column %s does not accept NULL" % name
+                )
+        self.flush()
+        for start in range(0, n, self.region_rows):
+            stop = min(start + self.region_rows, n)
+            chunk = [
+                ColumnVector(
+                    v.dtype,
+                    v.values[start:stop],
+                    None if v.nulls is None else v.nulls[start:stop],
+                )
+                for v in vectors
+            ]
+            region = self._build_region(chunk, stop - start)
+            with self._capture_lock:
+                self.regions.append(region)
+        return n
+
     def _seal_tail(self) -> None:
-        columns: dict[str, CompressedColumn] = {}
-        synopses: dict[str, Synopsis] = {}
-        column_raw: dict[str, int] = {}
-        raw_nbytes = 0
-        for (name, dt), raw in zip(self.schema.columns, self._tail):
-            nulls = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
-            dtype = dt.numpy_dtype
-            filler = "" if dtype == object else 0
-            cleaned = [filler if v is None else v for v in raw]
-            if dtype == object:
-                array = np.empty(len(raw), dtype=object)
-                array[:] = cleaned
-            else:
-                array = np.array(cleaned, dtype=dtype)
-            mask = nulls if nulls.any() else None
-            columns[name] = compress_column(array, mask)
-            synopses[name] = Synopsis.build(array, mask, stride=self.synopsis_stride)
-            column_raw[name] = _raw_size(array, dt)
-            raw_nbytes += column_raw[name]
-        xmin = _stamp_array(self._tail_xmin, self._tail_rows)
-        xmax = _stamp_array(self._tail_xmax, self._tail_rows)
-        region = Region(
-            n_rows=self._tail_rows,
-            columns=columns,
-            synopses=synopses,
-            xmin=xmin,
-            xmax=xmax,
-            xmin_hi=int(xmin.max()) if xmin is not None else 0,
-            xmax_hi=int(xmax.max()) if xmax is not None else 0,
-            raw_nbytes=raw_nbytes,
-            column_raw_nbytes=column_raw,
+        # A generator: one column's raw array alive at a time while sealing.
+        vectors = (
+            _vector_from_raw(raw, dt)
+            for (_, dt), raw in zip(self.schema.columns, self._tail)
+        )
+        region = self._build_region(
+            vectors,
+            self._tail_rows,
+            _stamp_array(self._tail_xmin, self._tail_rows),
+            _stamp_array(self._tail_xmax, self._tail_rows),
         )
         with self._capture_lock:
             self.regions.append(region)
@@ -303,6 +346,29 @@ class ColumnTable:
             self._tail_rows = 0
             self._tail_xmin = []
             self._tail_xmax = []
+
+    def _build_region(self, vectors, n_rows: int, xmin=None, xmax=None) -> Region:
+        """Compress one region's columns and build their synopses."""
+        columns: dict[str, CompressedColumn] = {}
+        synopses: dict[str, Synopsis] = {}
+        column_raw: dict[str, int] = {}
+        for (name, dt), vector in zip(self.schema.columns, vectors):
+            columns[name] = compress_column(vector.values, vector.nulls)
+            synopses[name] = Synopsis.build(
+                vector.values, vector.nulls, stride=self.synopsis_stride
+            )
+            column_raw[name] = _raw_size(vector.values, dt)
+        return Region(
+            n_rows=n_rows,
+            columns=columns,
+            synopses=synopses,
+            xmin=xmin,
+            xmax=xmax,
+            xmin_hi=int(xmin.max()) if xmin is not None else 0,
+            xmax_hi=int(xmax.max()) if xmax is not None else 0,
+            raw_nbytes=sum(column_raw.values()),
+            column_raw_nbytes=column_raw,
+        )
 
     # -- deletes / truncation --------------------------------------------------
 

@@ -16,8 +16,8 @@ re-derives, operator by operator, what each node consumes and produces:
   (an independent implementation of the associativity rules) and compared
   with the operator's own answer, so the gate cannot silently drift;
 * **cost-charge coverage** — when a :class:`~repro.database.Database` is
-  supplied, every table scan must route page fetches through the buffer
-  pool (``page_source``), be registered for byte accounting
+  supplied, every scan of a catalog table must route page fetches through
+  the buffer pool (``page_source``), be registered for byte accounting
   (``note_scan``), and share the engine's worker pool, so no physical
   work escapes the simulated cost model.
 
@@ -205,7 +205,14 @@ class PlanVerifier:
 
     def _check_scan_charging(self, op: TableScanOp) -> None:
         db = self.database
-        if op.page_source is None:
+        # Session temp tables (the MPP gather tables among them) are not in
+        # the catalog and scan without the pool by design: frames are keyed
+        # by table name, which only the catalog keeps unique.
+        if op.page_source is None and any(
+            getattr(obj, "table", None) is op.table
+            for schema in db.catalog.schema_names()
+            for _, obj in db.catalog.entries(schema)
+        ):
             self._issue(
                 op,
                 "cost-charge",

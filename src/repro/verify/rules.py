@@ -445,7 +445,7 @@ def check_lock_discipline(ctx: FileContext):
 
 #: ColumnTable methods that mutate durable table state.  Retained for
 #: reference/tests; the interprocedural analyzer owns the live check.
-_TABLE_MUTATORS = {"insert_rows", "apply_deletes", "truncate"}
+_TABLE_MUTATORS = {"insert_rows", "append_vectors", "apply_deletes", "truncate"}
 
 
 @rule(

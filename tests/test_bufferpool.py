@@ -115,6 +115,43 @@ class TestScanReconciliation:
         assert pages_read <= 2 * regions
 
 
+
+class TestTempTablesBypassThePool:
+    """Pool frames are keyed by table *name*; only the catalog keeps names
+    unique.  Sealed session temp tables used to be read through the pool,
+    so a second table of the same name was answered from the first one's
+    pages."""
+
+    @staticmethod
+    def _declare(session, values):
+        session.execute("DECLARE GLOBAL TEMPORARY TABLE t (x INTEGER)")
+        session.execute(
+            "INSERT INTO t VALUES " + ", ".join("(%d)" % v for v in values)
+        )
+
+    def test_two_sessions_same_temp_name_stay_private(self):
+        from repro.database import Database
+
+        db = Database(region_rows=4)  # 4 rows seal a region
+        a, b = db.connect(), db.connect()
+        self._declare(a, range(4))
+        self._declare(b, range(100, 104))
+        assert a.query("SELECT x FROM t") == [(0,), (1,), (2,), (3,)]
+        assert b.query("SELECT x FROM t") == [(100,), (101,), (102,), (103,)]
+        assert db.bufferpool.stats.accesses == 0
+
+    def test_redeclared_temp_table_reads_its_own_rows(self):
+        from repro.database import Database
+
+        db = Database(region_rows=4)
+        a = db.connect()
+        self._declare(a, range(4))
+        assert a.query("SELECT x FROM t") == [(0,), (1,), (2,), (3,)]
+        a.execute("DROP TABLE t")
+        self._declare(a, range(7, 11))
+        assert a.query("SELECT x FROM t") == [(7,), (8,), (9,), (10,)]
+
+
 class TestLRU:
     def test_evicts_least_recent(self):
         pool = BufferPool(2, LRUPolicy())

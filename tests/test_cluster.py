@@ -1,5 +1,8 @@
 """MPP cluster: sharding, distributed SQL, HA (Fig. 9), elasticity."""
 
+import datetime
+
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -12,12 +15,16 @@ from repro.cluster import (
 )
 from repro.cluster.autoconfig import shards_for_cluster
 from repro.cluster.shard import hash_value_to_shard
+from repro.database import Database
 from repro.errors import (
     BindError,
     ClusterError,
     NoSurvivorsError,
+    SQLError,
     UnknownObjectError,
 )
+from repro.sql.parser import parse_statement
+from repro.storage import ColumnVector
 from repro.util.timer import SimClock
 
 HW = HardwareSpec(cores=8, ram_gb=64, storage_tb=1.0)
@@ -342,3 +349,176 @@ class TestClusterInsertInvalidation:
         s.execute("INSERT INTO sales VALUES (7, 'east', 7.25)")
         assert events, "no shard commit listener fired"
         assert all(tables == frozenset({"SALES"}) for _, tables in events)
+
+
+# -- columnar gather: every mode against a single node ------------------------
+
+SMALL = HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)  # 2 nodes -> 4 shards
+
+_GATHER_DDL = (
+    "CREATE TABLE t (k INT, g VARCHAR(4), v INT, amt DECIMAL(8,2), f DOUBLE,"
+    " d DATE, s CHAR(3))"
+)
+
+#: (mode, fallback reason, statement) — sort keys are unique, so ORDER BY
+#: and FETCH FIRST have one right answer.
+_GATHER_QUERIES = [
+    ("scatter", "", "SELECT DISTINCT g, s FROM t ORDER BY g, s"),
+    ("scatter", "", "SELECT k, v, amt, f, d, s FROM t ORDER BY k DESC FETCH FIRST 5 ROWS ONLY"),
+    ("scatter", "", "SELECT k, d FROM t WHERE v IS NULL ORDER BY 1"),
+    ("two-phase", "",
+     "SELECT g, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(s), MAX(d), SUM(amt), AVG(f)"
+     " FROM t GROUP BY g ORDER BY g"),
+    ("two-phase", "",
+     "SELECT g, AVG(amt) FROM t GROUP BY g HAVING COUNT(*) > 2 AND SUM(v) > 0 ORDER BY g"),
+    ("two-phase", "", "SELECT COUNT(*), SUM(v), AVG(v), MIN(d), MAX(s) FROM t"),
+    ("gather-fallback", "subquery",
+     "SELECT k FROM t WHERE v >= (SELECT AVG(v) FROM t) ORDER BY k"),
+    ("gather-fallback", "cte",
+     "WITH c AS (SELECT g, v FROM t WHERE k > 3) SELECT g, SUM(v) FROM c GROUP BY g ORDER BY g"),
+    ("gather-fallback", "set-op",
+     "SELECT k, s FROM t WHERE v IS NULL UNION SELECT k, s FROM t WHERE k < 5 ORDER BY 1"),
+    ("gather-fallback", "coordinator-object",
+     "SELECT g, v, d FROM tv WHERE k > 2 ORDER BY k"),
+    ("gather-fallback", "unsplittable-aggregate: COUNT(DISTINCT)",
+     "SELECT COUNT(DISTINCT g), COUNT(DISTINCT v) FROM t"),
+    ("gather-fallback", "unsplittable-aggregate: MEDIAN", "SELECT MEDIAN(f) FROM t"),
+]
+
+
+def _gather_rows(scenario):
+    """``sparse``: keys of two shards only (the others answer 0 rows);
+    ``empty``: every shard answers 0 rows; ``null-shard``: v/amt/f/d/s are
+    NULL on every row of shard 0 and nowhere else."""
+    if scenario == "empty":
+        return []
+    rows = []
+    for k in range(60):
+        sid = hash_value_to_shard(k, 4)
+        if scenario == "sparse" and sid in (0, 3):
+            continue
+        if scenario == "null-shard" and sid == 0:
+            rows.append((k, "g%d" % (k % 3), None, None, None, None, None))
+        else:
+            rows.append((k, "g%d" % (k % 3), k * 7 % 11 - 3, "%d.25" % k, k / 7.0,
+                         datetime.date(2016, 1, 1) + datetime.timedelta(days=k),
+                         "s%d" % (k % 5)))
+    return rows
+
+
+def _sql_literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, (str, datetime.date)):
+        return "'%s'" % value
+    return repr(value)
+
+
+def _close(got, want):
+    if isinstance(want, float):
+        return got == pytest.approx(want, rel=1e-12)
+    return type(got) is type(want) and got == want
+
+
+@pytest.fixture(scope="module", params=["sparse", "empty", "null-shard"])
+def gather_pair(request):
+    """A 4-shard cluster at scatter DOP 4 and a single node, same data."""
+    cluster = Cluster([SMALL] * 2, parallelism=4)
+    assert cluster.n_shards == 4
+    sessions = [cluster.connect(), Database().connect()]
+    rows = _gather_rows(request.param)
+    for session in sessions:
+        distribute = " DISTRIBUTE BY HASH (k)" if session is sessions[0] else ""
+        session.execute(_GATHER_DDL + distribute)
+        if rows:
+            session.execute("INSERT INTO t VALUES " + ", ".join(
+                "(%s)" % ", ".join(map(_sql_literal, row)) for row in rows
+            ))
+        session.execute("CREATE VIEW tv AS SELECT k, g, v, d FROM t")
+    if request.param != "empty":
+        per_shard = [s.n_rows("T") for s in cluster.shards.values()]
+        assert (0 in per_shard) == (request.param == "sparse")
+    yield cluster, sessions[0], sessions[1]
+    cluster.pool.shutdown()
+
+
+class TestColumnarGather:
+    @pytest.mark.parametrize("mode,reason,sql", _GATHER_QUERIES)
+    def test_every_mode_equals_single_node(self, gather_pair, mode, reason, sql):
+        cluster, cs, single = gather_pair
+        got, want = cs.execute(sql), single.execute(sql)
+        assert cluster.last_stats.mode == mode
+        assert cluster.last_stats.fallback_reason == reason
+        assert got.columns == want.columns
+        assert len(got.rows) == len(want.rows)
+        for g_row, w_row in zip(got.rows, want.rows):
+            assert all(map(_close, g_row, w_row)), (g_row, w_row)
+
+    def test_gather_table_is_sealed_vectors_not_rows(self, gather_pair):
+        cluster, cs, _ = gather_pair
+        cs.execute("SELECT k, s FROM t")
+        table = cs.inner.get_temp_table("__MPP_GATHER")
+        assert table.tail_rows == 0
+        assert table.n_rows == cluster.last_stats.rows_gathered == cluster.total_rows("t")
+
+    def test_fallback_reason_in_explain_and_monreport(self, gather_pair):
+        cluster, cs, _ = gather_pair
+        before = dict(cluster.monreport()["gather_fallbacks"])
+        plan = cs.execute("EXPLAIN ANALYZE SELECT COUNT(DISTINCT g) FROM t").rows
+        assert plan[0][0].startswith("MPP gather-fallback:")
+        assert plan[0][0].endswith("reason=unsplittable-aggregate: COUNT(DISTINCT)")
+        plan = cs.execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM t").rows
+        assert plan[0][0].startswith("MPP two-phase:") and "reason=" not in plan[0][0]
+        cs.execute("SELECT 1 FROM t UNION SELECT 2 FROM t")
+        report = cluster.monreport()
+        assert report["last_query"]["fallback_reason"] == "set-op"
+        after = report["gather_fallbacks"]
+        key = "unsplittable-aggregate: COUNT(DISTINCT)"
+        assert after[key] == before.get(key, 0) + 1
+        assert after["set-op"] == before.get("set-op", 0) + 1
+
+
+class TestColumnarGatherContract:
+    def test_commit_after_the_pin_stays_invisible(self, monkeypatch):
+        """The pinned snapshot still rides the columnar shard call."""
+        cluster, s = make_cluster(n_nodes=1, rows=40)
+        pin = cluster._pin_snapshots
+
+        def pin_then_commit():
+            pinned = pin()
+            cluster.shards[0].engine.execute(
+                "INSERT INTO sales VALUES (1000, 'late', 1.00)"
+            )
+            return pinned
+
+        monkeypatch.setattr(cluster, "_pin_snapshots", pin_then_commit)
+        assert s.query("SELECT COUNT(*) FROM sales") == [(40,)]  # two-phase
+        assert len(s.query("SELECT id FROM sales")) == 41  # scatter: 1 late row visible, 1 not
+        monkeypatch.setattr(cluster, "_pin_snapshots", pin)
+        assert s.query("SELECT COUNT(*) FROM sales") == [(42,)]
+
+    def test_a_shard_vector_of_another_numpy_dtype_raises(self, monkeypatch):
+        """np.concatenate would widen it silently; the gather must not."""
+        cluster, s = make_cluster(n_nodes=1, rows=40)
+        engine = cluster.shards[1].engine
+        execute_ast = engine.execute_ast
+
+        def narrowed(*args, **kwargs):
+            result = execute_ast(*args, **kwargs)
+            first = result.vectors[0]
+            result.vectors[0] = ColumnVector(first.dtype, first.values.astype(np.int32))
+            return result
+
+        monkeypatch.setattr(engine, "execute_ast", narrowed)
+        with pytest.raises(SQLError, match="int32"):
+            s.query("SELECT id FROM sales")
+
+    def test_only_a_select_answers_with_vectors(self):
+        db = Database()
+        db.execute("CREATE TABLE r (x INT)")
+        db.execute("INSERT INTO r VALUES (1), (NULL)")
+        result = db.execute_ast(parse_statement("SELECT x FROM r"), vectors=True)
+        assert result.rows == [] and result.rowcount == 2
+        assert result.vectors[0].to_boundary() == [1, None]
+        with pytest.raises(SQLError):
+            db.execute_ast(parse_statement("VALUES (1)"), vectors=True)

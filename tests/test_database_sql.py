@@ -397,3 +397,14 @@ class TestAggregateFinalizers:
         s.execute("INSERT INTO pts VALUES (1.00, 2), (2.00, 4), (3.00, 6)")
         value = s.execute("SELECT COVAR_POP(x, y) FROM pts").scalar()
         assert value == pytest.approx(4.0 / 3.0)
+
+    def test_covar_samp_divides_by_n_minus_one(self):
+        # constant@src/repro/engine/aggregate.py:547:32 survived: the
+        # sample denominator (n - 1) drifting to (n - 2) is invisible
+        # while only COVAR_POP is ever run.
+        s = Database().connect("db2")
+        s.execute("CREATE TABLE pts (g INT, x DOUBLE, y DOUBLE)")
+        s.execute("INSERT INTO pts VALUES (1, 1, 2), (1, 2, 4), (1, 3, 6), (2, 5, 5)")
+        rows = s.query("SELECT g, COVAR_SAMP(x, y) FROM pts GROUP BY g ORDER BY g")
+        assert rows[0] == (1, pytest.approx(2.0))  # pop 4/3 * 3 / (3 - 1)
+        assert rows[1] == (2, None)  # one pair: no sample covariance

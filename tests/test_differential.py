@@ -638,8 +638,11 @@ def test_serving_cache_differential_oracle_under_churn():
     landed in the window, the two answers must match exactly — row order
     included.  Windows dirtied by the writer are retried; once the writer
     drains, every query gets a guaranteed-quiet comparison.  The run must
-    also actually exercise the cache: hits and commit-hook invalidations
-    both have to occur under churn.
+    also actually exercise the cache, and does by construction: the reader
+    paces the writer, one commit released after each compared query, so
+    that commit finds the query's entry cached (an invalidation) and races
+    the next comparison; the second quiescent round is all hits.  (A
+    free-running writer could drain before the first entry was cached.)
     """
     import threading
 
@@ -655,8 +658,15 @@ def test_serving_cache_differential_oracle_under_churn():
         "INSERT INTO t VALUES %s" % row for row in _writer_rows(120)
     ]
     errors: list = []
+    permits = threading.Semaphore(0)
+
+    def paced():
+        for statement in statements:
+            permits.acquire()
+            yield statement
+
     writer = threading.Thread(
-        target=_trickle, args=(writer_session, statements, errors)
+        target=_trickle, args=(writer_session, paced(), errors)
     )
     rng = derive_rng(41, "diff-serving-cache")
     queries = [_random_query(rng) for _ in range(50)]
@@ -678,13 +688,17 @@ def test_serving_cache_differential_oracle_under_churn():
     try:
         for sql in queries:
             compare(sql)
+            permits.release()
     finally:
-        writer.join()
+        for _ in statements:  # drain the writer, whatever happened above
+            permits.release()
+        writer.join(timeout=120)
+    assert not writer.is_alive()
     if errors:
         raise errors[0]
-    # Quiescent pass: every answer must now be reproducible and served
-    # largely from cache.
-    for sql in queries:
+    # Quiescent passes: every answer must now be reproducible, and the
+    # second round is served from the entries the first one cached.
+    for sql in queries * 2:
         compare(sql)
     stats = gateway.result_cache.stats
     assert stats.hits > 0, "oracle never exercised a cache hit"

@@ -225,6 +225,15 @@ class TestPredicateForms:
         e = Between(col("a"), Literal(2, INTEGER), Literal(4, INTEGER), negated=True)
         assert list(selection_mask(e, batch)) == [True, False, False, False]
 
+    def test_between_row_at_a_time_agrees(self):
+        # boolean@src/repro/engine/expression.py:419:19 survived: only the
+        # vector form of NOT BETWEEN was ever evaluated.
+        for negated in (False, True):
+            e = Between(col("a"), Literal(2, INTEGER), Literal(4, INTEGER), negated=negated)
+            assert [e.eval_row({"a": v}) for v in (1, 2, 4, 5, None)] == [
+                int(negated), int(not negated), int(not negated), int(negated), None
+            ]
+
     def test_in_list(self, batch):
         e = InList(col("a"), [1, 4])
         assert list(selection_mask(e, batch)) == [True, False, False, True]

@@ -435,8 +435,9 @@ class TestClusterObservability:
         report = cl.monreport()
         assert sorted(report) == [
             "bufferpool", "cluster", "coordinator", "durability",
-            "last_query", "parallel", "tables",
+            "gather_fallbacks", "last_query", "parallel", "tables",
         ]
+        assert report["gather_fallbacks"] == {}  # nothing fell back yet
         assert report["parallel"]["parallelism"] == cl.parallelism
         assert report["cluster"]["shards"] == cl.n_shards
         assert report["cluster"]["live_nodes"] == 2

@@ -147,6 +147,22 @@ class TestPlanCacheDefaultCapacity:
         assert len(cache._asts) == cache.capacity
         assert cache.stats.evictions == 1
 
+    def test_a_hit_counts_once_and_a_full_view_cache_keeps_capacity_entries(self):
+        """constant@src/repro/serving/cache.py:198:35 (``hits += 2``) and
+        boundary@src/repro/serving/cache.py:224:18 (evict at ``>=``
+        capacity) survived: nothing read the AST hit counter or filled
+        the view cache exactly to its capacity."""
+        cache = PlanCache(capacity=2)
+        sql = "SELECT 1 FROM t"
+        for _ in range(3):
+            cache.statement_ast(sql, lambda: parse_statement(sql))
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+        for text in ("SELECT 1 FROM a", "SELECT 1 FROM b"):
+            cache.view_ast(text, parse_statement)
+        assert len(cache._views) == 2 and cache.view_stats.evictions == 0
+        cache.view_ast("SELECT 1 FROM c", parse_statement)
+        assert len(cache._views) == 2 and cache.view_stats.evictions == 1
+
 
 class _ProbeClock:
     """Minimal sim-clock stand-in that records every advance()."""

@@ -213,6 +213,8 @@ class TestMorselBatching:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(MORSEL_BATCH_ENV_VAR, "5")
         assert batch_size(64, 4) == 5
+        monkeypatch.setenv(MORSEL_BATCH_ENV_VAR, "1")  # the smallest legal batch
+        assert batch_size(64, 4) == 1
         monkeypatch.setenv(MORSEL_BATCH_ENV_VAR, "0")
         with pytest.raises(ValueError, match=MORSEL_BATCH_ENV_VAR):
             batch_size(64, 4)

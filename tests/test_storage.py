@@ -5,11 +5,25 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.operators import TableScanOp
 from repro.errors import ConstraintViolationError, SQLError
 from repro.storage import ColumnTable, ColumnVector, RowTable, TableSchema
 from repro.storage.column import to_boundary, to_physical
-from repro.types import DATE, DOUBLE, INTEGER, decimal_type, varchar_type
+from repro.types import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INTEGER,
+    SMALLINT,
+    TIMESTAMP,
+    char_type,
+    decimal_type,
+    varchar_type,
+)
 
 
 def make_schema(name="t"):
@@ -285,3 +299,162 @@ class TestRegionVersionStamps:
         newer = region.visible_mask(Snapshot(high=8))
         assert newer is not None
         assert newer.tolist() == [False, True, True, True]
+
+
+# -- append_vectors: the columnar twin of insert_rows -------------------------
+
+_TEXT = st.text(alphabet="abcXYZ 09", max_size=6)
+_TYPED_VALUES = [
+    (INTEGER, st.integers(-(2**31), 2**31 - 1)),
+    (BIGINT, st.integers(-(2**62), 2**62)),
+    (SMALLINT, st.integers(-(2**15), 2**15 - 1)),
+    (decimal_type(10, 2), st.decimals(-99999, 99999, places=2)),
+    (DOUBLE, st.floats(allow_nan=False, allow_infinity=False, width=64)),
+    (varchar_type(6), _TEXT),
+    (char_type(6), _TEXT),
+    (DATE, st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 1, 1))),
+    (TIMESTAMP, st.datetimes(datetime.datetime(1970, 1, 2), datetime.datetime(2100, 1, 1))),
+    (BOOLEAN, st.booleans()),
+]
+_SCHEMA = TableSchema("v", tuple(("c%d" % i, dt) for i, (dt, _) in enumerate(_TYPED_VALUES)))
+
+
+@st.composite
+def _columns(draw):
+    """One list of boundary values per _SCHEMA column: 0 rows up to three
+    regions of 8, each column with no, some or only NULLs."""
+    n = draw(st.integers(0, 20))
+    columns = []
+    for _, values in _TYPED_VALUES:
+        nulls = draw(st.sampled_from(["none", "some", "all"]))
+        element = {"none": values, "some": st.none() | values, "all": st.none()}[nulls]
+        columns.append(draw(st.lists(element, min_size=n, max_size=n)))
+    return columns
+
+
+def _bytes(array):
+    return array.tolist() if array.dtype == object else array.tobytes()
+
+
+def _same_vector(a, b):
+    assert a.dtype == b.dtype and a.values.dtype == b.values.dtype
+    assert _bytes(a.values) == _bytes(b.values)
+    assert (a.nulls is None) == (b.nulls is None)
+    assert a.nulls is None or a.nulls.tobytes() == b.nulls.tobytes()
+
+
+class TestAppendVectors:
+    @settings(max_examples=60, deadline=None)
+    @given(_columns())
+    def test_equals_insert_rows(self, columns):
+        by_rows = ColumnTable(_SCHEMA, region_rows=8)
+        by_rows.insert_rows(list(zip(*columns)))
+        by_rows.flush()
+        by_vectors = ColumnTable(_SCHEMA, region_rows=8)
+        n = by_vectors.append_vectors(
+            [ColumnVector.from_boundary(c, dt) for c, (_, dt) in zip(columns, _SCHEMA.columns)]
+        )
+        assert n == len(columns[0]) == by_vectors.n_rows == by_rows.n_rows
+        assert by_vectors.tail_rows == 0
+        assert by_vectors.raw_nbytes() == by_rows.raw_nbytes()
+        assert by_vectors.compressed_nbytes() == by_rows.compressed_nbytes()
+        assert [r.n_rows for r in by_vectors.regions] == [r.n_rows for r in by_rows.regions]
+        names = _SCHEMA.column_names
+        scans = [TableScanOp(t, names).run() for t in (by_vectors, by_rows)]
+        for name in names:
+            _same_vector(by_vectors.column_vector(name), by_rows.column_vector(name))
+            if n:
+                _same_vector(scans[0].columns[name], scans[1].columns[name])
+            for got, want in zip(by_vectors.regions, by_rows.regions):
+                assert got.column_raw_nbytes[name] == want.column_raw_nbytes[name]
+                for field in ("mins", "maxs", "null_counts", "row_counts"):
+                    a = getattr(got.synopses[name], field)
+                    b = getattr(want.synopses[name], field)
+                    assert a.dtype == b.dtype and _bytes(a) == _bytes(b)
+
+    def test_regions_are_published_under_the_capture_lock(self):
+        """A scan's capture() copies the region list and the tail prefix
+        under the capture lock; a seal that swaps them outside it lets a
+        concurrent capture see the sealed rows twice (or not at all)."""
+
+        class Lock:
+            held = False
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __enter__(self):
+                self.inner.__enter__()
+                self.held = True
+
+            def __exit__(self, *exc):
+                self.held = False
+                return self.inner.__exit__(*exc)
+
+        class Regions(list):
+            held_at_append = []
+
+            def append(self, region):
+                self.held_at_append.append(lock.held)
+                super().append(region)
+
+        t = ColumnTable(make_schema(), region_rows=2)
+        lock = t._capture_lock = Lock(t._capture_lock)
+        t.regions = Regions()
+        t.insert_rows(sample_rows(3))  # seals one region, one row in the tail
+        t.append_vectors(self._vectors())  # seals the tail, then 2 + 1 rows
+        assert Regions.held_at_append == [True] * 4
+        assert [r.n_rows for r in t.regions] == [2, 1, 2, 1]
+
+    def test_seals_the_tail_first(self):
+        t = ColumnTable(make_schema(), region_rows=4)
+        rows = sample_rows(6)
+        t.insert_rows(rows[:2])
+        vectors = [
+            ColumnVector.from_boundary([r[i] for r in rows[2:]], dt)
+            for i, (_, dt) in enumerate(t.schema.columns)
+        ]
+        assert t.append_vectors(vectors) == 4
+        assert [r.n_rows for r in t.regions] == [2, 4] and t.tail_rows == 0
+        assert t.column_vector("id").to_boundary() == [r[0] for r in rows]
+
+    def _vectors(self, **replace):
+        vectors = {
+            name: ColumnVector.from_boundary([r[i] for r in sample_rows(3)], dt)
+            for i, (name, dt) in enumerate(make_schema().columns)
+        }
+        vectors.update(replace)
+        return list(vectors.values())
+
+    def test_sql_type_mismatch_raises(self):
+        t = ColumnTable(make_schema())
+        wrong = ColumnVector.from_boundary(["ca", "ny", "tx"], varchar_type(3))
+        with pytest.raises(SQLError, match="VARCHAR"):
+            t.append_vectors(self._vectors(state=wrong))
+
+    def test_numpy_dtype_mismatch_raises_rather_than_coerces(self):
+        t = ColumnTable(make_schema())
+        wrong = ColumnVector(INTEGER, np.arange(3, dtype=np.int32))
+        with pytest.raises(SQLError, match="int32"):
+            t.append_vectors(self._vectors(id=wrong))
+        assert t.n_rows == 0
+
+    def test_length_and_arity_mismatch_raise(self):
+        t = ColumnTable(make_schema())
+        short = ColumnVector.from_boundary([1, 2], INTEGER)
+        with pytest.raises(SQLError, match="rows"):
+            t.append_vectors(self._vectors(id=short))
+        with pytest.raises(SQLError, match="vectors"):
+            t.append_vectors(self._vectors()[:3])
+
+    def test_not_null_checked_on_the_mask(self):
+        t = ColumnTable(make_schema(), not_null_columns=("id",))
+        with_null = ColumnVector.from_boundary([1, None, 3], INTEGER)
+        with pytest.raises(ConstraintViolationError):
+            t.append_vectors(self._vectors(id=with_null))
+        assert t.append_vectors(self._vectors()) == 3
+
+    def test_unique_columns_refused(self):
+        t = ColumnTable(make_schema(), unique_columns=("id",))
+        with pytest.raises(SQLError, match="unique"):
+            t.append_vectors(self._vectors())

@@ -235,6 +235,16 @@ class TestCostChargeCoverage:
         assert "cost-charge" in _codes(issues)
         assert any("buffer pool" in i.message for i in issues)
 
+    def test_session_temp_table_may_bypass_the_pool(self, planned_db):
+        # Pool frames are keyed by table name; temp tables are not in the
+        # catalog that keeps names unique, so they scan without the pool.
+        db, session = planned_db
+        session.execute("DECLARE GLOBAL TEMPORARY TABLE scratch (a INT)")
+        session.execute("INSERT INTO scratch VALUES (1), (2)")
+        planned = _plan(db, session, "SELECT a FROM scratch")
+        assert db.last_scans[0].page_source is None
+        assert verify_plan(planned, database=db) == []
+
     def test_unregistered_scan_detected(self, planned_db):
         db, session = planned_db
         planned = _plan(db, session, "SELECT a FROM t")
