@@ -367,9 +367,9 @@ class Database:
     def execute(self, sql: str, session: Session | None = None) -> Result:
         session = session or self.connect()
 
-        def _parse() -> ast.Node:
+        def _parse(tokens=None) -> ast.Node:
             with self.tracer.span("parse", sql=sql):
-                return parse_statement(sql)
+                return parse_statement(sql, tokens)
 
         cache = self.statement_cache
         if cache is not None:

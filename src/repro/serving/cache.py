@@ -51,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import UnknownObjectError
-from repro.serving.normalize import StatementKey, statement_key
+from repro.serving.normalize import BYPASS_REASONS, StatementKey, statement_key
 from repro.sql import ast
 from repro.verify import sanitizer
 
@@ -64,6 +64,9 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     bypass: int = 0  # uncacheable statements that went straight through
+    bypass_reasons: dict = field(  # ... counted apart, by StatementKey.bypass
+        default_factory=lambda: dict.fromkeys(BYPASS_REASONS, 0)
+    )
     stale_drops: int = 0  # entries found invalid on lookup
     invalidations: int = 0  # entries dropped by the commit hook
     evictions: int = 0  # LRU capacity evictions
@@ -72,6 +75,10 @@ class CacheStats:
     def hit_rate(self) -> float:
         asked = self.hits + self.misses
         return self.hits / asked if asked else 0.0
+
+    def count_bypass(self, reason: str) -> None:
+        self.bypass += 1
+        self.bypass_reasons[reason] += 1
 
     def snapshot(self) -> dict:
         return {**dataclasses.asdict(self), "hit_rate": self.hit_rate}
@@ -184,13 +191,17 @@ class PlanCache:
         self.stats = CacheStats()
         self.view_stats = CacheStats()
 
-    def statement_ast(self, sql: str, parse) -> ast.Node:
-        """Parsed AST for *sql*, reusing a prior parse when cacheable."""
-        key = statement_key(sql)
+    def statement_ast(self, sql: str, parse, key: StatementKey | None = None) -> ast.Node:
+        """Parsed AST for *sql*, reusing a prior parse when cacheable.
+
+        *key* is ``statement_key(sql)`` when the caller already has it;
+        ``parse`` receives the key's tokens, so the text is lexed once."""
         if key is None:
+            key = statement_key(sql)
+        if key.bypass:
             with self._lock:
-                self.stats.bypass += 1
-            return parse()
+                self.stats.count_bypass(key.bypass)
+            return parse(key.tokens)
         with self._lock:
             node = self._asts.get(key.text)
             if node is not None:
@@ -198,7 +209,7 @@ class PlanCache:
                 self.stats.hits += 1
                 return node
             self.stats.misses += 1
-        node = parse()  # parse outside the lock: it can be slow
+        node = parse(key.tokens)  # parse outside the lock: it can be slow
         with self._lock:
             self._asts[key.text] = node
             self._templates.add(key.template)
@@ -317,9 +328,9 @@ class ResultCache:
         """
         db = self.database
         key = statement_key(sql)
-        if key is None:
+        if key.bypass:
             with self._lock:
-                self.stats.bypass += 1
+                self.stats.count_bypass(key.bypass)
             return CachedExecution(result=db.execute(sql, session), hit=False)
         cache_key = self._cache_key(key, session)
         with self._lock:
@@ -355,9 +366,11 @@ class ResultCache:
 
         cache = getattr(db, "statement_cache", None)
         if cache is not None:
-            node = cache.statement_ast(sql, lambda: parse_statement(sql))
+            node = cache.statement_ast(
+                sql, lambda tokens: parse_statement(sql, tokens), key
+            )
         else:
-            node = parse_statement(sql)
+            node = parse_statement(sql, key.tokens)
         deps = read_dependencies(node, db, session)
         if deps is None:
             return db.execute_ast(node, session)

@@ -17,15 +17,19 @@ token boundaries, comments and string escapes:
   is the **prepared-plan** grouping key: point lookups that differ only
   in the bound constant share one plan shape.
 
-:func:`statement_key` combines both with a cacheability check: only pure
+:func:`statement_key` lexes the text **once** and classifies it: only pure
 read statements (SELECT / WITH / VALUES) free of volatile expressions
-(RAND, sequence access, CURRENT DATE/TIMESTAMP, ...) get a key at all —
-everything else must reach the engine untouched.
+(RAND, sequence access, CURRENT DATE/TIMESTAMP, ...) are cacheable —
+everything else must reach the engine untouched, and the key names why
+(:data:`BYPASS_REASONS`).  The key carries its tokens, so whoever parses
+the statement next (:func:`repro.sql.parser.parse_statement`) does not lex
+it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SQLSyntaxError
 from repro.sql import lexer
@@ -61,24 +65,34 @@ _VOLATILE_PAIRS = frozenset(
 _READ_VERBS = frozenset({"SELECT", "WITH", "VALUES"})
 
 
-def _render(token: lexer.Token, parameterized: bool) -> str:
-    """One token's canonical spelling."""
-    if token.kind == lexer.IDENT:
-        return token.value.upper()
+#: Why a statement goes around the caches (``StatementKey.bypass``).
+BYPASS_REASONS = ("not-a-read", "volatile", "lex-error")
+
+
+def _literal(token: lexer.Token, parameterized: bool) -> str:
+    """Canonical spelling of a token that has no ``key``."""
     if token.kind == lexer.QIDENT:
         # Quoted identifiers are case-significant: keep them verbatim,
         # re-quoted so they can never merge with a plain identifier.
         return '"%s"' % token.value.replace('"', '""')
+    if parameterized:
+        return "?"
     if token.kind == lexer.NUMBER:
-        return "?" if parameterized else token.value
-    if token.kind == lexer.STRING:
-        return "?" if parameterized else "'%s'" % token.value.replace("'", "''")
-    return token.value  # OP
+        return token.value
+    return "'%s'" % token.value.replace("'", "''")  # STRING
 
 
-def _normal_form(tokens: list[lexer.Token], parameterized: bool) -> str:
+def _normal_form(tokens: tuple[lexer.Token, ...], parameterized: bool) -> str:
+    # An IDENT's key is its folded spelling, an OP's the operator itself;
+    # the last token is EOF.
     return " ".join(
-        _render(t, parameterized) for t in tokens if t.kind != lexer.EOF
+        [t.key or _literal(t, parameterized) for t in tokens[:-1]]
+    )
+
+
+def _params(tokens: tuple[lexer.Token, ...]) -> tuple:
+    return tuple(
+        t.value for t in tokens if t.kind in (lexer.NUMBER, lexer.STRING)
     )
 
 
@@ -96,52 +110,51 @@ def normalize(sql: str) -> str:
 def parameterize(sql: str) -> tuple[str, tuple]:
     """``(template, params)``: literals replaced by ``?`` left-to-right."""
     tokens = lexer.tokenize(sql)
-    params = tuple(
-        t.value for t in tokens if t.kind in (lexer.NUMBER, lexer.STRING)
-    )
-    return _normal_form(tokens, parameterized=True), params
+    return _normal_form(tokens, parameterized=True), _params(tokens)
 
 
-def is_volatile(tokens: list[lexer.Token]) -> bool:
+def is_volatile(tokens: tuple[lexer.Token, ...]) -> bool:
     """Whether the token stream contains an execution-varying expression."""
-    idents = [t.value.upper() for t in tokens if t.kind == lexer.IDENT]
-    if any(name in VOLATILE_IDENTS for name in idents):
+    idents = [t.key for t in tokens if t.kind == lexer.IDENT]
+    if not VOLATILE_IDENTS.isdisjoint(idents):
         return True
     return any(pair in _VOLATILE_PAIRS for pair in zip(idents, idents[1:]))
 
 
 @dataclass(frozen=True)
 class StatementKey:
-    """Cache identity of one cacheable read statement."""
+    """One statement, lexed once: its tokens and its cache identity.
 
-    text: str  # literal-preserving normal form (result-cache key)
-    template: str  # parameterized normal form (plan grouping key)
-    params: tuple
+    Cacheable iff ``bypass`` is None; then ``text`` is the result-cache
+    key and keys compare equal exactly when their normal forms do.
+    """
+
+    tokens: tuple[lexer.Token, ...] | None = field(compare=False)  # None: lex-error
+    bypass: str | None  # one of BYPASS_REASONS, or None
+    text: str | None  # literal-preserving normal form (None on bypass)
+
+    @cached_property
+    def template(self) -> str:
+        """Parameterized normal form (plan grouping key)."""
+        return _normal_form(self.tokens, parameterized=True)
+
+    @property
+    def params(self) -> tuple:
+        return _params(self.tokens)
 
 
-def statement_key(sql: str) -> StatementKey | None:
-    """Cache key for *sql*, or None when it must not be cached.
+def statement_key(sql: str) -> StatementKey:
+    """Lex *sql* and decide whether the caches may serve it.
 
-    None means: not a pure read (any DML/DDL/CALL), contains a volatile
-    expression, or does not even lex — the engine deals with it.
+    ``bypass`` says why not: not a pure read (any DML/DDL/CALL), contains
+    a volatile expression, or does not even lex — the engine deals with it.
     """
     try:
         tokens = lexer.tokenize(sql)
     except SQLSyntaxError:
-        return None
-    first = next((t for t in tokens if t.kind != lexer.EOF), None)
-    if first is None or first.kind != lexer.IDENT:
-        return None
-    if first.value.upper() not in _READ_VERBS:
-        return None
+        return StatementKey(None, "lex-error", None)
+    if tokens[0].key not in _READ_VERBS:
+        return StatementKey(tokens, "not-a-read", None)
     if is_volatile(tokens):
-        return None
-    template = _normal_form(tokens, parameterized=True)
-    params = tuple(
-        t.value for t in tokens if t.kind in (lexer.NUMBER, lexer.STRING)
-    )
-    return StatementKey(
-        text=_normal_form(tokens, parameterized=False),
-        template=template,
-        params=params,
-    )
+        return StatementKey(tokens, "volatile", None)
+    return StatementKey(tokens, None, _normal_form(tokens, parameterized=False))

@@ -1,14 +1,21 @@
-"""SQL tokenizer.
+"""SQL tokenizer: one compiled master pattern, one ``match()`` per token.
 
 Handles identifiers (plain and double-quoted), numeric and string literals,
 single-line (``--``) and block (``/* */``) comments, multi-character
 operators (``<=``, ``<>``, ``!=``, ``::``, ``||``), and Oracle's ``(+)``
 outer-join marker as a single token.
+
+Each match consumes the noise (whitespace and comments) in front of a token
+and the token itself; the per-character work runs in the ``re`` engine.  The
+pattern has no backtracking ambiguity: every noise and literal rule matches
+exactly one way, and ``-``/``/`` refuse to match where a comment starts, so
+a failed match can only mean a lexical error, which :func:`_error` names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -20,173 +27,96 @@ STRING = "STRING"
 OP = "OP"
 EOF = "EOF"
 
-_MULTI_OPS = ("<=", ">=", "<>", "!=", "::", "||", "**")
-_SINGLE_OPS = "+-*/%(),.;<>=?[]:"
 
+class Token(NamedTuple):
+    """One immutable token; shared by the cache key and the parser.
 
-@dataclass(frozen=True)
-class Token:
+    ``key`` is the pre-folded spelling keyword and operator tests compare
+    against: the upper-cased word of an IDENT, the operator of an OP, None
+    for literals, quoted identifiers and EOF (which are never keywords).
+    """
+
     kind: str
     value: str
-    line: int
-    column: int
+    key: str | None
+    offset: int  # character offset of the token in ``text``
+    text: str  # the statement text (for line/column, derived on demand)
 
-    def upper(self) -> str:
-        return self.value.upper()
+    @property
+    def line(self) -> int:
+        return self.text.count("\n", 0, self.offset) + 1
+
+    @property
+    def column(self) -> int:
+        return self.offset - self.text.rfind("\n", 0, self.offset)
 
     def __repr__(self) -> str:
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
-class Lexer:
-    """Tokenise one SQL string; produces a list ending with an EOF token."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokens(self) -> list[Token]:
-        out = []
-        while True:
-            token = self._next()
-            out.append(token)
-            if token.kind == EOF:
-                return out
-
-    def _error(self, message: str) -> SQLSyntaxError:
-        return SQLSyntaxError(message, line=self.line, column=self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _skip_noise(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _next(self) -> Token:
-        self._skip_noise()
-        line, column = self.line, self.column
-        if self.pos >= len(self.text):
-            return Token(EOF, "", line, column)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._identifier(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, column)
-        if ch == "'":
-            return self._string(line, column)
-        if ch == '"':
-            return self._quoted_identifier(line, column)
-        # Oracle outer-join marker "(+)".
-        if ch == "(" and self._peek(1) == "+" and self._peek(2) == ")":
-            self._advance(3)
-            return Token(OP, "(+)", line, column)
-        for op in _MULTI_OPS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(OP, op, line, column)
-        if ch in _SINGLE_OPS:
-            self._advance()
-            return Token(OP, ch, line, column)
-        raise self._error("unexpected character %r" % ch)
-
-    def _identifier(self, line, column) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self._peek().isalnum() or self._peek() in "_$#"
-        ):
-            self._advance()
-        return Token(IDENT, self.text[start : self.pos], line, column)
-
-    def _number(self, line, column) -> Token:
-        start = self.pos
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp:
-                # Don't swallow "1..2" or method-style "t.c" after digits+dot+alpha
-                if not self._peek(1).isdigit() and self._peek(1) != "":
-                    break
-                seen_dot = True
-                self._advance()
-            elif ch in "eE" and not seen_exp and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                seen_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        return Token(NUMBER, self.text[start : self.pos], line, column)
-
-    def _string(self, line, column) -> Token:
-        self._advance()  # opening quote
-        parts = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # doubled quote escape
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(STRING, "".join(parts), line, column)
-            parts.append(ch)
-            self._advance()
-
-    def _quoted_identifier(self, line, column) -> Token:
-        self._advance()
-        parts = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated quoted identifier")
-            ch = self._peek()
-            if ch == '"':
-                if self._peek(1) == '"':
-                    parts.append('"')
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(QIDENT, "".join(parts), line, column)
-            parts.append(ch)
-            self._advance()
+_NOISE = r"(?:[ \t\r\n]+|--[^\n]*(?=\n|\Z)|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+_MASTER = re.compile(
+    _NOISE
+    + r"""(?:
+      (?P<IDENT>[A-Za-z_][\w$#]*)
+    | (?P<NUMBER>(?:\d+(?:\.(?=\d|\Z)\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<QIDENT>"[^"]*(?:""[^"]*)*"(?!"))
+    | (?P<OP>\(\+\)|<=|>=|<>|!=|::|\|\||\*\*|-(?!-)|/(?!\*)|[+*%(),.;<>=?\[\]:])
+    | (?P<EOF>\Z)
+    | (?P<WORD>[^\W\d][\w$#]*)  # non-ASCII start: isalpha() decides below
+    )""",
+    re.VERBOSE,
+)
+_NOISE_ONLY = re.compile(_NOISE)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper."""
-    return Lexer(text).tokens()
+def _error(text: str, pos: int) -> SQLSyntaxError:
+    """The lexical error at the first non-noise character from *pos*."""
+    at = _NOISE_ONLY.match(text, pos).end()
+    message = "unexpected character %r" % text[at]
+    for opener, what in (
+        ("'", "string literal"),
+        ('"', "quoted identifier"),
+        ("/*", "block comment"),
+    ):
+        if text.startswith(opener, at):
+            # An unterminated construct runs to the end of the text.
+            message, at = "unterminated " + what, len(text)
+    edge = Token(EOF, "", None, at, text)
+    return SQLSyntaxError(message, line=edge.line, column=edge.column)
+
+
+def tokenize(text: str) -> tuple[Token, ...]:
+    """Tokenise one SQL string; the tuple ends with an EOF token."""
+    out = []
+    append = out.append
+    new = tuple.__new__
+    match = _MASTER.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise _error(text, pos)
+        kind = m.lastgroup
+        value = m.group(kind)
+        pos = m.end()
+        offset = pos - len(value)
+        if kind == IDENT:
+            key = value.upper()
+        elif kind == OP:
+            key = value
+        elif kind == NUMBER:
+            key = None
+        elif kind == STRING:
+            key, value = None, value[1:-1].replace("''", "'")
+        elif kind == QIDENT:
+            key, value = None, value[1:-1].replace('""', '"')
+        elif kind == EOF:
+            append(new(Token, (EOF, "", None, offset, text)))
+            return tuple(out)
+        elif value[0].isalpha():  # WORD
+            kind, key = IDENT, value.upper()
+        else:  # "²x": a numeric that is neither a letter nor a decimal digit
+            raise _error(text, offset)
+        append(new(Token, (kind, value, key, offset, text)))

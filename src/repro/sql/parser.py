@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.errors import SQLSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import EOF, IDENT, NUMBER, OP, QIDENT, STRING, Lexer, Token
+from repro.sql.lexer import EOF, IDENT, NUMBER, QIDENT, STRING, Token, tokenize
 
 _RESERVED_STOPPERS = {
     "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET", "FETCH",
@@ -18,6 +18,13 @@ _RESERVED_STOPPERS = {
     "START", "WHEN", "THEN", "ELSE", "END", "SET", "VALUES", "INTO", "BY",
     "ASC", "DESC", "NULLS", "WITH", "FOR", "SELECT", "INSERT", "UPDATE",
     "DELETE", "NATURAL", "CASE", "BETWEEN", "IN", "LIKE", "IS", "ONLY",
+}
+
+#: What can continue a predicate after its left operand; any other token
+#: ends it without walking the keyword ladder.
+_COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+_PREDICATE_STARTS = _COMPARISONS | {
+    "NOT", "IS", "ISNULL", "NOTNULL", "ISTRUE", "ISFALSE", "BETWEEN", "IN", "LIKE",
 }
 
 _TYPE_NAMES = {
@@ -29,9 +36,10 @@ _TYPE_NAMES = {
 }
 
 
-def parse_statement(text: str) -> ast.Node:
-    """Parse exactly one statement."""
-    statements = parse_statements(text)
+def parse_statement(text: str, tokens: tuple[Token, ...] | None = None) -> ast.Node:
+    """Parse exactly one statement; *tokens* is ``tokenize(text)`` when the
+    caller already has it (the serving caches lex for their key first)."""
+    statements = Parser(text, tokens).parse_script()
     if len(statements) != 1:
         raise SQLSyntaxError("expected exactly one statement, got %d" % len(statements))
     return statements[0]
@@ -39,21 +47,24 @@ def parse_statement(text: str) -> ast.Node:
 
 def parse_statements(text: str) -> list[ast.Node]:
     """Parse a script of ';'-separated statements."""
-    parser = Parser(text)
-    return parser.parse_script()
+    return Parser(text).parse_script()
 
 
 class Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: tuple[Token, ...] | None = None):
         self.text = text
-        self.tokens = Lexer(text).tokens()
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
 
     # -- token plumbing ---------------------------------------------------------
+    #
+    # Keyword and operator tests compare ``Token.key`` (see the lexer): a
+    # word can only equal an IDENT's key, an operator only an OP's.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        """The token *offset* ahead; look past the current token only when
+        it is known not to be EOF (EOF is last)."""
+        return self.tokens[self.pos + offset]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -70,16 +81,16 @@ class Parser:
         )
 
     def _at_keyword(self, *words: str) -> bool:
-        for offset, word in enumerate(words):
-            token = self._peek(offset)
-            if token.kind != IDENT or token.upper() != word:
+        pos = self.pos
+        for word in words:
+            if self.tokens[pos].key != word:
                 return False
+            pos += 1
         return True
 
     def _accept_keyword(self, *words: str) -> bool:
         if self._at_keyword(*words):
-            for _ in words:
-                self._advance()
+            self.pos += len(words)
             return True
         return False
 
@@ -88,12 +99,11 @@ class Parser:
             raise self._error("expected %s" % " ".join(words))
 
     def _at_op(self, op: str) -> bool:
-        token = self._peek()
-        return token.kind == OP and token.value == op
+        return self.tokens[self.pos].key == op
 
     def _accept_op(self, op: str) -> bool:
-        if self._at_op(op):
-            self._advance()
+        if self.tokens[self.pos].key == op:
+            self.pos += 1
             return True
         return False
 
@@ -104,12 +114,23 @@ class Parser:
     def _identifier(self) -> str:
         token = self._peek()
         if token.kind == IDENT:
-            self._advance()
-            return token.value.upper()
+            self.pos += 1
+            return token.key
         if token.kind == QIDENT:
-            self._advance()
+            self.pos += 1
             return token.value
         raise self._error("expected an identifier")
+
+    def _optional_alias(self) -> str | None:
+        """``[AS] alias``: a bare alias is any identifier that is not a
+        reserved stopper (quoted ones are compared folded, too)."""
+        if self._accept_keyword("AS") or self._at_bare_alias():
+            return self._identifier()
+        return None
+
+    def _at_bare_alias(self) -> bool:
+        token = self.tokens[self.pos]
+        return token.kind in (IDENT, QIDENT) and token.value.upper() not in _RESERVED_STOPPERS
 
     def _qualified_name(self) -> list[str]:
         parts = [self._identifier()]
@@ -140,7 +161,7 @@ class Parser:
         token = self._peek()
         if token.kind != IDENT:
             raise self._error("expected a statement")
-        keyword = token.upper()
+        keyword = token.key
         if keyword in ("SELECT", "WITH"):
             return self.parse_select()
         if keyword == "INSERT":
@@ -325,22 +346,15 @@ class Parser:
         # alias.* form
         if (
             self._peek().kind in (IDENT, QIDENT)
-            and self._peek(1).kind == OP
-            and self._peek(1).value == "."
-            and self._peek(2).kind == OP
-            and self._peek(2).value == "*"
+            and self._peek(1).key == "."
+            and self._peek(2).key == "*"
         ):
             qualifier = self._identifier()
             self._advance()  # .
             self._advance()  # *
             return ast.SelectItem(ast.Star(qualifier=qualifier))
         expr = self.parse_expr()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._identifier()
-        elif self._peek().kind in (IDENT, QIDENT) and self._peek().upper() not in _RESERVED_STOPPERS:
-            alias = self._identifier()
-        return ast.SelectItem(expr, alias)
+        return ast.SelectItem(expr, self._optional_alias())
 
     # -- FROM ---------------------------------------------------------------------
 
@@ -397,7 +411,7 @@ class Parser:
                 alias = None
                 column_aliases = None
                 self._accept_keyword("AS")
-                if self._peek().kind in (IDENT, QIDENT) and self._peek().upper() not in _RESERVED_STOPPERS:
+                if self._at_bare_alias():
                     alias = self._identifier()
                     if self._accept_op("("):
                         column_aliases = [self._identifier()]
@@ -411,12 +425,7 @@ class Parser:
             self._expect_op(")")
             return inner
         parts = self._qualified_name()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._identifier()
-        elif self._peek().kind in (IDENT, QIDENT) and self._peek().upper() not in _RESERVED_STOPPERS:
-            alias = self._identifier()
-        return ast.TableRef(parts, alias)
+        return ast.TableRef(parts, self._optional_alias())
 
     # -- expressions ------------------------------------------------------------------
 
@@ -425,26 +434,29 @@ class Parser:
 
     def _parse_or(self) -> ast.ExprNode:
         left = self._parse_and()
-        while self._accept_keyword("OR"):
+        while self.tokens[self.pos].key == "OR":
+            self.pos += 1
             left = ast.BinaryOp("OR", left, self._parse_and())
         return left
 
     def _parse_and(self) -> ast.ExprNode:
         left = self._parse_not()
-        while self._accept_keyword("AND"):
+        while self.tokens[self.pos].key == "AND":
+            self.pos += 1
             left = ast.BinaryOp("AND", left, self._parse_not())
         return left
 
     def _parse_not(self) -> ast.ExprNode:
-        if self._accept_keyword("NOT"):
+        if self.tokens[self.pos].key == "NOT":
+            self.pos += 1
             return ast.UnaryOp("NOT", self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ast.ExprNode:
         left = self._parse_additive()
-        while True:
+        while self.tokens[self.pos].key in _PREDICATE_STARTS:
             negated = False
-            if self._at_keyword("NOT") and self._peek(1).kind == IDENT and self._peek(1).upper() in ("IN", "BETWEEN", "LIKE"):
+            if self._at_keyword("NOT") and self._peek(1).key in ("IN", "BETWEEN", "LIKE"):
                 self._advance()
                 negated = True
             if self._accept_keyword("IS"):
@@ -488,14 +500,14 @@ class Parser:
                 continue
             # SQL's infix (s1,e1) OVERLAPS (s2,e2) is exposed through the
             # 4-argument OVERLAPS(...) function form (see functions_netezza).
-            token = self._peek()
-            if token.kind == OP and token.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
+            op = self.tokens[self.pos].key
+            if op in _COMPARISONS:
                 self._advance()
-                op = "<>" if token.value == "!=" else token.value
                 right = self._parse_additive()
-                left = ast.BinaryOp(op, left, right)
+                left = ast.BinaryOp("<>" if op == "!=" else op, left, right)
                 continue
-            return left
+            break  # a NOT that negates none of IN / BETWEEN / LIKE
+        return left
 
     def _parse_in_tail(self, left: ast.ExprNode, negated: bool) -> ast.ExprNode:
         self._expect_op("(")
@@ -512,43 +524,41 @@ class Parser:
     def _parse_additive(self) -> ast.ExprNode:
         left = self._parse_multiplicative()
         while True:
-            if self._accept_op("+"):
-                left = ast.BinaryOp("+", left, self._parse_multiplicative())
-            elif self._accept_op("-"):
-                left = ast.BinaryOp("-", left, self._parse_multiplicative())
-            elif self._accept_op("||"):
-                left = ast.BinaryOp("||", left, self._parse_multiplicative())
-            else:
+            op = self.tokens[self.pos].key
+            if op not in ("+", "-", "||"):
                 return left
+            self.pos += 1
+            left = ast.BinaryOp(op, left, self._parse_multiplicative())
 
     def _parse_multiplicative(self) -> ast.ExprNode:
         left = self._parse_unary()
         while True:
-            if self._accept_op("*"):
-                left = ast.BinaryOp("*", left, self._parse_unary())
-            elif self._accept_op("/"):
-                left = ast.BinaryOp("/", left, self._parse_unary())
-            elif self._accept_op("%"):
-                left = ast.BinaryOp("%", left, self._parse_unary())
-            else:
+            op = self.tokens[self.pos].key
+            if op not in ("*", "/", "%"):
                 return left
+            self.pos += 1
+            left = ast.BinaryOp(op, left, self._parse_unary())
 
     def _parse_unary(self) -> ast.ExprNode:
-        if self._accept_op("-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        if self._accept_op("+"):
-            return self._parse_unary()
-        if self._accept_keyword("PRIOR"):
-            return ast.Prior(self._parse_unary())
-        return self._parse_postfix()
+        key = self.tokens[self.pos].key
+        if key not in ("-", "+", "PRIOR"):
+            return self._parse_postfix()
+        self.pos += 1
+        operand = self._parse_unary()
+        if key == "-":
+            return ast.UnaryOp("-", operand)
+        return ast.Prior(operand) if key == "PRIOR" else operand
 
     def _parse_postfix(self) -> ast.ExprNode:
         expr = self._parse_primary()
         while True:
-            if self._accept_op("::"):
+            key = self.tokens[self.pos].key
+            if key == "::":
+                self.pos += 1
                 type_name, length, precision, scale = self._parse_type()
                 expr = ast.CastExpr(expr, type_name, length, precision, scale)
-            elif self._accept_op("(+)"):
+            elif key == "(+)":
+                self.pos += 1
                 expr = ast.OuterMarker(expr)
             else:
                 return expr
@@ -589,7 +599,7 @@ class Parser:
             return expr
         if token.kind not in (IDENT, QIDENT):
             raise self._error("expected an expression")
-        keyword = token.upper() if token.kind == IDENT else None
+        keyword = token.key  # None for a quoted identifier
         if keyword in _RESERVED_STOPPERS and keyword not in (
             "CASE", "VALUES", "NOT", "BETWEEN", "IN", "LIKE", "IS",
         ):
@@ -619,14 +629,14 @@ class Parser:
             type_name, length, precision, scale = self._parse_type()
             self._expect_op(")")
             return ast.CastExpr(operand, type_name, length, precision, scale)
-        if keyword in ("NEXT", "PREVIOUS") and self._peek(1).kind == IDENT and self._peek(1).upper() == "VALUE":
+        if keyword in ("NEXT", "PREVIOUS") and self._peek(1).key == "VALUE":
             self._advance()
             self._advance()
             self._expect_keyword("FOR")
             sequence = ".".join(self._qualified_name())
             op = "NEXTVAL" if keyword == "NEXT" else "CURRVAL"
             return ast.SequenceRef(sequence, op)
-        if keyword == "EXISTS" and self._peek(1).kind == OP and self._peek(1).value == "(":
+        if keyword == "EXISTS" and self._peek(1).key == "(":
             self._advance()
             self._expect_op("(")
             subquery = self.parse_select()
@@ -637,7 +647,7 @@ class Parser:
             literal = self._advance()
             return ast.TypedLit(keyword, literal.value)
         # Function call?
-        if self._peek(1).kind == OP and self._peek(1).value == "(" and (
+        if self._peek(1).key == "(" and (
             token.kind == QIDENT or keyword not in _RESERVED_STOPPERS
         ):
             name = self._identifier()
@@ -812,7 +822,7 @@ class Parser:
         create = ast.CreateTable(name, columns, temporary, global_temporary)
         # Physical clauses: DISTRIBUTE is captured (the MPP layer needs it);
         # ORGANIZE BY / ON COMMIT / partitioning clauses are ignored.
-        while self._peek().kind == IDENT and self._peek().upper() in (
+        while self._peek().key in (
             "ORGANIZE", "DISTRIBUTE", "ON", "NOT", "IN", "PARTITION", "WITH",
         ):
             if self._at_keyword("DISTRIBUTE"):
@@ -910,21 +920,12 @@ class Parser:
             self._expect_op(")")
         self._expect_keyword("AS")
         # Capture the original statement text for dialect-pinned recompiles.
-        start = self._peek()
-        start_offset = self._text_offset(start)
-        select = self.parse_select()  # validates syntax now
-        end_offset = self._text_offset(self._peek())
-        text = self.text[start_offset:end_offset].strip()
+        start_offset = self._peek().offset
+        self.parse_select()  # validates syntax now
+        text = self.text[start_offset : self._peek().offset].strip()
         if text.endswith(";"):
             text = text[:-1]
         return ast.CreateView(name, text, column_names, or_replace)
-
-    def _text_offset(self, token: Token) -> int:
-        if token.kind == EOF:
-            return len(self.text)
-        # Reconstruct the character offset from line/column.
-        lines = self.text.split("\n")
-        return sum(len(l) + 1 for l in lines[: token.line - 1]) + token.column - 1
 
     def _parse_create_sequence(self) -> ast.CreateSequence:
         name = ".".join(self._qualified_name())
@@ -941,7 +942,7 @@ class Parser:
             elif self._accept_keyword("MAXVALUE"):
                 seq.maxvalue = self._signed_integer()
             elif self._accept_keyword("NOMINVALUE") or self._accept_keyword("NOMAXVALUE") or self._accept_keyword("NOCACHE") or self._accept_keyword("NOCYCLE") or self._accept_keyword("NO"):
-                if self.tokens[self.pos - 1].upper() == "NO":
+                if self.tokens[self.pos - 1].key == "NO":
                     self._advance()  # NO CYCLE / NO CACHE second word
             elif self._accept_keyword("CYCLE"):
                 seq.cycle = True
@@ -984,7 +985,7 @@ class Parser:
         self._accept_keyword("TABLE")
         name = ast.TableRef(self._qualified_name())
         # Ignore DB2 trailer: IMMEDIATE / DROP STORAGE etc.
-        while self._peek().kind == IDENT and self._peek().upper() in (
+        while self._peek().key in (
             "IMMEDIATE", "DROP", "REUSE", "STORAGE", "IGNORE", "RESTRICT",
             "DELETE", "TRIGGERS", "CONTINUE", "IDENTITY",
         ):
@@ -1008,13 +1009,13 @@ class Parser:
                 value = token.value
                 break
             token = self._peek()
-            after = self._peek(1)
             if token.kind in (STRING, NUMBER):
                 self._advance()
                 value = token.value
                 break
             if token.kind in (IDENT, QIDENT):
-                if after.kind == EOF or (after.kind == OP and after.value == ";"):
+                after = self._peek(1)
+                if after.kind == EOF or after.key == ";":
                     self._advance()
                     value = token.value
                     break

@@ -32,6 +32,19 @@ def physical_dtype(dt: DataType):
     return dt.numpy_dtype
 
 
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _decimal_to_physical(value, dt: DataType) -> int:
+    """DECIMAL is stored as a scaled int64; a value that does not fit is
+    rejected here, like an out-of-range integer, instead of overflowing
+    the column array later.  (The *declared* precision is not enforced.)"""
+    scaled = int(cast_value(value, dt).scaleb(dt.scale))
+    if not _INT64_MIN <= scaled <= _INT64_MAX:
+        raise ConversionError("value %s out of range for %s" % (value, dt))
+    return scaled
+
+
 #: Boundary -> physical converter per kind, built once at import so a
 #: conversion hashes its ``TypeKind`` once.  Most kinds store what
 #: ``cast_value`` returns; ``TypeKind.NULL`` has no physical form.
@@ -39,7 +52,7 @@ _TO_PHYSICAL = {
     kind: cast_value for kind in TypeKind if kind is not TypeKind.NULL
 }
 _TO_PHYSICAL.update({
-    TypeKind.DECIMAL: lambda value, dt: int(cast_value(value, dt).scaleb(dt.scale)),
+    TypeKind.DECIMAL: _decimal_to_physical,
     TypeKind.DATE: lambda value, dt: date_to_days(cast_value(value, dt)),
     TypeKind.TIME: lambda value, dt: time_to_seconds(cast_value(value, dt)),
     TypeKind.TIMESTAMP: lambda value, dt: timestamp_to_micros(cast_value(value, dt)),

@@ -8,6 +8,7 @@ import pytest
 from repro.database import Database
 from repro.errors import (
     ConstraintViolationError,
+    ConversionError,
     DialectError,
     DuplicateObjectError,
     SQLError,
@@ -270,6 +271,57 @@ class TestDml:
         assert s.execute("INSERT INTO emp (id,name) VALUES (100,'x')").rowcount == 1
         assert s.execute("UPDATE emp SET name='y' WHERE id=100").rowcount == 1
         assert s.execute("DELETE FROM emp WHERE id=100").rowcount == 1
+
+
+class TestDecimalOutOfRange:
+    """A DECIMAL is a scaled int64: a value that does not fit used to be
+    accepted by INSERT and then killed every later read of the table (and
+    the WAL replay) with a raw OverflowError."""
+
+    BIG = "99999999999999999999"
+
+    @staticmethod
+    def _durable():
+        from repro.durability import DurabilityManager
+        from repro.storage.filesystem import ClusterFileSystem
+
+        database = Database(durability=DurabilityManager(ClusterFileSystem(), path="db"))
+        session = database.connect("db2")
+        session.execute("CREATE TABLE t (v VARCHAR(24), d DECIMAL(8,2))")
+        session.execute("INSERT INTO t VALUES ('ok', 1.5)")
+        return database, session
+
+    def test_insert_is_rejected_and_the_table_stays_readable(self):
+        from repro.workloads.tpcds import flush_tables
+
+        database, session = self._durable()
+        with pytest.raises(ConversionError, match="out of range") as caught:
+            session.execute("INSERT INTO t VALUES ('x', %s.0)" % self.BIG)
+        assert caught.value.sqlstate == "22018"
+        assert session.execute("SELECT v, d FROM t").rows == [("ok", Decimal("1.50"))]
+        flush_tables(database)
+        # Crash and recover: the rejected row never reached the WAL.
+        database.reopen(clean=False)
+        rows = database.connect("db2").execute("SELECT v, d FROM t").rows
+        assert rows == [("ok", Decimal("1.50"))]
+
+    def test_cast_raises_a_conversion_error_not_a_raw_overflow(self):
+        _database, session = self._durable()
+        with pytest.raises(ConversionError, match="out of range"):
+            session.execute("SELECT CAST('%s' AS DECIMAL(8,2)) FROM t" % self.BIG)
+        # The largest scaled value that fits is still accepted.
+        assert session.execute(
+            "SELECT CAST('92233720368547758.07' AS DECIMAL(8,2)) FROM t"
+        ).scalar() == Decimal("92233720368547758.07")
+
+    def test_row_store_oracle_rejects_it_the_same_way(self):
+        from repro.baselines.rowdb import RowDatabase
+
+        rowdb = RowDatabase()
+        rowdb.execute("CREATE TABLE t (v VARCHAR(24), d DECIMAL(8,2))")
+        with pytest.raises(ConversionError, match="out of range"):
+            rowdb.execute("INSERT INTO t VALUES ('x', %s.0)" % self.BIG)
+        assert rowdb.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
 
 class TestDdl:

@@ -143,7 +143,7 @@ class TestPlanCacheDefaultCapacity:
         cache = PlanCache()
         for i in range(cache.capacity + 1):
             sql = "SELECT a FROM t WHERE a = %d" % i
-            cache.statement_ast(sql, lambda s=sql: parse_statement(s))
+            cache.statement_ast(sql, lambda tokens, s=sql: parse_statement(s, tokens))
         assert len(cache._asts) == cache.capacity
         assert cache.stats.evictions == 1
 
@@ -155,7 +155,7 @@ class TestPlanCacheDefaultCapacity:
         cache = PlanCache(capacity=2)
         sql = "SELECT 1 FROM t"
         for _ in range(3):
-            cache.statement_ast(sql, lambda: parse_statement(sql))
+            cache.statement_ast(sql, lambda tokens: parse_statement(sql, tokens))
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
         for text in ("SELECT 1 FROM a", "SELECT 1 FROM b"):
             cache.view_ast(text, parse_statement)

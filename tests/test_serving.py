@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.cluster.hardware import HardwareSpec
 from repro.cluster.wlm import Job, WorkloadManager
 from repro.database import Database
@@ -35,6 +36,7 @@ from repro.serving import (
     stream_orders,
 )
 from repro.serving.sizer import erlang_c
+from repro.sql.parser import parse_statement
 from repro.util.rng import derive_rng
 from repro.workloads.streams import PoolMeasurement, run_multistream
 
@@ -86,7 +88,7 @@ class TestNormalize:
         )
         key_a = statement_key("SELECT 'a''--' FROM t")
         key_b = statement_key("SELECT 'a' FROM t")
-        assert key_a is not None and key_b is not None
+        assert key_a.bypass is None and key_b.bypass is None
         assert key_a != key_b
         # Parameterization extracts the *unescaped* value, still one
         # parameter per literal.
@@ -104,19 +106,19 @@ class TestNormalize:
         )
         key_a = statement_key('SELECT "WHERE" FROM t')
         key_b = statement_key('SELECT "where" FROM t')
-        assert key_a is not None and key_b is not None
+        assert key_a.bypass is None and key_b.bypass is None
         assert key_a != key_b
 
     def test_unterminated_block_comment_gets_no_cache_key(self):
         # An unterminated /* swallows the rest of the text; two distinct
         # statements would normalize identically if the lexer guessed.
         # They must be uncacheable instead of sharing a key.
-        assert statement_key("SELECT a FROM t /* oops") is None
-        assert statement_key("SELECT b FROM t /* oops") is None
+        assert statement_key("SELECT a FROM t /* oops").bypass == "lex-error"
+        assert statement_key("SELECT b FROM t /* oops").bypass == "lex-error"
         with pytest.raises(SQLSyntaxError):
             normalize("SELECT a FROM t /* oops")
         # Same for an unterminated string literal.
-        assert statement_key("SELECT 'abc FROM t") is None
+        assert statement_key("SELECT 'abc FROM t").bypass == "lex-error"
 
     def test_parameterize_extracts_literals_in_order(self):
         template, params = parameterize(
@@ -126,9 +128,12 @@ class TestNormalize:
         assert params == ("5", "abc", "2.5")
 
     def test_statement_key_accepts_only_pure_reads(self):
-        assert statement_key("SELECT 1 FROM t") is not None
-        assert statement_key("WITH x AS (SELECT 1 FROM t) SELECT * FROM x")
-        assert statement_key("VALUES (1, 2)") is not None
+        for sql in (
+            "SELECT 1 FROM t",
+            "WITH x AS (SELECT 1 FROM t) SELECT * FROM x",
+            "VALUES (1, 2)",
+        ):
+            assert statement_key(sql).bypass is None, sql
         for sql in (
             "INSERT INTO t VALUES (1)",
             "UPDATE t SET a = 1",
@@ -139,7 +144,7 @@ class TestNormalize:
             "   ",
             "???",
         ):
-            assert statement_key(sql) is None, sql
+            assert statement_key(sql).bypass == "not-a-read", sql
 
     def test_statement_key_rejects_volatile_expressions(self):
         for sql in (
@@ -149,7 +154,7 @@ class TestNormalize:
             "SELECT CURRENT_TIMESTAMP FROM t",
             "SELECT NEXT VALUE FOR s FROM t",
         ):
-            assert statement_key(sql) is None, sql
+            assert statement_key(sql).bypass == "volatile", sql
 
     def test_key_is_shared_across_formatting_variants(self):
         k1 = statement_key("select a from t where x=5")
@@ -388,6 +393,127 @@ class TestPlanCache:
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 3
         gw2 = ServingGateway(db)  # re-attachable; fixture closes again
         assert db.statement_cache is gw2.plan_cache
+
+
+# -- one tokenizer pass per statement -------------------------------------------
+
+
+@pytest.fixture()
+def lexed(monkeypatch):
+    """Texts handed to ``lexer.tokenize``, whoever calls it."""
+    from repro.sql import lexer
+    from repro.sql import parser as parser_module
+
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return lexer_tokenize(text)
+
+    lexer_tokenize = lexer.tokenize
+    monkeypatch.setattr(lexer, "tokenize", counting)  # normalize looks it up here
+    monkeypatch.setattr(parser_module, "tokenize", counting)
+    return texts
+
+
+class TestLexOnce:
+    def test_gateway_hit_and_miss_lex_once(self, served, lexed):
+        db, gw = served
+        sql = "SELECT a, b FROM t WHERE a > 1 ORDER BY a"
+        first = gw.execute(sql)
+        assert lexed == [sql]  # miss: the key's tokens went to the parser
+        del lexed[:]
+        assert gw.execute(sql).rows == first.rows
+        assert lexed == [sql] and gw.result_cache.stats.hits == 1
+        # A spelling variant hits the result cache and the AST cache alike.
+        del lexed[:]
+        variant = "select a, b from t\nwhere a > 1 order by a -- again"
+        assert gw.execute(variant).rows == first.rows
+        assert lexed == [variant]
+
+    def test_uncacheable_statement_through_the_gateway(self, served, lexed):
+        db, gw = served
+        sql = "INSERT INTO t VALUES (9, 90)"
+        gw.execute(sql)
+        # ResultCache.fetch and the engine's statement cache each classify
+        # the text; the parser reuses the second pass.
+        assert lexed == [sql, sql]
+        assert gw.plan_cache.stats.bypass_reasons["not-a-read"] == 1
+
+    def test_session_execute_lexes_once(self, served, lexed):
+        db, gw = served
+        session = db.connect("db2")
+        statements = [
+            "SELECT COUNT(*) FROM t",  # cacheable: key, then AST-cache miss
+            "SELECT COUNT(*) FROM t",  # AST-cache hit
+            "UPDATE t SET b = b + 1 WHERE a = 1",  # not a read
+            "SELECT RAND() FROM t",  # volatile
+        ]
+        for sql in statements:
+            session.execute(sql)
+        assert lexed == statements
+        gw.close()
+        del lexed[:]
+        for sql in statements:  # no serving layer attached: the parser lexes
+            session.execute(sql)
+        assert lexed == statements
+
+    def test_lex_errors_surface_from_the_parser_unchanged(self, served, lexed):
+        db, gw = served
+        with pytest.raises(SQLSyntaxError, match="unterminated string literal") as caught:
+            gw.execute("SELECT 'oops\nFROM t")
+        assert (caught.value.line, caught.value.column) == (2, 7)
+        assert gw.result_cache.stats.bypass_reasons["lex-error"] == 1
+
+    def test_cluster_coordinator_lexes_once_and_shards_never(self, lexed):
+        hw = HardwareSpec(cores=2, ram_gb=8, storage_tb=1)
+        cluster = Cluster([hw, hw], shard_factor=2)
+        statements = [
+            "CREATE TABLE f (k INT, v INT) DISTRIBUTE BY HASH (k)",
+            "INSERT INTO f VALUES (1, 10), (2, 20), (3, 30), (4, 40)",
+            "SELECT k, SUM(v) FROM f GROUP BY k ORDER BY k",
+            "SELECT v FROM f WHERE k = 3",
+            "UPDATE f SET v = v + 1 WHERE k > 2",
+        ]
+        session = cluster.connect()
+        for sql in statements:
+            session.execute(sql)
+        assert session.execute("SELECT SUM(v) FROM f").scalar() == 102
+        assert lexed == statements + ["SELECT SUM(v) FROM f"]
+
+    def test_create_view_captures_multiline_text_exactly(self, served):
+        db, gw = served
+        definition = "SELECT a,\n       b -- the measure\n  FROM t\n WHERE b > 10"
+        db.execute("CREATE VIEW v (x, y) AS\n  %s  ;" % definition)
+        assert db.catalog.resolve("V").text == definition
+        assert gw.execute("SELECT COUNT(*) FROM v").scalar() == 2
+        node = parse_statement("CREATE VIEW w AS (SELECT 1 FROM t) -- done")
+        assert node.select_text == "(SELECT 1 FROM t) -- done"
+
+
+class TestBypassReasons:
+    def test_each_reason_is_counted_apart_and_sums_to_bypass(self, served):
+        db, gw = served
+        gw.execute("INSERT INTO t VALUES (7, 70)")
+        gw.execute("DELETE FROM t WHERE a = 7")
+        gw.execute("SELECT RAND() FROM t")
+        with pytest.raises(SQLSyntaxError):
+            gw.execute("SELECT a FROM t /* oops")
+        gw.execute("SELECT COUNT(*) FROM t")
+        expected = {"not-a-read": 2, "volatile": 1, "lex-error": 1}
+        for stats in (gw.result_cache.stats, gw.plan_cache.stats):
+            assert stats.bypass_reasons == expected
+            assert stats.bypass == sum(expected.values()) == 4
+
+    def test_reasons_reach_the_gateway_report_and_monreport(self, served):
+        db, gw = served
+        gw.execute("UPDATE t SET b = 0 WHERE a = 1")
+        for section in (gw.report(), db.monreport()["serving"]):
+            for cache in (section["result_cache"], section["plan_cache"]["statements"]):
+                assert cache["bypass"] == 1
+                assert cache["bypass_reasons"] == {
+                    "not-a-read": 1, "volatile": 0, "lex-error": 0
+                }
 
 
 # -- WLM Job sentinel regression (satellite) -----------------------------------

@@ -1,11 +1,19 @@
 """Lexer and parser."""
 
+import json
+import time
+import zlib
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SQLSyntaxError
+from repro.serving.normalize import statement_key
 from repro.sql import ast
 from repro.sql.lexer import EOF, IDENT, NUMBER, OP, QIDENT, STRING, tokenize
-from repro.sql.parser import parse_statement, parse_statements
+from repro.sql.parser import Parser, parse_statement, parse_statements
 
 
 class TestLexer:
@@ -53,6 +61,232 @@ class TestLexer:
         tokens = tokenize("a\n  b")
         assert tokens[1].line == 2
         assert tokens[1].column == 3
+
+
+def _shape(text):
+    """``[(kind, value), ...]`` without the EOF token."""
+    return [(t.kind, t.value) for t in tokenize(text)[:-1]]
+
+
+class TestLexerEdges:
+    """The rules a regex tokenizer gets wrong first, each pinned."""
+
+    @pytest.mark.parametrize("text, expected", [
+        # "1." is one NUMBER only at the end of the text.
+        ("1.", [(NUMBER, "1.")]),
+        ("1. ", [(NUMBER, "1"), (OP, ".")]),
+        ("1.x", [(NUMBER, "1"), (OP, "."), (IDENT, "x")]),
+        ("1.2.3", [(NUMBER, "1.2"), (NUMBER, ".3")]),
+        ("1e5.3", [(NUMBER, "1e5"), (NUMBER, ".3")]),
+        ("1.e5", [(NUMBER, "1"), (OP, "."), (IDENT, "e5")]),
+        (".5", [(NUMBER, ".5")]),
+        (".5e-2x", [(NUMBER, ".5e-2"), (IDENT, "x")]),
+        ("1e+", [(NUMBER, "1"), (IDENT, "e"), (OP, "+")]),
+        ("t.c", [(IDENT, "t"), (OP, "."), (IDENT, "c")]),
+        # Comment starts win over the operators they begin with.
+        ("a--b\n-c", [(IDENT, "a"), (OP, "-"), (IDENT, "c")]),
+        ("a/b/**/*c", [(IDENT, "a"), (OP, "/"), (IDENT, "b"), (OP, "*"), (IDENT, "c")]),
+        ("/***/x/* * / **/", [(IDENT, "x")]),
+        ("-- only a comment", []),
+        ("(+) ( + )", [(OP, "(+)"), (OP, "("), (OP, "+"), (OP, ")")]),
+        ("a**b<>c", [(IDENT, "a"), (OP, "**"), (IDENT, "b"), (OP, "<>"), (IDENT, "c")]),
+        # Quote doubling, in strings and in quoted identifiers.
+        ("''''", [(STRING, "'")]),
+        ("'a''b' 'c'", [(STRING, "a'b"), (STRING, "c")]),
+        ("'a'''", [(STRING, "a'")]),
+        ('"x""y" ""', [(QIDENT, 'x"y'), (QIDENT, "")]),
+        ("'--' '/*'", [(STRING, "--"), (STRING, "/*")]),
+        # Identifiers: letters of any script start one, $ and # continue it.
+        ("_a$#1 é1 a²", [(IDENT, "_a$#1"), (IDENT, "é1"), (IDENT, "a²")]),
+        # Decimal digits of any script are digits, as int() accepts them.
+        ("٣", [(NUMBER, "٣")]),
+    ])
+    def test_tokens(self, text, expected):
+        assert _shape(text) == expected
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        # Unterminated constructs report the END of the text ...
+        ("'oops", "unterminated string literal", 1, 6),
+        ("SELECT 'a\nb", "unterminated string literal", 2, 2),
+        # ... and a failed string never backtracks into a shorter one.
+        ("'a''", "unterminated string literal", 1, 5),
+        ("x 'a'' y\n", "unterminated string literal", 2, 1),
+        ('"a""', "unterminated quoted identifier", 1, 5),
+        ("a /* never\nends *", "unterminated block comment", 2, 7),
+        ("/*/", "unterminated block comment", 1, 4),
+        # ... an unexpected character its own position.
+        ("a\n  @", "unexpected character '@'", 2, 3),
+        ("-- c\n/* c */ !x", "unexpected character '!'", 2, 9),
+        ("a | b", "unexpected character '|'", 1, 3),
+        ("a\x0cb", "unexpected character '\\x0c'", 1, 2),
+        # Digits that are not decimal (superscripts, fractions) are neither a
+        # number nor the start of a word: rejected where they stand.
+        ("²", "unexpected character '²'", 1, 1),
+        ("x = 1²", "unexpected character '²'", 1, 6),
+        ("½x", "unexpected character '½'", 1, 1),
+    ])
+    def test_errors(self, text, message, line, column):
+        with pytest.raises(SQLSyntaxError) as caught:
+            tokenize(text)
+        assert str(caught.value).startswith(message)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_positions_are_derived_from_the_offset(self):
+        text = "SELECT a,\n  'x\ny' AS \"q\"\n FROM t -- end"
+        tokens = tokenize(text)
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("SELECT", 1, 1), ("a", 1, 8), (",", 1, 9), ("x\ny", 2, 3),
+            ("AS", 3, 4), ("q", 3, 7), ("FROM", 4, 2), ("t", 4, 7), ("", 4, 15),
+        ]
+        assert [text[t.offset] for t in tokens[:6]] == ["S", "a", ",", "'", "A", '"']
+        assert tokens[-1].offset == len(text)
+
+    def test_tokens_are_immutable_and_carry_their_folded_key(self):
+        select, quoted, op, number, eof = tokenize('select "select" <= 1')
+        assert (select.key, quoted.key, op.key, number.key, eof.key) == (
+            "SELECT", None, "<=", None, None
+        )
+        with pytest.raises(AttributeError):
+            select.value = "x"
+        assert isinstance(tokenize("a"), tuple)
+
+    def test_long_statements_lex_in_linear_time(self):
+        def seconds(text):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                try:
+                    tokenize(text)
+                except SQLSyntaxError:
+                    pass
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        def insert(rows):
+            return "INSERT INTO t VALUES " + ", ".join(
+                "(%d, 'row''%d', %d.5)" % (i, i, i) for i in range(rows)
+            )
+
+        def unterminated(pairs):
+            return "SELECT 'a" + "''b" * pairs
+
+        assert len(insert(10_000)) > 200_000
+        assert len(tokenize(insert(10_000))) == 10_000 * 8 + 4
+        assert len(unterminated(33_000)) > 99_000
+        with pytest.raises(SQLSyntaxError, match="unterminated string literal"):
+            tokenize(unterminated(33_000))
+        for build, small, large in ((insert, 2_500, 10_000), (unterminated, 8_250, 33_000)):
+            # 4x the text: quadratic work would be 16x the time.
+            assert seconds(build(large)) < 9 * max(seconds(build(small)), 1e-4)
+
+
+# -- generative round trip ---------------------------------------------------
+
+_OPERATORS = ["(+)", "<=", ">=", "<>", "!=", "::", "||", "**"] + list("+-*/%(),.;<>=?[]:")
+_NUMBERS = ["0", "1", "42", "2.5", ".5", "1e3", "1.5E-2", "007", "3.14e+10"]
+_WORD_START = "abcxyzABCXYZ_é"
+_WORD_REST = _WORD_START + "0123456789$#"
+_TEXT = st.text("ab'\"-/* \n;", max_size=8)
+
+
+def _quoted(value, quote):
+    return quote + value.replace(quote, quote * 2) + quote
+
+
+#: ``((kind, value), spelling)`` — a token and one way to write it.
+_TOKENS = st.one_of(
+    st.builds(
+        str.__add__, st.sampled_from(_WORD_START), st.text(_WORD_REST, max_size=6)
+    ).map(lambda v: ((IDENT, v), v)),
+    st.sampled_from(_NUMBERS).map(lambda v: ((NUMBER, v), v)),
+    st.sampled_from(_OPERATORS).map(lambda v: ((OP, v), v)),
+    _TEXT.map(lambda v: ((STRING, v), _quoted(v, "'"))),
+    _TEXT.map(lambda v: ((QIDENT, v), _quoted(v, '"'))),
+)
+_COMMENT = st.one_of(
+    _TEXT.filter(lambda body: "*/" not in body).map(lambda body: "/*%s*/" % body),
+    _TEXT.filter(lambda body: "\n" not in body).map(lambda body: "--%s\n" % body),
+)
+# Noise starts with whitespace so that "-" then "--c" cannot read "---c".
+_NOISE = st.builds(
+    lambda space, comments: space + "".join(comments),
+    st.sampled_from([" ", "\n", "\t", "\r\n", "  \n "]),
+    st.lists(_COMMENT, max_size=2),
+)
+
+
+class TestLexerRoundTrip:
+    """Random token sequences, rendered with random noise between them,
+    tokenise back to the sequence — no reference lexer involved."""
+
+    @given(
+        tokens=st.lists(_TOKENS, max_size=12),
+        noise=st.lists(_NOISE, min_size=13, max_size=13),
+        lead=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_render_then_tokenize_is_identity(self, tokens, noise, lead):
+        text = noise[-1] if lead else ""
+        offsets = []
+        for (_expected, spelling), gap in zip(tokens, noise):
+            offsets.append(len(text))
+            text += spelling + gap
+        got = tokenize(text)
+        assert [(t.kind, t.value) for t in got[:-1]] == [e for e, _s in tokens]
+        assert [t.offset for t in got[:-1]] == offsets
+        assert got[-1].kind == EOF and got[-1].offset == len(text)
+        for token in got:
+            assert token.key == {
+                IDENT: token.value.upper(), OP: token.value
+            }.get(token.kind)
+
+    @given(tokens=st.lists(_TOKENS, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_commas_and_semicolons_need_no_space(self, tokens):
+        rendered = ",".join(spelling for _e, spelling in tokens) + ";"
+        expected = []
+        for e, _s in tokens:
+            expected += [e, (OP, ",")]
+        expected[-1] = (OP, ";")
+        assert _shape(rendered) == expected
+
+
+# -- golden corpus -----------------------------------------------------------
+
+
+def _golden():
+    path = Path(__file__).parent / "data" / "lexer_golden.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestGoldenCorpus:
+    """``tests/make_lexer_golden.py`` recorded what the character-loop lexer
+    (and the parser on top of it) made of every statement text the repo
+    ships; the regex tokenizer must reproduce all of it."""
+
+    def test_replay(self):
+        from tests.make_lexer_golden import describe
+
+        for entry in _golden():
+            assert describe(entry["sql"]) == entry, entry["sql"]
+
+    def test_statement_key_carries_the_same_normal_forms(self):
+        for entry in _golden():
+            key = statement_key(entry["sql"])
+            if key.bypass is None:
+                assert (key.text, key.template) == (entry["normal"], entry["template"])
+            elif isinstance(entry["tokens"], dict):
+                assert key.bypass == "lex-error" and key.tokens is None
+            else:
+                assert key.bypass in ("not-a-read", "volatile")
+                assert key.tokens == tokenize(entry["sql"])
+
+    def test_handed_over_tokens_parse_like_the_text(self):
+        for entry in _golden():
+            sql = entry["sql"]
+            if isinstance(entry["ast"], int):
+                handed = repr(Parser(sql, tokenize(sql)).parse_script())
+                assert zlib.crc32(handed.encode()) == entry["ast"], sql
 
 
 class TestParseSelect:
