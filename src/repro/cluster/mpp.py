@@ -11,7 +11,12 @@ queries scatter to all live shards and gather at a coordinator:
   two-phase aggregation of shared-nothing warehouses;
 * shapes the splitter cannot handle (subqueries over distributed tables,
   set operations, exotic aggregates) fall back to gathering the referenced
-  tables to the coordinator and running the original statement there.
+  columns of the referenced tables to the coordinator and running the
+  original statement there.
+
+Whatever the shards answer reaches the coordinator's planner as an
+in-memory relation of column vectors, scoped to the one statement: it is
+never a table, so nothing is compressed, pooled or left behind.
 
 Joins execute shard-locally, which is correct when each join either has a
 replicated side or is co-partitioned (the schema designer's contract, as on
@@ -42,6 +47,7 @@ from repro.errors import (
 from repro.parallel import WorkerPool, default_parallelism, greedy_makespan
 from repro.sql import ast
 from repro.sql.parser import parse_statement
+from repro.sql.planner import MaterialRel, _default_name, vector_relation
 from repro.storage.column import ColumnVector
 from repro.storage.filesystem import ClusterFileSystem
 from repro.storage.table import TableSchema
@@ -50,6 +56,8 @@ from repro.verify import sanitizer
 
 #: Aggregates the two-phase splitter handles natively.
 _SPLITTABLE = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+#: Of those, the ones DISTINCT changes (MIN/MAX ignore it).
+_DISTINCT_SENSITIVE = {"COUNT", "SUM", "AVG"}
 _AGG_NAMES = {
     "COUNT", "SUM", "AVG", "MIN", "MAX", "MEDIAN", "STDDEV", "VARIANCE",
     "VAR_POP", "VAR_SAMP", "STDDEV_POP", "STDDEV_SAMP", "COVAR_POP",
@@ -57,7 +65,10 @@ _AGG_NAMES = {
     "PERCENTILE_DISC", "MEAN",
 }
 
+#: The gathered partials' relation name in the coordinator's statement.
 _GATHER_TABLE = "__MPP_GATHER"
+#: Shard column carrying the DISTINCT aggregates' shared argument.
+_DISTINCT_COLUMN = "__D0"
 
 
 @dataclass
@@ -79,6 +90,10 @@ class QueryStats:
     #: Why a SELECT took the gather-fallback ("set-op", "cte", "subquery",
     #: "coordinator-object", "no-from", "unsplittable-aggregate: <agg>").
     fallback_reason: str = ""
+    #: Gather-fallback only: columns pulled from the shards / columns the
+    #: referenced cluster tables have.
+    columns_pulled: int = 0
+    columns_total: int = 0
     elapsed_by_node: dict = field(default_factory=dict)
     elapsed_by_shard: dict = field(default_factory=dict)
     #: max shard time / mean shard time — 1.0 is perfectly balanced.
@@ -182,10 +197,6 @@ class Cluster:
         self.fallback_counts: dict[str, int] = {}
         #: shard_id -> RecoveryReport from the most recent fail_node().
         self.last_failover_recoveries: dict = {}
-        #: Coordinator-phase statement of the last distributed SELECT (kept
-        #: so EXPLAIN ANALYZE can re-derive the global plan over the still
-        #: materialised gather table).
-        self._last_global_select: ast.Select | None = None
 
     # -- shard placement ------------------------------------------------------
 
@@ -404,44 +415,49 @@ class Cluster:
     # -- SELECT ------------------------------------------------------------------------
 
     def _execute_select(self, select: ast.Select, session) -> Result:
+        global_select, relations = self._shard_phase(select, session)
+        return self.coordinator.execute_ast(
+            global_select, session.inner, relations=relations
+        )
+
+    def _shard_phase(
+        self, select: ast.Select, session
+    ) -> tuple[ast.Select, dict[str, MaterialRel]]:
+        """Run the shard side of a SELECT; returns the statement left for
+        the coordinator and the gathered relations it reads."""
         if select.limit_syntax == "limit" and not session.dialect.allows_limit:
             raise DialectError(
                 "LIMIT/OFFSET requires the Netezza or PostgreSQL dialect"
             )
-        reason = self._needs_gather_fallback(select)
+        aggregates = _collect_aggregates(select)
+        reason = self._needs_gather_fallback(select) or _unsplittable(aggregates)
         if reason is not None:
             return self._gather_fallback(select, session, reason)
-        aggregates = _collect_aggregates(select)
-        for a in aggregates:
-            if a.distinct or a.name.upper() not in _SPLITTABLE:
-                reason = "unsplittable-aggregate: %s%s" % (
-                    a.name.upper(), "(DISTINCT)" if a.distinct else ""
-                )
-                return self._gather_fallback(select, session, reason)
         if aggregates:
-            return self._two_phase(select, aggregates, session)
+            return self._two_phase(select, session)
         # GROUP BY without aggregates deduplicates like DISTINCT; the global
         # phase must dedup across shards.
         force_distinct = bool(select.group_by)
         return self._scatter_concat(select, session, force_distinct=force_distinct)
 
     def _explain_analyze(self, select: ast.Select, session) -> Result:
-        """Distributed EXPLAIN ANALYZE: run the statement, then report the
+        """Distributed EXPLAIN ANALYZE: run the shard phase, then report the
         MPP shape (mode, shards, gather volume, skew) plus the coordinator's
         annotated global plan over the gathered partials."""
-        self._execute_select(select, session)
+        global_select, relations = self._shard_phase(select, session)
         stats = self.last_stats
-        lines = [
-            "MPP %s: shards=%d rows_gathered=%d gather=%.3fms skew=%.2f"
-            % (
-                stats.mode,
-                stats.shards_touched,
-                stats.rows_gathered,
-                stats.gather_seconds * 1e3,
-                stats.skew_ratio,
+        head = "MPP %s: shards=%d rows_gathered=%d gather=%.3fms skew=%.2f" % (
+            stats.mode,
+            stats.shards_touched,
+            stats.rows_gathered,
+            stats.gather_seconds * 1e3,
+            stats.skew_ratio,
+        )
+        if stats.fallback_reason:
+            head += " columns=%d/%d reason=%s" % (
+                stats.columns_pulled, stats.columns_total, stats.fallback_reason
             )
-            + (" reason=%s" % stats.fallback_reason if stats.fallback_reason else "")
-        ]
+        lines = [head]
         if stats.worker_busy:
             lines.append(
                 "  parallel: dop=%d workers=%d busy=[%s]ms"
@@ -458,11 +474,12 @@ class Cluster:
                 "  shard %d (%s): %.3fms"
                 % (sid, self.assignment[sid], stats.elapsed_by_shard[sid] * 1e3)
             )
-        if self._last_global_select is not None:
-            lines.append("  coordinator plan:")
-            explain = ast.ExplainStatement(self._last_global_select, analyze=True)
-            coord = self.coordinator.execute_ast(explain, session.inner)
-            lines.extend("    " + row[0] for row in coord.rows)
+        lines.append("  coordinator plan:")
+        explain = ast.ExplainStatement(global_select, analyze=True)
+        coord = self.coordinator.execute_ast(
+            explain, session.inner, relations=relations
+        )
+        lines.extend("    " + row[0] for row in coord.rows)
         return Result(columns=["PLAN"], rows=[(l,) for l in lines], rowcount=len(lines))
 
     def monreport(self) -> dict:
@@ -579,28 +596,27 @@ class Cluster:
             self.clock.advance(max(per_node))
         return results
 
-    def _gather_into_temp(
-        self, session, results: list[Result], table_name: str = _GATHER_TABLE
-    ) -> None:
-        """Materialise the shards' partial vectors as a coordinator temp table.
+    def _gather(self, results: list[Result], name: str = _GATHER_TABLE) -> MaterialRel:
+        """The shards' partial vectors as one relation called *name*.
 
-        Each column is concatenated across shards in shard-id order and
-        sealed once: partials never become Python rows on the way.
+        Each column is concatenated across shards in shard-id order — the
+        order every downstream combine sees — after checking that every
+        shard answered with exactly the first shard's types (concat would
+        coerce silently).
         """
         t0 = time.perf_counter()  # lint-ok: wall-clock (gather_seconds is a reported wall metric, never charged to the sim clock)
-        schema = TableSchema(
-            table_name, tuple(zip(results[0].columns, results[0].dtypes))
-        )
+        template = results[0]
+        schema = TableSchema(name, tuple(zip(template.columns, template.dtypes)))
         for result in results:
-            schema.check_vectors(result.vectors)  # concat would coerce silently
-        session.inner.drop_temp_table(table_name)
-        table = session.inner.declare_temp_table(schema)
-        self.last_stats.rows_gathered += table.append_vectors(
-            [ColumnVector.concat(parts) for parts in zip(*(r.vectors for r in results))]
-        )
+            schema.check_vectors(result.vectors)
+        vectors = [
+            ColumnVector.concat(parts) for parts in zip(*(r.vectors for r in results))
+        ]
+        self.last_stats.rows_gathered += len(vectors[0])
         self.last_stats.gather_seconds += time.perf_counter() - t0  # lint-ok: wall-clock (same reported wall metric as above)
+        return vector_relation(name, template.columns, template.dtypes, vectors)
 
-    def _scatter_concat(self, select: ast.Select, session, force_distinct=False) -> Result:
+    def _scatter_concat(self, select: ast.Select, session, force_distinct=False):
         """Non-aggregate scatter: shards run the body, coordinator finishes."""
         self.last_stats.mode = "scatter"
         partial = ast.Select(
@@ -617,7 +633,6 @@ class Cluster:
             partial.limit = select.limit
             partial.limit_syntax = "fetch"
         results = self._run_on_shards(partial, session)
-        self._gather_into_temp(session, results)
         template = results[0]
         global_select = ast.Select(
             items=[
@@ -630,11 +645,17 @@ class Cluster:
             limit_syntax="fetch" if select.limit is not None else None,
             offset=select.offset,
         )
-        self._last_global_select = global_select
-        return self.coordinator.execute_ast(global_select, session.inner)
+        return global_select, {_GATHER_TABLE: self._gather(results)}
 
-    def _two_phase(self, select: ast.Select, aggregates, session) -> Result:
-        """Split aggregates into shard partials plus a global combine."""
+    def _two_phase(self, select: ast.Select, session):
+        """Split aggregates into shard partials plus a global combine.
+
+        DISTINCT aggregates (one shared argument, see :func:`_unsplittable`)
+        make the shards group by that argument as well: every shard answers
+        its distinct values per group, with the other aggregates' partials
+        spread over them, and the coordinator aggregates DISTINCT over the
+        union — exact, whatever the distribution key.
+        """
         self.last_stats.mode = "two-phase"
         rewriter = _AggregateSplitter()
         group_by = _group_key_exprs(select)
@@ -644,8 +665,6 @@ class Cluster:
             partial_items.append(ast.SelectItem(_deep(g), alias="__G%d" % i))
         global_items = []
         for index, item in enumerate(select.items):
-            from repro.sql.planner import _default_name
-
             alias = item.alias or _default_name(item.expr, index)
             global_items.append(
                 ast.SelectItem(rewriter.rewrite(item.expr, group_by), alias)
@@ -667,16 +686,21 @@ class Cluster:
                         item.nulls_first,
                     )
                 )
+        partial_group_by = [_deep(g) for g in group_by]
+        if rewriter.distinct_arg is not None:
+            partial_items.append(
+                ast.SelectItem(_deep(rewriter.distinct_arg), alias=_DISTINCT_COLUMN)
+            )
+            partial_group_by.append(_deep(rewriter.distinct_arg))
         partial_items.extend(rewriter.partial_items)
         partial = ast.Select(
             items=partial_items,
             from_items=select.from_items,
             where=select.where,
-            group_by=[_deep(g) for g in group_by],
+            group_by=partial_group_by,
             connect_by=select.connect_by,
         )
         results = self._run_on_shards(partial, session)
-        self._gather_into_temp(session, results)
         global_select = ast.Select(
             items=global_items,
             from_items=[ast.TableRef([_GATHER_TABLE])],
@@ -688,53 +712,67 @@ class Cluster:
             offset=select.offset,
             distinct=select.distinct,
         )
-        self._last_global_select = global_select
-        return self.coordinator.execute_ast(global_select, session.inner)
+        return global_select, {_GATHER_TABLE: self._gather(results)}
 
-    def _gather_fallback(self, select: ast.Select, session, reason: str) -> Result:
-        """Gather every referenced cluster table, run the statement locally."""
-        self.last_stats.mode = "gather-fallback"
-        self.last_stats.fallback_reason = reason
+    def _gather_fallback(self, select: ast.Select, session, reason: str):
+        """Gather what the statement can read of every referenced cluster
+        table, under the table's own name, and run the statement locally."""
+        stats = self.last_stats
+        stats.mode = "gather-fallback"
+        stats.fallback_reason = reason
         self.fallback_counts[reason] = self.fallback_counts.get(reason, 0) + 1
-        referenced = self._tables_reachable(select)
-        for name in sorted(referenced):
-            star = ast.Select(
-                items=[ast.SelectItem(ast.Star())],
-                from_items=[ast.TableRef([name])],
+        referenced, names = self._reachable(select)
+        relations = {}
+        for table in sorted(referenced):
+            columns = self.coordinator.catalog.get_table(table).table.schema.column_names
+            # ``names is None``: a ``*`` somewhere reads every column.  A
+            # table none of whose columns is named still owes its row count.
+            wanted = columns if names is None else (
+                [c for c in columns if c in names] or columns[:1]
             )
-            results = self._run_on_shards(star, session)
-            self._gather_into_temp(session, results, table_name=name)
-        self._last_global_select = select
-        return self.coordinator.execute_ast(select, session.inner)
+            stats.columns_pulled += len(wanted)
+            stats.columns_total += len(columns)
+            pull = ast.Select(
+                items=[ast.SelectItem(ast.Identifier([c])) for c in wanted],
+                from_items=[ast.TableRef([table])],
+            )
+            relations[table] = self._gather(self._run_on_shards(pull, session), table)
+        return select, relations
 
-    def _tables_reachable(self, select: ast.Select) -> set[str]:
+    def _reachable(self, select: ast.Select) -> tuple[set[str], set[str] | None]:
         """Cluster tables referenced directly or through coordinator views
         (views recompile at the coordinator, so their base data must be
-        gathered too)."""
+        gathered too), and every name the statement or a reached view uses
+        as a column — None when one of them has a ``*``.  The names are
+        not resolved to tables: pulling a column too many is harmless."""
         from repro.catalog.catalog import ViewInfo
-        from repro.sql.parser import parse_statement
 
-        out: set[str] = set()
+        tables: set[str] = set()
+        names: set[str] = set()
+        every_column = False
         seen_views: set[str] = set()
         queue = [select]
         while queue:
-            node = queue.pop()
-            for item in _ast_walk(node):
-                if not isinstance(item, ast.TableRef):
-                    continue
-                name = item.name.upper()
-                if name in self.tables:
-                    out.add(name)
-                    continue
-                if name in seen_views:
-                    continue
-                view = self.coordinator.catalog.try_resolve(name, item.schema)
-                if isinstance(view, ViewInfo):
-                    seen_views.add(name)
-                    parsed = parse_statement(view.text)
-                    if isinstance(parsed, ast.Select):
-                        queue.append(parsed)
-        return out
+            for item in _ast_walk(queue.pop()):
+                if isinstance(item, ast.Identifier):
+                    names.add(item.parts[-1].upper())
+                elif isinstance(item, ast.Star):
+                    every_column = True
+                elif isinstance(item, ast.Join) and item.using is not None:
+                    names.update(c.upper() for c in item.using)
+                    every_column |= not item.using  # NATURAL: the common columns
+                elif isinstance(item, ast.TableRef):
+                    name = item.name.upper()
+                    if name in self.tables:
+                        tables.add(name)
+                    elif name not in seen_views:
+                        view = self.coordinator.catalog.try_resolve(name, item.schema)
+                        if isinstance(view, ViewInfo):
+                            seen_views.add(name)
+                            parsed = parse_statement(view.text)
+                            if isinstance(parsed, ast.Select):
+                                queue.append(parsed)
+        return tables, None if every_column else names
 
 
 # --------------------------------------------------------------------------
@@ -777,11 +815,28 @@ def _collect_aggregates(select: ast.Select) -> list[ast.FunctionCall]:
         for node in _ast_walk(root):
             if isinstance(node, ast.FunctionCall) and node.name.upper() in _AGG_NAMES:
                 out.append(node)
-    if select.group_by and not out:
-        # GROUP BY without aggregates still needs two-phase dedup; treat as
-        # one COUNT(*) the splitter can drop.
-        pass
     return out
+
+
+def _unsplittable(aggregates: list[ast.FunctionCall]) -> str | None:
+    """Why these aggregates cannot be combined from shard partials, or None.
+
+    COUNT/SUM/AVG/MIN/MAX split; so do their DISTINCT forms as long as all
+    of them aggregate one and the same argument, which the shards can then
+    group by (:meth:`Cluster._two_phase`).
+    """
+    distinct_args = set()
+    for a in aggregates:
+        name = a.name.upper()
+        if name not in _SPLITTABLE:
+            return "unsplittable-aggregate: %s%s" % (
+                name, "(DISTINCT)" if a.distinct else ""
+            )
+        if a.distinct and name in _DISTINCT_SENSITIVE:
+            distinct_args.add(_ast_signature(a.args[0]))
+            if len(distinct_args) > 1:
+                return "unsplittable-aggregate: %s(DISTINCT)" % name
+    return None
 
 
 def _contains_subquery(select: ast.Select) -> bool:
@@ -803,14 +858,6 @@ def _table_refs(item):
     elif isinstance(item, ast.Join):
         yield from _table_refs(item.left)
         yield from _table_refs(item.right)
-
-
-def _referenced_cluster_tables(select: ast.Select, registry) -> set[str]:
-    names = set()
-    for node in _ast_walk(select):
-        if isinstance(node, ast.TableRef) and node.name.upper() in registry:
-            names.add(node.name.upper())
-    return names
 
 
 def _ast_signature(node) -> tuple:
@@ -835,6 +882,9 @@ class _AggregateSplitter:
         self.partial_items: list[ast.SelectItem] = []
         self._counter = 0
         self._memo: dict[tuple, ast.ExprNode] = {}
+        #: The argument the statement's DISTINCT aggregates share, once one
+        #: was met: shards answer it as ``__D0`` and group by it.
+        self.distinct_arg: ast.ExprNode | None = None
 
     def _fresh(self) -> str:
         self._counter += 1
@@ -879,10 +929,20 @@ class _AggregateSplitter:
         if signature in self._memo:
             return self._memo[signature]
         func = call.name.upper()
-        if func in ("COUNT",):
+        if call.distinct and func in _DISTINCT_SENSITIVE:
+            self.distinct_arg = call.args[0]
+            combined = ast.FunctionCall(
+                func, [ast.Identifier([_DISTINCT_COLUMN])], distinct=True
+            )
+        elif func in ("COUNT",):
             alias = self._fresh()
             self.partial_items.append(ast.SelectItem(_deep(call), alias=alias))
-            combined = ast.FunctionCall("SUM", [ast.Identifier([alias])])
+            # A COUNT is never NULL, even when no shard answered a row
+            # (shards grouping by a DISTINCT argument over no data).
+            combined = ast.FunctionCall(
+                "COALESCE",
+                [ast.FunctionCall("SUM", [ast.Identifier([alias])]), ast.NumberLit("0")],
+            )
         elif func in ("SUM", "MIN", "MAX"):
             alias = self._fresh()
             self.partial_items.append(ast.SelectItem(_deep(call), alias=alias))

@@ -388,6 +388,7 @@ class Database:
         session: Session | None = None,
         snapshot: Snapshot | None = None,
         vectors: bool = False,
+        relations: dict | None = None,
     ) -> Result:
         """Execute a pre-parsed statement (used by the MPP layer, which
         rewrites ASTs for partial/global aggregation).  ``snapshot`` pins
@@ -395,9 +396,23 @@ class Database:
         cluster coordinator uses this for consistent cross-shard reads.
         ``vectors`` makes a SELECT answer with its final batch's physical
         column vectors (``Result.vectors``) instead of boundary rows: the
-        shard-to-coordinator hand-off, same statement wrapper."""
+        shard-to-coordinator hand-off, same statement wrapper.
+        ``relations`` (name -> planner ``MaterialRel``) are in-memory
+        relations this one read statement may name like tables — the
+        coordinator's gathered partials; they shadow catalog objects and
+        are gone when the statement returns: they ride a statement-scoped
+        thread-local, like the snapshot, to every planner it builds."""
         session = session or self.connect()
-        return self._execute_node(node, session, snapshot=snapshot, vectors=vectors)
+        if relations and not isinstance(node, self._READ_NODES):
+            raise SQLError("only a read statement can name in-memory relations")
+        prev_relations = getattr(self._tls, "relations", None)
+        self._tls.relations = relations
+        try:
+            return self._execute_node(
+                node, session, snapshot=snapshot, vectors=vectors
+            )
+        finally:
+            self._tls.relations = prev_relations
 
     def evaluate_rows(self, ast_rows, session: Session | None = None) -> list[list]:
         """Evaluate constant VALUES rows to boundary values."""
@@ -406,7 +421,8 @@ class Database:
 
     def _planner(self, session: Session) -> SelectPlanner:
         return SelectPlanner(
-            self, session.dialect, page_source=self.page_source, session=session
+            self, session.dialect, page_source=self.page_source, session=session,
+            relations=getattr(self._tls, "relations", None),
         )
 
     def _execute_select(

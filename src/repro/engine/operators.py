@@ -389,10 +389,15 @@ class TableScanOp(Operator):
 
 
 class VectorSourceOp(Operator):
-    """Expose an in-memory batch as a plan source (VALUES, intermediate)."""
+    """Expose an in-memory batch as a plan source (VALUES, intermediate).
 
-    def __init__(self, batch: Batch):
+    ``name`` is the relation it stands for (a CTE, gathered MPP partials),
+    shown by EXPLAIN.
+    """
+
+    def __init__(self, batch: Batch, name: str = ""):
         self.batch = batch
+        self.name = name
 
     def execute(self):
         if self.batch.n:

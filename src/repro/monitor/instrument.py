@@ -83,7 +83,7 @@ def operator_detail(op) -> str:
     """One-line physical detail for an operator (shared by EXPLAIN paths)."""
     from repro.engine.aggregate import GroupByOp
     from repro.engine.join import HashJoinOp, NestedLoopJoinOp
-    from repro.engine.operators import TableScanOp
+    from repro.engine.operators import TableScanOp, VectorSourceOp
 
     if isinstance(op, TableScanOp):
         preds = ", ".join("%s %s" % (p.column, p.op) for p in op.pushed)
@@ -92,6 +92,8 @@ def operator_detail(op) -> str:
             ", ".join(op.columns),
             (" WHERE " + preds) if preds else "",
         )
+    if isinstance(op, VectorSourceOp) and op.name:
+        return " " + op.name
     if isinstance(op, (HashJoinOp, NestedLoopJoinOp)):
         return " [%s]" % op.join_type
     if isinstance(op, GroupByOp):

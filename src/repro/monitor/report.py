@@ -122,6 +122,8 @@ def cluster_report(cluster) -> dict:
         "last_query": {
             "mode": last.mode,
             "fallback_reason": last.fallback_reason,
+            "columns_pulled": last.columns_pulled,
+            "columns_total": last.columns_total,
             "shards_touched": last.shards_touched,
             "rows_gathered": last.rows_gathered,
             "elapsed_by_node": dict(last.elapsed_by_node),

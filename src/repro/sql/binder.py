@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from fractions import Fraction
 
 from repro.engine.aggregate import AggregateSpec
 from repro.engine.expression import (
@@ -314,7 +315,14 @@ class ExpressionBinder:
         high = self.bind(node.high)
         operand_l, low = self._align_comparison(operand, low)
         operand_h, high = self._align_comparison(operand, high)
-        return Between(operand_l, low, high, negated=node.negated)
+        if operand_l.dtype == operand_h.dtype:
+            return Between(operand_l, low, high, negated=node.negated)
+        # Bounds of different types (0.5 AND 1.5e0, 0.5 AND 0.999) align
+        # the operand two ways: each bound compares in its own domain.
+        both = Logical(
+            "AND", [Compare(">=", operand_l, low), Compare("<=", operand_h, high)]
+        )
+        return Not(both) if node.negated else both
 
     def _bind_likeexpr(self, node: ast.LikeExpr) -> Expr:
         operand = self.bind(node.operand)
@@ -337,19 +345,16 @@ class ExpressionBinder:
             values = self.subquery_planner.scalar_column(node.subquery, self.scope)
             return InList(operand, values, negated=node.negated)
         items = [self.bind(item) for item in node.items]
-        values = []
-        for item in items:
-            literal = _as_literal(item)
-            if literal is None:
-                # Fall back to an OR chain for non-constant items.
-                comparisons = [
-                    Compare("=", *self._align_comparison(operand, self.bind(i)))
-                    for i in node.items
-                ]
-                chain = Logical("OR", comparisons) if len(comparisons) > 1 else comparisons[0]
-                return Not(chain) if node.negated else chain
-            values.append(_physical_for(literal, operand.dtype))
-        return InList(operand, values, negated=node.negated)
+        values = _exact_constants(items, operand.dtype)
+        if values is not None:
+            return InList(operand, values, negated=node.negated)
+        # A member that is not a constant of the operand's own domain:
+        # compare each in the promoted type instead.
+        comparisons = [
+            Compare("=", *self._align_comparison(operand, i)) for i in items
+        ]
+        chain = Logical("OR", comparisons) if len(comparisons) > 1 else comparisons[0]
+        return Not(chain) if node.negated else chain
 
     def _bind_casewhen(self, node: ast.CaseWhen) -> Expr:
         whens = []
@@ -476,29 +481,49 @@ def _as_literal(expr: Expr) -> Literal | None:
     return None
 
 
+def _exact_constants(items: list[Expr], target: DataType) -> list | None:
+    """The items as physical constants of *target*'s domain, or None when
+    one is not constant or not exactly a value of that domain."""
+    values = []
+    for item in items:
+        literal = _as_literal(item)
+        if literal is None:
+            return None
+        try:
+            values.append(_physical_for(literal, target))
+        except ValueError:
+            return None
+    return values
+
+
 def _physical_for(literal: Literal, target: DataType):
-    """Convert a literal's physical value into the target column's domain."""
+    """The literal's value in the target column's physical domain, exactly.
+
+    Raises :class:`ValueError` when the domain cannot hold the value
+    (``1.5`` against an INTEGER column, ``1.005`` against DECIMAL(7,2)):
+    any rounding here would change what a comparison with the column
+    means, so the caller must compare in the promoted type instead.
+    """
     if literal.value is None:
         return None
     source = literal.dtype
     if source == target:
         return literal.value
-    if source.kind is TypeKind.DECIMAL and target.kind is TypeKind.DECIMAL:
-        shift = target.scale - source.scale
-        return literal.value * (10 ** shift) if shift >= 0 else literal.value // (10 ** -shift)
+    if target.is_integer or target.kind is TypeKind.DECIMAL:
+        # Integer codes: the value times 10**scale has to be whole.
+        if source.is_integer:
+            return literal.value * (10 ** target.scale)
+        if source.kind is TypeKind.DECIMAL or source.is_approximate:
+            exact = Fraction(literal.value) * 10 ** target.scale / 10 ** source.scale
+            if exact.denominator != 1:
+                raise ValueError(
+                    "%r is not a value of %s" % (literal.value, target)
+                )
+            return exact.numerator
     if source.kind is TypeKind.DECIMAL and target.is_approximate:
         return literal.value / (10 ** source.scale)
-    if source.is_integer and target.kind is TypeKind.DECIMAL:
-        return literal.value * (10 ** target.scale)
-    if source.is_approximate and target.kind is TypeKind.DECIMAL:
-        # Not exactly representable values keep their fractional position so
-        # range predicates stay correct on scaled-integer codes.
-        scaled = literal.value * (10 ** target.scale)
-        return int(round(scaled)) if float(scaled).is_integer() else scaled
     if source.is_integer and target.is_approximate:
         return float(literal.value)
-    if source.is_approximate and target.is_integer:
-        return int(literal.value)
     if source.is_string and not target.is_string:
         from repro.storage.column import to_boundary_scalar
 

@@ -165,6 +165,19 @@ class MaterialRel:
         return self.op
 
 
+def vector_relation(alias: str, names, dtypes, vectors) -> MaterialRel:
+    """In-memory column vectors as a relation called *alias*: what a CTE
+    materialises to, and how the MPP coordinator sees gathered partials."""
+    columns = []
+    batch_columns = {}
+    for name, dtype, vector in zip(names, dtypes, vectors):
+        key = "%s.%s" % (alias, name.upper())
+        columns.append(ScopeColumn(key, name.upper(), alias, dtype))
+        batch_columns[key] = vector
+    source = VectorSourceOp(Batch.from_columns(batch_columns), name=alias)
+    return MaterialRel(alias, source, columns)
+
+
 @dataclass
 class JoinEdge:
     left_key: str
@@ -191,14 +204,23 @@ class PlannedJoinTree:
 class SelectPlanner:
     """Plans SELECT statements for one session."""
 
-    def __init__(self, database, dialect: Dialect, page_source=None, session=None):
+    def __init__(
+        self, database, dialect: Dialect, page_source=None, session=None,
+        relations: dict[str, MaterialRel] | None = None,
+    ):
         self.database = database
         self.dialect = dialect
         self.page_source = page_source
         self.session = session
         self.pool = getattr(database, "pool", None)
         self.morsel_rows = getattr(database, "morsel_rows", None)
-        self._cte_frames: list[dict[str, MaterialRel]] = []
+        #: Innermost-last name scopes searched before temp tables and the
+        #: catalog.  *relations* (the statement's own, e.g. the partials an
+        #: MPP coordinator gathered) is the outermost, so views planned in
+        #: nested ``plan()`` calls resolve through it too.
+        self._cte_frames: list[dict[str, MaterialRel]] = (
+            [relations] if relations else []
+        )
         self._rel_counter = 0
 
     # ==== public API =======================================================
@@ -274,18 +296,13 @@ class SelectPlanner:
         names = column_names or planned.names
         if len(names) != len(planned.keys):
             raise SQLError("column alias count mismatch for %s" % alias)
-        columns = []
-        out_cols = {}
-        for name, key, dtype in zip(names, planned.keys, planned.dtypes):
-            new_key = "%s.%s" % (alias, name.upper())
-            columns.append(ScopeColumn(new_key, name.upper(), alias, dtype))
-            if batch.columns:
-                out_cols[new_key] = batch.columns[key]
-            else:
-                out_cols[new_key] = ColumnVector(
-                    dtype, np.empty(0, dtype=dtype.numpy_dtype), None
-                )
-        return MaterialRel(alias, VectorSourceOp(Batch.from_columns(out_cols)), columns)
+        vectors = [
+            batch.columns[key]
+            if batch.columns
+            else ColumnVector(dtype, np.empty(0, dtype=dtype.numpy_dtype), None)
+            for key, dtype in zip(planned.keys, planned.dtypes)
+        ]
+        return vector_relation(alias, names, planned.dtypes, vectors)
 
     def _lazy_relation(self, planned: PlannedQuery, alias: str, column_names=None):
         """Wrap a planned query as a relation without materialising."""

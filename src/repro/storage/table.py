@@ -150,8 +150,8 @@ class Region:
             return None
         return mask
 
-    def mark_deleted(self, mask: np.ndarray, txid: int = ANCIENT_TXID) -> int:
-        """Stamp rows where mask is True; returns newly deleted count.
+    def mark_deleted(self, mask: np.ndarray, txid: int = ANCIENT_TXID) -> np.ndarray:
+        """Stamp rows where mask is True; returns the newly deleted rows' mask.
 
         With an MVCC *txid*, stamping a row already stamped by another
         transaction raises :class:`TransactionConflictError` — ``xmax``
@@ -172,7 +172,7 @@ class Region:
         self.xmax[fresh] = txid
         if txid > self.xmax_hi:
             self.xmax_hi = txid
-        return int(fresh.sum())
+        return fresh
 
     def nbytes(self) -> int:
         return sum(col.nbytes() for col in self.columns.values())
@@ -381,6 +381,10 @@ class ColumnTable:
         WAL replay and for snapshots captured before the delete.  With an
         MVCC txid, hitting a row stamped by a different transaction raises
         :class:`TransactionConflictError` (first-committer-wins).
+
+        A unique value has exactly one live row, so forgetting the values
+        of the rows tombstoned here keeps the seen-sets exact without
+        rescanning the table (an abort rebuilds them, :meth:`rollback_txn`).
         """
         expected = self.n_rows_physical()
         if global_mask.size != expected:
@@ -392,21 +396,30 @@ class ColumnTable:
         for region in self.regions:
             chunk = global_mask[offset : offset + region.n_rows]
             if chunk.any():
-                deleted += region.mark_deleted(chunk, txid)
+                fresh = region.mark_deleted(chunk, txid)
+                deleted += int(fresh.sum())
+                for name in self.unique_columns:
+                    values, nulls = region.columns[name].decode()
+                    gone = fresh if nulls is None else fresh & ~nulls
+                    self._unique_seen[name].difference_update(values[gone].tolist())
             offset += region.n_rows
         tail_mask = global_mask[offset:]
         if tail_mask.any():
+            unique_tails = [
+                (self._unique_seen[name], self._tail[self.schema.column_index(name)])
+                for name in self.unique_columns
+            ]
             for i in np.flatnonzero(tail_mask):
                 current = self._tail_xmax[i]
                 if current == 0:
                     self._tail_xmax[i] = txid
                     deleted += 1
+                    for seen, tail in unique_tails:
+                        seen.discard(tail[i])  # None (NULL) was never seen
                 elif txid != ANCIENT_TXID and current != txid:
                     raise TransactionConflictError(
                         "row version already deleted by txn %d" % current
                     )
-        if deleted and self.unique_columns:
-            self._rebuild_unique_sets()
         return deleted
 
     def rollback_txn(self, txid: int) -> None:

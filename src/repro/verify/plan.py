@@ -205,9 +205,9 @@ class PlanVerifier:
 
     def _check_scan_charging(self, op: TableScanOp) -> None:
         db = self.database
-        # Session temp tables (the MPP gather tables among them) are not in
-        # the catalog and scan without the pool by design: frames are keyed
-        # by table name, which only the catalog keeps unique.
+        # Session temp tables are not in the catalog and scan without the
+        # pool by design: frames are keyed by table name, which only the
+        # catalog keeps unique.
         if op.page_source is None and any(
             getattr(obj, "table", None) is op.table
             for schema in db.catalog.schema_names()

@@ -1,6 +1,7 @@
 """MPP cluster: sharding, distributed SQL, HA (Fig. 9), elasticity."""
 
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -120,9 +121,11 @@ class TestDistributedQueries:
         assert value == pytest.approx(99.75)
 
     def test_count_distinct_gathers(self, cs):
+        """Shards answer their distinct regions; the coordinator counts the union."""
         cluster, s = cs
         assert s.execute("SELECT COUNT(DISTINCT region) FROM sales").scalar() == 2
-        assert cluster.last_stats.mode == "gather-fallback"
+        assert cluster.last_stats.mode == "two-phase"
+        assert cluster.last_stats.rows_gathered <= 2 * cluster.n_shards
 
     def test_group_without_aggregates_dedups(self, cs):
         _, s = cs
@@ -380,8 +383,18 @@ _GATHER_QUERIES = [
      "SELECT k, s FROM t WHERE v IS NULL UNION SELECT k, s FROM t WHERE k < 5 ORDER BY 1"),
     ("gather-fallback", "coordinator-object",
      "SELECT g, v, d FROM tv WHERE k > 2 ORDER BY k"),
+    ("two-phase", "", "SELECT COUNT(DISTINCT v) FROM t"),
+    ("two-phase", "", "SELECT COUNT(DISTINCT v), SUM(v), AVG(f), COUNT(*), MIN(d) FROM t"),
+    ("two-phase", "", "SELECT SUM(DISTINCT v), AVG(DISTINCT v), COUNT(DISTINCT v), MAX(DISTINCT v) FROM t"),
+    ("two-phase", "",
+     "SELECT g, COUNT(DISTINCT s), SUM(amt), AVG(v) FROM t GROUP BY g"
+     " HAVING COUNT(DISTINCT s) > 1 ORDER BY COUNT(DISTINCT s) DESC, g"),
+    ("two-phase", "", "SELECT g, COUNT(DISTINCT g), COUNT(*) FROM t GROUP BY g ORDER BY g"),
+    ("two-phase", "", "SELECT COUNT(DISTINCT k % 4), SUM(k) FROM t WHERE k > 5"),
     ("gather-fallback", "unsplittable-aggregate: COUNT(DISTINCT)",
      "SELECT COUNT(DISTINCT g), COUNT(DISTINCT v) FROM t"),
+    ("gather-fallback", "unsplittable-aggregate: SUM(DISTINCT)",
+     "SELECT g, COUNT(DISTINCT v), SUM(DISTINCT k) FROM t GROUP BY g ORDER BY g"),
     ("gather-fallback", "unsplittable-aggregate: MEDIAN", "SELECT MEDIAN(f) FROM t"),
 ]
 
@@ -435,6 +448,9 @@ def gather_pair(request):
                 "(%s)" % ", ".join(map(_sql_literal, row)) for row in rows
             ))
         session.execute("CREATE VIEW tv AS SELECT k, g, v, d FROM t")
+        session.execute(
+            "CREATE VIEW tv2 AS SELECT tv.k, t.s, tv.v FROM tv JOIN t ON tv.k = t.k"
+        )
     if request.param != "empty":
         per_shard = [s.n_rows("T") for s in cluster.shards.values()]
         assert (0 in per_shard) == (request.param == "sparse")
@@ -454,28 +470,109 @@ class TestColumnarGather:
         for g_row, w_row in zip(got.rows, want.rows):
             assert all(map(_close, g_row, w_row)), (g_row, w_row)
 
-    def test_gather_table_is_sealed_vectors_not_rows(self, gather_pair):
+    @pytest.mark.parametrize("sql", [
+        pytest.param("SELECT k, s FROM t", id="scatter"),
+        pytest.param(
+            "SELECT g, COUNT(DISTINCT s), SUM(amt) FROM t GROUP BY g", id="two-phase"
+        ),
+        pytest.param(
+            "SELECT k, s FROM tv2 WHERE v >= (SELECT MIN(v) FROM t)", id="fallback"
+        ),
+    ])
+    def test_partials_stay_vectors(self, gather_pair, monkeypatch, sql):
+        """The coordinator plans over the shard vectors themselves: it never
+        seals (compresses) them, only the client's answer becomes rows, and
+        once the read returns neither the session nor the engine keeps a
+        gathered table or relation."""
+        from repro.database import database as database_module
+        from repro.storage import table as table_module
+
         cluster, cs, _ = gather_pair
-        cs.execute("SELECT k, s FROM t")
-        table = cs.inner.get_temp_table("__MPP_GATHER")
-        assert table.tail_rows == 0
-        assert table.n_rows == cluster.last_stats.rows_gathered == cluster.total_rows("t")
+        calls = {"compress_column": 0, "result_from_batch": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(table_module, "compress_column")
+        counted(database_module, "result_from_batch")
+        session_state = set(vars(cs.inner))
+        cs.execute(sql)
+        assert calls == {"compress_column": 0, "result_from_batch": 1}
+        assert cs.inner.temp_table_names() == []
+        assert set(vars(cs.inner)) == session_state
+        assert cluster.coordinator._tls.relations is None
+        assert cluster.coordinator.catalog.get_table("T").table.n_rows == 0
 
     def test_fallback_reason_in_explain_and_monreport(self, gather_pair):
         cluster, cs, _ = gather_pair
         before = dict(cluster.monreport()["gather_fallbacks"])
-        plan = cs.execute("EXPLAIN ANALYZE SELECT COUNT(DISTINCT g) FROM t").rows
+        plan = cs.execute("EXPLAIN ANALYZE SELECT MEDIAN(v) FROM t").rows
         assert plan[0][0].startswith("MPP gather-fallback:")
-        assert plan[0][0].endswith("reason=unsplittable-aggregate: COUNT(DISTINCT)")
-        plan = cs.execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM t").rows
-        assert plan[0][0].startswith("MPP two-phase:") and "reason=" not in plan[0][0]
+        assert plan[0][0].endswith("columns=1/7 reason=unsplittable-aggregate: MEDIAN")
+        assert any(re.search(r"VectorSourceOp T rows=\d+", row[0]) for row in plan)
+        plan = cs.execute("EXPLAIN ANALYZE SELECT COUNT(DISTINCT g) FROM t").rows
+        assert plan[0][0].startswith("MPP two-phase:")
+        assert "reason=" not in plan[0][0] and "columns=" not in plan[0][0]
+        assert any(
+            re.search(r"VectorSourceOp __MPP_GATHER rows=\d+", row[0]) for row in plan
+        )
         cs.execute("SELECT 1 FROM t UNION SELECT 2 FROM t")
         report = cluster.monreport()
         assert report["last_query"]["fallback_reason"] == "set-op"
+        assert report["last_query"]["columns_pulled"] == 1  # T's row count
+        assert report["last_query"]["columns_total"] == 7
         after = report["gather_fallbacks"]
-        key = "unsplittable-aggregate: COUNT(DISTINCT)"
+        key = "unsplittable-aggregate: MEDIAN"
         assert after[key] == before.get(key, 0) + 1
         assert after["set-op"] == before.get("set-op", 0) + 1
+
+    #: (fallback reason, statement, columns of T each shard must be asked
+    #: for — None: all seven).
+    _PRUNED_PULLS = [
+        ("set-op", "SELECT k, s FROM t WHERE v IS NULL UNION SELECT k, s FROM t WHERE k < 5",
+         ["K", "V", "S"]),
+        ("cte", "WITH c AS (SELECT g, v FROM t WHERE k > 3) SELECT g, SUM(v) FROM c GROUP BY g",
+         ["K", "G", "V"]),
+        ("subquery", "SELECT k FROM t WHERE v >= (SELECT AVG(v) FROM t)", ["K", "V"]),
+        ("subquery", "SELECT COUNT(*) FROM (SELECT 1 AS one FROM t) x", ["K"]),
+        ("subquery", "SELECT a.k FROM t a JOIN (SELECT k FROM t) b USING (k) WHERE a.f > 1",
+         ["K", "F"]),
+        # The statement names d only; k, g, v come from the view's text.
+        ("coordinator-object", "SELECT d FROM tv", ["K", "G", "V", "D"]),
+        # View over view: s from tv2, the rest from tv underneath.
+        ("coordinator-object", "SELECT k FROM tv2", ["K", "G", "V", "D", "S"]),
+        ("set-op", "SELECT * FROM t WHERE k < 3 UNION SELECT * FROM t WHERE k > 50", None),
+        ("subquery", "SELECT x.k FROM (SELECT t.* FROM t) x", None),
+        ("subquery", "SELECT t.k FROM t NATURAL JOIN (SELECT k FROM t) b", None),
+        ("unsplittable-aggregate: MEDIAN", "SELECT g, MEDIAN(f) FROM t GROUP BY g", ["G", "F"]),
+    ]
+
+    @pytest.mark.parametrize("reason,sql,columns", _PRUNED_PULLS)
+    def test_fallback_pulls_only_the_columns_the_statement_can_read(
+        self, gather_pair, monkeypatch, reason, sql, columns
+    ):
+        cluster, cs, single = gather_pair
+        all_columns = ["K", "G", "V", "AMT", "F", "D", "S"]
+        asked = []
+        run_on_shards = cluster._run_on_shards
+
+        def recording(select, session):
+            asked.append([item.expr.parts[-1] for item in select.items])
+            return run_on_shards(select, session)
+
+        monkeypatch.setattr(cluster, "_run_on_shards", recording)
+        got, want = cs.execute(sql), single.execute(sql)
+        stats = cluster.last_stats
+        assert (stats.mode, stats.fallback_reason) == ("gather-fallback", reason)
+        assert asked == [columns or all_columns]  # one pull of T
+        assert (stats.columns_pulled, stats.columns_total) == (len(asked[0]), 7)
+        assert sorted(got.rows, key=repr) == sorted(want.rows, key=repr)
 
 
 class TestColumnarGatherContract:

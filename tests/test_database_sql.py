@@ -1,7 +1,9 @@
 """End-to-end SQL execution through the Database."""
 
 import datetime
+import operator
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -322,6 +324,120 @@ class TestDecimalOutOfRange:
         with pytest.raises(ConversionError, match="out of range"):
             rowdb.execute("INSERT INTO t VALUES ('x', %s.0)" % self.BIG)
         assert rowdb.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
+
+class TestInexactPushdownConstants:
+    """A constant is pushed into the scan only when the column's physical
+    domain holds it exactly.  ``_physical_for`` used to turn ``1.5`` against
+    an INTEGER column into 15 (DECIMAL: the scaled int) or 1 (DOUBLE:
+    truncated), and ``1.005`` against DECIMAL(7,2) into 1.00."""
+
+    ROWS = "(1, 1, 1, 1, 1.00), (2, 2, 2, 2, 1.01), (3, 3, 3, 3, 2.50)"
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        from repro.baselines.rowdb import RowDatabase
+        from repro.workloads.tpcds import flush_tables
+
+        database = Database()
+        systems = [database.connect("db2"), RowDatabase()]
+        for system in systems:
+            system.execute(
+                "CREATE TABLE t (k INT, sm SMALLINT, v INTEGER, bg BIGINT, p DECIMAL(7,2))"
+            )
+            system.execute("INSERT INTO t VALUES " + self.ROWS)
+        flush_tables(database)  # regions: pushed predicates run on codes
+        return systems
+
+    @staticmethod
+    def _keys(system, predicate):
+        return [r[0] for r in system.execute(
+            "SELECT k FROM t WHERE %s ORDER BY k" % predicate
+        ).rows]
+
+    @pytest.mark.parametrize("predicate,want", [
+        ("v > 1.5", [2, 3]),
+        ("v < 1.5", [1]),
+        ("v >= 1.5e0", [2, 3]),
+        ("v BETWEEN 0.5 AND 1.5", [1]),
+        ("sm > 1.5", [2, 3]),
+        ("p >= 1.005", [2, 3]),
+        ("p = 1.005", []),
+        ("p < 1.009", [1]),
+        ("v + 0 >= 1.5", [2, 3]),  # never pushed: was always right
+        # BETWEEN bounds of two types aligned the operand to the first only.
+        ("v + 0 BETWEEN 0.5 AND 1.5e0", [1]),
+        ("v NOT BETWEEN 0.5 AND 1.25", [2, 3]),
+        ("p + 0 BETWEEN 1 AND 1.015", [1, 2]),
+    ])
+    def test_the_reported_wrong_answers(self, pair, predicate, want):
+        session, rowdb = pair
+        assert self._keys(session, predicate) == want
+        assert self._keys(rowdb, predicate) == want
+
+    def _check(self, pair, values, predicate, holds):
+        """*holds(x)* is the predicate over the exact column value, in Python:
+        RowDatabase plans through the same pushdown, so it is no oracle here."""
+        want = [k for k, x in values if holds(x)]
+        for system in pair:
+            assert self._keys(system, predicate) == want, (predicate, system)
+
+    _OPS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+    @pytest.mark.parametrize("column", ["sm", "v", "bg"])
+    @pytest.mark.parametrize("literal", ["1.5", "1.5e0", "2.0", "2e0", "0.999", "-0.5e0"])
+    def test_every_pushable_operator_on_integer_columns(self, pair, column, literal):
+        values = [(1, 1), (2, 2), (3, 3)]
+        c = Fraction(Decimal(literal))
+        for op, fn in self._OPS.items():
+            self._check(pair, values, "%s %s %s" % (column, op, literal),
+                        lambda x: fn(x, c))
+            self._check(pair, values, "%s %s %s" % (literal, op, column),
+                        lambda x: fn(c, x))
+        self._check(pair, values, "%s BETWEEN 0.5 AND %s" % (column, literal),
+                    lambda x: Fraction(1, 2) <= x <= c)
+        self._check(pair, values, "%s BETWEEN %s AND 2.5e0" % (column, literal),
+                    lambda x: c <= x <= Fraction(5, 2))
+        self._check(pair, values, "%s IN (%s, 3)" % (column, literal),
+                    lambda x: x in (c, 3))
+        self._check(pair, values, "%s NOT IN (%s, 3)" % (column, literal),
+                    lambda x: x not in (c, 3))
+
+    @pytest.mark.parametrize("literal", ["1.005", "1.009", "1.010", "1.005e0", "2.5e0", "1"])
+    def test_a_decimal_column_against_a_constant_of_higher_scale(self, pair, literal):
+        values = [(1, Fraction(100, 100)), (2, Fraction(101, 100)), (3, Fraction(250, 100))]
+        c = Fraction(Decimal(literal))
+        for op, fn in self._OPS.items():
+            self._check(pair, values, "p %s %s" % (op, literal), lambda x: fn(x, c))
+        self._check(pair, values, "p BETWEEN 1.001 AND %s" % literal,
+                    lambda x: Fraction(1001, 1000) <= x <= c)
+        self._check(pair, values, "p IN (%s, 2.50)" % literal,
+                    lambda x: x in (c, Fraction(5, 2)))
+
+    def test_exact_constants_still_push_and_skip_extents(self):
+        from repro.workloads.tpcds import flush_tables
+
+        database = Database(region_rows=8)
+        session = database.connect("db2")
+        session.execute("CREATE TABLE r (v INTEGER, p DECIMAL(7,2))")
+        session.execute("INSERT INTO r VALUES " + ", ".join(
+            "(%d, %d.25)" % (i, i) for i in range(64)
+        ))
+        flush_tables(database)
+
+        def skipped(predicate):
+            count = session.execute("SELECT COUNT(*) FROM r WHERE " + predicate).scalar()
+            (scan,) = database.last_scans
+            return count, scan.stats.extents_skipped, len(scan.pushed)
+
+        assert skipped("v > 55") == (8, 7, 1)
+        assert skipped("v > 55.0") == (8, 7, 1)  # a DECIMAL that is an integer
+        assert skipped("v > 5.5e1") == (8, 7, 1)  # so is this DOUBLE
+        assert skipped("p >= 56") == (8, 7, 1)
+        assert skipped("p >= 56.250") == (8, 7, 1)  # scale 3, fits scale 2
+        assert skipped("v > 55.5") == (8, 0, 0)  # residual: right, unskipped
+        assert skipped("p >= 56.245") == (8, 0, 0)
 
 
 class TestDdl:

@@ -78,9 +78,20 @@ def engines():
 
 
 def _random_predicate(rng, prefix="", no_c=False) -> str:
-    kind = int(rng.integers(0, 7))
+    kind = int(rng.integers(0, 8))
     if no_c and kind in (2, 5):
         kind = 0
+    if kind == 7:
+        # A fractional constant against an integer column: pushed lossily
+        # once (1.5 -> 15 or 1), now a residual compared as DECIMAL/DOUBLE.
+        return "%s%s %s %d.%d%s" % (
+            prefix,
+            "ab"[int(rng.integers(0, 2))],
+            ["=", "<>", "<", "<=", ">", ">="][int(rng.integers(0, 6))],
+            int(rng.integers(0, 50)),
+            int(rng.integers(0, 10)),
+            ["", "e0"][int(rng.integers(0, 2))],
+        )
     if kind == 0:
         return "%sa %s %d" % (
             prefix,

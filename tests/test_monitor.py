@@ -443,6 +443,12 @@ class TestClusterObservability:
         assert report["cluster"]["live_nodes"] == 2
         assert report["tables"]["F"] == 40
         last = report["last_query"]
+        assert sorted(last) == [
+            "columns_pulled", "columns_total", "elapsed_by_node",
+            "elapsed_by_shard", "fallback_reason", "gather_seconds", "mode",
+            "parallelism", "rows_gathered", "shards_touched", "skew_ratio",
+            "worker_busy",
+        ]
         assert last["mode"] == "two-phase"
         assert last["shards_touched"] == cl.n_shards
         assert last["rows_gathered"] >= 1

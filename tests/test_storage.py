@@ -169,6 +169,62 @@ class TestColumnTable:
         t.insert_rows([(0, Decimal("0.00"), datetime.date(2016, 1, 1), "ca")])
         assert t.n_rows == 3
 
+    def _unique_table(self):
+        """ids 0..5: 0-3 sealed in a region, 4-5 in the tail; unique id, state."""
+        t = ColumnTable(make_schema(), region_rows=4, unique_columns=("id", "state"))
+        t.insert_rows(
+            [(i, Decimal("1.00"), datetime.date(2016, 1, 1), "s%d" % i) for i in range(6)]
+        )
+        assert len(t.regions) == 1 and t.tail_rows == 2
+        return t
+
+    def _seen_is_exact(self, t):
+        seen = {name: set(values) for name, values in t._unique_seen.items()}
+        t._rebuild_unique_sets()
+        assert seen == t._unique_seen
+
+    def test_delete_forgets_exactly_the_tombstoned_unique_values(self):
+        t = self._unique_table()
+        row = lambda i, state: (i, Decimal("2.00"), datetime.date(2016, 1, 2), state)
+        mask = np.zeros(6, dtype=bool)
+        mask[[1, 5]] = True  # one region row, one tail row
+        assert t.apply_deletes(mask, txid=7) == 2
+        self._seen_is_exact(t)
+        assert t._unique_seen["id"] == {0, 2, 3, 4}
+        # An UPDATE re-inserts the keys it just tombstoned, same txn.
+        t.insert_rows([row(1, "s1"), row(5, "s5")], txid=7)
+        self._seen_is_exact(t)
+        for taken in (row(0, "nw"), row(4, "nw"), row(1, "nw")):
+            with pytest.raises(ConstraintViolationError):
+                t.insert_rows([taken])
+        # Deleting an already dead row again forgets nothing.
+        assert t.apply_deletes(np.concatenate([mask, [False, False]])) == 0
+        self._seen_is_exact(t)
+        assert 1 in t._unique_seen["id"] and "s5" in t._unique_seen["state"]
+
+    def test_aborted_delete_keeps_the_unique_value_taken(self):
+        t = self._unique_table()
+        mask = np.zeros(6, dtype=bool)
+        mask[[2, 4]] = True
+        t.apply_deletes(mask, txid=9)
+        t.rollback_txn(9)
+        self._seen_is_exact(t)
+        for i in (2, 4):
+            with pytest.raises(ConstraintViolationError):
+                t.insert_rows([(i, Decimal("0.00"), datetime.date(2016, 1, 1), "zz")])
+
+    def test_nulls_in_a_unique_column_are_never_seen(self):
+        t = ColumnTable(make_schema(), region_rows=2, unique_columns=("id",))
+        day = datetime.date(2016, 1, 1)
+        t.insert_rows([(None, None, day, "a"), (1, None, day, "b"), (None, None, day, "c")])
+        assert len(t.regions) == 1 and t.tail_rows == 1
+        assert t.apply_deletes(np.array([True, False, True])) == 2  # both NULLs
+        self._seen_is_exact(t)
+        assert t._unique_seen["id"] == {1}
+        t.insert_rows([(None, None, day, "d")])
+        with pytest.raises(ConstraintViolationError):
+            t.insert_rows([(1, None, day, "e")])
+
     def test_not_null_constraint(self):
         t = ColumnTable(make_schema(), not_null_columns=("id",))
         with pytest.raises(ConstraintViolationError):
