@@ -123,7 +123,7 @@ def _trickle(session, stop, count, errors):
 
 
 def test_htap_reader_throughput_under_churn(benchmark):
-    db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS, pool_backend="thread")
+    db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS)
     session = db.connect("db2")
     _load_base(session)
     flush_tables(db)

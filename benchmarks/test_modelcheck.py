@@ -7,13 +7,17 @@ pruned, and whether the bounded space was exhausted.  Any counterexample
 fails the benchmark outright: the registry is the engine's concurrency
 regression suite.
 
-The summary lands in ``BENCH_modelcheck.json`` at the repo root.
+The summary lands in ``BENCH_modelcheck.json`` at the repo root;
+``tests/test_verify_mc.py`` fails when its scenario names or lock ranks
+fall behind the registry, so regenerate it whenever either changes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import time
 
 from repro.verify.mc import (
@@ -87,6 +91,10 @@ def test_modelcheck_coverage():
     _RESULT_PATH.write_text(
         json.dumps(
             {
+                "environment": {
+                    "cores": os.cpu_count(),
+                    "python": platform.python_version(),
+                },
                 "budget": budget,
                 "preemption_bound": DEFAULT_PREEMPTION_BOUND,
                 "scenarios": rows,

@@ -1,25 +1,26 @@
 """Morsel-driven parallelism on the Table-1 customer workload.
 
-Serial vs DOP-4 execution of the long-tail scan/aggregate pool, under
-both worker-pool backends.  Two timing surfaces are reported:
+Serial vs DOP-4 execution of the long-tail scan/aggregate pool.  Two
+timing surfaces are reported, and never mixed in one ratio:
 
 * **wall clock** — best-of-3 totals over the query pool.  The serial
   engine runs the same factorised group coding, direct-lookup join probe
   and scatter MIN/MAX as the pool tasks, so the headline ``wall_ratio``
-  (serial / thread-backend parallel) measures parallelism, not fusion.
+  (serial / DOP-4 wall) measures parallelism, not fusion.
   Under the GIL on a 2-core box that is at or just under 1.0x (0.83-1.00
   over seven runs: 4,096-row morsels are too small for numpy to release
   the GIL for long, so the pool adds dispatch and merge cost and overlaps
   little).  The assertion is therefore "DOP 4 costs no more than a third
   over DOP 1" (ratio >= 0.75) plus a regression gate against the
-  committed ``BENCH_parallel.json``.  (Until the serial engine got the
-  kernels the ratio read 2.3x and was asserted > 1.5x; that compared a
-  fused engine with an unfused one.)
+  committed ``BENCH_parallel.json``.  On the end-to-end ``analytics``
+  workload the same comparison reads 0.71-0.81x, and a process-pool
+  backend read lower still (0.63-0.65x) before it was retired: DOP > 1
+  buys no wall-clock time on this class of host.
 * **simulated speedup** — from the pool's own accounting: serial-
   equivalent cost is the sum of task CPU spans (``busy_seconds``), the
   parallel cost is the list-scheduled makespan of those spans over the
   configured workers.  Independent of host oversubscription; asserted
-  >= 1.5x as before.
+  >= 1.5x.  Parallel speedups in this repo are results on this clock.
 
 The summary lands in ``BENCH_parallel.json`` at the repo root.
 """
@@ -59,11 +60,6 @@ WALL_RATIO_TOLERANCE = 0.35
 _RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
-def _make_engine(backend):
-    db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS, pool_backend=backend)
-    return db, db.connect("db2")
-
-
 def _best_wall(session, pool):
     """Best-of-N total wall seconds over the whole query pool."""
     totals = []
@@ -94,40 +90,34 @@ def _committed_gate():
 def test_parallel_speedup_customer_workload(
     dashdb_customer, customer_workload, benchmark
 ):
-    thread_db, thread = _make_engine("thread")
-    proc_db, proc = _make_engine("process")
-    for session in (thread, proc):
-        customer_workload.load_base(session)
-        flush_tables(session.database)
+    par_db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS)
+    par = par_db.connect("db2")
+    customer_workload.load_base(par)
+    flush_tables(par_db)
 
     pool = customer_workload.long_tail_pool(POOL_SIZE)
 
-    # Correctness before speed: all three executions answer identically.
+    # Correctness before speed: both executions answer identically.
     for sql in pool:
-        reference = dashdb_customer.execute(sql).rows
-        assert reference == thread.execute(sql).rows, sql
-        assert reference == proc.execute(sql).rows, sql
+        assert dashdb_customer.execute(sql).rows == par.execute(sql).rows, sql
 
     serial_wall = _best_wall(dashdb_customer, pool)
 
-    # Measure the thread backend over a clean accounting window.
-    busy0 = thread_db.pool.busy_seconds_total
-    span0 = thread_db.pool.makespan_seconds_total
-    runs0 = thread_db.pool.runs_total
-    thread_wall = _best_wall(thread, pool)
-    busy = thread_db.pool.busy_seconds_total - busy0
-    makespan = thread_db.pool.makespan_seconds_total - span0
-    runs = thread_db.pool.runs_total - runs0
-
-    process_wall = _best_wall(proc, pool)
+    # Measure the DOP-4 engine over a clean accounting window.
+    busy0 = par_db.pool.busy_seconds_total
+    span0 = par_db.pool.makespan_seconds_total
+    runs0 = par_db.pool.runs_total
+    parallel_wall = _best_wall(par, pool)
+    busy = par_db.pool.busy_seconds_total - busy0
+    makespan = par_db.pool.makespan_seconds_total - span0
+    runs = par_db.pool.runs_total - runs0
 
     assert runs > 0 and busy > 0.0, "workload never reached the worker pool"
     sim_speedup = busy / makespan if makespan > 0 else float(DOP)
-    wall_ratio = serial_wall / thread_wall if thread_wall > 0 else 1.0
-    process_ratio = serial_wall / process_wall if process_wall > 0 else 1.0
+    wall_ratio = serial_wall / parallel_wall if parallel_wall > 0 else 1.0
 
     benchmark.pedantic(
-        lambda: [thread.execute(sql) for sql in pool[:6]],
+        lambda: [par.execute(sql) for sql in pool[:6]],
         rounds=2,
         iterations=1,
     )
@@ -138,20 +128,14 @@ def test_parallel_speedup_customer_workload(
     banner(
         "Parallel execution — customer long-tail pool, serial vs DOP %d" % DOP,
         [
-            "wall: serial %.3fs  thread %.3fs (%.2fx)  process %.3fs (%.2fx)"
-            % (serial_wall, thread_wall, wall_ratio, process_wall, process_ratio),
+            "wall: serial %.3fs  DOP %d %.3fs (%.2fx)"
+            % (serial_wall, DOP, parallel_wall, wall_ratio),
             "wall assert: ratio >= %.2f (DOP %d vs DOP 1, same kernels)"
             % (WALL_RATIO_FLOOR, DOP),
             "sim:  busy %.3fs -> makespan %.3fs  speedup %.2fx (assert >= 1.5x)"
             % (busy, makespan, sim_speedup),
-            "pool: %d runs, %d tasks at DOP %d; process runs %d, fallbacks %d"
-            % (
-                runs,
-                thread_db.pool.tasks_total,
-                DOP,
-                proc_db.pool.process_runs_total,
-                proc_db.pool.process_fallbacks_total,
-            ),
+            "pool: %d runs, %d tasks at DOP %d"
+            % (runs, par_db.pool.tasks_total, DOP),
             "fused pipeline cache: %(hits)d hits, %(misses)d misses" % cache,
         ],
     )
@@ -159,7 +143,6 @@ def test_parallel_speedup_customer_workload(
         "parallel-speedup",
         sim_speedup=sim_speedup,
         wall_ratio=wall_ratio,
-        process_wall_ratio=process_ratio,
         dop=DOP,
     )
     committed_ratio = _committed_gate()
@@ -174,19 +157,17 @@ def test_parallel_speedup_customer_workload(
                 },
                 "serial_engine": "same kernels as the pool tasks (factorised "
                 "group coding, direct-lookup join, scatter MIN/MAX)",
-                "changed": "the serial leg used to run the unfused engine, so "
-                "wall_ratio read 2.31 (fusion, asserted > 1.5); both legs now "
-                "run the same kernels, wall_ratio is parallelism under the "
-                "GIL and is asserted >= %.2f; sim_speedup >= 1.5 is unchanged"
-                % WALL_RATIO_FLOOR,
-                "not_exercised": "real process execution: the process leg "
-                "falls back to threads on every run (process_runs below)",
+                "not_exercised": "a wall-clock win from DOP > 1: under the "
+                "GIL on this class of host there is none (wall_ratio below; "
+                "0.71-0.81x of DOP 1 on the e2e analytics workload), so "
+                "parallel speedups in this repo are sim-clock results "
+                "(busy / makespan); one executor only, a thread pool",
                 "queries": len(pool),
                 "dop": DOP,
                 "morsel_rows": MORSEL_ROWS,
                 "wall_rounds": WALL_ROUNDS,
                 "serial_wall_seconds": round(serial_wall, 6),
-                "parallel_wall_seconds": round(thread_wall, 6),
+                "parallel_wall_seconds": round(parallel_wall, 6),
                 "wall_ratio": round(wall_ratio, 4),
                 "busy_seconds": round(busy, 6),
                 "makespan_seconds": round(makespan, 6),
@@ -195,18 +176,6 @@ def test_parallel_speedup_customer_workload(
                 "pipeline_cache": {
                     "hits": cache["hits"],
                     "misses": cache["misses"],
-                },
-                "backends": {
-                    "thread": {
-                        "wall_seconds": round(thread_wall, 6),
-                        "wall_ratio": round(wall_ratio, 4),
-                    },
-                    "process": {
-                        "wall_seconds": round(process_wall, 6),
-                        "wall_ratio": round(process_ratio, 4),
-                        "process_runs": proc_db.pool.process_runs_total,
-                        "thread_fallbacks": proc_db.pool.process_fallbacks_total,
-                    },
                 },
             },
             indent=2,
@@ -227,5 +196,4 @@ def test_parallel_speedup_customer_workload(
             "wall_ratio regressed: %.2fx vs committed %.2fx (tolerance %.2f)"
             % (wall_ratio, committed_ratio, WALL_RATIO_TOLERANCE)
         )
-    thread_db.pool.shutdown()
-    proc_db.pool.shutdown()
+    par_db.pool.shutdown()

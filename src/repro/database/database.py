@@ -83,11 +83,6 @@ class Database:
             the unchanged serial code path.
         morsel_rows: rows per aggregation morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
-        pool_backend: worker-pool execution backend, ``"thread"`` or
-            ``"process"`` (default: the ``REPRO_POOL_BACKEND`` environment
-            variable, falling back to ``"thread"``).  The process backend
-            ships numeric region buffers through shared memory and falls
-            back to threads per-task for non-picklable kernels.
         durability: optional
             :class:`~repro.durability.manager.DurabilityManager`.  When
             attached, every statement runs as one auto-commit transaction:
@@ -109,7 +104,6 @@ class Database:
         tracer: Tracer | None = None,
         parallelism: int | None = None,
         morsel_rows: int | None = None,
-        pool_backend: str | None = None,
         durability=None,
     ):
         self.name = name
@@ -132,7 +126,6 @@ class Database:
             parallelism,
             metrics=self.metrics if self.tracer.enabled else None,
             name=name.lower(),
-            backend=pool_backend,
         )
         self.morsel_rows = morsel_rows
         self.durability = durability

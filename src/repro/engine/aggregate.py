@@ -87,11 +87,12 @@ class GroupByOp(Operator):
             grand total).
         aggregates: the aggregate outputs.
         pool: optional :class:`~repro.parallel.pool.WorkerPool`.  With a
-            parallel pool the input splits into morsels, each worker builds
-            partial per-group states, and the states merge in morsel order.
-            Only aggregates whose machine arithmetic is associative take
-            this path (see :meth:`parallel_safe`); everything else stays on
-            the serial code, so results are bit-identical at any DOP.
+            parallel pool the input splits into spans of morsels, each task
+            reduces its span to per-group accumulator arrays, and those
+            merge exactly (:mod:`repro.engine.fused`).  Only aggregates
+            whose machine arithmetic is associative take this path (see
+            :meth:`parallel_safe`); everything else stays on the serial
+            code, so results are bit-identical at any DOP.
         morsel_rows: rows per morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
     """
@@ -121,37 +122,16 @@ class GroupByOp(Operator):
         self.shape_key = ""
 
     def parallel_safe(self) -> bool:
-        """True when every aggregate merges exactly across morsels.
-
-        COUNT / MIN / MAX always merge exactly; SUM when the physical
-        accumulator is int64 (integers and scaled DECIMALs — modular int64
-        addition is associative); AVG for integer arguments (integer-valued
-        float64 division of an exact integer sum).  DISTINCT forms and the
-        float-accumulating families (DOUBLE SUM/AVG, variance, percentiles)
-        round differently under re-association, so they stay serial.
-        Approximate (float) group keys also stay serial: NaN ordering under
-        a partial-state merge is not worth the hazard.
+        """True when every aggregate merges exactly across morsels, i.e.
+        has a fused recipe (:func:`repro.engine.fused.recipe_kind` is the
+        one place that decides).  Approximate (float) group keys also stay
+        serial: NaN ordering under a partial merge is not worth the hazard.
         """
-        for _, expr in self.keys:
-            if expr.dtype.is_approximate:
-                return False
-        for spec in self.aggregates:
-            func = spec.func.upper()
-            if spec.distinct:
-                return False
-            if func == "COUNT":
-                continue
-            if func in ("MIN", "MAX"):
-                continue
-            if not spec.args:
-                return False
-            arg = spec.args[0].dtype
-            if func == "SUM" and (arg.is_integer or arg.kind is TypeKind.DECIMAL):
-                continue
-            if func == "AVG" and arg.is_integer:
-                continue
-            return False
-        return True
+        return not any(
+            expr.dtype.is_approximate for _, expr in self.keys
+        ) and all(
+            fused.recipe_kind(spec) is not None for spec in self.aggregates
+        )
 
     def execute(self):
         pool = self.pool
@@ -177,9 +157,12 @@ class GroupByOp(Operator):
         if pool is not None and pool.is_parallel and batch.n > 1 and self.parallel_safe():
             from repro.parallel.morsel import morsel_ranges
 
-            morsels = morsel_ranges(batch.n, self.morsel_rows)
-            if len(morsels) > 1:
-                yield self._execute_parallel(batch, morsels, pool)
+            if len(morsel_ranges(batch.n, self.morsel_rows)) > 1:
+                # Fused span reduction over the drained input batch.
+                columns, self.stats.groups = fused.parallel_group_reduce(
+                    self, batch, pool
+                )
+                yield Batch.from_columns(columns)
                 return
         if not self.keys:
             self.stats.groups = 1
@@ -215,168 +198,6 @@ class GroupByOp(Operator):
             for spec in self.aggregates
         }
         return Batch.from_columns(columns)
-
-    # -- morsel-parallel path ----------------------------------------------------
-
-    def _execute_parallel(self, batch: Batch, morsels, pool) -> Batch:
-        """Fused span reduction over the drained input batch.
-
-        Key/argument expressions evaluate once over the whole batch, then
-        batched morsel spans reduce through the fused array kernels
-        (:mod:`repro.engine.fused`).  An aggregate set the recipe compiler
-        rejects falls back to the original per-group state merge."""
-        try:
-            columns, n_groups = fused.parallel_group_reduce(self, batch, pool)
-        except fused.FusionFallback:
-            return self._execute_parallel_states(batch, morsels, pool)
-        self.stats.groups = n_groups
-        return Batch.from_columns(columns)
-
-    def _execute_parallel_states(self, batch: Batch, morsels, pool) -> Batch:
-        """Partial per-group states per morsel, merged in morsel order, then
-        groups re-sorted into the engine's group output order (per column:
-        NULL first, then ascending values — the code order of
-        :func:`repro.engine.fused.group_codes`)."""
-        from repro.parallel.morsel import MorselMerger
-
-        def partials(rng):
-            start, stop = rng
-            return self._morsel_partials(batch.take(np.arange(start, stop)))
-
-        per_morsel = pool.map(partials, morsels, label="group-by")
-        self.parallel_run = pool.last_run
-        merger = MorselMerger(len(self.aggregates))
-        for part in per_morsel:
-            merger.add_morsel(part)
-        ordered = merger.ordered_groups(sort_key=_serial_group_order)
-        self.stats.groups = len(ordered)
-        columns: dict[str, ColumnVector] = {}
-        for k, (alias, expr) in enumerate(self.keys):
-            columns[alias] = _key_column(expr.dtype, [key[k] for key in ordered])
-        for j, spec in enumerate(self.aggregates):
-            states = [merger.groups[key][j] for key in ordered]
-            columns[spec.alias] = _partial_result(spec, states)
-        return Batch.from_columns(columns)
-
-    def _morsel_partials(self, sub: Batch) -> dict:
-        """One morsel's {group key tuple: [PartialAgg per aggregate]}."""
-        n = sub.n
-        if self.keys:
-            key_vectors = [expr.eval(sub) for _, expr in self.keys]
-            group_ids, key_cols, n_groups = fused.group_codes(
-                [(v.values, v.nulls) for v in key_vectors]
-            )
-            parts = []
-            for values, nulls in key_cols:
-                items = values.tolist()
-                if nulls is not None:
-                    items = [
-                        None if null else item
-                        for item, null in zip(items, nulls.tolist())
-                    ]
-                parts.append(items)
-            group_keys = list(zip(*parts))
-        else:
-            group_ids = np.zeros(n, dtype=np.int64)
-            n_groups = 1
-            group_keys = [()]
-        rows_per_group = np.bincount(group_ids, minlength=n_groups)
-        per_spec = [
-            self._spec_states(spec, sub, group_ids, int(n_groups), rows_per_group)
-            for spec in self.aggregates
-        ]
-        return {
-            key: [states[g] for states in per_spec]
-            for g, key in enumerate(group_keys)
-        }
-
-    def _spec_states(self, spec, sub, group_ids, n_groups, rows_per_group):
-        from repro.parallel.morsel import PartialAgg
-
-        func = spec.func.upper()
-        states = [PartialAgg(rows=int(rows_per_group[g])) for g in range(n_groups)]
-        if func == "COUNT" and not spec.args:
-            return states
-        vector = spec.args[0].eval(sub)
-        live = ~vector.null_mask()
-        ids = group_ids[live]
-        values = vector.values[live]
-        counts = np.bincount(ids, minlength=n_groups)
-        for g in range(n_groups):
-            states[g].count = int(counts[g])
-        if func in ("SUM", "AVG"):
-            if values.dtype != np.int64:
-                # parallel_safe() guarantees an integral argument; coerce
-                # stray representations to the exact accumulator.
-                values = values.astype(np.int64)
-            sums = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(sums, ids, values)
-            for g in range(n_groups):
-                states[g].total = int(sums[g])
-        elif func in ("MIN", "MAX"):
-            for g, value in zip(ids.tolist(), values.tolist()):
-                state = states[g]
-                if state.minimum is None or value < state.minimum:
-                    state.minimum = value
-                if state.maximum is None or value > state.maximum:
-                    state.maximum = value
-        return states
-
-
-def _serial_group_order(key: tuple):
-    """Sort key reproducing the engine's group output order: per column,
-    NULL sorts first (code 0 in :func:`repro.engine.fused.group_codes`),
-    then values ascend."""
-    return tuple((0,) if v is None else (1, v) for v in key)
-
-
-def _key_column(dtype: DataType, values_list) -> ColumnVector:
-    np_dtype = dtype.numpy_dtype
-    n = len(values_list)
-    out = np.empty(n, dtype=np_dtype)
-    nulls = np.zeros(n, dtype=bool)
-    filler = "" if np_dtype == object else 0
-    for i, value in enumerate(values_list):
-        if value is None:
-            nulls[i] = True
-            out[i] = filler
-        else:
-            out[i] = value
-    return ColumnVector(dtype, out, nulls if nulls.any() else None)
-
-
-def _partial_result(spec: AggregateSpec, states) -> ColumnVector:
-    """Finalise merged :class:`~repro.parallel.morsel.PartialAgg` states."""
-    func = spec.func.upper()
-    n = len(states)
-    if func == "COUNT":
-        if not spec.args:
-            source = [s.rows for s in states]
-        else:
-            source = [s.count for s in states]
-        return ColumnVector(BIGINT, np.array(source, dtype=np.int64), None)
-    empty = np.array([s.count == 0 for s in states], dtype=bool)
-    nulls = empty if empty.any() else None
-    out_dt = spec.output_type()
-    if func in ("MIN", "MAX"):
-        np_dtype = out_dt.numpy_dtype
-        filler = "" if np_dtype == object else 0
-        out = np.full(n, filler, dtype=np_dtype)
-        for i, state in enumerate(states):
-            value = state.minimum if func == "MIN" else state.maximum
-            if value is not None:
-                out[i] = value
-        return ColumnVector(out_dt, out, nulls)
-    if func == "SUM":
-        out = np.array([int(s.total) for s in states], dtype=np.int64)
-        return ColumnVector(out_dt, out, nulls)
-    # AVG over integer arguments: the integer partial sums are exact, so a
-    # single float64 division reproduces the serial bincount/divide result.
-    out = np.array(
-        [float(s.total) / s.count if s.count else 0.0 for s in states],
-        dtype=np.float64,
-    )
-    return ColumnVector(DOUBLE, out, nulls)
 
 
 def _synthesize_empty(keys, aggregates) -> Batch:

@@ -1,16 +1,16 @@
 """Fused region pipelines: predicate→project→aggregate in whole-array passes.
 
 The paper's BLU engine gets its speed from running each query stage as a
-vectorised kernel over columnar data rather than interpreting tuples.  Our
-morsel-parallel group-by originally did the opposite inside each task —
-per-group Python dictionaries of ``PartialAgg`` states — so DOP-4 execution
-lost to the serial engine on wall clock.  This module compiles a
-parallel-safe ``GroupByOp`` (and, when the plan allows, its whole
-project/filter/scan chain) into *fused kernels*: every pool task makes a
-handful of GIL-releasing numpy calls over its span of rows and returns
-small per-group accumulator arrays that merge associatively.
+vectorised kernel over columnar data rather than interpreting tuples.  This
+module is the engine's one parallel aggregate.  It decides which aggregates
+merge exactly across spans (:func:`recipe_kind`; ``parallel_safe()`` of the
+group-by asks here and nowhere else) and compiles such a ``GroupByOp`` (and,
+when the plan allows, its whole project/filter/scan chain) into *fused
+kernels*: every pool task makes a handful of GIL-releasing numpy calls over
+its span of rows and returns small per-group accumulator arrays that merge
+associatively.
 
-Three layers:
+Two layers:
 
 * **Span reduction** (:func:`_reduce_span`): factorise the span's group
   keys (:func:`group_codes`, over the :mod:`repro.simd.factorize`
@@ -26,12 +26,8 @@ Three layers:
   compressed predicates included) and reduces them in place — the full
   decoded scan output is never materialised or concatenated.  Compiled
   chains are cached in :data:`PIPELINE_CACHE`, an LRU keyed on plan shape.
-* **Transport**: thread-backend tasks close over the arrays; under the
-  process backend numeric inputs ship via ``multiprocessing.shared_memory``
-  (:func:`_map_spans_shm`) so worker processes read the buffers without
-  copying them through pickles.  Non-picklable kernels (object columns,
-  buffer-pool closures) fall back to the thread backend inside
-  :class:`~repro.parallel.pool.WorkerPool`.
+
+Pool tasks close over the input arrays; nothing is copied to reach a worker.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from repro.engine.operators import FilterOp, ProjectOp, ScanStats, TableScanOp
 from repro.parallel.morsel import batch_items, batch_spans
 from repro.simd.factorize import factorize, factorize_int
 from repro.storage.column import ColumnVector
-from repro.types.datatypes import BIGINT, DOUBLE
+from repro.types.datatypes import BIGINT, DOUBLE, TypeKind
 from repro.verify import sanitizer
 
 #: Combined radix beyond which multi-column key packing would overflow
@@ -55,11 +51,6 @@ _RADIX_LIMIT = 1 << 62
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
-
-
-class FusionFallback(Exception):
-    """A fused kernel cannot reproduce serial semantics for this input;
-    the caller must revert to the unfused execution path."""
 
 
 # -- group-key encoding ----------------------------------------------------------
@@ -130,6 +121,29 @@ class AggRecipe:
 _RECIPE_KINDS = {"COUNT": "count", "SUM": "sum", "AVG": "avg", "MIN": "min", "MAX": "max"}
 
 
+def recipe_kind(spec):
+    """The fused reduction ``spec`` compiles to, or None when its partials
+    would not merge exactly across spans.
+
+    COUNT / MIN / MAX always merge exactly; SUM when the physical
+    accumulator is int64 (integers and scaled DECIMALs — modular int64
+    addition is associative); AVG for integer arguments (one float64
+    division of an exact integer sum).  DISTINCT forms and the
+    float-accumulating families (DOUBLE SUM/AVG, variance, percentiles)
+    round differently under re-association and have no recipe.
+    """
+    if spec.distinct:
+        return None
+    kind = _RECIPE_KINDS.get(spec.func.upper())
+    if not spec.args:
+        return "rows" if kind == "count" else None
+    if kind in ("sum", "avg"):
+        arg = spec.args[0].dtype
+        if not (arg.is_integer or (kind == "sum" and arg.kind is TypeKind.DECIMAL)):
+            return None
+    return kind
+
+
 def compile_recipes(aggregates):
     """Compile parallel-safe :class:`AggregateSpec` entries into recipes.
 
@@ -140,13 +154,10 @@ def compile_recipes(aggregates):
     recipes = []
     arg_exprs = []
     for spec in aggregates:
-        func = spec.func.upper()
-        if func == "COUNT" and not spec.args:
+        kind = recipe_kind(spec)
+        if kind == "rows":
             recipes.append(AggRecipe("rows", spec.alias, spec.output_type()))
             continue
-        kind = _RECIPE_KINDS.get(func)
-        if kind is None or spec.distinct:
-            raise FusionFallback("aggregate %s is not fusable" % spec.func)
         recipes.append(
             AggRecipe(kind, spec.alias, spec.output_type(), len(arg_exprs))
         )
@@ -369,95 +380,23 @@ def merge_fused(keys_meta, recipes, partials):
     return columns, n_groups
 
 
-# -- shared-memory transport (process backend) -----------------------------------
+# -- batch-level fused group-by (drained child) ----------------------------------
 
 
-def _all_numeric(pairs) -> bool:
-    return all(values.dtype != object for values, _ in pairs)
+def parallel_group_reduce(op, batch, pool):
+    """Fused morsel-parallel group-by over one drained input batch.
 
-
-def _attach_shm(desc, opened):
-    if desc is None:
-        return None
-    from multiprocessing import shared_memory
-
-    name, dtype_str, shape = desc
-    # Attaching re-registers the segment with the resource tracker, but the
-    # fork-context workers share the parent's tracker and its cache is a
-    # set, so the duplicate collapses and the parent's unlink() remains the
-    # single unregistration.  Do NOT unregister here: that would remove the
-    # entry early and make the parent's unlink() a double-unregister.
-    # flow-ok: resource-pairing (registered in `opened` before any fallible op; _shm_reduce_task closes every registered segment in its finally)
-    shm = shared_memory.SharedMemory(name=name)
-    opened.append(shm)
-    return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-
-
-def _shm_reduce_task(item):
-    """Module-level (picklable) span task for the process backend."""
-    key_descs, arg_descs, recipe_kinds, span = item
-    opened: list = []
-    try:
-        lo, hi = span
-
-        def load(pair):
-            values = _attach_shm(pair[0], opened)
-            nulls = _attach_shm(pair[1], opened)
-            return (
-                values[lo:hi],
-                None if nulls is None else nulls[lo:hi],
-            )
-
-        key_pairs = [load(pair) for pair in key_descs]
-        arg_pairs = [load(pair) for pair in arg_descs]
-        # All outputs are freshly-allocated accumulator arrays, so the
-        # segments can close as soon as the reduction returns.
-        return _reduce_span(hi - lo, key_pairs, arg_pairs, recipe_kinds)
-    finally:
-        for shm in opened:
-            shm.close()
-
-
-def _map_spans_shm(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
-    """Ship numeric input arrays once via shared memory, then map spans."""
-    from multiprocessing import shared_memory
-
-    blocks: list = []
-
-    def ship(array):
-        if array is None:
-            return None
-        arr = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        blocks.append(shm)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[:] = arr
-        return (shm.name, arr.dtype.str, arr.shape)
-
-    try:
-        key_descs = [(ship(v), ship(m)) for v, m in key_pairs]
-        arg_descs = [(ship(v), ship(m)) for v, m in arg_pairs]
-        items = [(key_descs, arg_descs, recipe_kinds, span) for span in spans]
-        return pool.map(_shm_reduce_task, items, label=label)
-    finally:
-        for shm in blocks:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def _map_spans(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
-    """Run the span reduction over the pool with the right transport."""
-    if (
-        pool.backend == "process"
-        and not sanitizer.ENABLED
-        and len(spans) > 1
-        and _all_numeric(key_pairs)
-        and _all_numeric(arg_pairs)
-    ):
-        return _map_spans_shm(pool, key_pairs, arg_pairs, recipe_kinds, spans, label)
+    Evaluates key and argument expressions once over the whole batch (one
+    vectorised pass each), splits the rows into batched morsel spans, and
+    reduces each span with the fused kernels.
+    """
+    recipes, arg_exprs = compile_recipes(op.aggregates)
+    key_vectors = [(alias, expr.eval(batch)) for alias, expr in op.keys]
+    arg_vectors = [expr.eval(batch) for expr in arg_exprs]
+    key_pairs = [(v.values, v.nulls) for _, v in key_vectors]
+    arg_pairs = [(v.values, v.nulls) for v in arg_vectors]
+    spans = batch_spans(batch.n, op.morsel_rows, pool.parallelism)
+    recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
 
     def task(span):
         lo, hi = span
@@ -469,30 +408,7 @@ def _map_spans(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
         ]
         return _reduce_span(hi - lo, kp, ap, recipe_kinds)
 
-    return pool.map(task, spans, label=label)
-
-
-# -- batch-level fused group-by (drained child) ----------------------------------
-
-
-def parallel_group_reduce(op, batch, pool):
-    """Fused morsel-parallel group-by over one drained input batch.
-
-    Evaluates key and argument expressions once over the whole batch (one
-    vectorised pass each), splits the rows into batched morsel spans, and
-    reduces each span with the fused kernels.  Raises
-    :class:`FusionFallback` when an aggregate has no fused recipe.
-    """
-    recipes, arg_exprs = compile_recipes(op.aggregates)
-    key_vectors = [(alias, expr.eval(batch)) for alias, expr in op.keys]
-    arg_vectors = [expr.eval(batch) for expr in arg_exprs]
-    key_pairs = [(v.values, v.nulls) for _, v in key_vectors]
-    arg_pairs = [(v.values, v.nulls) for v in arg_vectors]
-    spans = batch_spans(batch.n, op.morsel_rows, pool.parallelism)
-    recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
-    partials = _map_spans(
-        pool, key_pairs, arg_pairs, recipe_kinds, spans, label="group-by"
-    )
+    partials = pool.map(task, spans, label="group-by")
     op.parallel_run = pool.last_run
     keys_meta = [(alias, v.dtype) for alias, v in key_vectors]
     columns, n_groups = merge_fused(keys_meta, recipes, partials)

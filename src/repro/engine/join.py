@@ -207,44 +207,13 @@ class HashJoinOp(Operator):
         sorted_build_rows = build_rows[order]
         probe_rows = np.nonzero(p_valid)[0]
         pk_live = pk[probe_rows]
-        pool = self.pool
-        if pool is not None and pool.is_parallel:
-            from repro.parallel.morsel import morsel_ranges
 
-            morsels = morsel_ranges(probe_rows.size, self.partition_rows)
-            if len(morsels) > 1:
-                return self._parallel_probe(
-                    pool, morsels, probe_rows, pk_live,
-                    sorted_bk, sorted_build_rows, matched_left,
-                )
-        lo = np.searchsorted(sorted_bk, pk_live, side="left")
-        hi = np.searchsorted(sorted_bk, pk_live, side="right")
-        counts = hi - lo
-        hit = counts > 0
-        matched_left[probe_rows[hit]] = True
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        li = np.repeat(probe_rows, counts)
-        starts = np.repeat(lo, counts)
-        cumulative = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = starts + (np.arange(total) - cumulative)
-        ri = sorted_build_rows[positions]
-        return li.astype(np.int64), ri.astype(np.int64)
-
-    def _parallel_probe(self, pool, morsels, probe_rows, pk_live,
-                        sorted_bk, sorted_build_rows, matched_left):
-        """Probe morsels against the shared sorted build side in parallel.
-
-        Each probe row's matches are a function of that row alone
-        (``positions = lo[r] + 0..count[r]-1``), so concatenating the
-        per-morsel (li, ri) pairs in morsel order is byte-identical to the
-        single whole-column probe.  Workers only read the shared arrays and
-        write disjoint slices of nothing — ``matched_left`` updates happen
-        on the gather side.
-        """
-
-        def probe_morsel(rng):
+        def probe_span(rng):
+            # A probe row's matches depend on that row alone (``positions =
+            # lo[r] + 0..count[r]-1``), so per-span pairs concatenated in
+            # span order are byte-identical to one whole-column probe.
+            # Tasks only read the shared arrays; ``matched_left`` is
+            # written on the gather side.
             start, stop = rng
             rows = probe_rows[start:stop]
             keys = pk_live[start:stop]
@@ -263,12 +232,20 @@ class HashJoinOp(Operator):
             ri = sorted_build_rows[positions]
             return hit_rows, li.astype(np.int64), ri.astype(np.int64)
 
-        parts = pool.map(probe_morsel, morsels, label="join-probe")
-        self.parallel_run = pool.last_run
-        for hit_rows, _, _ in parts:
-            matched_left[hit_rows] = True
-        li = np.concatenate([part[1] for part in parts])
-        ri = np.concatenate([part[2] for part in parts])
+        pool = self.pool
+        morsels = []
+        if pool is not None and pool.is_parallel:
+            from repro.parallel.morsel import morsel_ranges
+
+            morsels = morsel_ranges(probe_rows.size, self.partition_rows)
+        if len(morsels) > 1:
+            parts = pool.map(probe_span, morsels, label="join-probe")
+            self.parallel_run = pool.last_run
+            hit_rows, li, ri = (np.concatenate(col) for col in zip(*parts))
+        else:
+            # DOP 1: one whole-column probe, inline (no pool run recorded).
+            hit_rows, li, ri = probe_span((0, probe_rows.size))
+        matched_left[hit_rows] = True
         return li, ri
 
     # -- execution ---------------------------------------------------------------

@@ -134,8 +134,7 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
         )
     run = getattr(op, "parallel_run", None)
     if run is not None:
-        line += " [parallel backend=%s tasks=%d workers=%d busy=%.3fms makespan=%.3fms]" % (
-            getattr(run, "backend", "thread"),
+        line += " [parallel tasks=%d workers=%d busy=%.3fms makespan=%.3fms]" % (
             run.tasks,
             len(run.worker_busy()),
             run.total_seconds * 1e3,
@@ -183,7 +182,6 @@ def attach_operator_spans(tracer, parent_span, root: InstrumentedOp) -> None:
         span.annotate(
             parallel={
                 "parallelism": run.parallelism,
-                "backend": getattr(run, "backend", "thread"),
                 "tasks": run.tasks,
                 "busy_seconds": run.total_seconds,
                 "makespan_seconds": run.makespan_seconds,

@@ -1,47 +1,31 @@
-"""Morsel-driven parallel execution: shared worker pool + combiners."""
+"""Morsel-driven parallel execution: shared worker pool + morsel batching."""
 
 from repro.parallel.morsel import (
     DEFAULT_MORSEL_ROWS,
-    MORSEL_BATCH_ENV_VAR,
-    MorselMerger,
-    PartialAgg,
     batch_items,
     batch_size,
     batch_spans,
-    merge_partials,
     morsel_ranges,
-    partial_from_values,
 )
 from repro.parallel.pool import (
     PARALLELISM_ENV_VAR,
-    POOL_BACKEND_ENV_VAR,
-    POOL_BACKENDS,
     PoolRun,
     TaskSpan,
     WorkerPool,
-    default_backend,
     default_parallelism,
     greedy_makespan,
 )
 
 __all__ = [
     "DEFAULT_MORSEL_ROWS",
-    "MORSEL_BATCH_ENV_VAR",
-    "MorselMerger",
     "PARALLELISM_ENV_VAR",
-    "POOL_BACKENDS",
-    "POOL_BACKEND_ENV_VAR",
-    "PartialAgg",
     "PoolRun",
     "TaskSpan",
     "WorkerPool",
     "batch_items",
     "batch_size",
     "batch_spans",
-    "default_backend",
     "default_parallelism",
     "greedy_makespan",
-    "merge_partials",
     "morsel_ranges",
-    "partial_from_values",
 ]

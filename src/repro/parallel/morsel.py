@@ -1,36 +1,17 @@
-"""Morsel splitting and associativity-safe partial-aggregate combiners.
+"""Morsel ranges and their batching into pool tasks.
 
 A *morsel* is a contiguous row range of a batch (Leis et al.'s
-morsel-driven parallelism): workers evaluate predicate masks and partial
-aggregates per morsel, and the results merge back **in morsel order**, so a
-parallel plan yields exactly the rows a serial plan would.
-
-The combiners here are restricted to operations that are associative in
-machine arithmetic, which makes the merge invariant to morsel size and
-worker count:
-
-* COUNT / COUNT(x) — integer addition;
-* MIN / MAX — idempotent semilattice operations;
-* SUM over integer/decimal physical values — int64 (modular) addition;
-* SUM / AVG over integer-typed arguments accumulated in float64 — exact
-  while partial sums stay below 2**53 (integer-valued doubles).
-
-Float-accumulating aggregates whose rounding depends on addition order
-(AVG/SUM over DOUBLE or DECIMAL-scaled floats, the variance family,
-MEDIAN/percentiles, DISTINCT forms) deliberately stay on the serial path —
-determinism is part of the engine's contract (see DESIGN.md).
+morsel-driven parallelism): workers evaluate predicate masks, join probes
+and partial aggregates per span of morsels, and the results merge back **in
+span order**, so a parallel plan yields exactly the rows a serial plan
+would.  What merges exactly — and therefore which aggregates may run on
+spans at all — is decided in one place, :mod:`repro.engine.fused`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 #: Default rows per morsel for engine-level parallel operators.
 DEFAULT_MORSEL_ROWS = 8_192
-
-#: Environment override for morsels batched per pool task.
-MORSEL_BATCH_ENV_VAR = "REPRO_MORSEL_BATCH"
 
 
 def morsel_ranges(n_rows: int, morsel_rows: int | None = None) -> list[tuple[int, int]]:
@@ -43,53 +24,29 @@ def morsel_ranges(n_rows: int, morsel_rows: int | None = None) -> list[tuple[int
     return [(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
-def batch_size(n_items: int, parallelism: int, batch: int | None = None) -> int:
-    """Morsels (or regions) batched into one pool task.
-
-    Priority: the explicit ``batch`` argument, then the
-    ``REPRO_MORSEL_BATCH`` environment variable, then an automatic size
-    targeting ~2 tasks per worker — enough tasks that the greedy scheduler
-    can balance the load, few enough that per-task dispatch overhead
-    amortises over K morsels.
+def batch_size(n_items: int, parallelism: int) -> int:
+    """Morsels (or regions) batched into one pool task: ~2 tasks per
+    worker — enough tasks that the greedy scheduler can balance the load,
+    few enough that per-task dispatch overhead amortises over K morsels.
     """
-    if batch is None:
-        env = os.environ.get(MORSEL_BATCH_ENV_VAR)
-        if env:
-            try:
-                batch = int(env)
-            except ValueError:
-                raise ValueError(
-                    "%s must be an integer, got %r" % (MORSEL_BATCH_ENV_VAR, env)
-                ) from None
-            if batch < 1:
-                raise ValueError(
-                    "%s must be positive, got %d" % (MORSEL_BATCH_ENV_VAR, batch)
-                )
-    if batch is not None:
-        if batch < 1:
-            raise ValueError("morsel batch must be positive, got %d" % batch)
-        return batch
     if n_items <= 0:
         return 1
     return max(1, -(-n_items // (2 * max(1, parallelism))))
 
 
-def batch_items(items: list, parallelism: int, batch: int | None = None) -> list[list]:
+def batch_items(items: list, parallelism: int) -> list[list]:
     """Group ``items`` into per-task batches of K consecutive items.
 
     Batches preserve submission order, so flattening per-task results in
     task order reproduces the unbatched gather order exactly.
     """
     items = list(items)
-    k = batch_size(len(items), parallelism, batch)
+    k = batch_size(len(items), parallelism)
     return [items[i : i + k] for i in range(0, len(items), k)]
 
 
 def batch_spans(
-    n_rows: int,
-    morsel_rows: int | None,
-    parallelism: int,
-    batch: int | None = None,
+    n_rows: int, morsel_rows: int | None, parallelism: int
 ) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` spans of K morsels each.
 
@@ -98,103 +55,5 @@ def batch_spans(
     vectorised pass over its span instead of K small ones.
     """
     ranges = morsel_ranges(n_rows, morsel_rows)
-    batched = batch_items(ranges, parallelism, batch)
+    batched = batch_items(ranges, parallelism)
     return [(group[0][0], group[-1][1]) for group in batched]
-
-
-@dataclass
-class PartialAgg:
-    """Partial state for one (group, aggregate) pair within one morsel.
-
-    ``rows`` counts every input row of the group (COUNT(*)); ``count``
-    counts non-NULL aggregate inputs; ``total`` accumulates SUM/AVG (int for
-    exact paths, float for integer-valued float64 sums); ``minimum`` /
-    ``maximum`` hold MIN/MAX over non-NULL inputs (None when the morsel
-    contributed none).
-    """
-
-    rows: int = 0
-    count: int = 0
-    total: object = 0
-    minimum: object = None
-    maximum: object = None
-
-    def merge(self, other: "PartialAgg") -> "PartialAgg":
-        """Fold ``other`` (a later morsel) into this state, in place."""
-        self.rows += other.rows
-        self.count += other.count
-        self.total = self.total + other.total
-        if other.minimum is not None and (
-            self.minimum is None or other.minimum < self.minimum
-        ):
-            self.minimum = other.minimum
-        if other.maximum is not None and (
-            self.maximum is None or other.maximum > self.maximum
-        ):
-            self.maximum = other.maximum
-        return self
-
-
-def partial_from_values(values, rows: int | None = None) -> PartialAgg:
-    """Build a :class:`PartialAgg` from one morsel's non-NULL input values.
-
-    ``values`` is any iterable of plain Python scalars (NULLs already
-    filtered out); ``rows`` is the group's total row count in the morsel
-    (defaults to ``len(values)`` — i.e. no NULLs).
-    """
-    values = list(values)
-    state = PartialAgg(rows=len(values) if rows is None else rows)
-    for value in values:
-        state.count += 1
-        state.total = state.total + value
-        if state.minimum is None or value < state.minimum:
-            state.minimum = value
-        if state.maximum is None or value > state.maximum:
-            state.maximum = value
-    return state
-
-
-def merge_partials(partials) -> PartialAgg:
-    """Fold a sequence of morsel states in order into one state."""
-    merged = PartialAgg()
-    for partial in partials:
-        merged.merge(partial)
-    return merged
-
-
-class MorselMerger:
-    """Order-preserving merge of per-morsel group dictionaries.
-
-    Each morsel contributes ``{group_key: [PartialAgg, ...]}`` (one state
-    per aggregate).  Groups keep **first-appearance order across morsels**
-    and states merge in morsel order, so the result is independent of which
-    worker computed which morsel — only the (deterministic) morsel order
-    matters.
-    """
-
-    def __init__(self, n_aggregates: int):
-        self.n_aggregates = n_aggregates
-        self.groups: dict = {}
-
-    def add_morsel(self, morsel_groups: dict) -> None:
-        for key, states in morsel_groups.items():
-            if len(states) != self.n_aggregates:
-                raise ValueError(
-                    "group %r carries %d states, expected %d"
-                    % (key, len(states), self.n_aggregates)
-                )
-            existing = self.groups.get(key)
-            if existing is None:
-                self.groups[key] = [
-                    PartialAgg().merge(state) for state in states
-                ]
-            else:
-                for slot, state in zip(existing, states):
-                    slot.merge(state)
-
-    def ordered_groups(self, sort_key=None) -> list:
-        """Group keys — first-appearance order, or sorted via ``sort_key``."""
-        keys = list(self.groups)
-        if sort_key is not None:
-            keys.sort(key=sort_key)
-        return keys

@@ -3,7 +3,8 @@
 The paper's engine "runs as fast as the hardware allows" through intra-query
 parallelism: scans, joins, aggregates, MPP shard scatter, and Spark stages
 all split their work into independent tasks and run them on a bounded set of
-workers.  One :class:`WorkerPool` provides that substrate for every layer:
+workers.  One :class:`WorkerPool` — one thread executor, one option (the
+degree of parallelism) — provides that substrate for every layer:
 
 * **deterministic gather** — :meth:`WorkerPool.map` always returns results
   in submission order, whatever order workers finish in, so parallel plans
@@ -29,13 +30,10 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import multiprocessing
 import os
-import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.verify import sanitizer
@@ -44,27 +42,6 @@ _NULL_SPAN = contextlib.nullcontext()
 
 #: Environment override for the default degree of parallelism.
 PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
-
-#: Environment override for the pool execution backend.
-POOL_BACKEND_ENV_VAR = "REPRO_POOL_BACKEND"
-
-#: Supported execution backends.
-POOL_BACKENDS = ("thread", "process")
-
-
-def default_backend() -> str:
-    """Resolve the pool backend: ``REPRO_POOL_BACKEND``, else threads."""
-    env = os.environ.get(POOL_BACKEND_ENV_VAR)
-    if not env:
-        return "thread"
-    backend = env.strip().lower()
-    if backend not in POOL_BACKENDS:
-        raise ValueError(
-            "%s must be one of %s, got %r"
-            % (POOL_BACKEND_ENV_VAR, "/".join(POOL_BACKENDS), env)
-        )
-    return backend
-
 
 def default_parallelism(cores: int | None = None) -> int:
     """Resolve the default degree of parallelism (DOP).
@@ -135,7 +112,6 @@ class PoolRun:
     spans: list[TaskSpan] = field(default_factory=list)
     inline: bool = False  # ran serially on the calling thread
     label: str | None = None
-    backend: str = "thread"  # executor that ran the tasks
 
     @property
     def tasks(self) -> int:
@@ -168,13 +144,9 @@ class PoolRun:
         return self.total_seconds / (makespan * max(1, self.parallelism))
 
 
-def _process_invoke(fn, index, item):
-    """Task trampoline executed inside a pool worker process.
-
-    Measures the task's CPU and wall time in the child and ships them back
-    with the worker's pid, so the parent can build :class:`TaskSpan` records
-    identical in shape to the thread backend's.
-    """
+def _timed(fn, item):
+    """``fn(item)`` with its thread-CPU and wall seconds: ``(value, cpu,
+    wall)``.  A CPU clock too coarse to register falls back to wall."""
     w0 = time.perf_counter()
     c0 = time.thread_time()
     value = fn(item)
@@ -182,7 +154,7 @@ def _process_invoke(fn, index, item):
     wall = time.perf_counter() - w0
     if cpu <= 0.0:
         cpu = wall
-    return value, index, cpu, wall, os.getpid()
+    return value, cpu, wall
 
 
 class WorkerPool:
@@ -196,26 +168,17 @@ class WorkerPool:
         metrics: optional :class:`~repro.monitor.metrics.MetricsRegistry`
             fed with ``parallel.*`` counters.
         name: label used in metric names and thread names.
-        backend: ``"thread"`` (default) or ``"process"``; ``None`` resolves
-            via :func:`default_backend` (the ``REPRO_POOL_BACKEND`` env
-            var).  The process backend ships tasks to worker processes and
-            falls back to threads per-run when a kernel is not picklable,
-            when the sanitizer needs in-process instrumentation, or when
-            the model checker owns the schedule.
     """
 
+    # Constant: benchmarks/e2e/layers.py reads it (parallel.thread_fallbacks); goes with ROADMAP 3(d)'s benchmark PR.
+    process_fallbacks_total = 0
+
     def __init__(self, parallelism: int | None = None, clock=None,
-                 metrics=None, name: str = "pool", backend: str | None = None):
+                 metrics=None, name: str = "pool"):
         self.parallelism = max(
             1,
             parallelism if parallelism is not None else default_parallelism(),
         )
-        self.backend = backend if backend is not None else default_backend()
-        if self.backend not in POOL_BACKENDS:
-            raise ValueError(
-                "backend must be one of %s, got %r"
-                % ("/".join(POOL_BACKENDS), backend)
-            )
         self.clock = clock
         self.name = name
         self.metrics = metrics
@@ -230,10 +193,7 @@ class WorkerPool:
         self.tasks_total = 0
         self.busy_seconds_total = 0.0      # serial-equivalent cost
         self.makespan_seconds_total = 0.0  # simulated parallel cost
-        self.process_fallbacks_total = 0   # process-backend runs demoted to threads
-        self.process_runs_total = 0        # runs that executed in worker processes
         self._executor: ThreadPoolExecutor | None = None
-        self._process_executor: ProcessPoolExecutor | None = None
         self._executor_lock = sanitizer.make_lock("pool:%s:executor" % name)
         self._stats_lock = sanitizer.make_lock("pool:%s:stats" % name)
 
@@ -259,33 +219,11 @@ class WorkerPool:
                 )
             return self._executor
 
-    def _ensure_process_executor(self) -> ProcessPoolExecutor:
-        with self._executor_lock:
-            if self._process_executor is None:
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError:  # platform without fork: spawn workers
-                    context = multiprocessing.get_context("spawn")
-                self._process_executor = ProcessPoolExecutor(
-                    max_workers=self.parallelism, mp_context=context
-                )
-            return self._process_executor
-
-    def _reset_process_executor(self) -> None:
-        """Discard a broken process executor so later runs get fresh workers."""
-        with self._executor_lock:
-            executor, self._process_executor = self._process_executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
     def shutdown(self) -> None:
         with self._executor_lock:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
                 self._executor = None
-            if self._process_executor is not None:
-                self._process_executor.shutdown(wait=True)
-                self._process_executor = None
 
     # -- execution -------------------------------------------------------------
 
@@ -306,13 +244,6 @@ class WorkerPool:
             # Under the model checker, tasks become model threads so the
             # checker explores morsel interleavings too (no real executor).
             return self._map_modelled(hook, fn, items, label)
-        if self.backend == "process" and not sanitizer.ENABLED:
-            # The sanitizer's lockset/span instrumentation lives in this
-            # process; with it enabled the thread backend keeps races
-            # observable, so process dispatch is reserved for clean runs.
-            if self._picklable(fn):
-                return self._map_process(fn, items, label)
-            self._note_process_fallback()
         executor = self._ensure_executor()
         worker_ids: dict[int, int] = {}
         # lint-ok: raw-lock (per-invocation lock guarding only this call's local worker_ids dict; never shared beyond the run, so lockset tracking would be noise)
@@ -325,13 +256,7 @@ class WorkerPool:
                 else _NULL_SPAN
             )
             with span:
-                w0 = time.perf_counter()
-                c0 = time.thread_time()
-                value = fn(item)
-                cpu = time.thread_time() - c0
-                wall = time.perf_counter() - w0
-            if cpu <= 0.0:  # coarse CPU clock: fall back to wall
-                cpu = wall
+                value, cpu, wall = _timed(fn, item)
             ident = threading.get_ident()
             with ids_lock:
                 worker = worker_ids.setdefault(ident, len(worker_ids))
@@ -339,97 +264,17 @@ class WorkerPool:
 
         futures = [executor.submit(task, i, item) for i, item in enumerate(items)]
         results: list = [None] * len(items)
-        spans: list[TaskSpan | None] = [None] * len(items)
+        spans: list[TaskSpan] = []
         first_error: BaseException | None = None
         for i, future in enumerate(futures):
             try:
-                value, span = future.result()
+                results[i], span = future.result()
             except BaseException as exc:  # lint-ok: broad-except (not a swallow: the first failure, in submission order, re-raises after every future settles — deterministic error behaviour)
                 if first_error is None:
                     first_error = exc
                 continue
-            results[i] = value
-            spans[i] = span
-        run = PoolRun(
-            parallelism=self.parallelism,
-            spans=[s for s in spans if s is not None],
-            inline=False,
-            label=label,
-        )
-        self.last_run = run
-        self._note_metrics(run)
-        if first_error is not None:
-            raise first_error
-        return results
-
-    @staticmethod
-    def _picklable(fn) -> bool:
-        """Whether ``fn`` can cross a process boundary.
-
-        Closures and bound methods of non-picklable objects (operators
-        holding locks, bufferpools, executors) fail here and demote the run
-        to the thread backend.
-        """
-        try:
-            pickle.dumps(fn)
-        except Exception:  # lint-ok: broad-except (any pickling failure means thread fallback, never an error)
-            return False
-        return True
-
-    def _note_process_fallback(self) -> None:
-        with self._stats_lock:
-            self.process_fallbacks_total += 1
-        if self.metrics is not None:
-            self.metrics.counter("parallel.process_fallbacks").inc()
-
-    def _map_process(self, fn, items, label) -> list:
-        """``map()`` on the process executor.
-
-        Task payloads pickle into worker processes; per-task CPU/wall times
-        are measured in the child and gathered in submission order, exactly
-        like the thread backend.  A crashed worker breaks the executor —
-        that surfaces as a deterministic query error (not a hang) and the
-        executor is discarded so the pool stays usable.
-        """
-        executor = self._ensure_process_executor()
-        futures = [
-            executor.submit(_process_invoke, fn, i, item)
-            for i, item in enumerate(items)
-        ]
-        worker_ids: dict[int, int] = {}
-        results: list = [None] * len(items)
-        spans: list[TaskSpan | None] = [None] * len(items)
-        first_error: BaseException | None = None
-        broken = False
-        for i, future in enumerate(futures):
-            try:
-                value, index, cpu, wall, pid = future.result()
-            except BrokenProcessPool:
-                broken = True
-                if first_error is None:
-                    first_error = RuntimeError(
-                        "parallel task %d (%s) lost: a %s pool worker "
-                        "process crashed" % (i, label or self.name, self.name)
-                    )
-                continue
-            except BaseException as exc:  # lint-ok: broad-except (not a swallow: the first failure, in submission order, re-raises after every future settles — deterministic error behaviour)
-                if first_error is None:
-                    first_error = exc
-                continue
-            worker = worker_ids.setdefault(pid, len(worker_ids))
-            results[i] = value
-            spans[i] = TaskSpan(index, worker, cpu, wall, label)
-        if broken:
-            self._reset_process_executor()
-        run = PoolRun(
-            parallelism=self.parallelism,
-            spans=[s for s in spans if s is not None],
-            inline=False,
-            label=label,
-            backend="process",
-        )
-        self.last_run = run
-        self._note_metrics(run)
+            spans.append(span)
+        self._record(spans, inline=False, label=label)
         if first_error is not None:
             raise first_error
         return results
@@ -441,46 +286,31 @@ class WorkerPool:
 
         def task(pair):
             index, item = pair
-            w0 = time.perf_counter()
-            c0 = time.thread_time()
-            value = fn(item)
-            cpu = time.thread_time() - c0
-            wall = time.perf_counter() - w0
-            if cpu <= 0.0:
-                cpu = wall
+            value, cpu, wall = _timed(fn, item)
             return value, TaskSpan(index, index, cpu, wall, label)
 
         pairs = hook.run_pool_tasks(
             self, task, list(enumerate(items)), label or self.name
         )
-        run = PoolRun(
-            parallelism=self.parallelism,
-            spans=[span for _, span in pairs],
-            inline=False,
-            label=label,
-        )
-        self.last_run = run
-        self._note_metrics(run)
+        self._record([span for _, span in pairs], inline=False, label=label)
         return [value for value, _ in pairs]
 
     def _map_inline(self, fn, items, label) -> list:
         results = []
         spans = []
         for i, item in enumerate(items):
-            w0 = time.perf_counter()
-            c0 = time.thread_time()
-            results.append(fn(item))
-            cpu = time.thread_time() - c0
-            wall = time.perf_counter() - w0
-            if cpu <= 0.0:
-                cpu = wall
+            value, cpu, wall = _timed(fn, item)
+            results.append(value)
             spans.append(TaskSpan(i, 0, cpu, wall, label))
+        self._record(spans, inline=True, label=label)
+        return results
+
+    def _record(self, spans, inline: bool, label) -> None:
         run = PoolRun(
-            parallelism=self.parallelism, spans=spans, inline=True, label=label
+            parallelism=self.parallelism, spans=spans, inline=inline, label=label
         )
         self.last_run = run
         self._note_metrics(run)
-        return results
 
     # -- sim clock / metrics ----------------------------------------------------
 
@@ -508,14 +338,10 @@ class WorkerPool:
             self.tasks_total += run.tasks
             self.busy_seconds_total += busy
             self.makespan_seconds_total += makespan
-            if run.backend == "process":
-                self.process_runs_total += 1
         metrics = self.metrics
         if metrics is None:
             return
         metrics.counter("parallel.runs").inc()
-        if run.backend == "process":
-            metrics.counter("parallel.process_runs").inc()
         metrics.counter("parallel.tasks").inc(run.tasks)
         if run.inline:
             metrics.counter("parallel.tasks_inline").inc(run.tasks)

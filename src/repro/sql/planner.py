@@ -933,26 +933,25 @@ class SelectPlanner:
         right = self._plan_body(right_select, outer_scope)
         if len(right.keys) != len(left.keys):
             raise SQLError("set operation column counts differ")
-        # Align right columns to the left's keys.
-        rename = ProjectOp(
-            right.op,
-            [
-                (lk, ColumnRef(rk, rdt))
-                for lk, rk, rdt in zip(left.keys, right.keys, right.dtypes)
-            ],
-        )
+        # Both branches produce the common type of each column pair: the
+        # right is renamed to the left's keys, and either side's column is
+        # cast where its own type differs (DECIMAL scale, INT vs DOUBLE...).
         dtypes = [
             _common_type(l, r) for l, r in zip(left.dtypes, right.dtypes)
         ]
+        left_op = left.op
+        if left.dtypes != dtypes:
+            left_op = _aligned(left, left.keys, dtypes)
+        rename = _aligned(right, left.keys, dtypes)
         if op == "UNION ALL":
-            combined = ChainOp([left.op, rename])
+            combined = ChainOp([left_op, rename])
             return PlannedQuery(combined, left.names, left.keys, dtypes)
         if op == "UNION":
-            combined = ChainOp([left.op, rename])
+            combined = ChainOp([left_op, rename])
             return _distinct(PlannedQuery(combined, left.names, left.keys, dtypes))
         join_type = "semi" if op == "INTERSECT" else "anti"
         joined = HashJoinOp(
-            left.op, rename, left.keys, left.keys, join_type=join_type,
+            left_op, rename, left.keys, left.keys, join_type=join_type,
             pool=self.pool,
         )
         return _distinct(PlannedQuery(joined, left.names, left.keys, dtypes))
@@ -1495,9 +1494,26 @@ def _distinct(planned: PlannedQuery) -> PlannedQuery:
     return PlannedQuery(op, planned.names, planned.keys, planned.dtypes)
 
 
+def _aligned(planned: PlannedQuery, keys, dtypes) -> ProjectOp:
+    """``planned``'s columns renamed to ``keys``, each cast to its entry of
+    ``dtypes`` when its own type differs (set-operation branches)."""
+    outputs = []
+    for key, own_key, own, target in zip(keys, planned.keys, planned.dtypes, dtypes):
+        expr: Expr = ColumnRef(own_key, own)
+        if own != target:
+            shift = 0  # DECIMAL -> DECIMAL rescales the physical integers
+            if own.kind is TypeKind.DECIMAL and target.kind is TypeKind.DECIMAL:
+                shift = target.scale - own.scale
+            expr = Cast(expr, target, scale_shift=shift)
+        outputs.append((key, expr))
+    return ProjectOp(planned.op, outputs)
+
+
 def _common_type(left: DataType, right: DataType) -> DataType:
     from repro.types.datatypes import promote
 
+    if left == right:
+        return left
     try:
         return promote(left, right)
     except TypeError:

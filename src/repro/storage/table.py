@@ -227,8 +227,8 @@ class ColumnTable:
             "table:%s:capture" % schema.name, reentrant=False
         )
 
-    # ColumnTable instances are pickled by process-pool scan closures and
-    # durability checkpoints; locks are not picklable, so drop and rebuild.
+    # ColumnTable instances are pickled by durability checkpoints; locks
+    # are not picklable, so drop and rebuild.
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_capture_lock"]
@@ -252,6 +252,10 @@ class ColumnTable:
         """
         count = 0
         names = self.schema.column_names
+        unique = [
+            (name, names.index(name), self._unique_seen[name])
+            for name in self.unique_columns
+        ]
         for row in rows:
             if len(row) != len(self.schema):
                 raise SQLError(
@@ -267,14 +271,17 @@ class ColumnTable:
                 physical.append(
                     None if value is None else to_physical_scalar(value, dt)
                 )
-            for name in self.unique_columns:
-                value = physical[names.index(name)]
-                if value is not None:
-                    if value in self._unique_seen[name]:
-                        raise ConstraintViolationError(
-                            "duplicate value %r for unique column %s" % (value, name)
-                        )
-                    self._unique_seen[name].add(value)
+            # Check every unique column before recording any: a rejected
+            # row must leave nothing behind in the seen-sets.
+            for name, at, seen in unique:
+                value = physical[at]
+                if value is not None and value in seen:
+                    raise ConstraintViolationError(
+                        "duplicate value %r for unique column %s" % (value, name)
+                    )
+            for _, at, seen in unique:
+                if physical[at] is not None:
+                    seen.add(physical[at])
             for i, value in enumerate(physical):
                 self._tail[i].append(value)
             self._tail_xmin.append(txid)

@@ -401,7 +401,6 @@ class PlanVerifier:
                 )
             out[spec.alias] = spec.output_type()
         self._check_parallel_gate(op)
-        self._check_fused_gate(op)
         if self.database is not None:
             pool = getattr(self.database, "pool", None)
             if pool is not None and op.pool is not None and op.pool is not pool:
@@ -437,30 +436,6 @@ class PlanVerifier:
                     )
                     or "no aggregates",
                 ),
-            )
-
-    def _check_fused_gate(self, op: GroupByOp) -> None:
-        """Every parallel-safe aggregate set must compile to fused recipes.
-
-        The parallel group-by path tries the fused vectorized reduce first
-        and only falls back to per-morsel aggregation states on
-        :class:`~repro.engine.fused.FusionFallback`.  A function admitted
-        by ``parallel_safe()`` but rejected by the recipe compiler would
-        silently lose the fused fast path, so the drift is flagged here.
-        """
-        if not op.parallel_safe() or not op.aggregates:
-            return
-        from repro.engine import fused
-
-        try:
-            fused.compile_recipes(op.aggregates)
-        except fused.FusionFallback as exc:
-            self._issue(
-                op,
-                "fused-gate",
-                "parallel_safe() admits this aggregate set but the fused "
-                "recipe compiler rejects it (%s): the query will silently "
-                "take the slow per-morsel state path" % exc,
             )
 
 

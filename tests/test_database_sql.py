@@ -537,23 +537,6 @@ class TestMisc:
 class TestAggregateFinalizers:
     """Kill tests for surviving aggregate mutants (see BENCH_mutation.json)."""
 
-    def test_partial_sum_keeps_singleton_groups(self):
-        # constant@src/repro/engine/aggregate.py:361:33 survived: the
-        # "group is empty" test (count == 0 -> NULL) drifting to
-        # count == 1 NULLs out every single-row group in the parallel
-        # finaliser, and no selected test aggregated a one-row group
-        # through the partial path.
-        from repro.engine.aggregate import AggregateSpec, _partial_result
-        from repro.engine.expression import ColumnRef
-        from repro.parallel import PartialAgg, partial_from_values
-        from repro.types import BIGINT
-
-        spec = AggregateSpec("SUM", [ColumnRef("V", BIGINT)], "S")
-        vector = _partial_result(spec, [partial_from_values([5]), PartialAgg()])
-        assert vector.nulls is not None
-        assert vector.nulls.tolist() == [False, True]
-        assert int(vector.values[0]) == 5
-
     def test_covar_pop_descales_decimal_inputs(self):
         # constant@src/repro/engine/aggregate.py:565:17 survived: the
         # DECIMAL descale base (10 ** scale) drifting to 11 ** scale is
@@ -576,3 +559,258 @@ class TestAggregateFinalizers:
         rows = s.query("SELECT g, COVAR_SAMP(x, y) FROM pts GROUP BY g ORDER BY g")
         assert rows[0] == (1, pytest.approx(2.0))  # pop 4/3 * 3 / (3 - 1)
         assert rows[1] == (2, None)  # one pair: no sample covariance
+
+    def test_covar_samp_of_exactly_two_pairs_is_a_value(self):
+        # constant@src/repro/engine/aggregate.py:370:31 survived: the
+        # "too few pairs" NULL rule (count <= 1) drifting to count <= 2
+        # is invisible unless some group holds exactly two pairs.
+        s = Database().connect("db2")
+        s.execute("CREATE TABLE pts (x DOUBLE, y DOUBLE)")
+        s.execute("INSERT INTO pts VALUES (1, 2), (3, 6)")
+        assert s.execute("SELECT COVAR_SAMP(x, y) FROM pts").scalar() == pytest.approx(4.0)
+
+    def test_empty_input_aggregate_over_case_keeps_its_columns(self):
+        # boolean@src/repro/engine/aggregate.py:223:20 survived: a drained-
+        # empty child loses its schema and the group-by rebuilds typed empty
+        # columns for every reference — skipping the WHEN/THEN pairs of a
+        # CASE is invisible unless a column is named nowhere else.
+        s = Database().connect("db2")
+        s.execute("CREATE TABLE t (a INT, b INT, c INT)")
+        s.execute("INSERT INTO t VALUES (1, 2, 3)")
+        rows = s.execute(
+            "SELECT SUM(CASE WHEN a > 0 THEN b END), COUNT(*) FROM t WHERE c > 100"
+        ).rows
+        assert rows == [(None, 0)]
+
+
+# -- set operations over branches of different types ---------------------------
+
+_SETOP_DDL = [
+    "CREATE TABLE a (p DECIMAL(8,2), i INT, c CHAR(3), n INT)",
+    "CREATE TABLE b (p DECIMAL(9,3), d DOUBLE, v VARCHAR(5), q DECIMAL(6,1))",
+]
+# Python values as the engine returns them; 1.50 == 1.500, 7 == 7.000 ==
+# 7.0 and 'xyz' == 'xyz' cross the tables, every other value is one-sided.
+_SETOP_A = [
+    (Decimal("1.50"), 7, "ab ", None),
+    (Decimal("2.25"), 8, "xyz", 7),
+    (Decimal("1.50"), 7, "ab ", 3),
+    (Decimal("-0.75"), 2, "q  ", None),
+]
+_SETOP_B = [
+    (Decimal("1.500"), 7.0, "ab", Decimal("7.0")),
+    (Decimal("7.000"), 7.5, "hello", Decimal("9.5")),
+    (Decimal("2.125"), 2.0, "xyz", Decimal("3.0")),
+    (Decimal("7.000"), 7.0, "xyz", Decimal("9.5")),
+]
+_SETOP_INSERTS = [
+    "INSERT INTO a VALUES (1.50, 7, 'ab', NULL), (2.25, 8, 'xyz', 7),"
+    " (1.50, 7, 'ab', 3), (-0.75, 2, 'q', NULL)",
+    "INSERT INTO b VALUES (1.500, 7.0, 'ab', 7.0), (7.000, 7.5, 'hello', 9.5),"
+    " (2.125, 2.0, 'xyz', 3.0), (7.000, 7.0, 'xyz', 9.5)",
+]
+
+
+def _column(rows, index):
+    return [row[index] for row in rows]
+
+
+def _as_decimal(places):
+    quantum = Decimal(1).scaleb(-places)
+    return lambda v: None if v is None else Decimal(v).quantize(quantum)
+
+
+def _as_float(v):
+    return None if v is None else float(v)
+
+
+# name -> (left SQL column, right SQL column, left values, right values,
+#          conversion of either side's value to the common type)
+_SETOP_PAIRS = {
+    "decimal-scales": ("p FROM a", "p FROM b", _column(_SETOP_A, 0), _column(_SETOP_B, 0), _as_decimal(3)),
+    "int-decimal": ("i FROM a", "p FROM b", _column(_SETOP_A, 1), _column(_SETOP_B, 0), _as_decimal(3)),
+    "int-double": ("i FROM a", "d FROM b", _column(_SETOP_A, 1), _column(_SETOP_B, 1), _as_float),
+    "char-varchar": ("c FROM a", "v FROM b", _column(_SETOP_A, 2), _column(_SETOP_B, 2), lambda v: v),
+    "nulls-one-side": ("n FROM a", "q FROM b", _column(_SETOP_A, 3), _column(_SETOP_B, 3), _as_decimal(1)),
+}
+
+
+def _null_first(value):
+    return (value is not None, value)
+
+
+def _distinct_sorted(values):
+    return sorted(set(values), key=_null_first)
+
+
+def _expected_set_op(op, left, right):
+    """The set operation in plain Python over already-converted values.
+    A NULL never matches across branches (it is on one side only here)."""
+    live_right = {v for v in right if v is not None}
+    if op == "UNION ALL":
+        return left + right
+    if op == "UNION":
+        return _distinct_sorted(left + right)
+    if op == "INTERSECT":
+        return _distinct_sorted(v for v in left if v in live_right)
+    return _distinct_sorted(v for v in left if v not in live_right)
+
+
+def _exact(values):
+    """Type- and scale-sensitive form: 7 != 7.000 != 7.0 here."""
+    return [repr(v) for v in values]
+
+
+def _setop_session(make=Database, suffixes=("", "")):
+    session = make().connect("db2")
+    for ddl, suffix in zip(_SETOP_DDL, suffixes):
+        session.execute(ddl + suffix)
+    for insert in _SETOP_INSERTS:
+        session.execute(insert)
+    return session
+
+
+def _setop_statements():
+    """Every pair x operator x operand order, as SQL."""
+    for lcol, rcol, _, _, _ in _SETOP_PAIRS.values():
+        for op in ("UNION ALL", "UNION", "INTERSECT", "EXCEPT"):
+            for first, second in ((lcol, rcol), (rcol, lcol)):
+                yield "SELECT %s %s SELECT %s" % (first, op, second)
+
+
+class TestSetOperationTypes:
+    """Both branches of a set operation produce the column's common type:
+    answers checked against plain Python, never against another engine
+    (the row store plans set operations through the same function)."""
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        return _setop_session()
+
+    @pytest.mark.parametrize("op", ["UNION ALL", "UNION", "INTERSECT", "EXCEPT"])
+    @pytest.mark.parametrize("pair", sorted(_SETOP_PAIRS))
+    def test_operator_over_mixed_types_both_orders(self, s, pair, op):
+        lcol, rcol, lvals, rvals, convert = _SETOP_PAIRS[pair]
+        lvals = [convert(v) for v in lvals]
+        rvals = [convert(v) for v in rvals]
+        for first, second, fvals, svals in (
+            (lcol, rcol, lvals, rvals),
+            (rcol, lcol, rvals, lvals),
+        ):
+            sql = "SELECT %s %s SELECT %s" % (first, op, second)
+            got = _column(s.execute(sql).rows, 0)
+            want = _expected_set_op(op, fvals, svals)
+            if op != "UNION ALL":  # distinct output: compare as a sorted set
+                got = sorted(got, key=_null_first)
+            assert _exact(got) == _exact(want), sql
+
+    def test_reported_cases(self, s):
+        s.execute("CREATE TABLE ra (p DECIMAL(8,2), i INT)")
+        s.execute("CREATE TABLE rb (p DECIMAL(9,3), d DOUBLE)")
+        s.execute("INSERT INTO ra VALUES (1.50, 7)")
+        s.execute("INSERT INTO rb VALUES (1.500, 7.5)")
+        d = Decimal
+        cases = {
+            "SELECT p FROM ra UNION ALL SELECT p FROM rb": [d("1.500"), d("1.500")],
+            "SELECT i FROM ra UNION ALL SELECT p FROM rb": [d("7.000"), d("1.500")],
+            "SELECT p FROM ra INTERSECT SELECT p FROM rb": [d("1.500")],
+            "SELECT p FROM ra EXCEPT SELECT p FROM rb": [],
+            "SELECT p FROM ra UNION SELECT p FROM rb": [d("1.500")],
+            "SELECT SUM(p) FROM (SELECT p FROM ra UNION ALL SELECT p FROM rb) AS u":
+                [d("3.000")],
+        }
+        for sql, want in cases.items():
+            assert _exact(_column(s.execute(sql).rows, 0)) == _exact(want), sql
+
+    def test_three_branch_chains(self, s):
+        to3 = _as_decimal(3)
+        p_a = [to3(v) for v in _column(_SETOP_A, 0)]
+        p_b = [to3(v) for v in _column(_SETOP_B, 0)]
+        i_a = [to3(v) for v in _column(_SETOP_A, 1)]
+        got = _column(
+            s.execute(
+                "SELECT p FROM a UNION ALL SELECT p FROM b UNION ALL SELECT i FROM a"
+            ).rows,
+            0,
+        )
+        assert _exact(got) == _exact(p_a + p_b + i_a)
+        got = _column(
+            s.execute(
+                "SELECT i FROM a UNION SELECT p FROM a UNION SELECT p FROM b ORDER BY 1"
+            ).rows,
+            0,
+        )
+        assert _exact(got) == _exact(_distinct_sorted(i_a + p_a + p_b))
+        # INT, then DECIMAL(9,3), then DOUBLE: the type widens per branch.
+        got = _column(
+            s.execute(
+                "SELECT i FROM a UNION ALL SELECT p FROM b UNION ALL SELECT d FROM b"
+            ).rows,
+            0,
+        )
+        want = _column(_SETOP_A, 1) + _column(_SETOP_B, 0) + _column(_SETOP_B, 1)
+        assert _exact(got) == _exact([float(v) for v in want])
+
+    def test_order_by_ordinal_and_derived_sum(self, s):
+        to3 = _as_decimal(3)
+        merged = [to3(v) for v in _column(_SETOP_A, 0) + _column(_SETOP_B, 0)]
+        got = _column(
+            s.execute(
+                "SELECT p FROM a UNION ALL SELECT p FROM b ORDER BY 1 DESC"
+            ).rows,
+            0,
+        )
+        assert _exact(got) == _exact(sorted(merged, reverse=True))
+        total = s.execute(
+            "SELECT SUM(p), COUNT(*) FROM"
+            " (SELECT p FROM a UNION ALL SELECT p FROM b) AS u"
+        ).rows
+        assert total == [(sum(merged), len(merged))]
+        assert repr(total[0][0]) == repr(to3(sum(merged)))
+
+    def test_identical_types_plan_no_cast(self, s):
+        from repro.engine.expression import ColumnRef
+        from repro.sql.parser import parse_statement
+
+        sql = "SELECT p FROM a UNION ALL SELECT p FROM a"
+        left = s.database._planner(s).plan(parse_statement("SELECT p FROM a"))
+        union = s.database._planner(s).plan(parse_statement(sql))
+        left_branch, rename = union.op.children
+        # The left branch is the plain query (no alignment project on top)
+        # and the right's rename is column references only.
+        assert type(left_branch) is type(left.op)
+        assert len(left_branch.outputs) == len(left.op.outputs)
+        assert all(isinstance(expr, ColumnRef) for _, expr in rename.outputs)
+        assert union.dtypes == left.dtypes
+        assert _exact(_column(s.execute(sql).rows, 0)) == _exact(
+            _column(_SETOP_A, 0) * 2
+        )
+
+    def test_clean_under_plan_verification(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
+        verified = _setop_session()
+        for sql in _setop_statements():
+            verified.execute(sql)  # raises on any root-schema / dtype issue
+        verified.execute("SELECT c FROM a UNION ALL SELECT c FROM a")
+        verified.execute("SELECT p FROM a UNION SELECT p FROM a")
+
+    def test_cluster_equals_single_node(self, s):
+        from repro.cluster import Cluster, HardwareSpec
+
+        small = HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)
+        cluster = Cluster([small] * 2)
+        try:
+            assert len(cluster.shards) == 4
+            cs = _setop_session(
+                lambda: cluster,
+                (" DISTRIBUTE BY HASH (i)", " DISTRIBUTE BY HASH (d)"),
+            )
+            for sql in _setop_statements():
+                # Gathered rows arrive in shard order, not insert order.
+                got = sorted(_column(cs.execute(sql).rows, 0), key=_null_first)
+                want = sorted(_column(s.execute(sql).rows, 0), key=_null_first)
+                assert _exact(got) == _exact(want), sql
+                assert cluster.last_stats.mode == "gather-fallback", sql
+                assert cluster.last_stats.fallback_reason == "set-op", sql
+        finally:
+            cluster.pool.shutdown()

@@ -306,27 +306,16 @@ def test_dml_divergence_check(engines):
 
 @pytest.fixture(scope="module")
 def backend_engines():
-    """Backend sweep: serial vs thread-pool DOP 4 vs process-pool DOP 4.
-
-    The two parallel engines run identical configurations except for the
-    ``pool_backend``; the process engine additionally exercises the
-    shared-memory span transport (numeric reduces) and the per-run thread
-    fallback (closure kernels, string keys).
-    """
+    """DOP sweep: a serial engine vs a DOP-4 engine with morsels and regions
+    small enough that every scan, probe and group-by of the corpus splits."""
     dash = Database().connect("db2")
-    thread_db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, pool_backend="thread"
-    )
-    proc_db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, pool_backend="process"
-    )
-    thread = thread_db.connect("db2")
-    proc = proc_db.connect("db2")
+    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par = par_db.connect("db2")
     ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
     dim_ddl = "CREATE TABLE dim (c VARCHAR(4) PRIMARY KEY, w INT)"
     rows = _build_rows(23)
     dims = ", ".join("('v%d', %d)" % (i, i * 10) for i in range(8))
-    for system in (dash, thread, proc):
+    for system in (dash, par):
         system.execute(ddl)
         system.execute(dim_ddl)
         for start in range(0, len(rows), 1000):
@@ -335,72 +324,59 @@ def backend_engines():
             )
         system.execute("INSERT INTO dim VALUES " + dims)
         flush_tables(system.database)
-    yield dash, thread, proc
-    thread_db.pool.shutdown()
-    proc_db.pool.shutdown()
+    yield dash, par
+    par_db.pool.shutdown()
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_backend_sweep_agrees(backend_engines, seed):
-    """serial x thread-pool x process-pool: identical answers, and the two
-    parallel backends must be *byte-identical* (same rows in the same
-    order) — they share the plan, morsel split, and gather order, so any
-    ordering drift means the process transport reordered something."""
-    dash, thread, proc = backend_engines
+    """serial x DOP 4: *byte-identical* answers (same rows in the same
+    order) — gather order never depends on which worker finished first."""
+    dash, par = backend_engines
     rng = derive_rng(seed, "diff-backends")
     for i in range(20):
         sql = _random_query(rng)
-        reference = _normalise(dash.execute(sql).rows)
-        t = thread.execute(sql)
-        p = proc.execute(sql)
-        assert reference == _normalise(t.rows), (
-            "thread backend diverges (seed=%d, i=%d): %s" % (seed, i, sql)
-        )
-        assert t.rows == p.rows, (
-            "process backend not byte-identical (seed=%d, i=%d): %s"
+        assert dash.execute(sql).rows == par.execute(sql).rows, (
+            "DOP 4 not byte-identical to serial (seed=%d, i=%d): %s"
             % (seed, i, sql)
         )
 
 
-def test_backend_sweep_really_used_both_backends(backend_engines):
-    """Guard against the sweep silently running threads three times.
-
-    Only numeric span reduces cross the process boundary (the random
-    corpus groups by strings, whose kernels close over Python dicts and
-    demote to threads), so the guard probes with integer-keyed group-bys
-    over a join — the shape that ships through shared memory.
-    """
-    dash, thread, proc = backend_engines
-    probe = (
-        "SELECT t.a, dim.w, COUNT(*), SUM(t.b), AVG(t.b)"
-        " FROM t JOIN dim ON t.c = dim.c GROUP BY t.a, dim.w ORDER BY 1, 2"
-    )
-    reference = _normalise(dash.execute(probe).rows)
-    assert reference == _normalise(thread.execute(probe).rows)
-    assert reference == _normalise(proc.execute(probe).rows)
-    assert thread.database.pool.backend == "thread"
-    assert thread.database.pool.process_runs_total == 0
-    pool = proc.database.pool
-    assert pool.backend == "process"
+def test_dop4_engine_really_ran_on_the_pool(backend_engines):
+    """Guard against the sweep silently running serial twice: the DOP-4
+    engine must have dispatched real (non-inline) pool tasks, and both
+    fused aggregate modes must be reachable on it."""
+    dash, par = backend_engines
+    probes = {
+        # group-by straight over a multi-region scan
+        "scan-agg": "SELECT a, COUNT(*), SUM(b), AVG(b) FROM t GROUP BY a",
+        # group-by over a join: the drained batch reduces in spans
+        "batch-agg": "SELECT t.a, dim.w, COUNT(*), SUM(t.b), AVG(t.b)"
+        " FROM t JOIN dim ON t.c = dim.c GROUP BY t.a, dim.w",
+    }
+    pool = par.database.pool
+    for mode, sql in probes.items():
+        assert dash.execute(sql).rows == par.execute(sql).rows, sql
+        assert not pool.last_run.inline and pool.last_run.tasks > 1
+        plan = "\n".join(
+            row[0] for row in par.execute("EXPLAIN ANALYZE " + sql).rows
+        )
+        assert "[fused=%s cache=" % mode in plan, plan
+        assert "[parallel tasks=" in plan, plan
     assert pool.runs_total > 0
-    assert pool.process_runs_total > 0, "no run ever reached a worker process"
-    assert pool.process_fallbacks_total > 0, "fallback path never exercised"
+    assert pool.tasks_total > pool.runs_total
 
 
-def test_process_backend_agrees_after_crash_recovery():
-    """Crash recovery replayed under the process backend: a durable engine
-    loses its buffered tail, recovers by WAL replay, and must then answer
-    exactly like a serial engine fed the same durable prefix."""
+def test_dop4_agrees_after_crash_recovery():
+    """Crash recovery replayed at DOP 4: a durable engine loses its buffered
+    tail, recovers by WAL replay, and must then answer exactly like a
+    serial engine fed the same durable prefix."""
     from repro.durability import DurabilityManager
     from repro.storage.filesystem import ClusterFileSystem
 
     manager = DurabilityManager(ClusterFileSystem(), path="db", group_commit=1)
     db = Database(
-        parallelism=4,
-        morsel_rows=257,
-        region_rows=512,
-        pool_backend="process",
-        durability=manager,
+        parallelism=4, morsel_rows=257, region_rows=512, durability=manager
     )
     session = db.connect("db2")
     oracle = Database().connect("db2")
@@ -423,11 +399,10 @@ def test_process_backend_agrees_after_crash_recovery():
     rng = derive_rng(5, "diff-proc-recovery")
     for i in range(12):
         sql = _random_query(rng)
-        reference = _normalise(oracle.execute(sql).rows)
-        assert reference == _normalise(session.execute(sql).rows), (
-            "recovered process-backend engine diverges (i=%d): %s" % (i, sql)
+        assert oracle.execute(sql).rows == session.execute(sql).rows, (
+            "recovered DOP-4 engine diverges (i=%d): %s" % (i, sql)
         )
-    assert db.pool.backend == "process"
+    assert db.pool.runs_total > 0
     db.pool.shutdown()
 
 
@@ -461,15 +436,15 @@ def _trickle(session, statements, errors):
 
 
 def test_htap_backend_sweep_snapshot_reads_under_churn():
-    """HTAP sweep: pinned-snapshot reads race a trickle writer, per backend.
+    """HTAP sweep: pinned-snapshot reads race a trickle writer, per DOP.
 
-    For serial, thread-pool, and process-pool engines: the reader pins one
+    For a serial and a DOP-4 engine: the reader pins one
     MVCC snapshot, records baseline answers for a random query batch, then
     re-runs the same batch twice while an auto-commit writer trickles
     single-row inserts into the scanned table.  Every churn-time answer
     must be *byte-identical* to its baseline (the snapshot cannot see the
     churn, and morsel workers must carry the statement snapshot), the
-    three backends must agree with each other, and a fresh snapshot at the
+    two engines must agree with each other, and a fresh snapshot at the
     end must count every committed writer row exactly once.
     """
     import threading
@@ -478,14 +453,11 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
 
     n_writer = 80
     inserts = ["INSERT INTO t VALUES %s" % r for r in _writer_rows(n_writer)]
-    per_backend = []
-    for backend in (None, "thread", "process"):
+    per_dop = []
+    for dop in (1, 4):
         kwargs = {}
-        if backend is not None:
-            kwargs = dict(
-                parallelism=4, morsel_rows=257, region_rows=512,
-                pool_backend=backend,
-            )
+        if dop > 1:
+            kwargs = dict(parallelism=dop, morsel_rows=257, region_rows=512)
         db = Database(**kwargs)
         session = db.connect("db2")
         _htap_load(session, seed=61, n_rows=1500)
@@ -510,23 +482,17 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
         assert not errors, errors[0]
         for churn_pass in during:
             assert churn_pass == baseline, (
-                "pinned snapshot drifted under writer churn (backend=%s)"
-                % backend
+                "pinned snapshot drifted under writer churn (dop=%d)" % dop
             )
         assert pinned("SELECT COUNT(*) FROM t")[0][0] == base_count
         final = int(session.execute("SELECT COUNT(*) FROM t").rows[0][0])
         assert final == base_count + n_writer, (
-            "committed trickle rows lost (backend=%s)" % backend
+            "committed trickle rows lost (dop=%d)" % dop
         )
-        per_backend.append((backend, [_normalise(r) for r in baseline]))
-        if backend is not None:
-            db.pool.shutdown()
+        per_dop.append(baseline)
+        db.pool.shutdown()
 
-    _, serial_answers = per_backend[0]
-    for backend, answers in per_backend[1:]:
-        assert answers == serial_answers, (
-            "%s backend disagrees with serial under HTAP" % backend
-        )
+    assert per_dop[0] == per_dop[1], "DOP 4 disagrees with serial under HTAP"
 
 
 def test_htap_crash_recovery_matches_serial_oracle():
@@ -547,8 +513,7 @@ def test_htap_crash_recovery_matches_serial_oracle():
 
     manager = DurabilityManager(ClusterFileSystem(), path="db", group_commit=1)
     db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512,
-        pool_backend="thread", durability=manager,
+        parallelism=4, morsel_rows=257, region_rows=512, durability=manager
     )
     session = db.connect("db2")
     oracle = Database().connect("db2")

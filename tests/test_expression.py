@@ -276,6 +276,18 @@ class TestCastAndCase:
         e = Cast(col("x", DOUBLE), INTEGER)
         assert e.eval(batch).to_boundary() == [1, 2, 3, 4]
 
+    def test_cast_between_float_types_keeps_the_fraction(self, batch):
+        # boolean@src/repro/engine/expression.py:550:11 survived: truncation
+        # belongs to float -> integer casts only (`and`, not `or`).
+        from repro.types import REAL
+
+        v = Cast(col("x", DOUBLE), REAL).eval(batch)
+        assert v.values.dtype == np.float64
+        assert v.to_boundary() == [1.5, 2.5, 3.5, 4.5]
+        # ... and an integer -> integer cast stays integral.
+        w = Cast(col("a"), BIGINT).eval(batch)
+        assert w.values.dtype == np.int64 and w.to_boundary() == [1, 2, None, 4]
+
     def test_cast_string_to_int(self, batch):
         e = Cast(Literal("42", varchar_type(2)), BIGINT)
         assert e.eval(batch).to_boundary() == [42] * 4

@@ -141,8 +141,8 @@ def test_fused_reduce_matches_serial(case, pool):
     expected = _rows(serial_op.run(), aliases)
     got = _rows(fused_op.run(), aliases)
     assert got == expected
-    # Above the morsel gate the fused kernel must actually have run (the
-    # strategy never produces a FusionFallback shape).
+    # Above the morsel gate the fused kernel must actually have run (every
+    # aggregate the strategy draws has a fused recipe).
     if fused_op.stats.input_rows > _MORSEL_ROWS:
         assert fused_op.fused_mode == "batch-agg"
 

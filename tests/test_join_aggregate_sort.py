@@ -214,6 +214,52 @@ class TestDirectLookupProbe:
         assert parallel == serial == self._run(fact, dim, "inner", pool=None)[1]
 
 
+class TestSortedProbeSpans:
+    """The sorted probe is one kernel: called once over the whole column at
+    DOP 1, and over morsel spans through the pool at DOP > 1."""
+
+    @pytest.mark.parametrize("join_type", ["inner", "left", "full", "semi", "anti"])
+    def test_duplicate_build_keys_across_spans_keep_pair_order(self, join_type):
+        from repro.parallel import WorkerPool
+
+        rng = np.random.default_rng(11)
+        # Every build key repeats (1-4 times), probe keys recur in every
+        # span, some probe keys have no match and some are NULL.
+        build_k = np.repeat(np.arange(0, 40), rng.integers(1, 5, size=40))
+        rng.shuffle(build_k)
+        probe_k = rng.integers(0, 50, size=700).tolist()
+        for i in range(0, 700, 37):
+            probe_k[i] = None
+        left = {"k": probe_k, "lv": list(range(700))}  # lv == probe row (li)
+        right = {"k": build_k.tolist(), "rv": list(range(build_k.size))}  # rv == ri
+
+        def run(pool):
+            op = HashJoinOp(
+                source(**left), source(**right), ["k"], ["k"],
+                join_type=join_type, pool=pool, partition_rows=64,
+            )
+            batch = op.run()
+            assert op.stats.path == "sorted"
+            return op, {
+                name: (vector.values.tolist(), vector.null_mask().tolist())
+                for name, vector in batch.columns.items()
+            }
+
+        serial_pool = WorkerPool(1, name="sorted-serial")
+        serial_op, serial = run(serial_pool)
+        assert serial_pool.runs_total == 0 and serial_op.parallel_run is None
+        parallel_pool = WorkerPool(4, name="sorted-parallel")
+        try:
+            parallel_op, parallel = run(parallel_pool)
+            assert parallel_pool.runs_total == 1
+            assert parallel_op.parallel_run.tasks == 11  # ceil(681 live / 64)
+            assert not parallel_op.parallel_run.inline
+        finally:
+            parallel_pool.shutdown()
+        assert parallel == serial == run(None)[1]
+        assert serial_op.stats.matched_pairs == parallel_op.stats.matched_pairs > 700
+
+
 class TestNestedLoopJoin:
     def test_cross_join(self):
         left = source(a=[1, 2])

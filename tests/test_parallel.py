@@ -1,11 +1,12 @@
-"""Morsel-driven parallel execution: pool, combiners, and concurrency.
+"""Morsel-driven parallel execution: pool, batching, merge, concurrency.
 
 Four layers of evidence that parallelism never changes an answer:
 
-* unit tests for the scheduling model (``greedy_makespan``) and the
-  deterministic-gather contract of :class:`WorkerPool.map`;
-* property tests that the partial-aggregate merge is invariant to morsel
-  size and worker count (associativity-safe combiners only);
+* unit tests for the scheduling model (``greedy_makespan``), morsel
+  batching and the deterministic-gather contract of :class:`WorkerPool.map`;
+* property tests that the span-partial merge is invariant to morsel size,
+  and that the one gate (``GroupByOp.parallel_safe()``) and the one
+  parallel aggregate (``repro.engine.fused``) always agree;
 * end-to-end DOP-equivalence: the same SQL through a serial engine and a
   ``parallelism=4`` engine with tiny morsels must match byte-for-byte;
 * a mixed DDL/DML/SELECT stress with eight concurrent sessions on one
@@ -17,24 +18,34 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
+from repro.engine import (
+    AggregateSpec,
+    Batch,
+    ColumnRef,
+    GroupByOp,
+    VectorSourceOp,
+    fused,
+)
 from repro.parallel import (
     DEFAULT_MORSEL_ROWS,
-    MorselMerger,
-    PartialAgg,
     PoolRun,
     TaskSpan,
     WorkerPool,
+    batch_items,
+    batch_size,
+    batch_spans,
     default_parallelism,
     greedy_makespan,
-    merge_partials,
     morsel_ranges,
-    partial_from_values,
 )
+from repro.storage.column import ColumnVector
+from repro.types import BIGINT, DOUBLE, INTEGER, decimal_type, varchar_type
 from repro.util.rng import derive_rng
 from repro.verify import sanitizer
 from repro.workloads.tpcds import flush_tables
@@ -147,6 +158,30 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
 
+    def test_first_failing_task_reraises_after_all_settle(self):
+        import time
+
+        pool = WorkerPool(parallelism=4)
+        finished = [False] * 6
+        try:
+
+            def task(i):
+                if i in (1, 2):
+                    raise ZeroDivisionError("task %d" % i)
+                time.sleep(0.03)  # still running when tasks 1 and 2 fail
+                finished[i] = True
+                return i
+
+            with pytest.raises(ZeroDivisionError, match="task 1"):
+                pool.map(task, range(6))
+            # Every other task ran to completion before the error surfaced,
+            # and the run accounts for exactly the settled ones.
+            assert finished == [True, False, False, True, True, True]
+            assert [span.index for span in pool.last_run.spans] == [0, 3, 4, 5]
+            assert pool.map(lambda x: x * x, [5, 6, 7]) == [25, 36, 49]
+        finally:
+            pool.shutdown()
+
     def test_lifetime_accumulators(self):
         pool = WorkerPool(parallelism=2)
         try:
@@ -189,31 +224,98 @@ class TestMorselRanges:
         assert morsel_ranges(10, 0) == [(0, 10)]  # 0 -> default size
 
 
+class TestMorselBatching:
+    def test_auto_batch_targets_two_tasks_per_worker(self):
+        # 64 items on 4 workers -> ceil(64 / 8) = 8 items per task.
+        assert batch_size(64, 4) == 8
+        assert batch_size(3, 4) == 1
+        assert batch_size(0, 4) == 1
+
+    def test_batch_items_preserves_order(self):
+        items = list(range(10))
+        groups = batch_items(items, 2)  # ceil(10 / 4) = 3 items per task
+        assert groups == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert [x for g in groups for x in g] == items
+
+    def test_batch_spans_merge_contiguous_morsels(self):
+        spans = batch_spans(100, 10, 2)  # 10 morsels, 3 per task
+        assert spans == [(0, 30), (30, 60), (60, 90), (90, 100)]
+        # Coverage is exact and ordered.
+        morsels = morsel_ranges(100, 10)
+        assert spans[0][0] == 0 and spans[-1][1] == morsels[-1][1]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
 _VALUES = st.lists(
     st.one_of(st.none(), st.integers(min_value=-(10**6), max_value=10**6)),
     min_size=0,
     max_size=60,
 )
 
+_RECIPES = [
+    fused.AggRecipe("rows", "n", BIGINT),
+    fused.AggRecipe("count", "c", BIGINT, 0),
+    fused.AggRecipe("sum", "s", BIGINT, 0),
+    fused.AggRecipe("min", "lo", BIGINT, 0),
+    fused.AggRecipe("max", "hi", BIGINT, 0),
+]
 
-def _state_for(values):
-    """Full-input reference state (rows include NULL positions)."""
-    return partial_from_values(
-        [v for v in values if v is not None], rows=len(values)
-    )
+
+def _group_of(value):
+    """Group key of a drawn value: NULL stays NULL, else ``|v| % 3``."""
+    return None if value is None else abs(value) % 3
+
+
+def _merged_spans(values, morsel_rows):
+    """GROUP BY ``_group_of(v)`` reduced per morsel by the fused span
+    kernel and merged by ``merge_fused``; one output row per group."""
+    keys = ColumnVector.from_boundary([_group_of(v) for v in values], BIGINT)
+    args = ColumnVector.from_boundary(values, BIGINT)
+    kinds = [(r.kind, r.arg_index) for r in _RECIPES]
+
+    def cut(vector, start, stop):
+        nulls = vector.nulls
+        return vector.values[start:stop], None if nulls is None else nulls[start:stop]
+
+    partials = [
+        fused._reduce_span(
+            stop - start, [cut(keys, start, stop)], [cut(args, start, stop)], kinds
+        )
+        for start, stop in morsel_ranges(len(values), morsel_rows)
+    ]
+    columns, n_groups = fused.merge_fused([("k", BIGINT)], _RECIPES, partials)
+    rows = list(zip(*(columns[a].to_boundary() for a in ("k", "n", "c", "s", "lo", "hi"))))
+    assert len(rows) == n_groups
+    return rows
+
+
+def _expected_groups(values):
+    """The same aggregation in plain Python: NULL group first, then
+    ascending keys — the engine's group output order."""
+    groups: dict = {}
+    for value in values:
+        groups.setdefault(_group_of(value), []).append(value)
+    rows = []
+    for key in sorted(groups, key=lambda k: (k is not None, k)):
+        live = [v for v in groups[key] if v is not None]
+        rows.append(
+            (
+                key,
+                len(groups[key]),
+                len(live),
+                sum(live) if live else None,
+                min(live) if live else None,
+                max(live) if live else None,
+            )
+        )
+    return rows
 
 
 @given(values=_VALUES, morsel_rows=st.integers(min_value=1, max_value=61))
 @settings(max_examples=120, deadline=None)
 def test_partial_merge_invariant_to_morsel_size(values, morsel_rows):
-    """Merging per-morsel states == aggregating the whole input at once."""
-    whole = _state_for(values)
-    partials = [
-        _state_for(values[start:stop])
-        for start, stop in morsel_ranges(len(values), morsel_rows)
-    ]
-    merged = merge_partials(partials)
-    assert merged == whole
+    """Merging per-morsel span partials == aggregating the whole input."""
+    assert _merged_spans(values, morsel_rows) == _expected_groups(values)
 
 
 @given(
@@ -225,58 +327,168 @@ def test_partial_merge_invariant_to_morsel_size(values, morsel_rows):
 )
 @settings(max_examples=60, deadline=None)
 def test_partial_merge_two_splits_agree(values, sizes):
-    """Any two morsel sizes produce identical merged state."""
-    states = []
-    for size in sizes:
-        states.append(
-            merge_partials(
-                _state_for(values[start:stop])
-                for start, stop in morsel_ranges(len(values), size)
-            )
-        )
-    assert states[0] == states[1]
+    """Any two morsel sizes produce identical merged output."""
+    assert _merged_spans(values, sizes[0]) == _merged_spans(values, sizes[1])
+
+
+# -- the one gate and the one parallel aggregate -------------------------------
+
+_DEC = decimal_type(6, 2)
+_STR = varchar_type(4)
+_GATE_MORSEL_ROWS = 13
+
+_GATE_KEYS = {
+    "g": ColumnRef("g", INTEGER),
+    "p": ColumnRef("p", _DEC),
+    "s": ColumnRef("s", _STR),
+    "d": ColumnRef("d", DOUBLE),  # approximate key: stays serial
+}
+
+_GATE_AGGS = {
+    # exact across spans: these have a fused recipe
+    "rows": ("COUNT", None, False),
+    "count_x": ("COUNT", "x", False),
+    "sum_x": ("SUM", "x", False),
+    "sum_p": ("SUM", "p", False),
+    "avg_x": ("AVG", "x", False),
+    "min_p": ("MIN", "p", False),
+    "max_s": ("MAX", "s", False),
+    "min_d": ("MIN", "d", False),
+    # order- or set-dependent: no recipe, the group-by stays serial
+    "sum_d": ("SUM", "d", False),
+    "avg_d": ("AVG", "d", False),
+    "avg_p": ("AVG", "p", False),
+    "count_distinct_x": ("COUNT", "x", True),
+    "sum_distinct_x": ("SUM", "x", True),
+    "var_x": ("VAR_POP", "x", False),
+    "stddev_x": ("STDDEV_SAMP", "x", False),
+    "median_x": ("MEDIAN", "x", False),
+}
+_GATE_FUSABLE = {
+    "rows", "count_x", "sum_x", "sum_p", "avg_x", "min_p", "max_s", "min_d",
+}
+_GATE_TYPES = {"g": INTEGER, "p": _DEC, "s": _STR, "d": DOUBLE, "x": INTEGER}
+
+
+def _nullable(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+_GATE_ROW = st.tuples(
+    _nullable(st.integers(-3, 3)),
+    _nullable(st.integers(-300, 300)),  # cents of the DECIMAL(6,2) column
+    _nullable(st.sampled_from(["aa", "bb", "cc", "v1"])),
+    _nullable(st.floats(-1e6, 1e6, allow_nan=False, width=32)),
+    _nullable(st.integers(-50, 50)),
+)
+
+
+def _gate_spec(name):
+    func, arg, distinct = _GATE_AGGS[name]
+    args = [] if arg is None else [ColumnRef(arg, _GATE_TYPES[arg])]
+    return AggregateSpec(func, args, "a_" + name, distinct=distinct)
+
+
+def _gate_group_by(columns, keys, aggs, pool):
+    return GroupByOp(
+        VectorSourceOp(Batch.from_columns(dict(columns))),
+        keys=[("k_" + name, _GATE_KEYS[name]) for name in keys],
+        aggregates=[_gate_spec(name) for name in aggs],
+        pool=pool,
+        morsel_rows=_GATE_MORSEL_ROWS,
+    )
+
+
+@pytest.fixture(scope="module")
+def gate_pool():
+    pool = WorkerPool(parallelism=4)
+    yield pool
+    pool.shutdown()
 
 
 @given(
-    keys=st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=60),
-    morsel_rows=st.integers(min_value=1, max_value=61),
+    rows=st.lists(_GATE_ROW, min_size=_GATE_MORSEL_ROWS + 1, max_size=70),
+    keys=st.lists(st.sampled_from(sorted(_GATE_KEYS)), max_size=3, unique=True),
+    aggs=st.lists(
+        st.sampled_from(sorted(_GATE_AGGS)), min_size=1, max_size=4, unique=True
+    ),
 )
-@settings(max_examples=80, deadline=None)
-def test_morsel_merger_group_totals(keys, morsel_rows):
-    """Grouped merge across morsels == grouped aggregation of the input."""
-    merger = MorselMerger(n_aggregates=1)
-    for start, stop in morsel_ranges(len(keys), morsel_rows):
-        morsel = {}
-        for k in keys[start:stop]:
-            morsel.setdefault(k, [partial_from_values([])])
-            morsel[k][0].merge(partial_from_values([k]))
-        merger.add_morsel(morsel)
-    expected = {}
-    for k in keys:
-        state = expected.setdefault(k, partial_from_values([]))
-        state.merge(partial_from_values([k]))
-    assert set(merger.ordered_groups()) == set(expected)
-    for k in merger.ordered_groups():
-        assert merger.groups[k][0] == expected[k]
-    # Sorted output order is deterministic whatever the morsel size.
-    assert merger.ordered_groups(sort_key=lambda k: k) == sorted(expected)
+@settings(max_examples=150, deadline=None)
+def test_gate_and_fused_aggregate_agree(rows, keys, aggs, gate_pool):
+    """``parallel_safe()`` true  => the DOP-4 run is fused and equals DOP 1
+    byte for byte; false => the group-by records no pool run at all and
+    still equals DOP 1.  There is no third route between the two."""
+    from decimal import Decimal
+
+    g, p, s, d, x = zip(*rows)
+    columns = {
+        "g": ColumnVector.from_boundary(g, INTEGER),
+        "p": ColumnVector.from_boundary(
+            [None if c is None else Decimal(c).scaleb(-2) for c in p], _DEC
+        ),
+        "s": ColumnVector.from_boundary(s, _STR),
+        "d": ColumnVector.from_boundary(d, DOUBLE),
+        "x": ColumnVector.from_boundary(x, INTEGER),
+    }
+    parallel = _gate_group_by(columns, keys, aggs, gate_pool)
+    serial = _gate_group_by(columns, keys, aggs, None)
+    expect_safe = "d" not in keys and set(aggs) <= _GATE_FUSABLE
+    assert parallel.parallel_safe() == expect_safe
+    got, want = parallel.run(), serial.run()
+    if expect_safe:
+        assert parallel.fused_mode == "batch-agg"
+        assert parallel.parallel_run is not None
+        assert not parallel.parallel_run.inline
+    else:
+        assert parallel.fused_mode is None
+        assert parallel.parallel_run is None
+    assert list(got.columns) == list(want.columns)
+    for alias, vector in want.columns.items():
+        other = got.columns[alias]
+        assert other.dtype == vector.dtype, alias
+        assert other.values.dtype == vector.values.dtype, alias
+        assert other.to_boundary() == vector.to_boundary(), alias
 
 
-def test_morsel_merger_preserves_first_appearance_order():
-    """Unsorted GROUP BY output keeps first-appearance order across morsels.
+class TestFloatGating:
+    """Order-dependent float aggregates must stay serial at any DOP."""
 
-    Kill test for commute-merge@src/repro/parallel/morsel.py:180:8 (see
-    BENCH_mutation.json): iterating a morsel's groups in reverse preserves
-    every *total* (merge is commutative) but scrambles the documented
-    first-appearance order that unsorted grouped output relies on — and
-    the property test above only compares order-insensitively.
-    """
-    merger = MorselMerger(n_aggregates=1)
-    merger.add_morsel({"a": [PartialAgg(rows=1)], "b": [PartialAgg(rows=2)]})
-    assert merger.ordered_groups() == ["a", "b"]
-    merger.add_morsel({"c": [PartialAgg(rows=4)], "a": [PartialAgg(rows=8)]})
-    assert merger.ordered_groups() == ["a", "b", "c"]
-    assert merger.groups["a"][0].rows == 9
+    def test_double_sum_stays_serial(self):
+        rng = np.random.default_rng(9)
+        g = rng.integers(0, 6, size=200).tolist()
+        d = (rng.random(200) * 100.0).tolist()
+        columns = {
+            "g": ColumnVector.from_boundary(g, INTEGER),
+            "d": ColumnVector.from_boundary(d, DOUBLE),
+        }
+
+        def group_by(pool):
+            return GroupByOp(
+                VectorSourceOp(Batch.from_columns(dict(columns))),
+                keys=[("kg", ColumnRef("g", INTEGER))],
+                aggregates=[
+                    AggregateSpec("SUM", [ColumnRef("d", DOUBLE)], "a_sum"),
+                    AggregateSpec("AVG", [ColumnRef("d", DOUBLE)], "a_avg"),
+                ],
+                pool=pool,
+                morsel_rows=13,
+            )
+
+        pool = WorkerPool(4, name="edge")
+        try:
+            op = group_by(pool)
+            assert not op.parallel_safe()
+            batch = op.run()
+            assert op.parallel_run is None, "float aggregate went parallel"
+            assert op.fused_mode is None
+            serial = group_by(None).run()
+            for alias in ("kg", "a_sum", "a_avg"):
+                assert (
+                    batch.columns[alias].to_boundary()
+                    == serial.columns[alias].to_boundary()
+                )
+        finally:
+            pool.shutdown()
 
 
 @given(

@@ -225,6 +225,35 @@ class TestColumnTable:
         with pytest.raises(ConstraintViolationError):
             t.insert_rows([(1, None, day, "e")])
 
+    @pytest.mark.parametrize("unique", [("id", "state"), ("id", "amount", "state")])
+    def test_rejected_row_leaves_no_unique_value_behind(self, unique):
+        t = ColumnTable(make_schema(), region_rows=4, unique_columns=unique)
+        day = datetime.date(2016, 1, 1)
+        t.insert_rows([(i, Decimal(i), day, "s%d" % i) for i in range(3)])
+        # Fresh id (and amount), but the *last* unique column conflicts.
+        with pytest.raises(ConstraintViolationError, match="state"):
+            t.insert_rows([(7, Decimal(7), day, "s1")])
+        self._seen_is_exact(t)
+        assert 7 not in t._unique_seen["id"]
+        # No rollback ran: the retry with a fresh last value just works.
+        assert t.insert_rows([(7, Decimal(7), day, "s7")]) == 1
+        self._seen_is_exact(t)
+        assert t.n_rows == 4
+
+    def test_failing_row_keeps_the_rows_appended_before_it(self):
+        t = ColumnTable(make_schema(), region_rows=4, unique_columns=("id", "state"))
+        day = datetime.date(2016, 1, 1)
+        t.insert_rows([(0, Decimal(0), day, "s0")])
+        with pytest.raises(ConstraintViolationError, match="state"):
+            t.insert_rows(
+                [(1, Decimal(1), day, "s1"), (2, Decimal(2), day, "s0"), (3, Decimal(3), day, "s3")]
+            )
+        # Row 1 was appended and stays; row 2 left nothing; row 3 never ran.
+        assert t.n_rows == 2
+        assert t._unique_seen == {"id": {0, 1}, "state": {"s0", "s1"}}
+        self._seen_is_exact(t)
+        assert t.insert_rows([(2, Decimal(2), day, "s2"), (3, Decimal(3), day, "s3")]) == 2
+
     def test_not_null_constraint(self):
         t = ColumnTable(make_schema(), not_null_columns=("id",))
         with pytest.raises(ConstraintViolationError):

@@ -12,8 +12,12 @@ those scenarios on every run.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 from repro.verify import sanitizer
 from repro.verify.mc import (
+    DECLARED_ORDER,
     SCENARIOS,
     Scenario,
     by_name,
@@ -21,6 +25,17 @@ from repro.verify.mc import (
     replay,
     yield_point,
 )
+
+
+_ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_modelcheck.json"
+
+
+def _artifact_names(artifact: dict):
+    """(scenario names, declared lock order) as the artifact records them."""
+    return (
+        [row["scenario"] for row in artifact["scenarios"]],
+        artifact["lock_order"]["declared_order"],
+    )
 
 
 # -- seeded bugs ---------------------------------------------------------------
@@ -180,6 +195,20 @@ class TestEngineScenarios:
 
     def test_yield_point_is_noop_outside_checker(self):
         yield_point("anywhere")  # must not raise, must not require a hook
+
+    def test_committed_artifact_names_the_whole_registry(self):
+        """BENCH_modelcheck.json may not fall behind the registry: names and
+        lock ranks only — counts and timings are the benchmark's business.
+        Regenerate with ``pytest benchmarks/test_modelcheck.py``."""
+        assert _artifact_names(json.loads(_ARTIFACT.read_text())) == (
+            [scenario.name for scenario in SCENARIOS],
+            list(DECLARED_ORDER),
+        )
+
+    def test_artifact_check_notices_a_missing_scenario(self):
+        stale = json.loads(_ARTIFACT.read_text())
+        del stale["scenarios"][-1]
+        assert _artifact_names(stale)[0] != [s.name for s in SCENARIOS]
 
 
 class TestEngineRegressions:
