@@ -56,6 +56,14 @@ class DictionaryCodec:
     def decode(self, codes: np.ndarray) -> np.ndarray:
         return self.encoding.decode(codes)
 
+    @property
+    def dictionary(self) -> np.ndarray:
+        """The decode table (code -> value), handed out read-only: coded
+        vectors share it with the codec."""
+        table = self.encoding._decode
+        table.flags.writeable = False
+        return table
+
     def code_for(self, value):
         return self.encoding.code_for(value)
 
@@ -127,6 +135,18 @@ class CompressedColumn:
             return self.raw, self.nulls
         codes = unpack_codes(self.packed)
         return self.codec.decode(codes), self.nulls
+
+    def decode_coded(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(codes, dictionary)`` with ``dictionary[codes]`` the values, for
+        a dictionary-coded string column; None for every other column.
+
+        No value is gathered: the codes are the unpacked positions and the
+        dictionary is the codec's own decode table — shared, so read-only.
+        """
+        dictionary = getattr(self.codec, "dictionary", None)
+        if dictionary is None or dictionary.dtype != object:
+            return None
+        return unpack_codes(self.packed).view(np.int64), dictionary
 
     def nbytes(self) -> int:
         """Physical footprint: packed words + codec metadata + null bitmap."""

@@ -50,6 +50,13 @@ class GroupStats:
 
     input_rows: int = 0
     groups: int = 0
+    #: How the group keys were coded: "dictionary" (ranked through their
+    #: dictionaries, no row's string hashed), "rows" (factorised row by
+    #: row) or "mixed"; None for a grand total or an empty input.
+    key_coding: str | None = None
+    #: Why keys were coded by rows: "plain-input",
+    #: "dictionary-larger-than-span".
+    key_reasons: tuple = ()
 
 
 @dataclass
@@ -133,6 +140,16 @@ class GroupByOp(Operator):
             fused.recipe_kind(spec) is not None for spec in self.aggregates
         )
 
+    def note_keys(self, reasons) -> None:
+        """Record how the keys were coded (``fused.row_coding_reason`` per
+        key and span) on the stats and the engine's metrics registry."""
+        stats = self.stats
+        stats.key_coding, stats.key_reasons = fused.key_coding(reasons)
+        metrics = getattr(self.pool, "metrics", None)
+        if metrics is not None and stats.key_coding is not None:
+            path = "dictionary" if stats.key_coding == "dictionary" else "rows"
+            metrics.counter("engine.group.keys_%s" % path).inc()
+
     def execute(self):
         pool = self.pool
         if pool is not None and pool.is_parallel and self.parallel_safe():
@@ -145,7 +162,7 @@ class GroupByOp(Operator):
                 columns, n_groups, input_rows = fused.execute_scan_agg(
                     self, plan, pool
                 )
-                self.stats = GroupStats(input_rows=input_rows, groups=n_groups)
+                self.stats.input_rows, self.stats.groups = input_rows, n_groups
                 yield Batch.from_columns(columns)
                 return
         batch = self.child.run()
@@ -179,14 +196,13 @@ class GroupByOp(Operator):
                 n=0,
             )
             return
-        key_vectors = [(alias, expr.eval(batch)) for alias, expr in self.keys]
-        group_ids, key_cols, n_groups = fused.group_codes(
-            [(vector.values, vector.nulls) for _, vector in key_vectors]
-        )
+        key_vectors = [expr.eval(batch) for _, expr in self.keys]
+        self.note_keys(map(fused.row_coding_reason, key_vectors))
+        group_ids, key_cols, n_groups = fused.group_codes(key_vectors)
         self.stats.groups = n_groups
-        columns: dict[str, ColumnVector] = {}
-        for (alias, vector), (values, nulls) in zip(key_vectors, key_cols):
-            columns[alias] = ColumnVector(vector.dtype, values, nulls)
+        columns: dict[str, ColumnVector] = {
+            alias: group for (alias, _), group in zip(self.keys, key_cols)
+        }
         for spec in self.aggregates:
             columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
         yield Batch.from_columns(columns)

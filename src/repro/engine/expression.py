@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import DivisionByZeroError, TypeCheckError
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BOOLEAN, DOUBLE, DataType, TypeKind, promote
+from repro.verify import sanitizer
 
 
 @dataclass
@@ -34,6 +35,8 @@ class Batch:
 
     @classmethod
     def from_columns(cls, columns: dict[str, ColumnVector]) -> "Batch":
+        if sanitizer.ENABLED:
+            sanitizer.check_vectors(columns)
         sizes = {len(v) for v in columns.values()}
         if len(sizes) > 1:
             raise ValueError("ragged batch: column lengths %s" % sizes)
@@ -108,19 +111,28 @@ class Literal(Expr):
     def eval(self, batch: Batch) -> ColumnVector:
         n = batch.n
         np_dtype = self.dtype.numpy_dtype
-        if self.value is None:
-            filler = "" if np_dtype == object else 0
-            values = np.full(n, filler, dtype=np_dtype)
-            return ColumnVector(self.dtype, values, np.ones(n, dtype=bool))
+        nulls = np.ones(n, dtype=bool) if self.value is None else None
         if np_dtype == object:
-            values = np.empty(n, dtype=object)
-            values[:] = self.value
-        else:
-            values = np.full(n, self.value, dtype=np_dtype)
-        return ColumnVector(self.dtype, values, None)
+            # A string constant is a one-entry dictionary, not n objects.
+            return ColumnVector.coded(
+                self.dtype,
+                np.zeros(n, dtype=np.int64),
+                _dictionary(["" if self.value is None else self.value]),
+                nulls,
+            )
+        values = np.full(n, 0 if self.value is None else self.value, dtype=np_dtype)
+        return ColumnVector(self.dtype, values, nulls)
 
     def eval_row(self, row: dict):
         return self.value
+
+
+def _dictionary(entries) -> np.ndarray:
+    """A read-only object array over ``entries`` for a coded vector."""
+    table = np.empty(len(entries), dtype=object)
+    table[:] = entries
+    table.flags.writeable = False
+    return table
 
 
 def _null_union(*vectors: ColumnVector) -> np.ndarray | None:
@@ -516,8 +528,17 @@ class Cast(Expr):
     dtype: DataType = DOUBLE
     scale_shift: int = 0  # decimal rescaling: multiply by 10**shift
 
+    def __post_init__(self):
+        # A DECIMAL -> DECIMAL cast built without a shift (COALESCE / CASE
+        # arms brought to one type) rescales by the two declared scales.
+        kinds = (self.dtype.kind, self.child.dtype.kind)
+        if not self.scale_shift and kinds == (TypeKind.DECIMAL, TypeKind.DECIMAL):
+            self.scale_shift = self.dtype.scale - self.child.dtype.scale
+
     def eval(self, batch: Batch) -> ColumnVector:
         v = self.child.eval(batch)
+        if v.codes is not None:
+            return _cast_coded(v, self.dtype)
         values = _cast_physical(
             v.values, v.dtype, self.dtype, self.scale_shift, v.nulls
         )
@@ -568,6 +589,36 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
     return out
 
 
+def _cast_coded(v: ColumnVector, to_dt) -> ColumnVector:
+    """Cast a dictionary-coded vector one dictionary entry at a time.
+
+    Every entry a live row references is converted once, in the order rows
+    first reference them — so the first bad row decides the error, and an
+    entry only NULL slots (or no row) point at is never converted.  A
+    string target keeps the codes over the converted dictionary; any other
+    target gathers its rows from the converted table.
+    """
+    from repro.storage.column import to_boundary_scalar, to_physical_scalar
+
+    codes, dictionary = v.codes, v.dictionary
+    live = codes if v.nulls is None else codes[~v.nulls]
+    first = np.full(dictionary.size, live.size, dtype=np.int64)
+    np.minimum.at(first, live, np.arange(live.size))
+    referenced = np.flatnonzero(first < live.size)
+    referenced = referenced[np.argsort(first[referenced])]
+    target = to_dt.numpy_dtype
+    table = np.full(dictionary.size, "" if target == object else 0, dtype=target)
+    for code, raw in zip(referenced.tolist(), dictionary[referenced].tolist()):
+        table[code] = to_physical_scalar(to_boundary_scalar(raw, v.dtype), to_dt)
+    if target == object:
+        table.flags.writeable = False
+        return ColumnVector.coded(to_dt, codes, table, v.nulls)
+    values = table[codes]
+    if v.nulls is not None:
+        values[v.nulls] = 0
+    return ColumnVector(to_dt, values, v.nulls)
+
+
 def _cast_physical_scalar(value, from_dt, to_dt, scale_shift):
     from repro.storage.column import to_boundary_scalar, to_physical_scalar
 
@@ -590,24 +641,43 @@ class CaseExpr(Expr):
     def eval(self, batch: Batch) -> ColumnVector:
         n = batch.n
         np_dtype = self.dtype.numpy_dtype
-        filler = "" if np_dtype == object else 0
-        values = np.full(n, filler, dtype=np_dtype)
+        # A string CASE stays coded: ``values`` holds positions into the
+        # branch dictionaries laid end to end (a plain branch brings the
+        # rows it decides as its own dictionary).
+        coded = np_dtype == object
+        values = np.zeros(n, dtype=np.int64 if coded else np_dtype)
+        dictionaries = [_dictionary([""])] if coded else None  # undecided rows
         nulls = np.ones(n, dtype=bool)
         decided = np.zeros(n, dtype=bool)
+
+        def decide(rows, rv):
+            if not coded:
+                values[rows] = rv.values[rows]
+            else:
+                offset = sum(d.size for d in dictionaries)
+                if rv.codes is not None:
+                    values[rows] = rv.codes[rows] + offset
+                    dictionaries.append(rv.dictionary)
+                else:
+                    dictionaries.append(rv.values[rows])
+                    values[rows] = np.arange(offset, offset + dictionaries[-1].size)
+            nulls[rows] = rv.null_mask()[rows]
+
         for cond, result in self.whens:
             cv = cond.eval(batch)
             fire = (cv.values.astype(bool)) & ~cv.null_mask() & ~decided
             if fire.any():
-                rv = result.eval(batch)
-                values[fire] = rv.values[fire]
-                nulls[fire] = rv.null_mask()[fire]
+                decide(fire, result.eval(batch))
                 decided |= fire
         remaining = ~decided
         if self.default is not None and remaining.any():
-            dv = self.default.eval(batch)
-            values[remaining] = dv.values[remaining]
-            nulls[remaining] = dv.null_mask()[remaining]
-        return ColumnVector(self.dtype, values, nulls if nulls.any() else None)
+            decide(remaining, self.default.eval(batch))
+        nulls = nulls if nulls.any() else None
+        if not coded:
+            return ColumnVector(self.dtype, values, nulls)
+        dictionary = np.concatenate(dictionaries)
+        dictionary.flags.writeable = False
+        return ColumnVector.coded(self.dtype, values, dictionary, nulls)
 
     def eval_row(self, row: dict):
         for cond, result in self.whens:

@@ -14,10 +14,12 @@ Two layers:
 
 * **Span reduction** (:func:`_reduce_span`): factorise the span's group
   keys (:func:`group_codes`, over the :mod:`repro.simd.factorize`
-  kernels), then reduce every aggregate with ``bincount`` / ``ufunc.at``
-  scatter ops.  :func:`group_codes` and :func:`min_max_span` are also what
-  the whole-column operator in :mod:`repro.engine.aggregate` runs at
-  DOP 1, and the accumulator arithmetic is the same (modular int64 sums,
+  kernels — a dictionary-coded string key is ranked through its
+  dictionary and never materialised, :func:`row_coding_reason` names the
+  exceptions), then reduce every aggregate with ``bincount`` /
+  ``ufunc.at`` scatter ops.  :func:`group_codes` and
+  :func:`min_max_span` are also what the whole-column operator in
+  :mod:`repro.engine.aggregate` runs at DOP 1, and the accumulator arithmetic is the same (modular int64 sums,
   float64 division of exact integer sums for AVG), so merged results are
   bit-identical to it for every ``parallel_safe()`` plan.
 * **Scan fusion** (:func:`match_scan_agg` / :func:`execute_scan_agg`):
@@ -56,20 +58,52 @@ _INT64_MIN = np.iinfo(np.int64).min
 # -- group-key encoding ----------------------------------------------------------
 
 
-def group_codes(key_pairs):
+def row_coding_reason(vector):
+    """Why :func:`group_codes` must code ``vector`` row by row, or None when
+    it ranks the vector's dictionary instead — decided by the input alone."""
+    if vector.codes is None:
+        return "plain-input"
+    if vector.dictionary.size > vector.codes.size:
+        return "dictionary-larger-than-span"
+    return None
+
+
+def key_coding(reasons):
+    """Fold :func:`row_coding_reason` of every key (of every span) into
+    ``(path, why)``: ``dictionary`` when every key was ranked through its
+    dictionary, ``rows`` when none was, else ``mixed`` (None for no keys),
+    and the distinct reasons rows were coded."""
+    reasons = list(reasons)
+    why = tuple(sorted({r for r in reasons if r is not None}))
+    if not reasons:
+        return None, why
+    if not why:
+        return "dictionary", why
+    return ("mixed" if None in reasons else "rows"), why
+
+
+def group_codes(keys):
     """Dense group ids plus per-group key columns for one row span.
 
-    ``key_pairs`` is one ``(values, nulls-or-None)`` pair per key column.
-    Returns ``(ids, key_cols, k)``: int64 ids in ``0..k-1`` whose ascending
-    order is the engine's group output order (per column NULL first, then
-    values ascending), and ``key_cols`` as ``(values, nulls)`` pairs holding
-    each group's key as it stands in the group's first row, with the
-    physical filler (0 / "") under NULL.
+    ``keys`` is one :class:`ColumnVector` per key column.  A dictionary-
+    coded key no longer than the span is ranked through its *dictionary*
+    (``ranks[codes]``: no row's string is hashed); any other key is
+    factorised row by row.  Returns ``(ids, key_cols, k)``: int64 ids in
+    ``0..k-1`` whose ascending order is the engine's group output order
+    (per column NULL first, then values ascending), and ``key_cols`` as
+    vectors holding each group's key as it stands in the group's first row
+    (a plain key with the physical filler, 0 / "", under NULL).
     """
     combined = None
     size = 1
-    for values, nulls in key_pairs:
-        codes, uniq = factorize(values, nulls)
+    for vector in keys:
+        if row_coding_reason(vector) is None:
+            ranks, uniq = factorize(vector.dictionary, None)
+            codes = ranks[vector.codes]
+            if vector.nulls is not None:
+                codes[vector.nulls] = 0
+        else:
+            codes, uniq = factorize(vector.values, vector.nulls)
         radix = uniq.size + 1
         if combined is None:
             combined, size = codes, radix
@@ -87,16 +121,11 @@ def group_codes(key_pairs):
     first_row = np.full(k, ids.size, dtype=np.int64)
     np.minimum.at(first_row, ids, np.arange(ids.size))
     key_cols = []
-    for values, nulls in key_pairs:
-        vals = values[first_row]
-        group_nulls = None
-        if nulls is not None:
-            group_nulls = nulls[first_row]
-            if group_nulls.any():
-                vals[group_nulls] = "" if values.dtype == object else 0
-            else:
-                group_nulls = None
-        key_cols.append((vals, group_nulls))
+    for vector in keys:
+        group = vector.take(first_row)
+        if group.codes is None and group.nulls is not None:
+            group.values[group.nulls] = "" if group.values.dtype == object else 0
+        key_cols.append(group)
     return ids, key_cols, k
 
 
@@ -199,17 +228,19 @@ def min_max_span(kind, ids, values, k):
     return out
 
 
-def _reduce_span(n, key_pairs, arg_pairs, recipe_kinds):
+def _reduce_span(n, keys, arg_pairs, recipe_kinds):
     """Reduce one contiguous span into per-group accumulator arrays.
 
-    Returns ``(key_cols, rows, accs)`` — everything sized to the span's
-    local group count k, so a task's result is tiny regardless of span
-    length.  ``accs`` holds ``None`` for ``rows`` recipes, else
-    ``(counts, payload)`` with payload ``None`` (count), int64 sums
-    (sum/avg), or min/max accumulators.
+    ``keys`` are the span's key vectors, ``arg_pairs`` one ``(values,
+    nulls-or-None)`` pair per aggregate argument.  Returns ``(key_cols,
+    rows, accs, reasons)`` — all but the last sized to the span's local
+    group count k, so a task's result is tiny regardless of span length.
+    ``accs`` holds ``None`` for ``rows`` recipes, else ``(counts,
+    payload)`` with payload ``None`` (count), int64 sums (sum/avg), or
+    min/max accumulators; ``reasons`` is :func:`row_coding_reason` per key.
     """
-    if key_pairs:
-        ids, key_cols, k = group_codes(key_pairs)
+    if keys:
+        ids, key_cols, k = group_codes(keys)
     else:
         ids = np.zeros(n, dtype=np.int64)
         key_cols = []
@@ -241,7 +272,7 @@ def _reduce_span(n, key_pairs, arg_pairs, recipe_kinds):
             accs.append((counts, sums))
         else:
             accs.append((counts, min_max_span(kind, lids, lvals, k)))
-    return key_cols, rows, accs
+    return key_cols, rows, accs, [row_coding_reason(v) for v in keys]
 
 
 # -- global merge ----------------------------------------------------------------
@@ -260,21 +291,11 @@ def merge_fused(keys_meta, recipes, partials):
     n_keys = len(keys_meta)
     if partials:
         if n_keys:
-            cand_pairs = []
-            for c in range(n_keys):
-                vals = np.concatenate([p[0][c][0] for p in partials])
-                masks = [p[0][c][1] for p in partials]
-                if any(m is not None for m in masks):
-                    nulls = np.concatenate(
-                        [
-                            m if m is not None else np.zeros(p[0][c][0].size, dtype=bool)
-                            for p, m in zip(partials, masks)
-                        ]
-                    )
-                else:
-                    nulls = None
-                cand_pairs.append((vals, nulls))
-            gids, key_cols, n_groups = group_codes(cand_pairs)
+            candidates = [
+                ColumnVector.concat([p[0][c] for p in partials])
+                for c in range(n_keys)
+            ]
+            gids, key_cols, n_groups = group_codes(candidates)
         else:
             total = sum(p[1].size for p in partials)
             gids = np.zeros(total, dtype=np.int64)
@@ -283,7 +304,7 @@ def merge_fused(keys_meta, recipes, partials):
     else:
         gids = np.zeros(0, dtype=np.int64)
         key_cols = [
-            (np.empty(0, dtype=dt.numpy_dtype), None) for _, dt in keys_meta
+            ColumnVector(dt, np.empty(0, dtype=dt.numpy_dtype)) for _, dt in keys_meta
         ]
         n_groups = 0 if n_keys else 1
 
@@ -312,7 +333,7 @@ def merge_fused(keys_meta, recipes, partials):
             payload_g.append(None)
 
     offset = 0
-    for key_cols_local, rows_local, accs_local in partials:
+    for _, rows_local, accs_local, _ in partials:
         k_local = rows_local.size
         span_ids = gids[offset : offset + k_local]
         offset += k_local
@@ -349,8 +370,9 @@ def merge_fused(keys_meta, recipes, partials):
                     )
 
     columns: dict[str, ColumnVector] = {}
-    for (alias, dtype), (vals, nulls) in zip(keys_meta, key_cols):
-        columns[alias] = ColumnVector(dtype, vals, nulls)
+    for (alias, dtype), group in zip(keys_meta, key_cols):
+        group.dtype = dtype
+        columns[alias] = group
     for j, recipe in enumerate(recipes):
         if recipe.kind == "rows":
             columns[recipe.alias] = ColumnVector(BIGINT, rows.copy(), None)
@@ -393,26 +415,24 @@ def parallel_group_reduce(op, batch, pool):
     recipes, arg_exprs = compile_recipes(op.aggregates)
     key_vectors = [(alias, expr.eval(batch)) for alias, expr in op.keys]
     arg_vectors = [expr.eval(batch) for expr in arg_exprs]
-    key_pairs = [(v.values, v.nulls) for _, v in key_vectors]
     arg_pairs = [(v.values, v.nulls) for v in arg_vectors]
     spans = batch_spans(batch.n, op.morsel_rows, pool.parallelism)
     recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
 
     def task(span):
         lo, hi = span
-        kp = [
-            (v[lo:hi], None if m is None else m[lo:hi]) for v, m in key_pairs
-        ]
+        keys = [v.take(slice(lo, hi)) for _, v in key_vectors]
         ap = [
             (v[lo:hi], None if m is None else m[lo:hi]) for v, m in arg_pairs
         ]
-        return _reduce_span(hi - lo, kp, ap, recipe_kinds)
+        return _reduce_span(hi - lo, keys, ap, recipe_kinds)
 
     partials = pool.map(task, spans, label="group-by")
     op.parallel_run = pool.last_run
     keys_meta = [(alias, v.dtype) for alias, v in key_vectors]
     columns, n_groups = merge_fused(keys_meta, recipes, partials)
     op.fused_mode = "batch-agg"
+    op.note_keys(r for p in partials for r in p[3])
     return columns, n_groups
 
 
@@ -642,15 +662,12 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
         return batch
 
     def reduce_batch(batch):
-        key_pairs = []
-        for _, expr in key_exprs:
-            vector = expr.eval(batch)
-            key_pairs.append((vector.values, vector.nulls))
+        keys = [expr.eval(batch) for _, expr in key_exprs]
         arg_pairs = []
         for expr in arg_exprs:
             vector = expr.eval(batch)
             arg_pairs.append((vector.values, vector.nulls))
-        return _reduce_span(batch.n, key_pairs, arg_pairs, recipe_kinds)
+        return _reduce_span(batch.n, keys, arg_pairs, recipe_kinds)
 
     def task(group):
         stats = ScanStats()
@@ -692,4 +709,5 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
     op.parallel_run = run
     op.fused_mode = "scan-agg"
     op.fused_cache = fused.cache_state
+    op.note_keys(r for p in partials for r in p[3])
     return columns, n_groups, input_rows

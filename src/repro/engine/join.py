@@ -59,6 +59,9 @@ class HashJoinOp(Operator):
             concatenate in morsel order, which reproduces the serial
             probe's output exactly (each probe row's matches depend only
             on that row).
+        nulls_match: NULL equals NULL, as in DISTINCT (INTERSECT / EXCEPT
+            plan as semi / anti joins with this set); an ordinary join
+            leaves it off and a NULL key part never matches.
     """
 
     def __init__(
@@ -71,6 +74,7 @@ class HashJoinOp(Operator):
         residual: Expr | None = None,
         partition_rows: int = DEFAULT_PARTITION_ROWS,
         pool=None,
+        nulls_match: bool = False,
     ):
         if join_type not in _JOIN_TYPES:
             raise ValueError("unknown join type %r" % join_type)
@@ -84,17 +88,20 @@ class HashJoinOp(Operator):
         self.residual = residual
         self.partition_rows = partition_rows
         self.pool = pool
+        self.nulls_match = nulls_match
         self.stats = JoinStats()
         self.parallel_run = None
 
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
-    def _encoded_keys(probe: Batch, build: Batch, left_keys, right_keys):
+    def _encoded_keys(probe: Batch, build: Batch, left_keys, right_keys,
+                      nulls_match: bool = False):
         """Factorise both sides' keys into comparable int64 codes.
 
         Returns (probe_codes, probe_valid, build_codes, build_valid): equal
-        codes mean equal key tuples; rows with NULL key parts are invalid.
+        codes mean equal key tuples; rows with NULL key parts are invalid —
+        unless ``nulls_match``, where NULL is a key value with its own code.
         The factorisation pass is the "partition both sides the same way"
         step of a partitioned join, expressed as vectorised dictionary
         coding.
@@ -107,14 +114,19 @@ class HashJoinOp(Operator):
         for lk, rk in zip(left_keys, right_keys):
             lv = probe.columns[lk]
             rv = build.columns[rk]
-            probe_valid &= ~lv.null_mask()
-            build_valid &= ~rv.null_mask()
+            if not nulls_match:
+                probe_valid &= ~lv.null_mask()
+                build_valid &= ~rv.null_mask()
             left_vals, right_vals = _align_key_arrays(lv.values, rv.values)
             union = np.concatenate([left_vals, right_vals])
             distinct, inverse = np.unique(union, return_inverse=True)
             lcodes = inverse[:n_probe].astype(np.int64)
             rcodes = inverse[n_probe:].astype(np.int64)
             radix = np.int64(max(1, distinct.size))
+            if nulls_match:
+                lcodes[lv.null_mask()] = radix
+                rcodes[rv.null_mask()] = radix
+                radix += 1
             probe_combined = probe_combined * radix + lcodes
             build_combined = build_combined * radix + rcodes
         return probe_combined, probe_valid, build_combined, build_valid
@@ -140,6 +152,8 @@ class HashJoinOp(Operator):
         rv = build.columns[self.right_keys[0]]
         if lv.values.dtype != np.int64 or rv.values.dtype != np.int64:
             return None
+        if self.nulls_match and not (lv.nulls is None and rv.nulls is None):
+            return None  # a NULL key is a value here; the table has no slot for it
         b_valid = ~rv.null_mask()
         build_rows = np.nonzero(b_valid)[0]
         if not build_rows.size:
@@ -196,7 +210,7 @@ class HashJoinOp(Operator):
         if fast is not None:
             return fast
         pk, p_valid, bk, b_valid = self._encoded_keys(
-            probe, build, self.left_keys, self.right_keys
+            probe, build, self.left_keys, self.right_keys, self.nulls_match
         )
         build_rows = np.nonzero(b_valid)[0]
         if not build_rows.size:

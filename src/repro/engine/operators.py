@@ -343,18 +343,17 @@ class TableScanOp(Operator):
         # the surviving extents when skipping applies).
         columns = {}
         for name in needed:
-            compressed = fetch(name)
+            compressed, keep = fetch(name), selection
             if window is not None:
-                col_slice, base = compressed.slice_rows(*window)
-                values, nulls = col_slice.decode()
-                vector = ColumnVector(
-                    self.table.schema.column_type(name), values, nulls
-                )
-                columns[name] = vector.filter(selection[base : base + col_slice.n])
+                compressed, base = compressed.slice_rows(*window)
+                keep = selection[base : base + compressed.n]
+            dtype = self.table.schema.column_type(name)
+            coded = compressed.decode_coded()
+            if coded is not None:  # strings stay codes until someone reads them
+                vector = ColumnVector.coded(dtype, *coded, compressed.nulls)
             else:
-                values, nulls = compressed.decode()
-                vector = ColumnVector(self.table.schema.column_type(name), values, nulls)
-                columns[name] = vector.filter(selection)
+                vector = ColumnVector(dtype, *compressed.decode())
+            columns[name] = vector.filter(keep)
         batch = Batch.from_columns(columns)
         batch = self._apply_residual(batch)
         stats.rows_matched += batch.n

@@ -148,6 +148,12 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
     path = getattr(stats, "path", None)
     if path is not None:
         line += " [path=%s]" % path
+    key_coding = getattr(stats, "key_coding", None)
+    if key_coding is not None:
+        line += " [keys=%s%s]" % (
+            key_coding,
+            "".join(" " + reason for reason in stats.key_reasons),
+        )
     return line
 
 

@@ -8,8 +8,13 @@ strings and dense surrogate ids — so these kernels factorise in ``O(n)``:
 * int64 keys whose value span is comparable to the row count use a
   direct-address presence table plus a ``cumsum`` rank scan (two passes,
   both single numpy calls that release the GIL);
-* object (string) keys hash every row once in C (``dict.fromkeys``), sort
-  only the distinct values, and gather ranks — no per-row Python bytecode;
+* object (string) arrays hash every element once in C (``dict.fromkeys``),
+  sort only the distinct values, and gather ranks — no per-element Python
+  bytecode.  For a dictionary-coded key the array handed in is the key's
+  *dictionary*, not its rows (:func:`repro.engine.fused.group_codes` then
+  gathers ``ranks[codes]``), so a scanned, joined or CASE-built string key
+  costs a handful of hashes however many rows it has; only a plain string
+  vector (an unsealed tail, a function result) is hashed row by row;
 * everything else falls back to ``np.unique``.
 
 All paths produce the same contract: NULL takes code 0 and non-NULL values

@@ -88,6 +88,23 @@ def _numeric_value(value, dt: DataType):
     return value
 
 
+def _nullif(values, dtypes):
+    """``a``, or NULL when ``a = b``.  A physical DECIMAL is a scaled
+    integer, so exact numerics compare at the larger of the two scales."""
+    a, b = values
+    if a is None or b is None:
+        return a
+    da, db = dtypes
+    if TypeKind.DECIMAL not in (da.kind, db.kind):
+        same = a == b
+    elif da.is_approximate or db.is_approximate:
+        same = _numeric_value(a, da) == _numeric_value(b, db)
+    else:
+        scale = max(da.scale, db.scale)
+        same = a * 10 ** (scale - da.scale) == b * 10 ** (scale - db.scale)
+    return None if same else a
+
+
 def simple(name: str, low: int, high: int | None, out_type, impl):
     """Builder factory for a plain scalar function.
 
@@ -237,7 +254,7 @@ def register_ansi(registry: FunctionRegistry) -> None:
     r("COALESCE", _build_coalesce)
     r("VALUE", _build_coalesce)  # DB2 alias
     r("IFNULL", _build_coalesce)
-    r("NULLIF", simple("NULLIF", 2, 2, _t_arg0, lambda v, d: None if v[0] is None or (v[1] is not None and v[0] == v[1]) else v[0]))
+    r("NULLIF", simple("NULLIF", 2, 2, _t_arg0, _nullif))
 
     # -- numeric functions --
     r("ABS", simple("ABS", 1, 1, _t_arg0, lambda v, d: None if v[0] is None else abs(v[0])))

@@ -952,7 +952,7 @@ class SelectPlanner:
         join_type = "semi" if op == "INTERSECT" else "anti"
         joined = HashJoinOp(
             left_op, rename, left.keys, left.keys, join_type=join_type,
-            pool=self.pool,
+            pool=self.pool, nulls_match=True,  # set operations compare like DISTINCT
         )
         return _distinct(PlannedQuery(joined, left.names, left.keys, dtypes))
 

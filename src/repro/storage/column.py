@@ -132,18 +132,50 @@ class ColumnVector:
     This is the unit that flows between query operators: operators work on
     physical numpy arrays and only convert to boundary values at the result
     set edge.
+
+    A string vector may be *dictionary-coded* (:meth:`coded`): it carries
+    ``codes`` (int64 positions) into a shared, read-only ``dictionary`` (an
+    object array, neither sorted nor distinct) and ``values`` is
+    ``dictionary[codes]``, gathered on first read and kept.  ``take`` /
+    ``filter`` / ``concat`` move the codes; every other reader sees plain
+    ``values``.  Invariants: ``0 <= codes < len(dictionary)`` (NULL slots
+    hold any valid code), ``len(nulls) == len(codes)``, and nothing writes
+    into a dictionary — the codec and other vectors share it.
     """
 
     dtype: DataType
     values: np.ndarray
     nulls: np.ndarray | None = None
 
+    # Not fields: a plain vector has neither.
+    codes = None
+    dictionary = None
+
     def __post_init__(self):
         if self.nulls is not None and not self.nulls.any():
             self.nulls = None
 
+    @classmethod
+    def coded(cls, dtype: DataType, codes, dictionary, nulls=None) -> "ColumnVector":
+        """A dictionary-coded vector; ``values`` stays unset until read."""
+        vector = cls.__new__(cls)
+        vector.dtype = dtype
+        vector.codes = codes
+        vector.dictionary = dictionary
+        vector.nulls = nulls
+        vector.__post_init__()
+        return vector
+
+    def __getattr__(self, name):
+        # Only reached while a coded vector has not gathered its values.
+        if name == "values" and self.codes is not None:
+            values = self.values = self.dictionary[self.codes]
+            return values
+        raise AttributeError(name)
+
     def __len__(self) -> int:
-        return int(self.values.size)
+        codes = self.codes
+        return int((self.values if codes is None else codes).size)
 
     @classmethod
     def from_boundary(cls, values, dt: DataType) -> "ColumnVector":
@@ -153,17 +185,18 @@ class ColumnVector:
     def to_boundary(self) -> list:
         return to_boundary(self.values, self.nulls, self.dtype)
 
-    def take(self, indices: np.ndarray) -> "ColumnVector":
-        """Gather rows by position."""
-        values = self.values[indices]
+    def take(self, indices) -> "ColumnVector":
+        """Gather rows by position (an index array, or a slice for a view)."""
         nulls = self.nulls[indices] if self.nulls is not None else None
-        return ColumnVector(self.dtype, values, nulls)
+        if self.codes is not None:
+            return ColumnVector.coded(
+                self.dtype, self.codes[indices], self.dictionary, nulls
+            )
+        return ColumnVector(self.dtype, self.values[indices], nulls)
 
     def filter(self, mask: np.ndarray) -> "ColumnVector":
         """Keep rows where mask is True."""
-        values = self.values[mask]
-        nulls = self.nulls[mask] if self.nulls is not None else None
-        return ColumnVector(self.dtype, values, nulls)
+        return self.take(mask)
 
     def null_mask(self) -> np.ndarray:
         """Boolean mask of NULL rows (materialised even when None)."""
@@ -173,16 +206,39 @@ class ColumnVector:
 
     @classmethod
     def concat(cls, vectors: list["ColumnVector"]) -> "ColumnVector":
-        """Concatenate several vectors of the same type."""
+        """Concatenate several vectors of the same type.
+
+        Coded parts that share one dictionary keep it and their codes.
+        Otherwise the dictionaries are concatenated and the codes offset,
+        a plain part (or one with more dictionary than rows) riding as the
+        dictionary of its own rows — the result never outgrows the rows.
+        """
         if not vectors:
             raise ValueError("cannot concatenate zero vectors")
         dt = vectors[0].dtype
-        values = np.concatenate([v.values for v in vectors])
         if any(v.nulls is not None for v in vectors):
             nulls = np.concatenate([v.null_mask() for v in vectors])
         else:
             nulls = None
-        return cls(dt, values, nulls)
+        shared = vectors[0].dictionary
+        if all(v.dictionary is shared for v in vectors):
+            if shared is None:
+                return cls(dt, np.concatenate([v.values for v in vectors]), nulls)
+            return cls.coded(
+                dt, np.concatenate([v.codes for v in vectors]), shared, nulls
+            )
+        dictionaries, codes, size = [], [], 0
+        for v in vectors:
+            part, dictionary = v.codes, v.dictionary
+            if part is None or dictionary.size > part.size:
+                dictionary = v.values
+                part = np.arange(dictionary.size, dtype=np.int64)
+            dictionaries.append(dictionary)
+            codes.append(part + size)
+            size += dictionary.size
+        dictionary = np.concatenate(dictionaries)
+        dictionary.flags.writeable = False
+        return cls.coded(dt, np.concatenate(codes), dictionary, nulls)
 
     def datetime_fields(self) -> np.ndarray | None:
         """For temporal columns, decode to numpy datetime64 for calculations."""

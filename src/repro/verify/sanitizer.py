@@ -319,6 +319,36 @@ def access(owner: str, fld: str, write: bool = True, site: str = "") -> None:
         san.access(owner, fld, write, site)
 
 
+class VectorInvariantError(AssertionError):
+    """A dictionary-coded vector broke a representation invariant."""
+
+
+def check_vectors(columns) -> None:
+    """Check the coded-vector invariants over a batch's columns.
+
+    Called at batch boundaries (``Batch.from_columns``) behind
+    :data:`ENABLED`.  A dictionary-coded ``ColumnVector`` must keep
+    ``0 <= codes < len(dictionary)`` (NULL slots included — they are
+    gathered too), a null mask as long as its codes, and a dictionary
+    nobody can write into, since the codec and other vectors share it.
+    Duck-typed, so this module still imports nothing of the engine.
+    """
+    for name, vector in columns.items():
+        codes = getattr(vector, "codes", None)
+        if codes is None:
+            continue
+        size = vector.dictionary.size
+        if codes.size and not (0 <= int(codes.min()) and int(codes.max()) < size):
+            problem = "code outside [0, %d)" % size
+        elif vector.nulls is not None and vector.nulls.size != codes.size:
+            problem = "%d null flags for %d codes" % (vector.nulls.size, codes.size)
+        elif vector.dictionary.flags.writeable:
+            problem = "dictionary is writeable"
+        else:
+            continue
+        raise VectorInvariantError("coded column %s: %s" % (name, problem))
+
+
 class task_span:
     """Context manager marking 'this thread is running a pool task'."""
 

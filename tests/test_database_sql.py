@@ -814,3 +814,289 @@ class TestSetOperationTypes:
                 assert cluster.last_stats.fallback_reason == "set-op", sql
         finally:
             cluster.pool.shutdown()
+
+
+# -- set operations compare rows as DISTINCT does: NULL equals NULL ---------------
+
+_NULLSET_DDL = [
+    "CREATE TABLE na (x INT, s VARCHAR(4), p DECIMAL(8,2))",
+    "CREATE TABLE nb (x INT, s VARCHAR(5), p DECIMAL(9,3))",
+]
+_NULLSET_A = [
+    (None, None, None),
+    (1, "a", Decimal("1.50")),
+    (None, "b", Decimal("2.25")),
+    (2, None, None),
+    (1, "a", Decimal("1.50")),
+    (5, "only", Decimal("0.25")),
+]
+_NULLSET_B = [
+    (None, None, None),
+    (1, "a", Decimal("1.500")),
+    (None, "b", Decimal("9.000")),
+    (3, None, None),
+    (2, None, Decimal("7.125")),
+    (None, None, None),
+]
+#: Column lists to run the operators over: one column of each type (with
+#: all-NULL rows), NULL in one of two columns, all three.
+_NULLSET_COLUMNS = ["x", "s", "p", "x, s", "s, p", "x, s, p"]
+
+
+def _sql_tuple(row):
+    return "(%s)" % ", ".join(
+        "NULL" if v is None else repr(v) if isinstance(v, str) else str(v) for v in row
+    )
+
+
+def _nullset_session(make=Database, suffix=""):
+    session = make().connect("db2")
+    for ddl, rows in zip(_NULLSET_DDL, (_NULLSET_A, _NULLSET_B)):
+        session.execute(ddl + suffix)
+        session.execute(
+            "INSERT INTO %s VALUES %s" % (ddl.split()[2], ", ".join(map(_sql_tuple, rows)))
+        )
+    return session
+
+
+def _nullset_cases():
+    """``(sql, expected rows)``: each column list x INTERSECT / EXCEPT x
+    both operand orders, expectations from Python sets of tuples (where
+    None == None, as in DISTINCT) with P at the common scale 3."""
+    to3 = _as_decimal(3)
+    index = {"x": 0, "s": 1, "p": 2}
+    for columns in _NULLSET_COLUMNS:
+        picks = [index[c.strip()] for c in columns.split(",")]
+
+        def project(rows):
+            return {
+                tuple(to3(row[i]) if i == 2 else row[i] for i in picks) for row in rows
+            }
+
+        sides = {"na": project(_NULLSET_A), "nb": project(_NULLSET_B)}
+        for first, second in (("na", "nb"), ("nb", "na")):
+            for op, combine in (("INTERSECT", set.__and__), ("EXCEPT", set.__sub__)):
+                sql = "SELECT %s FROM %s %s SELECT %s FROM %s" % (
+                    columns, first, op, columns, second,
+                )
+                yield sql, combine(sides[first], sides[second])
+
+
+def _row_order(row):
+    return tuple(_null_first(v) for v in row)
+
+
+class TestSetOperationNulls:
+    """INTERSECT / EXCEPT plan as semi / anti joins; their keys must treat
+    NULL as a value, where an ordinary join's NULL never matches."""
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        return _nullset_session()
+
+    def test_reported_case(self, s):
+        s.execute("CREATE TABLE ra2 (x INT)")
+        s.execute("CREATE TABLE rb2 (x INT)")
+        s.execute("INSERT INTO ra2 VALUES (NULL), (1)")
+        s.execute("INSERT INTO rb2 VALUES (NULL), (1)")
+        rows = s.execute("SELECT x FROM ra2 INTERSECT SELECT x FROM rb2").rows
+        assert sorted(rows, key=_row_order) == [(None,), (1,)]
+        assert s.execute("SELECT x FROM ra2 EXCEPT SELECT x FROM rb2").rows == []
+
+    @pytest.mark.parametrize("columns", _NULLSET_COLUMNS)
+    def test_null_equals_null_in_every_column_shape(self, s, columns):
+        ran = 0
+        for sql, want in _nullset_cases():
+            if not sql.startswith("SELECT %s FROM" % columns):
+                continue
+            got = s.execute(sql).rows
+            assert len(got) == len(set(got)), sql  # distinct output
+            assert _exact(sorted(got, key=_row_order)) == _exact(
+                sorted(want, key=_row_order)
+            ), sql
+            ran += 1
+        assert ran == 4
+
+    def test_ordinary_joins_still_never_match_null(self, s):
+        assert s.execute(
+            "SELECT COUNT(*) FROM na, nb WHERE na.x = nb.x"
+        ).scalar() == 3  # (1, 1) twice and (2, 2); no NULL pairs
+        assert s.execute(
+            "SELECT COUNT(*) FROM na WHERE x IN (SELECT x FROM nb)"
+        ).scalar() == 3
+        assert s.execute(
+            "SELECT COUNT(*) FROM na JOIN nb ON na.s = nb.s AND na.x = nb.x"
+        ).scalar() == 2  # ('a', 1) twice; (NULL, 'b') pairs do not match
+
+    def test_int_keys_without_nulls_keep_the_direct_probe(self, s):
+        sql = "SELECT x FROM na WHERE x IS NOT NULL INTERSECT SELECT x FROM nb WHERE x > 0"
+        lines = [r[0] for r in s.execute("EXPLAIN ANALYZE " + sql).rows]
+        assert any("HashJoinOp [semi]" in line and "[path=direct]" in line for line in lines)
+        assert sorted(s.execute(sql).rows) == [(1,), (2,)]
+
+    def test_clean_under_plan_verification(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
+        verified = _nullset_session()
+        for sql, want in _nullset_cases():
+            assert len(verified.execute(sql).rows) == len(want), sql
+
+    def test_cluster_equals_single_node(self, s):
+        from repro.cluster import Cluster, HardwareSpec
+
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        try:
+            assert len(cluster.shards) == 4
+            cs = _nullset_session(lambda: cluster, " DISTRIBUTE BY HASH (x)")
+            for sql, want in _nullset_cases():
+                got = sorted(cs.execute(sql).rows, key=_row_order)
+                assert _exact(got) == _exact(sorted(want, key=_row_order)), sql
+                assert cluster.last_stats.fallback_reason == "set-op", sql
+        finally:
+            cluster.pool.shutdown()
+
+
+# -- COALESCE / CASE / NULLIF over DECIMALs of different scale -------------------
+
+_SCALE_DDL = "CREATE TABLE sc (id INT, p DECIMAL(8,2), q DECIMAL(9,3), i INT)"
+_SCALE_ROWS = [
+    (1, None, Decimal("0.150"), 4),
+    (2, Decimal("1.50"), Decimal("2.250"), None),
+    (3, Decimal("2.25"), None, 2),
+    (4, None, None, None),
+    (5, Decimal("3.10"), Decimal("3.100"), 3),
+    (6, Decimal("4.00"), Decimal("4.000"), 4),
+    (7, Decimal("-0.75"), Decimal("-0.755"), -1),
+]
+
+
+def _first(*values):
+    return next((v for v in values if v is not None), None)
+
+
+def _unless_equal(a, b):
+    return None if a is not None and b is not None and a == b else a
+
+
+#: ``SQL expression -> (result scale or None for INT, Python over (p, q, i))``.
+#: Scale up (P into Q's type), scale down never happens to a value — the
+#: result takes the larger scale — INT mixed in, NULL first arm, both orders.
+_SCALE_EXPRESSIONS = {
+    "COALESCE(p, q)": (3, lambda p, q, i: _first(p, q)),
+    "COALESCE(q, p)": (3, lambda p, q, i: _first(q, p)),
+    "COALESCE(p, i)": (2, lambda p, q, i: _first(p, i)),
+    "COALESCE(i, q)": (3, lambda p, q, i: _first(i, q)),
+    "COALESCE(1.50, q)": (3, lambda p, q, i: Decimal("1.50")),
+    "COALESCE(q, 1.5)": (3, lambda p, q, i: _first(q, Decimal("1.5"))),
+    "COALESCE(NULL, p, q)": (3, lambda p, q, i: _first(p, q)),
+    "COALESCE(p, q, i)": (3, lambda p, q, i: _first(p, q, i)),
+    "CASE WHEN p IS NULL THEN q ELSE p END": (3, lambda p, q, i: q if p is None else p),
+    "CASE WHEN i > 2 THEN p ELSE q END": (
+        3, lambda p, q, i: p if i is not None and i > 2 else q),
+    "CASE WHEN i > 2 THEN q WHEN i > 0 THEN p END": (
+        3, lambda p, q, i: None if i is None else q if i > 2 else p if i > 0 else None),
+    "CASE WHEN q IS NULL THEN i ELSE p END": (2, lambda p, q, i: i if q is None else p),
+    "CASE WHEN id > 3 THEN NULL ELSE q END": (3, lambda p, q, i: q),  # id applied below
+    "NULLIF(p, q)": (2, lambda p, q, i: _unless_equal(p, q)),
+    "NULLIF(q, p)": (3, lambda p, q, i: _unless_equal(q, p)),
+    "NULLIF(p, i)": (2, lambda p, q, i: _unless_equal(p, i)),
+    "NULLIF(i, p)": (None, lambda p, q, i: _unless_equal(i, p)),
+    "NULLIF(q, 2.25)": (3, lambda p, q, i: _unless_equal(q, Decimal("2.25"))),
+}
+
+
+def _scale_expected(expression):
+    scale, reference = _SCALE_EXPRESSIONS[expression]
+    convert = _as_decimal(scale) if scale is not None else (lambda v: v)
+    out = []
+    for row_id, p, q, i in _SCALE_ROWS:
+        value = reference(p, q, i)
+        if expression.startswith("CASE WHEN id > 3") and row_id > 3:
+            value = None
+        out.append((row_id, convert(value)))
+    return out
+
+
+def _scale_session(make=Database, dialect="db2", suffix="", session=None):
+    session = session or make().connect(dialect)
+    session.execute(_SCALE_DDL + suffix)
+    session.execute("INSERT INTO sc VALUES " + ", ".join(map(_sql_tuple, _SCALE_ROWS)))
+    return session
+
+
+class TestDecimalScaleAlignment:
+    """Arms of different DECIMAL scale reach one type by a real rescale —
+    answers against Python ``Decimal``, type- and scale-exact."""
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        return _scale_session()
+
+    def test_reported_cases(self, s):
+        s.execute("CREATE TABLE t2 (p DECIMAL(8,2), q DECIMAL(9,3))")
+        s.execute("INSERT INTO t2 VALUES (NULL, 0.150), (1.50, 2.250)")
+        d = Decimal
+        assert _exact(_column(s.execute("SELECT COALESCE(p, q) FROM t2").rows, 0)) == _exact(
+            [d("0.150"), d("1.500")]
+        )
+        assert _exact(_column(s.execute("SELECT COALESCE(1.50, q) FROM t2").rows, 0)) == _exact(
+            [d("1.500"), d("1.500")]
+        )
+
+    @pytest.mark.parametrize("expression", sorted(_SCALE_EXPRESSIONS))
+    def test_expression_equals_python_decimal(self, s, expression):
+        sql = "SELECT id, %s FROM sc ORDER BY id" % expression
+        assert _exact(s.execute(sql).rows) == _exact(_scale_expected(expression)), sql
+
+    def test_vector_and_row_engines_agree(self, s):
+        from repro.baselines.rowdb import RowDatabase
+
+        rowdb = _scale_session(session=RowDatabase())  # eval_row, not eval
+        for expression in sorted(_SCALE_EXPRESSIONS):
+            sql = "SELECT id, %s FROM sc ORDER BY 1" % expression
+            assert _exact(rowdb.execute(sql).rows) == _exact(_scale_expected(expression)), sql
+
+    def test_nvl_under_the_oracle_dialect(self):
+        oracle = _scale_session(dialect="oracle")
+        for arms, twin in (("p, q", "COALESCE(p, q)"), ("q, p", "COALESCE(q, p)"),
+                           ("p, i", "COALESCE(p, i)"), ("i, q", "COALESCE(i, q)")):
+            sql = "SELECT id, NVL(%s) FROM sc ORDER BY id" % arms
+            assert _exact(oracle.execute(sql).rows) == _exact(_scale_expected(twin)), sql
+        sql = "SELECT id, NVL2(i, p, q) FROM sc ORDER BY id"
+        want = [
+            (row_id, _as_decimal(3)(q if i is None else p))
+            for row_id, p, q, i in _SCALE_ROWS
+        ]
+        assert _exact(oracle.execute(sql).rows) == _exact(want), sql
+
+    def test_group_by_and_where_see_the_rescaled_value(self, s):
+        rows = s.execute(
+            "SELECT COALESCE(p, q) AS v, COUNT(*) FROM sc GROUP BY COALESCE(p, q) ORDER BY 1"
+        ).rows
+        values = [v for _, v in _scale_expected("COALESCE(p, q)")]
+        want = sorted(
+            {(v, values.count(v)) for v in values}, key=lambda r: (r[0] is not None, r[0])
+        )
+        # DB2 default: NULLs sort last ascending.
+        want = [r for r in want if r[0] is not None] + [r for r in want if r[0] is None]
+        assert _exact(rows) == _exact(want)
+        assert s.execute("SELECT id FROM sc WHERE COALESCE(p, q) = 0.15").rows == [(1,)]
+
+    def test_clean_under_plan_verification(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
+        verified = _scale_session()
+        for expression in sorted(_SCALE_EXPRESSIONS):
+            sql = "SELECT id, %s FROM sc ORDER BY id" % expression
+            assert _exact(verified.execute(sql).rows) == _exact(_scale_expected(expression))
+
+    def test_cluster_equals_python_decimal(self):
+        from repro.cluster import Cluster, HardwareSpec
+
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        try:
+            assert len(cluster.shards) == 4
+            cs = _scale_session(lambda: cluster, suffix=" DISTRIBUTE BY HASH (id)")
+            for expression in sorted(_SCALE_EXPRESSIONS):
+                sql = "SELECT id, %s FROM sc ORDER BY id" % expression
+                assert _exact(cs.execute(sql).rows) == _exact(_scale_expected(expression)), sql
+        finally:
+            cluster.pool.shutdown()

@@ -681,3 +681,159 @@ def test_serving_cache_differential_oracle_under_churn():
     assert stats.invalidations > 0, "churn never invalidated an entry"
     assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1200 + 120
     gateway.close()
+
+
+# -- string keys stay codes: regions with different dictionaries, tail, churn -----
+
+_STR_FACT = "CREATE TABLE f (id INT, k INT, s VARCHAR(8), g VARCHAR(4), v INT)"
+_STR_DIM = "CREATE TABLE d (k INT, name VARCHAR(8), cat VARCHAR(4))"
+
+_STR_QUERIES = [
+    "SELECT s, COUNT(*), SUM(v) FROM f GROUP BY s",
+    "SELECT g, s, COUNT(*) FROM f GROUP BY g, s",
+    "SELECT d.cat, COUNT(*), SUM(f.v) FROM f, d WHERE f.k = d.k GROUP BY d.cat",
+    "SELECT d.cat, f.g, COUNT(*) FROM f, d WHERE f.k = d.k GROUP BY d.cat, f.g",
+    "SELECT d.name, f.s, MAX(f.v) FROM f JOIN d ON f.k = d.k WHERE f.v < 7 "
+    "GROUP BY d.name, f.s",
+    "SELECT d.cat, COUNT(f.id), MIN(f.s), MAX(f.s) FROM d LEFT JOIN f ON f.k = d.k "
+    "GROUP BY d.cat",
+    "SELECT CASE WHEN v < 3 THEN s WHEN v < 6 THEN 'mid' ELSE g END AS x, COUNT(*) "
+    "FROM f GROUP BY 1",
+    "SELECT UPPER(s), COUNT(*) FROM f GROUP BY UPPER(s)",
+    "SELECT CAST(g AS VARCHAR(2)), COUNT(*) FROM f GROUP BY CAST(g AS VARCHAR(2))",
+    "SELECT DISTINCT s FROM f",
+    "SELECT DISTINCT d.cat, f.g FROM f, d WHERE f.k = d.k",
+    "SELECT COUNT(DISTINCT s), MIN(s), MAX(g) FROM f",
+    "SELECT s FROM f WHERE v = 2 UNION SELECT name FROM d",
+    "SELECT s FROM f INTERSECT SELECT s FROM f WHERE v > 4",
+]
+
+_STR_NO_ROW_ORACLE = {
+    sql for sql in _STR_QUERIES
+    if any(word in sql for word in ("LEFT JOIN", " UNION ", " INTERSECT "))
+}
+
+#: Fully ordered (every output column is a sort key), so the sequence itself
+#: must agree, NULL placement included.
+_STR_ORDERED = [
+    "SELECT f.s, d.name, f.id FROM f, d WHERE f.k = d.k AND f.v < 4 "
+    "ORDER BY 1, 2 DESC, 3",
+    "SELECT g, s, COUNT(*) AS n FROM f GROUP BY g, s ORDER BY 1 DESC, 2",
+]
+
+
+def _string_rows():
+    """320 fact rows in five 64-row chunks, one per region at
+    ``region_rows=64``: each chunk draws ``s`` from its own value set (so
+    the region dictionaries differ and overlap only in 'shared'), chunk 2
+    is all NULL in ``s``, and ``g`` is NULL here and there throughout."""
+    rng = derive_rng(19, "diff-strings")
+    rows = []
+    for i in range(320):
+        chunk = i // 64
+        if chunk == 2:
+            s = "NULL"
+        else:
+            s = "'%s'" % rng.choice(["shared", "", "c%d_a" % chunk, "c%d_b" % chunk])
+        g = "NULL" if rng.random() < 0.1 else "'g%d'" % rng.integers(0, 4)
+        rows.append("(%d, %d, %s, %s, %d)" % (i, rng.integers(0, 12), s, g, rng.integers(0, 10)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def string_engines():
+    """Row store, serial, DOP 4 and a 4-shard cluster over the same rows:
+    sealed regions with differing dictionaries, then an unsealed tail."""
+    from repro.cluster import Cluster, HardwareSpec
+
+    serial_db = Database(region_rows=64)
+    par_db = Database(parallelism=4, morsel_rows=37, region_rows=64)
+    cluster = Cluster([HardwareSpec(cores=2, ram_gb=8, storage_tb=1)] * 4)
+    systems = {
+        "row": RowDatabase(),
+        "serial": serial_db.connect("db2"),
+        "dop4": par_db.connect("db2"),
+        "cluster": cluster.connect("db2"),
+    }
+    rows = _string_rows()
+    dims = ", ".join(
+        "(%d, 'n%d', %s)" % (k, k % 5, "NULL" if k == 7 else "'c%d'" % (k % 3))
+        for k in range(10)  # fact k = 10, 11 match no dimension row
+    )
+    for name, system in systems.items():
+        distribute = " DISTRIBUTE BY HASH (id)" if name == "cluster" else ""
+        system.execute(_STR_FACT + distribute)
+        system.execute(
+            _STR_DIM + (" DISTRIBUTE BY REPLICATION" if name == "cluster" else "")
+        )
+        system.execute("INSERT INTO d VALUES " + dims)
+        for start in range(0, 320, 64):
+            system.execute("INSERT INTO f VALUES " + ", ".join(rows[start : start + 64]))
+    flush_tables(serial_db)
+    flush_tables(par_db)
+    tail = [
+        "(%d, %d, %s, 'g9', %d)" % (1000 + i, i % 12, ("'t%d'" % (i % 3), "NULL")[i % 7 == 0], i % 10)
+        for i in range(20)
+    ]
+    for system in systems.values():
+        system.execute("INSERT INTO f VALUES " + ", ".join(tail))
+    yield systems, serial_db, par_db
+    par_db.pool.shutdown()
+    cluster.pool.shutdown()
+
+
+def _assert_string_queries_agree(systems, context):
+    for sql in _STR_QUERIES:
+        # The row store has no outer joins or set operations; there the
+        # serial engine is the reference for DOP 4 and the cluster.
+        oracle = "serial" if sql in _STR_NO_ROW_ORACLE else "row"
+        expected = _normalise(systems[oracle].execute(sql).rows)
+        for name in ("serial", "dop4", "cluster"):
+            got = _normalise(systems[name].execute(sql).rows)
+            assert got == expected, "%s disagrees with %s (%s): %s" % (
+                name, oracle, context, sql,
+            )
+    for sql in _STR_ORDERED:
+        expected = systems["serial"].execute(sql).rows
+        assert _normalise(expected) == _normalise(systems["row"].execute(sql).rows), sql
+        for name in ("dop4", "cluster"):
+            assert systems[name].execute(sql).rows == expected, (name, context, sql)
+
+
+def test_string_keys_agree_across_regions_tail_and_engines(string_engines):
+    systems, serial_db, par_db = string_engines
+    table = serial_db.catalog.get_table("F").table
+    assert len(table.regions) == 5 and table.tail_rows == 20
+    dictionaries = [
+        set(region.columns["S"].codec.dictionary.tolist()) for region in table.regions
+    ]
+    assert dictionaries[0] != dictionaries[1] and dictionaries[2] == {""}  # all NULL
+    _assert_string_queries_agree(systems, "loaded")
+    assert par_db.pool.runs_total > 0
+
+
+def test_string_keys_agree_while_a_writer_updates_the_string_column(string_engines):
+    """Visibility masks cut codes exactly as they cut values: a snapshot
+    pinned before the updates keeps its answers; every engine sees each
+    committed update, whose new version lands in the unsealed tail."""
+    from repro.sql.parser import parse_statement
+
+    systems, serial_db, par_db = string_engines
+    pins = [(db, db.txn.snapshot()) for db in (serial_db, par_db)]
+
+    def pinned():
+        return [
+            _normalise(db.execute_ast(parse_statement(sql), snapshot=snap).rows)
+            for db, snap in pins
+            for sql in _STR_QUERIES
+        ]
+
+    baseline = pinned()
+    updates = [
+        "UPDATE f SET s = 'w%d' WHERE id = %d" % (i % 2, 13 * i) for i in range(1, 9)
+    ] + ["UPDATE f SET s = NULL WHERE v = 9", "UPDATE f SET g = 'gx' WHERE s IS NULL"]
+    for statement in updates:
+        for system in systems.values():
+            system.execute(statement)
+        _assert_string_queries_agree(systems, statement)
+        assert pinned() == baseline, "pinned snapshot drifted after: %s" % statement

@@ -386,6 +386,29 @@ class TestPhysicalAlignmentInternals:
         assert result.scale == 2
         assert result.precision == 31
 
+    def test_decimal_with_integer_treats_the_integer_as_scale_zero(self):
+        # constant@src/repro/engine/expression.py:798:70 survived: an
+        # INTEGER operand counted as scale 1 gives DECIMAL * INTEGER one
+        # fractional digit too many (1.50 * 2 would read 0.300).
+        hundredths = decimal_type(8, 2)
+        product = make_arith("*", Literal(150, hundredths), Literal(2, INTEGER))
+        assert product.dtype.scale == 2
+        assert product.eval(Batch(columns={}, n=1)).values.tolist() == [300]
+        expr = make_arith("+", Literal(150, hundredths), Literal(2, INTEGER))
+        assert expr.dtype.scale == 2
+        assert expr.eval(Batch(columns={}, n=1)).values.tolist() == [350]
+        assert expr.eval_row({}) == 350
+        flipped = make_arith("-", Literal(2, INTEGER), Literal(150, hundredths))
+        assert flipped.eval(Batch(columns={}, n=1)).values.tolist() == [50]
+
+    def test_like_escape_character_at_the_end_of_the_pattern_is_literal(self):
+        # boundary@src/repro/engine/expression.py:511:39 survived: with the
+        # bound relaxed a trailing escape character reads one past the
+        # pattern's end instead of matching itself.
+        like = Like(col("s", varchar_type(4)), "a!", escape="!")
+        assert like.eval_row({"s": "a!"}) == 1
+        assert like.eval_row({"s": "a"}) == 0
+
 
 class TestVectorisedBoundaryCast:
     """The boundary path of ``_cast_physical`` converts each distinct raw

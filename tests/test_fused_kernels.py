@@ -296,12 +296,19 @@ def _reference_group_ids(key_pairs):
     return inverse.reshape(-1).astype(np.int64), first_index, first_index.size
 
 
+_KEY_TYPES = {np.dtype(np.int64): BIGINT, np.dtype(object): varchar_type(),
+              np.dtype(np.float64): DOUBLE}
+
+
 def _assert_group_coding_matches_reference(key_pairs):
-    ids, key_cols, k = fused.group_codes(key_pairs)
+    ids, key_cols, k = fused.group_codes(
+        [ColumnVector(_KEY_TYPES[v.dtype], v, m) for v, m in key_pairs]
+    )
     ref_ids, first, ref_k = _reference_group_ids(key_pairs)
     assert k == ref_k
     assert ids.dtype == np.int64 and ids.tolist() == ref_ids.tolist()
-    for (values, nulls), (group_values, group_nulls) in zip(key_pairs, key_cols):
+    for (values, nulls), group in zip(key_pairs, key_cols):
+        group_values, group_nulls = group.values, group.nulls
         expected_nulls = (
             np.zeros(k, dtype=bool) if nulls is None else nulls[first]
         )
@@ -368,7 +375,9 @@ def test_group_codes_match_unique_reference_on_radix_overflow():
         for v, m in pairs
     ]
     _assert_group_coding_matches_reference(doubled)
-    assert fused.group_codes(doubled)[2] == 600
+    assert fused.group_codes(
+        [ColumnVector(BIGINT, v, m) for v, m in doubled]
+    )[2] == 600
 
 
 # -- MIN / MAX scatter vs a row loop ----------------------------------------------

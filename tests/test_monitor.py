@@ -328,6 +328,64 @@ class TestExplainAnalyze:
         ]
         assert join_span.attrs["stats"].path == "direct"
 
+    def test_group_line_names_the_key_coding_and_monreport_counts_it(self):
+        """The e2e ``analytics`` shapes group on dictionary codes once the
+        tables are flushed; a later change that silently re-materialises
+        string keys fails here, not in a benchmark."""
+        from repro.workloads.tpcds import flush_tables
+
+        db = Database(tracer=Tracer())
+        session = db.connect()
+        session.execute("CREATE TABLE FACT (ID INT, ACCT INT, INST INT, VENUE VARCHAR(6), PRICE DECIMAL(8,2))")
+        session.execute("CREATE TABLE ACCT (ACCT INT, BRANCH VARCHAR(8))")
+        session.execute("CREATE TABLE INST (INST INT, CLASS VARCHAR(8))")
+        session.execute("INSERT INTO ACCT VALUES " + ", ".join(
+            "(%d, 'br%d')" % (i, i % 4) for i in range(12)))
+        session.execute("INSERT INTO INST VALUES " + ", ".join(
+            "(%d, 'cl%d')" % (i, i % 3) for i in range(8)))
+        session.execute("INSERT INTO FACT VALUES " + ", ".join(
+            "(%d, %d, %d, 'v%d', %d.25)" % (i, i % 12, i % 8, i % 5, i % 90)
+            for i in range(400)))
+        shapes = {
+            "one FK join": "SELECT I.CLASS, COUNT(*) FROM FACT F, INST I"
+                           " WHERE F.INST = I.INST GROUP BY I.CLASS",
+            "two FK joins": "SELECT A.BRANCH, I.CLASS, SUM(F.PRICE) FROM FACT F, ACCT A, INST I"
+                            " WHERE F.ACCT = A.ACCT AND F.INST = I.INST GROUP BY A.BRANCH, I.CLASS",
+            "literal CASE": "SELECT CASE WHEN PRICE < 20 THEN 'budget' WHEN PRICE < 70 THEN 'core'"
+                            " ELSE 'premium' END AS BAND, COUNT(*) FROM FACT GROUP BY 1",
+            "fact string": "SELECT VENUE, COUNT(*) FROM FACT GROUP BY VENUE",
+        }
+
+        def group_line(sql):
+            lines = [r[0] for r in session.execute("EXPLAIN ANALYZE " + sql).rows]
+            (line,) = [l for l in lines if "GroupByOp" in l]
+            assert not any("keys=" in l for l in lines if "GroupByOp" not in l)
+            return line
+
+        # Unsealed: the tail hands out plain vectors, and says so.
+        line = group_line(shapes["fact string"])
+        assert line.endswith("[keys=rows plain-input]"), line
+        flush_tables(db)
+        for name, sql in shapes.items():
+            assert group_line(sql).endswith("[keys=dictionary]"), (name, group_line(sql))
+        # An int key beside a string key: one coded by rows, one not.
+        line = group_line("SELECT ACCT, VENUE, COUNT(*) FROM FACT GROUP BY ACCT, VENUE")
+        assert line.endswith("[keys=mixed plain-input]"), line
+        # More dictionary than rows after a selective filter.
+        line = group_line("SELECT VENUE, COUNT(*) FROM FACT WHERE ID < 3 GROUP BY VENUE")
+        assert line.endswith("[keys=rows dictionary-larger-than-span]"), line
+        assert "keys=" not in group_line("SELECT COUNT(*) FROM FACT")  # no keys
+        metrics = db.monreport()["metrics"]
+        assert metrics["engine.group.keys_dictionary"] == 4
+        assert metrics["engine.group.keys_rows"] == 3
+        session.execute(shapes["two FK joins"])
+        (group_span,) = [
+            s for s in db.tracer.find("statement")[-1].walk()
+            if s.name == "operator:GroupByOp"
+        ]
+        assert group_span.attrs["stats"].key_coding == "dictionary"
+        assert group_span.attrs["stats"].key_reasons == ()
+
     def test_works_without_a_tracer(self):
         db = Database()
         session = db.connect()

@@ -279,7 +279,7 @@ def _merged_spans(values, morsel_rows):
 
     partials = [
         fused._reduce_span(
-            stop - start, [cut(keys, start, stop)], [cut(args, start, stop)], kinds
+            stop - start, [keys.take(slice(start, stop))], [cut(args, start, stop)], kinds
         )
         for start, stop in morsel_ranges(len(values), morsel_rows)
     ]

@@ -306,3 +306,81 @@ class TestEngineIntegration:
             assert ("database:%s.statement_count" % db.name) in stats["states"]
         finally:
             db.pool.shutdown()
+
+
+class TestCodedVectorInvariants:
+    """Batch boundaries check the dictionary-coded representation."""
+
+    @staticmethod
+    def _vector(codes, entries, nulls=None, frozen=True):
+        import numpy as np
+
+        from repro.storage.column import ColumnVector
+        from repro.types import varchar_type
+
+        dictionary = np.empty(len(entries), dtype=object)
+        dictionary[:] = entries
+        dictionary.flags.writeable = not frozen
+        return ColumnVector.coded(
+            varchar_type(4), np.asarray(codes, dtype=np.int64), dictionary, nulls
+        )
+
+    def test_corrupted_vectors_are_caught_at_the_batch_boundary(self):
+        import numpy as np
+
+        from repro.engine.expression import Batch
+
+        good = self._vector([0, 1, 1], ["a", "b"])
+        assert Batch.from_columns({"S": good}).n == 3
+        corrupt = {
+            "code outside [0, 2)": self._vector([0, 2, 1], ["a", "b"]),
+            "code outside [0, 2) ": self._vector([0, -1, 1], ["a", "b"]),
+            "2 null flags for 3 codes": self._vector(
+                [0, 1, 1], ["a", "b"], np.array([True, False])),
+            "dictionary is writeable": self._vector([0, 1, 1], ["a", "b"], frozen=False),
+        }
+        for problem, vector in corrupt.items():
+            with pytest.raises(sanitizer.VectorInvariantError) as caught:
+                Batch.from_columns({"S": vector})
+            assert str(caught.value) == "coded column S: " + problem.strip()
+        # A code under a NULL slot is gathered too: it must be in range.
+        with pytest.raises(sanitizer.VectorInvariantError):
+            Batch.from_columns(
+                {"S": self._vector([0, 9], ["a"], np.array([False, True]))}
+            )
+
+    def test_disabled_sanitizer_checks_nothing(self):
+        from repro.engine.expression import Batch
+
+        sanitizer.disable()
+        assert Batch.from_columns({"S": self._vector([0, 5], ["a"])}).n == 2
+
+    def test_engine_vectors_hold_the_invariants(self):
+        """Scan, join, CASE, CAST, concat and group-by over sealed regions
+        plus a tail, all through checked batch boundaries."""
+        from repro.database import Database
+        from repro.workloads.tpcds import flush_tables
+
+        db = Database(region_rows=32)
+        session = db.connect("db2")
+        session.execute("CREATE TABLE f (k INT, s VARCHAR(6), v INT)")
+        session.execute("CREATE TABLE d (k INT, name VARCHAR(6))")
+        session.execute("INSERT INTO d VALUES " + ", ".join(
+            "(%d, 'n%d')" % (i, i % 3) for i in range(6)))
+        rows = ", ".join(
+            "(%d, %s, %d)" % (i % 7, "NULL" if i % 9 == 0 else "'s%d'" % (i % 5 + i // 32), i)
+            for i in range(100)
+        )
+        session.execute("INSERT INTO f VALUES " + rows)
+        flush_tables(db)
+        session.execute("INSERT INTO f VALUES (1, 'tail', 7), (2, NULL, 8)")
+        for sql in (
+            "SELECT s, COUNT(*) FROM f GROUP BY s",
+            "SELECT d.name, f.s, COUNT(*) FROM f LEFT JOIN d ON f.k = d.k GROUP BY d.name, f.s",
+            "SELECT CASE WHEN v < 30 THEN s WHEN v < 60 THEN 'mid' END AS x, COUNT(*)"
+            " FROM f GROUP BY 1",
+            "SELECT CAST(s AS VARCHAR(2)), COUNT(*) FROM f WHERE v > 90 GROUP BY CAST(s AS VARCHAR(2))",
+            "SELECT DISTINCT s FROM f ORDER BY 1",
+            "SELECT s FROM f WHERE v < 5 UNION ALL SELECT name FROM d",
+        ):
+            assert session.execute(sql).rows
