@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.catalog.sequence import Sequence
 from repro.errors import DuplicateObjectError, UnknownObjectError
 from repro.storage.table import ColumnTable, TableSchema
+from repro.verify.sanitizer import protocol_access
 
 DEFAULT_SCHEMA = "PUBLIC"
 
@@ -65,6 +66,11 @@ class Catalog:
     def __init__(self):
         self._schemas: dict[str, dict[str, object]] = {DEFAULT_SCHEMA: {}}
         self._sequences: dict[str, Sequence] = {}
+        #: (schema, name) -> DDL stamp: bumped whenever that name is
+        #: created, replaced or dropped.  A cached plan records the stamps
+        #: of the names it resolved and is stale once one has moved; DML
+        #: never moves them.
+        self._stamps: dict[tuple[str, str], int] = {}
 
     # -- schemas ---------------------------------------------------------------
 
@@ -80,7 +86,8 @@ class Catalog:
             raise UnknownObjectError("cannot drop the default schema")
         if key not in self._schemas:
             raise UnknownObjectError("no schema %s" % key)
-        del self._schemas[key]
+        for name in self._schemas.pop(key):
+            self._touch(key, name)
 
     def schema_names(self) -> list[str]:
         return sorted(self._schemas)
@@ -101,19 +108,43 @@ class Catalog:
                 "object %s already exists in schema %s"
                 % (key, (schema or DEFAULT_SCHEMA).upper())
             )
+        protocol_access("catalog:object", key, site="Catalog._put")
         container[key] = obj
+        self._touch(schema, key)
 
-    def resolve(self, name: str, schema: str | None = None):
-        """Look up any object, following aliases."""
+    def _touch(self, schema: str | None, key: str) -> None:
+        """Move a name's DDL stamp — *after* the change it announces, so a
+        reader that saw the old stamp can only pair it with the old object
+        or be caught by the new stamp (see :meth:`resolve`)."""
+        stamp_key = ((schema or DEFAULT_SCHEMA).upper(), key)
+        protocol_access("catalog:stamp", key, site="Catalog._touch")
+        self._stamps[stamp_key] = self._stamps.get(stamp_key, 0) + 1
+
+    def stamp(self, stamp_key: tuple[str, str]) -> int:
+        """Current DDL stamp of ``(schema, name)`` (0: never defined)."""
+        protocol_access("catalog:stamp", stamp_key[1], False, "Catalog.stamp")
+        return self._stamps.get(stamp_key, 0)
+
+    def resolve(self, name: str, schema: str | None = None, seen: dict | None = None):
+        """Look up any object, following aliases.
+
+        *seen*, when given, collects ``(schema, name) -> stamp`` for every
+        name the lookup went through, each stamp read *before* its object."""
         container = self._schema(schema)
-        obj = container.get(name.upper())
+        key = name.upper()
+        if seen is not None:
+            stamp_key = ((schema or DEFAULT_SCHEMA).upper(), key)
+            protocol_access("catalog:stamp", key, False, "Catalog.resolve")
+            seen[stamp_key] = self._stamps.get(stamp_key, 0)
+            protocol_access("catalog:object", key, False, "Catalog.resolve")
+        obj = container.get(key)
         if obj is None:
             raise UnknownObjectError(
                 "object %s not found in schema %s"
                 % (name.upper(), (schema or DEFAULT_SCHEMA).upper())
             )
         if isinstance(obj, AliasInfo):
-            return self.resolve(obj.target, schema)
+            return self.resolve(obj.target, schema, seen)
         return obj
 
     def try_resolve(self, name: str, schema: str | None = None):
@@ -127,7 +158,10 @@ class Catalog:
         key = name.upper()
         if key not in container:
             raise UnknownObjectError("object %s not found" % key)
-        return container.pop(key)
+        protocol_access("catalog:object", key, site="Catalog.drop")
+        obj = container.pop(key)
+        self._touch(schema, key)
+        return obj
 
     def objects(self, schema: str | None = None) -> list[str]:
         return sorted(self._schema(schema))

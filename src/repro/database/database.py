@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.bufferpool import BufferPool, make_policy
 from repro.catalog.catalog import Catalog, NicknameInfo, TableInfo, ViewInfo
+from repro.database.plancache import PlanCache
 from repro.database.result import Result, result_from_batch, vectors_from_batch
 from repro.database.session import Session
 from repro.engine.expression import Batch, selection_mask
@@ -39,8 +40,9 @@ from repro.monitor.report import database_report
 from repro.monitor.tracer import NULL_TRACER, Tracer
 from repro.mvcc.txn import Snapshot, TxnManager
 from repro.parallel import WorkerPool
+from repro.serving.normalize import StatementKey, statement_key
 from repro.sql import ast
-from repro.sql.binder import ExpressionBinder, Scope, ScopeColumn
+from repro.sql.binder import ExpressionBinder, LiteralSlots, Scope, ScopeColumn
 from repro.sql.dialects import get_dialect, resolve_type
 from repro.sql.parser import parse_statement, parse_statements
 from repro.sql.planner import PlannedQuery, SelectPlanner
@@ -168,19 +170,18 @@ class Database:
         self._global_version = 0
         self._write_epoch = 0
         self._commit_listeners: list = []
-        #: Optional prepared-statement cache (``repro.serving.cache.PlanCache``):
-        #: when attached, ``execute`` reuses parsed ASTs keyed on normalized
-        #: SQL and the planner reuses parsed view definitions.
-        self.statement_cache = None
-        # Per-thread statement state: the current write transaction, the
-        # current statement snapshot, and the scans of the most recent
-        # statement (concurrent readers must not clobber each other's
-        # byte accounting).
+        #: Planned SELECTs by statement template: every statement that
+        #: arrives as text (``Session.execute``, the serving gateway) plans
+        #: once per template and executes a per-execution copy after that.
+        self.plan_cache = PlanCache(name)
+        # Per-thread statement state: the current write transaction and the
+        # scans of the most recent statement (concurrent readers must not
+        # clobber each other's byte accounting).
         self._tls = threading.local()
 
     @property
     def last_scans(self) -> list:
-        """Scans created while planning this thread's latest statement."""
+        """Scans opened for this thread's latest statement."""
         scans = getattr(self._tls, "scans", None)
         if scans is None:
             scans = []
@@ -192,21 +193,9 @@ class Database:
         self._tls.scans = value
 
     def note_scan(self, scan) -> None:
-        """Planner callback: remember scans for per-query byte accounting."""
+        """Remember an opened scan for per-query byte accounting (what
+        :meth:`PlannedQuery.bind` calls for every scan of an execution)."""
         self.last_scans.append(scan)
-
-    def current_snapshot(self) -> Snapshot:
-        """The MVCC snapshot of the statement running on this thread.
-
-        Inside a statement this is the snapshot pinned at statement start
-        (a write transaction's own snapshot, so it sees its own earlier
-        stamps); outside any statement a fresh snapshot is taken — the
-        planner and core-API callers always get a consistent view.
-        """
-        snap = getattr(self._tls, "snapshot", None)
-        if snap is None:
-            snap = self.txn.snapshot()
-        return snap
 
     def _stmt_txn(self):
         """The write transaction of the statement on this thread (or None)."""
@@ -239,7 +228,9 @@ class Database:
             self._commit_listeners.remove(listener)
 
     def versions_token(self, tables) -> tuple[int, dict[str, int]]:
-        """Validation stamp for a cache entry reading ``tables``.
+        """Validation stamp for a cache entry reading ``tables`` (None: a
+        reading of the whole clock, for a reader that learns its tables
+        only by executing — it keeps the entries it turns out to need).
 
         Returns ``(global_version, {table: version})``.  An entry is valid
         while both the global counter and every per-table counter still
@@ -247,6 +238,8 @@ class Database:
         conservative: a commit racing the read leaves the entry immediately
         stale rather than ever stale-but-valid."""
         with self._version_lock:
+            if tables is None:
+                return self._global_version, dict(self._table_versions)
             return (
                 self._global_version,
                 {t: self._table_versions.get(t, 0) for t in tables},
@@ -357,23 +350,39 @@ class Database:
             nodes = parse_statements(sql)
         return [self._execute_node(node, session, sql=sql) for node in nodes]
 
-    def execute(self, sql: str, session: Session | None = None) -> Result:
+    def _parse(self, sql: str, tokens=None) -> ast.Node:
+        with self.tracer.span("parse", sql=sql):
+            return parse_statement(sql, tokens)
+
+    def execute(
+        self,
+        sql: str,
+        session: Session | None = None,
+        key: StatementKey | None = None,
+        snapshot: Snapshot | None = None,
+    ) -> Result:
+        """Run one statement given as text.
+
+        *key* is ``statement_key(sql)`` when the caller already has it (the
+        serving result cache does), so the text is lexed once on every
+        path.  A cacheable read (``key.bypass is None``) runs through the
+        plan cache and is parsed only when it has to be planned; *snapshot*
+        pins a read to an MVCC snapshot of the caller's choosing."""
         session = session or self.connect()
-
-        def _parse(tokens=None) -> ast.Node:
-            with self.tracer.span("parse", sql=sql):
-                return parse_statement(sql, tokens)
-
-        cache = self.statement_cache
-        if cache is not None:
-            # Prepared-statement path: reuse the parsed AST for repeated
-            # statement text.  Safe because planning/binding never mutate
-            # AST nodes in place; the cache itself declines statements
-            # whose text is not a cacheable read.
-            node = cache.statement_ast(sql, _parse)
-        else:
-            node = _parse()
-        return self._execute_node(node, session, sql=sql)
+        if key is None:
+            key = statement_key(sql)
+        tokens = key.tokens
+        if tokens is None or tokens[0].key not in ("SELECT", "WITH"):
+            # Nothing the plan cache could hold: DML, DDL, VALUES, a text
+            # that does not lex.  (A SELECT is counted where it is planned.)
+            self.plan_cache.count(key.bypass or "values")
+        elif key.bypass is None:
+            return self._read_statement(
+                "Select", session, sql, snapshot,
+                lambda snap: self._execute_select(None, session, snap, key=key, sql=sql),
+            )
+        node = self._parse(sql, tokens)
+        return self._execute_node(node, session, sql=sql, snapshot=snapshot, key=key)
 
     def execute_ast(
         self,
@@ -412,19 +421,104 @@ class Database:
         session = session or self.connect()
         return self._evaluate_rows(ast_rows, session)
 
-    def _planner(self, session: Session) -> SelectPlanner:
+    def _planner(
+        self, session: Session, snapshot: Snapshot | None = None,
+        slots: LiteralSlots | None = None,
+    ) -> SelectPlanner:
+        """A planner for one statement.  *snapshot* is what the subqueries
+        planning itself executes read; inside a write statement it defaults
+        to the transaction's own (which sees its earlier stamps)."""
+        if snapshot is None:
+            txn = self._stmt_txn()
+            snapshot = txn.snapshot if txn is not None else None
         return SelectPlanner(
             self, session.dialect, page_source=self.page_source, session=session,
             relations=getattr(self._tls, "relations", None),
+            snapshot=snapshot, on_scan=self.note_scan, slots=slots,
         )
 
+    def _bound_subselect(self, node: ast.Select, session: Session) -> PlannedQuery:
+        """The bound plan of a SELECT inside a write statement (INSERT ...
+        SELECT, CREATE TABLE AS): planned per statement, read through the
+        statement's transaction."""
+        planner = self._planner(session)
+        return planner.plan(node).open(
+            planner.scans, planner.subquery_snapshot, self.note_scan
+        )
+
+    def _bound_select(
+        self,
+        node: ast.Select | None,
+        session: Session,
+        snapshot: Snapshot,
+        key: StatementKey | None = None,
+        sql: str | None = None,
+    ) -> tuple[PlannedQuery, str]:
+        """The bound plan of one SELECT execution, and where it came from
+        (``cached`` or ``fresh (<why>)``).
+
+        With a cacheable *key* the plan cache is asked first and *node* is
+        not needed: a miss parses *sql* from the key's tokens (whose
+        indexes are the literal slots), plans it with its literals tracked,
+        and stores the plan unless planning found it single-use.  Every
+        execution is counted once: hit, miss or a bypass reason."""
+        cache = self.plan_cache
+        if getattr(self._tls, "relations", None):
+            reason = "relations"
+        elif key is None:
+            reason = "ast-entry"
+        else:
+            reason = key.bypass
+        tokens = None
+        if reason is None:
+            tokens = key.tokens
+            cached = cache.lookup(key, session, self.catalog)
+            if cached is not None:
+                try:
+                    bound = cached.bind(snapshot, tokens, self.note_scan)
+                except (TypeError, ValueError, ArithmeticError, SQLError):
+                    # A late constant is not exact where the planned one
+                    # was (``int_col = 2.5``): plan this statement itself.
+                    reason = "literal-shape"
+                    self.last_scans = []
+                else:
+                    cache.count("hit")
+                    return bound, "cached"
+            node = self._parse(sql, tokens)  # SELECT / WITH: always an ast.Select
+        slots = LiteralSlots() if reason is None else None
+        planner = self._planner(session, snapshot, slots)
+        planned = planner.plan(node)
+        lineage = planned.lineage = planner.lineage
+        if lineage.tables is not None:
+            lineage.tables = frozenset(lineage.tables)
+        if slots is not None:
+            slots.seal()
+            planned.slots = slots
+        if slots is None:
+            # Nobody will share this plan: it is its own one execution.
+            bound = planned.open(planner.scans, snapshot, self.note_scan)
+        else:
+            bound = planned.bind(snapshot, tokens, self.note_scan)
+        reason = reason or lineage.bypass
+        if reason is None:
+            cache.store(key, session, planned)
+            return bound, "fresh (miss)"
+        cache.count(reason)
+        return bound, "fresh (%s)" % reason
+
     def _execute_select(
-        self, node: ast.Select, session: Session, vectors: bool = False
+        self,
+        node: ast.Select | None,
+        session: Session,
+        snapshot: Snapshot,
+        vectors: bool = False,
+        key: StatementKey | None = None,
+        sql: str | None = None,
     ) -> Result:
         self.last_scans = []
         tracer = self.tracer
         with tracer.span("plan"):
-            planned = self._planner(session).plan(node)
+            planned, _origin = self._bound_select(node, session, snapshot, key, sql)
         if os.environ.get(VERIFY_PLANS_ENV_VAR, "") not in ("", "0"):
             from repro.verify.plan import check_plan
 
@@ -437,7 +531,9 @@ class Database:
                 batch = root.run()
             attach_operator_spans(tracer, span, root)
         build = vectors_from_batch if vectors else result_from_batch
-        return build(batch, planned.names, planned.keys, planned.dtypes)
+        result = build(batch, planned.names, planned.keys, planned.dtypes)
+        result.tables = planned.lineage.tables
+        return result
 
     #: Statement classes that never mutate shared database state: they run
     #: on the lock-free snapshot-read path.  (SET only touches the session;
@@ -456,13 +552,18 @@ class Database:
         sql: str | None = None,
         snapshot: Snapshot | None = None,
         vectors: bool = False,
+        key: StatementKey | None = None,
     ) -> Result:
         """Statement wrapper: spans, per-statement stats, query history."""
         if vectors and not isinstance(node, ast.Select):
             raise SQLError("only a SELECT can answer with column vectors")
-        if isinstance(node, self._READ_NODES):
-            return self._execute_read_node(node, session, sql, snapshot, vectors)
-        return self._execute_write_node(node, session, sql)
+        if not isinstance(node, self._READ_NODES):
+            return self._execute_write_node(node, session, sql)
+        if vectors:
+            body = lambda snap: self._execute_select(node, session, snap, vectors=True)
+        else:
+            body = lambda snap: self._dispatch_node(node, session, snap, key)
+        return self._read_statement(type(node).__name__, session, sql, snapshot, body)
 
     def _bump_statement_count(self) -> int:
         with self._counter_lock:
@@ -474,20 +575,21 @@ class Database:
             self.statement_count += 1
             return self.statement_count
 
-    def _execute_read_node(
+    def _read_statement(
         self,
-        node: ast.Node,
+        statement: str,
         session: Session,
         sql: str | None,
         snapshot: Snapshot | None,
-        vectors: bool = False,
+        body,
     ) -> Result:
         """Snapshot-read path: no statement lock, never blocks a writer.
 
-        The snapshot is pinned for the whole statement (repeatable reads
-        within the statement).  Inside a write transaction (a block/CALL
-        running a SELECT) the enclosing transaction's snapshot is reused
-        so the read sees the transaction's own uncommitted stamps.
+        ``body(snapshot)`` does the statement's work.  The snapshot is
+        pinned for the whole statement (repeatable reads within the
+        statement).  Inside a write transaction (a block/CALL running a
+        SELECT) the enclosing transaction's snapshot is reused so the read
+        sees the transaction's own uncommitted stamps.
         """
         index = self._bump_statement_count()
         wall_start = time.perf_counter()  # lint-ok: wall-clock (wall stopwatch reported beside the sim span, never charged to the cost model)
@@ -495,31 +597,21 @@ class Database:
         if snapshot is None:
             outer = self._stmt_txn()
             snapshot = outer.snapshot if outer is not None else self.txn.snapshot()
-        prev_snapshot = getattr(self._tls, "snapshot", None)
-        self._tls.snapshot = snapshot
-        try:
-            with self.tracer.span(
-                "statement", statement=type(node).__name__, sql=sql
-            ):
-                try:
-                    if vectors:
-                        result = self._execute_select(node, session, vectors=True)
-                    else:
-                        result = self._dispatch_node(node, session)
-                except BaseException:
-                    if self.durability is not None:
-                        self.durability.abort()
-                    raise
-                # Pure queries can still advance durable state (NEXTVAL
-                # consumed in a SELECT): commit the sequence delta.
+        with self.tracer.span("statement", statement=statement, sql=sql):
+            try:
+                result = body(snapshot)
+            except BaseException:
                 if self.durability is not None:
-                    self.durability.commit()
-        finally:
-            self._tls.snapshot = prev_snapshot
+                    self.durability.abort()
+                raise
+            # Pure queries can still advance durable state (NEXTVAL
+            # consumed in a SELECT): commit the sequence delta.
+            if self.durability is not None:
+                self.durability.commit()
         wall = time.perf_counter() - wall_start  # lint-ok: wall-clock (same wall stopwatch as above; reported, never charged)
         sim = self.clock.now - sim_start if sim_start is not None else None
         session.record_statement(
-            node, result, wall, sim_seconds=sim, sql=sql, index=index
+            statement, result, wall, sim_seconds=sim, sql=sql, index=index
         )
         return result
 
@@ -538,10 +630,8 @@ class Database:
             wall_start = time.perf_counter()  # lint-ok: wall-clock (wall stopwatch reported beside the sim span, never charged to the cost model)
             sim_start = self.clock.now if self.clock is not None else None
             outer_txn = self._stmt_txn()
-            prev_snapshot = getattr(self._tls, "snapshot", None)
             txn = self.txn.begin()
             self._tls.txn = txn
-            self._tls.snapshot = txn.snapshot
             try:
                 with self.tracer.span(
                     "statement", statement=type(node).__name__, sql=sql
@@ -563,19 +653,27 @@ class Database:
                     self._note_commit(self._touched_tables(node, txn))
             finally:
                 self._tls.txn = outer_txn
-                self._tls.snapshot = prev_snapshot
         wall = time.perf_counter() - wall_start  # lint-ok: wall-clock (same wall stopwatch as above; reported, never charged)
         sim = self.clock.now - sim_start if sim_start is not None else None
         session.record_statement(
-            node, result, wall, sim_seconds=sim, sql=sql, index=index
+            type(node).__name__, result, wall, sim_seconds=sim, sql=sql, index=index
         )
         return result
 
-    def _dispatch_node(self, node: ast.Node, session: Session) -> Result:
+    def _dispatch_node(
+        self,
+        node: ast.Node,
+        session: Session,
+        snapshot: Snapshot | None = None,
+        key: StatementKey | None = None,
+    ) -> Result:
+        """Run one statement's own work.  Read statements get the
+        *snapshot* their wrapper pinned (and a SELECT that came as text its
+        *key*); write statements read through their transaction's."""
         if isinstance(node, ast.Select):
-            return self._execute_select(node, session)
+            return self._execute_select(node, session, snapshot, key=key)
         if isinstance(node, ast.ValuesStatement):
-            return self._execute_values(node, session)
+            return self._execute_values(node, session, snapshot)
         if isinstance(node, ast.Insert):
             return self._execute_insert(node, session)
         if isinstance(node, ast.Update):
@@ -645,7 +743,7 @@ class Database:
         if isinstance(node, ast.SetStatement):
             return self._execute_set(node, session)
         if isinstance(node, ast.ExplainStatement):
-            return self._execute_explain(node, session)
+            return self._execute_explain(node, session, snapshot)
         if isinstance(node, ast.CallStatement):
             return self._execute_call(node, session)
         if isinstance(node, ast.AnonymousBlock):
@@ -659,17 +757,26 @@ class Database:
 
     # -- VALUES ------------------------------------------------------------------------
 
-    def _execute_values(self, node: ast.ValuesStatement, session: Session) -> Result:
+    def _execute_values(
+        self, node: ast.ValuesStatement, session: Session, snapshot: Snapshot | None
+    ) -> Result:
         if not session.dialect.allows_top_level_values:
             raise DialectError("top-level VALUES requires the DB2 dialect")
-        rows = self._evaluate_rows(node.rows, session)
+        planner = self._planner(session, snapshot)
+        rows = self._evaluate_rows(node.rows, session, planner)
         width = len(node.rows[0])
         names = ["%d" % (i + 1) for i in range(width)]
-        return Result(columns=names, rows=[tuple(r) for r in rows], rowcount=len(rows))
+        tables = planner.lineage.tables  # of its subqueries, if any
+        return Result(
+            columns=names, rows=[tuple(r) for r in rows], rowcount=len(rows),
+            tables=None if tables is None else frozenset(tables),
+        )
 
-    def _evaluate_rows(self, ast_rows, session: Session) -> list[list]:
+    def _evaluate_rows(
+        self, ast_rows, session: Session, planner: SelectPlanner | None = None
+    ) -> list[list]:
         binder = ExpressionBinder(Scope([]), session.dialect, self)
-        binder.subquery_planner = self._planner(session)
+        binder.subquery_planner = planner or self._planner(session)
         out = []
         width = len(ast_rows[0])
         for ast_row in ast_rows:
@@ -728,6 +835,7 @@ class Database:
         else:
             self.durability.crash()
         self.catalog = Catalog()
+        self.plan_cache.clear()  # every plan resolved names in the old catalog
         self.bufferpool.clear()
         # Txids are an incarnation-local notion: recovery stamps every
         # surviving version ancient, so the manager restarts fresh (any
@@ -767,7 +875,7 @@ class Database:
         if node.rows is not None:
             raw_rows = self._evaluate_rows(node.rows, session)
         else:
-            planned = self._planner(session).plan(node.select)
+            planned = self._bound_subselect(node.select, session)
             result = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
             )
@@ -898,7 +1006,7 @@ class Database:
     def _execute_create_table(self, node: ast.CreateTable, session: Session) -> Result:
         name = node.name.name.upper()
         if node.as_select is not None:
-            planned = self._planner(session).plan(node.as_select)
+            planned = self._bound_subselect(node.as_select, session)
             result = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
             )
@@ -1044,17 +1152,27 @@ class Database:
         session.variables[name] = value
         return Result(message="%s set" % name)
 
-    def _execute_explain(self, node: ast.ExplainStatement, session: Session) -> Result:
+    def _execute_explain(
+        self, node: ast.ExplainStatement, session: Session, snapshot: Snapshot | None
+    ) -> Result:
         if not isinstance(node.statement, ast.Select):
             return Result(columns=["PLAN"], rows=[("non-query statement",)], rowcount=1)
         self.last_scans = []
-        planned = self._planner(session).plan(node.statement)
+        # Ask the plan cache exactly what executing the explained text
+        # would ask: the first line ends ``[plan=cached]`` or
+        # ``[plan=fresh (<why>)]``.
+        key = statement_key(node.text) if node.text is not None else None
+        cacheable = key is not None and key.bypass is None
+        planned, origin = self._bound_select(
+            None if cacheable else node.statement, session, snapshot, key, node.text
+        )
         if node.analyze:
             root = instrument_plan(planned.op, clock=self.clock)
             root.run()
             lines = annotated_plan_lines(root)
         else:
             lines = describe_plan(planned.op)
+        lines[0] += " [plan=%s]" % origin
         return Result(columns=["PLAN"], rows=[(l,) for l in lines], rowcount=len(lines))
 
     def _execute_call(self, node: ast.CallStatement, session: Session) -> Result:

@@ -1,0 +1,165 @@
+"""The engine's plan cache: plan a statement template once, bind it late.
+
+A planned SELECT (:class:`~repro.sql.planner.PlannedQuery`) holds nothing
+of an execution, so :class:`PlanCache` keeps it and every entry point
+that has SQL text (``Session.execute``, the serving gateway) executes a
+per-execution copy of it (:meth:`PlannedQuery.bind`).  A plan is a pure
+function of what its key names:
+
+* the statement's **template** — its normal form with every NUMBER and
+  STRING literal replaced by ``?`` (:attr:`StatementKey.template`);
+* the session **dialect**;
+* each literal's **type signature** — the numeric type the binder infers
+  from the spelling, a string's length
+  (:func:`~repro.sql.binder.literal_signature`);
+* the **values** of the literals planning looked at (constant folding,
+  ``FETCH FIRST n``, ORDER/GROUP BY ordinals, a LIKE pattern, an IN
+  list...): the planner records which those are
+  (:class:`~repro.sql.binder.LiteralSlots`), the family of plans that
+  share the first three parts remembers their union, and a lookup keys
+  on exactly those tokens.  Every other literal is bound late;
+* the **DDL stamp** of every catalog name it resolved
+  (:attr:`PlanLineage.stamps`), checked on lookup: DDL on one name drops
+  the plans that resolved it and no others, DML drops nothing.
+
+What cannot be that function bypasses, counted by reason
+(:data:`PLAN_BYPASS_REASONS`).  The lock is class ``serving`` (held
+under the statement lock by nobody, above the ``txn`` clock): never held
+across planning or execution.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+from repro.monitor.metrics import CacheStats
+from repro.serving.normalize import BYPASS_REASONS
+from repro.sql.binder import literal_signature
+from repro.verify import sanitizer
+
+#: Why a SELECT execution planned for itself alone: the text is not a
+#: cacheable read (the three reasons :func:`statement_key` gives), it is a
+#: VALUES statement (nothing is planned), it arrived as an AST
+#: (``execute_ast``: no text, no key) or with statement-scoped relations,
+#: it reads a session temp table or a federation nickname, planning folded
+#: a subquery's answer into it, or a late-bound constant did not fit where
+#: the cached plan's did.
+PLAN_BYPASS_REASONS = BYPASS_REASONS + (
+    "values", "ast-entry", "relations", "temp-table", "nickname",
+    "plan-time-subquery", "literal-shape",
+)
+
+DEFAULT_PLAN_CAPACITY = 512
+
+
+class PlanCache:
+    """Template-keyed LRU of planned SELECTs for one database."""
+
+    def __init__(self, name: str = "db", capacity: int = DEFAULT_PLAN_CAPACITY):
+        self.capacity = capacity
+        self._lock = sanitizer.make_lock("serving:%s:plans" % name)
+        #: (family, pinned values) -> plan; a family is (template, dialect,
+        #: literal signature).
+        self._plans: OrderedDict[tuple, object] = OrderedDict()
+        #: family -> [pinned slots (sorted token indexes), live plans]
+        self._families: dict[tuple, list] = {}
+        self.stats = CacheStats(dict.fromkeys(PLAN_BYPASS_REASONS, 0))
+
+    @staticmethod
+    def _family(key, session) -> tuple:
+        tokens = key.tokens
+        return (
+            key.template,
+            session.dialect.name,
+            tuple([literal_signature(tokens[slot]) for slot in key.slots]),
+        )
+
+    def _drop(self, plan_key: tuple) -> None:
+        # Call with the lock held.
+        del self._plans[plan_key]
+        family = self._families[plan_key[0]]
+        family[1] -= 1
+        if not family[1]:
+            del self._families[plan_key[0]]
+
+    def lookup(self, key, session, catalog):
+        """The cached plan this statement may execute, or None.
+
+        None when there is no plan for its template, types and pinned
+        values, when DDL has since touched a name the plan resolved (the
+        plan is dropped), or when the session has declared a temp table
+        that would now shadow one of those names.  Counts nothing: the
+        caller knows whether the plan then bound (:meth:`count`)."""
+        family_key = self._family(key, session)
+        tokens = key.tokens
+        with self._lock:
+            family = self._families.get(family_key)
+            if family is None:
+                return None
+            plan_key = (family_key, tuple([tokens[slot].value for slot in family[0]]))
+            planned = self._plans.get(plan_key)
+            if planned is None:
+                return None
+            lineage = planned.lineage
+            for name, stamp in lineage.stamps.items():
+                if catalog.stamp(name) != stamp:
+                    self._drop(plan_key)
+                    self.stats.invalidations += 1
+                    return None
+            self._plans.move_to_end(plan_key)
+        if session.shadows(lineage.names):
+            return None
+        return planned
+
+    def store(self, key, session, planned) -> None:
+        """Keep a freshly planned statement (a miss) for the next one of
+        its template.  ``planned.slots`` says which literals planning read:
+        the family's pinned slots grow to include them, and plans keyed on
+        fewer slots go."""
+        if sanitizer.ENABLED:
+            sanitizer.check_shared_plan(planned)
+        family_key = self._family(key, session)
+        tokens = key.tokens
+        late = planned.slots.late
+        pinned = [slot for slot in key.slots if slot not in late]
+        with self._lock:
+            self.stats.misses += 1
+            family = self._families.get(family_key)
+            if family is None:
+                family = self._families[family_key] = [pinned, 0]
+            elif not set(pinned) <= set(family[0]):
+                family[0] = sorted(set(pinned) | set(family[0]))
+                for plan_key in [k for k in self._plans if k[0] == family_key]:
+                    del self._plans[plan_key]
+                family[1] = 0
+            plan_key = (family_key, tuple([tokens[slot].value for slot in family[0]]))
+            if plan_key not in self._plans:
+                family[1] += 1
+            self._plans[plan_key] = planned
+            self._plans.move_to_end(plan_key)
+            self.stats.stores += 1
+            while len(self._plans) > self.capacity:
+                self._drop(next(iter(self._plans)))
+                self.stats.evictions += 1
+
+    def count(self, outcome: str) -> None:
+        """One execution's outcome: ``"hit"`` or a bypass reason."""
+        with self._lock:
+            if outcome == "hit":
+                self.stats.hits += 1
+            else:
+                self.stats.count_bypass(outcome)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self._families.clear()
+
+    def report(self) -> dict:
+        with self._lock:
+            return {
+                **self.stats.snapshot(),
+                "entries": len(self._plans),
+                "templates": len(self._families),
+                "capacity": self.capacity,
+            }

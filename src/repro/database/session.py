@@ -67,6 +67,12 @@ class Session:
     def temp_table_names(self) -> list[str]:
         return sorted(self._temp_tables)
 
+    def shadows(self, names) -> bool:
+        """Whether a declared temp table hides one of these (uppercase)
+        catalog names from this session's unqualified references."""
+        temps = self._temp_tables
+        return bool(temps) and not temps.keys().isdisjoint(names)
+
     # -- execution -----------------------------------------------------------------
 
     def execute(self, sql: str):
@@ -84,15 +90,17 @@ class Session:
     # -- query history -----------------------------------------------------------
 
     def record_statement(
-        self, node, result, wall_seconds: float,
+        self, statement: str, result, wall_seconds: float,
         sim_seconds: float | None = None, sql: str | None = None,
         index: int | None = None,
     ) -> None:
         """Called by the database after every statement it runs for us.
 
-        ``index`` is the statement's own database-wide number, captured
-        under the statement lock — concurrent sessions must not re-read
-        the shared counter here.
+        ``statement`` is the statement class (``Select``, ``Insert``...; an
+        execution served from the plan cache never built an AST to name it
+        by).  ``index`` is the statement's own database-wide number,
+        captured under the statement lock — concurrent sessions must not
+        re-read the shared counter here.
         """
         rowcount = result.rowcount
         if rowcount < 0 and result.is_query:
@@ -100,7 +108,7 @@ class Session:
         self.history.append(
             StatementStats(
                 index=index if index is not None else self.database.statement_count,
-                statement=type(node).__name__,
+                statement=statement,
                 sql=sql,
                 rowcount=rowcount,
                 wall_seconds=wall_seconds,

@@ -152,6 +152,7 @@ class GroupByOp(Operator):
 
     def execute(self):
         pool = self.pool
+        self.stats = GroupStats()  # this execution's own (the operator may be a copy)
         if pool is not None and pool.is_parallel and self.parallel_safe():
             # Whole-chain fusion: when the child is a project/filter chain
             # over a multi-region scan, each pool task scans K regions and

@@ -155,12 +155,16 @@ class TableScanOp(Operator):
             is identical to the serial scan.  With ``parallelism=1`` (or no
             pool) the original incremental generator path runs untouched —
             including its lazy early-exit behaviour under LIMIT.
-        snapshot: optional MVCC :class:`~repro.mvcc.txn.Snapshot`.  The
-            scan freezes its view of the table (region list + tail prefix)
-            at construction and filters every region/tail batch through the
-            snapshot's visibility mask, so concurrent writers neither block
-            nor perturb the scan.  Without a snapshot the frozen view shows
-            the latest state (all live rows) — the pre-MVCC behaviour.
+
+    The operator as constructed holds nothing of an execution: no MVCC
+    snapshot, no captured table state, no statistics — a planned scan can
+    sit in a cached plan.  :meth:`open` starts one execution: it freezes
+    the scan's view of the table (region list + tail prefix) under the
+    statement's :class:`~repro.mvcc.txn.Snapshot` and filters every
+    region/tail batch through that snapshot's visibility mask, so
+    concurrent writers neither block nor perturb the scan.  A scan that is
+    executed without having been opened opens itself on the latest state
+    (all live rows) — the pre-MVCC behaviour.
     """
 
     def __init__(
@@ -174,7 +178,6 @@ class TableScanOp(Operator):
         use_skipping: bool = True,
         use_compressed_eval: bool = True,
         pool=None,
-        snapshot=None,
     ):
         self.table = table
         self.columns = list(columns)
@@ -185,22 +188,33 @@ class TableScanOp(Operator):
         self.use_skipping = use_skipping
         self.use_compressed_eval = use_compressed_eval
         self.pool = pool
-        # flow-ok: snapshot-scope (operator trees are statement-scoped by construction — the planner builds a fresh tree per statement and the serving layer caches results, never planned trees)
-        self.snapshot = snapshot
-        self.stats = ScanStats()
-        #: PoolRun of the last parallel execution (EXPLAIN ANALYZE surface).
-        self.parallel_run = None
-        # Freeze the view once: morsel workers (threads or pickled process
-        # tasks) all scan the same captured region tuple and tail prefix.
         needed = set(self.columns) | {p.column for p in self.pushed}
         if self.residual is not None:
             needed |= self.residual.references()
-        self._capture = table.capture(snapshot, columns=sorted(needed))
-        #: Frozen region list for this scan (capture-time prefix).
-        self.regions = self._capture.regions
+        #: Columns whose tail vectors a capture materialises.
+        self._capture_columns = sorted(needed)
+        # Per-execution state, set by open().
+        self.stats: ScanStats | None = None
+        self._capture = None
+        #: PoolRun of the last parallel execution (EXPLAIN ANALYZE surface).
+        self.parallel_run = None
+
+    def open(self, snapshot=None) -> None:
+        """Begin one execution under *snapshot*: capture the table once —
+        morsel workers all scan the same captured region tuple and tail
+        prefix — and start fresh statistics."""
+        self._capture = self.table.capture(snapshot, columns=self._capture_columns)
+        self.stats = ScanStats()
+
+    @property
+    def regions(self):
+        """Frozen region list of this execution (capture-time prefix)."""
+        if self._capture is None:
+            self.open()
+        return self._capture.regions
 
     def _fetch(self, region_idx: int, column: str):
-        region = self.regions[region_idx]
+        region = self._capture.regions[region_idx]
         if self.page_source is None:
             return region.columns[column]
         return self.page_source(
@@ -215,10 +229,11 @@ class TableScanOp(Operator):
         if self.residual is not None:
             needed |= self.residual.references()
         pool = self.pool
-        if pool is not None and pool.is_parallel and len(self.regions) > 1:
+        regions = self.regions  # opens the scan if nobody has
+        if pool is not None and pool.is_parallel and len(regions) > 1:
             yield from self._execute_parallel(needed, pool)
             return
-        for region_idx, region in enumerate(self.regions):
+        for region_idx, region in enumerate(regions):
             batch = self._scan_region(region_idx, region, needed, self.stats)
             if batch is not None and batch.n:
                 yield from self._emit(batch)
@@ -334,7 +349,7 @@ class TableScanOp(Operator):
                 selection = selection & pred.eval_vector(vector)
             if not selection.any():
                 return None
-        visible = region.visible_mask(self.snapshot)
+        visible = region.visible_mask(self._capture.snapshot)
         if visible is not None:
             selection = selection & visible
             if not selection.any():

@@ -83,7 +83,7 @@ def operator_detail(op) -> str:
     """One-line physical detail for an operator (shared by EXPLAIN paths)."""
     from repro.engine.aggregate import GroupByOp
     from repro.engine.join import HashJoinOp, NestedLoopJoinOp
-    from repro.engine.operators import TableScanOp, VectorSourceOp
+    from repro.engine.operators import TableScanOp
 
     if isinstance(op, TableScanOp):
         preds = ", ".join("%s %s" % (p.column, p.op) for p in op.pushed)
@@ -92,15 +92,14 @@ def operator_detail(op) -> str:
             ", ".join(op.columns),
             (" WHERE " + preds) if preds else "",
         )
-    if isinstance(op, VectorSourceOp) and op.name:
-        return " " + op.name
     if isinstance(op, (HashJoinOp, NestedLoopJoinOp)):
         return " [%s]" % op.join_type
     if isinstance(op, GroupByOp):
         keys = ", ".join(alias for alias, _ in op.keys)
         aggs = ", ".join(s.alias for s in op.aggregates)
         return " keys(%s) aggs(%s)" % (keys, aggs)
-    return ""
+    name = getattr(op, "name", "")  # the relation a source stands for (CTE, gathered partials)
+    return " " + name if name else ""
 
 
 def _instrumented_children(wrapper: InstrumentedOp) -> list[InstrumentedOp]:

@@ -9,9 +9,39 @@ the registry's lock, so concurrent sessions can record safely.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from dataclasses import dataclass, field
 
 from repro.verify import sanitizer
+
+
+@dataclass
+class CacheStats:
+    """Lifetime counters for one cache (the engine's plan cache, the
+    serving result cache); the owning cache's lock guards them."""
+
+    #: Every reason a statement can go around this cache, counted apart.
+    bypass_reasons: dict = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    bypass: int = 0  # statements that went around the cache, all reasons
+    stale_drops: int = 0  # entries found invalid on lookup
+    invalidations: int = 0  # entries dropped because what they read changed
+    evictions: int = 0  # LRU capacity evictions
+
+    @property
+    def hit_rate(self) -> float:
+        asked = self.hits + self.misses
+        return self.hits / asked if asked else 0.0
+
+    def count_bypass(self, reason: str) -> None:
+        self.bypass += 1
+        self.bypass_reasons[reason] += 1
+
+    def snapshot(self) -> dict:
+        return {**dataclasses.asdict(self), "hit_rate": self.hit_rate}
 
 
 class Counter:

@@ -43,6 +43,7 @@ def database_report(database) -> dict:
         "txn": database.txn.report(),
         "metrics": database.metrics.snapshot(),
         "parallel": worker_pool_report(database.pool),
+        "plan_cache": database.plan_cache.report(),
         "durability": (
             database.durability.report()
             if database.durability is not None
@@ -67,7 +68,8 @@ def serving_report(gateway) -> dict:
     report = {
         "enabled": True,
         "result_cache": gateway.result_cache.report(),
-        "plan_cache": gateway.plan_cache.report(),
+        # The engine's plan cache (the gateway owns none of its own).
+        "plan_cache": {"statements": gateway.database.plan_cache.report()},
         "admission": gateway.admission.report(),
         "tenants": sorted(gateway.classes),
     }

@@ -2,7 +2,7 @@
 
 Open-loop arrival generation (:mod:`~repro.serving.arrivals`), per-tenant
 admission control with timeout shedding (:mod:`~repro.serving.admission`),
-MVCC-correct result/plan caches keyed on normalized SQL
+an MVCC-correct result cache keyed on normalized SQL
 (:mod:`~repro.serving.cache`, :mod:`~repro.serving.normalize`), a capacity
 sizer (:mod:`~repro.serving.sizer`), and the gateway composing the live
 stack (:mod:`~repro.serving.gateway`).
@@ -23,12 +23,7 @@ from repro.serving.arrivals import (
     stream_orders,
     zipf_weights,
 )
-from repro.serving.cache import (
-    CacheStats,
-    PlanCache,
-    ResultCache,
-    read_dependencies,
-)
+from repro.serving.cache import CacheStats, ResultCache
 from repro.serving.gateway import (
     OpenLoopOutcome,
     ServingGateway,
@@ -53,7 +48,6 @@ __all__ = [
     "CacheStats",
     "LiveAdmission",
     "OpenLoopOutcome",
-    "PlanCache",
     "ResultCache",
     "ServiceClass",
     "ServingGateway",
@@ -69,7 +63,6 @@ __all__ = [
     "normalize",
     "open_loop_arrivals",
     "parameterize",
-    "read_dependencies",
     "recommend",
     "run_open_loop",
     "shed_error",

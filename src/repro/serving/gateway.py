@@ -2,11 +2,11 @@
 
 :class:`ServingGateway` composes the serving stack for the *live* path —
 every statement passes the per-tenant admission gate, then the result
-cache (which consults the prepared-plan cache and the MVCC commit clock)
-and only reaches the engine on a miss.  Attaching a gateway wires the
-engine hooks: ``database.statement_cache`` (parse-once ASTs, memoized
-view definitions in the planner) and the commit listeners that
-invalidate cached results; :meth:`ServingGateway.close` unwires them.
+cache (validated against the MVCC commit clock) and only reaches the
+engine on a miss, where the engine's own plan cache
+(``database.plan_cache``) spares it the planning.  Attaching a gateway
+wires one engine hook, the commit listener that invalidates cached
+results; :meth:`ServingGateway.close` unwires it.
 
 For *scale* — the 10⁵–10⁶ session open-loop runs — the module follows
 the repo's standard factoring (real engine speed × simulated
@@ -31,7 +31,7 @@ from repro.serving.admission import (
     ServiceClass,
     ServingResult,
 )
-from repro.serving.cache import PlanCache, ResultCache
+from repro.serving.cache import ResultCache
 
 
 def default_service_classes(concurrency: int = 16) -> dict[str, ServiceClass]:
@@ -54,21 +54,17 @@ class ServingGateway:
         database,
         classes: dict[str, ServiceClass] | None = None,
         result_capacity: int = 2048,
-        plan_capacity: int = 512,
         default_tenant: str | None = None,
     ):
         self.database = database
-        self.plan_cache = PlanCache(database.name, capacity=plan_capacity)
         self.result_cache = ResultCache(database, capacity=result_capacity)
         self.classes = classes or default_service_classes()
         self.default_tenant = default_tenant or next(iter(self.classes))
         self.admission = LiveAdmission(self.classes, name=database.name)
         #: Most recent simulated open-loop outcome (monreport surface).
         self.last_open_loop: OpenLoopOutcome | None = None
-        # Wire the engine hooks.
-        database.statement_cache = self.plan_cache
+        # Wire the engine hook.
         database.add_commit_listener(self.result_cache.on_commit)
-        database.add_commit_listener(self.plan_cache.on_commit)
         database.serving = self
 
     def execute(self, sql: str, session=None, tenant: str | None = None):
@@ -107,9 +103,6 @@ class ServingGateway:
         """Detach from the database, restoring the plain engine path."""
         db = self.database
         db.remove_commit_listener(self.result_cache.on_commit)
-        db.remove_commit_listener(self.plan_cache.on_commit)
-        if db.statement_cache is self.plan_cache:
-            db.statement_cache = None
         if getattr(db, "serving", None) is self:
             db.serving = None
 

@@ -47,6 +47,8 @@ VOLATILE_IDENTS = frozenset(
         "CURRENT_TIMESTAMP",
         "CURRENT_TIME",
         "SYSTIMESTAMP",
+        "NOW",
+        "TODAY",
     }
 )
 
@@ -141,6 +143,18 @@ class StatementKey:
     @property
     def params(self) -> tuple:
         return _params(self.tokens)
+
+    @cached_property
+    def slots(self) -> tuple[int, ...]:
+        """Indexes into ``tokens`` of the NUMBER and STRING literals — the
+        ``?`` of :attr:`template`, in order.  A literal's index is its slot:
+        the same in every statement of one template."""
+        return tuple(
+            [
+                index for index, token in enumerate(self.tokens)
+                if token.kind in (lexer.NUMBER, lexer.STRING)
+            ]
+        )
 
 
 def statement_key(sql: str) -> StatementKey:

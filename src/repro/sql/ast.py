@@ -47,14 +47,25 @@ class Star(ExprNode):
     qualifier: str | None = None
 
 
+def _slot():
+    """Where a literal sits in its statement: the index of its NUMBER/STRING
+    token (None for a literal no token spelled).  Statements that share a
+    template have their literals at the same indexes, which is how a cached
+    plan finds this statement's value for a literal it bound late.  Not
+    part of a node's identity or printed form."""
+    return field(default=None, repr=False, compare=False)
+
+
 @dataclass
 class NumberLit(ExprNode):
     text: str
+    slot: int | None = _slot()
 
 
 @dataclass
 class StringLit(ExprNode):
     value: str
+    slot: int | None = _slot()
 
 
 @dataclass
@@ -63,6 +74,7 @@ class TypedLit(ExprNode):
 
     type_name: str
     value: str
+    slot: int | None = _slot()
 
 
 @dataclass
@@ -385,6 +397,9 @@ class ExplainStatement(Node):
 
     statement: Node
     analyze: bool = False
+    #: The explained statement's own text, so EXPLAIN can ask the plan
+    #: cache exactly what executing that text would ask.
+    text: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass

@@ -33,12 +33,14 @@ from repro.engine.expression import (
 from repro.errors import (
     BindError,
     DialectError,
+    SQLError,
     TypeCheckError,
     UnsupportedFeatureError,
 )
 from repro.sql import ast
 from repro.sql.dialects import Dialect, resolve_type
 from repro.sql.functions import BuildContext
+from repro.sql.lexer import NUMBER
 from repro.storage.column import to_physical_scalar
 from repro.types.datatypes import (
     BIGINT,
@@ -121,6 +123,122 @@ def _number_literal(text: str) -> Literal:
     return Literal(value, BIGINT)
 
 
+def _number_value(text: str):
+    return _number_literal(text).value
+
+
+def literal_signature(token) -> object:
+    """What of a NUMBER/STRING token's spelling decides the *type* the
+    binder gives it: the inferred numeric type, or a string's length.  Two
+    statements of one template whose literals agree on this plan alike,
+    unless planning looks at a value (see :class:`LiteralSlots`)."""
+    if token.kind == NUMBER:
+        return _number_literal(token.value).dtype
+    return len(token.value)
+
+
+# -- literals a cached plan binds late -----------------------------------------
+
+
+class LiteralSlots:
+    """One planning run's record of the statement's literal tokens.
+
+    The binder turns a literal that a token spelled into a
+    :class:`SlotLiteral`.  Whatever planning then *reads* of its value —
+    constant folding, a LIKE pattern, an IN list's conversion, a GROUP BY
+    signature, ``FETCH FIRST n`` — pins the slot: the plan is only the plan
+    of statements that spell the same value there.  A slot that was bound
+    but never read is **late**: the plan is the same for every value of
+    that type, and each execution supplies its own.  Slots the binder never
+    saw (a CAST's length, a literal inside a clause planned from the AST)
+    are pinned by default.
+    """
+
+    def __init__(self):
+        self._bound: set[int] = set()
+        self._read: set[int] = set()
+        #: Set by :meth:`seal`: the slots executions bind late.
+        self.late: frozenset[int] | None = None
+
+    def literal(self, slot: int | None, literal: Literal, convert) -> Literal:
+        """*literal* as the binder should hand it out: slot-tracked when a
+        token spelled it (NULL never is: nothing to bind late)."""
+        if slot is None or literal.value is None:
+            return literal
+        self._bound.add(slot)
+        return SlotLiteral(self, slot, literal.value, literal.dtype, convert)
+
+    def pin(self, slot: int | None) -> None:
+        """Planning looked at this slot's value."""
+        if slot is None:
+            return
+        if self.late is None:
+            self._read.add(slot)
+        elif slot in self.late:
+            raise SQLError(
+                "late-bound literal %d read outside its execution" % slot,
+                sqlstate="58004",
+            )
+
+    def seal(self) -> frozenset[int]:
+        """Planning is over: fix which slots are late."""
+        self.late = frozenset(self._bound - self._read)
+        return self.late
+
+
+class SlotLiteral(Literal):
+    """A literal of the statement being planned, known by its token slot.
+
+    Reading ``value`` while planning pins the slot; once the plan is sealed
+    a late slot has no value of its own — :meth:`bound` makes the constant
+    of one execution from that statement's token."""
+
+    def __init__(self, slots: LiteralSlots, slot: int, value, dtype, convert):
+        self._slots = slots
+        self.slot = slot
+        self._value = value
+        self.dtype = dtype
+        self.convert = convert  # token spelling -> physical value
+
+    @property
+    def value(self):
+        self._slots.pin(self.slot)
+        return self._value
+
+    @property
+    def late(self) -> bool:
+        return self.slot in self._slots.late
+
+    def bound(self, tokens) -> Literal:
+        return Literal(self.convert(tokens[self.slot].value), self.dtype)
+
+    def pushed(self, target: DataType) -> "LateConstant":
+        """This literal as a scan-predicate constant of *target*'s domain,
+        converted per execution the way :func:`_physical_for` converts it
+        now.  When the planned value does not convert, that decides the
+        plan: the slot is pinned and the failure raised as for any literal."""
+        try:
+            _physical_for(Literal(self._value, self.dtype), target)
+        except (TypeError, ValueError, ArithmeticError):
+            self._slots.pin(self.slot)
+            raise
+        return LateConstant(self, target)
+
+
+@dataclass(frozen=True)
+class LateConstant:
+    """A pushed-down constant whose value arrives with each execution."""
+
+    literal: SlotLiteral
+    target: DataType
+
+    def bound(self, tokens):
+        """The execution's value in the column's domain; raises (ValueError
+        and friends) when this value, unlike the planned one, is not exact
+        there — the plan does not fit the statement."""
+        return _physical_for(self.literal.bound(tokens), self.target)
+
+
 class ExpressionBinder:
     """Binds AST expressions within one query block."""
 
@@ -130,11 +248,14 @@ class ExpressionBinder:
         dialect: Dialect,
         database=None,
         allow_aggregates: bool = False,
+        slots: LiteralSlots | None = None,
     ):
         self.scope = scope
         self.dialect = dialect
         self.database = database
         self.allow_aggregates = allow_aggregates
+        #: When planning for the plan cache: the statement's literal slots.
+        self.slots = slots
         #: aggregates discovered while binding (alias -> AggregateSpec)
         self.aggregates: list[AggregateSpec] = []
         self._agg_counter = 0
@@ -156,23 +277,25 @@ class ExpressionBinder:
 
     # -- literals -------------------------------------------------------------
 
+    def _literal(self, node, literal: Literal, convert) -> Expr:
+        if self.slots is None:
+            return literal
+        return self.slots.literal(node.slot, literal, convert)
+
     def _bind_numberlit(self, node: ast.NumberLit) -> Expr:
-        return _number_literal(node.text)
+        return self._literal(node, _number_literal(node.text), _number_value)
 
     def _bind_stringlit(self, node: ast.StringLit) -> Expr:
         value = node.value
         if self.dialect.empty_string_is_null and value == "":
             return Literal(None, varchar_type())
-        return Literal(value, varchar_type(len(value)))
+        return self._literal(node, Literal(value, varchar_type(len(value))), str)
 
     def _bind_typedlit(self, node: ast.TypedLit) -> Expr:
-        if node.type_name == "DATE":
-            return Literal(to_physical_scalar(parse_date(node.value), DATE), DATE)
-        if node.type_name == "TIME":
-            return Literal(to_physical_scalar(parse_time(node.value), TIME), TIME)
-        return Literal(
-            to_physical_scalar(parse_timestamp(node.value), TIMESTAMP), TIMESTAMP
+        dtype, convert = _TYPED_LITERALS.get(
+            node.type_name, (TIMESTAMP, _timestamp_value)
         )
+        return self._literal(node, Literal(convert(node.value), dtype), convert)
 
     def _bind_nulllit(self, node: ast.NullLit) -> Expr:
         from repro.types.datatypes import NULLTYPE
@@ -470,6 +593,21 @@ class ExpressionBinder:
         raise BindError("* is only valid in the select list")
 
 
+def _date_value(text: str):
+    return to_physical_scalar(parse_date(text), DATE)
+
+
+def _time_value(text: str):
+    return to_physical_scalar(parse_time(text), TIME)
+
+
+def _timestamp_value(text: str):
+    return to_physical_scalar(parse_timestamp(text), TIMESTAMP)
+
+
+_TYPED_LITERALS = {"DATE": (DATE, _date_value), "TIME": (TIME, _time_value)}
+
+
 def _as_literal(expr: Expr) -> Literal | None:
     if isinstance(expr, Literal):
         return expr
@@ -524,9 +662,11 @@ def _physical_for(literal: Literal, target: DataType):
         return literal.value / (10 ** source.scale)
     if source.is_integer and target.is_approximate:
         return float(literal.value)
+    if target.is_string and not source.is_string:
+        # ``char_col = 1`` compares in the number's domain (the column is
+        # cast, row by row): a number is no constant of a string domain.
+        raise ValueError("%r is not a value of %s" % (literal.value, target))
     if source.is_string and not target.is_string:
-        from repro.storage.column import to_boundary_scalar
-
         from repro.types.values import cast_value
 
         boundary = cast_value(literal.value, target)

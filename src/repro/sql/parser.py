@@ -183,7 +183,10 @@ class Parser:
             analyze = self._accept_keyword("ANALYZE")
             self._accept_keyword("PLAN")
             self._accept_keyword("FOR")
-            return ast.ExplainStatement(self.parse_one(), analyze=analyze)
+            start_offset = self._peek().offset
+            statement = self.parse_one()
+            text = self.text[start_offset : self._peek().offset]
+            return ast.ExplainStatement(statement, analyze, text)
         if keyword == "SET":
             return self.parse_set()
         if keyword == "CALL":
@@ -248,7 +251,8 @@ class Parser:
             if not (self._accept_keyword("FIRST") or self._accept_keyword("NEXT")):
                 raise self._error("expected FIRST or NEXT after FETCH")
             if self._peek().kind == NUMBER:
-                select.limit = ast.NumberLit(self._advance().value)
+                select.limit = ast.NumberLit(self._peek().value, self.pos)
+                self.pos += 1
             else:
                 select.limit = ast.NumberLit("1")
             select.limit_syntax = "fetch"
@@ -584,11 +588,11 @@ class Parser:
     def _parse_primary(self) -> ast.ExprNode:
         token = self._peek()
         if token.kind == NUMBER:
-            self._advance()
-            return ast.NumberLit(token.value)
+            self.pos += 1
+            return ast.NumberLit(token.value, self.pos - 1)
         if token.kind == STRING:
-            self._advance()
-            return ast.StringLit(token.value)
+            self.pos += 1
+            return ast.StringLit(token.value, self.pos - 1)
         if self._accept_op("("):
             if self._at_keyword("SELECT") or self._at_keyword("WITH"):
                 subquery = self.parse_select()
@@ -643,9 +647,8 @@ class Parser:
             self._expect_op(")")
             return ast.ExistsExpr(subquery)
         if keyword in ("DATE", "TIME", "TIMESTAMP") and self._peek(1).kind == STRING:
-            self._advance()
-            literal = self._advance()
-            return ast.TypedLit(keyword, literal.value)
+            self.pos += 2
+            return ast.TypedLit(keyword, self._peek(-1).value, self.pos - 1)
         # Function call?
         if self._peek(1).key == "(" and (
             token.kind == QIDENT or keyword not in _RESERVED_STOPPERS

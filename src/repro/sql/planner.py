@@ -19,7 +19,7 @@ expansion, top-level VALUES is available to DB2 sessions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.engine.expression import (
     Logical,
     Not,
     Between,
+    selection_mask,
 )
 from repro.engine.join import HashJoinOp, NestedLoopJoinOp
 from repro.engine.operators import (
@@ -58,24 +59,202 @@ from repro.errors import (
     TypeCheckError,
     UnsupportedFeatureError,
 )
+from repro.monitor.instrument import _CHILD_ATTRS
 from repro.sql import ast
-from repro.sql.binder import ExpressionBinder, Scope, ScopeColumn, _as_literal, _physical_for
+from repro.sql.binder import (
+    ExpressionBinder,
+    LateConstant,
+    LiteralSlots,
+    Scope,
+    ScopeColumn,
+    SlotLiteral,
+    _as_literal,
+    _physical_for,
+)
 from repro.sql.dialects import Dialect, get_dialect
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, BOOLEAN, INTEGER, DataType, TypeKind
 
 
 @dataclass
+class PlanLineage:
+    """What one statement's planning resolved names against: what its answer
+    depends on, and what decides whether the plan may be reused."""
+
+    #: Base tables read (uppercase).  None once the plan read something the
+    #: table-version clock cannot see: a session temp table, a federation
+    #: nickname, a statement-scoped relation.
+    tables: set[str] | None = field(default_factory=set)
+    #: Catalog ``(schema, name)`` -> DDL stamp, for every name resolved.
+    stamps: dict = field(default_factory=dict)
+    #: Unqualified names that resolved in the catalog: a session temp table
+    #: declared later under one of them would shadow it.
+    names: set[str] = field(default_factory=set)
+    #: Why the plan is this statement's alone (first reason met), if it is.
+    bypass: str | None = None
+
+    def single_use(self, reason: str, untracked: bool = False) -> None:
+        if self.bypass is None:
+            self.bypass = reason
+        if untracked:
+            self.tables = None
+
+
+@dataclass
 class PlannedQuery:
-    """A compiled SELECT: the operator tree plus its output schema."""
+    """A compiled SELECT: the operator tree plus its output schema.
+
+    What the planner returns holds nothing of an execution — no snapshot,
+    no captured table state, no statistics — so it can be kept and shared.
+    :meth:`bind` makes one execution of it, a copy; :meth:`open` starts the
+    one execution of a plan nobody will share, in place; :meth:`run` on a
+    plan that is neither executes it in place against the latest
+    committed-or-not state (the scans open themselves), which is what
+    tests of bare plans want.
+    """
 
     op: Operator
     names: list[str]
     keys: list[str]
     dtypes: list[DataType]
+    #: The statement's literal slots, when it was planned for reuse.
+    slots: LiteralSlots | None = None
+    lineage: PlanLineage | None = None
+    #: Of a bound plan: its scans, opened, in tree order.
+    scans: tuple = ()
+    #: How :meth:`bind` copies the tree (:func:`_copy_recipe`), made on first use.
+    _recipe: list | None = field(default=None, repr=False, compare=False)
 
     def run(self) -> Batch:
         return self.op.run()
+
+    def open(self, scans, snapshot=None, on_scan=None) -> "PlannedQuery":
+        """Start the only execution this plan will have, in place: *scans*
+        (the planner's record of the scans it built into the tree) are
+        opened under *snapshot* and shown to ``on_scan``.  What
+        :meth:`bind` does for a plan that is kept, without the copy."""
+        self.scans = tuple(scans)
+        for scan in self.scans:
+            scan.open(snapshot)
+            if on_scan is not None:
+                on_scan(scan)
+        return self
+
+    def bind(self, snapshot=None, tokens=None, on_scan=None) -> "PlannedQuery":
+        """One execution of this plan: a copy of the operator tree that owns
+        everything an execution varies — the MVCC *snapshot* and table
+        captures of its scans, their statistics, the constants of literals
+        bound late (read from *tokens*, the executing statement's), and
+        whatever instrumentation wraps it afterwards.  ``on_scan(scan)``
+        sees every opened scan.  Raises what a constant's conversion raises
+        when a late literal's value does not fit where the planned one did.
+        """
+        if self._recipe is None:
+            self._recipe = _copy_recipe(self.op, self.slots)
+        clones: list[Operator] = []
+        scans = []
+        for op, links, late in self._recipe:
+            clone = _shallow_copy(op)
+            for attr, ref in links:
+                setattr(
+                    clone, attr,
+                    clones[ref] if type(ref) is int else [clones[i] for i in ref],
+                )
+            for attr in late:
+                setattr(clone, attr, _bound(getattr(op, attr), tokens))
+            if isinstance(clone, TableScanOp):
+                clone.open(snapshot)
+                scans.append(clone)
+                if on_scan is not None:
+                    on_scan(clone)
+            clones.append(clone)
+        return PlannedQuery(
+            clones[-1], self.names, self.keys, self.dtypes,
+            lineage=self.lineage, scans=tuple(scans),
+        )
+
+
+def _shallow_copy(obj):
+    """A new object sharing *obj*'s attributes (no ``__init__``, no
+    ``__post_init__``: nothing is recomputed)."""
+    copy = object.__new__(type(obj))
+    copy.__dict__.update(obj.__dict__)
+    return copy
+
+
+def _copy_recipe(root: Operator, slots: LiteralSlots | None) -> list[tuple]:
+    """How :meth:`PlannedQuery.bind` copies a tree: per operator, children
+    first (a shared subtree once), ``(operator, [(attribute, index or
+    indexes of the copied children)], [attributes holding a late literal])``."""
+    index: dict[int, int] = {}
+    recipe: list[tuple] = []
+
+    def visit(op) -> int:
+        at = index.get(id(op))
+        if at is not None:
+            return at
+        links = []
+        for attr in _CHILD_ATTRS:
+            sub = getattr(op, attr, None)
+            if isinstance(sub, Operator):
+                links.append((attr, visit(sub)))
+        children = getattr(op, "children", None)
+        if children:
+            links.append(("children", [visit(c) for c in children]))
+        late = []
+        if slots is not None and slots.late:
+            linked = {attr for attr, _ in links}
+            late = [
+                attr for attr, value in vars(op).items()
+                if attr not in linked and _holds_late(value)
+            ]
+        index[id(op)] = len(recipe)
+        recipe.append((op, links, late))
+        return index[id(op)]
+
+    visit(root)
+    return recipe
+
+
+#: Plan-structure types a late literal can sit inside.
+_PLAN_NODES = (Expr, SimplePredicate, SortKey, AggregateSpec)
+
+
+def _holds_late(value) -> bool:
+    """Whether a late-bound literal sits anywhere inside a plan value."""
+    if isinstance(value, SlotLiteral):
+        return value.late
+    if isinstance(value, LateConstant):
+        return True
+    if isinstance(value, (list, tuple)):
+        return any(_holds_late(v) for v in value)
+    if isinstance(value, _PLAN_NODES):
+        return any(_holds_late(v) for v in vars(value).values())
+    return False
+
+
+def _bound(value, tokens):
+    """*value* with every late literal replaced by this execution's
+    constant; the same object where it holds none."""
+    if isinstance(value, SlotLiteral):
+        return value.bound(tokens) if value.late else value
+    if isinstance(value, LateConstant):
+        return value.bound(tokens)
+    if isinstance(value, (list, tuple)):
+        items = [_bound(v, tokens) for v in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value
+        return type(value)(items)
+    if isinstance(value, _PLAN_NODES):
+        copy = None
+        for attr, child in vars(value).items():
+            new = _bound(child, tokens)
+            if new is not child:
+                if copy is None:
+                    copy = _shallow_copy(value)
+                copy.__dict__[attr] = new
+        return value if copy is None else copy
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -111,6 +290,94 @@ class RowNumberOp(Operator):
             yield Batch.from_columns(columns)
 
 
+class CteOp(Operator):
+    """A common table expression: its query runs once per execution, on
+    first demand, and every reference replays that result under the
+    relation's own column keys."""
+
+    def __init__(self, child: Operator, outputs: list[tuple[str, str, DataType]], name: str):
+        self.child = child
+        self.outputs = outputs  # (key in the relation, the query's key, type)
+        self.name = name
+        self._batch: Batch | None = None  # this execution's result
+
+    def execute(self):
+        if self._batch is None:
+            batch = self.child.run()
+            self._batch = Batch.from_columns(
+                {
+                    key: batch.columns[source]
+                    if batch.columns
+                    else ColumnVector(dtype, np.empty(0, dtype=dtype.numpy_dtype), None)
+                    for key, source, dtype in self.outputs
+                }
+            )
+        if self._batch.n:
+            yield self._batch
+
+
+class ConnectByOp(Operator):
+    """Iterative hierarchical expansion (Oracle CONNECT BY) of the child's
+    rows, each tagged with its ``__LEVEL``.
+
+    ``pairs`` are ``(parent_expr, child_expr)`` bound over the child: a row
+    is a child of every row whose parent expression equals its child
+    expression (``PRIOR empno = mgr``).
+    """
+
+    LEVEL_KEY = "__LEVEL"
+
+    def __init__(self, child: Operator, pairs, start_with: Expr | None, nocycle: bool):
+        self.child = child
+        self.pairs = pairs
+        self.start_with = start_with
+        self.nocycle = nocycle
+
+    def execute(self):
+        base = self.child.run()
+        if base.n == 0:
+            return
+        if self.start_with is not None:
+            roots_mask = selection_mask(self.start_with, base)
+        else:
+            roots_mask = np.ones(base.n, dtype=bool)
+        parent_cols = [p.eval(base) for p, _ in self.pairs]
+        child_cols = [c.eval(base) for _, c in self.pairs]
+        child_index: dict = {}
+        for i in range(base.n):
+            key = tuple(_unwrap(v.values[i]) if not v.null_mask()[i] else None for v in child_cols)
+            child_index.setdefault(key, []).append(i)
+        order: list[int] = []
+        levels: list[int] = []
+        frontier = [(i, 1) for i in np.nonzero(roots_mask)[0].tolist()]
+        visited: set[tuple[int, int]] = set()
+        while frontier:
+            row, level = frontier.pop()
+            if self.nocycle and (row, 0) in visited:
+                continue
+            visited.add((row, 0))
+            order.append(row)
+            levels.append(level)
+            if level > base.n:  # cycle guard
+                raise SQLError("CONNECT BY loop detected (use NOCYCLE)")
+            key = tuple(
+                _unwrap(v.values[row]) if not v.null_mask()[row] else None
+                for v in parent_cols
+            )
+            for child in child_index.get(key, ()):  # children whose child expr = parent's value
+                if self.nocycle and (child, 0) in visited:
+                    continue
+                frontier.append((child, level + 1))
+        if not order:
+            return
+        result = base.take(np.array(order, dtype=np.int64))
+        columns = dict(result.columns)
+        columns[self.LEVEL_KEY] = ColumnVector(
+            INTEGER, np.array(levels, dtype=np.int64), None
+        )
+        yield Batch.from_columns(columns)
+
+
 # --------------------------------------------------------------------------
 # FROM-item bookkeeping
 # --------------------------------------------------------------------------
@@ -127,9 +394,8 @@ class BaseRel:
     outer_null_side: bool = False  # True when (+)-marked / outer-null side
     scan_options: dict | None = None  # feature flags (ablation baselines)
 
-    on_scan: object = None  # callback(scan) for statistics collection
     pool: object = None  # WorkerPool for region-parallel scans
-    snapshot: object = None  # MVCC Snapshot pinned at plan time
+    built: list | None = None  # the planner's record of the scans it builds
     #: False for session temp tables: buffer-pool frames are keyed by table
     #: *name*, and two sessions' (or two successive) temp tables share one.
     pooled: bool = True
@@ -144,11 +410,10 @@ class BaseRel:
             pushed=self.pushed,
             page_source=page_source if self.pooled else None,
             pool=self.pool,
-            snapshot=self.snapshot,
             **(self.scan_options or {}),
         )
-        if self.on_scan is not None:
-            self.on_scan(scan)
+        if self.built is not None:
+            self.built.append(scan)
         outputs = [(c.key, ColumnRef(c.name, c.dtype)) for c in wanted]
         return ProjectOp(scan, outputs)
 
@@ -207,6 +472,7 @@ class SelectPlanner:
     def __init__(
         self, database, dialect: Dialect, page_source=None, session=None,
         relations: dict[str, MaterialRel] | None = None,
+        snapshot=None, on_scan=None, slots: LiteralSlots | None = None,
     ):
         self.database = database
         self.dialect = dialect
@@ -214,6 +480,18 @@ class SelectPlanner:
         self.session = session
         self.pool = getattr(database, "pool", None)
         self.morsel_rows = getattr(database, "morsel_rows", None)
+        #: For what planning itself executes (scalar / IN / EXISTS
+        #: subqueries fold to constants here): the statement's MVCC
+        #: snapshot and its scan registration.  A plan does not keep them.
+        self.subquery_snapshot = snapshot
+        self.on_scan = on_scan
+        #: The statement's literal slots when planning for the plan cache.
+        self.slots = slots
+        self.lineage = PlanLineage()
+        #: Every scan built into the statement's own tree, in build order.
+        self.scans: list[TableScanOp] = []
+        if relations:
+            self.lineage.single_use("relations", untracked=True)
         #: Innermost-last name scopes searched before temp tables and the
         #: catalog.  *relations* (the statement's own, e.g. the partials an
         #: MPP coordinator gathered) is the outermost, so views planned in
@@ -223,6 +501,12 @@ class SelectPlanner:
         )
         self._rel_counter = 0
 
+    def _pin(self, node) -> None:
+        """Planning read a literal's spelling off the AST (an ordinal, a
+        row limit): the plan holds for that value only."""
+        if self.slots is not None:
+            self.slots.pin(node.slot)
+
     # ==== public API =======================================================
 
     def plan(self, select: ast.Select, outer_scope: Scope | None = None) -> PlannedQuery:
@@ -231,7 +515,7 @@ class SelectPlanner:
         try:
             for name, cte_select, column_names in select.ctes:
                 planned = self.plan(cte_select, outer_scope)
-                frame[name.upper()] = self._materialise(
+                frame[name.upper()] = self._cte_relation(
                     planned, name.upper(), column_names
                 )
             return self._plan_body(select, outer_scope)
@@ -240,9 +524,28 @@ class SelectPlanner:
 
     # Subquery protocol used by the binder -------------------------------------
 
+    def _run_now(self, select: ast.Select, limit: int | None = None):
+        """Plan a subquery and execute it while planning: its answer is
+        folded into the plan, which is therefore this statement's alone (and
+        has no use for late literals)."""
+        self.lineage.single_use("plan-time-subquery")
+        saved, self.slots = self.slots, None
+        mark = len(self.scans)
+        try:
+            planned = self.plan(select)
+        finally:
+            self.slots = saved
+        if limit is not None:
+            planned.op = LimitOp(planned.op, limit=limit)
+        if self.subquery_snapshot is None:
+            self.subquery_snapshot = self.database.txn.snapshot()
+        # The subquery's scans are its own: not the enclosing statement's.
+        scans, self.scans[mark:] = self.scans[mark:], []
+        planned.open(scans, self.subquery_snapshot, self.on_scan)
+        return planned, planned.run()
+
     def scalar_value(self, select: ast.Select, scope: Scope) -> Expr:
-        planned = self.plan(select)
-        batch = planned.run()
+        planned, batch = self._run_now(select)
         if batch.n > 1:
             raise SQLError("scalar subquery returned %d rows" % batch.n)
         dtype = planned.dtypes[0]
@@ -255,8 +558,7 @@ class SelectPlanner:
         return Literal(value, dtype)
 
     def scalar_column(self, select: ast.Select, scope: Scope) -> list:
-        planned = self.plan(select)
-        batch = planned.run()
+        planned, batch = self._run_now(select)
         if len(planned.keys) != 1:
             raise SQLError("IN subquery must return exactly one column")
         vector = batch.columns[planned.keys[0]] if batch.n else None
@@ -276,9 +578,7 @@ class SelectPlanner:
             group_by=select.group_by,
             having=select.having,
         )
-        planned = self.plan(limited)
-        wrapped = LimitOp(planned.op, limit=1)
-        return wrapped.run().n > 0
+        return self._run_now(limited, limit=1)[1].n > 0
 
     # ==== core body planning ==================================================
 
@@ -291,18 +591,18 @@ class SelectPlanner:
 
     # -- FROM ---------------------------------------------------------------------
 
-    def _materialise(self, planned: PlannedQuery, alias: str, column_names=None) -> MaterialRel:
-        batch = planned.run()
+    def _cte_relation(self, planned: PlannedQuery, alias: str, column_names=None) -> MaterialRel:
+        """A CTE as a relation: one :class:`CteOp` however many references."""
         names = column_names or planned.names
         if len(names) != len(planned.keys):
             raise SQLError("column alias count mismatch for %s" % alias)
-        vectors = [
-            batch.columns[key]
-            if batch.columns
-            else ColumnVector(dtype, np.empty(0, dtype=dtype.numpy_dtype), None)
-            for key, dtype in zip(planned.keys, planned.dtypes)
-        ]
-        return vector_relation(alias, names, planned.dtypes, vectors)
+        columns = []
+        outputs = []
+        for name, key, dtype in zip(names, planned.keys, planned.dtypes):
+            new_key = "%s.%s" % (alias, name.upper())
+            columns.append(ScopeColumn(new_key, name.upper(), alias, dtype))
+            outputs.append((new_key, key, dtype))
+        return MaterialRel(alias, CteOp(planned.op, outputs, alias), columns)
 
     def _lazy_relation(self, planned: PlannedQuery, alias: str, column_names=None):
         """Wrap a planned query as a relation without materialising."""
@@ -357,35 +657,35 @@ class SelectPlanner:
         if self.session is not None and ref.schema is None:
             temp = self.session.get_temp_table(name)
             if temp is not None:
+                self.lineage.single_use("temp-table", untracked=True)
                 return self._base_rel(alias, temp, pooled=False)
-        obj = self.database.catalog.resolve(name, ref.schema)
+        lineage = self.lineage
+        obj = self.database.catalog.resolve(name, ref.schema, lineage.stamps)
+        if ref.schema is None:
+            lineage.names.add(name)
         from repro.catalog.catalog import NicknameInfo, TableInfo, ViewInfo
 
         if isinstance(obj, TableInfo):
+            if lineage.tables is not None:
+                lineage.tables.add(obj.table.schema.name.upper())
             return self._base_rel(alias, obj.table)
         if isinstance(obj, ViewInfo):
             from repro.sql.parser import parse_statement
 
-            cache = getattr(self.database, "statement_cache", None)
-            if cache is not None:
-                # Prepared-plan path: reparsing the view text on every
-                # reference dominates plan time for dashboard repeats, and
-                # planning never mutates the AST, so the parsed definition
-                # is memoizable.
-                view_select = cache.view_ast(obj.text, parse_statement)
-            else:
-                view_select = parse_statement(obj.text)
+            view_select = parse_statement(obj.text)
             if not isinstance(view_select, ast.Select):
                 raise SQLError("view %s does not contain a SELECT" % obj.name)
-            saved = self.dialect
-            # Views compile under the dialect recorded at creation (II.C.2).
-            self.dialect = get_dialect(obj.dialect)
+            saved = self.dialect, self.slots
+            # Views compile under the dialect recorded at creation (II.C.2);
+            # their literals are the definition's, not the statement's.
+            self.dialect, self.slots = get_dialect(obj.dialect), None
             try:
                 planned = self.plan(view_select)
             finally:
-                self.dialect = saved
+                self.dialect, self.slots = saved
             return self._lazy_relation(planned, alias, obj.column_names)
         if isinstance(obj, NicknameInfo):
+            lineage.single_use("nickname", untracked=True)
             batch, columns = obj.connector.fetch_batch(obj.remote_table, alias)
             return MaterialRel(alias, VectorSourceOp(batch), columns)
         raise BindError("%s is not a table, view, or nickname" % name)
@@ -396,15 +696,9 @@ class SelectPlanner:
             for cname, dtype in table.schema.columns
         ]
         options = getattr(self.database, "scan_options", None)
-        on_scan = getattr(self.database, "note_scan", None)
-        # Pin the statement's MVCC snapshot into the scan: morsel workers
-        # (threads or pickled process tasks) inherit it with the operator.
-        current = getattr(self.database, "current_snapshot", None)
-        snapshot = current() if callable(current) else None
         return BaseRel(
             alias=alias, table=table, columns=columns, pushed=[],
-            scan_options=options, on_scan=on_scan, pool=self.pool,
-            snapshot=snapshot, pooled=pooled,
+            scan_options=options, pool=self.pool, built=self.scans, pooled=pooled,
         )
 
     def _realias(self, rel: MaterialRel, alias: str) -> MaterialRel:
@@ -463,7 +757,8 @@ class SelectPlanner:
 
     def _make_binder(self, scope: Scope, allow_aggregates=False) -> ExpressionBinder:
         binder = ExpressionBinder(
-            scope, self.dialect, self.database, allow_aggregates=allow_aggregates
+            scope, self.dialect, self.database, allow_aggregates=allow_aggregates,
+            slots=self.slots,
         )
         binder.subquery_planner = self
         return binder
@@ -496,7 +791,7 @@ class SelectPlanner:
                     raise DialectError("(+) requires the Oracle dialect")
                 marker_conditions.setdefault(marked, []).append(conjunct)
                 continue
-            limit = _rownum_limit(conjunct)
+            limit = self._rownum_limit(conjunct)
             if limit is not None:
                 if not self.dialect.allows_rownum:
                     raise DialectError("ROWNUM requires the Oracle dialect")
@@ -583,11 +878,10 @@ class SelectPlanner:
             op = FilterOp(op, residual)
 
         # CONNECT BY (hierarchical expansion) happens after base filtering.
-        level_key = None
         if select.connect_by is not None:
             if not self.dialect.allows_connect_by:
                 raise DialectError("CONNECT BY requires the Oracle dialect")
-            op, level_key = self._plan_connect_by(op, select.connect_by, scope, binder)
+            op = self._plan_connect_by(op, select.connect_by, binder)
 
         if uses_rownum:
             op = RowNumberOp(op, "__ROWNUM")
@@ -666,6 +960,7 @@ class SelectPlanner:
         """Resolve an ORDER BY item to an output-column reference, if it is
         an ordinal or an output alias."""
         if isinstance(expr, ast.NumberLit):
+            self._pin(expr)
             index = int(expr.text) - 1
             if not 0 <= index < len(bound_items):
                 raise BindError("ORDER BY position %s out of range" % expr.text)
@@ -885,6 +1180,7 @@ class SelectPlanner:
             if isinstance(g, ast.NumberLit):
                 if not self.dialect.allows_group_by_ordinal:
                     raise DialectError("GROUP BY ordinal not allowed in this dialect")
+                self._pin(g)
                 index = int(g.text) - 1
                 if not 0 <= index < len(bound_items):
                     raise BindError("GROUP BY position %s out of range" % g.text)
@@ -976,8 +1272,8 @@ class SelectPlanner:
             raise DialectError(
                 "LIMIT/OFFSET requires the Netezza or PostgreSQL dialect"
             )
-        limit = _const_int(select.limit)
-        offset = _const_int(select.offset) or 0
+        limit = self._row_count(select.limit)
+        offset = self._row_count(select.offset) or 0
         if select.limit is not None and limit is None:
             raise SQLError("LIMIT must be a constant")
         if limit is not None or offset:
@@ -986,6 +1282,7 @@ class SelectPlanner:
 
     def _resolve_order_expr(self, expr, planned: PlannedQuery, scope) -> Expr | None:
         if isinstance(expr, ast.NumberLit):
+            self._pin(expr)
             index = int(expr.text) - 1
             if not 0 <= index < len(planned.keys):
                 raise BindError("ORDER BY position %s out of range" % expr.text)
@@ -1010,8 +1307,8 @@ class SelectPlanner:
 
     # -- CONNECT BY -----------------------------------------------------------------------
 
-    def _plan_connect_by(self, op: Operator, connect: ast.ConnectBy, scope, binder):
-        """Iterative hierarchical expansion (Oracle CONNECT BY).
+    def _plan_connect_by(self, op: Operator, connect: ast.ConnectBy, binder) -> Operator:
+        """Oracle CONNECT BY over *op*'s rows.
 
         Supports conditions that are conjunctions of equalities with exactly
         one PRIOR side, e.g. ``PRIOR empno = mgr``.
@@ -1031,51 +1328,43 @@ class SelectPlanner:
                 parent = binder.bind(conjunct.right.operand)
                 child = binder.bind(conjunct.left)
             pairs.append((parent, child))
-        base = op.run()
-        level_key = "__LEVEL"
-        if base.n == 0:
-            columns = dict(base.columns)
-            columns[level_key] = ColumnVector(INTEGER, np.empty(0, np.int64), None)
-            return VectorSourceOp(Batch.from_columns(columns)), level_key
+        start_with = None
         if connect.start_with is not None:
-            from repro.engine.expression import selection_mask
+            start_with = binder.bind(connect.start_with)
+        return ConnectByOp(op, pairs, start_with, connect.nocycle)
 
-            roots_mask = selection_mask(binder.bind(connect.start_with), base)
-        else:
-            roots_mask = np.ones(base.n, dtype=bool)
-        parent_cols = [p.eval(base) for p, _ in pairs]
-        child_cols = [c.eval(base) for _, c in pairs]
-        child_index: dict = {}
-        for i in range(base.n):
-            key = tuple(_unwrap(v.values[i]) if not v.null_mask()[i] else None for v in child_cols)
-            child_index.setdefault(key, []).append(i)
-        order: list[int] = []
-        levels: list[int] = []
-        frontier = [(i, 1) for i in np.nonzero(roots_mask)[0].tolist()]
-        visited: set[tuple[int, int]] = set()
-        while frontier:
-            row, level = frontier.pop()
-            if connect.nocycle and (row, 0) in visited:
-                continue
-            visited.add((row, 0))
-            order.append(row)
-            levels.append(level)
-            if level > base.n:  # cycle guard
-                raise SQLError("CONNECT BY loop detected (use NOCYCLE)")
-            key = tuple(
-                _unwrap(v.values[row]) if not v.null_mask()[row] else None
-                for v in parent_cols
-            )
-            for child in child_index.get(key, ()):  # children whose child expr = parent's value
-                if connect.nocycle and (child, 0) in visited:
-                    continue
-                frontier.append((child, level + 1))
-        result = base.take(np.array(order, dtype=np.int64))
-        columns = dict(result.columns)
-        columns[level_key] = ColumnVector(
-            INTEGER, np.array(levels, dtype=np.int64), None
-        )
-        return VectorSourceOp(Batch.from_columns(columns)), level_key
+    def _rownum_limit(self, conjunct) -> int | None:
+        """Recognise ROWNUM <= n / ROWNUM < n / ROWNUM = 1."""
+        if not isinstance(conjunct, ast.BinaryOp):
+            return None
+        left_rownum = isinstance(conjunct.left, ast.Rownum)
+        right_rownum = isinstance(conjunct.right, ast.Rownum)
+        if not (left_rownum ^ right_rownum):
+            return None
+        other = conjunct.right if left_rownum else conjunct.left
+        if not isinstance(other, ast.NumberLit):
+            return None
+        self._pin(other)
+        n = int(float(other.text))
+        op = conjunct.op
+        if not left_rownum:
+            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        if op == "<=":
+            return max(n, 0)
+        if op == "<":
+            return max(n - 1, 0)
+        if op == "=" and n == 1:
+            return 1
+        return None
+
+    def _row_count(self, expr) -> int | None:
+        """A LIMIT / OFFSET / FETCH FIRST count, read off the AST."""
+        if expr is None:
+            return None
+        literal = expr.operand if isinstance(expr, ast.UnaryOp) else expr
+        if isinstance(literal, ast.NumberLit):
+            self._pin(literal)
+        return _const_int(expr)
 
     # -- star expansion --------------------------------------------------------------------
 
@@ -1247,30 +1536,6 @@ def _strip_markers(node):
     return node
 
 
-def _rownum_limit(conjunct) -> int | None:
-    """Recognise ROWNUM <= n / ROWNUM < n / ROWNUM = 1."""
-    if not isinstance(conjunct, ast.BinaryOp):
-        return None
-    left_rownum = isinstance(conjunct.left, ast.Rownum)
-    right_rownum = isinstance(conjunct.right, ast.Rownum)
-    if not (left_rownum ^ right_rownum):
-        return None
-    other = conjunct.right if left_rownum else conjunct.left
-    if not isinstance(other, ast.NumberLit):
-        return None
-    n = int(float(other.text))
-    op = conjunct.op
-    if not left_rownum:
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    if op == "<=":
-        return max(n, 0)
-    if op == "<":
-        return max(n - 1, 0)
-    if op == "=" and n == 1:
-        return 1
-    return None
-
-
 def _ast_children(node):
     if not hasattr(node, "__dataclass_fields__"):
         return
@@ -1359,9 +1624,13 @@ def _bind_constant(node, binder, target_dtype):
     except (BindError, UnsupportedFeatureError, TypeCheckError):
         return None
     literal = _as_literal(bound)
-    if literal is None or literal.value is None:
+    if literal is None:
         return None
     try:
+        if isinstance(literal, SlotLiteral):
+            return literal.pushed(target_dtype)
+        if literal.value is None:
+            return None
         return _physical_for(literal, target_dtype)
     except (TypeError, ValueError, ArithmeticError):
         # An inconvertible pushdown constant just means "no zone-map

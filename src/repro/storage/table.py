@@ -187,7 +187,9 @@ class TableCapture:
 
     ``regions`` is the frozen region list at capture time; ``tail`` maps
     the requested columns to uncompressed vectors of the captured tail
-    prefix; ``tail_mask`` filters the tail to visible rows (None = all).
+    prefix; ``tail_mask`` filters the tail to visible rows (None = all);
+    ``snapshot`` is the MVCC snapshot the view was taken under, which
+    decides row visibility inside ``regions`` (None = latest state).
     Concurrent appends and seals after the capture are simply not part of
     the view — exactly snapshot semantics.
     """
@@ -196,6 +198,7 @@ class TableCapture:
     tail: dict[str, ColumnVector]
     tail_mask: np.ndarray | None
     tail_rows: int
+    snapshot: Snapshot | None = None
 
 
 class ColumnTable:
@@ -512,7 +515,10 @@ class ColumnTable:
             for name in names
         }
         tail_mask = _tail_visible(xmin, xmax, n, snapshot)
-        return TableCapture(regions=regions, tail=tail, tail_mask=tail_mask, tail_rows=n)
+        return TableCapture(
+            regions=regions, tail=tail, tail_mask=tail_mask, tail_rows=n,
+            snapshot=snapshot,
+        )
 
     def tail_vector(self, name: str) -> ColumnVector:
         """The uncompressed tail of one column as a runtime vector."""

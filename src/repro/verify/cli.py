@@ -75,7 +75,7 @@ def _plan_sweep(as_json: bool) -> int:
     for sql in PLAN_SWEEP_CORPUS:
         db.last_scans = []
         planned = db._planner(session).plan(parse_statement(sql))
-        issues = verify_plan(planned, database=db)
+        issues = verify_plan(planned.bind(on_scan=db.note_scan), database=db)
         report.append({
             "sql": sql,
             "issues": [

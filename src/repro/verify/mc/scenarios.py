@@ -504,6 +504,58 @@ class CommitCrashVersions(Scenario):
         self._check_versions(state)
 
 
+class PlanCacheFillVsDdl(Scenario):
+    """A plan-cache fill races a DDL commit on the name the plan resolved.
+
+    One session executes ``SELECT A FROM V`` for the first time — plans
+    it, then stores the plan — while another redefines the view ``V`` over
+    a different table.  A plan is valid only while the DDL stamp of every
+    name it resolved stands (``Catalog.resolve`` reads the stamp before the
+    object, DDL moves it after the change), so whichever way the two
+    interleave, the plan that ends up cached either compiles the new
+    definition or is dropped on its next lookup.  The bug this catches: a
+    plan of the *old* definition stored under the new definition's stamp —
+    every later execution of the template would silently answer from it.
+    """
+
+    name = "plan-cache-fill-vs-ddl"
+    description = "first execution of a template races a redefinition of its view"
+
+    _QUERY = "SELECT A FROM V"
+
+    def setup(self) -> dict:
+        db = Database(name="MC")
+        session = db.connect()
+        session.execute("CREATE TABLE OLD (A INT)")
+        session.execute("CREATE TABLE NEW (A INT)")
+        session.execute("INSERT INTO OLD VALUES (0)")
+        session.execute("INSERT INTO NEW VALUES (7)")
+        session.execute("CREATE VIEW V AS SELECT A FROM OLD")
+        return {"db": db}
+
+    def thread_specs(self, state: dict) -> list:
+        db = state["db"]
+
+        def reader():
+            state["seen"] = _rows(db, self._QUERY)
+
+        def ddl():
+            db.connect().execute("CREATE OR REPLACE VIEW V AS SELECT A FROM NEW")
+
+        return [("reader", reader), ("ddl", ddl)]
+
+    def check(self, state: dict) -> None:
+        db = state["db"]
+        assert state["seen"] in ([(0,)], [(7,)]), state["seen"]
+        # Whatever the race left in the cache, the template now answers
+        # from the definition that stands — and again, from the cached plan.
+        for _ in range(2):
+            assert _rows(db, self._QUERY) == [(7,)], (
+                "cached plan still compiles the replaced view definition"
+            )
+        assert db.plan_cache.stats.hits >= 1
+
+
 #: The registry, in documentation order.
 SCENARIOS = [
     ConcurrentInsertCommit(),
@@ -514,6 +566,7 @@ SCENARIOS = [
     SnapshotReadVsCommit(),
     FirstCommitterWins(),
     CommitCrashVersions(),
+    PlanCacheFillVsDdl(),
 ]
 
 

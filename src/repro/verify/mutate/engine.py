@@ -61,6 +61,7 @@ DEFAULT_TARGET_PATHS = (
     "src/repro/engine/expression.py",
     "src/repro/durability/manager.py",
     "src/repro/database/database.py",
+    "src/repro/database/plancache.py",
     "src/repro/serving/cache.py",
 )
 

@@ -41,7 +41,7 @@ from repro.engine.operators import (
 )
 from repro.engine.sort import SortOp
 from repro.errors import ReproError
-from repro.types.datatypes import BIGINT, DataType, TypeKind
+from repro.types.datatypes import BIGINT, INTEGER, DataType, TypeKind
 
 
 class PlanVerificationError(ReproError):
@@ -243,6 +243,31 @@ class PlanVerifier:
         return {
             key: vector.dtype for key, vector in op.batch.columns.items()
         }
+
+    def _visit_cteop(self, op):
+        schema = self.visit(op.child)
+        if schema is not None:
+            for key, source, dtype in op.outputs:
+                if schema.get(source) != dtype:
+                    self._issue(
+                        op,
+                        "unknown-column",
+                        "CTE %s exposes %r as %s but its query produces %s"
+                        % (op.name, source, dtype, schema.get(source)),
+                    )
+        return {key: dtype for key, _source, dtype in op.outputs}
+
+    def _visit_connectbyop(self, op):
+        schema = self.visit(op.child)
+        for parent, child in op.pairs:
+            self._check_refs(op, parent, schema, "CONNECT BY parent")
+            self._check_refs(op, child, schema, "CONNECT BY child")
+        self._check_refs(op, op.start_with, schema, "START WITH")
+        if schema is None:
+            return None
+        out = dict(schema)
+        out[op.LEVEL_KEY] = INTEGER
+        return out
 
     def _visit_filterop(self, op: FilterOp):
         schema = self.visit(op.child)

@@ -319,6 +319,20 @@ def access(owner: str, fld: str, write: bool = True, site: str = "") -> None:
         san.access(owner, fld, write, site)
 
 
+def protocol_access(owner: str, fld: str, write: bool = True, site: str = "") -> None:
+    """One access to a field that is ordered by a protocol, not by a lock.
+
+    The catalog is the case: readers take no lock; a reader takes a name's
+    DDL stamp and then its object, DDL changes the object and then moves
+    the stamp.  The model checker is told (it then explores both orders
+    against every conflicting access); the lockset analysis, which could
+    only call it a race, is not.  One global read when no checker runs.
+    """
+    hook = _MC_HOOK
+    if hook is not None and hook.governs_current_thread():
+        hook.on_access(owner, fld, write, site)
+
+
 class VectorInvariantError(AssertionError):
     """A dictionary-coded vector broke a representation invariant."""
 
@@ -347,6 +361,47 @@ def check_vectors(columns) -> None:
         else:
             continue
         raise VectorInvariantError("coded column %s: %s" % (name, problem))
+
+
+class SharedPlanError(AssertionError):
+    """Per-execution state is reachable from a plan the cache shares."""
+
+
+#: What belongs to one execution and must never be reachable from a cached
+#: plan: the MVCC snapshot, a scan's captured table state and statistics,
+#: the EXPLAIN ANALYZE / tracer wrapper.
+_PER_EXECUTION = frozenset({"Snapshot", "TableCapture", "ScanStats", "InstrumentedOp"})
+
+
+def check_shared_plan(plan) -> None:
+    """Check that a plan about to be cached holds nothing of an execution.
+
+    Walks what the plan is made of — operators, expressions, predicates,
+    sort keys and aggregate specs (objects of the ``repro.engine`` and
+    ``repro.sql`` packages) and the lists, tuples and dicts between them —
+    and looks at the class of everything they reference, without entering
+    storage, pools or catalog objects.  Duck-typed by class name, so this
+    module still imports nothing of the engine.
+    """
+    seen: set[int] = set()
+    stack = [(plan, "plan")]
+    while stack:
+        obj, path = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        cls = type(obj)
+        if cls.__name__ in _PER_EXECUTION:
+            raise SharedPlanError("cached %s holds a %s" % (path, cls.__name__))
+        if isinstance(obj, (list, tuple)):
+            stack.extend((item, path) for item in obj)
+        elif isinstance(obj, dict):
+            stack.extend((item, path) for item in obj.values())
+        elif cls.__module__.startswith(("repro.engine", "repro.sql")):
+            stack.extend(
+                (value, "%s.%s" % (cls.__name__, attr))
+                for attr, value in getattr(obj, "__dict__", {}).items()
+            )
 
 
 class task_span:

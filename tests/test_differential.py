@@ -604,14 +604,47 @@ def test_oracle_agrees_after_crash_recovery():
     cluster.pool.shutdown()
 
 
+def _fresh_plan(db, session, sql):
+    """The no-cache oracle: ``SelectPlanner(...).plan(node)`` called
+    directly and run under a snapshot taken now; its outcome as ``(columns,
+    rows, dtypes)`` or the SQL error it raised."""
+    from repro.database.result import result_from_batch
+    from repro.errors import SQLError
+    from repro.sql.parser import parse_statement
+    from repro.sql.planner import SelectPlanner
+
+    try:
+        planner = SelectPlanner(
+            db, session.dialect, page_source=db.page_source, session=session
+        )
+        planned = planner.plan(parse_statement(sql))
+        batch = planned.bind(db.txn.snapshot()).run()
+    except SQLError as exc:
+        return type(exc).__name__
+    result = result_from_batch(batch, planned.names, planned.keys, planned.dtypes)
+    return result.columns, result.rows, [str(d) for d in result.dtypes]
+
+
+def _through_the_cache(session, sql):
+    from repro.errors import SQLError
+
+    try:
+        result = session.execute(sql)
+    except SQLError as exc:
+        return type(exc).__name__
+    return result.columns, result.rows, [str(d) for d in result.dtypes]
+
+
 def test_serving_cache_differential_oracle_under_churn():
     """Cached answers are byte-identical to uncached execution while a
     concurrent MVCC trickle writer commits into the scanned table.
 
-    For 50 random queries the serving gateway (result cache + plan cache)
-    races an auto-commit writer.  Each comparison brackets the cached and
-    uncached executions with the database's commit clock: when no commit
-    landed in the window, the two answers must match exactly — row order
+    For 50 random queries the serving gateway (result cache over the
+    engine's plan cache) and ``Session.execute`` (the plan cache alone) race
+    an auto-commit writer; the reference is a fresh plan of the same text,
+    planned and run with no cache in sight.  Each comparison brackets the
+    executions with the database's commit clock: when no commit
+    landed in the window, the answers must match exactly — row order
     included.  Windows dirtied by the writer are retried; once the writer
     drains, every query gets a guaranteed-quiet comparison.  The run must
     also actually exercise the cache, and does by construction: the reader
@@ -652,11 +685,14 @@ def test_serving_cache_differential_oracle_under_churn():
         for _ in range(200):
             epoch = db.write_epoch
             cached = gateway.execute(sql, session=session)
-            uncached = session.execute(sql)
+            planned_once = _through_the_cache(session, sql)
+            uncached = _fresh_plan(db, session, sql)
             if db.write_epoch != epoch:
                 continue  # writer committed mid-window: answers may differ
-            assert cached.rows == uncached.rows, "cache diverges: %s" % sql
-            assert cached.columns == uncached.columns, sql
+            assert (cached.columns, cached.rows) == uncached[:2], (
+                "result cache diverges: %s" % sql
+            )
+            assert planned_once == uncached, "plan cache diverges: %s" % sql
             return
         raise AssertionError("no quiet window for: %s" % sql)
 
@@ -679,8 +715,125 @@ def test_serving_cache_differential_oracle_under_churn():
     stats = gateway.result_cache.stats
     assert stats.hits > 0, "oracle never exercised a cache hit"
     assert stats.invalidations > 0, "churn never invalidated an entry"
+    assert db.plan_cache.stats.hits > len(queries), "plans were never reused"
     assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1200 + 120
     gateway.close()
+
+
+def test_plan_cache_differential_oracle_under_ddl_and_trickle_writes():
+    """``Session.execute`` through cached plans == a fresh plan, while DDL
+    keeps redefining what the statements' names mean.
+
+    Three threads against one engine.  A trickle writer commits single-row
+    inserts into ``t`` (DML: no plan may be invalidated by it, every plan
+    must see it through its next snapshot).  A DDL thread alternates the
+    schema of a side table ``u`` by DROP + CREATE (two shapes: the column a
+    statement selects changes type, another disappears) and redefines the
+    view ``vw`` over ``t`` between two definitions.  The reader runs
+    statements over ``t``, ``u`` and ``vw`` whose templates repeat with
+    different literals, each compared — columns, rows in order, dtypes, or
+    the error class while ``u`` is between its DROP and its CREATE — with
+    ``SelectPlanner(...).plan(node)`` run directly, in a window no commit
+    landed in.  A plan of a dropped table or a replaced view surviving its
+    DDL shows up as a wrong answer or a wrong error here.
+    """
+    import threading
+
+    db = Database()
+    session = db.connect("db2")
+    _htap_load(session, seed=43, n_rows=900)
+    flush_tables(db)
+    shapes = [
+        ("CREATE TABLE u (k INT, x INT, y VARCHAR(4))",
+         "INSERT INTO u VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 30, 'c')"),
+        ("CREATE TABLE u (k INT, x VARCHAR(6))",
+         "INSERT INTO u VALUES (1, 'ten'), (2, 'twenty')"),
+    ]
+    views = [
+        "CREATE OR REPLACE VIEW vw AS SELECT a, b FROM t WHERE b < 500",
+        "CREATE OR REPLACE VIEW vw AS SELECT a + 1000 AS a, c AS b FROM t WHERE a < 7",
+    ]
+    for statement in shapes[0] + (views[0],):
+        session.execute(statement)
+    errors: list = []
+    permits = threading.Semaphore(0)
+    stop = threading.Event()
+
+    def paced(statements):
+        for statement in statements:
+            permits.acquire()
+            if stop.is_set():
+                return
+            yield statement
+
+    def ddl_statements():
+        for round_ in range(1, 41):
+            yield "DROP TABLE u"
+            yield from shapes[round_ % 2]
+            yield views[round_ % 2]
+
+    writer = threading.Thread(
+        target=_trickle,
+        args=(db.connect("db2"),
+              paced("INSERT INTO t VALUES %s" % row for row in _writer_rows(160)),
+              errors),
+    )
+    ddl = threading.Thread(
+        target=_trickle, args=(db.connect("db2"), paced(ddl_statements()), errors)
+    )
+    rng = derive_rng(43, "diff-plan-cache")
+
+    def reads():
+        """One batch: random queries over t, and the DDL-sensitive
+        templates with fresh literals."""
+        k = int(rng.integers(0, 4))
+        yield _random_query(rng)
+        yield "SELECT k, x FROM u WHERE k >= %d ORDER BY k" % k
+        yield "SELECT COUNT(*), MAX(x) FROM u WHERE k <> %d" % k
+        yield "SELECT y FROM u WHERE k = %d" % k  # a column only one shape has
+        yield "SELECT a, b FROM vw WHERE a > %d ORDER BY 1, 2 FETCH FIRST 5 ROWS ONLY" % k
+        yield "SELECT COUNT(*) FROM vw v, u WHERE u.k = %d" % k
+        yield "SELECT COUNT(*) FROM t WHERE a = %d" % (100000 + k)  # the writer's rows
+
+    compared = 0
+
+    def compare(sql):
+        for _ in range(200):
+            epoch = db.write_epoch
+            cached = _through_the_cache(session, sql)
+            uncached = _fresh_plan(db, session, sql)
+            if db.write_epoch != epoch:
+                continue  # a commit landed mid-window: the two may differ
+            assert cached == uncached, "plan cache diverges: %s" % sql
+            return
+        raise AssertionError("no quiet window for: %s" % sql)
+
+    writer.start()
+    ddl.start()
+    try:
+        for _ in range(40):
+            for sql in reads():
+                compare(sql)
+                compared += 1
+                permits.release()
+                permits.release()
+    finally:
+        stop.set()
+        for _ in range(400):  # wake both threads up, whatever happened above
+            permits.release()
+        writer.join(timeout=120)
+        ddl.join(timeout=120)
+    assert not writer.is_alive() and not ddl.is_alive()
+    if errors:
+        raise errors[0]
+    for _ in range(3):  # quiescent: every template again, from its plan
+        for sql in reads():
+            compare(sql)
+    stats = db.plan_cache.stats
+    assert compared == 280
+    assert stats.invalidations >= 20, "DDL never caught a cached plan"
+    assert stats.hits > stats.misses, "templates were not reused"
+    assert stats.bypass_reasons["literal-shape"] == 0
 
 
 # -- string keys stay codes: regions with different dictionaries, tail, churn -----

@@ -401,6 +401,31 @@ class TestPhysicalAlignmentInternals:
         flipped = make_arith("-", Literal(2, INTEGER), Literal(150, hundredths))
         assert flipped.eval(Batch(columns={}, n=1)).values.tolist() == [50]
 
+    def test_align_for_compare_leaves_a_string_side_alone(self):
+        # boolean@src/repro/engine/expression.py:294:7 survived: with the
+        # guard weakened to "both sides are object arrays", a string column
+        # against a numeric one is pushed through ``astype(float64)``.
+        from repro.engine.expression import _align_for_compare
+
+        strings = ColumnVector(varchar_type(4), np.array(["a", "b"], dtype=object), None)
+        ints = ColumnVector(BIGINT, np.array([1, 2], dtype=np.int64), None)
+        for lv, rv in ((strings, ints), (ints, strings)):
+            left, right = _align_for_compare(lv, rv)
+            assert left is lv.values and right is rv.values
+
+    def test_decimal_operands_already_at_the_target_scale_are_not_recast(self):
+        # boundary@src/repro/engine/expression.py:800:11 survived: ``<=``
+        # wraps an operand that already has the target scale in a Cast that
+        # shifts by nothing and re-declares its precision.
+        from repro.engine.expression import _align_decimals
+
+        hundredths, tenths = decimal_type(8, 2), decimal_type(5, 1)
+        wide, narrow = Literal(150, hundredths), Literal(25, tenths)
+        left, right, result = _align_decimals("+", wide, narrow, DOUBLE)
+        assert left is wide and isinstance(right, Cast) and result.scale == 2
+        left, right, _ = _align_decimals("-", narrow, wide, DOUBLE)
+        assert right is wide and isinstance(left, Cast)
+
     def test_like_escape_character_at_the_end_of_the_pattern_is_literal(self):
         # boundary@src/repro/engine/expression.py:511:39 survived: with the
         # bound relaxed a trailing escape character reads one past the

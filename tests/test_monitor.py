@@ -443,7 +443,8 @@ class TestMonreport:
         report = db.monreport()
         assert sorted(report) == [
             "bufferpool", "database", "durability", "metrics", "parallel",
-            "serving", "statements", "tables", "tracing_enabled", "txn",
+            "plan_cache", "serving", "statements", "tables", "tracing_enabled",
+            "txn",
         ]
         assert report["parallel"]["parallelism"] >= 1
         assert report["tracing_enabled"] is True
@@ -465,6 +466,102 @@ class TestMonreport:
         assert metrics["bufferpool.hits"] + metrics["bufferpool.misses"] > 0
         assert metrics["bufferpool.hits"] == report["bufferpool"]["hits"]
         assert metrics["bufferpool.misses"] == report["bufferpool"]["misses"]
+
+
+class TestPlanCacheOnTheBenchmarkPools:
+    """Every statement of the four e2e workloads either executes a cached
+    plan, plans one that gets cached, or is not a read at all: a SELECT of
+    those pools that goes around the plan cache (a literal that stopped
+    fitting, a plan-time subquery somebody added to a dashboard) would
+    silently put planning back on the serving path, so it fails here.
+    Only the cluster's engines bypass by design — they are entered by AST."""
+
+    @staticmethod
+    def _bypasses(db) -> dict:
+        reasons = db.monreport()["plan_cache"]["bypass_reasons"]
+        return {reason: n for reason, n in reasons.items() if n}
+
+    @staticmethod
+    def _workload(**sizes):
+        from repro.workloads import tpcds
+        from repro.workloads.customer import CustomerWorkload
+
+        workload = CustomerWorkload(seed=31, **sizes)
+        db = Database()
+        session = db.connect()
+        for ddl in workload.base_ddl():
+            session.execute(ddl)
+        for name, rows in workload.base_rows().items():
+            tpcds.bulk_insert(session, name, rows)
+        tpcds.flush_tables(session)
+        return workload, db, session
+
+    def test_etl_stream_hits_its_eighteen_templates_despite_the_ddl(self):
+        # The full ``etl`` stream: 361 DDL statements on staging tables
+        # between the lookups.  DDL stamps are per name, so none of them
+        # costs a lookup its plan: one miss per template, hits after.
+        workload, db, session = self._workload(
+            scale=1 / 200, n_accounts=2000, n_instruments=200, n_trades=10_000
+        )
+        statements = workload.statements()
+        setup = self._bypasses(db)["not-a-read"]  # the base DDL
+        for statement in statements:
+            session.execute(statement.sql)
+        reads = sum(s.kind in ("SELECT", "WITH", "EXPLAIN") for s in statements)
+        report = db.monreport()["plan_cache"]
+        assert sum(s.kind in ("CREATE", "DROP") for s in statements) > 300
+        assert report["hits"] + report["misses"] == reads
+        assert report["misses"] == report["templates"] == report["entries"] <= 18
+        assert report["hit_rate"] >= 0.8
+        assert report["invalidations"] == report["evictions"] == 0
+        # (EXPLAIN is no read to the key, and asks the cache for its SELECT.)
+        assert self._bypasses(db) == {"not-a-read": setup + len(statements) - reads + 1}
+
+    def test_dashboards_long_tail_and_serving_lookups_never_bypass(self):
+        from repro.serving import ServingGateway
+        from repro.workloads import BDINSIGHT_QUERIES, TPCDS_QUERIES, tpcds
+
+        workload, db, session = self._workload(
+            n_accounts=150, n_instruments=30, n_trades=1200
+        )
+        data = tpcds.generate(scale=0.03, seed=31)
+        for ddl in tpcds.DDL:
+            session.execute(ddl)
+        for name, rows in data.tables().items():
+            tpcds.bulk_insert(session, name, rows)
+        setup = self._bypasses(db)
+        dashboards = [sql for _name, sql in TPCDS_QUERIES + BDINSIGHT_QUERIES]
+        for sql in dashboards + workload.long_tail_pool(35) + workload.long_tail_pool(35):
+            session.execute(sql)  # ``analytics``: Session.execute
+        gateway = ServingGateway(db)
+        lookups = (
+            "SELECT balance FROM accounts WHERE acct_id = %d",
+            "SELECT COUNT(*) FROM trades WHERE acct_id = %d",
+            "SELECT qty, market_value FROM positions WHERE acct_id = %d",
+        )
+        for acct in range(40):  # ``serve``: the gateway, with its writes
+            for template in lookups:
+                gateway.execute(template % acct, session=session)
+            gateway.execute(dashboards[acct % len(dashboards)], session=session)
+        gateway.execute(
+            "UPDATE accounts SET balance = balance + 1 WHERE acct_id = 3", session=session
+        )
+        gateway.close()
+        after = self._bypasses(db)
+        assert set(after) == {"not-a-read"}
+        assert after["not-a-read"] == setup["not-a-read"] + 1
+        report = db.monreport()["plan_cache"]
+        assert report["misses"] == report["templates"] <= 40
+        assert report["hits"] > 4 * report["misses"]
+
+    def test_cluster_engines_bypass_as_ast_entry_and_nothing_else(self, cluster):
+        cluster, session = cluster
+        session.execute("SELECT AMT, COUNT(*) FROM F GROUP BY AMT")
+        session.execute("SELECT ID FROM F WHERE AMT > 5 ORDER BY 1")
+        engines = [shard.engine for shard in cluster.shards.values()]
+        for engine in engines + [cluster.coordinator]:
+            assert set(self._bypasses(engine)) <= {"ast-entry", "relations", "not-a-read"}
+        assert all("ast-entry" in self._bypasses(engine) for engine in engines)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.database import Database
 from repro.durability.manager import DurabilityManager
-from repro.serving.cache import PlanCache, ResultCache
+from repro.serving.cache import ResultCache
 from repro.sql.parser import parse_statement
 from repro.storage.filesystem import ClusterFileSystem
 
@@ -122,46 +122,67 @@ class TestReopenInvalidatesServingCaches:
         assert not db.versions_valid(token)
 
 
+class TestCrashForgetsItsUnflushedCommits:
+    """Mutant constant@src/repro/durability/manager.py:318:38 survived
+    (``_unflushed_commits = 1`` after a crash): the commit counter a crash
+    corrects must not be corrected again by the next one."""
+
+    def test_a_second_crash_loses_nothing_more(self):
+        db = _durable_db(group_commit=100)
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.durability.flush()
+        durable = db.durability.stats["commits"]
+        db.execute("INSERT INTO t VALUES (2)")  # committed, never flushed
+        assert db.durability.stats["commits"] == durable + 1
+        db.reopen()
+        assert db.durability.stats["commits"] == durable
+        assert db.durability.durable_commits == durable
+        db.reopen()  # nothing was committed in between
+        assert db.durability.stats["commits"] == durable
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
+
+
 class TestPlanCacheDefaultCapacity:
     """Mutant constant@src/repro/serving/cache.py:178:57 survived: the
-    PlanCache default capacity (512 -> 513) is observable nowhere —
+    plan cache's default capacity (512 -> 513) is observable nowhere —
     every test passes an explicit capacity.  The default is part of the
     sizing story (EXPERIMENTS.md serving rows were measured with it),
     so pin it, and pin that the default-constructed cache actually
-    enforces whatever its capacity says."""
+    enforces whatever its capacity says.  (The cache is the engine's
+    since PR 21 — ``Database.plan_cache`` — and holds plans, not ASTs.)"""
 
     def test_default_capacity_is_pinned(self):
-        cache = PlanCache()
-        assert cache.capacity == 512
-        assert ResultCache(Database("CAP")).capacity == 2048
+        db = Database("CAP")
+        assert db.plan_cache.capacity == 512
+        assert ResultCache(db).capacity == 2048
 
     def test_default_constructed_cache_evicts_at_capacity(self):
         db = Database("EVICT")
         db.execute("CREATE TABLE t (a INT)")
-        from repro.sql.parser import parse_statement
-
-        cache = PlanCache()
+        cache = db.plan_cache
         for i in range(cache.capacity + 1):
-            sql = "SELECT a FROM t WHERE a = %d" % i
-            cache.statement_ast(sql, lambda tokens, s=sql: parse_statement(s, tokens))
-        assert len(cache._asts) == cache.capacity
+            db.execute("SELECT a AS c%d FROM t" % i)  # one template each
+        report = cache.report()
+        assert report["entries"] == report["templates"] == cache.capacity
         assert cache.stats.evictions == 1
 
-    def test_a_hit_counts_once_and_a_full_view_cache_keeps_capacity_entries(self):
+    def test_a_hit_counts_once_and_a_full_cache_keeps_capacity_entries(self):
         """constant@src/repro/serving/cache.py:198:35 (``hits += 2``) and
         boundary@src/repro/serving/cache.py:224:18 (evict at ``>=``
-        capacity) survived: nothing read the AST hit counter or filled
-        the view cache exactly to its capacity."""
-        cache = PlanCache(capacity=2)
-        sql = "SELECT 1 FROM t"
+        capacity) survived: nothing read the hit counter or filled the
+        cache exactly to its capacity."""
+        db = Database("HITS")
+        db.execute("CREATE TABLE t (a INT)")
+        cache = db.plan_cache
+        cache.capacity = 2
         for _ in range(3):
-            cache.statement_ast(sql, lambda tokens: parse_statement(sql, tokens))
+            db.execute("SELECT 1 FROM t")
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
-        for text in ("SELECT 1 FROM a", "SELECT 1 FROM b"):
-            cache.view_ast(text, parse_statement)
-        assert len(cache._views) == 2 and cache.view_stats.evictions == 0
-        cache.view_ast("SELECT 1 FROM c", parse_statement)
-        assert len(cache._views) == 2 and cache.view_stats.evictions == 1
+        db.execute("SELECT 2 AS b FROM t")
+        assert cache.report()["entries"] == 2 and cache.stats.evictions == 0
+        db.execute("SELECT 3 AS c FROM t")
+        assert cache.report()["entries"] == 2 and cache.stats.evictions == 1
 
 
 class _ProbeClock:

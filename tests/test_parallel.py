@@ -230,6 +230,8 @@ class TestMorselBatching:
         assert batch_size(64, 4) == 8
         assert batch_size(3, 4) == 1
         assert batch_size(0, 4) == 1
+        # A serial pool is one worker, not two: ceil(8 / 2) = 4.
+        assert batch_size(8, 1) == batch_size(8, 0) == 4
 
     def test_batch_items_preserves_order(self):
         items = list(range(10))

@@ -16,11 +16,12 @@ from repro.cluster import Cluster
 from repro.cluster.hardware import HardwareSpec
 from repro.cluster.wlm import Job, WorkloadManager
 from repro.database import Database
-from repro.errors import AdmissionError, SQLSyntaxError
+from repro.database.plancache import PLAN_BYPASS_REASONS
+from repro.monitor.metrics import CacheStats
+from repro.errors import AdmissionError, SQLSyntaxError, UnknownObjectError
 from repro.serving import (
     SHED_SQLSTATE,
     AdmissionSimulator,
-    PlanCache,
     ResultCache,
     ServiceClass,
     ServingGateway,
@@ -29,7 +30,6 @@ from repro.serving import (
     normalize,
     open_loop_arrivals,
     parameterize,
-    read_dependencies,
     recommend,
     run_open_loop,
     statement_key,
@@ -153,6 +153,8 @@ class TestNormalize:
             "SELECT CURRENT DATE FROM t",
             "SELECT CURRENT_TIMESTAMP FROM t",
             "SELECT NEXT VALUE FOR s FROM t",
+            "SELECT NOW() FROM t",  # folded to a constant while planning:
+            "SELECT a FROM t WHERE d < TODAY",  # a cached plan would freeze it
         ):
             assert statement_key(sql).bypass == "volatile", sql
 
@@ -296,47 +298,51 @@ class TestResultCache:
 
     def test_temp_table_reads_are_uncacheable(self, served):
         db, gw = served
-        from repro.sql.parser import parse_statement
-
         session = db.connect("db2")
         session.execute("DECLARE GLOBAL TEMPORARY TABLE tmp (x INT)")
-        node = parse_statement("SELECT COUNT(*) FROM tmp")
-        assert read_dependencies(node, db, session) is None
-        # Explicit SESSION qualification is uncacheable even without the
-        # session object in hand.
-        qualified = parse_statement("SELECT COUNT(*) FROM session.tmp")
-        assert read_dependencies(qualified, db) is None
+        sql = "SELECT COUNT(*) FROM tmp"
+        first = gw.execute(sql, session=session)
+        assert first.tables is None  # session-local data: not tracked
+        session.execute("INSERT INTO tmp VALUES (1)")  # no commit hook sees this
+        assert gw.execute(sql, session=session).scalar() == 1
+        assert gw.result_cache.stats.stores == 0
+        assert db.plan_cache.stats.bypass_reasons["temp-table"] == 2
+        # The temp table has no schema-qualified name to be cached under.
+        with pytest.raises(UnknownObjectError):
+            gw.execute("SELECT COUNT(*) FROM session.tmp", session=session)
 
     def test_dependencies_resolve_through_views(self, served):
         db, gw = served
-        from repro.sql.parser import parse_statement
-
         db.execute("CREATE VIEW v2 AS SELECT a FROM t")
-        deps = read_dependencies(
-            parse_statement("SELECT * FROM v2"), db
-        )
-        assert deps == frozenset({"T"})
+        assert gw.execute("SELECT * FROM v2").tables == frozenset({"T"})
+        db.execute("CREATE TABLE u (a INT)")
+        joined = gw.execute("SELECT COUNT(*) FROM v2, u WHERE v2.a = u.a")
+        assert joined.tables == frozenset({"T", "U"})
+        # ... and the plan cache hands the same set back on a hit.
+        gw.result_cache.clear()
+        assert gw.execute("SELECT * FROM v2").tables == frozenset({"T"})
+        assert db.plan_cache.stats.hits == 1
 
     def test_unknown_table_is_uncacheable(self, served):
         db, gw = served
-        from repro.sql.parser import parse_statement
+        for _ in range(2):
+            with pytest.raises(UnknownObjectError):
+                gw.execute("SELECT * FROM nope")
+        assert gw.result_cache.stats.stores == 0
+        assert db.plan_cache.report()["entries"] == 0
 
-        deps = read_dependencies(
-            parse_statement("SELECT * FROM nope"), db
-        )
-        assert deps is None
-
-    def test_cte_shadowing_catalog_name_bypasses(self, served):
+    def test_cte_shadowing_catalog_name_resolves_by_scope(self, served):
+        """The planner's own scoping decides what a name means, so a CTE
+        named like a catalog table is tracked exactly, not given up on: the
+        body reads the table, the outer reference reads the CTE."""
         db, gw = served
-        from repro.sql.parser import parse_statement
-
-        deps = read_dependencies(
-            parse_statement(
-                "WITH t AS (SELECT 1 AS a FROM t) SELECT * FROM t"
-            ),
-            db,
-        )
-        assert deps is None
+        sql = "WITH t AS (SELECT a + 100 AS a FROM t) SELECT MAX(a) FROM t"
+        first = gw.execute(sql)
+        assert first.scalar() == 103 and first.tables == frozenset({"T"})
+        assert gw.execute(sql).scalar() == 103
+        assert gw.result_cache.stats.hits == 1
+        db.execute("INSERT INTO t VALUES (4, 40)")
+        assert gw.execute(sql).scalar() == 104
 
     def test_drop_table_invalidates(self, served):
         db, gw = served
@@ -363,36 +369,54 @@ class TestResultCache:
 
 class TestPlanCache:
     def test_statement_ast_reused_across_invalidation(self, served):
+        """(Named for the AST cache this one replaced: what is reused across
+        the invalidation now is the statement's whole plan.)"""
         db, gw = served
         sql = "SELECT a FROM t WHERE b = 20"
         gw.execute(sql)
-        # A write invalidates the cached *result* but not the parsed AST:
-        # the re-execution reuses the prepared statement.
-        db.execute("INSERT INTO t VALUES (7, 70)")
-        gw.execute(sql)
-        assert gw.plan_cache.stats.hits >= 1
-        assert gw.plan_cache.stats.stores == 1
+        # A write invalidates the cached *result* but not the plan: the
+        # re-execution binds the cached plan to a new snapshot.
+        db.execute("INSERT INTO t VALUES (7, 20)")
+        assert sorted(gw.execute(sql).rows) == [(2,), (7,)]
+        assert db.plan_cache.stats.hits == 1
+        assert db.plan_cache.stats.stores == 1
 
-    def test_view_definition_parsed_once(self, served):
+    def test_view_definition_parsed_once(self, served, monkeypatch):
+        import repro.sql.parser as parser_module
+
         db, gw = served
         db.execute("CREATE VIEW v AS SELECT a FROM t")
-        db.execute("SELECT * FROM v WHERE a = 1")
-        db.execute("SELECT * FROM v WHERE a = 2")
-        assert gw.plan_cache.view_stats.hits >= 1
+        parsed = []
+        parse = parser_module.parse_statement
+
+        def counting(text, tokens=None):
+            parsed.append(text)
+            return parse(text, tokens)
+
+        monkeypatch.setattr(parser_module, "parse_statement", counting)
+        assert db.execute("SELECT * FROM v WHERE a = 1").rows == [(1,)]
+        assert db.execute("SELECT * FROM v WHERE a = 2").rows == [(2,)]
+        # The second statement executed the first one's plan: neither it
+        # nor the view's definition was parsed again.
+        assert parsed.count("SELECT a FROM t") == 1
 
     def test_plan_templates_group_literal_variants(self, served):
         db, gw = served
         for i in range(4):
             gw.execute("SELECT a FROM t WHERE b = %d" % i)
-        assert gw.plan_cache.template_count() == 1
+        report = db.plan_cache.report()
+        assert (report["templates"], report["entries"]) == (1, 1)
+        assert (report["misses"], report["hits"]) == (1, 3)
 
     def test_detach_restores_plain_parsing(self, served):
         db, gw = served
         gw.close()
-        assert db.statement_cache is None
+        assert db.serving is None
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 3
+        assert db.monreport()["serving"] == {"enabled": False}
         gw2 = ServingGateway(db)  # re-attachable; fixture closes again
-        assert db.statement_cache is gw2.plan_cache
+        assert db.serving is gw2
+        gw2.close()
 
 
 # -- one tokenizer pass per statement -------------------------------------------
@@ -425,7 +449,7 @@ class TestLexOnce:
         del lexed[:]
         assert gw.execute(sql).rows == first.rows
         assert lexed == [sql] and gw.result_cache.stats.hits == 1
-        # A spelling variant hits the result cache and the AST cache alike.
+        # A spelling variant hits the result cache just the same.
         del lexed[:]
         variant = "select a, b from t\nwhere a > 1 order by a -- again"
         assert gw.execute(variant).rows == first.rows
@@ -434,18 +458,19 @@ class TestLexOnce:
     def test_uncacheable_statement_through_the_gateway(self, served, lexed):
         db, gw = served
         sql = "INSERT INTO t VALUES (9, 90)"
+        before = db.plan_cache.stats.bypass_reasons["not-a-read"]
         gw.execute(sql)
-        # ResultCache.fetch and the engine's statement cache each classify
-        # the text; the parser reuses the second pass.
-        assert lexed == [sql, sql]
-        assert gw.plan_cache.stats.bypass_reasons["not-a-read"] == 1
+        # ResultCache.fetch classifies the text and hands the engine its
+        # key: neither the engine nor the parser lexes it again.
+        assert lexed == [sql]
+        assert db.plan_cache.stats.bypass_reasons["not-a-read"] == before + 1
 
     def test_session_execute_lexes_once(self, served, lexed):
         db, gw = served
         session = db.connect("db2")
         statements = [
-            "SELECT COUNT(*) FROM t",  # cacheable: key, then AST-cache miss
-            "SELECT COUNT(*) FROM t",  # AST-cache hit
+            "SELECT COUNT(*) FROM t",  # cacheable: key, then plan-cache miss
+            "SELECT COUNT(*) FROM t",  # plan-cache hit: lexed, never parsed
             "UPDATE t SET b = b + 1 WHERE a = 1",  # not a read
             "SELECT RAND() FROM t",  # volatile
         ]
@@ -454,7 +479,7 @@ class TestLexOnce:
         assert lexed == statements
         gw.close()
         del lexed[:]
-        for sql in statements:  # no serving layer attached: the parser lexes
+        for sql in statements:  # no serving layer attached: all the same
             session.execute(sql)
         assert lexed == statements
 
@@ -491,9 +516,16 @@ class TestLexOnce:
         assert node.select_text == "(SELECT 1 FROM t) -- done"
 
 
+def _forget_setup(db):
+    """Zero the plan cache's counters (the fixture's DDL and INSERT went
+    through ``db.execute`` and were counted as ``not-a-read``)."""
+    db.plan_cache.stats = CacheStats(dict.fromkeys(PLAN_BYPASS_REASONS, 0))
+
+
 class TestBypassReasons:
     def test_each_reason_is_counted_apart_and_sums_to_bypass(self, served):
         db, gw = served
+        _forget_setup(db)
         gw.execute("INSERT INTO t VALUES (7, 70)")
         gw.execute("DELETE FROM t WHERE a = 7")
         gw.execute("SELECT RAND() FROM t")
@@ -501,19 +533,24 @@ class TestBypassReasons:
             gw.execute("SELECT a FROM t /* oops")
         gw.execute("SELECT COUNT(*) FROM t")
         expected = {"not-a-read": 2, "volatile": 1, "lex-error": 1}
-        for stats in (gw.result_cache.stats, gw.plan_cache.stats):
-            assert stats.bypass_reasons == expected
+        assert gw.result_cache.stats.bypass_reasons == expected
+        for stats in (gw.result_cache.stats, db.plan_cache.stats):
+            counted = {k: v for k, v in stats.bypass_reasons.items() if v}
+            assert counted == expected
             assert stats.bypass == sum(expected.values()) == 4
 
     def test_reasons_reach_the_gateway_report_and_monreport(self, served):
         db, gw = served
+        _forget_setup(db)
         gw.execute("UPDATE t SET b = 0 WHERE a = 1")
         for section in (gw.report(), db.monreport()["serving"]):
+            assert section["result_cache"]["bypass_reasons"] == {
+                "not-a-read": 1, "volatile": 0, "lex-error": 0
+            }
             for cache in (section["result_cache"], section["plan_cache"]["statements"]):
                 assert cache["bypass"] == 1
-                assert cache["bypass_reasons"] == {
-                    "not-a-read": 1, "volatile": 0, "lex-error": 0
-                }
+                assert cache["bypass_reasons"]["not-a-read"] == 1
+                assert sum(cache["bypass_reasons"].values()) == 1
 
 
 # -- WLM Job sentinel regression (satellite) -----------------------------------
@@ -828,7 +865,8 @@ class TestServingMonreport:
         assert report["enabled"]
         assert report["result_cache"]["hits"] == 1
         assert report["result_cache"]["hit_rate"] == 0.5
-        assert report["plan_cache"]["cached_asts"] >= 1
+        assert report["plan_cache"]["statements"]["entries"] == 1
+        assert report["plan_cache"]["statements"] == db.monreport()["plan_cache"]
         assert report["admission"]["dashboard"]["completed"] == 2
 
     def test_report_disabled_without_gateway(self):

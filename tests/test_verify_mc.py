@@ -234,6 +234,48 @@ class TestEngineRegressions:
         assert report.ok, report.counterexample.render()
         assert report.completed, "bounded search space not exhausted"
 
+    def test_plan_cache_fill_vs_ddl_exhausts_clean(self):
+        # A plan planned against one definition of a view and stored after
+        # the view was redefined must not outlive its first lookup.
+        report = explore(by_name("plan-cache-fill-vs-ddl"), budget=4000)
+        assert report.ok, report.counterexample.render()
+        assert report.completed, "bounded search space not exhausted"
+
+    def test_plan_cache_fill_vs_ddl_finds_a_plan_restamped_at_store(self, monkeypatch):
+        # The bug the scenario exists for: take the DDL stamps when the plan
+        # is stored instead of when its names were resolved.
+        from repro.database.plancache import PlanCache
+
+        store = PlanCache.store
+
+        def restamping(self, key, session, planned):
+            yield_point("between planning and the store")
+            stamps = planned.lineage.stamps
+            for name in stamps:
+                stamps[name] = session.database.catalog.stamp(name)
+            store(self, key, session, planned)
+
+        monkeypatch.setattr(PlanCache, "store", restamping)
+        report = explore(by_name("plan-cache-fill-vs-ddl"), budget=4000)
+        assert not report.ok
+        assert "replaced view definition" in report.counterexample.render()
+
+    def test_plan_cache_fill_vs_ddl_finds_ddl_that_stamps_before_it_changes(self, monkeypatch):
+        # The other half of the protocol: DDL must move a name's stamp
+        # *after* the change.  Stamp first, and a reader can pair the new
+        # stamp with the old object.
+        from repro.catalog.catalog import Catalog
+
+        def stamp_first(self, schema, name, obj, replace=False):
+            self._touch(schema, name.upper())
+            sanitizer.protocol_access("catalog:object", name.upper())
+            self._schema(schema)[name.upper()] = obj
+
+        monkeypatch.setattr(Catalog, "_put", stamp_first)
+        report = explore(by_name("plan-cache-fill-vs-ddl"), budget=4000)
+        assert not report.ok
+        assert "replaced view definition" in report.counterexample.render()
+
     def test_pinned_checkpoint_requested_mid_statement(self):
         # Pin the bad interleaving's shape: the checkpoint thread (tid 1)
         # wakes while the insert's statement is mid-flight.  Under the fix

@@ -217,8 +217,11 @@ def planned_db():
 
 
 def _plan(db, session, sql):
+    """One execution of *sql*'s plan, its scans opened and registered —
+    what ``Database._execute_select`` verifies before it runs."""
     db.last_scans = []
-    return db._planner(session).plan(parse_statement(sql))
+    planned = db._planner(session).plan(parse_statement(sql))
+    return planned.bind(db.txn.snapshot(), on_scan=db.note_scan)
 
 
 class TestCostChargeCoverage:
