@@ -102,3 +102,80 @@ def test_order_preserving_ablation(benchmark):
         decoded_kb=decoded_bytes / 1024,
     )
     assert packed_bytes * 3 < decoded_bytes
+
+
+def _best_us(fn, number: int) -> float:
+    import timeit
+
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+
+def test_selection_form_crossover():
+    """Where row ids stop being cheaper than a mask (DESIGN.md note 19).
+
+    One pushed predicate's result words, read both ways, plus the decode of
+    ``c`` needed columns: *positions* = count the bits, expand the non-zero
+    words to row ids, gather and decode ``c`` columns at the ids; *mask* =
+    count the bits, expand every word to a bool per row, unpack and decode
+    ``c`` columns and filter them.  Hits are scattered (one per word where
+    they fit — the positional extractor's worst case).  The scan's switch,
+    ``POSITIONS_MAX_DENSITY``, has to sit under the crossover of every
+    configuration; the table goes to EXPERIMENTS.md.
+    """
+    from repro.engine.operators import POSITIONS_MAX_DENSITY
+    from repro.simd.packed import count_result_bits
+
+    rng = np.random.default_rng(0)
+    densities = (1 / 1024, 1 / 256, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4)
+    lines = [
+        "positions / mask cost per region, c = 1 | 3 needed columns (< 1: row ids win)",
+        "",
+        "%-6s %-5s  " % ("n", "width") + "  ".join("1/%-9d" % round(1 / d) for d in densities),
+    ]
+    ratios = {}
+    for n in (8_192, 40_000, 65_536):
+        for width in (8, 13, 20):
+            cells = []
+            for density in densities:
+                hits = max(1, int(n * density))
+                values = rng.integers(1, 1 << width, n).astype(np.int64)
+                values[values == 7] = 8
+                values[rng.choice(n, hits, replace=False)] = 7
+                values[0], values[1] = 0, (1 << width) - 1  # pin the code width
+                column = compress_column(values, force="minus")
+                assert column.packed.width == width
+                words = column.eval_words("=", 7)
+                pair = []
+                for c in (1, 3):
+                    def positions():
+                        count_result_bits(words)
+                        ids = column.words_positions(words)
+                        for _ in range(c):
+                            column.decode(ids)
+
+                    def mask():
+                        count_result_bits(words)
+                        keep = column.words_mask(words)
+                        for _ in range(c):
+                            decoded, _nulls = column.decode()
+                            decoded[keep]
+
+                    number = 100 if n < 20_000 else 30
+                    pair.append(_best_us(positions, number) / _best_us(mask, number))
+                ratios[(n, width, density)] = pair
+                cells.append("%.2f | %.2f" % tuple(pair))
+            lines.append("%-6d %-5d  " % (n, width) + "  ".join("%-11s" % c for c in cells))
+    banner("Selection form — positions vs mask crossover", lines)
+    record(
+        "selection-form-crossover",
+        worst_ratio_under_switch=round(
+            max(max(p) for (_, _, d), p in ratios.items() if d < POSITIONS_MAX_DENSITY), 2
+        ),
+    )
+    # Under the switch density row ids are cheaper in every configuration
+    # (a wide margin: the box is noisy), and well under it by a factor.
+    for (n, width, density), pair in ratios.items():
+        if density < POSITIONS_MAX_DENSITY:
+            assert max(pair) < 1.0, (n, width, density, pair)
+        if density <= 1 / 256 and n >= 40_000:
+            assert max(pair) < 0.5, (n, width, density, pair)

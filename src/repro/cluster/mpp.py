@@ -36,7 +36,6 @@ from repro.database.database import Database
 from repro.database.result import Result
 from repro.database.session import Session
 from repro.errors import (
-    BindError,
     ClusterError,
     DialectError,
     NoSurvivorsError,
@@ -47,7 +46,12 @@ from repro.errors import (
 from repro.parallel import WorkerPool, default_parallelism, greedy_makespan
 from repro.sql import ast
 from repro.sql.parser import parse_statement
-from repro.sql.planner import MaterialRel, _default_name, vector_relation
+from repro.sql.planner import (
+    MaterialRel,
+    _default_name,
+    ordinal_index,
+    vector_relation,
+)
 from repro.storage.column import ColumnVector
 from repro.storage.filesystem import ClusterFileSystem
 from repro.storage.table import TableSchema
@@ -979,10 +983,7 @@ def _group_key_exprs(select: ast.Select) -> list:
     keys = []
     for g in select.group_by:
         if isinstance(g, ast.NumberLit):
-            index = int(g.text) - 1
-            if not 0 <= index < len(select.items):
-                raise BindError("GROUP BY position %s out of range" % g.text)
-            g = select.items[index].expr
+            g = select.items[ordinal_index(g, len(select.items), "GROUP BY")].expr
         keys.append(g)
     return keys
 

@@ -11,8 +11,9 @@ well as locally per storage page"):
 * high-cardinality floating point -> uncompressed (:class:`RawCodec`).
 
 The resulting :class:`CompressedColumn` is the unit the query engine scans:
-its ``eval_*`` methods evaluate predicates **without decoding**, using the
-software-SIMD kernels of :mod:`repro.simd.predicates`.
+its ``eval*`` methods evaluate predicates **without decoding**, using the
+software-SIMD kernels of :mod:`repro.simd.predicates`, and both predicates
+and ``decode`` take row ids, so a sparse selection touches only its rows.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import numpy as np
 from repro.compression.frequency import FrequencyEncoding
 from repro.compression.minus import MinusEncoding
 from repro.compression.prefix import prefix_savings
-from repro.simd.predicates import eval_compare, eval_in_ranges
+from repro.simd.packed import extract_result_bits, result_positions
+from repro.simd.predicates import COMPARISONS, in_ranges_words, negate_words
 from repro.util.bitpack import PackedArray, pack_codes, unpack_codes
 
 #: Above this many distinct values a numeric column switches to minus/raw.
 DICTIONARY_CARDINALITY_LIMIT = 1 << 16
 
-_NEGATED = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+_NULL_TESTS = ("IS NULL", "IS NOT NULL")
 
 
 class DictionaryCodec:
@@ -129,16 +131,28 @@ class CompressedColumn:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Materialise ``(values, nulls)``; NULL slots hold a filler value."""
-        if self.raw is not None:
-            return self.raw, self.nulls
-        codes = unpack_codes(self.packed)
-        return self.codec.decode(codes), self.nulls
+    def _nulls(self, ids) -> np.ndarray | None:
+        if ids is None or self.nulls is None:
+            return self.nulls
+        return self.nulls[ids]
 
-    def decode_coded(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(codes, dictionary)`` with ``dictionary[codes]`` the values, for
-        a dictionary-coded string column; None for every other column.
+    def _codes(self, ids) -> np.ndarray:
+        """Every packed code, or only those at the row positions ``ids``."""
+        if ids is None:
+            return unpack_codes(self.packed)
+        return self.packed.take(ids)
+
+    def decode(self, ids=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Materialise ``(values, nulls)`` — of every row, or of the rows at
+        positions ``ids`` alone; NULL slots hold a filler value."""
+        if self.raw is not None:
+            return (self.raw if ids is None else self.raw[ids]), self._nulls(ids)
+        return self.codec.decode(self._codes(ids)), self._nulls(ids)
+
+    def decode_coded(self, ids=None):
+        """``(codes, dictionary, nulls)`` with ``dictionary[codes]`` the
+        values, for a dictionary-coded string column (all rows, or those at
+        ``ids``); None for every other column.
 
         No value is gathered: the codes are the unpacked positions and the
         dictionary is the codec's own decode table — shared, so read-only.
@@ -146,7 +160,7 @@ class CompressedColumn:
         dictionary = getattr(self.codec, "dictionary", None)
         if dictionary is None or dictionary.dtype != object:
             return None
-        return unpack_codes(self.packed).view(np.int64), dictionary
+        return self._codes(ids).view(np.int64), dictionary, self._nulls(ids)
 
     def nbytes(self) -> int:
         """Physical footprint: packed words + codec metadata + null bitmap."""
@@ -191,67 +205,103 @@ class CompressedColumn:
 
     # -- predicate evaluation on compressed data ---------------------------
 
-    def _not_null(self) -> np.ndarray | None:
-        if self.nulls is None:
-            return None
-        return ~self.nulls
+    def _code_ranges(self, op: str, value) -> tuple[list[tuple[int, int]], bool]:
+        """``column <op> value`` in the code domain: ``(ranges, negated)`` —
+        a non-NULL row matches when its code lies in one of the inclusive
+        ranges (``negated``: in none of them).  ``op`` is a comparison,
+        ``BETWEEN`` (value ``(lo, hi)``) or ``IN`` (a value list); a NULL
+        constant matches nothing."""
+        codec = self.codec
+        if op == "IN":
+            codes = (codec.code_for(v) for v in value if v is not None)
+            return _codes_to_ranges(sorted(c for c in codes if c is not None)), False
+        if op == "BETWEEN":
+            lo, hi = value
+            if lo is None or hi is None:
+                return [], False
+            return codec.code_ranges(lo, hi), False
+        if value is None:
+            return [], False
+        if op in ("=", "<>"):
+            code = codec.code_for(value)
+            return ([] if code is None else [(code, code)]), op == "<>"
+        lo, hi, lo_open, hi_open = _interval_for(op, value)
+        return codec.code_ranges(lo, hi, lo_open=lo_open, hi_open=hi_open), False
 
-    def _mask_nulls(self, result: np.ndarray) -> np.ndarray:
-        not_null = self._not_null()
-        if not_null is not None:
-            result &= not_null
+    def eval_words(self, op: str, value) -> np.ndarray | None:
+        """The software-SIMD kernels' result words for ``column <op> value``
+        over the packed codes — NULL rows not yet cleared — or None when
+        there is nothing to run a kernel on (a raw column, a NULL test).
+
+        The scan counts the bits before it reads the words, as row ids
+        (:meth:`words_positions`) or as a mask (:meth:`words_mask`)."""
+        if self.packed is None or op in _NULL_TESTS:
+            return None
+        ranges, negated = self._code_ranges(op, value)
+        words = in_ranges_words(self.packed, ranges)
+        return negate_words(self.packed, words) if negated else words
+
+    def words_mask(self, words: np.ndarray) -> np.ndarray:
+        """Result words as a bool per row, NULL rows cleared."""
+        mask = extract_result_bits(words, self.packed.width, self.n)
+        if self.nulls is not None:
+            mask &= ~self.nulls
+        return mask
+
+    def words_positions(self, words: np.ndarray) -> np.ndarray:
+        """Result words as the matching row ids (strictly increasing int64),
+        NULL rows dropped; costs the words that matched, not the column."""
+        ids = result_positions(words, self.packed.width)
+        if self.nulls is not None:
+            ids = ids[~self.nulls[ids]]
+        return ids
+
+    def eval(self, op: str, value=None, ids=None) -> np.ndarray:
+        """``column <op> value`` with SQL NULL semantics (NULL -> False), as
+        a bool per row — or per position of ``ids``, reading only those
+        rows: their codes are gathered and compared as codes, not decoded.
+
+        ``op`` is a comparison, ``BETWEEN``, ``IN``, ``IS NULL`` or
+        ``IS NOT NULL`` (the scan's pushed-predicate vocabulary)."""
+        nulls = self._nulls(ids)
+        if op in _NULL_TESTS:
+            n = self.n if ids is None else len(ids)
+            is_null = np.zeros(n, dtype=bool) if nulls is None else nulls.copy()
+            return is_null if op == "IS NULL" else ~is_null
+        if self.raw is None and ids is None:
+            return self.words_mask(self.eval_words(op, value))
+        if self.raw is not None:
+            raw = self.raw if ids is None else self.raw[ids]
+            result = _raw_predicate(raw, op, value)
+        else:
+            codes = self.packed.take(ids)
+            ranges, negated = self._code_ranges(op, value)
+            result = np.zeros(codes.size, dtype=bool)
+            for lo, hi in ranges:
+                result |= (codes >= lo) & (codes <= hi)
+            if negated:
+                result = ~result
+        if nulls is not None:
+            result &= ~nulls
         return result
 
     def eval_compare(self, op: str, value) -> np.ndarray:
-        """``column <op> value`` with SQL NULL semantics (NULL -> False)."""
-        if value is None:
-            return np.zeros(self.n, dtype=bool)
-        if self.raw is not None:
-            return self._mask_nulls(_raw_compare(self.raw, op, value))
-        code = self.codec.code_for(value)
-        if op == "=":
-            if code is None:
-                return np.zeros(self.n, dtype=bool)
-            return self._mask_nulls(eval_compare(self.packed, "=", code))
-        if op == "<>":
-            if code is None:
-                result = np.ones(self.n, dtype=bool)
-            else:
-                result = eval_compare(self.packed, "<>", code)
-            return self._mask_nulls(result)
-        lo, hi, lo_open, hi_open = _interval_for(op, value)
-        ranges = self.codec.code_ranges(lo, hi, lo_open=lo_open, hi_open=hi_open)
-        return self._mask_nulls(eval_in_ranges(self.packed, ranges))
+        """``column <op> value`` on compressed data."""
+        return self.eval(op, value)
 
     def eval_between(self, lo, hi) -> np.ndarray:
         """``column BETWEEN lo AND hi`` on compressed data."""
-        if lo is None or hi is None:
-            return np.zeros(self.n, dtype=bool)
-        if self.raw is not None:
-            result = (self.raw >= lo) & (self.raw <= hi)
-            return self._mask_nulls(result)
-        ranges = self.codec.code_ranges(lo, hi)
-        return self._mask_nulls(eval_in_ranges(self.packed, ranges))
+        return self.eval("BETWEEN", (lo, hi))
 
     def eval_in(self, values) -> np.ndarray:
         """``column IN (values...)`` on compressed data."""
-        if self.raw is not None:
-            result = np.isin(self.raw, [v for v in values if v is not None])
-            return self._mask_nulls(result)
-        codes = sorted(
-            c for c in (self.codec.code_for(v) for v in values if v is not None)
-            if c is not None
-        )
-        ranges = _codes_to_ranges(codes)
-        return self._mask_nulls(eval_in_ranges(self.packed, ranges))
+        return self.eval("IN", values)
 
     def eval_is_null(self) -> np.ndarray:
-        if self.nulls is None:
-            return np.zeros(self.n, dtype=bool)
-        return self.nulls.copy()
+        return self.eval("IS NULL")
 
     def eval_is_not_null(self) -> np.ndarray:
-        return ~self.eval_is_null()
+        return self.eval("IS NOT NULL")
 
 
 def _interval_for(op: str, value):
@@ -267,18 +317,18 @@ def _interval_for(op: str, value):
     raise ValueError("unexpected operator %r" % op)
 
 
-def _raw_compare(raw: np.ndarray, op: str, value) -> np.ndarray:
-    if op == "=":
-        return raw == value
-    if op == "<>":
-        return raw != value
-    if op == "<":
-        return raw < value
-    if op == "<=":
-        return raw <= value
-    if op == ">":
-        return raw > value
-    return raw >= value
+def _raw_predicate(raw: np.ndarray, op: str, value) -> np.ndarray:
+    """A pushed predicate over uncompressed values (NULLs masked by the caller)."""
+    if op == "IN":
+        return np.isin(raw, [v for v in value if v is not None])
+    if op == "BETWEEN":
+        lo, hi = value
+        if lo is None or hi is None:
+            return np.zeros(raw.size, dtype=bool)
+        return (raw >= lo) & (raw <= hi)
+    if value is None:
+        return np.zeros(raw.size, dtype=bool)
+    return COMPARISONS[op](raw, value)
 
 
 def _codes_to_ranges(codes: list[int]) -> list[tuple[int, int]]:

@@ -698,6 +698,7 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
         input_rows += n_rows
         partials.extend(parts)
     tail = scan._scan_tail(needed)  # charges scan.stats itself
+    scan.note_metrics()
     if tail is not None and tail.n:
         tail = apply_chain(tail)
         if tail.n:

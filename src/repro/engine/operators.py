@@ -4,7 +4,9 @@ The scan is where the paper's techniques compose (II.B): for each region it
 first asks the synopsis which extents can match (data skipping), then
 evaluates pushed-down simple predicates directly on the packed codes
 (operating on compressed data via software-SIMD), and only decodes the
-columns the query actually needs for extents that survive.
+columns the query actually needs, for the rows that survive: a selection is
+a bool mask while many rows are in it and a vector of row ids once the first
+predicate has left few (DESIGN.md note 19).
 """
 
 from __future__ import annotations
@@ -14,8 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.expression import Batch, Expr, selection_mask
+from repro.simd.packed import count_result_bits
+from repro.simd.predicates import COMPARISONS
 from repro.storage.column import ColumnVector
 from repro.storage.table import ColumnTable
+from repro.verify import sanitizer
+
+#: The one switch between the two forms of a scan's selection: when the
+#: first pushed predicate selects under this share of the rows its kernel
+#: ran over, the selection is carried as sorted row ids and everything after
+#: it — remaining predicates, visibility, decode — reads only those rows;
+#: at or above it, as a bool mask over every row.  Measured crossover of
+#: gather-decode against unpack-all: EXPERIMENTS.md, "Selection form".
+POSITIONS_MAX_DENSITY = 1 / 16
 
 
 @dataclass
@@ -30,6 +43,8 @@ class ScanStats:
     pages_read: int = 0
     bytes_scanned: int = 0       # compressed bytes touched
     raw_bytes_scanned: int = 0   # uncompressed equivalent of touched data
+    rows_decoded: int = 0        # column rows unpacked or gathered out of their words
+    regions_positional: int = 0  # regions whose selection was row ids, not a mask
 
     def merge(self, other: "ScanStats") -> None:
         """Fold another region's counters in (parallel scans merge their
@@ -42,6 +57,8 @@ class ScanStats:
         self.pages_read += other.pages_read
         self.bytes_scanned += other.bytes_scanned
         self.raw_bytes_scanned += other.raw_bytes_scanned
+        self.rows_decoded += other.rows_decoded
+        self.regions_positional += other.regions_positional
 
 
 @dataclass
@@ -69,17 +86,9 @@ class SimplePredicate:
             return synopsis.candidates_is_not_null()
         return synopsis.candidates_compare(self.op, self.value)
 
-    def eval_compressed(self, column) -> np.ndarray:
-        if self.op == "BETWEEN":
-            lo, hi = self.value
-            return column.eval_between(lo, hi)
-        if self.op == "IN":
-            return column.eval_in(self.value)
-        if self.op == "IS NULL":
-            return column.eval_is_null()
-        if self.op == "IS NOT NULL":
-            return column.eval_is_not_null()
-        return column.eval_compare(self.op, self.value)
+    def eval_compressed(self, column, ids=None) -> np.ndarray:
+        """On the column's codes: a bool per row, or per row id of ``ids``."""
+        return column.eval(self.op, self.value, ids)
 
     def eval_vector(self, vector: ColumnVector) -> np.ndarray:
         values, nulls = vector.values, vector.null_mask()
@@ -93,15 +102,7 @@ class SimplePredicate:
         if self.op == "IN":
             live = [v for v in self.value if v is not None]
             return np.isin(values, live) & ~nulls
-        ops = {
-            "=": values == self.value,
-            "<>": values != self.value,
-            "<": values < self.value,
-            "<=": values <= self.value,
-            ">": values > self.value,
-            ">=": values >= self.value,
-        }
-        return np.asarray(ops[self.op]) & ~nulls
+        return np.asarray(COMPARISONS[self.op](values, self.value)) & ~nulls
 
     def eval_row_value(self, value) -> bool:
         if self.op == "IS NULL":
@@ -115,15 +116,7 @@ class SimplePredicate:
             return lo <= value <= hi
         if self.op == "IN":
             return value in [v for v in self.value if v is not None]
-        ops = {
-            "=": value == self.value,
-            "<>": value != self.value,
-            "<": value < self.value,
-            "<=": value <= self.value,
-            ">": value > self.value,
-            ">=": value >= self.value,
-        }
-        return bool(ops[self.op])
+        return bool(COMPARISONS[self.op](value, self.value))
 
 
 class Operator:
@@ -230,16 +223,29 @@ class TableScanOp(Operator):
             needed |= self.residual.references()
         pool = self.pool
         regions = self.regions  # opens the scan if nobody has
-        if pool is not None and pool.is_parallel and len(regions) > 1:
-            yield from self._execute_parallel(needed, pool)
-            return
-        for region_idx, region in enumerate(regions):
-            batch = self._scan_region(region_idx, region, needed, self.stats)
-            if batch is not None and batch.n:
-                yield from self._emit(batch)
-        tail = self._scan_tail(needed)
-        if tail is not None and tail.n:
-            yield from self._emit(tail)
+        try:
+            if pool is not None and pool.is_parallel and len(regions) > 1:
+                yield from self._execute_parallel(needed, pool)
+                return
+            for region_idx, region in enumerate(regions):
+                batch = self._scan_region(region_idx, region, needed, self.stats)
+                if batch is not None and batch.n:
+                    yield from self._emit(batch)
+            tail = self._scan_tail(needed)
+            if tail is not None and tail.n:
+                yield from self._emit(tail)
+        finally:  # a LIMIT above may stop the scan early; what ran still counts
+            self.note_metrics()
+
+    def note_metrics(self) -> None:
+        """Total the forms this execution's selections took on the engine's
+        registry (there is one when monitoring is on)."""
+        metrics = getattr(self.pool, "metrics", None)
+        if metrics is not None:
+            stats = self.stats
+            metrics.counter("engine.scan.regions").inc(stats.regions_scanned)
+            metrics.counter("engine.scan.regions_positional").inc(stats.regions_positional)
+            metrics.counter("engine.scan.rows_decoded").inc(stats.rows_decoded)
 
     def _execute_parallel(self, needed, pool):
         """Morsel-parallel scan: K regions per task (batched so dispatch
@@ -290,12 +296,14 @@ class TableScanOp(Operator):
                 synopsis = region.synopses.get(pred.column)
                 if synopsis is not None:
                     extent_keep &= pred.synopsis_candidates(synopsis)
-        skipped = int((~extent_keep).sum())
-        stats.extents_skipped += skipped
-        if not extent_keep.any():
+        kept = int(np.count_nonzero(extent_keep))
+        stats.extents_skipped += n_extents - kept
+        if not kept:
             return None
-        row_keep = np.repeat(extent_keep, stride)[:n]
-        rows_touched = int(row_keep.sum())
+        # Every extent holds ``stride`` rows but the region's last.
+        rows_touched = kept * stride
+        if extent_keep[-1]:
+            rows_touched -= n_extents * stride - n
         stats.rows_scanned += rows_touched
         # Uncompressed-equivalent bytes for the touched columns/rows.
         touched_columns = {p.column for p in self.pushed} | set(needed)
@@ -305,7 +313,8 @@ class TableScanOp(Operator):
         touched_fraction = rows_touched / max(n, 1)
         # Surviving-extent window: with skipping on, predicates evaluate
         # only over the word-aligned range covering surviving extents.
-        if self.use_skipping and not extent_keep.all():
+        holes = kept < n_extents
+        if holes:
             first_extent = int(np.argmax(extent_keep))
             last_extent = n_extents - int(np.argmax(extent_keep[::-1]))
             window = (first_extent * stride, min(last_extent * stride, n))
@@ -316,6 +325,9 @@ class TableScanOp(Operator):
         # projected output (or appears in several predicates).  Without the
         # cache the scan issued a second pool request at decode time, so
         # pool accesses could not be reconciled with ``stats.pages_read``.
+        # Everything above and every ``fetch`` below runs the same way for
+        # both forms of the selection, so the accounting cannot tell them
+        # apart.
         fetched: dict[str, object] = {}
 
         def fetch(name: str):
@@ -329,50 +341,96 @@ class TableScanOp(Operator):
                 )
             return compressed
 
-        # 2. Predicates on compressed data (no decode).
-        selection = row_keep
-        for pred in self.pushed:
-            compressed = fetch(pred.column)
-            if self.use_compressed_eval:
-                if window is not None:
-                    col_slice, base = compressed.slice_rows(*window)
-                    mask = np.zeros(n, dtype=bool)
-                    mask[base : base + col_slice.n] = pred.eval_compressed(col_slice)
-                    selection = selection & mask
-                else:
-                    selection = selection & pred.eval_compressed(compressed)
+        def windowed(compressed):
+            """The column over the surviving-extent window and its first row."""
+            if window is None:
+                return compressed, 0
+            return compressed.slice_rows(*window)
+
+        # 2. Predicates on compressed data (no decode).  The first one's
+        # kernel answers in result words, and how many bits they carry
+        # decides the form of the selection for the rest of the region.
+        snapshot = self._capture.snapshot
+        ids = words = lead = None
+        if self.pushed and self.use_compressed_eval:
+            lead = self.pushed[0]
+            lead_column, base = windowed(fetch(lead.column))
+            words = lead_column.eval_words(lead.op, lead.value)
+            if (
+                words is not None
+                and count_result_bits(words) < POSITIONS_MAX_DENSITY * lead_column.n
+            ):
+                ids = base + lead_column.words_positions(words)
+        if ids is not None:
+            # Few rows: row ids, and every later step reads only those rows.
+            stats.regions_positional += 1
+            if holes:  # interior extents the synopsis skipped stay excluded
+                ids = ids[extent_keep[ids // stride]]
+            if not ids.size:
+                return None
+            for pred in self.pushed[1:]:
+                stats.rows_decoded += ids.size
+                ids = ids[pred.eval_compressed(fetch(pred.column), ids)]
+                if not ids.size:
+                    return None
+            visible = region.visible_mask(snapshot, ids)
+            if visible is not None:
+                ids = ids[visible]
+                if not ids.size:
+                    return None
+        else:
+            # Many rows (or no kernel to count on): a mask over every row.
+            if holes:
+                selection = np.repeat(extent_keep, stride)[:n]
             else:
-                values, nulls = compressed.decode()
-                vector = ColumnVector(
-                    self.table.schema.column_type(pred.column), values, nulls
-                )
-                selection = selection & pred.eval_vector(vector)
-            if not selection.any():
-                return None
-        visible = region.visible_mask(self._capture.snapshot)
-        if visible is not None:
-            selection = selection & visible
-            if not selection.any():
-                return None
-        # 3. Decode only the needed columns for surviving rows (windowed to
-        # the surviving extents when skipping applies).
+                selection = np.ones(n, dtype=bool)
+            for pred in self.pushed:
+                column, base = windowed(fetch(pred.column))
+                if not self.use_compressed_eval:
+                    stats.rows_decoded += column.n
+                    hit = pred.eval_vector(self._vector(pred.column, column))
+                elif pred is lead and words is not None:  # its kernel already ran
+                    hit = column.words_mask(words)
+                else:
+                    hit = pred.eval_compressed(column)
+                if window is not None:
+                    mask = np.zeros(n, dtype=bool)
+                    mask[base : base + column.n] = hit
+                    hit = mask
+                selection = selection & hit
+                if not selection.any():
+                    return None
+            visible = region.visible_mask(snapshot)
+            if visible is not None:
+                selection = selection & visible
+                if not selection.any():
+                    return None
+        # 3. Decode only the needed columns, for the surviving rows: gathered
+        # at the row ids, or unpacked over the window and filtered.
         columns = {}
         for name in needed:
-            compressed, keep = fetch(name), selection
-            if window is not None:
-                compressed, base = compressed.slice_rows(*window)
-                keep = selection[base : base + compressed.n]
-            dtype = self.table.schema.column_type(name)
-            coded = compressed.decode_coded()
-            if coded is not None:  # strings stay codes until someone reads them
-                vector = ColumnVector.coded(dtype, *coded, compressed.nulls)
+            if ids is not None:
+                stats.rows_decoded += ids.size
+                columns[name] = self._vector(name, fetch(name), ids)
             else:
-                vector = ColumnVector(dtype, *compressed.decode())
-            columns[name] = vector.filter(keep)
+                column, base = windowed(fetch(name))
+                stats.rows_decoded += column.n
+                keep = selection[base : base + column.n]
+                columns[name] = self._vector(name, column).filter(keep)
         batch = Batch.from_columns(columns)
+        if sanitizer.ENABLED and ids is not None:
+            sanitizer.check_positions(ids, n, batch.n if columns else ids.size)
         batch = self._apply_residual(batch)
         stats.rows_matched += batch.n
         return batch
+
+    def _vector(self, name: str, compressed, ids=None) -> ColumnVector:
+        """A column region as a vector — all of its rows, or those at ``ids``."""
+        dtype = self.table.schema.column_type(name)
+        coded = compressed.decode_coded(ids)
+        if coded is not None:  # strings stay codes until someone reads them
+            return ColumnVector.coded(dtype, *coded)
+        return ColumnVector(dtype, *compressed.decode(ids))
 
     def _scan_tail(self, needed):
         capture = self._capture

@@ -131,6 +131,12 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
         line += " [scanned=%d skipped_extents=%d pages=%d]" % (
             stats.rows_scanned, stats.extents_skipped, stats.pages_read
         )
+        if stats.regions_positional:  # the form the sealed regions' selections took
+            line += " [select=positions %d/%d]" % (
+                stats.regions_positional, stats.regions_scanned
+            )
+        elif stats.regions_scanned:
+            line += " [select=mask]"
     run = getattr(op, "parallel_run", None)
     if run is not None:
         line += " [parallel tasks=%d workers=%d busy=%.3fms makespan=%.3fms]" % (

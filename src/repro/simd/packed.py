@@ -53,8 +53,38 @@ def result_bit_positions(width: int) -> np.ndarray:
     return shifts + np.uint64(width)
 
 
+def last_word_mask(width: int, n: int) -> int:
+    """Result bits of the lanes of the last word that hold one of the ``n``
+    codes; the remaining lanes of that word are padding."""
+    field, cpw, _ = _lane_geometry(width)
+    lanes = n % cpw or cpw
+    return high_bit_mask(width) & ((1 << (lanes * field)) - 1)
+
+
 def extract_result_bits(result_words: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Turn per-field result bits into a boolean array of length ``n``."""
+    """Turn per-field result bits into a boolean array of length ``n`` (the
+    dense extractor: every word expands to one lane per code)."""
     positions = result_bit_positions(width)[None, :]
     lanes = (result_words[:, None] >> positions) & np.uint64(1)
     return lanes.reshape(-1)[:n].astype(bool)
+
+
+def count_result_bits(result_words: np.ndarray) -> int:
+    """How many codes a kernel's result words select."""
+    return int(np.bitwise_count(result_words).sum())
+
+
+def result_positions(result_words: np.ndarray, width: int) -> np.ndarray:
+    """Row positions of the set result bits, strictly increasing int64 (the
+    sparse extractor: only the non-zero words are expanded).
+
+    The words must carry no bit in a padding lane — the kernels of
+    :mod:`repro.simd.predicates` clear them — so that this equals
+    ``np.flatnonzero(extract_result_bits(result_words, width, n))``.
+    """
+    _, cpw, _ = _lane_geometry(width)
+    hit_words = np.flatnonzero(result_words != 0)  # bool: numpy's fast nonzero
+    positions = result_bit_positions(width)[None, :]
+    lanes = (result_words[hit_words][:, None] >> positions) & np.uint64(1)
+    word, lane = np.nonzero(lanes)
+    return hit_words[word] * cpw + lane

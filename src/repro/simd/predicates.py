@@ -6,6 +6,10 @@ single numpy word operation evaluates the predicate for ``c`` values at once
 which is sufficient because both dictionary and minus encodings produce
 non-negative, order-preserving codes.
 
+A kernel's answer is its **result words** — one bit per code, still packed.
+The caller picks how to read them (:mod:`repro.simd.packed`): a bool per code
+when many match, row positions when few do.
+
 The arithmetic identities (fields of ``w + 1`` bits, code ``x``, constant
 ``k``, result bit ``H = 2**w`` per field):
 
@@ -22,10 +26,16 @@ import operator
 
 import numpy as np
 
-from repro.simd.packed import extract_result_bits, high_bit_mask, replicate_constant
+from repro.simd.packed import (
+    extract_result_bits,
+    high_bit_mask,
+    last_word_mask,
+    replicate_constant,
+)
 from repro.util.bitpack import PackedArray
 
-_PY_OPS = {
+#: The six comparison operators as Python callables (arrays or scalars).
+COMPARISONS = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -33,17 +43,6 @@ _PY_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-
-def _clamp(value: int, width: int) -> int | None:
-    """Clamp a constant into the representable code domain.
-
-    Returns None when the comparison is decided for all codes (caller
-    handles the all-true / all-false result).
-    """
-    if 0 <= value < (1 << width):
-        return value
-    return None
 
 
 def _ge_words(words: np.ndarray, k: int, width: int) -> np.ndarray:
@@ -64,7 +63,40 @@ def _eq_words(words: np.ndarray, k: int, width: int) -> np.ndarray:
     return (h - (words ^ krep)) & h
 
 
-def eval_compare(packed: PackedArray, op: str, value: int) -> np.ndarray:
+#: operator -> (word kernel, whether the operator is the kernel's negation).
+_WORD_KERNELS = {
+    "=": (_eq_words, False),
+    "<>": (_eq_words, True),
+    ">=": (_ge_words, False),
+    "<": (_ge_words, True),
+    "<=": (_le_words, False),
+    ">": (_le_words, True),
+}
+
+
+def _clear_padding(result_words: np.ndarray, packed: PackedArray) -> np.ndarray:
+    """Zero (in place) the result bits of the last word's padding lanes:
+    they hold code 0, which a predicate may well select."""
+    if result_words.size:
+        result_words[-1] &= np.uint64(last_word_mask(packed.width, packed.n))
+    return result_words
+
+
+def _constant_words(packed: PackedArray, verdict: bool) -> np.ndarray:
+    """Result words selecting every code (or none)."""
+    fill = high_bit_mask(packed.width) if verdict else 0
+    words = np.full(packed.words.size, fill, dtype=np.uint64)
+    return _clear_padding(words, packed)
+
+
+def negate_words(packed: PackedArray, result_words: np.ndarray) -> np.ndarray:
+    """Complement of a kernel's result, taken on the words: flip under the
+    result-bit mask, then clear the padding lanes the flip just set."""
+    h = np.uint64(high_bit_mask(packed.width))
+    return _clear_padding(result_words ^ h, packed)
+
+
+def compare_words(packed: PackedArray, op: str, value: int) -> np.ndarray:
     """Evaluate ``code <op> value`` over all codes, one word at a time.
 
     Args:
@@ -73,68 +105,72 @@ def eval_compare(packed: PackedArray, op: str, value: int) -> np.ndarray:
         value: unsigned comparison constant (need not be representable).
 
     Returns:
-        Boolean numpy array of length ``len(packed)``.
+        The result words: one uint64 per packed word whose per-field result
+        bit is set where the code matches; padding lanes are clear.  Read
+        them with :func:`~repro.simd.packed.extract_result_bits` (a bool per
+        code) or :func:`~repro.simd.packed.result_positions` (row ids).
     """
-    n, width = packed.n, packed.width
-    if op not in _PY_OPS:
+    width = packed.width
+    if op not in _WORD_KERNELS:
         raise ValueError("unknown comparison operator %r" % op)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     # Out-of-domain constants decide the predicate wholesale.
     if value < 0:
-        verdict = op in (">", ">=", "<>")
-        return np.full(n, verdict, dtype=bool)
+        return _constant_words(packed, op in (">", ">=", "<>"))
     if value >= (1 << width):
-        verdict = op in ("<", "<=", "<>")
-        return np.full(n, verdict, dtype=bool)
-
-    words = packed.words
-    if op == ">=":
-        bits = _ge_words(words, value, width)
-    elif op == "<=":
-        bits = _le_words(words, value, width)
-    elif op == "=":
-        bits = _eq_words(words, value, width)
-    elif op == "<":
-        bits = _ge_words(words, value, width)
-        return ~extract_result_bits(bits, width, n)
-    elif op == ">":
-        bits = _le_words(words, value, width)
-        return ~extract_result_bits(bits, width, n)
-    else:  # <>
-        bits = _eq_words(words, value, width)
-        return ~extract_result_bits(bits, width, n)
-    return extract_result_bits(bits, width, n)
+        return _constant_words(packed, op in ("<", "<=", "<>"))
+    kernel, negated = _WORD_KERNELS[op]
+    bits = kernel(packed.words, value, width)
+    if negated:
+        bits ^= np.uint64(high_bit_mask(width))
+    return _clear_padding(bits, packed)
 
 
-def eval_range(packed: PackedArray, lo: int, hi: int) -> np.ndarray:
-    """Evaluate ``lo <= code <= hi`` (an inclusive BETWEEN on codes)."""
-    n, width = packed.n, packed.width
-    if n == 0:
-        return np.zeros(0, dtype=bool)
+def range_words(packed: PackedArray, lo: int, hi: int) -> np.ndarray:
+    """Result words of ``lo <= code <= hi`` (an inclusive BETWEEN on codes)."""
+    width = packed.width
     if hi < lo or hi < 0 or lo >= (1 << width):
-        return np.zeros(n, dtype=bool)
+        return _constant_words(packed, False)
     lo = max(lo, 0)
     hi = min(hi, (1 << width) - 1)
     if lo == 0 and hi == (1 << width) - 1:
-        return np.ones(n, dtype=bool)
+        return _constant_words(packed, True)
+    if lo == hi:
+        return compare_words(packed, "=", lo)
     ge = _ge_words(packed.words, lo, width)
     le = _le_words(packed.words, hi, width)
     # Both kernels put their verdict in the same per-field result bit, so a
     # single AND combines the two range sides without unpacking.
-    return extract_result_bits(ge & le, width, n)
+    return _clear_padding(ge & le, packed)
 
 
-def eval_in_ranges(packed: PackedArray, ranges) -> np.ndarray:
-    """OR of several inclusive code ranges ``[(lo, hi), ...]``.
+def in_ranges_words(packed: PackedArray, ranges) -> np.ndarray:
+    """Result words of the OR of several inclusive code ranges
+    ``[(lo, hi), ...]``.
 
     Frequency encoding maps one value range to one code range per frequency
     partition; this evaluates the whole disjunction on compressed data.
     """
-    result = np.zeros(packed.n, dtype=bool)
+    if len(ranges) == 1:  # the common case: skip the zero fill and the OR
+        return range_words(packed, *ranges[0])
+    result = np.zeros(packed.words.size, dtype=np.uint64)
     for lo, hi in ranges:
-        result |= eval_range(packed, lo, hi)
+        result |= range_words(packed, lo, hi)
     return result
+
+
+def eval_compare(packed: PackedArray, op: str, value: int) -> np.ndarray:
+    """:func:`compare_words`, as a boolean array of length ``len(packed)``."""
+    return extract_result_bits(compare_words(packed, op, value), packed.width, packed.n)
+
+
+def eval_range(packed: PackedArray, lo: int, hi: int) -> np.ndarray:
+    """:func:`range_words`, as a boolean array of length ``len(packed)``."""
+    return extract_result_bits(range_words(packed, lo, hi), packed.width, packed.n)
+
+
+def eval_in_ranges(packed: PackedArray, ranges) -> np.ndarray:
+    """:func:`in_ranges_words`, as a boolean array of length ``len(packed)``."""
+    return extract_result_bits(in_ranges_words(packed, ranges), packed.width, packed.n)
 
 
 def eval_compare_scalar(packed: PackedArray, op: str, value: int) -> np.ndarray:
@@ -143,7 +179,7 @@ def eval_compare_scalar(packed: PackedArray, op: str, value: int) -> np.ndarray:
     Used in tests as ground truth and in benchmarks as the non-SIMD
     baseline the paper's technique is compared against.
     """
-    py_op = _PY_OPS[op]
+    py_op = COMPARISONS[op]
     out = np.empty(packed.n, dtype=bool)
     for i in range(packed.n):
         out[i] = py_op(packed.get(i), value)

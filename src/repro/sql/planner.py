@@ -961,9 +961,7 @@ class SelectPlanner:
         an ordinal or an output alias."""
         if isinstance(expr, ast.NumberLit):
             self._pin(expr)
-            index = int(expr.text) - 1
-            if not 0 <= index < len(bound_items):
-                raise BindError("ORDER BY position %s out of range" % expr.text)
+            index = ordinal_index(expr, len(bound_items), "ORDER BY")
             return ColumnRef(keys[index], dtypes[index])
         if isinstance(expr, ast.Identifier) and len(expr.parts) == 1:
             name = expr.parts[0].upper()
@@ -1181,9 +1179,7 @@ class SelectPlanner:
                 if not self.dialect.allows_group_by_ordinal:
                     raise DialectError("GROUP BY ordinal not allowed in this dialect")
                 self._pin(g)
-                index = int(g.text) - 1
-                if not 0 <= index < len(bound_items):
-                    raise BindError("GROUP BY position %s out of range" % g.text)
+                index = ordinal_index(g, len(bound_items), "GROUP BY")
                 exprs.append(bound_items[index][1])
                 continue
             if isinstance(g, ast.Identifier) and len(g.parts) == 1:
@@ -1283,9 +1279,7 @@ class SelectPlanner:
     def _resolve_order_expr(self, expr, planned: PlannedQuery, scope) -> Expr | None:
         if isinstance(expr, ast.NumberLit):
             self._pin(expr)
-            index = int(expr.text) - 1
-            if not 0 <= index < len(planned.keys):
-                raise BindError("ORDER BY position %s out of range" % expr.text)
+            index = ordinal_index(expr, len(planned.keys), "ORDER BY")
             return ColumnRef(planned.keys[index], planned.dtypes[index])
         if isinstance(expr, ast.Identifier) and len(expr.parts) == 1:
             name = expr.parts[0].upper()
@@ -1636,6 +1630,18 @@ def _bind_constant(node, binder, target_dtype):
         # An inconvertible pushdown constant just means "no zone-map
         # pruning for this predicate"; anything else should propagate.
         return None
+
+
+def ordinal_index(literal: ast.NumberLit, n_items: int, clause: str) -> int:
+    """The 0-based select item a ``GROUP BY`` / ``ORDER BY`` position names;
+    a position that is not an integer literal, or names no item, is the same
+    :class:`BindError`."""
+    if not literal.text.isdigit():
+        raise BindError("%s position %s is not an integer" % (clause, literal.text))
+    index = int(literal.text) - 1
+    if not 0 <= index < n_items:
+        raise BindError("%s position %s out of range" % (clause, literal.text))
+    return index
 
 
 def _default_name(expr, index: int) -> str:

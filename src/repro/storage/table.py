@@ -127,24 +127,32 @@ class Region:
             return self.n_rows
         return int((self.xmax == 0).sum())
 
-    def visible_mask(self, snapshot: Snapshot | None) -> np.ndarray | None:
+    def visible_mask(self, snapshot: Snapshot | None, ids=None) -> np.ndarray | None:
         """Rows visible under *snapshot* (None mask = everything visible).
+
+        With row positions ``ids`` the answer covers those rows alone, in
+        their order, and only their ``xmin``/``xmax`` stamps are read.
 
         With no snapshot this degrades to :meth:`live_mask` — the legacy
         latest-state read used by core-API callers outside a transaction.
         """
+        xmax = self.xmax
+        if xmax is not None and ids is not None:
+            xmax = xmax[ids]
         if snapshot is None:
-            return self.live_mask()
+            if xmax is None or not xmax.any():
+                return None
+            return xmax == 0
         mask: np.ndarray | None = None
         if self.xmin is not None and self.xmin_hi >= snapshot.lowater:
-            mask = snapshot.sees_vec(self.xmin)
-        if self.xmax is not None:
-            stamped = self.xmax != 0
+            mask = snapshot.sees_vec(self.xmin if ids is None else self.xmin[ids])
+        if xmax is not None:
+            stamped = xmax != 0
             if stamped.any():
                 if self.xmax_hi < snapshot.lowater:
                     dead = stamped  # every deleter committed long ago
                 else:
-                    dead = stamped & snapshot.sees_vec(self.xmax)
+                    dead = stamped & snapshot.sees_vec(xmax)
                 mask = ~dead if mask is None else mask & ~dead
         if mask is not None and mask.all():
             return None

@@ -87,6 +87,14 @@ class PackedArray:
         shift = (i % cpw) * self.field_bits
         return (word >> shift) & ((1 << self.width) - 1)
 
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """The codes at row positions ``ids`` (:meth:`get`, vectorised):
+        only the words holding those rows are read.  Positions must lie in
+        ``[0, n)``; returns a uint64 array aligned with ``ids``."""
+        word, lane = np.divmod(np.asarray(ids, dtype=np.int64), self.codes_per_word)
+        shifts = (lane * self.field_bits).astype(np.uint64)
+        return (self.words[word] >> shifts) & np.uint64((1 << self.width) - 1)
+
 
 def pack_codes(codes: np.ndarray, width: int) -> PackedArray:
     """Pack non-negative integer ``codes`` of ``width`` bits into words.

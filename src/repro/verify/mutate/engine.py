@@ -59,6 +59,9 @@ DEFAULT_TARGET_PATHS = (
     "src/repro/parallel/morsel.py",
     "src/repro/engine/aggregate.py",
     "src/repro/engine/expression.py",
+    "src/repro/simd/packed.py",
+    "src/repro/simd/predicates.py",
+    "src/repro/util/bitpack.py",
     "src/repro/durability/manager.py",
     "src/repro/database/database.py",
     "src/repro/database/plancache.py",

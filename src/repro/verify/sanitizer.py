@@ -363,6 +363,24 @@ def check_vectors(columns) -> None:
         raise VectorInvariantError("coded column %s: %s" % (name, problem))
 
 
+def check_positions(ids, n_rows: int, emitted: int) -> None:
+    """Check a scan's positional selection at the batch boundary (behind
+    :data:`ENABLED`): row ids are ``int64``, strictly increasing — batches
+    keep scan order and no row is emitted twice — and inside
+    ``[0, n_rows)``, and the batch holds exactly one row per id."""
+    if ids.dtype != "int64":  # duck-typed: no numpy import down here
+        problem = "dtype %s, not int64" % ids.dtype
+    elif ids.size and not (0 <= int(ids[0]) and int(ids[-1]) < n_rows):
+        problem = "row id outside [0, %d)" % n_rows
+    elif ids.size > 1 and not bool((ids[1:] > ids[:-1]).all()):
+        problem = "row ids not strictly increasing"
+    elif emitted != ids.size:
+        problem = "%d rows emitted for %d row ids" % (emitted, ids.size)
+    else:
+        return
+    raise VectorInvariantError("positional selection: %s" % problem)
+
+
 class SharedPlanError(AssertionError):
     """Per-execution state is reachable from a plan the cache shares."""
 

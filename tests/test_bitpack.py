@@ -118,3 +118,28 @@ def test_property_pack_unpack_roundtrip(width, data):
     assert isinstance(packed, PackedArray)
     for i in range(0, n, max(1, n // 7)):
         assert packed.get(i) == codes[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(min_value=1, max_value=62),
+    data=st.data(),
+)
+def test_property_take_equals_unpack_then_index(width, data):
+    """Gathering codes at row ids reads the same codes ``unpack_codes``
+    materialises — for sorted ids (what a scan hands it), repeated ids, the
+    last lane before the padding, and no ids at all."""
+    top = (1 << width) - 1
+    n = data.draw(st.integers(min_value=1, max_value=300))
+    code = st.one_of(st.sampled_from([0, top]), st.integers(min_value=0, max_value=top))
+    arr = np.array(data.draw(st.lists(code, min_size=n, max_size=n)), dtype=np.uint64)
+    packed = pack_codes(arr, width)
+    ids = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=40)) + [n - 1],
+        dtype=np.int64,
+    )
+    for chosen in (ids, np.unique(ids), ids[:0]):
+        got = packed.take(chosen)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, unpack_codes(packed)[chosen])
+    assert [int(c) for c in packed.take(ids)] == [packed.get(int(i)) for i in ids]

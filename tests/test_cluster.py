@@ -195,6 +195,8 @@ class TestDistributedQueries:
             assert cluster.last_stats.mode == "two-phase"
         with pytest.raises(BindError, match="position 3 out of range"):
             sharded.execute("SELECT d_year, COUNT(*) FROM date_dim GROUP BY 3")
+        with pytest.raises(BindError, match="position 1e0 is not an integer"):
+            sharded.execute("SELECT d_year, COUNT(*) FROM date_dim GROUP BY 1e0")
         cluster.pool.shutdown()
 
 

@@ -376,3 +376,118 @@ def test_property_compressed_predicates_match_numpy(data):
     }[op]
     assert np.array_equal(got, expected)
     assert isinstance(col, CompressedColumn)
+
+
+# -- a sparse selection is row ids: at-ids == everything-then-index ------------
+
+
+def _draw_column(data):
+    """A compressed column of any codec, numeric or string, NULL-free, with
+    NULLs, or all NULL; returns ``(column, values, nulls)``."""
+    n = data.draw(st.integers(min_value=1, max_value=200))
+    kind = data.draw(st.sampled_from(["dictionary", "minus", "raw", "string"]))
+    if kind == "string":
+        pool = ["", "a", "ab", "b", "zebra", "Zed"]
+        values = np.array(
+            data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=object
+        )
+        force = None
+    else:
+        values = np.array(
+            data.draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        force = kind
+    null_shape = data.draw(st.sampled_from(["none", "some", "all"]))
+    if null_shape == "none":
+        nulls = None
+    elif null_shape == "all":
+        nulls = np.ones(n, dtype=bool)
+    else:
+        nulls = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return compress_column(values, nulls, force=force), values, nulls
+
+
+def _draw_ids(data, n):
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=30))
+    return np.array(sorted(ids), dtype=np.int64)
+
+
+def _draw_predicate(data, values):
+    constant = (
+        st.sampled_from(["", "a", "b", "m", "zebra"])
+        if values.dtype == object
+        else st.integers(min_value=-45, max_value=45)
+    )
+    op = data.draw(st.sampled_from(
+        ["=", "<>", "<", "<=", ">", ">=", "BETWEEN", "IN", "IS NULL", "IS NOT NULL"]
+    ))
+    if op == "BETWEEN":
+        return op, (data.draw(constant), data.draw(constant))
+    if op == "IN":
+        return op, data.draw(st.lists(st.one_of(st.none(), constant), max_size=4))
+    if op in ("IS NULL", "IS NOT NULL"):
+        return op, None
+    return op, data.draw(st.one_of(st.none(), constant))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_decode_at_ids_equals_decode_then_index(data):
+    col, _values, _nulls = _draw_column(data)
+    ids = _draw_ids(data, col.n)
+    values, nulls = col.decode()
+    taken, taken_nulls = col.decode(ids)
+    assert taken.dtype == values.dtype
+    assert taken.tolist() == values[ids].tolist()
+    if nulls is None:
+        assert taken_nulls is None
+    else:
+        assert np.array_equal(taken_nulls, nulls[ids])
+    coded = col.decode_coded()
+    coded_at = col.decode_coded(ids)
+    if coded is None:
+        assert coded_at is None
+        return
+    codes, dictionary, _ = coded
+    codes_at, dictionary_at, nulls_at = coded_at
+    assert dictionary_at is dictionary and not dictionary.flags.writeable
+    assert codes_at.dtype == np.int64 and np.array_equal(codes_at, codes[ids])
+    # the coded output against its materialised twin (the PR-19 check)
+    assert dictionary[codes_at].tolist() == taken.tolist()
+    assert (nulls_at is None) == (nulls is None)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_property_predicate_at_ids_equals_predicate_then_index(data):
+    col, values, nulls = _draw_column(data)
+    ids = _draw_ids(data, col.n)
+    op, constant = _draw_predicate(data, values)
+    everywhere = col.eval(op, constant)
+    assert everywhere.dtype == bool and everywhere.size == col.n
+    at_ids = col.eval(op, constant, ids)
+    assert at_ids.dtype == bool
+    assert np.array_equal(at_ids, everywhere[ids])
+    # and the kernel's words, read either way, are that same answer
+    words = col.eval_words(op, constant)
+    if words is None:
+        assert col.raw is not None or op in ("IS NULL", "IS NOT NULL")
+    else:
+        assert np.array_equal(col.words_mask(words), everywhere)
+        assert np.array_equal(col.words_positions(words), np.flatnonzero(everywhere))
+    if nulls is not None and op != "IS NULL":
+        assert not everywhere[nulls].any()  # NULLs never match
+
+
+def test_eval_is_the_named_predicates():
+    values = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
+    nulls = np.array([0, 0, 1, 0, 0, 0, 0, 1], dtype=bool)
+    col = compress_column(values, nulls, force="minus")
+    assert np.array_equal(col.eval(">=", 4), col.eval_compare(">=", 4))
+    assert np.array_equal(col.eval("BETWEEN", (1, 3)), col.eval_between(1, 3))
+    assert np.array_equal(col.eval("IN", [1, 9, None]), col.eval_in([1, 9, None]))
+    assert np.array_equal(col.eval("IS NULL"), col.eval_is_null())
+    assert np.array_equal(col.eval("IS NOT NULL"), col.eval_is_not_null())
+    assert col.eval("<>", 1).tolist() == [True, False, False, False, True, True, True, False]
+    assert col.eval("<>", 1, np.array([1, 2, 4], dtype=np.int64)).tolist() == [False, False, True]

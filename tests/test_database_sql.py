@@ -569,6 +569,23 @@ class TestAggregateFinalizers:
         s.execute("INSERT INTO pts VALUES (1, 2), (3, 6)")
         assert s.execute("SELECT COVAR_SAMP(x, y) FROM pts").scalar() == pytest.approx(4.0)
 
+    def test_a_global_aggregate_reports_one_group(self):
+        # constant@src/repro/engine/aggregate.py:186:32 survived: a grand
+        # total's GroupStats.groups drifting from 1 is invisible to answers;
+        # it is what EXPLAIN ANALYZE and the operator span report.
+        from repro.monitor import Tracer
+
+        database = Database(tracer=Tracer())
+        s = database.connect("db2")
+        s.execute("CREATE TABLE t (a INT)")
+        s.execute("INSERT INTO t VALUES (1), (2), (3)")
+        assert s.execute("SELECT COUNT(*), SUM(a) FROM t").rows == [(3, 6)]
+        (span,) = [
+            span for span in database.tracer.find("statement")[-1].walk()
+            if span.name == "operator:GroupByOp"
+        ]
+        assert span.attrs["stats"].groups == 1
+
     def test_empty_input_aggregate_over_case_keeps_its_columns(self):
         # boolean@src/repro/engine/aggregate.py:223:20 survived: a drained-
         # empty child loses its schema and the group-by rebuilds typed empty

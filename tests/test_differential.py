@@ -990,3 +990,158 @@ def test_string_keys_agree_while_a_writer_updates_the_string_column(string_engin
             system.execute(statement)
         _assert_string_queries_agree(systems, statement)
         assert pinned() == baseline, "pinned snapshot drifted after: %s" % statement
+
+
+# -- a sparse selection is row ids: the positional scan against every oracle -----
+
+
+_SCAN_COUNTERS = (
+    "regions_scanned", "extents_total", "extents_skipped", "rows_scanned",
+    "rows_matched", "pages_read", "bytes_scanned", "raw_bytes_scanned",
+)
+_SPARSE_ROWS = 2600
+
+
+def _sparse_rows():
+    """Unique shuffled ``id`` (a point lookup hits one row and no synopsis
+    can narrow it), NULL-heavy ``a`` / ``c`` / ``d``."""
+    rng = derive_rng(23, "diff-sparse-rows")
+    ids = rng.permutation(_SPARSE_ROWS)
+    rows = []
+    for i in ids:
+        a = "NULL" if rng.random() < 0.5 else str(int(rng.integers(0, 40)))
+        c = "NULL" if rng.random() < 0.5 else "'v%d'" % rng.integers(0, 8)
+        d = "NULL" if rng.random() < 0.3 else "%d.%02d" % (rng.integers(0, 90), rng.integers(0, 100))
+        rows.append("(%d, %s, %s, %s)" % (i, a, c, d))
+    return rows
+
+
+def _sparse_query(rng) -> str:
+    x = int(rng.integers(-5, _SPARSE_ROWS + 5))
+    shape = int(rng.integers(0, 7))
+    if shape == 0:
+        return "SELECT id, a, c, d FROM p WHERE id = %d" % x
+    if shape == 1:
+        ids = ", ".join(str(int(v)) for v in rng.integers(0, _SPARSE_ROWS, 4))
+        return "SELECT id, c FROM p WHERE id IN (%s) AND a IS NOT NULL ORDER BY 1" % ids
+    if shape == 2:
+        return (
+            "SELECT id, a, d FROM p WHERE id BETWEEN %d AND %d AND c = 'v%d' ORDER BY 1"
+            % (x, x + 40, rng.integers(0, 9))
+        )
+    if shape == 3:  # widths around 1/16 of a region: both sides of the switch
+        return (
+            "SELECT c, COUNT(*), SUM(a) FROM p WHERE id BETWEEN %d AND %d GROUP BY c ORDER BY 1"
+            % (x, x + int(rng.integers(100, 260)))
+        )
+    if shape == 4:
+        return "SELECT COUNT(*), COUNT(a), MIN(d) FROM p WHERE id %s %d" % (
+            ["<", ">=", "<>"][int(rng.integers(0, 3))], x,
+        )
+    if shape == 5:
+        return "SELECT id, c FROM p WHERE a = %d AND d < 45.00 AND c <> 'v1' ORDER BY 1" % (
+            rng.integers(0, 42)
+        )
+    return "SELECT id FROM p WHERE c = 'v%d' AND a = %d ORDER BY 1" % (
+        rng.integers(0, 9), rng.integers(0, 40),
+    )
+
+
+@pytest.fixture(scope="module")
+def sparse_engines():
+    """Serial, DOP 4, the row store and a 4-shard cluster over one table with
+    sealed regions + a tail and committed deletes; plus the answers and the
+    snapshot from before the deletes."""
+    from repro.cluster import Cluster, HardwareSpec
+
+    dash_db = Database(region_rows=700)
+    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+    assert len(cluster.shards) == 4
+    systems = {
+        "dash": dash_db.connect("db2"), "par": par_db.connect("db2"),
+        "row": RowDatabase(), "cluster": cluster.connect("db2"),
+    }
+    ddl = "CREATE TABLE p (id INT, a INT, c VARCHAR(4), d DECIMAL(8,2))"
+    rows = _sparse_rows()
+    sealed = _SPARSE_ROWS - 150
+    for name, system in systems.items():
+        system.execute(ddl + (" DISTRIBUTE BY HASH (id)" if name == "cluster" else ""))
+        for start in range(0, sealed, 700):
+            system.execute("INSERT INTO p VALUES " + ", ".join(rows[start : min(start + 700, sealed)]))
+    for db in [dash_db, par_db] + [cluster.shards[sid].engine for sid in sorted(cluster.shards)]:
+        flush_tables(db)
+    for system in systems.values():
+        system.execute("INSERT INTO p VALUES " + ", ".join(rows[sealed:]))  # the tail
+    rng = derive_rng(5, "diff-sparse-before")
+    before = {}
+    for _ in range(20):
+        sql = _sparse_query(rng)
+        before[sql] = _normalise(systems["row"].execute(sql).rows)
+    snapshots = {"dash": dash_db.txn.snapshot(), "par": par_db.txn.snapshot()}
+    for system in systems.values():
+        system.execute("DELETE FROM p WHERE a IN (3, 17) OR id BETWEEN 900 AND 960")
+    yield systems, before, snapshots
+    par_db.pool.shutdown()
+    cluster.pool.shutdown()
+
+
+def _scan_counters(session):
+    return [
+        tuple(getattr(scan.stats, name) for name in _SCAN_COUNTERS)
+        for scan in session.database.last_scans
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_selections_agree_across_engines_and_forms(sparse_engines, seed, monkeypatch):
+    """Point lookups, short ranges and IN lists — the selections a scan
+    carries as row ids — against the row store, DOP 4 and a 4-shard
+    cluster; and against the same scan forced to carry a mask: same rows
+    in the same order, and the same eight accounting counters."""
+    from repro.engine import operators
+
+    systems, _, _ = sparse_engines
+    rng = derive_rng(seed, "diff-sparse")
+    positional = dense = 0
+    for i in range(25):
+        sql = _sparse_query(rng)
+        context = "(seed=%d, i=%d): %s" % (seed, i, sql)
+        answers, counters = {}, {}
+        for name in ("dash", "par"):
+            answers[name] = systems[name].execute(sql).rows
+            counters[name] = _scan_counters(systems[name])
+        for scan in systems["dash"].database.last_scans:
+            positional += scan.stats.regions_positional
+            dense += scan.stats.regions_scanned - scan.stats.regions_positional
+        expected = _normalise(answers["dash"])
+        assert expected == _normalise(systems["row"].execute(sql).rows), "row store " + context
+        assert expected == _normalise(answers["par"]), "DOP 4 " + context
+        assert expected == _normalise(systems["cluster"].execute(sql).rows), "cluster " + context
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "POSITIONS_MAX_DENSITY", 0.0)
+            for name in ("dash", "par"):
+                session = systems[name]
+                session.database.plan_cache.clear()
+                assert session.execute(sql).rows == answers[name], "%s forced dense %s" % (name, context)
+                assert _scan_counters(session) == counters[name], "%s accounting %s" % (name, context)
+                assert not any(s.stats.regions_positional for s in session.database.last_scans)
+    assert positional >= 10 and dense >= 10, (positional, dense)
+
+
+def test_sparse_selections_under_an_older_snapshot(sparse_engines, monkeypatch):
+    """Rows a later transaction deleted stay visible to a snapshot from
+    before it, whichever form the selection takes."""
+    from repro.engine import operators
+    from repro.sql.parser import parse_statement
+
+    systems, before, snapshots = sparse_engines
+    for sql, expected in before.items():
+        for name in ("dash", "par"):
+            db = systems[name].database
+            got = db.execute_ast(parse_statement(sql), systems[name], snapshot=snapshots[name])
+            assert _normalise(got.rows) == expected, "%s: %s" % (name, sql)
+            with monkeypatch.context() as patch:
+                patch.setattr(operators, "POSITIONS_MAX_DENSITY", 0.0)
+                dense = db.execute_ast(parse_statement(sql), systems[name], snapshot=snapshots[name])
+            assert dense.rows == got.rows, "%s forced dense: %s" % (name, sql)

@@ -434,6 +434,19 @@ class TestPhysicalAlignmentInternals:
         assert like.eval_row({"s": "a!"}) == 1
         assert like.eval_row({"s": "a"}) == 0
 
+    def test_in_list_row_form_is_unknown_only_for_a_miss_beside_a_null(self):
+        # boolean@src/repro/engine/expression.py:466:11 survived: the row
+        # form's three-valued rule — a NULL item makes a *miss* unknown, a
+        # hit stays a hit — is invisible while only the vector form runs.
+        for negated in (False, True):
+            beside_null = InList(col("a"), [1, None], negated=negated)
+            assert beside_null.eval_row({"a": 1}) == int(not negated)
+            assert beside_null.eval_row({"a": 2}) is None
+            assert beside_null.eval_row({"a": None}) is None
+            plain = InList(col("a"), [1, 4], negated=negated)
+            assert plain.eval_row({"a": 4}) == int(not negated)
+            assert plain.eval_row({"a": 2}) == int(negated)
+
 
 class TestVectorisedBoundaryCast:
     """The boundary path of ``_cast_physical`` converts each distinct raw

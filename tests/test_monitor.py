@@ -564,6 +564,94 @@ class TestPlanCacheOnTheBenchmarkPools:
         assert all("ast-entry" in self._bypasses(engine) for engine in engines)
 
 
+class TestSelectionFormOnTheBenchmarkPools:
+    """The form a scan's selection took is on its profile.  A ``serve``
+    point lookup that went back to decoding its region, or an ``analytics``
+    dashboard whose dense scan paid for row ids, fails here — not as a
+    slower benchmark three PRs later."""
+
+    LOOKUPS = (
+        "SELECT balance FROM accounts WHERE acct_id = %d",
+        "SELECT COUNT(*) FROM trades WHERE acct_id = %d",
+        "SELECT qty, market_value FROM positions WHERE acct_id = %d",
+    )
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        from repro.workloads import tpcds
+        from repro.workloads.customer import CustomerWorkload
+
+        workload = CustomerWorkload(seed=31, n_accounts=600, n_instruments=40, n_trades=6000)
+        db = Database(tracer=Tracer())
+        session = db.connect()
+        data = tpcds.generate(scale=0.05, seed=31)
+        for ddl in workload.base_ddl() + tpcds.DDL:
+            session.execute(ddl)
+        for name, rows in {**workload.base_rows(), **data.tables()}.items():
+            tpcds.bulk_insert(session, name, rows)
+        tpcds.flush_tables(session)
+        return db, session
+
+    @staticmethod
+    def _scan_lines(session, sql):
+        lines = [r[0] for r in session.execute("EXPLAIN ANALYZE " + sql).rows]
+        return [line for line in lines if "TableScanOp" in line]
+
+    def test_serve_lookups_select_by_position_and_decode_what_they_return(self, loaded):
+        db, session = loaded
+        before = dict(db.monreport()["metrics"])
+        regions = positional = decoded = 0
+        for acct in range(0, 600, 7):
+            for template in self.LOOKUPS:
+                session.execute(template % acct)
+                (scan,) = db.last_scans
+                stats = scan.stats
+                assert stats.regions_scanned == stats.regions_positional == 1, template
+                assert stats.rows_decoded <= 16 * stats.rows_matched, (template, stats)
+                assert stats.rows_decoded < stats.rows_scanned // 16
+                regions += stats.regions_scanned
+                positional += stats.regions_positional
+                decoded += stats.rows_decoded
+        for template in self.LOOKUPS:
+            (line,) = self._scan_lines(session, template % 3)
+            assert "[select=positions 1/1]" in line, line
+            regions, positional = regions + 1, positional + 1
+            decoded += db.last_scans[0].stats.rows_decoded
+        after = db.monreport()["metrics"]
+        totals = {
+            name: after[name] - before.get(name, 0)
+            for name in ("engine.scan.regions", "engine.scan.regions_positional",
+                         "engine.scan.rows_decoded")
+        }
+        assert totals == {
+            "engine.scan.regions": regions,
+            "engine.scan.regions_positional": positional,
+            "engine.scan.rows_decoded": decoded,
+        }
+
+    def test_analytics_dashboards_keep_dense_selections_as_masks(self, loaded):
+        from repro.workloads import BDINSIGHT_QUERIES, TPCDS_QUERIES
+
+        db, session = loaded
+        masks = positions = 0
+        for name, sql in TPCDS_QUERIES + BDINSIGHT_QUERIES:
+            lines = self._scan_lines(session, sql)
+            assert len(lines) == len(db.last_scans)
+            for line, scan in zip(lines, db.last_scans):
+                stats = scan.stats
+                assert stats.regions_scanned == 1  # so the scan's form is its region's
+                form = re.search(r"\[select=(mask|positions 1/1)\]", line)
+                assert form, line
+                if not scan.pushed or 16 * stats.rows_matched >= stats.rows_scanned:
+                    # nothing to count on, or a dense answer: a mask, and
+                    # every needed column unpacked once over the region
+                    assert form.group(1) == "mask", (name, line)
+                    assert stats.rows_decoded % stats.rows_scanned == 0
+                masks += form.group(1) == "mask"
+                positions += form.group(1) != "mask"
+        assert masks > 30 and 0 < positions < masks / 4, (masks, positions)
+
+
 # --------------------------------------------------------------------------
 # MPP cluster observability
 # --------------------------------------------------------------------------

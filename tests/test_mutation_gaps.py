@@ -143,6 +143,27 @@ class TestCrashForgetsItsUnflushedCommits:
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
 
 
+class TestCheckpointCoversItsOwnLsn:
+    """Mutant boundary@src/repro/durability/manager.py:346:53 survived:
+    replaying ``lsn >= checkpoint_lsn`` instead of ``>`` is invisible while
+    every checkpoint also cuts the log, because no record at or below the
+    checkpoint LSN is left to replay.  A host that dies after the
+    checkpoint is published but before the log is cut leaves them all:
+    the checkpoint already holds every one, its own LSN's included."""
+
+    def test_crash_between_publish_and_truncate_replays_nothing(self):
+        db = _durable_db()
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.durability.wal.truncate_through = lambda lsn: None  # died before the cut
+        lsn = db.checkpoint()
+        assert [r.lsn for r in db.durability.wal.records()][-1] == lsn
+        report = db.reopen(clean=False)
+        assert report.checkpoint_lsn == lsn
+        assert report.records_replayed == report.transactions_replayed == 0
+        assert db.execute("SELECT a FROM t ORDER BY a").rows == [(1,), (2,)]
+
+
 class TestPlanCacheDefaultCapacity:
     """Mutant constant@src/repro/serving/cache.py:178:57 survived: the
     plan cache's default capacity (512 -> 513) is observable nowhere —

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TransactionConflictError
-from repro.mvcc import FIRST_TXID, Snapshot, TxnManager, visible_rows
+from repro.mvcc import ANCIENT_TXID, FIRST_TXID, Snapshot, TxnManager, visible_rows
 from repro.storage import ColumnTable, TableSchema
 from repro.types import INTEGER
 
@@ -226,6 +226,23 @@ class TestSnapshotAlgebra:
         arr = np.asarray(txids, dtype=np.int64)
         vec = snap.sees_vec(arr)
         assert list(vec) == [snap.sees(t) for t in txids]
+
+
+    def test_every_always_committed_stamp_is_a_documented_reserved_one(self):
+        # constant@src/repro/mvcc/txn.py:44:13 survived (FIRST_TXID 2 -> 3):
+        # ``sees`` treats every stamp below FIRST_TXID as committed long
+        # ago, so a gap between the reserved stamps (0 = none, ANCIENT_TXID)
+        # and the first id handed out would be a third always-visible stamp
+        # nothing documents.
+        assert FIRST_TXID == ANCIENT_TXID + 1 == 2
+        manager = TxnManager("layout")
+        before = manager.snapshot()
+        first = manager.begin()
+        assert first.txid == FIRST_TXID
+        assert before.sees(0) and before.sees(ANCIENT_TXID)
+        assert not before.sees(first.txid)
+        first.commit()
+        assert manager.snapshot().sees(first.txid) and not before.sees(first.txid)
 
 
 # --------------------------------------------------------------------------

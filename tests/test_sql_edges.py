@@ -155,6 +155,20 @@ class TestErrorsAndSyntax:
         with pytest.raises(BindError):
             s.execute("SELECT a FROM t GROUP BY 9")
 
+    @pytest.mark.parametrize("clause", ["GROUP BY", "ORDER BY"])
+    @pytest.mark.parametrize("position", ["1e0", "1.0", "1.5"])
+    def test_ordinal_that_is_not_an_integer(self, s, clause, position):
+        """Was a raw ``ValueError`` out of ``int('1e0')``.  The plan cache
+        keys on the template, so the cached run must raise what the fresh
+        one did — the typed error an out-of-range position gets."""
+        expected = None
+        for sql in ("SELECT a FROM t %s 9" % clause, "SELECT a FROM t %s %s" % (clause, position)):
+            for _run in ("fresh", "cached"):
+                with pytest.raises(BindError) as caught:
+                    s.execute(sql)
+                expected = expected or caught.value.sqlstate
+                assert caught.value.sqlstate == expected
+
     def test_aggregate_in_where_rejected(self, s):
         from repro.errors import TypeCheckError
 
