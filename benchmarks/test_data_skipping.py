@@ -41,6 +41,7 @@ def _seven_year_table(n_rows=2_000_000):
     questions over the most recent few months')."""
     import numpy as np
 
+    from repro.storage.column import ColumnVector
     from repro.storage.table import ColumnTable, TableSchema
     from repro.types import INTEGER
 
@@ -49,9 +50,7 @@ def _seven_year_table(n_rows=2_000_000):
     rng = np.random.default_rng(0)
     days = np.sort(rng.integers(0, 7 * 365, size=n_rows))
     qty = rng.integers(1, 100, size=n_rows)
-    table._tail[0] = days.tolist()
-    table._tail[1] = qty.tolist()
-    table._tail_rows = n_rows
+    table.append_vectors([ColumnVector(INTEGER, days), ColumnVector(INTEGER, qty)])
     table.flush()
     return table
 

@@ -879,15 +879,21 @@ class Database:
             result = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
             )
-            raw_rows = [list(r) for r in result.rows]
-        rows = []
+            raw_rows = result.rows
         for raw in raw_rows:
             if len(raw) != len(targets):
                 raise SQLError(
                     "INSERT has %d values for %d columns" % (len(raw), len(targets))
                 )
-            by_name = dict(zip(targets, raw))
-            rows.append(tuple(by_name.get(n) for n in names))
+        if targets == names:
+            rows = [tuple(raw) for raw in raw_rows]
+        else:  # a column list: schema order, NULL for the columns not named
+            at = {t: i for i, t in enumerate(targets)}
+            order = [at.get(n) for n in names]
+            rows = [
+                tuple(None if i is None else raw[i] for i in order)
+                for raw in raw_rows
+            ]
         oracle_strings = self.compatibility == "oracle"
         if oracle_strings:
             rows = [
@@ -1024,9 +1030,9 @@ class Database:
                 ).table
             txn = self._stmt_txn()
             if txn is not None:
-                txn.insert(table, [list(r) for r in result.rows])
+                txn.insert(table, result.rows)
             else:
-                table.insert_rows([list(r) for r in result.rows])
+                table.insert_rows(result.rows)
             if self.durability is not None and not node.temporary:
                 self.durability.log_op(
                     "ddl",

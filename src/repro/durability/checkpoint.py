@@ -26,6 +26,8 @@ from __future__ import annotations
 import pickle
 import zlib
 
+import numpy as np
+
 from repro.catalog.catalog import AliasInfo, Catalog, TableInfo, ViewInfo
 from repro.durability.faults import NULL_INJECTOR
 from repro.storage.filesystem import ClusterFileSystem
@@ -88,6 +90,7 @@ def snapshot_database(database) -> dict:
 
 
 def _table_state(schema_name: str, table: ColumnTable) -> dict:
+    n = table.tail_rows
     return {
         "schema": schema_name,
         "table_schema": table.schema,
@@ -96,11 +99,36 @@ def _table_state(schema_name: str, table: ColumnTable) -> dict:
         "unique_columns": table.unique_columns,
         "not_null_columns": table.not_null_columns,
         "regions": table.regions,
-        "tail": table._tail,
-        "tail_rows": table._tail_rows,
-        "tail_xmin": table._tail_xmin,
-        "tail_xmax": table._tail_xmax,
+        "tail": [
+            _tail_list(values[:n], nulls[:n])
+            for values, nulls in zip(table._tail_values, table._tail_nulls)
+        ],
+        "tail_rows": n,
+        "tail_xmin": table._tail_xmin[:n].tolist(),
+        "tail_xmax": table._tail_xmax[:n].tolist(),
     }
+
+
+# The image keeps the tail as one list of physical Python values per
+# column (None = NULL) and its stamps as lists of ints, the encoding it has
+# always had: small integers pickle in two to five bytes where an int64
+# array spends eight, the image's bytes count in the space a durable
+# engine occupies, and every older image still loads.
+
+
+def _tail_list(values: np.ndarray, nulls: np.ndarray) -> list:
+    column = values.tolist()
+    for row in np.flatnonzero(nulls).tolist():
+        column[row] = None
+    return column
+
+
+def _tail_physical(column: list, dtype) -> tuple[list, np.ndarray]:
+    nulls = np.fromiter((v is None for v in column), dtype=bool, count=len(column))
+    if nulls.any():
+        filler = "" if dtype == object else 0
+        column = [filler if v is None else v for v in column]
+    return column, nulls
 
 
 def _rebuild_table(state: dict) -> ColumnTable:
@@ -112,10 +140,18 @@ def _rebuild_table(state: dict) -> ColumnTable:
         not_null_columns=state["not_null_columns"],
     )
     table.regions = state["regions"]
-    table._tail = state["tail"]
-    table._tail_rows = state["tail_rows"]
-    table._tail_xmin = list(state.get("tail_xmin", [0] * table._tail_rows))
-    table._tail_xmax = list(state.get("tail_xmax", [0] * table._tail_rows))
+    n = state["tail_rows"]
+    table._land(
+        [
+            _tail_physical(column, dt.numpy_dtype)
+            for column, (_, dt) in zip(state["tail"], table.schema.columns)
+        ],
+        n,
+        txid=0,
+    )
+    # Images from before MVCC carry no stamps: nothing in them is deleted.
+    xmax = state.get("tail_xmax", ())
+    table._tail_xmax[: len(xmax)] = xmax
     _normalize_versions(table)
     if table.unique_columns:
         table._rebuild_unique_sets()
@@ -148,12 +184,10 @@ def _normalize_versions(table: ColumnTable) -> None:
             else:
                 region.xmax = None
                 region.xmax_hi = 0
-    table._tail_xmin = [0] * table._tail_rows
-    old_xmax = table._tail_xmax
-    table._tail_xmax = [
-        ANCIENT_TXID if i < len(old_xmax) and old_xmax[i] else 0
-        for i in range(table._tail_rows)
-    ]
+    n = table.tail_rows
+    table._tail_xmin[:n] = 0
+    xmax = table._tail_xmax[:n]
+    xmax[xmax != 0] = ANCIENT_TXID
 
 
 def restore_snapshot(database, snapshot: dict) -> None:

@@ -414,7 +414,7 @@ def _get_table(db, key):
 def _apply_record(db, record) -> None:
     table_key, payload = record.payload
     if record.kind == "insert":
-        _get_table(db, table_key).insert_rows([list(r) for r in payload])
+        _get_table(db, table_key).insert_rows(payload)
     elif record.kind == "delete":
         size, indices = payload
         table = _get_table(db, table_key)

@@ -126,8 +126,14 @@ class Operator:
         raise NotImplementedError
 
     def run(self) -> Batch:
-        """Drain the operator into one batch (pipeline-breaker helper)."""
-        return Batch.concat(list(self.execute()))
+        """Drain the operator into one batch (pipeline-breaker helper).
+
+        A lone batch is returned as it is — it may be a source's own (a
+        ``VectorSourceOp``'s, a tail's read-only views): consumers build
+        new vectors and never write into the one they were handed.
+        """
+        batches = list(self.execute())
+        return batches[0] if len(batches) == 1 else Batch.concat(batches)
 
 
 class TableScanOp(Operator):

@@ -27,18 +27,25 @@ def bufferpool_report(pool) -> dict:
 def database_report(database) -> dict:
     """Single-node MONREPORT: statements, buffer pool, tables, metrics."""
     tables = {}
+    # How the values handed to the tables that exist now were converted: by
+    # one typed loop per column, or value by value through ``cast_value``.
+    storage = {"landing.values_typed": 0, "landing.values_cast": 0, "landing.batches": 0}
     for name in database.table_names():
         table = database.catalog.get_table(name).table
         tables[name] = {
             "rows": table.n_rows,
             "compressed_bytes": table.compressed_nbytes(),
         }
+        storage["landing.values_typed"] += table.landing.values_typed
+        storage["landing.values_cast"] += table.landing.values_cast
+        storage["landing.batches"] += table.landing.batches
     gateway = getattr(database, "serving", None)
     return {
         "database": database.name,
         "statements": database.statement_count,
         "bufferpool": bufferpool_report(database.bufferpool),
         "tables": tables,
+        "storage": storage,
         "tracing_enabled": database.tracer.enabled,
         "txn": database.txn.report(),
         "metrics": database.metrics.snapshot(),

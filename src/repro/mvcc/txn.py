@@ -184,9 +184,9 @@ class Transaction:
     def insert(self, table, rows) -> int:
         """Insert *rows* stamped with our txid (invisible until commit).
 
-        The table is registered *before* the mutation so a mid-batch
-        failure (e.g. a unique violation) still gets its partial stamps
-        reverted by :meth:`abort`.
+        A batch is all or nothing (:meth:`ColumnTable.insert_rows` checks
+        every value and constraint before anything lands), so a rejected
+        insert leaves no stamp behind for :meth:`abort` to revert.
         """
         self.note_table(table)
         return table.insert_rows(rows, txid=self.txid)

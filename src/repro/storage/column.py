@@ -9,14 +9,16 @@ boundary (Python) form defined in :mod:`repro.types.values`.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from repro.errors import ConversionError
 from repro.types.datatypes import DataType, TypeKind
 from repro.types.values import (
+    INT_RANGES,
     cast_value,
     date_to_days,
     days_to_date,
@@ -27,12 +29,14 @@ from repro.types.values import (
 )
 
 
-def physical_dtype(dt: DataType):
-    """numpy dtype of the physical array for a SQL type."""
-    return dt.numpy_dtype
-
-
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+# The kinds the conversions below branch on, bound once: a member looked up
+# on the enum class costs more than the comparison it feeds.
+_DECIMAL, _DATE, _TIME = TypeKind.DECIMAL, TypeKind.DATE, TypeKind.TIME
+_TIMESTAMP, _BOOLEAN, _NULL = TypeKind.TIMESTAMP, TypeKind.BOOLEAN, TypeKind.NULL
+_VARCHAR = TypeKind.VARCHAR
+_APPROXIMATE = (TypeKind.REAL, TypeKind.DOUBLE, TypeKind.DECFLOAT)
 
 
 def _decimal_to_physical(value, dt: DataType) -> int:
@@ -45,29 +49,28 @@ def _decimal_to_physical(value, dt: DataType) -> int:
     return scaled
 
 
-#: Boundary -> physical converter per kind, built once at import so a
-#: conversion hashes its ``TypeKind`` once.  Most kinds store what
-#: ``cast_value`` returns; ``TypeKind.NULL`` has no physical form.
-_TO_PHYSICAL = {
-    kind: cast_value for kind in TypeKind if kind is not TypeKind.NULL
-}
-_TO_PHYSICAL.update({
-    TypeKind.DECIMAL: _decimal_to_physical,
-    TypeKind.DATE: lambda value, dt: date_to_days(cast_value(value, dt)),
-    TypeKind.TIME: lambda value, dt: time_to_seconds(cast_value(value, dt)),
-    TypeKind.TIMESTAMP: lambda value, dt: timestamp_to_micros(cast_value(value, dt)),
-    TypeKind.BOOLEAN: lambda value, dt: int(cast_value(value, dt)),
-})
-
-
 def to_physical_scalar(value, dt: DataType):
-    """Convert one boundary value to its physical form (None stays None)."""
+    """Convert one boundary value to its physical form (None stays None).
+
+    Most kinds store what ``cast_value`` returns; ``TypeKind.NULL`` has no
+    physical form.
+    """
     if value is None:
         return None
-    convert = _TO_PHYSICAL.get(dt.kind)
-    if convert is None:
+    kind = dt.kind
+    if kind is _DECIMAL:
+        return _decimal_to_physical(value, dt)
+    if kind is _DATE:
+        return date_to_days(cast_value(value, dt))
+    if kind is _TIME:
+        return time_to_seconds(cast_value(value, dt))
+    if kind is _TIMESTAMP:
+        return timestamp_to_micros(cast_value(value, dt))
+    if kind is _BOOLEAN:
+        return int(cast_value(value, dt))
+    if kind is _NULL:
         raise ConversionError("cannot store values of type %s" % dt)
-    return convert(value, dt)
+    return cast_value(value, dt)
 
 
 def to_boundary_scalar(value, dt: DataType):
@@ -92,26 +95,124 @@ def to_boundary_scalar(value, dt: DataType):
     return value
 
 
-def to_physical(values, dt: DataType) -> tuple[np.ndarray, np.ndarray | None]:
-    """Convert a sequence of boundary values into ``(array, null_mask)``.
+# -- whole columns -------------------------------------------------------------
+#
+# A column whose values all have the natural Python class of its type needs
+# no per-value dispatch: one loop converts it and one whole-column check
+# replaces the per-value range / length / NaN test.
 
-    NULL slots hold 0 (or "" for strings) in the array; the mask is None
-    when there are no NULLs.
+_EPOCH = datetime.date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+
+#: kind -> ({the natural class of its values}, that class's NULL filler).
+_NATURAL = {
+    _DECIMAL: (frozenset({Decimal}), Decimal(0)),
+    _DATE: (frozenset({datetime.date}), _EPOCH),
+    _VARCHAR: (frozenset({str}), ""),
+}
+_NATURAL.update({kind: (frozenset({int}), 0) for kind in INT_RANGES})
+_NATURAL.update({kind: (frozenset({float}), 0.0) for kind in _APPROXIMATE})
+
+
+def _in_range(values, low: int, high: int) -> bool:
+    return not values or (low <= min(values) and max(values) <= high)
+
+
+@functools.lru_cache(maxsize=None)
+def _quantum(scale: int) -> Decimal:
+    return Decimal(1).scaleb(-scale)
+
+
+def _typed_column(values, dt: DataType):
+    """``to_physical_scalar`` over a column of ``_NATURAL[dt.kind]`` values,
+    specialised to that class (the property tests hold the two equal).
+
+    Returns what an array of the type's numpy dtype takes in one slice
+    assignment, for certain — or None when the whole-column check fails:
+    the caller then re-runs the column value by value and the scalar path
+    names the first offending value.
     """
-    values = list(values)
+    kind = dt.kind
+    bounds = INT_RANGES.get(kind)
+    if bounds is not None:
+        return values if _in_range(values, *bounds) else None
+    if kind is _DECIMAL:
+        scale = dt.scale
+        quantum = _quantum(scale)
+        try:
+            scaled = [int(v.quantize(quantum).scaleb(scale)) for v in values]
+        except (InvalidOperation, ValueError):
+            return None  # Infinity, more digits than the context holds / NaN
+        return scaled if _in_range(scaled, _INT64_MIN, _INT64_MAX) else None
+    if kind is _DATE:
+        return [v.toordinal() - _EPOCH_ORDINAL for v in values]
+    if kind is _VARCHAR:
+        if dt.length and max(map(len, values), default=0) > dt.length:
+            return None
+        return values
+    array = np.array(values, dtype=np.float64)  # the approximate kinds
+    return None if np.isnan(array).any() else array
+
+
+_NONE_TYPE = type(None)
+
+
+@dataclass
+class LandingStats:
+    """Which loop the values of converted columns took (NULLs included)."""
+
+    values_typed: int = 0  # in columns one typed loop converted
+    values_cast: int = 0  # in columns sent value by value through cast_value
+    batches: int = 0  # batches a table landed
+
+
+def physical_column(values, dt: DataType, stats: LandingStats | None = None):
+    """Convert a column of boundary values into ``(physical, null_mask)``.
+
+    ``physical`` is a sequence (or array) of physical values ready to be
+    assigned into an array of the type's numpy dtype; NULL slots hold 0
+    (or "" for strings); the mask is None when there are no NULLs.  The
+    type is dispatched on once: a column whose values all have the type's
+    natural class is converted by that class's loop, any other column
+    (text into a number, ``bool``, mixed classes, CHAR padding, a failed
+    whole-column check) value by value through :func:`to_physical_scalar`
+    — which therefore stays the one definition of what a conversion means
+    and of every error.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
     n = len(values)
-    nulls = np.fromiter((v is None for v in values), dtype=bool, count=n)
-    dtype = physical_dtype(dt)
-    filler = "" if dtype == object else 0
-    converted = [
-        filler if v is None else to_physical_scalar(v, dt) for v in values
-    ]
-    if dtype == object:
-        array = np.empty(n, dtype=object)
-        array[:] = converted
-    else:
-        array = np.array(converted, dtype=dtype)
-    return array, (nulls if nulls.any() else None)
+    classes = set(map(type, values))
+    nulls = None
+    if _NONE_TYPE in classes:
+        classes.discard(_NONE_TYPE)
+        nulls = np.fromiter((v is None for v in values), dtype=bool, count=n)
+    physical = None
+    natural, filler = _NATURAL.get(dt.kind, (None, None))
+    if natural is not None and classes <= natural:
+        physical = _typed_column(
+            values if nulls is None else [filler if v is None else v for v in values],
+            dt,
+        )
+    if stats is not None:
+        if physical is None:
+            stats.values_cast += n
+        else:
+            stats.values_typed += n
+    if physical is None:
+        filler = "" if dt.numpy_dtype == object else 0
+        physical = [filler if v is None else to_physical_scalar(v, dt) for v in values]
+    return physical, nulls
+
+
+def to_physical(
+    values, dt: DataType, stats: LandingStats | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`physical_column` with the values as an array of the type's dtype."""
+    physical, nulls = physical_column(values, dt, stats)
+    array = np.empty(len(physical), dtype=dt.numpy_dtype)
+    array[:] = physical
+    return array, nulls
 
 
 def to_boundary(array: np.ndarray, nulls: np.ndarray | None, dt: DataType) -> list:

@@ -1,6 +1,8 @@
 """Column-organised tables: compressed regions plus an insert tail.
 
-Layout (paper II.B.3-4): rows are appended to an uncompressed *tail*; when
+Layout (paper II.B.3-4): rows are appended to an uncompressed *tail* — one
+growable typed array, null mask and pair of version stamps per column, so
+what a batch lands as is what scans read and what a seal compresses; when
 the tail reaches ``region_rows`` (or on :meth:`ColumnTable.flush`) it is
 sealed into a *region*, where every column is independently compressed
 (:mod:`repro.compression.codec`) and covered by a data-skipping synopsis
@@ -23,15 +25,26 @@ compressed data), and only decodes surviving columns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compression.codec import CompressedColumn, compress_column
-from repro.errors import ConstraintViolationError, SQLError, TransactionConflictError
+from repro.errors import (
+    ConstraintViolationError,
+    ConversionError,
+    SQLError,
+    TransactionConflictError,
+)
 from repro.mvcc.txn import ANCIENT_TXID, Snapshot
 from repro.skipping.synopsis import SYNOPSIS_STRIDE, Synopsis
-from repro.storage.column import ColumnVector, to_physical, to_physical_scalar
+from repro.storage.column import (
+    ColumnVector,
+    LandingStats,
+    physical_column,
+    to_physical_scalar,
+)
 from repro.types.datatypes import DataType, TypeKind
 from repro.verify import sanitizer
 
@@ -169,15 +182,7 @@ class Region:
         """
         if self.xmax is None:
             self.xmax = np.zeros(self.n_rows, dtype=np.int64)
-        fresh = mask & (self.xmax == 0)
-        if txid != ANCIENT_TXID:
-            foreign = mask & (self.xmax != 0) & (self.xmax != txid)
-            if foreign.any():
-                raise TransactionConflictError(
-                    "row version already deleted by txn %d"
-                    % int(self.xmax[foreign][0])
-                )
-        self.xmax[fresh] = txid
+        fresh = _stamp_deleted(self.xmax, mask, txid)
         if txid > self.xmax_hi:
             self.xmax_hi = txid
         return fresh
@@ -226,144 +231,208 @@ class ColumnTable:
         self.regions: list[Region] = []
         self.unique_columns = tuple(unique_columns)
         self.not_null_columns = tuple(not_null_columns)
-        self._tail: list[list] = [[] for _ in schema.columns]
-        self._tail_rows = 0
-        self._tail_xmin: list[int] = []
-        self._tail_xmax: list[int] = []
         self._unique_seen: dict[str, set] = {c: set() for c in self.unique_columns}
+        names = schema.column_names
+        self._unique_at = [(name, names.index(name)) for name in self.unique_columns]
+        self._not_null_at = [(name, names.index(name)) for name in self.not_null_columns]
+        #: Which loop converted the values this table was handed.
+        self.landing = LandingStats()
         # Guards the structural swap in _seal_tail/truncate against
         # concurrent capture(); appends need no lock because _tail_rows is
-        # bumped only after all per-column appends land.
+        # bumped only after every column's values are in place.
         self._capture_lock = sanitizer.make_lock(
             "table:%s:capture" % schema.name, reentrant=False
         )
+        self._reset_tail()
 
-    # ColumnTable instances are pickled by durability checkpoints; locks
-    # are not picklable, so drop and rebuild.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_capture_lock"]
-        return state
+    # -- the tail ------------------------------------------------------------
+    #
+    # Reader contract: rows ``[0, _tail_rows)`` of the value, null and xmin
+    # arrays never change once published, so a reader may keep views of
+    # them; ``xmax`` is written in place by tombstoning, so a reader copies
+    # its prefix.  Growth and sealing allocate new arrays and never touch
+    # the old ones.  Slots past ``_tail_rows`` of the masks and stamps are
+    # zero, and a column's mask is all zero until ``_tail_any_null`` says
+    # a NULL landed (so readers of NULL-free columns never scan one).
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._capture_lock = sanitizer.make_lock(
-            "table:%s:capture" % self.schema.name, reentrant=False
-        )
+    def _reset_tail(self) -> None:
+        columns = self.schema.columns
+        self._tail_values = [np.empty(0, dtype=dt.numpy_dtype) for _, dt in columns]
+        self._tail_nulls = [np.zeros(0, dtype=bool) for _ in columns]
+        self._tail_any_null = [False] * len(columns)
+        self._tail_xmin = np.zeros(0, dtype=np.int64)
+        self._tail_xmax = np.zeros(0, dtype=np.int64)
+        self._tail_rows = 0
+
+    def _grow_tail(self, rows: int) -> None:
+        """Reallocate the tail arrays to hold at least *rows* rows."""
+        kept = self._tail_rows
+        capacity = min(max(rows, 2 * self._tail_xmax.size, 16), self.region_rows)
+
+        def grown(old, allocate):
+            new = allocate(capacity, dtype=old.dtype)
+            new[:kept] = old[:kept]
+            return new
+
+        self._tail_values = [grown(old, np.empty) for old in self._tail_values]
+        self._tail_nulls = [grown(old, np.zeros) for old in self._tail_nulls]
+        self._tail_xmin = grown(self._tail_xmin, np.zeros)
+        self._tail_xmax = grown(self._tail_xmax, np.zeros)
+
+    def _tail_column(self, index: int, rows: int) -> ColumnVector:
+        """Read-only view of the first *rows* tail rows of one column."""
+        values = self._tail_values[index][:rows]
+        values.flags.writeable = False
+        nulls = None
+        if self._tail_any_null[index]:
+            nulls = self._tail_nulls[index][:rows]
+            nulls.flags.writeable = False
+        return ColumnVector(self.schema.columns[index][1], values, nulls)
 
     # -- inserts -------------------------------------------------------------
 
     def insert_rows(self, rows, txid: int = 0) -> int:
         """Append boundary-value rows (sequences matching the schema).
 
-        Values are validated and converted to physical form per column.
-        Rows are stamped ``xmin = txid`` (0 = ancient: visible to every
-        snapshot, the pre-MVCC behaviour).  Returns the number of rows
-        inserted.
+        The batch is transposed once and converted a column at a time
+        (:func:`~repro.storage.column.physical_column`); every value and the
+        NOT NULL / unique constraints are checked before anything lands,
+        so a rejected batch leaves no row, stamp or unique value behind
+        and raises what its first offending row raises.  Rows are stamped
+        ``xmin = txid`` (0 = ancient: visible to every snapshot, the
+        pre-MVCC behaviour).  Returns the number of rows inserted.
         """
-        count = 0
-        names = self.schema.column_names
-        unique = [
-            (name, names.index(name), self._unique_seen[name])
-            for name in self.unique_columns
-        ]
-        for row in rows:
-            if len(row) != len(self.schema):
-                raise SQLError(
-                    "row has %d values, table %s has %d columns"
-                    % (len(row), self.schema.name, len(self.schema))
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        self._land(self._convert(rows), len(rows), txid)
+        return len(rows)
+
+    def append_vectors(self, vectors: list[ColumnVector], txid: int = 0) -> int:
+        """Append rows that are already physical column vectors.
+
+        The entry of :meth:`insert_rows`' landing path for data that needs
+        no conversion (a shard's partial result): the vectors must be
+        exactly the schema's types, NOT NULL and unique constraints are
+        checked on them as on converted rows, and nothing lands unless
+        all of it does.  The values are copied into the tail; NULL slots
+        may hold any filler.
+        """
+        n = self.schema.check_vectors(vectors)
+        columns = [(v.values, v.nulls) for v in vectors]
+        failures = self._violations(columns, n)
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
+        self._land(columns, n, txid)
+        return n
+
+    def _convert(self, rows) -> list[tuple]:
+        """Physical ``(values, nulls)`` per column of a batch that may land.
+
+        Every column is converted and checked even after one has failed:
+        the error raised is that of the lowest offending row (within a
+        row: column order, then the unique columns), which is the row a
+        row-at-a-time load would have stopped at.
+        """
+        width = len(self.schema)
+        if set(map(len, rows)) - {width}:
+            bad = next(i for i, row in enumerate(rows) if len(row) != width)
+            self._convert(rows[:bad])  # an earlier row's error comes first
+            raise SQLError(
+                "row has %d values, table %s has %d columns"
+                % (len(rows[bad]), self.schema.name, width)
+            )
+        columns: list = []
+        failures = []
+        transposed = zip(*rows) if rows else [()] * width
+        for at, ((name, dt), values) in enumerate(zip(self.schema.columns, transposed)):
+            try:
+                columns.append(physical_column(values, dt, self.landing))
+            except ConversionError:
+                columns.append(None)
+                failures.append(
+                    _first_rejected(values, dt, name, at, name in self.not_null_columns)
                 )
-            physical = []
-            for (name, dt), value in zip(self.schema.columns, row):
-                if value is None and name in self.not_null_columns:
-                    raise ConstraintViolationError(
-                        "column %s does not accept NULL" % name
-                    )
-                physical.append(
-                    None if value is None else to_physical_scalar(value, dt)
-                )
-            # Check every unique column before recording any: a rejected
-            # row must leave nothing behind in the seen-sets.
-            for name, at, seen in unique:
-                value = physical[at]
-                if value is not None and value in seen:
-                    raise ConstraintViolationError(
-                        "duplicate value %r for unique column %s" % (value, name)
-                    )
-            for _, at, seen in unique:
-                if physical[at] is not None:
-                    seen.add(physical[at])
-            for i, value in enumerate(physical):
-                self._tail[i].append(value)
-            self._tail_xmin.append(txid)
-            self._tail_xmax.append(0)
-            self._tail_rows += 1
-            count += 1
-            if self._tail_rows >= self.region_rows:
+        failures += self._violations(columns, len(rows))
+        if failures:
+            row, _, error = min(failures, key=lambda f: f[:2])
+            # A unique column that failed to convert was not checked for
+            # duplicates above its bad value; the rows before the lowest
+            # failure all convert, so checking them alone finds one.
+            self._convert(rows[:row])
+            raise error
+        return columns
+
+    def _violations(self, columns, n: int) -> list[tuple[int, int, Exception]]:
+        """``(row, order, error)`` of each constrained column's first
+        NOT NULL / unique violation; a column that is None is skipped."""
+        failures = []
+        for name, at in self._not_null_at:
+            if columns[at] is not None and columns[at][1] is not None:
+                row = int(columns[at][1].argmax())
+                failures.append((row, at, _null_violation(name)))
+        for k, (name, at) in enumerate(self._unique_at):
+            column = columns[at]
+            if column is None:
+                continue
+            present = _present(*column)
+            seen = self._unique_seen[name]
+            if len(set(present)) == len(present) and seen.isdisjoint(present):
+                continue
+            nulls = column[1]
+            rows = range(n) if nulls is None else np.flatnonzero(~nulls).tolist()
+            batch: set = set()
+            for row, value in zip(rows, present):
+                if value in seen or value in batch:
+                    failures.append((
+                        row,
+                        len(columns) + k,
+                        ConstraintViolationError(
+                            "duplicate value %r for unique column %s" % (value, name)
+                        ),
+                    ))
+                    break
+                batch.add(value)
+        return failures
+
+    def _land(self, columns, n: int, txid: int) -> None:
+        """Append *n* checked physical rows in region-aligned chunks."""
+        for name, at in self._unique_at:
+            self._unique_seen[name].update(_present(*columns[at]))
+        self.landing.batches += 1
+        # Chunk boundaries: what the tail still takes, then whole regions.
+        room = self.region_rows - self._tail_rows
+        bounds = [0, *range(room, n, self.region_rows), n]
+        for start, stop in zip(bounds, bounds[1:]):
+            at = self._tail_rows
+            end = at + stop - start
+            if end > self._tail_xmax.size:
+                self._grow_tail(end)
+            for i, (tail, (values, nulls)) in enumerate(zip(self._tail_values, columns)):
+                tail[at:end] = values[start:stop]
+                if nulls is not None:
+                    self._tail_nulls[i][at:end] = nulls[start:stop]
+                    self._tail_any_null[i] = True
+            if txid:
+                self._tail_xmin[at:end] = txid
+            self._tail_rows = end  # published last: no reader sees half a row
+            if end >= self.region_rows:
                 self._seal_tail()
-        return count
 
     def flush(self) -> None:
         """Seal any buffered tail rows into a compressed region."""
         if self._tail_rows:
             self._seal_tail()
 
-    def append_vectors(self, vectors: list[ColumnVector]) -> int:
-        """Seal physical column vectors straight into compressed regions.
-
-        The columnar twin of :meth:`insert_rows` for data that is already
-        in physical form (a shard's partial result): no per-value
-        conversion or validation, so the vectors must be exactly the
-        schema's types.  The table keeps the arrays — callers must not
-        mutate them afterwards.  NULL slots may hold any filler.  Rows
-        are stamped ancient (visible to every snapshot); any buffered
-        tail is sealed first so the logical scan order stays append-only.
-        Unique columns are refused: their seen-sets are kept per value.
-        """
-        if self.unique_columns:
-            raise SQLError(
-                "table %s has unique columns; use insert_rows" % self.schema.name
-            )
-        n = self.schema.check_vectors(vectors)
-        for (name, _), vector in zip(self.schema.columns, vectors):
-            if vector.nulls is not None and name in self.not_null_columns:
-                raise ConstraintViolationError(
-                    "column %s does not accept NULL" % name
-                )
-        self.flush()
-        for start in range(0, n, self.region_rows):
-            stop = min(start + self.region_rows, n)
-            chunk = [
-                ColumnVector(
-                    v.dtype,
-                    v.values[start:stop],
-                    None if v.nulls is None else v.nulls[start:stop],
-                )
-                for v in vectors
-            ]
-            region = self._build_region(chunk, stop - start)
-            with self._capture_lock:
-                self.regions.append(region)
-        return n
-
     def _seal_tail(self) -> None:
-        # A generator: one column's raw array alive at a time while sealing.
-        vectors = (
-            _vector_from_raw(raw, dt)
-            for (_, dt), raw in zip(self.schema.columns, self._tail)
-        )
+        n = self._tail_rows
+        # A generator: one column's vector alive at a time while sealing.
+        vectors = (self._tail_column(i, n) for i in range(len(self.schema)))
         region = self._build_region(
-            vectors,
-            self._tail_rows,
-            _stamp_array(self._tail_xmin, self._tail_rows),
-            _stamp_array(self._tail_xmax, self._tail_rows),
+            vectors, n, _stamps(self._tail_xmin, n), _stamps(self._tail_xmax, n)
         )
         with self._capture_lock:
             self.regions.append(region)
-            self._tail = [[] for _ in self.schema.columns]
-            self._tail_rows = 0
-            self._tail_xmin = []
-            self._tail_xmax = []
+            self._reset_tail()
 
     def _build_region(self, vectors, n_rows: int, xmin=None, xmax=None) -> Region:
         """Compress one region's columns and build their synopses."""
@@ -417,28 +486,23 @@ class ColumnTable:
                 fresh = region.mark_deleted(chunk, txid)
                 deleted += int(fresh.sum())
                 for name in self.unique_columns:
-                    values, nulls = region.columns[name].decode()
-                    gone = fresh if nulls is None else fresh & ~nulls
-                    self._unique_seen[name].difference_update(values[gone].tolist())
+                    self._forget(name, *region.columns[name].decode(), fresh)
             offset += region.n_rows
         tail_mask = global_mask[offset:]
         if tail_mask.any():
-            unique_tails = [
-                (self._unique_seen[name], self._tail[self.schema.column_index(name)])
-                for name in self.unique_columns
-            ]
-            for i in np.flatnonzero(tail_mask):
-                current = self._tail_xmax[i]
-                if current == 0:
-                    self._tail_xmax[i] = txid
-                    deleted += 1
-                    for seen, tail in unique_tails:
-                        seen.discard(tail[i])  # None (NULL) was never seen
-                elif txid != ANCIENT_TXID and current != txid:
-                    raise TransactionConflictError(
-                        "row version already deleted by txn %d" % current
-                    )
+            n = self._tail_rows
+            fresh = _stamp_deleted(self._tail_xmax[:n], tail_mask, txid)
+            deleted += int(fresh.sum())
+            for name, at in self._unique_at:
+                self._forget(
+                    name, self._tail_values[at][:n], self._tail_nulls[at][:n], fresh
+                )
         return deleted
+
+    def _forget(self, name: str, values, nulls, gone) -> None:
+        """Drop the unique values of the rows under *gone* from the seen-set."""
+        keep = gone if nulls is None else gone & ~nulls
+        self._unique_seen[name].difference_update(values[keep].tolist())
 
     def rollback_txn(self, txid: int) -> None:
         """Revert every stamp *txid* left: undo its deletes, kill its inserts.
@@ -459,11 +523,10 @@ class ColumnTable:
                     region.xmax[aborted] = ANCIENT_TXID
                     if ANCIENT_TXID > region.xmax_hi:
                         region.xmax_hi = ANCIENT_TXID
-        for i in range(self._tail_rows):
-            if self._tail_xmax[i] == txid:
-                self._tail_xmax[i] = 0
-            if self._tail_xmin[i] == txid:
-                self._tail_xmax[i] = ANCIENT_TXID
+        n = self._tail_rows
+        xmax = self._tail_xmax[:n]
+        xmax[xmax == txid] = 0
+        xmax[self._tail_xmin[:n] == txid] = ANCIENT_TXID
         if self.unique_columns:
             self._rebuild_unique_sets()
 
@@ -471,10 +534,7 @@ class ColumnTable:
         """Remove all rows, keeping the definition (TRUNCATE TABLE)."""
         with self._capture_lock:
             self.regions = []
-            self._tail = [[] for _ in self.schema.columns]
-            self._tail_rows = 0
-            self._tail_xmin = []
-            self._tail_xmax = []
+            self._reset_tail()
         self._unique_seen = {c: set() for c in self.unique_columns}
 
     def _rebuild_unique_sets(self) -> None:
@@ -493,7 +553,8 @@ class ColumnTable:
     @property
     def n_rows(self) -> int:
         """Live (visible) rows."""
-        tail_live = self._tail_rows - sum(1 for x in self._tail_xmax if x != 0)
+        n = self._tail_rows
+        tail_live = n - int(np.count_nonzero(self._tail_xmax[:n]))
         return sum(r.live_count() for r in self.regions) + tail_live
 
     @property
@@ -508,20 +569,16 @@ class ColumnTable:
         readers and writers block each other for microseconds at most.
         *columns* limits which tail vectors are materialised.
         """
+        names = list(columns) if columns is not None else self.schema.column_names
         with self._capture_lock:
             regions = tuple(self.regions)
             n = self._tail_rows
-            raw_tail = [raw[:n] for raw in self._tail]
-            xmin = _stamp_array(self._tail_xmin, n)
-            xmax = _stamp_array(self._tail_xmax, n)
-        names = list(columns) if columns is not None else self.schema.column_names
-        tail = {
-            name: _vector_from_raw(
-                raw_tail[self.schema.column_index(name)],
-                self.schema.column_type(name),
-            )
-            for name in names
-        }
+            tail = {
+                name: self._tail_column(self.schema.column_index(name), n)
+                for name in names
+            }
+            xmin = _stamps(self._tail_xmin, n)
+            xmax = _stamps(self._tail_xmax, n)
         tail_mask = _tail_visible(xmin, xmax, n, snapshot)
         return TableCapture(
             regions=regions, tail=tail, tail_mask=tail_mask, tail_rows=n,
@@ -530,9 +587,7 @@ class ColumnTable:
 
     def tail_vector(self, name: str) -> ColumnVector:
         """The uncompressed tail of one column as a runtime vector."""
-        idx = self.schema.column_index(name)
-        dt = self.schema.columns[idx][1]
-        return _vector_from_raw(self._tail[idx], dt)
+        return self._tail_column(self.schema.column_index(name), self._tail_rows)
 
     def column_vector(self, name: str) -> ColumnVector:
         """Materialise one whole column (all live and tombstoned rows).
@@ -563,11 +618,9 @@ class ColumnTable:
             parts.append(np.ones(region.n_rows, dtype=bool) if mask is None else mask)
         n = self._tail_rows
         tail = _tail_visible(
-            _stamp_array(self._tail_xmin, n), _stamp_array(self._tail_xmax, n), n, snapshot
+            _stamps(self._tail_xmin, n), _stamps(self._tail_xmax, n), n, snapshot
         )
         parts.append(np.ones(n, dtype=bool) if tail is None else tail)
-        if not parts:
-            return np.zeros(0, dtype=bool)
         return np.concatenate(parts)
 
     def live_mask(self) -> np.ndarray:
@@ -578,13 +631,7 @@ class ColumnTable:
                 parts.append(np.ones(region.n_rows, dtype=bool))
             else:
                 parts.append(region.xmax == 0)
-        parts.append(
-            np.fromiter(
-                (x == 0 for x in self._tail_xmax), dtype=bool, count=self._tail_rows
-            )
-        )
-        if not parts:
-            return np.zeros(0, dtype=bool)
+        parts.append(self._tail_xmax[: self._tail_rows] == 0)
         return np.concatenate(parts)
 
     # -- size accounting -----------------------------------------------------------
@@ -605,18 +652,55 @@ class ColumnTable:
         return self.raw_nbytes() / compressed
 
 
-def _stamp_array(stamps: list[int], n: int) -> np.ndarray | None:
-    """Version stamps as int64, or None when all-zero (the common case).
-
-    Tolerates stamp lists shorter than *n*: benchmarks poke ``_tail``
-    directly for bulk setup, leaving the version lists empty — those rows
-    are ancient (stamp 0).
-    """
-    if not any(stamps[:n]):
+def _stamps(stamps: np.ndarray, n: int) -> np.ndarray | None:
+    """A copy of the first *n* version stamps, or None when all are zero
+    (the common case)."""
+    if not n:
         return None
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(stamps)] = stamps[:n]
-    return out
+    prefix = stamps[:n]
+    return prefix.copy() if prefix.any() else None
+
+
+def _stamp_deleted(xmax: np.ndarray, mask: np.ndarray, txid: int) -> np.ndarray:
+    """Stamp ``xmax = txid`` in place on the live rows under *mask* and
+    return their mask; a foreign in-flight stamp under it is a conflict."""
+    fresh = mask & (xmax == 0)
+    if txid != ANCIENT_TXID:
+        foreign = mask & (xmax != 0) & (xmax != txid)
+        if foreign.any():
+            raise TransactionConflictError(
+                "row version already deleted by txn %d" % int(xmax[foreign][0])
+            )
+    xmax[fresh] = txid
+    return fresh
+
+
+def _present(values, nulls: np.ndarray | None) -> list:
+    """The non-NULL values of a physical column, as Python values."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if nulls is None:
+        return values
+    return list(itertools.compress(values, (~nulls).tolist()))
+
+
+def _null_violation(name: str) -> ConstraintViolationError:
+    return ConstraintViolationError("column %s does not accept NULL" % name)
+
+
+def _first_rejected(values, dt: DataType, name: str, at: int, not_null: bool):
+    """``(row, order, error)`` of the first value of a column that failed
+    to convert which a row-at-a-time load would have rejected."""
+    for row, value in enumerate(values):
+        if value is None:
+            if not_null:
+                return row, at, _null_violation(name)
+            continue
+        try:
+            to_physical_scalar(value, dt)
+        except ConversionError as error:
+            return row, at, error
+    raise AssertionError("column %s converts value by value" % name)
 
 
 def _tail_visible(
@@ -633,19 +717,6 @@ def _tail_visible(
     if mask is not None and mask.all():
         return None
     return mask
-
-
-def _vector_from_raw(raw: list, dt: DataType) -> ColumnVector:
-    nulls = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
-    dtype = dt.numpy_dtype
-    filler = "" if dtype == object else 0
-    cleaned = [filler if v is None else v for v in raw]
-    if dtype == object:
-        array = np.empty(len(raw), dtype=object)
-        array[:] = cleaned
-    else:
-        array = np.array(cleaned, dtype=dtype)
-    return ColumnVector(dt, array, nulls if nulls.any() else None)
 
 
 def _raw_size(array: np.ndarray, dt: DataType) -> int:

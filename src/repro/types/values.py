@@ -29,7 +29,8 @@ SqlTimestamp = datetime.datetime
 _EPOCH_DATE = datetime.date(1970, 1, 1)
 _EPOCH_TS = datetime.datetime(1970, 1, 1)
 
-_INT_RANGES = {
+#: Inclusive value range of each integer kind.
+INT_RANGES = {
     TypeKind.SMALLINT: (-(2**15), 2**15 - 1),
     TypeKind.INTEGER: (-(2**31), 2**31 - 1),
     TypeKind.BIGINT: (-(2**63), 2**63 - 1),
@@ -139,10 +140,12 @@ def cast_value(value: object, target: DataType, *, oracle_strings: bool = False)
     if kind is TypeKind.NULL:
         return value
     try:
-        if kind in _INT_RANGES:
+        if kind in INT_RANGES:
             result = _cast_integer(value, kind)
         elif kind is TypeKind.DECIMAL:
             result = _quantize(_to_decimal(_text_to_number(value)), target.scale)
+            if result.is_nan():
+                raise ConversionError("NaN is not a valid SQL number")
         elif kind in (TypeKind.REAL, TypeKind.DOUBLE, TypeKind.DECFLOAT):
             result = float(_text_to_number(value))
             if math.isnan(result):
@@ -159,7 +162,10 @@ def cast_value(value: object, target: DataType, *, oracle_strings: bool = False)
             result = _cast_timestamp(value)
         else:  # pragma: no cover - exhaustive over TypeKind
             raise ConversionError("unsupported cast target %s" % target)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InvalidOperation, OverflowError) as exc:
+        # InvalidOperation: a numeral Decimal cannot parse ('abc' into an
+        # INTEGER), or a DECIMAL with more digits than the context holds;
+        # OverflowError: an int beyond the largest DOUBLE.
         raise ConversionError("cannot cast %r to %s" % (value, target)) from exc
     return result
 
@@ -193,7 +199,7 @@ def _cast_integer(value: object, kind: TypeKind) -> int:
         raise ConversionError("cannot cast a date to %s" % kind.value)
     else:
         raise ConversionError("cannot cast %r to %s" % (value, kind.value))
-    low, high = _INT_RANGES[kind]
+    low, high = INT_RANGES[kind]
     if not low <= result <= high:
         raise ConversionError("value %d out of range for %s" % (result, kind.value))
     return result

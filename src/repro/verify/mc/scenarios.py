@@ -469,8 +469,9 @@ class CommitCrashVersions(Scenario):
                 assert not foreign, (
                     "dead-incarnation xmax stamps survived: %s" % foreign
                 )
-        assert not any(table._tail_xmin), "tail xmin survived recovery"
-        assert set(table._tail_xmax) <= {0, ANCIENT_TXID}
+        n = table.tail_rows
+        assert not table._tail_xmin[:n].any(), "tail xmin survived recovery"
+        assert set(table._tail_xmax[:n].tolist()) <= {0, ANCIENT_TXID}
         snap = db.txn.snapshot()
         assert len(visible_rows(table, snap)) == _count(db, "TA"), (
             "version-visibility oracle disagrees with SQL count"

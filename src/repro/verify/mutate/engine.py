@@ -55,6 +55,7 @@ DEFAULT_MAX_MUTANTS = 64
 #: scope (mutating the checker to score the checker proves nothing).
 DEFAULT_TARGET_PATHS = (
     "src/repro/storage/table.py",
+    "src/repro/storage/column.py",
     "src/repro/mvcc/txn.py",
     "src/repro/parallel/morsel.py",
     "src/repro/engine/aggregate.py",

@@ -69,6 +69,9 @@ class TestColumnAndLiteral:
     def test_null_literal(self, batch):
         v = Literal(None, INTEGER).eval(batch)
         assert v.to_boundary() == [None] * 4
+        # constant@expression.py:123 survived: like every producer, a NULL
+        # literal leaves the physical filler 0 under its mask.
+        assert v.values.tolist() == [0] * 4 and v.nulls.all()
 
     def test_string_literal(self, batch):
         v = Literal("hi", varchar_type(5)).eval(batch)

@@ -443,8 +443,8 @@ class TestMonreport:
         report = db.monreport()
         assert sorted(report) == [
             "bufferpool", "database", "durability", "metrics", "parallel",
-            "plan_cache", "serving", "statements", "tables", "tracing_enabled",
-            "txn",
+            "plan_cache", "serving", "statements", "storage", "tables",
+            "tracing_enabled", "txn",
         ]
         assert report["parallel"]["parallelism"] >= 1
         assert report["tracing_enabled"] is True
@@ -562,6 +562,58 @@ class TestPlanCacheOnTheBenchmarkPools:
         for engine in engines + [cluster.coordinator]:
             assert set(self._bypasses(engine)) <= {"ast-entry", "relations", "not-a-read"}
         assert all("ast-entry" in self._bypasses(engine) for engine in engines)
+
+
+class TestLandingOnTheBenchmarkLoads:
+    """Which loop converted a load is on the report.  A generator or schema
+    change that sends the benchmark's base rows back through the per-value
+    cast fails here — not as a slower ``setup_s``."""
+
+    def _loaded(self, tables, ddl):
+        db = Database()
+        session = db.connect()
+        for statement in ddl:
+            session.execute(statement)
+        from repro.workloads import tpcds
+
+        for name, rows in tables.items():
+            tpcds.bulk_insert(session, name, rows)
+        return db, session, sum(len(rows) * len(rows[0]) for rows in tables.values())
+
+    def test_customer_and_tpcds_base_rows_land_typed(self):
+        from repro.workloads import tpcds
+        from repro.workloads.customer import CustomerWorkload
+
+        workload = CustomerWorkload(seed=31, n_accounts=300, n_instruments=40, n_trades=3000)
+        data = tpcds.generate(scale=0.05, seed=31)
+        # The one column of either generator that is not its type's natural
+        # class: ITEM.I_CURRENT_PRICE, a float into a DECIMAL(7,2).
+        assert {type(r[3]) for r in data.item} == {float}
+        for tables, ddl, cast in (
+            (workload.base_rows(), workload.base_ddl(), 0),
+            (data.tables(), tpcds.DDL, len(data.item)),
+        ):
+            db, _, values = self._loaded(tables, ddl)
+            landing = db.monreport()["storage"]
+            assert landing["landing.values_cast"] == cast
+            assert landing["landing.values_typed"] == values - cast > 0
+            assert landing["landing.batches"] == len(tables)
+
+    def test_the_cast_path_and_sql_inserts_are_counted_too(self):
+        db = Database()
+        session = db.connect()
+        session.execute("CREATE TABLE l (a INT, b CHAR(3), c DATE)")
+        session.execute("INSERT INTO l VALUES (1, 'x', DATE '2016-01-01'), (2, 'y', NULL)")
+        landing = db.monreport()["storage"]
+        assert landing == {
+            "landing.values_typed": 4, "landing.values_cast": 2, "landing.batches": 1,
+        }  # CHAR pads value by value
+        table = db.catalog.get_table("L").table
+        table.insert_rows([("3", "z", "2016-01-02")])  # text into INT and DATE
+        landing = db.monreport()["storage"]
+        assert landing["landing.values_cast"] == 5 and landing["landing.batches"] == 2
+        session.execute("DROP TABLE l")
+        assert db.monreport()["storage"]["landing.batches"] == 0  # existing tables only
 
 
 class TestSelectionFormOnTheBenchmarkPools:

@@ -251,6 +251,16 @@ class TestSnapshotAlgebra:
 
 
 class TestAnomalies:
+    def test_every_begin_commit_and_abort_is_counted_once(self):
+        # constant@txn.py:120 survived (`begun += 2`): nothing read the counter.
+        manager = TxnManager("counted")
+        first, second, third = manager.begin(), manager.begin(), manager.begin()
+        first.commit()
+        second.abort()
+        report = manager.report()
+        assert (report["begun"], report["committed"], report["aborted"]) == (3, 1, 1)
+        assert report["active"] == 1 and third.status == "active"
+
     def test_no_dirty_read_and_repeatable_snapshot(self):
         table = _table()
         manager = TxnManager("anomaly")

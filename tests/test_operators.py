@@ -503,3 +503,94 @@ class TestSimplePredicateOperators:
         assert SimplePredicate("x", "=", 1).eval_row_value(Once()) is True
         strings = ColumnVector.from_boundary(["a", "b", None], varchar_type(2))
         assert SimplePredicate("x", "<", "b").eval_vector(strings).tolist() == [True, False, False]
+
+
+class TestRunHandsBackTheLoneBatch:
+    """``Operator.run()`` returns a lone batch as it is — a source's own
+    arrays — so every consumer must build new vectors, never write into
+    the batch it drained.  The sources here hand out read-only arrays: a
+    consumer that wrote in place would raise, at DOP 1 and at DOP 4."""
+
+    STATEMENTS = [
+        "SELECT k, s, d FROM r ORDER BY s DESC, k",
+        "SELECT s, COUNT(*), SUM(k), MIN(d), COUNT(DISTINCT g) FROM r GROUP BY s ORDER BY s",
+        "SELECT DISTINCT g, s FROM r ORDER BY g, s",
+        "SELECT a.k, b.k FROM r a JOIN r b ON a.g = b.k WHERE a.k < 9 ORDER BY a.k, b.k",
+        "SELECT a.k, b.s FROM r a LEFT JOIN r b ON a.k = b.g + 30 ORDER BY a.k, b.s",
+        "SELECT g FROM r WHERE k < 20 INTERSECT SELECT g FROM r WHERE k > 10 ORDER BY g",
+        "SELECT k FROM r WHERE s = 'b' UNION SELECT g FROM r WHERE s IS NULL ORDER BY 1",
+        "SELECT k, CASE WHEN s IS NULL THEN 'none' ELSE s || '!' END, -k FROM r ORDER BY k",
+        "WITH c AS (SELECT g, COUNT(*) AS n FROM r GROUP BY g)"
+        " SELECT x.g, y.n FROM c x JOIN c y ON x.g = y.g ORDER BY x.g",
+        "SELECT g, MEDIAN(k), STDDEV(k) FROM r GROUP BY g HAVING COUNT(*) > 5 ORDER BY g",
+        "SELECT COUNT(*), SUM(k), MAX(s) FROM r",
+    ]
+
+    @staticmethod
+    def _rows():
+        return [
+            (i, i % 7, None if i % 5 == 0 else "abc"[i % 3], datetime.date(2016, 1, 1 + i % 9))
+            for i in range(40)
+        ]
+
+    def test_one_batch_is_not_copied_and_two_are_concatenated(self):
+        batch = Batch.from_columns({"a": ColumnVector.from_boundary([3, None, 2], INTEGER)})
+        assert VectorSourceOp(batch).run() is batch
+
+        class Twice(VectorSourceOp):
+            def execute(self):
+                yield self.batch
+                yield self.batch
+
+        both = Twice(batch).run()
+        assert both.n == 6 and both.columns["a"].to_boundary() == [3, None, 2] * 2
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    def test_no_consumer_writes_into_a_tail_or_region_batch(self, dop):
+        from repro.database import Database
+
+        db = Database(parallelism=dop, morsel_rows=7)
+        session = db.connect()
+        session.execute("CREATE TABLE r (k INT, g INT, s VARCHAR(3), d DATE)")
+        db.catalog.get_table("R").table.insert_rows(self._rows())
+        # Tail only: the scan's single batch is the tail's read-only views.
+        fresh = [session.execute(sql).rows for sql in self.STATEMENTS]
+        assert [session.execute(sql).rows for sql in self.STATEMENTS] == fresh  # cached plans
+        db.catalog.get_table("R").table.flush()  # one sealed region, no tail
+        assert [session.execute(sql).rows for sql in self.STATEMENTS] == fresh
+        reference = Database(parallelism=1).connect()
+        reference.execute("CREATE TABLE r (k INT, g INT, s VARCHAR(3), d DATE)")
+        for row in self._rows():  # row by row: 40 batches' worth of nothing shared
+            reference.database.catalog.get_table("R").table.insert_rows([row])
+        reference.database.catalog.get_table("R").table.flush()
+        assert [reference.execute(sql).rows for sql in self.STATEMENTS] == fresh
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    def test_no_consumer_writes_into_a_vector_source(self, dop):
+        from repro.database import Database
+        from repro.sql.parser import parse_statement
+        from repro.sql.planner import vector_relation
+
+        schema = (("K", INTEGER), ("G", INTEGER), ("S", varchar_type(3)), ("D", DATE))
+        vectors = [
+            ColumnVector.from_boundary(column, dt)
+            for column, (_, dt) in zip(zip(*self._rows()), schema)
+        ]
+        for vector in vectors:
+            vector.values.flags.writeable = False
+            if vector.nulls is not None:
+                vector.nulls.flags.writeable = False
+        before = [v.to_boundary() for v in vectors]
+        relation = vector_relation(
+            "R", [n for n, _ in schema], [dt for _, dt in schema], vectors
+        )
+        db = Database(parallelism=dop, morsel_rows=7)
+        session = db.connect()
+        table = Database().connect()
+        table.execute("CREATE TABLE r (k INT, g INT, s VARCHAR(3), d DATE)")
+        table.database.catalog.get_table("R").table.insert_rows(self._rows())
+        for sql in self.STATEMENTS:
+            for _ in range(2):
+                got = db.execute_ast(parse_statement(sql), session, relations={"R": relation})
+                assert got.rows == table.execute(sql).rows, sql
+        assert [v.to_boundary() for v in vectors] == before

@@ -255,6 +255,27 @@ class TestResultCache:
         assert gw.execute(sql).scalar() == 4
         assert gw.result_cache.stats.invalidations >= 1
 
+    def test_dropping_one_entry_keeps_its_table_tracking_the_rest(self):
+        # boolean@cache.py:94 survived (`if not not keys: del by_table[t]`):
+        # evicting one of two entries that read T forgot the other, so the
+        # next commit to T left it to be found stale at fetch time.
+        db = Database("tracked")
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("CREATE TABLE u (x INT)")
+        gateway = ServingGateway(db, result_capacity=2)
+        try:
+            cache = gateway.result_cache
+            gateway.execute("SELECT COUNT(*) FROM t")
+            gateway.execute("SELECT MAX(a) FROM t")
+            gateway.execute("SELECT COUNT(*) FROM u")  # evicts the oldest T entry
+            assert cache.stats.evictions == 1
+            assert {t: len(keys) for t, keys in cache._by_table.items()} == {"T": 1, "U": 1}
+            db.execute("INSERT INTO t VALUES (1)")
+            assert cache.stats.invalidations == 1 and cache.report()["entries"] == 1
+            assert set(cache._by_table) == {"U"}  # an emptied table is forgotten
+        finally:
+            gateway.close()
+
     def test_commit_to_other_table_keeps_entry(self, served):
         db, gw = served
         db.execute("CREATE TABLE u (x INT)")

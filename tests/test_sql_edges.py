@@ -1,10 +1,14 @@
 """SQL edge cases across the whole front end."""
 
+import datetime
+from decimal import Decimal
+
 import pytest
 
 from repro.database import Database
 from repro.errors import (
     BindError,
+    ConversionError,
     DivisionByZeroError,
     SQLError,
     SQLSyntaxError,
@@ -178,6 +182,56 @@ class TestErrorsAndSyntax:
     def test_star_without_from(self, s):
         with pytest.raises(BindError):
             s.execute("SELECT *")
+
+
+class TestInconvertibleValuesAreConversionErrors:
+    """A value the column cannot hold is SQLSTATE 22018 whatever the target
+    type, never a bare ``decimal.InvalidOperation`` / ``ValueError``."""
+
+    CASES = [
+        ("a", "'abc'"),       # Decimal('abc') inside the integer cast
+        ("a", "''"),
+        ("b", "1e30"),        # more digits than the decimal context holds
+        ("b", "'Infinity'"),
+        ("b", "'NaN'"),       # quantizes fine, then int(NaN)
+        ("b", "'abc'"),       # the neighbours that were right already
+        ("c", "'abc'"),
+        ("d", "'abc'"),
+    ]
+    VALUES = {"'abc'": "abc", "''": "", "1e30": 1e30, "'Infinity'": "Infinity", "'NaN'": "NaN"}
+
+    @pytest.fixture()
+    def typed(self):
+        session = Database().connect("db2")
+        session.execute("CREATE TABLE c (a INT, b DECIMAL(8,2), c DOUBLE, d DATE)")
+        return session
+
+    @pytest.mark.parametrize("column,literal", CASES)
+    def test_on_the_sql_path(self, typed, column, literal):
+        with pytest.raises(ConversionError) as raised:
+            typed.execute("INSERT INTO c (%s) VALUES (%s)" % (column, literal))
+        assert raised.value.sqlstate == "22018"
+        assert typed.execute("SELECT COUNT(*) FROM c").scalar() == 0
+
+    @pytest.mark.parametrize("column,literal", CASES)
+    def test_on_direct_insert_rows(self, typed, column, literal):
+        table = typed.database.catalog.get_table("C").table
+        bad = [None] * 4
+        bad["abcd".index(column)] = self.VALUES[literal]
+        good = (1, Decimal("1.50"), 2.5, datetime.date(2016, 1, 1))
+        with pytest.raises(ConversionError) as raised:
+            table.insert_rows([good, tuple(bad), good])
+        assert raised.value.sqlstate == "22018"
+        assert table.n_rows_physical() == 0  # and nothing of the batch landed
+
+    def test_decimal_nan_object_is_rejected_like_the_float(self, typed):
+        table = typed.database.catalog.get_table("C").table
+        for value in (Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")):
+            with pytest.raises(ConversionError):
+                table.insert_rows([(None, value, None, None)])
+        with pytest.raises(ConversionError, match="NaN"):
+            table.insert_rows([(None, None, float("nan"), None)])
+        assert table.insert_rows([(None, None, float("inf"), None)]) == 1
 
 
 class TestSparkSchedulerEdges:

@@ -71,6 +71,35 @@ class TestPhysicalConversion:
         _, nulls = to_physical([1, 2], INTEGER)
         assert nulls is None
 
+    @pytest.mark.parametrize(
+        "dt,value",
+        [
+            (INTEGER, 7), (decimal_type(8, 2), Decimal("1.50")), (DOUBLE, 2.5),
+            (DATE, datetime.date(2016, 3, 1)), (varchar_type(4), "ab"), (BOOLEAN, True),
+            (char_type(2), "x"), (TIMESTAMP, datetime.datetime(2016, 3, 1)),
+        ],
+    )  # fmt: skip
+    def test_null_slots_hold_zero_or_the_empty_string(self, dt, value):
+        """Whichever loop converts the column, the filler is the same."""
+        array, nulls = to_physical([None, value, None], dt)
+        assert nulls.tolist() == [True, False, True]
+        filler = "" if dt.numpy_dtype is object else 0
+        assert array.tolist()[0] == array.tolist()[2] == filler
+        assert type(array.tolist()[0]) is type(array.tolist()[1])
+
+    def test_a_generator_of_values_is_a_column_too(self):
+        array, nulls = to_physical((v for v in (1, None, 3)), INTEGER)
+        assert array.tolist() == [1, 0, 3] and nulls.tolist() == [False, True, False]
+
+    def test_landing_stats_start_at_zero_and_count_values(self):
+        from repro.storage.column import LandingStats, physical_column
+
+        stats = LandingStats()
+        assert (stats.values_typed, stats.values_cast, stats.batches) == (0, 0, 0)
+        physical_column([1, None], INTEGER, stats)
+        physical_column(["1", None, "2"], INTEGER, stats)
+        assert (stats.values_typed, stats.values_cast, stats.batches) == (2, 3, 0)
+
 
 class TestColumnVector:
     def test_take_and_filter(self):
@@ -240,19 +269,24 @@ class TestColumnTable:
         self._seen_is_exact(t)
         assert t.n_rows == 4
 
-    def test_failing_row_keeps_the_rows_appended_before_it(self):
+    def test_failing_row_lands_nothing_of_its_batch(self):
         t = ColumnTable(make_schema(), region_rows=4, unique_columns=("id", "state"))
         day = datetime.date(2016, 1, 1)
         t.insert_rows([(0, Decimal(0), day, "s0")])
+        batch = [(1, Decimal(1), day, "s1"), (2, Decimal(2), day, "s0"), (3, Decimal(3), day, "s3")]
         with pytest.raises(ConstraintViolationError, match="state"):
-            t.insert_rows(
-                [(1, Decimal(1), day, "s1"), (2, Decimal(2), day, "s0"), (3, Decimal(3), day, "s3")]
-            )
-        # Row 1 was appended and stays; row 2 left nothing; row 3 never ran.
-        assert t.n_rows == 2
-        assert t._unique_seen == {"id": {0, 1}, "state": {"s0", "s1"}}
+            t.insert_rows(batch)
+        # Validation precedes landing: not even the good row 1 is there.
+        assert t.n_rows == t.n_rows_physical() == 1
+        assert t._unique_seen == {"id": {0}, "state": {"s0"}}
         self._seen_is_exact(t)
-        assert t.insert_rows([(2, Decimal(2), day, "s2"), (3, Decimal(3), day, "s3")]) == 2
+        with pytest.raises(SQLError, match="cannot cast"):
+            t.insert_rows(batch[:1] + [("x", Decimal(9), day, "s9")])
+        assert t.n_rows_physical() == 1 and t._unique_seen["id"] == {0}
+        batch[1] = (2, Decimal(2), day, "s2")
+        assert t.insert_rows(batch) == 3
+        self._seen_is_exact(t)
+        assert t.column_vector("id").to_boundary() == [0, 1, 2, 3]
 
     def test_not_null_constraint(self):
         t = ColumnTable(make_schema(), not_null_columns=("id",))
@@ -384,9 +418,13 @@ class TestRegionVersionStamps:
         newer = region.visible_mask(Snapshot(high=8))
         assert newer is not None
         assert newer.tolist() == [False, True, True, True]
+        # boundary@table.py:165 survived: the lowest in-flight txid *is* the
+        # low-water mark — a deleter stamped with exactly it has not
+        # committed, so `xmax_hi < lowater` must stay strict.
+        assert region.visible_mask(Snapshot(high=9, active=(7,))) is None
 
 
-# -- append_vectors: the columnar twin of insert_rows -------------------------
+# -- append_vectors: insert_rows for rows that are already physical ------------
 
 _TEXT = st.text(alphabet="abcXYZ 09", max_size=6)
 _TYPED_VALUES = [
@@ -440,7 +478,8 @@ class TestAppendVectors:
             [ColumnVector.from_boundary(c, dt) for c, (_, dt) in zip(columns, _SCHEMA.columns)]
         )
         assert n == len(columns[0]) == by_vectors.n_rows == by_rows.n_rows
-        assert by_vectors.tail_rows == 0
+        assert by_vectors.tail_rows == n % 8
+        by_vectors.flush()
         assert by_vectors.raw_nbytes() == by_rows.raw_nbytes()
         assert by_vectors.compressed_nbytes() == by_rows.compressed_nbytes()
         assert [r.n_rows for r in by_vectors.regions] == [r.n_rows for r in by_rows.regions]
@@ -487,11 +526,12 @@ class TestAppendVectors:
         lock = t._capture_lock = Lock(t._capture_lock)
         t.regions = Regions()
         t.insert_rows(sample_rows(3))  # seals one region, one row in the tail
-        t.append_vectors(self._vectors())  # seals the tail, then 2 + 1 rows
-        assert Regions.held_at_append == [True] * 4
-        assert [r.n_rows for r in t.regions] == [2, 1, 2, 1]
+        t.append_vectors(self._vectors())  # fills the tail, then 2 more rows
+        t.flush()
+        assert Regions.held_at_append == [True] * 3
+        assert [r.n_rows for r in t.regions] == [2, 2, 2]
 
-    def test_seals_the_tail_first(self):
+    def test_lands_behind_the_tail(self):
         t = ColumnTable(make_schema(), region_rows=4)
         rows = sample_rows(6)
         t.insert_rows(rows[:2])
@@ -499,8 +539,11 @@ class TestAppendVectors:
             ColumnVector.from_boundary([r[i] for r in rows[2:]], dt)
             for i, (_, dt) in enumerate(t.schema.columns)
         ]
-        assert t.append_vectors(vectors) == 4
-        assert [r.n_rows for r in t.regions] == [2, 4] and t.tail_rows == 0
+        assert t.append_vectors(vectors, txid=5) == 4
+        # Same regions as six inserted rows: the tail is topped up, not sealed short.
+        assert [r.n_rows for r in t.regions] == [4] and t.tail_rows == 2
+        assert t.regions[0].xmin.tolist() == [0, 0, 5, 5]
+        assert t._tail_xmin[:2].tolist() == [5, 5]
         assert t.column_vector("id").to_boundary() == [r[0] for r in rows]
 
     def _vectors(self, **replace):
@@ -539,7 +582,16 @@ class TestAppendVectors:
             t.append_vectors(self._vectors(id=with_null))
         assert t.append_vectors(self._vectors()) == 3
 
-    def test_unique_columns_refused(self):
+    def test_unique_columns_are_checked(self):
         t = ColumnTable(make_schema(), unique_columns=("id",))
-        with pytest.raises(SQLError, match="unique"):
+        assert t.append_vectors(self._vectors()) == 3
+        assert t._unique_seen["id"] == {0, 1, 2}
+        with pytest.raises(ConstraintViolationError, match="duplicate value 0"):
             t.append_vectors(self._vectors())
+        twice = ColumnVector.from_boundary([7, 8, 7], INTEGER)
+        with pytest.raises(ConstraintViolationError, match="duplicate value 7"):
+            t.append_vectors(self._vectors(id=twice))
+        assert t.n_rows == 3 and t._unique_seen["id"] == {0, 1, 2}
+        nulls = ColumnVector.from_boundary([None, 9, None], INTEGER)
+        assert t.append_vectors(self._vectors(id=nulls)) == 3
+        assert t._unique_seen["id"] == {0, 1, 2, 9}
