@@ -44,6 +44,7 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.parallel import WorkerPool, default_parallelism, greedy_makespan
+from repro.serving.normalize import statement_key
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.planner import (
@@ -263,7 +264,13 @@ class Cluster:
 
     def execute(self, sql: str, session: ClusterSession | None = None) -> Result:
         session = session or self.connect()
-        node = parse_statement(sql)
+        # Keyed through the coordinator's text memo, like Session and the
+        # gateway: a read the cluster has seen is not lexed again.  No
+        # reference to the key outlives the parse: a bulk INSERT's tokens
+        # are big, and only a remembered read's are kept.
+        node = parse_statement(
+            sql, statement_key(sql, self.coordinator.plan_cache).tokens
+        )
         return self.execute_ast(node, session)
 
     def execute_ast(self, node: ast.Node, session: ClusterSession) -> Result:

@@ -170,9 +170,10 @@ class Database:
         self._global_version = 0
         self._write_epoch = 0
         self._commit_listeners: list = []
-        #: Planned SELECTs by statement template: every statement that
-        #: arrives as text (``Session.execute``, the serving gateway) plans
-        #: once per template and executes a per-execution copy after that.
+        #: The engine's statement cache: every read that arrives as text
+        #: (``Session.execute``, the serving gateway, the cluster
+        #: coordinator) is lexed once per text and planned once per
+        #: template, and executes a per-execution copy after that.
         self.plan_cache = PlanCache(name)
         # Per-thread statement state: the current write transaction and the
         # scans of the most recent statement (concurrent readers must not
@@ -251,9 +252,11 @@ class Database:
         with self._version_lock:
             if global_version != self._global_version:
                 return False
-            return all(
-                self._table_versions.get(t, 0) == v for t, v in per_table.items()
-            )
+            versions = self._table_versions
+            for table, version in per_table.items():
+                if versions.get(table, 0) != version:
+                    return False
+            return True
 
     @property
     def write_epoch(self) -> int:
@@ -363,14 +366,15 @@ class Database:
     ) -> Result:
         """Run one statement given as text.
 
-        *key* is ``statement_key(sql)`` when the caller already has it (the
-        serving result cache does), so the text is lexed once on every
-        path.  A cacheable read (``key.bypass is None``) runs through the
-        plan cache and is parsed only when it has to be planned; *snapshot*
-        pins a read to an MVCC snapshot of the caller's choosing."""
+        *key* is ``statement_key(sql, self.plan_cache)`` when the caller
+        already has it (the serving result cache does): a text is lexed at
+        most once on every path, a read this engine has keyed before never.
+        A cacheable read (``key.bypass is None``) runs through the plan cache
+        and is parsed only when it has to be planned; *snapshot* pins a read
+        to an MVCC snapshot of the caller's choosing."""
         session = session or self.connect()
         if key is None:
-            key = statement_key(sql)
+            key = statement_key(sql, self.plan_cache)
         tokens = key.tokens
         if tokens is None or tokens[0].key not in ("SELECT", "WITH"):
             # Nothing the plan cache could hold: DML, DDL, VALUES, a text
@@ -488,9 +492,7 @@ class Database:
         slots = LiteralSlots() if reason is None else None
         planner = self._planner(session, snapshot, slots)
         planned = planner.plan(node)
-        lineage = planned.lineage = planner.lineage
-        if lineage.tables is not None:
-            lineage.tables = frozenset(lineage.tables)
+        lineage = planned.lineage = planner.lineage.seal()
         if slots is not None:
             slots.seal()
             planned.slots = slots
@@ -532,7 +534,7 @@ class Database:
             attach_operator_spans(tracer, span, root)
         build = vectors_from_batch if vectors else result_from_batch
         result = build(batch, planned.names, planned.keys, planned.dtypes)
-        result.tables = planned.lineage.tables
+        result.lineage = planned.lineage
         return result
 
     #: Statement classes that never mutate shared database state: they run
@@ -766,10 +768,9 @@ class Database:
         rows = self._evaluate_rows(node.rows, session, planner)
         width = len(node.rows[0])
         names = ["%d" % (i + 1) for i in range(width)]
-        tables = planner.lineage.tables  # of its subqueries, if any
         return Result(
             columns=names, rows=[tuple(r) for r in rows], rowcount=len(rows),
-            tables=None if tables is None else frozenset(tables),
+            lineage=planner.lineage.seal(),  # of its subqueries, if any
         )
 
     def _evaluate_rows(
@@ -1167,7 +1168,10 @@ class Database:
         # Ask the plan cache exactly what executing the explained text
         # would ask: the first line ends ``[plan=cached]`` or
         # ``[plan=fresh (<why>)]``.
-        key = statement_key(node.text) if node.text is not None else None
+        key = (
+            statement_key(node.text, self.plan_cache)
+            if node.text is not None else None
+        )
         cacheable = key is not None and key.bypass is None
         planned, origin = self._bound_select(
             None if cacheable else node.statement, session, snapshot, key, node.text

@@ -23,9 +23,20 @@ function of what its key names:
   the plans that resolved it and no others, DML drops nothing.
 
 What cannot be that function bypasses, counted by reason
-(:data:`PLAN_BYPASS_REASONS`).  The lock is class ``serving`` (held
-under the statement lock by nobody, above the ``txn`` clock): never held
-across planning or execution.
+(:data:`PLAN_BYPASS_REASONS`).
+
+In front of the plans sits a second index, exact statement text ->
+:class:`~repro.serving.normalize.StatementKey`, which
+:func:`~repro.serving.normalize.statement_key` consults (:meth:`recall`,
+:meth:`remember`): a read the engine has seen is recognised, not lexed
+again, and its key brings its ``template`` and ``slots`` already worked
+out.  A key is a pure function of the text, so the memo is never
+invalidated; it holds cacheable reads only and is an LRU of
+:data:`TEXT_CAPACITY` texts.
+
+One lock, class ``serving`` (held under the statement lock by nobody,
+above the ``txn`` clock), guards both indexes: never held across lexing,
+planning or execution.
 """
 
 from __future__ import annotations
@@ -51,19 +62,47 @@ PLAN_BYPASS_REASONS = BYPASS_REASONS + (
 
 DEFAULT_PLAN_CAPACITY = 512
 
+#: Texts the memo keeps: the serving result cache's default capacity, so
+#: every text whose answer can be cached can also be recognised.
+TEXT_CAPACITY = 2048
+
 
 class PlanCache:
-    """Template-keyed LRU of planned SELECTs for one database."""
+    """One statement cache per engine: text -> key in front of a
+    template-keyed LRU of planned SELECTs."""
 
     def __init__(self, name: str = "db", capacity: int = DEFAULT_PLAN_CAPACITY):
         self.capacity = capacity
         self._lock = sanitizer.make_lock("serving:%s:plans" % name)
+        #: exact statement text -> its StatementKey (cacheable reads only).
+        self._texts: OrderedDict[str, object] = OrderedDict()
+        self.text_stats = CacheStats()
         #: (family, pinned values) -> plan; a family is (template, dialect,
         #: literal signature).
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         #: family -> [pinned slots (sorted token indexes), live plans]
         self._families: dict[tuple, list] = {}
         self.stats = CacheStats(dict.fromkeys(PLAN_BYPASS_REASONS, 0))
+
+    def recall(self, text: str):
+        """The key :meth:`remember` kept for exactly this text, or None."""
+        with self._lock:
+            key = self._texts.get(text)
+            if key is None:
+                self.text_stats.misses += 1
+                return None
+            self._texts.move_to_end(text)
+            self.text_stats.hits += 1
+            return key
+
+    def remember(self, text: str, key) -> None:
+        """Keep a freshly lexed cacheable read's key for its next arrival."""
+        with self._lock:
+            texts = self._texts
+            texts[text] = key
+            if len(texts) > TEXT_CAPACITY:
+                texts.popitem(last=False)
+                self.text_stats.evictions += 1
 
     @staticmethod
     def _family(key, session) -> tuple:
@@ -152,14 +191,23 @@ class PlanCache:
 
     def clear(self) -> None:
         with self._lock:
+            self._texts.clear()
             self._plans.clear()
             self._families.clear()
 
     def report(self) -> dict:
         with self._lock:
+            texts = self.text_stats
             return {
                 **self.stats.snapshot(),
                 "entries": len(self._plans),
                 "templates": len(self._families),
                 "capacity": self.capacity,
+                "texts": {
+                    "hits": texts.hits,
+                    "misses": texts.misses,
+                    "entries": len(self._texts),
+                    "evictions": texts.evictions,
+                    "capacity": TEXT_CAPACITY,
+                },
             }

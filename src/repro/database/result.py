@@ -18,10 +18,9 @@ class Result:
     Python values).  For DML/DDL, ``rowcount`` and ``message`` describe the
     effect.  A shard answering the MPP coordinator fills ``vectors`` (one
     physical :class:`ColumnVector` per column) instead of ``rows``.
-    ``tables`` names the base tables a SELECT read — what the serving
-    result cache invalidates the answer on; None when it is not a SELECT
-    or read something commits do not announce (a session temp table, a
-    federation nickname, a statement-scoped relation).
+    ``lineage`` is what a read's planning resolved names against
+    (:class:`repro.sql.planner.PlanLineage`, sealed): what the serving
+    result cache keeps the answer under.
     """
 
     columns: list[str] = field(default_factory=list)
@@ -30,7 +29,16 @@ class Result:
     message: str = ""
     dtypes: list = field(default_factory=list)  # DataType per column (queries)
     vectors: list | None = None  # physical columns, in place of rows
-    tables: frozenset | None = field(default=None, repr=False, compare=False)
+    lineage: object | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def tables(self) -> frozenset | None:
+        """The base tables a read read — what the serving result cache
+        invalidates the answer on; None when it is not a read or read
+        something commits do not announce (a session temp table, a
+        federation nickname, a statement-scoped relation)."""
+        lineage = self.lineage
+        return None if lineage is None else lineage.tables
 
     @property
     def is_query(self) -> bool:

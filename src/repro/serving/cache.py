@@ -12,7 +12,7 @@ uncached execution would return at that moment.  That holds because of how
 entries are produced and validated:
 
 1. the statement's base-table dependencies come back with its answer
-   (``Result.tables``: what the planner resolved, through views, stored
+   (``Result.lineage``: what the planner resolved, through views, stored
    with the plan); anything commits do not announce — temp tables,
    federation nicknames — makes the statement uncacheable rather than
    approximately tracked;
@@ -29,7 +29,14 @@ entries are produced and validated:
    see identical committed state by construction);
 5. the database's commit hook (:meth:`ResultCache.on_commit`) drops
    touched entries eagerly, and drops *everything* when the touched
-   set is unknowable (CALL, recovery).
+   set is unknowable (CALL, recovery);
+6. an entry is not a hit for a session that has declared a temp table
+   under one of the catalog names planning resolved (``lineage.names``,
+   views and the names inside them included): there the text means
+   something else.
+
+A hit lexes nothing either: the text was keyed once, by the engine's text
+memo (:func:`statement_key` with ``database.plan_cache``).
 
 Lock discipline: the cache lock is class ``serving``, ranked between
 ``database`` and ``txn`` in the declared global order — the commit hook
@@ -40,10 +47,10 @@ validation reads the version clock (a ``txn``-class lock) under it
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.database.result import Result
 from repro.monitor.metrics import CacheStats
 from repro.serving.normalize import BYPASS_REASONS, StatementKey, statement_key
 from repro.verify import sanitizer
@@ -58,7 +65,7 @@ class _Entry:
     token: tuple  # (global_version, {table: version}) at production
     horizon: tuple  # producing snapshot's visibility horizon
     tables: frozenset
-    hits: int = 0
+    names: frozenset  # unqualified catalog names planning resolved
 
 
 @dataclass
@@ -95,14 +102,6 @@ class ResultCache:
                     del self._by_table[table]
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _cache_key(self, key: StatementKey, session) -> tuple:
-        # Dialect changes expression semantics (Oracle ''-is-NULL, date
-        # arithmetic), so results are cached per dialect.
-        dialect = ""
-        if session is not None:
-            dialect = getattr(session.dialect, "name", type(session.dialect).__name__)
-        return (dialect, key.text)
-
     # -- the serving path -------------------------------------------------------
 
     def fetch(self, sql: str, session=None) -> CachedExecution:
@@ -114,7 +113,7 @@ class ResultCache:
         immutable rows).
         """
         db = self.database
-        key = statement_key(sql)
+        key = statement_key(sql, db.plan_cache)
         if key.bypass:
             with self._lock:
                 self.stats.count_bypass(key.bypass)
@@ -122,10 +121,14 @@ class ResultCache:
             return CachedExecution(
                 result=db.execute(sql, session, key=key), hit=False
             )
-        cache_key = self._cache_key(key, session)
+        # Dialect changes expression semantics (Oracle ''-is-NULL, date
+        # arithmetic), so results are cached per dialect.
+        cache_key = (session.dialect.name if session is not None else "", key.text)
         with self._lock:
             entry = self._entries.get(cache_key)
-            if entry is not None:
+            if entry is not None and (
+                session is None or not session.shadows(entry.names)
+            ):
                 if db.versions_valid(entry.token):
                     valid = True
                 else:
@@ -136,7 +139,6 @@ class ResultCache:
                         entry.token = db.versions_token(entry.tables)
                 if valid:
                     self._entries.move_to_end(cache_key)
-                    entry.hits += 1
                     self.stats.hits += 1
                     return CachedExecution(
                         result=self._replay(entry.result), hit=True, key=key
@@ -169,6 +171,7 @@ class ResultCache:
             token=token,
             horizon=snap.horizon,
             tables=deps,
+            names=result.lineage.names,
         )
         with self._lock:
             if db.versions_valid(token) and cache_key not in self._entries:
@@ -182,9 +185,18 @@ class ResultCache:
         return result
 
     @staticmethod
-    def _replay(result):
-        """Fresh Result wrapper so callers can't mutate the cached rows."""
-        return dataclasses.replace(result, rows=list(result.rows))
+    def _replay(result: Result) -> Result:
+        """A fresh Result over the same immutable rows, its rows list the
+        caller's own: no caller can mutate what the cache keeps."""
+        return Result(
+            columns=result.columns,
+            rows=list(result.rows),
+            rowcount=result.rowcount,
+            message=result.message,
+            dtypes=result.dtypes,
+            vectors=result.vectors,
+            lineage=result.lineage,
+        )
 
     # -- invalidation -----------------------------------------------------------
 

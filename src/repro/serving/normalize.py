@@ -23,7 +23,8 @@ read statements (SELECT / WITH / VALUES) free of volatile expressions
 everything else must reach the engine untouched, and the key names why
 (:data:`BYPASS_REASONS`).  The key carries its tokens, so whoever parses
 the statement next (:func:`repro.sql.parser.parse_statement`) does not lex
-it again.
+it again.  Given the engine's text memo, a read it has keyed before is not
+lexed at all: a key is a pure function of the text.
 """
 
 from __future__ import annotations
@@ -157,12 +158,22 @@ class StatementKey:
         )
 
 
-def statement_key(sql: str) -> StatementKey:
+def statement_key(sql: str, memo=None) -> StatementKey:
     """Lex *sql* and decide whether the caches may serve it.
 
     ``bypass`` says why not: not a pure read (any DML/DDL/CALL), contains
     a volatile expression, or does not even lex — the engine deals with it.
+
+    *memo* is the engine's text memo
+    (:class:`~repro.database.plancache.PlanCache`: ``recall(text)`` /
+    ``remember(text, key)``).  A text it recalls is not lexed; a cacheable
+    read is remembered.  Everything else is lexed every time: those texts
+    repeat only when a workload replays its writes.
     """
+    if memo is not None:
+        key = memo.recall(sql)
+        if key is not None:
+            return key
     try:
         tokens = lexer.tokenize(sql)
     except SQLSyntaxError:
@@ -171,4 +182,7 @@ def statement_key(sql: str) -> StatementKey:
         return StatementKey(tokens, "not-a-read", None)
     if is_volatile(tokens):
         return StatementKey(tokens, "volatile", None)
-    return StatementKey(tokens, None, _normal_form(tokens, parameterized=False))
+    key = StatementKey(tokens, None, _normal_form(tokens, parameterized=False))
+    if memo is not None:
+        memo.remember(sql, key)
+    return key

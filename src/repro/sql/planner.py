@@ -99,6 +99,14 @@ class PlanLineage:
         if untracked:
             self.tables = None
 
+    def seal(self) -> "PlanLineage":
+        """Freeze the name sets once planning is done: a sealed lineage is
+        shared by every execution of its plan and every answer it gives."""
+        if self.tables is not None:
+            self.tables = frozenset(self.tables)
+        self.names = frozenset(self.names)
+        return self
+
 
 @dataclass
 class PlannedQuery:

@@ -67,6 +67,7 @@ DEFAULT_TARGET_PATHS = (
     "src/repro/database/database.py",
     "src/repro/database/plancache.py",
     "src/repro/serving/cache.py",
+    "src/repro/serving/normalize.py",
 )
 
 

@@ -57,6 +57,19 @@ def col(name, dt=INTEGER):
     return ColumnRef(name, dt)
 
 
+class TestBatchConcat:
+    def test_one_batch_and_several_batches(self, batch):
+        # constant@src/repro/engine/expression.py:62:24 survived
+        # (``batches[0]`` -> ``batches[1]``): every caller concatenated two
+        # or more batches, where the names of any batch will do.
+        one = Batch.concat([batch])
+        assert one.n == 4 and list(one.columns) == ["a", "b", "s", "x"]
+        assert one.columns["s"].to_boundary() == ["apple", "pear", None, "plum"]
+        two = Batch.concat([batch, batch.take(np.array([3]))])
+        assert two.n == 5 and two.columns["a"].to_boundary() == [1, 2, None, 4, 4]
+        assert Batch.concat([]).n == 0
+
+
 class TestColumnAndLiteral:
     def test_column_ref(self, batch):
         v = col("a").eval(batch)

@@ -101,7 +101,7 @@ def _outcome(convert):
     """What a conversion did: its values, or the error as data."""
     try:
         return ("ok", convert())
-    except Exception as error:  # noqa: BLE001 - the error *is* the outcome
+    except Exception as error:  # lint-ok: broad-except (the error *is* the outcome)
         return ("error", type(error), getattr(error, "sqlstate", None), str(error))
 
 

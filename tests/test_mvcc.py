@@ -244,6 +244,17 @@ class TestSnapshotAlgebra:
         first.commit()
         assert manager.snapshot().sees(first.txid) and not before.sees(first.txid)
 
+    def test_txids_are_handed_out_densely(self):
+        # constant@src/repro/mvcc/txn.py:118:37 survived (``txid + 1`` ->
+        # ``+ 2``): nothing looked at a second transaction's id.  A
+        # snapshot's ``high`` is the next id to be handed out, so a
+        # transaction's own snapshot ends right after its own id.
+        manager = TxnManager("dense")
+        txns = [manager.begin() for _ in range(3)]
+        assert [t.txid for t in txns] == [FIRST_TXID, FIRST_TXID + 1, FIRST_TXID + 2]
+        assert [t.snapshot.high for t in txns] == [t.txid + 1 for t in txns]
+        assert manager.snapshot().high == FIRST_TXID + 3
+
 
 # --------------------------------------------------------------------------
 # Targeted anomaly tests (the classic names, pinned deterministically)

@@ -246,6 +246,35 @@ class TestResultCache:
         first.rows.append(("poison",))
         second = gw.execute(sql)
         assert ("poison",) not in second.rows
+        second.rows.append(("poison",))  # a hit's rows are its caller's too
+        third = gw.execute(sql)
+        assert third.rows == [(1,), (2,), (3,)] and third.rows is not second.rows
+        assert (third.columns, third.dtypes, third.rowcount, third.message) == (
+            ["A"], first.dtypes, 3, ""
+        )
+        assert third.tables == frozenset({"T"}) and gw.result_cache.stats.hits == 2
+
+    def test_a_commit_racing_the_fill_publishes_nothing(self, served):
+        """The clock is read before the snapshot is pinned: a commit that
+        lands while a miss executes leaves its entry born stale, and a
+        stale entry is never stored.  (boolean@src/repro/serving/cache.py
+        :177:15 survived: ``and`` -> ``or`` stored it anyway.)"""
+        db, gw = served
+        run = db.execute
+
+        def racing(sql, *args, **kwargs):
+            result = run(sql, *args, **kwargs)
+            if sql.startswith("SELECT"):
+                run("INSERT INTO t VALUES (8, 80)")  # commits mid-fill
+            return result
+
+        cache, sql = gw.result_cache, "SELECT COUNT(*) FROM t"
+        db.execute = racing
+        assert cache.fetch(sql).result.scalar() == 3
+        del db.execute
+        assert (cache.stats.misses, cache.stats.stores, cache.report()["entries"]) == (1, 0, 0)
+        assert cache.fetch(sql).result.scalar() == 4
+        assert (cache.stats.misses, cache.stats.stores, cache.stats.stale_drops) == (2, 1, 0)
 
     def test_commit_to_read_table_invalidates(self, served):
         db, gw = served
@@ -462,19 +491,27 @@ def lexed(monkeypatch):
 
 
 class TestLexOnce:
+    """An engine lexes a read text once: its text memo (in
+    ``db.plan_cache``) recognises every later arrival.  Writes, DDL,
+    volatile and unlexable texts are not remembered and lex every time."""
+
     def test_gateway_hit_and_miss_lex_once(self, served, lexed):
         db, gw = served
+        misses = db.plan_cache.text_stats.misses  # the fixture's DDL + INSERT
         sql = "SELECT a, b FROM t WHERE a > 1 ORDER BY a"
         first = gw.execute(sql)
         assert lexed == [sql]  # miss: the key's tokens went to the parser
         del lexed[:]
         assert gw.execute(sql).rows == first.rows
-        assert lexed == [sql] and gw.result_cache.stats.hits == 1
-        # A spelling variant hits the result cache just the same.
-        del lexed[:]
+        assert lexed == [] and gw.result_cache.stats.hits == 1  # recognised
+        # A spelling variant is a new text: lexed once, then it hits the
+        # result cache just the same.
         variant = "select a, b from t\nwhere a > 1 order by a -- again"
         assert gw.execute(variant).rows == first.rows
-        assert lexed == [variant]
+        assert gw.execute(variant).rows == first.rows
+        assert lexed == [variant] and gw.result_cache.stats.hits == 3
+        texts = db.plan_cache.report()["texts"]
+        assert (texts["hits"], texts["misses"] - misses, texts["entries"]) == (2, 2, 2)
 
     def test_uncacheable_statement_through_the_gateway(self, served, lexed):
         db, gw = served
@@ -491,18 +528,18 @@ class TestLexOnce:
         session = db.connect("db2")
         statements = [
             "SELECT COUNT(*) FROM t",  # cacheable: key, then plan-cache miss
-            "SELECT COUNT(*) FROM t",  # plan-cache hit: lexed, never parsed
+            "SELECT COUNT(*) FROM t",  # recognised: neither lexed nor parsed
             "UPDATE t SET b = b + 1 WHERE a = 1",  # not a read
             "SELECT RAND() FROM t",  # volatile
         ]
         for sql in statements:
             session.execute(sql)
-        assert lexed == statements
+        assert lexed == statements[:1] + statements[2:]
         gw.close()
         del lexed[:]
-        for sql in statements:  # no serving layer attached: all the same
+        for sql in statements:  # the memo is the engine's, not the gateway's
             session.execute(sql)
-        assert lexed == statements
+        assert lexed == statements[2:]
 
     def test_lex_errors_surface_from_the_parser_unchanged(self, served, lexed):
         db, gw = served

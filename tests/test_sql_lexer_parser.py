@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database.plancache import PlanCache
 from repro.errors import SQLSyntaxError
 from repro.serving.normalize import statement_key
 from repro.sql import ast
@@ -280,6 +281,23 @@ class TestGoldenCorpus:
             else:
                 assert key.bypass in ("not-a-read", "volatile")
                 assert key.tokens == tokenize(entry["sql"])
+
+    def test_a_memoised_key_equals_a_fresh_one(self):
+        memo = PlanCache("golden")
+        reads = set()
+        for entry in _golden():
+            sql = entry["sql"]
+            statement_key(sql, memo)
+            memoised, fresh = statement_key(sql, memo), statement_key(sql)
+            assert (memoised.tokens, memoised.bypass, memoised.text) == (
+                fresh.tokens, fresh.bypass, fresh.text
+            ), sql
+            if fresh.tokens is not None:
+                assert (memoised.template, memoised.slots) == (fresh.template, fresh.slots)
+            if fresh.bypass is None:
+                reads.add(sql)
+        texts = memo.report()["texts"]
+        assert texts["entries"] == len(reads) and texts["evictions"] == 0
 
     def test_handed_over_tokens_parse_like_the_text(self):
         for entry in _golden():
