@@ -818,7 +818,7 @@ class Database:
         with self._statement_lock:
             return self.durability.checkpoint()
 
-    # flow-ok: write-protocol (recovery replays mutations *from* the WAL — re-logging them would double every record; _note_commit(None) below invalidates everything, which subsumes touched-table recording)
+    # lint-ok: write-protocol (recovery replays mutations *from* the WAL — re-logging them would double every record; _note_commit(None) below invalidates everything, which subsumes touched-table recording)
     def reopen(self, clean: bool = False):
         """Restart this engine from durable state alone.
 

@@ -1,11 +1,10 @@
 """``repro-verify`` — one front door for the verification toolbox.
 
-Subcommands map onto the four verification surfaces (see the README
-verification matrix):
+One parser, one subcommand per tool (see the README verification
+matrix):
 
-* ``repro-verify lint [paths...]``  — reprolint, per-file invariant rules
-* ``repro-verify flow [paths...]``  — reproflow, interprocedural protocol
-  analysis
+* ``repro-verify lint [paths...]``  — reprolint: every static rule, the
+  per-file ones and the interprocedural protocol rules, over one parse
 * ``repro-verify plan``             — plan-verifier sweep over a demo
   in-memory database (every planned statement must verify clean)
 * ``repro-verify mc --all``         — explicit-state model checker +
@@ -15,18 +14,29 @@ verification matrix):
 * ``repro-verify impact <spec>``    — test files statically reaching
   ``<module>::<symbol>``
 
-``--json`` before the subcommand switches every tool to its JSON report;
-each tool also accepts its own flags after the subcommand name
-(``repro-verify mc --scenario commit-vs-checkpoint``).  Exit status is
-non-zero whenever the selected tool found a problem, so any subcommand
-can gate CI directly.
+``--json`` (before or after the subcommand) switches any tool to its JSON
+report.  Exit status is non-zero whenever the selected tool found a
+problem, so any subcommand can gate CI directly.  ``python -m
+repro.verify.cli`` is the same command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+import repro
+from repro.verify import lint
+from repro.verify.mc import explorer, lockorder, scenarios
+from repro.verify.mutate import engine as mutation
+from repro.verify.mutate.impact import (
+    ImpactMap,
+    load_project_sources,
+    resolve_symbol_spec,
+)
+from repro.verify.mutate.operators import ALL_OPERATORS
 
 #: The statements the ``plan`` sweep compiles and verifies.  Deliberately
 #: spans every operator family the verifier has rules for: scans with
@@ -44,7 +54,7 @@ PLAN_SWEEP_CORPUS = (
 )
 
 
-def _plan_sweep(as_json: bool) -> int:
+def _plan(args) -> int:
     """Plan the demo corpus against an in-memory engine and verify every
     operator tree statically — the smoke-test twin of the full sweep in
     ``tests/test_verify_plan.py``."""
@@ -86,7 +96,7 @@ def _plan_sweep(as_json: bool) -> int:
         if issues:
             failed = True
 
-    if as_json:
+    if args.as_json:
         print(json.dumps(
             {"statements": report,
              "failed": sum(1 for r in report if r["issues"])},
@@ -108,75 +118,301 @@ def _plan_sweep(as_json: bool) -> int:
     return 1 if failed else 0
 
 
-#: Subcommand -> one-line purpose, also the dispatch table order.
-COMMANDS = {
-    "lint": "reprolint per-file invariant rules",
-    "flow": "reproflow interprocedural protocol analysis",
-    "plan": "plan-verifier sweep over a demo database",
-    "mc": "model checker + lock-order analysis",
-    "mutate": "callgraph-guided mutation analysis",
-    "impact": "test files statically reaching a symbol",
-}
+def _lint(args) -> int:
+    registry = lint.registered_rules()
+    if args.list_rules:
+        rows = {name: r.description for name, r in registry.items()}
+        rows.update(lint.META_RULES)
+        for name in sorted(rows):
+            print("%-26s %s" % (name, rows[name]))
+        return 0
+    unknown = sorted(set(args.rules or ()) - set(registry) - set(lint.META_RULES))
+    if unknown:
+        args.usage_error("unknown rule(s): %s" % ", ".join(unknown))
+
+    findings = lint.lint_paths(args.paths, args.rules)
+    active = [f for f in findings if not f.suppressed]
+    suppressed = len(findings) - len(active)
+    if args.as_json:
+        print(json.dumps(
+            {
+                "findings": [f.to_json() for f in findings],
+                "unsuppressed": len(active),
+                "suppressed": suppressed,
+            },
+            indent=2,
+        ))
+    else:
+        for finding in findings if args.show_suppressed else active:
+            print(finding.render())
+        print("reprolint: %d finding(s), %d suppressed"
+              % (len(active), suppressed), file=sys.stderr)
+    return 1 if active else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Split at the subcommand token by hand: everything after it belongs to
-    # the delegated tool verbatim (argparse.REMAINDER chokes when the first
-    # passthrough token looks like an option, e.g. `mc --list`).
-    command = None
-    rest: list[str] = []
-    head = argv
-    for i, token in enumerate(argv):
-        if token in COMMANDS:
-            head, command, rest = argv[:i], token, argv[i + 1:]
-            break
+def _mc(args) -> int:
+    if args.list:
+        for scenario in scenarios.SCENARIOS:
+            crash = " [crash]" if scenario.crashes else ""
+            print("%-28s %s%s" % (scenario.name, scenario.description, crash))
+        return 0
 
+    out: dict = {"scenarios": [], "lock_order": None}
+    failed = False
+    if not args.lock_order:
+        if args.all:
+            targets = list(scenarios.SCENARIOS)
+        elif args.scenario:
+            targets = [scenarios.by_name(name) for name in args.scenario]
+        else:
+            args.usage_error("pick --all, --scenario NAME, --list or "
+                             "--lock-order")
+        for scenario in targets:
+            report = explorer.explore(scenario, budget=args.budget,
+                                      preemption_bound=args.preemptions)
+            if not args.as_json:
+                print("%-28s %-15s schedules=%-5d states=%-6d pruned=%-5d "
+                      "(%s)" % (
+                          scenario.name,
+                          "ok" if report.ok else "COUNTEREXAMPLE",
+                          report.schedules, report.states,
+                          report.pruned_runs,
+                          "exhausted" if report.completed else "budget",
+                      ))
+                if report.counterexample is not None:
+                    print(report.counterexample.render())
+            out["scenarios"].append(report.to_json())
+            failed |= report.counterexample is not None
+
+    # The lock-order analysis always runs: scenario exploration has just
+    # populated the runtime acquisition graph, so static and dynamic edges
+    # merge (with --lock-order alone, the static graph is checked).
+    src_root = os.path.dirname(os.path.abspath(repro.__file__))
+    lock_report = lockorder.check(paths=(src_root,))
+    out["lock_order"] = lock_report.to_json()
+    failed |= not lock_report.ok
+    print(json.dumps(out, indent=2) if args.as_json else lock_report.render())
+    return 1 if failed else 0
+
+
+def _print_mutation_report(report) -> None:
+    counts = report.counts()
+    print("repromutate: seed=%d budget=%.0fs wall=%.1fs"
+          % (report.seed, report.budget, report.wall_seconds))
+    print("  mutants: %d  killed=%d survived=%d timeout=%d unreached=%d "
+          "skipped=%d" % (len(report.results), counts["killed"],
+                          counts["survived"], counts["timeout"],
+                          counts["unreached"], counts["skipped"]))
+    rate = report.kill_rate
+    print("  kill rate (reached): %s"
+          % ("n/a" if rate is None else "%.2f" % rate))
+    print("  per operator:")
+    for name, stats in report.per_operator().items():
+        op_rate = stats["kill_rate"]
+        print("    %-16s sampled=%-3d killed=%-3d survived=%-3d "
+              "unreached=%-3d rate=%s"
+              % (name, stats["sampled"], stats["killed"], stats["survived"],
+                 stats["unreached"],
+                 "n/a" if op_rate is None else "%.2f" % op_rate))
+    survivors = report.survivors()
+    if survivors:
+        print("  surviving mutants (test gaps):")
+        for result in survivors:
+            print("    %s — %s" % (result.mutant.mid,
+                                   result.mutant.description))
+            print("      ran: %s" % ", ".join(result.tests))
+            for line in result.diff.splitlines():
+                print("      | %s" % line)
+    unreached = report.unreached()
+    if unreached:
+        print("  unreached mutants (no test file statically reaches the "
+              "symbol):")
+        for result in unreached:
+            mutant = result.mutant
+            print("    %s — %s::%s" % (mutant.mid, mutant.module,
+                                       mutant.symbol or "<module>"))
+
+
+def _mutate(args) -> int:
+    if args.list_operators:
+        for op in ALL_OPERATORS:
+            print("%-16s %s" % (op.name, op.description))
+        return 0
+
+    run = mutation.MutationRun(
+        root=args.root,
+        paths=tuple(args.paths) if args.paths
+        else mutation.DEFAULT_TARGET_PATHS,
+        operator_names=(
+            tuple(p.strip() for p in args.operators.split(",") if p.strip())
+            if args.operators else None
+        ),
+        seed=args.seed,
+        budget=args.budget,
+        max_mutants=args.max_mutants or None,
+        max_tests=args.max_tests,
+    )
+
+    def progress(result):
+        if not args.as_json:
+            print("  [%s] %s (%.1fs)" % (result.status, result.mutant.mid,
+                                         result.seconds), file=sys.stderr)
+
+    report = run.execute(progress=progress)
+    report_json = report.to_json()
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
+            json.dump(report_json, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    if args.as_json:
+        print(json.dumps(report_json, indent=2, sort_keys=True))
+    else:
+        _print_mutation_report(report)
+
+    if args.baseline:
+        with open(args.baseline, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        regressions = mutation.compare_baseline(report_json, baseline,
+                                                tolerance=args.tolerance)
+        for line in regressions:
+            print("REGRESSION: %s" % line, file=sys.stderr)
+        if regressions:
+            return 1
+    return 0
+
+
+def _impact(args) -> int:
+    impact = ImpactMap.build(load_project_sources(args.root))
+    try:
+        matches = resolve_symbol_spec(impact, args.spec)
+    except ValueError as exc:
+        print("repro-verify impact: %s" % exc, file=sys.stderr)
+        return 2
+    if not matches:
+        print("repro-verify impact: no symbol matches %r" % args.spec,
+              file=sys.stderr)
+        return 2
+
+    entries = [
+        {
+            "module": info.module,
+            "symbol": info.qualname,
+            "line": info.lineno,
+            "tests": impact.tests_reaching(info.module, info.qualname),
+        }
+        for info in matches
+    ]
+    if args.as_json:
+        print(json.dumps({"spec": args.spec, "symbols": entries}, indent=2))
+    else:
+        for entry in entries:
+            print("%s::%s (line %d)" % (entry["module"], entry["symbol"],
+                                        entry["line"]))
+            for test in entry["tests"]:
+                print("  %s" % test)
+            if not entry["tests"]:
+                print("  (statically unreached by any test file)")
+    return 0 if any(e["tests"] for e in entries) else 1
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-verify",
-        description="verification toolbox front door (lint / flow / plan / "
-                    "mc / mutate / impact); arguments after the subcommand "
-                    "are passed to the tool (see `repro-verify <cmd> "
-                    "--help`)",
+        description="verification toolbox front door",
     )
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the selected tool's JSON report")
-    parser.add_argument(
-        "command", choices=sorted(COMMANDS),
-        metavar="{%s}" % ",".join(COMMANDS),
-        help="; ".join("%s: %s" % kv for kv in COMMANDS.items()),
-    )
-    args = parser.parse_args(head + ([command] if command else []))
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    if args.as_json and "--json" not in rest:
-        rest.append("--json")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        cmd = commands.add_parser(name, help=summary, description=summary)
+        # SUPPRESS keeps a --json given before the subcommand.
+        cmd.add_argument("--json", action="store_true", dest="as_json",
+                         default=argparse.SUPPRESS,
+                         help="emit the JSON report")
+        cmd.set_defaults(run=run, usage_error=cmd.error)
+        return cmd
 
-    if args.command == "lint":
-        from repro.verify.lint import main as lint_main
+    cmd = command("lint", _lint,
+                  "reprolint: every static rule over one parse")
+    cmd.add_argument("paths", nargs="*", default=["src"],
+                     help="files or directories to lint (default: src)")
+    cmd.add_argument("--rule", action="append", dest="rules",
+                     help="run only the named rule (repeatable)")
+    cmd.add_argument("--list-rules", action="store_true",
+                     help="list the rules and exit")
+    cmd.add_argument("--show-suppressed", action="store_true",
+                     help="also print suppressed findings")
 
-        return lint_main(rest)
-    if args.command == "flow":
-        from repro.verify.flow import main as flow_main
+    command("plan", _plan, "plan-verifier sweep over a demo database")
 
-        return flow_main(rest)
-    if args.command == "mc":
-        from repro.verify.mc.__main__ import main as mc_main
+    cmd = command("mc", _mc, "model checker + lock-order analysis")
+    cmd.add_argument("--all", action="store_true",
+                     help="explore every registered scenario")
+    cmd.add_argument("--scenario", action="append", default=[],
+                     help="explore one scenario by name (repeatable)")
+    cmd.add_argument("--list", action="store_true",
+                     help="list registered scenarios and exit")
+    cmd.add_argument("--budget", type=int, default=None,
+                     help="total scheduled steps per scenario "
+                          "(default: $%s or 5000)" % explorer.BUDGET_ENV_VAR)
+    cmd.add_argument("--preemptions", type=int,
+                     default=explorer.DEFAULT_PREEMPTION_BOUND,
+                     help="preemption bound (default %d)"
+                          % explorer.DEFAULT_PREEMPTION_BOUND)
+    cmd.add_argument("--lock-order", action="store_true",
+                     help="run only the static lock-order analysis")
 
-        return mc_main(rest)
-    if args.command == "mutate":
-        from repro.verify.mutate.__main__ import main as mutate_main
+    cmd = command("mutate", _mutate,
+                  "callgraph-guided mutation analysis: inject repo-specific "
+                  "faults, run only the test files that statically reach "
+                  "each one, score the kill rate")
+    cmd.add_argument("--seed", type=int, default=0,
+                     help="seed for per-operator mutant sampling (default 0)")
+    cmd.add_argument("--operators", default=None,
+                     help="comma-separated operator names "
+                          "(default: all; see --list-operators)")
+    cmd.add_argument("--paths", nargs="*", default=None,
+                     help="target files/dirs relative to --root "
+                          "(default: curated engine surfaces)")
+    cmd.add_argument("--budget", type=float, default=None,
+                     help="total execution budget in seconds "
+                          "(default: $%s or 600)" % mutation.BUDGET_ENV_VAR)
+    cmd.add_argument("--max-mutants", type=int,
+                     default=mutation.DEFAULT_MAX_MUTANTS,
+                     help="cap on sampled mutants (0 = unlimited)")
+    cmd.add_argument("--max-tests", type=int,
+                     default=mutation.DEFAULT_MAX_TESTS,
+                     help="test files run per mutant, most specific first "
+                          "(default %d)" % mutation.DEFAULT_MAX_TESTS)
+    cmd.add_argument("--root", default=".",
+                     help="project root holding src/ and tests/")
+    cmd.add_argument("--report", default=None, metavar="FILE",
+                     help="also write the JSON report to FILE")
+    cmd.add_argument("--baseline", default=None, metavar="FILE",
+                     help="committed report to compare kill rates against; "
+                          "regression exits 1")
+    cmd.add_argument("--tolerance", type=float, default=0.05,
+                     help="allowed kill-rate drop vs baseline (default 0.05)")
+    cmd.add_argument("--list-operators", action="store_true",
+                     help="list operators and exit")
 
-        return mutate_main(rest)
-    if args.command == "impact":
-        from repro.verify.mutate.__main__ import impact_main
+    cmd = command("impact", _impact,
+                  "print the test files whose static call closure reaches "
+                  "a symbol (<module>::<symbol>)")
+    cmd.add_argument("spec",
+                     help="symbol spec, e.g. repro.mvcc.txn::"
+                          "Transaction.commit or "
+                          "src/repro/parallel/morsel.py::morsel_ranges")
+    cmd.add_argument("--root", default=".",
+                     help="project root holding src/ and tests/")
+    return parser
 
-        return impact_main(rest)
-    return _plan_sweep(args.as_json)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":
-    # Re-import under the canonical module name so shared registries
-    # (lint rules) are the ones library imports populated.
-    from repro.verify.cli import main as _canonical_main
-
-    raise SystemExit(_canonical_main())
+    raise SystemExit(main())

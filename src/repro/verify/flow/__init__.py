@@ -1,4 +1,4 @@
-"""reproflow — interprocedural effect & protocol analysis over ``src/repro``.
+"""reproflow — the interprocedural half of reprolint.
 
 The engine's cross-cutting protocols — every mutation must reach the WAL,
 bump the per-table commit-version clock, and notify the serving cache;
@@ -6,11 +6,11 @@ every pinned snapshot must stay statement-scoped; every manually managed
 resource must be released on exception paths; every engine error crossing
 the public API must carry a SQLSTATE — hold *by convention*, enforced at a
 handful of choke points (``Database._execute_write_node``, the planner's
-snapshot plumbing, ``try/finally`` blocks).  reprolint checks some of them
-per-function, which goes blind the moment an obligation moves into a
-helper.  reproflow closes that gap:
+snapshot plumbing, ``try/finally`` blocks).  A per-function check goes
+blind the moment an obligation moves into a helper, so these are checked
+over the whole project:
 
-* :mod:`repro.verify.flow.callgraph` parses the whole project into a
+* :mod:`repro.verify.flow.callgraph` indexes the parsed files into a
   :class:`~repro.verify.flow.callgraph.ProjectIndex` — every function and
   method (nested ones included), a name-resolved over-approximate call
   graph, pool-submitted callables (``pool.map(fn, ...)`` /
@@ -19,33 +19,10 @@ helper.  reproflow closes that gap:
   (mutates-table-storage, appends-WAL-redo, bumps-version-clock,
   records-touched-tables, pins-snapshot, raises-exception-class, ...) and
   closes them transitively over the call graph;
-* :mod:`repro.verify.flow.protocols` checks the protocol rules on the
-  closed effect sets: ``write-protocol`` (mutation implies WAL + version
-  bump + touched-table recording, and committing a transaction implies
-  serving-cache notification), ``snapshot-scope`` (no snapshot pinning
-  inside pool-submitted callables, no snapshot escaping into long-lived
-  attributes), ``resource-pairing`` (shared memory, manual lock
-  acquire/release and manual span enter/exit must pair on exception
-  paths) and ``sqlstate`` (engine errors crossing the Database/Cluster
-  public API carry a SQLSTATE).
+* :mod:`repro.verify.flow.protocols` registers the four protocol rules as
+  reprolint *project* rules: ``write-protocol``, ``snapshot-scope``,
+  ``resource-pairing`` and ``sqlstate``.
 
-Findings are suppressed per line with a justification comment::
-
-    some_call()  # flow-ok: rule-name (why this is intentional)
-
-sharing reprolint's ``suppression-justification`` meta-rule: a flow-ok
-without a parenthesised justification silences the finding but is itself
-reported.  CI runs ``python -m repro.verify.flow src`` and fails on any
-unsuppressed finding.
+They run with every other rule under ``python -m repro.verify.cli lint``
+and share its ``# lint-ok: rule (why)`` suppressions and report.
 """
-
-from __future__ import annotations
-
-from repro.verify.flow.analyzer import (  # noqa: F401
-    FlowReport,
-    analyze_paths,
-    analyze_sources,
-    main,
-)
-
-__all__ = ["FlowReport", "analyze_paths", "analyze_sources", "main"]

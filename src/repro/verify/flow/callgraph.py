@@ -17,8 +17,8 @@ every rule non-vacuous against this design.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 #: Call-receiver methods that submit their first argument to a worker
 #: pool / executor (the callable then runs on another thread or process).
@@ -35,11 +35,6 @@ _SUBMIT_METHODS = ("map", "submit")
 AMBIGUITY_LIMIT = 3
 
 
-def normalize_module(path: str) -> str:
-    """'/'-separated path used for scoping and reporting."""
-    return path.replace(os.sep, "/")
-
-
 @dataclass
 class FunctionInfo:
     """One function, method, nested function or submitted lambda."""
@@ -54,6 +49,28 @@ class FunctionInfo:
     @property
     def key(self) -> tuple[str, str]:
         return (self.module, self.qualname)
+
+    @cached_property
+    def own(self) -> list[ast.AST]:
+        """The body's nodes, without descending into nested function
+        definitions (each nested def is its own :class:`FunctionInfo`).
+        Lambdas are *not* boundaries: except when directly submitted to a
+        pool they run inline in their enclosing function's dynamic
+        extent, so their effects belong to the encloser."""
+        out: list[ast.AST] = []
+
+        def walk(node: ast.AST) -> None:
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
+                    out.append(child)
+                    walk(child)
+
+        body = self.node.body
+        for stmt in body if isinstance(body, list) else [ast.Expr(body)]:
+            out.append(stmt)
+            walk(stmt)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "FunctionInfo(%s:%s)" % (self.module, self.qualname)
@@ -98,46 +115,22 @@ def dotted_chain(node: ast.AST) -> list[str]:
     return []
 
 
-def _function_body(node: ast.AST) -> list[ast.stmt]:
-    body = node.body
-    return body if isinstance(body, list) else [ast.Expr(value=body)]
-
-
-def own_nodes(fn_node: ast.AST):
-    """Walk a function's body without descending into nested function
-    definitions (each nested def is its own :class:`FunctionInfo`).
-    Lambdas are *not* boundaries: except when directly submitted to a
-    pool they run inline in their enclosing function's dynamic extent,
-    so their effects belong to the encloser."""
-
-    def walk(node: ast.AST):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield child
-            yield from walk(child)
-
-    for stmt in _function_body(fn_node):
-        yield stmt
-        yield from walk(stmt)
-
-
 class ProjectIndex:
-    """Parses a set of sources into functions, classes and call edges.
+    """Indexes parsed files (:class:`repro.verify.lint.FileContext`) into
+    functions, classes and call edges.
 
-    ``ambiguity_limit`` tunes the opaque-call threshold: the reproflow
-    protocol rules keep the tight default (see :data:`AMBIGUITY_LIMIT`)
-    because a near-complete graph makes their must-reach obligations
-    vacuous, while the mutation impact map
-    (:mod:`repro.verify.mutate.impact`) raises it — over-approximate
-    reachability there only means running a few extra test files, never
-    a missed obligation.
+    ``ambiguity_limit`` is the opaque-call threshold: the protocol rules
+    keep the tight default (see :data:`AMBIGUITY_LIMIT`) because a
+    near-complete graph makes their must-reach obligations vacuous, while
+    the mutation impact map (:mod:`repro.verify.mutate.impact`) raises it
+    — over-approximate reachability there only means running a few extra
+    test files, never a missed obligation.
     """
 
-    def __init__(self, sources: dict[str, str],
-                 ambiguity_limit: int = AMBIGUITY_LIMIT):
-        self.ambiguity_limit = ambiguity_limit
-        #: module path -> raw source lines (suppression parsing).
+    ambiguity_limit = AMBIGUITY_LIMIT
+
+    def __init__(self, files):
+        #: module path -> raw source lines.
         self.lines: dict[str, list[str]] = {}
         self.functions: dict[tuple[str, str], FunctionInfo] = {}
         self.classes: dict[str, list[ClassInfo]] = {}
@@ -150,24 +143,22 @@ class ProjectIndex:
         self.calls: dict[tuple[str, str], list[CallSite]] = {}
         self.submitted: set[tuple[str, str]] = set()
         self.listeners: set[tuple[str, str]] = set()
-        self._trees: dict[str, ast.Module] = {}
-        for path, source in sorted(sources.items()):
-            module = normalize_module(path)
-            tree = ast.parse(source, filename=path)
-            self._trees[module] = tree
-            self.lines[module] = source.splitlines()
-            self._index_module(module, tree)
-        for module, tree in self._trees.items():
-            self._link_module(module, tree)
+        #: (direct, closed) effect maps, filled by flow.effects.effects_of.
+        self.effects = None
+        for ctx in sorted(files, key=lambda f: f.module):
+            self.lines[ctx.module] = ctx.lines
+            self._index_module(ctx.module, ctx)
+        for module in self.lines:
+            self._link_module(module)
 
     # -- indexing ----------------------------------------------------------------
 
-    def _index_module(self, module: str, tree: ast.Module) -> None:
+    def _index_module(self, module: str, ctx) -> None:
         per_name = self._by_module_name.setdefault(module, {})
         imports = self._imports.setdefault(module, {})
         self.classes_by_module.setdefault(module, [])
 
-        for node in ast.walk(tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     imports[alias.asname or alias.name] = node.module
@@ -200,14 +191,14 @@ class ProjectIndex:
                 else:
                     visit(child, prefix, cls)
 
-        visit(tree, "", None)
+        visit(ctx.tree, "", None)
 
     # -- call linking -------------------------------------------------------------
 
     def _module_for(self, dotted: str) -> str | None:
         """Resolve ``repro.durability.manager`` to an indexed module path."""
         suffix = dotted.replace(".", "/") + ".py"
-        for module in self._trees:
+        for module in self.lines:
             if module.endswith(suffix):
                 return module
         return None
@@ -268,11 +259,11 @@ class ProjectIndex:
                         changed = True
         return related
 
-    def _link_module(self, module: str, tree: ast.Module) -> None:
+    def _link_module(self, module: str) -> None:
         lambda_counter = [0]
         for info in [f for f in self.functions.values() if f.module == module]:
             sites: list[CallSite] = []
-            for node in own_nodes(info.node):
+            for node in info.own:
                 if not isinstance(node, ast.Call):
                     continue
                 submitted_arg = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.verify.flow.callgraph import ProjectIndex, dotted_chain, own_nodes
+from repro.verify.flow.callgraph import ProjectIndex, dotted_chain
 
 # -- effect atoms -------------------------------------------------------------
 
@@ -29,10 +29,8 @@ TXN_COMMIT = "commits-txn"           # a Transaction object is committed
 
 EFFECTS = (MUTATES, WAL, BUMP, TOUCH, PIN, TXN_COMMIT)
 
-#: attribute names whose call mutates table storage — the same set the
-#: demoted per-function ``durability-logging`` lint rule used, imported
-#: so the two can never drift apart.
-from repro.verify.rules import _TABLE_MUTATORS as _MUTATOR_ATTRS  # noqa: E402
+#: ColumnTable methods whose call mutates durable table storage.
+_TABLE_MUTATORS = {"insert_rows", "append_vectors", "apply_deletes", "truncate"}
 #: receiver-chain roots for which ``truncate`` is file I/O, not storage.
 _FILE_RECEIVERS = {"f", "fh", "fp", "file", "handle", "wal", "stream"}
 #: attribute names recording the touched-table set.
@@ -80,7 +78,7 @@ def direct_effects(index: ProjectIndex) -> dict[tuple[str, str], DirectEffects]:
     out: dict[tuple[str, str], DirectEffects] = {}
     for key, info in index.functions.items():
         eff = DirectEffects()
-        for node in own_nodes(info.node):
+        for node in info.own:
             if isinstance(node, ast.Call):
                 _classify_call(node, eff)
             elif isinstance(node, ast.Raise):
@@ -95,7 +93,7 @@ def _classify_call(node: ast.Call, eff: DirectEffects) -> None:
         return
     attr = func.attr
     chain = dotted_chain(func)
-    if attr in _MUTATOR_ATTRS:
+    if attr in _TABLE_MUTATORS:
         if attr == "truncate" and _receiver_is_file(chain):
             return
         eff.add(MUTATES, node.lineno)
@@ -122,10 +120,10 @@ def _raised_class_name(node: ast.Raise) -> str | None:
     return None
 
 
-def _enclosing_handlers(fn_node: ast.AST) -> list[tuple[ast.Try, set[str]]]:
+def _enclosing_handlers(info) -> list[tuple[ast.Try, set[str]]]:
     """Map each Try in the function to the exception names it catches."""
     tries: list[tuple[ast.Try, set[str]]] = []
-    for node in own_nodes(fn_node):
+    for node in info.own:
         if not isinstance(node, ast.Try):
             continue
         caught: set[str] = set()
@@ -157,7 +155,7 @@ def _classify_raise(node: ast.Raise, info, index: ProjectIndex,
     # Skip raises that a same-function try/except demonstrably catches:
     # they never propagate out, so the caller-facing sqlstate rule does
     # not apply to them.
-    for try_node, caught in _enclosing_handlers(info.node):
+    for try_node, caught in _enclosing_handlers(info):
         if "*" in caught or name in caught or "ReproError" in caught \
                 or "Exception" in caught:
             lo = try_node.body[0].lineno
@@ -182,6 +180,18 @@ class ClosedEffects:
 
     effects: set[str] = field(default_factory=set)
     raises: set[str] = field(default_factory=set)
+
+
+def effects_of(index: ProjectIndex) -> tuple[
+    dict[tuple[str, str], DirectEffects],
+    dict[tuple[str, str], ClosedEffects],
+]:
+    """The (direct, closed) effect maps of *index*, computed once and
+    shared by every project rule."""
+    if index.effects is None:
+        direct = direct_effects(index)
+        index.effects = (direct, close_effects(index, direct))
+    return index.effects
 
 
 def close_effects(

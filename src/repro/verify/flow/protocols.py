@@ -1,23 +1,16 @@
-"""The four reproflow protocol rules, checked on closed effect sets.
+"""The four protocol rules, checked on closed effect sets.
 
-Each rule is a generator yielding ``RawFinding`` tuples; the analyzer
-layers suppression handling and reporting on top.  Rules never report
-inside ``repro/verify/`` itself: the verification tooling (sanitizer
-scenarios, model-checker drivers) exercises raw engine primitives
-deliberately and owns its own discipline.
+Each is a *project* rule of :mod:`repro.verify.lint`: it receives the
+:class:`~repro.verify.flow.callgraph.ProjectIndex` and yields ``(module,
+line, message)``; the framework layers scoping (engine modules only),
+suppressions and reporting on top.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
-from repro.verify.flow.callgraph import (
-    FunctionInfo,
-    ProjectIndex,
-    dotted_chain,
-    own_nodes,
-)
+from repro.verify.flow.callgraph import FunctionInfo, ProjectIndex, dotted_chain
 from repro.verify.flow.effects import (
     BUMP,
     MUTATES,
@@ -25,10 +18,11 @@ from repro.verify.flow.effects import (
     TOUCH,
     TXN_COMMIT,
     WAL,
-    ClosedEffects,
     DirectEffects,
+    effects_of,
     witness_path,
 )
+from repro.verify.lint import rule
 
 #: module-path suffix -> public API classes whose entry methods anchor
 #: the write-protocol and sqlstate rules.
@@ -44,18 +38,6 @@ API_ENTRY_CLASSES: dict[str, tuple[str, ...]] = {
 SQLSTATE_EXEMPT = {"CrashError"}
 
 
-@dataclass(frozen=True)
-class RawFinding:
-    rule: str
-    module: str
-    lineno: int
-    message: str
-
-
-def _in_tooling(module: str) -> bool:
-    return "repro/verify/" in module or module.startswith("verify/")
-
-
 def _entry_functions(index: ProjectIndex):
     for suffix, classes in API_ENTRY_CLASSES.items():
         for cls in classes:
@@ -66,11 +48,13 @@ def _entry_functions(index: ProjectIndex):
 # -- rule 1: write-protocol ---------------------------------------------------
 
 
-def check_write_protocol(
-    index: ProjectIndex,
-    direct: dict[tuple[str, str], DirectEffects],
-    closed: dict[tuple[str, str], ClosedEffects],
-):
+@rule(
+    "write-protocol",
+    "mutation implies WAL append + version bump + touched-table "
+    "recording; txn.commit implies all three",
+    project=True,
+)
+def check_write_protocol(index: ProjectIndex):
     """Mutation implies WAL + version bump + touched-table recording.
 
     Two sub-checks, both transitive:
@@ -85,11 +69,10 @@ def check_write_protocol(
         commit site has no such excuse — if it commits without notifying
         the version clock, serving caches go silently stale.
     """
+    direct, closed = effects_of(index)
     obligations = ((WAL, "appends-wal"), (BUMP, "bumps-version"),
                    (TOUCH, "records-touched"))
     for fn in _entry_functions(index):
-        if _in_tooling(fn.module):
-            continue
         eff = closed.get(fn.key)
         if eff is None or MUTATES not in eff.effects:
             continue
@@ -97,14 +80,14 @@ def check_write_protocol(
         if not missing:
             continue
         path = witness_path(index, fn.key, direct, MUTATES)
-        yield RawFinding(
-            "write-protocol", fn.module, fn.lineno,
+        yield (
+            fn.module, fn.lineno,
             "%s mutates table storage (via %s) but its call closure never %s"
             % (fn.qualname, " -> ".join(path) or "?", " or ".join(missing)),
         )
     for key, eff in direct.items():
         fn = index.functions[key]
-        if _in_tooling(fn.module) or "repro/mvcc/" in fn.module:
+        if "repro/mvcc/" in fn.module:
             # mvcc/txn.py *implements* Transaction.commit; the discipline
             # binds its callers, not the implementation.
             continue
@@ -121,8 +104,8 @@ def check_write_protocol(
             if e not in closure
         ]
         if missing:
-            yield RawFinding(
-                "write-protocol", fn.module, eff.markers[TXN_COMMIT][0],
+            yield (
+                fn.module, eff.markers[TXN_COMMIT][0],
                 "%s commits a transaction but does not %s — serving caches "
                 "and MVCC readers will not observe this write"
                 % (fn.qualname, " or ".join(missing)),
@@ -177,11 +160,13 @@ def _pin_path_outside_boundary(
     return []
 
 
-def check_snapshot_scope(
-    index: ProjectIndex,
-    direct: dict[tuple[str, str], DirectEffects],
-    closed: dict[tuple[str, str], ClosedEffects],
-):
+@rule(
+    "snapshot-scope",
+    "no fresh snapshot pinned inside pool-submitted callables; snapshots "
+    "must not escape statement scope",
+    project=True,
+)
+def check_snapshot_scope(index: ProjectIndex):
     """Snapshots stay statement-scoped.
 
     (a) A callable submitted to a worker pool must not pin a *new*
@@ -196,11 +181,10 @@ def check_snapshot_scope(
         ``<recv>.snapshot = <x>`` stores are flagged unless the receiver
         chain is the engine's thread-local statement state (``_tls``).
     """
+    direct, _ = effects_of(index)
     boundaries = _statement_boundaries(index)
     for key, sites in index.calls.items():
         fn = index.functions[key]
-        if _in_tooling(fn.module):
-            continue
         for site in sites:
             if not site.submitted:
                 continue
@@ -209,18 +193,16 @@ def check_snapshot_scope(
                     index, direct, target.key, boundaries
                 )
                 if path:
-                    yield RawFinding(
-                        "snapshot-scope", fn.module, site.lineno,
+                    yield (
+                        fn.module, site.lineno,
                         "%s submits %s to a worker pool, which pins a fresh "
                         "snapshot (via %s); pool work must receive the "
                         "statement's frozen snapshot instead"
                         % (fn.qualname, target.qualname, " -> ".join(path)),
                     )
                     break
-    for key, info in index.functions.items():
-        if _in_tooling(info.module):
-            continue
-        for node in own_nodes(info.node):
+    for info in index.functions.values():
+        for node in info.own:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -232,8 +214,8 @@ def check_snapshot_scope(
                 chain = dotted_chain(target)
                 if any("_tls" in part for part in chain[:-1]):
                     continue
-                yield RawFinding(
-                    "snapshot-scope", info.module, node.lineno,
+                yield (
+                    info.module, node.lineno,
                     "%s stores a snapshot into %s — snapshots are "
                     "statement-scoped and must not outlive the statement "
                     "that pinned them"
@@ -265,6 +247,12 @@ def _whole_subtree_calls(fn_node: ast.AST):
             yield node, node.func.id
 
 
+@rule(
+    "resource-pairing",
+    "shared memory, manual locks and manual spans are released in a "
+    "finally block",
+    project=True,
+)
 def check_resource_pairing(index: ProjectIndex):
     """Manually managed resources must be released on all paths.
 
@@ -277,9 +265,9 @@ def check_resource_pairing(index: ProjectIndex):
     ``acquire`` / ``release`` outside ``with``, manual span or context
     ``__enter__`` / ``__exit__``.
     """
-    for key, info in index.functions.items():
+    for info in index.functions.values():
         module = info.module
-        if _in_tooling(module) or module.endswith("monitor/tracer.py"):
+        if module.endswith("monitor/tracer.py"):
             # tracer.py implements the span protocol itself.
             continue
         if _is_nested(index, info):
@@ -320,23 +308,23 @@ def check_resource_pairing(index: ProjectIndex):
 
         for lineno in shm_creates + shm_attaches:
             if not shm_released_in_finally:
-                yield RawFinding(
-                    "resource-pairing", module, lineno,
+                yield (
+                    module, lineno,
                     "%s opens shared memory but no unlink/close runs in a "
                     "finally block — an exception leaks the segment"
                     % info.qualname,
                 )
         for lineno, recv in acquires:
             if not any(fin for _, fin in releases):
-                yield RawFinding(
-                    "resource-pairing", module, lineno,
+                yield (
+                    module, lineno,
                     "%s acquires %s outside `with` and never releases it in "
                     "a finally block" % (info.qualname, recv or "a lock"),
                 )
         for lineno in enters:
             if not exits_in_finally:
-                yield RawFinding(
-                    "resource-pairing", module, lineno,
+                yield (
+                    module, lineno,
                     "%s calls __enter__ manually without a matching "
                     "__exit__ in a finally block" % info.qualname,
                 )
@@ -385,10 +373,13 @@ def _with_item_lines(fn_node: ast.AST) -> set[int]:
 # -- rule 4: sqlstate ---------------------------------------------------------
 
 
-def check_sqlstate(
-    index: ProjectIndex,
-    closed: dict[tuple[str, str], ClosedEffects],
-):
+@rule(
+    "sqlstate",
+    "engine errors crossing the Database/Cluster/gateway public API carry "
+    "a SQLSTATE",
+    project=True,
+)
+def check_sqlstate(index: ProjectIndex):
     """Engine errors crossing the public API carry a SQLSTATE.
 
     For every public entry method of the API classes, every project
@@ -397,6 +388,7 @@ def check_sqlstate(
     by inheritance.  Findings anchor at the entry method so the fix is
     visible where the caller contract lives.
     """
+    _, closed = effects_of(index)
     for fn in _entry_functions(index):
         eff = closed.get(fn.key)
         if eff is None:
@@ -407,19 +399,9 @@ def check_sqlstate(
             and not index.class_carries_sqlstate(cls)
         )
         if bare:
-            yield RawFinding(
-                "sqlstate", fn.module, fn.lineno,
+            yield (
+                fn.module, fn.lineno,
                 "%s can raise %s without a SQLSTATE — errors crossing the "
                 "public API must carry one (assign `sqlstate` on the class "
                 "or a base)" % (fn.qualname, ", ".join(bare)),
             )
-
-
-ALL_RULES = ("write-protocol", "snapshot-scope", "resource-pairing", "sqlstate")
-
-
-def run_all(index: ProjectIndex, direct, closed):
-    yield from check_write_protocol(index, direct, closed)
-    yield from check_snapshot_scope(index, direct, closed)
-    yield from check_resource_pairing(index)
-    yield from check_sqlstate(index, closed)

@@ -1,44 +1,63 @@
-"""reprolint — the repo's ``ast``-based lint framework.
+"""reprolint — the repo's one static checker, over one parse.
 
-The engine's correctness rests on a handful of *glue invariants* that span
-subsystems (sim-clock cost charging, seeded randomness, lock discipline in
-worker-pool callables, durability logging on every mutation path).  None
-of them are enforceable by the type system or by unit tests alone, so this
-module provides a small, pluggable static checker:
+The engine's correctness rests on *glue invariants* that span subsystems
+(sim-clock cost charging, seeded randomness, lock discipline in
+worker-pool callables, the write/snapshot/invalidation protocol).  None
+of them are enforceable by the type system or by unit tests alone, so
+this module is a small static checker with one loader, one rule registry
+and one report:
 
-* rules register through the :func:`rule` decorator and receive a
-  :class:`FileContext` (path, source, parsed tree, suppression table);
-* findings can be suppressed per line with a justification comment::
+* **one loader** — :func:`load_paths` reads and parses every file once
+  into a :class:`FileContext` (path, source, tree, suppression table);
+  the same contexts feed the per-file rules and the project-wide
+  :class:`~repro.verify.flow.callgraph.ProjectIndex`;
+* **two rule scopes** — rules register through :func:`rule`.  A *file*
+  rule receives one :class:`FileContext` and yields ``(line, message)``;
+  a *project* rule (``project=True``, the interprocedural protocol rules
+  of :mod:`repro.verify.flow.protocols`) receives the index and yields
+  ``(module, line, message)``.  Project findings are kept only for
+  engine modules (:func:`engine_module`): tests, benchmarks and the
+  verification tooling drive the engine in ways its protocols do not
+  bind, so one run can cover ``src tests benchmarks``;
+* **one suppression grammar** — a finding is suppressed per line with a
+  justification comment::
 
       some_call()  # lint-ok: rule-name (why this is intentional)
 
   or, for a whole statement, on the line directly above.  A suppression
-  without a parenthesised justification still silences the finding but is
-  itself reported by the ``suppression-justification`` meta-rule;
-* output is human-readable by default, ``--json`` for tooling, and the
-  exit status is non-zero when any unsuppressed finding remains — which is
-  how CI runs it::
+  without a parenthesised justification still silences the finding but
+  is itself reported by the ``suppression-justification`` meta-rule, and
+  on full runs a suppression naming a rule that no longer fires on its
+  line is reported as ``stale-suppression``.
 
-      python -m repro.verify.lint src
-
-The repo-specific rules live in :mod:`repro.verify.rules`; this module is
-only the framework (registry, suppressions, file walking, CLI).
+Run it as ``python -m repro.verify.cli lint src tests benchmarks``; the
+exit status is non-zero when any unsuppressed finding remains.  The file
+rules live in :mod:`repro.verify.rules`.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
 import re
-import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from repro.verify.flow.callgraph import ProjectIndex
 
 #: Suppression comment: ``# lint-ok: rule-a,rule-b (justification)``.
 _SUPPRESS_RE = re.compile(
     r"#\s*lint-ok:\s*(?P<rules>[a-z0-9_,\s-]+?)\s*(?:\((?P<why>.*)\))?\s*$"
 )
+
+#: Rules the framework runs itself, after every registered rule.
+META_RULES = {
+    "suppression-justification":
+        "every lint-ok suppression carries a (justification)",
+    "stale-suppression":
+        "lint-ok comment names a rule that no longer fires on its line "
+        "(full runs only)",
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,18 @@ class Suppression:
     justification: str | None
 
 
+def normalize_module(path: str) -> str:
+    """'/'-separated path used for scoping and module identity."""
+    return path.replace(os.sep, "/")
+
+
+def engine_module(module: str) -> bool:
+    """True for engine source: under ``repro/``, outside ``repro/verify/``
+    (the sanitizer and the model checker implement the tracking and own
+    raw primitives by design)."""
+    return "repro/" in module and "repro/verify/" not in module
+
+
 @dataclass
 class FileContext:
     """Everything a rule may consult about one source file."""
@@ -85,6 +116,11 @@ class FileContext:
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     suppressions: dict[int, Suppression] = field(default_factory=dict)
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, walked once and shared by all rules."""
+        return list(ast.walk(self.tree))
 
     def in_package(self, *parts: str) -> bool:
         """True when the file lives under ``repro/<part>/`` for any part
@@ -127,7 +163,7 @@ class FileContext:
         text inside a literal (fixture corpora embedded in test files,
         docstring examples) is data, not a live suppression."""
         covered: set[int] = set()
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Constant) and isinstance(
                 node.value, (str, bytes)
             ):
@@ -137,37 +173,43 @@ class FileContext:
 
 
 class Rule:
-    """A registered lint rule: ``check(ctx)`` yields ``(line, message)``."""
+    """A registered rule.  A file rule's ``check(ctx)`` yields ``(line,
+    message)``; a project rule's ``check(index)`` yields ``(module, line,
+    message)``."""
 
-    def __init__(self, name: str, description: str, check):
+    def __init__(self, name: str, description: str, check, project: bool):
         self.name = name
         self.description = description
         self.check = check
+        self.project = project
 
 
 _REGISTRY: dict[str, Rule] = {}
 
 
-def rule(name: str, description: str):
+def rule(name: str, description: str, project: bool = False):
     """Decorator registering a rule function in the global registry."""
 
     def decorate(fn):
         if name in _REGISTRY:
             raise ValueError("duplicate lint rule %r" % name)
-        _REGISTRY[name] = Rule(name, description, fn)
+        _REGISTRY[name] = Rule(name, description, fn, project)
         return fn
 
     return decorate
 
 
 def registered_rules() -> dict[str, Rule]:
-    _load_builtin_rules()
+    # Imported lazily: both rule modules import this one for the decorator.
+    from repro.verify import rules  # noqa: F401
+    from repro.verify.flow import protocols  # noqa: F401
+
     return dict(_REGISTRY)
 
 
-def _load_builtin_rules() -> None:
-    # Imported lazily: rules.py imports this module for the decorator.
-    from repro.verify import rules as _rules  # noqa: F401
+# ---------------------------------------------------------------------------
+# the loader
+# ---------------------------------------------------------------------------
 
 
 def _parse_suppressions(lines: list[str]) -> dict[int, Suppression]:
@@ -185,53 +227,120 @@ def _parse_suppressions(lines: list[str]) -> dict[int, Suppression]:
 
 
 def make_context(source: str, path: str = "<memory>") -> FileContext:
-    """Build a :class:`FileContext` from a source string (tests use this
-    to lint fixture snippets without touching the filesystem)."""
-    tree = ast.parse(source, filename=path)
+    """Parse one source string into a :class:`FileContext`."""
     lines = source.splitlines()
     return FileContext(
         path=path,
-        module=path.replace(os.sep, "/"),
+        module=normalize_module(path),
         source=source,
-        tree=tree,
+        tree=ast.parse(source, filename=path),
         lines=lines,
         suppressions=_parse_suppressions(lines),
     )
 
 
+def iter_python_files(paths: list[str]):
+    for path in paths:
+        if os.path.isfile(path):
+            if path.endswith(".py"):
+                yield path
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = [
+                d for d in sorted(dirnames)
+                if d not in ("__pycache__", ".git")
+            ]
+            for name in sorted(filenames):
+                if name.endswith(".py"):
+                    yield os.path.join(dirpath, name)
+
+
+def load_paths(paths: list[str]) -> list[FileContext]:
+    """Read and parse every ``.py`` file under ``paths``, once."""
+    files = []
+    for file_path in iter_python_files(paths):
+        with open(file_path, "r", encoding="utf-8") as handle:
+            files.append(make_context(handle.read(), file_path))
+    return files
+
+
+def load_sources(sources: dict[str, str]) -> list[FileContext]:
+    """Parse a ``{path: source}`` mapping (fixture corpora in tests)."""
+    return [make_context(source, path)
+            for path, source in sorted(sources.items())]
+
+
+# ---------------------------------------------------------------------------
+# running and reporting
+# ---------------------------------------------------------------------------
+
+
+def lint_files(
+    files: list[FileContext], rules: list[str] | None = None
+) -> list[Finding]:
+    """Run the selected rules (all when ``rules`` is empty) over parsed
+    files; returns every finding, suppressed ones included."""
+    only = rules or None
+    registry = registered_rules()
+    selected = [r for r in registry.values() if only is None or r.name in only]
+    raw: dict[str, list[tuple[str, int, str]]] = {f.module: [] for f in files}
+    for rule_obj in selected:
+        if not rule_obj.project:
+            for ctx in files:
+                raw[ctx.module].extend(
+                    (rule_obj.name, line, message)
+                    for line, message in rule_obj.check(ctx)
+                )
+    project_rules = [r for r in selected if r.project]
+    if project_rules:
+        index = ProjectIndex(files)
+        for rule_obj in project_rules:
+            for module, line, message in rule_obj.check(index):
+                if engine_module(module):
+                    raw[module].append((rule_obj.name, line, message))
+    findings: list[Finding] = []
+    for ctx in files:
+        findings.extend(_report(ctx, raw[ctx.module], only, registry))
+    return findings
+
+
 def lint_source(
     source: str, path: str = "<memory>", rules: list[str] | None = None
 ) -> list[Finding]:
-    """Lint a source string; returns every finding (suppressed included)."""
-    ctx = make_context(source, path)
-    return _run_rules(ctx, rules)
+    """Lint one source string; returns every finding (suppressed included)."""
+    return lint_files([make_context(source, path)], rules)
 
 
-def lint_file(path: str, rules: list[str] | None = None) -> list[Finding]:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return _run_rules(make_context(source, path), rules)
+def lint_sources(
+    sources: dict[str, str], rules: list[str] | None = None
+) -> list[Finding]:
+    """Lint a ``{path: source}`` corpus as one project."""
+    return lint_files(load_sources(sources), rules)
 
 
-def _run_rules(ctx: FileContext, only: list[str] | None) -> list[Finding]:
-    registry = registered_rules()
-    selected = (
-        [registry[name] for name in only] if only else list(registry.values())
-    )
+def lint_paths(paths: list[str], rules: list[str] | None = None) -> list[Finding]:
+    return lint_files(load_paths(paths), rules)
+
+
+def _report(
+    ctx: FileContext,
+    raw: list[tuple[str, int, str]],
+    only: list[str] | None,
+    registry: dict[str, Rule],
+) -> list[Finding]:
     findings: list[Finding] = []
-    for rule_obj in selected:
-        for line, message in rule_obj.check(ctx):
-            sup = ctx.suppression_for(rule_obj.name, line)
-            findings.append(
-                Finding(
-                    rule=rule_obj.name,
-                    path=ctx.path,
-                    line=line,
-                    message=message,
-                    suppressed=sup is not None,
-                    justification=sup.justification if sup else None,
-                )
+    for name, line, message in raw:
+        sup = ctx.suppression_for(name, line)
+        findings.append(
+            Finding(
+                rule=name,
+                path=ctx.path,
+                line=line,
+                message=message,
+                suppressed=sup is not None,
+                justification=sup.justification if sup else None,
             )
+        )
     findings.extend(_check_suppression_justifications(ctx, only))
     findings.extend(_check_stale_suppressions(ctx, only, findings, registry))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -294,9 +403,7 @@ def _check_stale_suppressions(
     for lineno, sup in sorted(ctx.suppressions.items()):
         stale = [
             name for name in sorted(sup.rules)
-            if name in registry
-            and name not in ("all", "stale-suppression")
-            and (lineno, name) not in used
+            if name in registry and (lineno, name) not in used
         ]
         if not stale:
             continue
@@ -323,82 +430,3 @@ def _check_stale_suppressions(
                 )
             )
     return out
-
-
-def iter_python_files(paths: list[str]):
-    for path in paths:
-        if os.path.isfile(path):
-            if path.endswith(".py"):
-                yield path
-            continue
-        for dirpath, dirnames, filenames in os.walk(path):
-            dirnames[:] = [
-                d for d in sorted(dirnames)
-                if d not in ("__pycache__", ".git")
-            ]
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    yield os.path.join(dirpath, name)
-
-
-def lint_paths(paths: list[str], rules: list[str] | None = None) -> list[Finding]:
-    findings: list[Finding] = []
-    for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, rules))
-    return findings
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.lint",
-        description="reprolint: repo-specific invariant linter",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit findings as a JSON document")
-    parser.add_argument("--rule", action="append", dest="rules",
-                        help="run only the named rule (repeatable)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="list registered rules and exit")
-    parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print suppressed findings")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule_obj in sorted(registered_rules().values(), key=lambda r: r.name):
-            print("%-24s %s" % (rule_obj.name, rule_obj.description))
-        return 0
-
-    findings = lint_paths(args.paths, args.rules)
-    active = [f for f in findings if not f.suppressed]
-    suppressed = [f for f in findings if f.suppressed]
-
-    if args.as_json:
-        print(json.dumps(
-            {
-                "findings": [f.to_json() for f in findings],
-                "unsuppressed": len(active),
-                "suppressed": len(suppressed),
-            },
-            indent=2,
-        ))
-    else:
-        shown = findings if args.show_suppressed else active
-        for finding in shown:
-            print(finding.render())
-        print(
-            "reprolint: %d finding(s), %d suppressed"
-            % (len(active), len(suppressed)),
-            file=sys.stderr,
-        )
-    return 1 if active else 0
-
-
-if __name__ == "__main__":
-    # Re-import under the canonical module name so the rule registry the
-    # CLI consults is the same one repro.verify.rules registered into
-    # (running as __main__ would otherwise create a second registry).
-    from repro.verify.lint import main as _canonical_main
-
-    raise SystemExit(_canonical_main())

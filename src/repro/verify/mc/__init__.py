@@ -1,6 +1,6 @@
 """CHESS-style explicit-state model checking for the engine's concurrency.
 
-``python -m repro.verify.mc --all`` replays the scenario registry
+``repro-verify mc --all`` replays the scenario registry
 (:mod:`repro.verify.mc.scenarios`) under every thread interleaving up to a
 preemption bound, using the engine's existing sanitizer instrumentation as
 the scheduling points, and runs the static + runtime lock-order analysis

@@ -14,8 +14,7 @@ never ``database``.  Two-phase observation feeds the checked graph:
 
 * **static** — an AST walk over the source tree finds lexically nested
   ``with <lock>:`` scopes, resolving each lock expression to its class
-  through the ``make_lock`` call that created the attribute (extending
-  the extraction approach of :mod:`repro.verify.rules`);
+  through the ``make_lock`` call that created the attribute;
 * **runtime** — every :class:`~repro.verify.sanitizer.TrackedLock`
   acquisition taken while other tracked locks are held records a
   (held -> acquired) edge in :func:`sanitizer.lock_graph`; the model
@@ -31,10 +30,10 @@ testing still shows up as a cycle here.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass
 
 from repro.verify import sanitizer
+from repro.verify.lint import load_paths
 
 #: Declared global acquisition order, outermost class first.  A thread may
 #: only acquire locks of a class strictly later in this tuple than every
@@ -182,7 +181,10 @@ def static_edges_for_source(
     source: str, path: str = "<memory>"
 ) -> list[LockEdge]:
     """Lexically nested lock scopes in one file, as class-level edges."""
-    tree = ast.parse(source, filename=path)
+    return _tree_edges(ast.parse(source, filename=path), path)
+
+
+def _tree_edges(tree: ast.Module, path: str) -> list[LockEdge]:
     classes = lock_attr_classes(tree)
     edges: list[LockEdge] = []
 
@@ -219,24 +221,8 @@ def static_edges_for_source(
 
 def static_edges(paths=("src",)) -> list[LockEdge]:
     edges: list[LockEdge] = []
-    for root in paths:
-        if os.path.isfile(root):
-            files = [root]
-        else:
-            files = []
-            for dirpath, dirnames, filenames in os.walk(root):
-                dirnames[:] = [
-                    d for d in sorted(dirnames)
-                    if d not in ("__pycache__", ".git")
-                ]
-                files.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames) if f.endswith(".py")
-                )
-        for file_path in files:
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            edges.extend(static_edges_for_source(source, file_path))
+    for ctx in load_paths(list(paths)):
+        edges.extend(_tree_edges(ctx.tree, ctx.path))
     return edges
 
 

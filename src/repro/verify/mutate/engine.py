@@ -2,8 +2,11 @@
 
 Determinism contract: mutant *generation* is a pure function of (sources,
 operator set, seed) — operators walk the AST in source order, sampling
-draws from :func:`repro.util.rng.derive_rng`, and nothing in the
-generation path reads a clock or global RNG state.  Only the *execution*
+ranks mutant ids under a seed-keyed hash, and nothing in the generation
+path reads a clock or global RNG state.  A mutant's id names *what* it
+mutates, not where: operator, module, enclosing qualname and the
+unparsed target node, so edits elsewhere in a file neither rename a
+mutant nor re-draw the sample around it.  Only the *execution*
 phase consumes wall time, and it does so under an explicit budget
 (``REPRO_MUTATE_BUDGET`` seconds): mutants that never get a slot are
 classified ``skipped`` rather than silently dropped.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import difflib
+import hashlib
 import os
 import shutil
 import subprocess
@@ -36,7 +40,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.util.rng import derive_rng
 from repro.verify.lint import iter_python_files
 from repro.verify.mutate.impact import ImpactMap, load_project_sources
 from repro.verify.mutate.operators import Operator, resolve_operators
@@ -122,6 +125,33 @@ class MutantResult:
 # ---------------------------------------------------------------------------
 
 
+def _scopes(tree: ast.Module) -> list[tuple[int, int, str]]:
+    """``(first line, last line, qualname)`` of every def and class."""
+    spans: list[tuple[int, int, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                qual = prefix + child.name
+                spans.append((child.lineno, child.end_lineno, qual))
+                visit(child, qual + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return spans
+
+
+def _enclosing(spans: list[tuple[int, int, str]], lineno: int) -> str:
+    """Qualname of the innermost def/class spanning ``lineno``."""
+    inner = max(
+        (s for s in spans if s[0] <= lineno <= s[1]),
+        key=lambda s: s[0], default=None,
+    )
+    return inner[2] if inner else "<module>"
+
+
 def generate_mutants(
     sources: dict[str, str],
     operators: list[Operator],
@@ -129,56 +159,54 @@ def generate_mutants(
     max_mutants: int | None = DEFAULT_MAX_MUTANTS,
 ) -> list[Mutant]:
     """Enumerate every mutation site, then (if over ``max_mutants``)
-    sample a per-operator quota with a seed-derived stream.
+    sample a per-operator quota: the ``quota`` ids ranking first under a
+    seed-keyed hash.
 
     Stratified sampling keeps every operator represented — the benchmark
     pins *per-operator* kill rates, so a proportional sample that starves
     ``drop-wal`` (few sites) in favour of ``constant`` (hundreds) would
-    make the interesting rows vacuous.
+    make the interesting rows vacuous.  Ranking ids rather than drawing
+    positions keeps the sample stable: a new site joins it only if it
+    outranks a sampled one, and never shifts the others.
     """
-    per_op: dict[str, list[Mutant]] = {}
-    for op in operators:
-        found: list[Mutant] = []
-        for module in sorted(sources):
-            try:
-                tree = ast.parse(sources[module], filename=module)
-            except SyntaxError:
-                continue
+    per_op: dict[str, list[Mutant]] = {op.name: [] for op in operators}
+    for module in sorted(sources):
+        try:
+            tree = ast.parse(sources[module], filename=module)
+        except SyntaxError:
+            continue
+        spans = _scopes(tree)
+        for op in operators:
+            seen: dict[str, int] = {}
             for ordinal, target in enumerate(op.find(tree, module)):
-                mid = "%s@%s:%d:%d" % (op.name, module, target.lineno,
-                                       target.col)
-                found.append(Mutant(
-                    mid=mid, operator=op.name, module=module,
+                digest = hashlib.sha1(
+                    ast.unparse(target.node).encode()
+                ).hexdigest()[:8]
+                mid = "%s@%s::%s:%s" % (op.name, module,
+                                        _enclosing(spans, target.lineno),
+                                        digest)
+                # Identical keys (the same node text twice in one scope)
+                # are told apart by their order among themselves.
+                n = seen.get(mid, 0)
+                seen[mid] = n + 1
+                per_op[op.name].append(Mutant(
+                    mid="%s#%d" % (mid, n) if n else mid,
+                    operator=op.name, module=module,
                     lineno=target.lineno, col=target.col, ordinal=ordinal,
                     description=target.description,
                 ))
-        per_op[op.name] = found
 
     if max_mutants is not None:
         total = sum(len(v) for v in per_op.values())
         if total > max_mutants:
             quota = max(1, max_mutants // max(1, len(operators)))
             for name, found in per_op.items():
-                if len(found) > quota:
-                    rng = derive_rng(seed, "mutate", "sample", name)
-                    picks = sorted(
-                        rng.choice(len(found), size=quota, replace=False)
-                        .tolist()
-                    )
-                    per_op[name] = [found[i] for i in picks]
+                per_op[name] = sorted(found, key=lambda m: hashlib.sha256(
+                    ("%d:%s" % (seed, m.mid)).encode()
+                ).digest())[:quota]
 
-    out: list[Mutant] = []
-    for op in operators:
-        out.extend(per_op[op.name])
+    out = [m for op in operators for m in per_op[op.name]]
     out.sort(key=lambda m: (m.module, m.lineno, m.col, m.operator))
-    # Disambiguate ids when one operator has several targets on one site
-    # (e.g. two keywords in one call): suffix the ordinal.
-    seen: dict[str, int] = {}
-    for mutant in out:
-        n = seen.get(mutant.mid, 0)
-        seen[mutant.mid] = n + 1
-        if n:
-            mutant.mid = "%s#%d" % (mutant.mid, n)
     return out
 
 

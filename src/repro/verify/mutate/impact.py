@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.verify.flow.callgraph import FunctionInfo, ProjectIndex
-from repro.verify.lint import iter_python_files
+from repro.verify.lint import iter_python_files, load_sources
 
 #: Opaque-call threshold for the tests-aware graph (reproflow uses 3).
 TEST_AMBIGUITY_LIMIT = 64
@@ -41,9 +41,7 @@ class TestAwareIndex(ProjectIndex):
     """ProjectIndex with constructor linking and a permissive ambiguity
     limit — the right over-approximation posture for test selection."""
 
-    def __init__(self, sources: dict[str, str],
-                 ambiguity_limit: int = TEST_AMBIGUITY_LIMIT):
-        super().__init__(sources, ambiguity_limit=ambiguity_limit)
+    ambiguity_limit = TEST_AMBIGUITY_LIMIT
 
     def _constructor_targets(self, name: str) -> list[FunctionInfo]:
         out = []
@@ -100,7 +98,7 @@ class ImpactMap:
     @classmethod
     def build(cls, sources: dict[str, str],
               test_prefix: str = "tests/") -> "ImpactMap":
-        index = TestAwareIndex(sources)
+        index = TestAwareIndex(load_sources(sources))
         impact = cls(index=index)
         for info in index.functions.values():
             impact._by_module.setdefault(info.module, []).append(info)

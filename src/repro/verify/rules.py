@@ -1,7 +1,8 @@
-"""The repo-specific reprolint rules.
+"""The per-file reprolint rules.
 
 Each rule statically enforces one of the engine's cross-cutting glue
-invariants (the regimes PRs 1–3 introduced but nothing checked):
+invariants within a single file (the interprocedural protocol rules are
+project rules, in :mod:`repro.verify.flow.protocols`):
 
 * ``wall-clock`` — engine/cluster/durability/database/storage code charges
   the *simulated* clock; reading the machine clock there silently breaks
@@ -15,17 +16,6 @@ invariants (the regimes PRs 1–3 introduced but nothing checked):
 * ``broad-except`` — ``except Exception:`` / bare ``except:`` handlers
   that do not re-raise silently swallow engine bugs; the intentional ones
   (torn-tail tolerance) must carry a justified suppression.
-* ``stale-suppression`` — a ``lint-ok`` comment naming a rule that no
-  longer fires on its line is itself a finding (full runs only; the
-  detection lives in the framework since it needs every rule's output).
-* ``durability-logging`` — demoted to a registered no-op: reproflow's
-  interprocedural ``write-protocol`` rule (``python -m repro.verify.flow``)
-  now enforces mutation ⇒ WAL append + version bump + touched-table
-  recording across helper boundaries, so the per-function check would
-  only double-report.
-* ``lock-order`` — lexically nested lock acquisitions must follow the
-  declared global lock order (see :mod:`repro.verify.mc.lockorder`); an
-  inversion is half of an ABBA deadlock.
 * ``raw-lock`` — engine code under ``repro/`` must create locks through
   ``sanitizer.make_lock``; a bare ``threading.Lock()`` is invisible to the
   lockset sanitizer and the model checker.
@@ -35,39 +25,37 @@ from __future__ import annotations
 
 import ast
 
-from repro.verify.lint import FileContext, rule
+from repro.verify.flow.callgraph import dotted_chain
+from repro.verify.lint import FileContext, engine_module, rule
 
 # ---------------------------------------------------------------------------
 # shared AST helpers
 # ---------------------------------------------------------------------------
 
 
-def dotted_name(node: ast.AST) -> str | None:
-    """Render ``a.b.c`` attribute/name chains; None for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+def _calls(ctx: FileContext):
+    """``(call, chain)`` for every call whose callee is a dotted name."""
+    for node in ctx.nodes:
+        if isinstance(node, ast.Call):
+            parts = dotted_chain(node.func)
+            if parts:
+                yield node, parts
 
 
-def _imported_names(tree: ast.Module, module: str) -> set[str]:
+def _imported_names(ctx: FileContext, module: str) -> set[str]:
     """Names bound by ``from <module> import X [as Y]`` at any level."""
     bound: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 bound.add(alias.asname or alias.name)
     return bound
 
 
-def _module_imported(tree: ast.Module, module: str) -> set[str]:
+def _module_imported(ctx: FileContext, module: str) -> set[str]:
     """Aliases under which ``import <module>`` binds the module."""
     aliases: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == module:
@@ -106,17 +94,12 @@ def check_wall_clock(ctx: FileContext):
         "engine", "cluster", "durability", "database", "storage"
     ):
         return
-    time_aliases = _module_imported(ctx.tree, "time")
-    from_time = _imported_names(ctx.tree, "time") & _TIME_FNS
-    datetime_aliases = _module_imported(ctx.tree, "datetime")
-    from_datetime = _imported_names(ctx.tree, "datetime")
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        parts = name.split(".")
+    time_aliases = _module_imported(ctx, "time")
+    from_time = _imported_names(ctx, "time") & _TIME_FNS
+    datetime_aliases = _module_imported(ctx, "datetime")
+    from_datetime = _imported_names(ctx, "datetime")
+    for node, parts in _calls(ctx):
+        name = ".".join(parts)
         if len(parts) == 2 and parts[0] in time_aliases and parts[1] in _TIME_FNS:
             yield node.lineno, (
                 "wall-clock read %s() in sim-clock-charged code "
@@ -174,15 +157,10 @@ def _is_none(node: ast.AST | None) -> bool:
 def check_unseeded_random(ctx: FileContext):
     if ctx.module.endswith("repro/util/rng.py"):
         return
-    random_aliases = _module_imported(ctx.tree, "random")
-    from_random = _imported_names(ctx.tree, "random") & _STDLIB_RANDOM_FNS
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        parts = name.split(".")
+    random_aliases = _module_imported(ctx, "random")
+    from_random = _imported_names(ctx, "random") & _STDLIB_RANDOM_FNS
+    for node, parts in _calls(ctx):
+        name = ".".join(parts)
         # numpy global-state access: np.random.random(), numpy.random.X().
         if len(parts) >= 3 and parts[-2] == "random" and parts[0] in (
             "np", "numpy"
@@ -226,12 +204,10 @@ def check_unseeded_random(ctx: FileContext):
 def _is_broad(handler: ast.ExceptHandler) -> bool:
     if handler.type is None:
         return True
-    names = []
-    if isinstance(handler.type, ast.Tuple):
-        names = [dotted_name(e) for e in handler.type.elts]
-    else:
-        names = [dotted_name(handler.type)]
-    return any(n in ("Exception", "BaseException") for n in names)
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return any(dotted_chain(t) in (["Exception"], ["BaseException"])
+               for t in types)
 
 
 @rule(
@@ -239,7 +215,7 @@ def _is_broad(handler: ast.ExceptHandler) -> bool:
     "broad except handlers must re-raise or carry a justified suppression",
 )
 def check_broad_except(ctx: FileContext):
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ExceptHandler):
             continue
         if not _is_broad(node):
@@ -247,7 +223,7 @@ def check_broad_except(ctx: FileContext):
         if any(isinstance(sub, ast.Raise) for sub in ast.walk(node)):
             continue
         what = "bare except:" if node.type is None else "except %s:" % (
-            dotted_name(node.type)
+            ".".join(dotted_chain(node.type))
             if not isinstance(node.type, ast.Tuple) else "(...)"
         )
         yield node.lineno, (
@@ -267,11 +243,11 @@ _MUTATOR_METHODS = {
 }
 
 
-def _thread_confined(tree: ast.Module) -> set[str]:
+def _thread_confined(ctx: FileContext) -> set[str]:
     """Attribute names registered thread-confined via ``_THREAD_CONFINED``
     set/tuple literals (module- or class-level)."""
     confined: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Assign):
             targets = [t for t in node.targets if isinstance(t, ast.Name)]
             if any(t.id == "_THREAD_CONFINED" for t in targets) and isinstance(
@@ -336,7 +312,7 @@ def _root_name(node: ast.AST) -> str | None:
     return None
 
 
-def _submitted_callables(tree: ast.Module):
+def _submitted_callables(ctx: FileContext):
     """Callables handed to ``<pool>.map(fn, ...)`` / ``<executor>.submit(fn, ...)``.
 
     Name references resolve against every function/lambda definition with
@@ -344,7 +320,7 @@ def _submitted_callables(tree: ast.Module):
     callable shadowing another's name is its own smell).
     """
     defs: dict[str, list] = {}
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
@@ -352,7 +328,7 @@ def _submitted_callables(tree: ast.Module):
                 if isinstance(target, ast.Name):
                     defs.setdefault(target.id, []).append(node.value)
     seen: list = []
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         if not isinstance(node.func, ast.Attribute):
@@ -373,10 +349,11 @@ def _guarded_by_lock(path: list[ast.AST]) -> bool:
     for ancestor in path:
         if isinstance(ancestor, ast.With):
             for item in ancestor.items:
-                name = dotted_name(item.context_expr)
-                if isinstance(item.context_expr, ast.Call):
-                    name = dotted_name(item.context_expr.func)
-                if name is not None and "lock" in name.rsplit(".", 1)[-1].lower():
+                expr = item.context_expr
+                chain = dotted_chain(
+                    expr.func if isinstance(expr, ast.Call) else expr
+                )
+                if chain and "lock" in chain[-1].lower():
                     return True
     return False
 
@@ -420,9 +397,9 @@ def _mutations(fn: ast.FunctionDef | ast.Lambda, local: set[str]):
     "lock or a _THREAD_CONFINED registration",
 )
 def check_lock_discipline(ctx: FileContext):
-    confined = _thread_confined(ctx.tree)
+    confined = _thread_confined(ctx)
     reported: set[tuple[int, str]] = set()
-    for fn, label in _submitted_callables(ctx.tree):
+    for fn, label in _submitted_callables(ctx):
         local = _local_names(fn)
         for lineno, target, kind in _mutations(fn, local):
             attr = target.split(".")[-1].rstrip("()")
@@ -440,82 +417,6 @@ def check_lock_discipline(ctx: FileContext):
 
 
 # ---------------------------------------------------------------------------
-# durability-logging (demoted)
-# ---------------------------------------------------------------------------
-
-#: ColumnTable methods that mutate durable table state.  Retained for
-#: reference/tests; the interprocedural analyzer owns the live check.
-_TABLE_MUTATORS = {"insert_rows", "append_vectors", "apply_deletes", "truncate"}
-
-
-@rule(
-    "durability-logging",
-    "superseded by reproflow's interprocedural `write-protocol` rule "
-    "(python -m repro.verify.flow src)",
-)
-def check_durability_logging(ctx: FileContext):
-    """Demoted to a registered no-op.
-
-    The per-function check went blind the moment a mutation or its WAL
-    hook moved into a helper, and double-reported whatever reproflow's
-    transitive ``write-protocol`` rule already caught.  The rule name
-    stays registered so ``--rule durability-logging`` and existing
-    ``lint-ok: durability-logging`` suppressions keep working; the actual
-    enforcement — mutation implies WAL append + version bump +
-    touched-table recording, checked over the project call graph — lives
-    in :mod:`repro.verify.flow.protocols`.
-    """
-    return iter(())
-
-
-# ---------------------------------------------------------------------------
-# stale-suppression (framework-hosted)
-# ---------------------------------------------------------------------------
-
-
-@rule(
-    "stale-suppression",
-    "lint-ok comment names a rule that no longer fires on its line "
-    "(full runs only)",
-)
-def check_stale_suppression(ctx: FileContext):
-    """Registered for ``--list-rules`` and suppression routing only.
-
-    The actual detection is :func:`repro.verify.lint._check_stale_suppressions`
-    in the framework: staleness of a suppression for rule *R* is only
-    decidable after *R* itself has run over the file, so the check has to
-    sit downstream of the whole registry rather than inside any one rule.
-    It also only runs on full sweeps — under ``--rule`` selection an
-    unselected rule never got the chance to fire, and every suppression
-    of it would be falsely flagged.
-    """
-    return iter(())
-
-
-# ---------------------------------------------------------------------------
-# lock-order
-# ---------------------------------------------------------------------------
-
-
-@rule(
-    "lock-order",
-    "nested lock acquisitions must follow the declared global lock order",
-)
-def check_lock_order(ctx: FileContext):
-    from repro.verify.mc import lockorder
-
-    for edge in lockorder.static_edges_for_source(ctx.source, ctx.path):
-        message = lockorder.rank_violation(edge.outer, edge.inner)
-        if message is None:
-            continue
-        try:
-            line = int(edge.site.rsplit(":", 1)[1])
-        except (IndexError, ValueError):
-            line = 1
-        yield line, message
-
-
-# ---------------------------------------------------------------------------
 # raw-lock
 # ---------------------------------------------------------------------------
 
@@ -526,20 +427,12 @@ def check_lock_order(ctx: FileContext):
     "threading.Lock/RLock",
 )
 def check_raw_lock(ctx: FileContext):
-    # Scope: engine source under repro/, except repro/verify/ itself (the
-    # sanitizer and the model checker implement the tracking and must own
-    # raw primitives).
-    if "repro/" not in ctx.module or "repro/verify/" in ctx.module:
+    if not engine_module(ctx.module):
         return
-    aliases = _module_imported(ctx.tree, "threading")
-    from_threading = _imported_names(ctx.tree, "threading") & {"Lock", "RLock"}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        parts = name.split(".")
+    aliases = _module_imported(ctx, "threading")
+    from_threading = _imported_names(ctx, "threading") & {"Lock", "RLock"}
+    for node, parts in _calls(ctx):
+        name = ".".join(parts)
         if (
             len(parts) == 2
             and parts[0] in aliases

@@ -500,6 +500,7 @@ class TestMisc:
         text = "\n".join(row[0] for row in r.rows)
         assert "TableScanOp" in text
         assert "WHERE ID =" in text
+        assert "[plan=" in r.rows[0][0]  # where the plan came from: line one
 
     def test_anonymous_block(self, db):
         o = db.connect("oracle")

@@ -185,6 +185,27 @@ class TestCommitSemantics:
         assert report.transactions_replayed == 4
         assert db.connect().query("SELECT k, v FROM t") == [(1, "z")]
 
+    def test_commit_appends_under_the_manager_lock(self):
+        # (drop-lock mutant in DurabilityManager.commit: the WAL appends
+        # must run held, or concurrent sessions interleave their records.)
+        from tests.test_mutation_gaps import _RecordingLock
+
+        db, _ = make_db(group_commit=100)
+        session = db.connect()
+        session.execute("CREATE TABLE t (k INT)")
+        manager = db.durability
+        recorder = _RecordingLock(manager._lock)
+        held = []
+        append = manager.wal.append
+
+        def spy(*args):
+            held.append(recorder.held)
+            return append(*args)
+
+        manager._lock, manager.wal.append = recorder, spy
+        session.execute("INSERT INTO t VALUES (1)")
+        assert held == [True, True]  # the insert and its commit record
+
     def test_group_commit_batches_flushes(self):
         db, _ = make_db(group_commit=3)
         session = db.connect()

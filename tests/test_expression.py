@@ -315,6 +315,9 @@ class TestCastAndCase:
     def test_decimal_rescale(self, batch):
         e = Cast(Literal(150, decimal_type(10, 2)), decimal_type(10, 4), scale_shift=2)
         assert e.eval(batch).values[0] == 15000
+        assert e.eval_row({}) == 15000
+        down = Cast(Literal(12345, decimal_type(10, 4)), decimal_type(10, 2), scale_shift=-2)
+        assert down.eval_row({}) == 123
 
     def test_case_expr(self, batch):
         e = CaseExpr(

@@ -540,6 +540,30 @@ class TestAccounting:
         session.execute("SELECT b FROM t")
         assert cache.stats.hits == 1 and cache.report()["templates"] == 2
 
+    def test_store_and_report_run_under_the_cache_lock(self, typed):
+        # (drop-lock mutants in PlanCache.store and .report: single-threaded
+        # suites never contend, so pin the discipline itself.)
+        from collections import OrderedDict
+
+        from tests.test_mutation_gaps import _RecordingLock
+
+        db, session = typed
+        cache = db.plan_cache
+        recorder = _RecordingLock(cache._lock)
+        held = []
+
+        class Plans(OrderedDict):
+            def __setitem__(self, key, value):
+                held.append(recorder.held)
+                super().__setitem__(key, value)
+
+        cache._lock, cache._plans = recorder, Plans(cache._plans)
+        session.execute("SELECT b FROM t WHERE i = 1")
+        assert held == [True]
+        taken = recorder.acquisitions
+        assert cache.report()["entries"] == len(cache._plans)
+        assert recorder.acquisitions == taken + 1
+
     def test_monreport_plan_cache_section(self, typed):
         db, session = typed
         for value in (1, 2, 3):

@@ -98,7 +98,8 @@ class TestPhysicalConversion:
         assert (stats.values_typed, stats.values_cast, stats.batches) == (0, 0, 0)
         physical_column([1, None], INTEGER, stats)
         physical_column(["1", None, "2"], INTEGER, stats)
-        assert (stats.values_typed, stats.values_cast, stats.batches) == (2, 3, 0)
+        physical_column([-(2**31), 2**31 - 1], INTEGER, stats)  # both bounds fit
+        assert (stats.values_typed, stats.values_cast, stats.batches) == (4, 3, 0)
 
 
 class TestColumnVector:
@@ -114,6 +115,14 @@ class TestColumnVector:
         b = ColumnVector.from_boundary([None], INTEGER)
         c = ColumnVector.concat([a, b])
         assert c.to_boundary() == [1, 2, None]
+        # Coded parts whose dictionaries are no larger than their rows keep
+        # those dictionaries and codes.
+        x = ColumnVector.coded(INTEGER, np.array([1, 0]), np.array([5, 6]))
+        y = ColumnVector.coded(INTEGER, np.array([0]), np.array([7]))
+        xy = ColumnVector.concat([x, y])
+        assert xy.dictionary.tolist() == [5, 6, 7]
+        assert xy.codes.tolist() == [1, 0, 2]
+        assert xy.to_boundary() == [6, 5, 7]
 
     def test_concat_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
-"""reproflow: seeded-bug fixture corpus plus framework behaviour.
+"""The interprocedural protocol rules: seeded-bug fixture corpus.
 
 Every protocol rule gets at least one *planted violation* fixture (the
 rule must fire) and its *corrected twin* (the rule must stay quiet) — the
 acceptance gate that no rule is vacuous.  Fixtures are multi-module
 ``{path: source}`` corpora fed through
-:func:`repro.verify.flow.analyze_sources`, with paths chosen to land in
-the analyzer's scoping (``src/repro/database/database.py`` hosts the
-public ``Database`` API, etc.).
+:func:`repro.verify.lint.lint_sources`, with paths chosen to land in the
+rules' scoping (``src/repro/database/database.py`` hosts the public
+``Database`` API, etc.).
 """
 
 from __future__ import annotations
@@ -15,21 +15,33 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.verify.flow import analyze_sources, main
+import pytest
+
+from repro.verify.cli import main as cli_main
+from repro.verify.flow.callgraph import ProjectIndex
+from repro.verify.lint import lint_paths, lint_sources, load_sources
 
 DB = "src/repro/database/database.py"
 MPP = "src/repro/cluster/mpp.py"
 ENGINE = "src/repro/engine/scan.py"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def main(argv: list[str]) -> int:
+    return cli_main(["lint", *argv])
 
 
 def flow(sources: dict[str, str], rules: list[str] | None = None):
-    return analyze_sources(
+    """Every finding, as ``(active, suppressed)``."""
+    findings = lint_sources(
         {path: textwrap.dedent(src) for path, src in sources.items()}, rules
     )
+    return ([f for f in findings if not f.suppressed],
+            [f for f in findings if f.suppressed])
 
 
 def active(sources: dict[str, str], rules: list[str] | None = None):
-    return flow(sources, rules).active
+    return flow(sources, rules)[0]
 
 
 # -- write-protocol -----------------------------------------------------------
@@ -453,41 +465,39 @@ class TestSuppressions:
                 self.snapshot = snapshot{comment}
         """
 
-    def test_justified_flow_ok_suppresses_without_meta_finding(self):
-        report = flow({ENGINE: self.BUGGY.format(
-            comment="  # flow-ok: snapshot-scope (operator trees are"
+    def test_justified_lint_ok_suppresses_without_meta_finding(self):
+        live, suppressed = flow({ENGINE: self.BUGGY.format(
+            comment="  # lint-ok: snapshot-scope (operator trees are"
                     " statement-scoped)"
         )})
-        assert report.active == []
-        assert len(report.suppressed) == 1
-        assert report.suppressed[0].justification
+        assert live == []
+        assert len(suppressed) == 1
+        assert suppressed[0].justification
 
-    def test_unjustified_flow_ok_reports_the_meta_rule(self):
-        report = flow({ENGINE: self.BUGGY.format(
-            comment="  # flow-ok: snapshot-scope"
+    def test_unjustified_lint_ok_reports_the_meta_rule(self):
+        live, suppressed = flow({ENGINE: self.BUGGY.format(
+            comment="  # lint-%s: snapshot-scope" % "ok"
         )})
-        assert [f.rule for f in report.active] == [
-            "suppression-justification"
-        ]
-        assert len(report.suppressed) == 1
+        assert [f.rule for f in live] == ["suppression-justification"]
+        assert len(suppressed) == 1
 
     def test_comment_line_above_suppresses(self):
-        report = flow({ENGINE: """
+        live, suppressed = flow({ENGINE: """
             class ScanOp:
                 def __init__(self, snapshot):
-                    # flow-ok: snapshot-scope (fixture)
+                    # lint-ok: snapshot-scope (fixture)
                     self.snapshot = snapshot
             """})
-        assert report.active == []
-        assert len(report.suppressed) == 1
+        assert live == []
+        assert len(suppressed) == 1
 
     def test_wrong_rule_name_does_not_suppress(self):
-        report = flow({ENGINE: self.BUGGY.format(
-            comment="  # flow-ok: sqlstate (wrong rule)"
+        live, _ = flow({ENGINE: self.BUGGY.format(
+            comment="  # lint-ok: sqlstate (wrong rule)"
         )})
         # The misnamed suppression leaves the real finding live AND is
         # itself reported as stale — sqlstate never fires on that line.
-        assert sorted(f.rule for f in report.active) == [
+        assert sorted(f.rule for f in live) == [
             "snapshot-scope", "stale-suppression",
         ]
 
@@ -499,25 +509,25 @@ class TestStaleFlowSuppression:
     def test_fires_when_named_rule_no_longer_fires(self):
         findings = active({ENGINE: """
             def helper():
-                return 1  # flow-ok: write-protocol (fix landed in PR 9)
+                return 1  # lint-ok: write-protocol (fix landed long ago)
             """})
         assert [f.rule for f in findings] == ["stale-suppression"]
         assert "'write-protocol'" in findings[0].message
 
     def test_quiet_when_suppression_is_used(self):
-        report = flow({DB: """
+        live, suppressed = flow({DB: """
             class Database:
-                # flow-ok: write-protocol (recovery replays the WAL)
+                # lint-ok: write-protocol (recovery replays the WAL)
                 def execute(self, node):
                     return self._resolve(node).insert_rows(node.rows)
             """})
-        assert report.active == []
-        assert len(report.suppressed) == 1
+        assert live == []
+        assert len(suppressed) == 1
 
     def test_only_on_full_runs(self):
         sources = {ENGINE: """
             def helper():
-                return 1  # flow-ok: write-protocol (stale)
+                return 1  # lint-ok: write-protocol (stale)
             """}
         assert active(sources, rules=["write-protocol"]) == []
         assert [f.rule for f in active(sources)] == ["stale-suppression"]
@@ -525,7 +535,7 @@ class TestStaleFlowSuppression:
     def test_string_literals_are_exempt(self):
         findings = active({"tests/test_example.py": '''
             FIXTURE = """
-            txn.commit()  # flow-ok: write-protocol (inside a literal)
+            txn.commit()  # lint-ok: write-protocol (inside a literal)
             """
             '''})
         assert findings == []
@@ -533,7 +543,7 @@ class TestStaleFlowSuppression:
     def test_unknown_rule_names_are_skipped(self):
         findings = active({ENGINE: """
             def helper():
-                return 1  # flow-ok: some-other-tool (owned elsewhere)
+                return 1  # lint-ok: some-other-tool (owned elsewhere)
             """})
         assert findings == []
 
@@ -581,27 +591,25 @@ class TestCallGraph:
     def test_commit_listener_registration_creates_an_edge(self):
         # A registered listener that pins a snapshot is reachable from
         # the registering function — its effects are not lost.
-        from repro.verify.flow.callgraph import ProjectIndex
+        index = ProjectIndex(load_sources({
+            "src/repro/serving/gateway.py": textwrap.dedent(
+                """
+                class Gateway:
+                    def wire(self, db):
+                        db.add_commit_listener(self._on_commit)
 
-        index = ProjectIndex({"src/repro/serving/gateway.py": textwrap.dedent(
-            """
-            class Gateway:
-                def wire(self, db):
-                    db.add_commit_listener(self._on_commit)
-
-                def _on_commit(self, tables):
-                    pass
-            """
-        )})
+                    def _on_commit(self, tables):
+                        pass
+                """
+            )
+        }))
         assert (
             "src/repro/serving/gateway.py",
             "Gateway._on_commit",
         ) in index.listeners
 
     def test_bound_method_submission_is_detected(self):
-        from repro.verify.flow.callgraph import ProjectIndex
-
-        index = ProjectIndex({ENGINE: textwrap.dedent(
+        index = ProjectIndex(load_sources({ENGINE: textwrap.dedent(
             """
             class Op:
                 def run(self, pool, items):
@@ -610,7 +618,7 @@ class TestCallGraph:
                 def _task(self, item):
                     return item
             """
-        )})
+        )}))
         assert (ENGINE, "Op._task") in index.submitted
 
 
@@ -646,7 +654,7 @@ class TestCli:
             """
             class ScanOp:
                 def __init__(self, snapshot):
-                    # flow-ok: snapshot-scope (fixture)
+                    # lint-ok: snapshot-scope (fixture)
                     self.snapshot = snapshot
             """
         ))
@@ -681,15 +689,9 @@ class TestTreeSqlstateAudit:
     host crash up as a SQL error."""
 
     def test_every_engine_error_class_carries_sqlstate(self):
-        from repro.verify.flow.callgraph import ProjectIndex
-        from repro.verify.lint import iter_python_files
+        from repro.verify.lint import load_paths
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        sources = {}
-        for path in iter_python_files([src]):
-            with open(path, "r", encoding="utf-8") as handle:
-                sources[path] = handle.read()
-        index = ProjectIndex(sources)
+        index = ProjectIndex(load_paths([SRC]))
         bare = sorted(
             name for name in index.classes
             if name != "ReproError"
@@ -699,22 +701,19 @@ class TestTreeSqlstateAudit:
         assert bare == [], bare
 
 
+@pytest.fixture(scope="module")
+def protocol_findings():
+    return lint_paths([SRC], ["write-protocol", "snapshot-scope",
+                              "resource-pairing", "sqlstate"])
+
+
 class TestRepoIsClean:
-    def test_src_tree_has_no_unjustified_findings(self):
-        # The CI gate: `python -m repro.verify.flow src` exits 0.
-        from repro.verify.flow import analyze_paths
+    def test_src_tree_has_no_unjustified_findings(self, protocol_findings):
+        live = [f for f in protocol_findings if not f.suppressed]
+        assert live == [], "\n".join(f.render() for f in live)
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        report = analyze_paths([src])
-        assert report.active == [], "\n".join(
-            f.render() for f in report.active
-        )
-
-    def test_every_tree_suppression_is_justified(self):
-        from repro.verify.flow import analyze_paths
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        report = analyze_paths([src])
-        assert report.suppressed, "expected justified suppressions in tree"
-        for finding in report.suppressed:
+    def test_every_tree_suppression_is_justified(self, protocol_findings):
+        suppressed = [f for f in protocol_findings if f.suppressed]
+        assert suppressed, "expected justified suppressions in tree"
+        for finding in suppressed:
             assert finding.justification, finding.render()

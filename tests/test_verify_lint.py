@@ -1,9 +1,11 @@
 """reprolint: framework behaviour plus must-fire / must-not-fire fixtures.
 
-Every rule gets a positive fixture (the invariant violation it exists to
-catch) and a negative fixture (idiomatic engine code it must stay quiet
-on), all linted in memory via :func:`repro.verify.lint.lint_source` with
-paths chosen to land in each rule's scope.
+Every per-file rule gets a positive fixture (the invariant violation it
+exists to catch) and a negative fixture (idiomatic engine code it must
+stay quiet on), all linted in memory via
+:func:`repro.verify.lint.lint_source` with paths chosen to land in each
+rule's scope.  The interprocedural rules' fixtures live in
+``test_verify_flow.py``.
 """
 
 from __future__ import annotations
@@ -11,14 +13,18 @@ from __future__ import annotations
 import json
 import textwrap
 
+from repro.verify.cli import main as cli_main
 from repro.verify.lint import (
     Finding,
     lint_paths,
     lint_source,
-    main,
     make_context,
     registered_rules,
 )
+
+
+def main(argv: list[str]) -> int:
+    return cli_main(["lint", *argv])
 
 
 def _lint(source: str, path: str, rule: str | None = None) -> list[Finding]:
@@ -43,8 +49,11 @@ class TestFramework:
             "unseeded-random",
             "lock-discipline",
             "broad-except",
-            "durability-logging",
-            "stale-suppression",
+            "raw-lock",
+            "write-protocol",
+            "snapshot-scope",
+            "resource-pairing",
+            "sqlstate",
         } <= names
 
     def test_suppression_same_line(self):
@@ -470,13 +479,14 @@ class TestLockDiscipline:
         assert findings == []
 
 
-# -- durability-logging (demoted to reproflow's write-protocol) ---------------
+# -- durability-logging (deleted: write-protocol owns the omission) -----------
 
 
 class TestDurabilityLoggingDemoted:
-    """Regression fixtures for the demotion: the per-function rule is a
-    registered no-op and the same omission is reported exactly once —
-    by reproflow's interprocedural ``write-protocol`` rule."""
+    """The per-function ``durability-logging`` rule and the lint copy of
+    ``lock-order`` are gone: an unlogged mutation is reported exactly
+    once, by the interprocedural ``write-protocol`` rule, and the lock
+    order is checked by ``repro-verify mc`` alone."""
 
     UNLOGGED = """
         class Database:
@@ -485,64 +495,50 @@ class TestDurabilityLoggingDemoted:
                 return table.insert_rows(node.rows)
         """
 
-    def test_rule_still_registered(self):
-        from repro.verify.lint import registered_rules
-
-        rule = registered_rules()["durability-logging"]
-        assert "write-protocol" in rule.description
+    def test_rule_is_deleted(self):
+        names = set(registered_rules())
+        assert "durability-logging" not in names
+        assert "lock-order" not in names
 
     def test_no_longer_fires_per_function(self):
-        # The exact fixture the old rule fired on: reprolint must stay
-        # silent now, or the omission would be double-reported alongside
-        # the reproflow finding.
-        findings = _active(
-            self.UNLOGGED, "src/repro/database/database.py",
-            "durability-logging",
-        )
-        assert findings == []
+        # The exact fixture the old rule fired on: no public entry
+        # reaches the helper, so nothing fires at all.
+        assert _active(self.UNLOGGED, "src/repro/database/database.py") == []
 
     def test_reproflow_owns_the_omission(self):
-        from textwrap import dedent
+        # The public entry is what write-protocol anchors on: make the
+        # helper reachable from one and the omission is reported there,
+        # once.
+        findings = _active(
+            """
+            class Database:
+                def execute(self, node):
+                    return self._execute_insert(node)
 
-        from repro.verify.flow import analyze_sources
-
-        report = analyze_sources(
-            {"src/repro/database/database.py": dedent(self.UNLOGGED)},
-            rules=["write-protocol"],
+                def _execute_insert(self, node):
+                    table = self._resolve(node)
+                    return table.insert_rows(node.rows)
+            """,
+            "src/repro/database/database.py",
         )
-        # The public entry is what reproflow anchors on: make the helper
-        # reachable from one and the omission is reported there, once.
-        report2 = analyze_sources(
-            {"src/repro/database/database.py": dedent("""
-                class Database:
-                    def execute(self, node):
-                        return self._execute_insert(node)
-
-                    def _execute_insert(self, node):
-                        table = self._resolve(node)
-                        return table.insert_rows(node.rows)
-                """)},
-            rules=["write-protocol"],
-        )
-        assert report.active == []  # no public entry reaches the helper
-        assert len(report2.active) == 1
-        assert "Database.execute" in report2.active[0].message
+        assert [f.rule for f in findings] == ["write-protocol"]
+        assert "Database.execute" in findings[0].message
 
     def test_stale_suppressions_are_reported(self):
-        # The demotion left `lint-ok: durability-logging` comments in the
-        # tree with nothing to suppress; the stale-suppression meta-rule
-        # (mutant drop-commit-hook's cousin in spirit) now names them.
+        # A write-protocol excuse on a helper no public entry reaches has
+        # nothing to suppress: the stale-suppression meta-rule names it,
+        # exactly as it does for the per-file rules.
         findings = _active(
             """
             class Database:
                 def _gather(self, table, rows):
-                    # lint-ok: durability-logging (session temp table)
+                    # lint-ok: write-protocol (session temp table)
                     table.insert_rows(rows)
             """,
             "src/repro/database/database.py",
         )
         assert [f.rule for f in findings] == ["stale-suppression"]
-        assert "durability-logging" in findings[0].message
+        assert "write-protocol" in findings[0].message
 
 
 # -- stale-suppression --------------------------------------------------------
@@ -635,6 +631,30 @@ class TestStaleSuppression:
             "stale-suppression",
         )
         assert findings == []
+
+    def test_stale_project_rule_suppression_is_shadowable(self):
+        # A stale excuse for an interprocedural rule is judged like any
+        # other, and can itself be shadowed like any other.
+        source = """
+            class Coordinator:
+                def _commit_all(self, shard, staged):
+                    x = 1  # lint-ok: write-protocol (gone)
+                    y = 2  # lint-ok: write-protocol, stale-suppression (kept)
+            """
+        findings = _lint(source, "src/repro/cluster/mpp.py",
+                         "stale-suppression")
+        assert [(f.line, f.suppressed) for f in findings] == [
+            (4, False), (5, True),
+        ]
+        assert "'write-protocol'" in findings[0].message
+
+    def test_partial_project_rule_run_skips_staleness(self):
+        source = "x = 1  # lint-ok: write-protocol (stale)\n"
+        partial = lint_source(source, "src/repro/engine/x.py",
+                              rules=["write-protocol"])
+        assert partial == []
+        full = lint_source(source, "src/repro/engine/x.py")
+        assert [f.rule for f in full] == ["stale-suppression"]
 
     def test_stale_finding_is_itself_suppressible(self):
         findings = _lint(

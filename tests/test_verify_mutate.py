@@ -205,6 +205,21 @@ class TestGeneration:
             db = mutate_source(SAMPLING_SOURCE, mb, ops[0])[1]
             assert da == db
 
+    def test_ids_and_sample_survive_edits_above_the_target(self):
+        # A mutant's id names what it mutates, not where: blank lines and
+        # a function with no `constant` sites inserted above the target
+        # leave every sampled id unchanged.
+        ops = resolve_operators(["constant"])
+        before = generate_mutants({"src/mod.py": SAMPLING_SOURCE}, ops,
+                                  seed=7, max_mutants=10)
+        edited = "\n\n\ndef helper(a, b):\n    return a < b\n\n" \
+            + SAMPLING_SOURCE
+        after = generate_mutants({"src/mod.py": edited}, ops, seed=7,
+                                 max_mutants=10)
+        assert len(before) == 10
+        assert [m.mid for m in after] == [m.mid for m in before]
+        assert [m.lineno for m in after] == [m.lineno + 6 for m in before]
+
     def test_sampling_respects_per_operator_quota(self):
         sources = {"src/mod.py": SAMPLING_SOURCE + "def g(a, b):\n"
                                                    "    return a < b\n"}
