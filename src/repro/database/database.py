@@ -58,6 +58,68 @@ DEFAULT_BUFFERPOOL_PAGES = 1024
 #: :mod:`repro.verify.plan` before execution.
 VERIFY_PLANS_ENV_VAR = "REPRO_VERIFY_PLANS"
 
+#: The most row versions (old and new together) a write statement hands its
+#: commit listeners as a delta; a larger write reports its table's delta as
+#: unknown, which invalidates as if no delta existed.  Measured crossover of
+#: building and checking a delta against what it can spare: EXPERIMENTS.md,
+#: "Invalidation by delta".
+DELTA_MAX_ROWS = 128
+
+
+class TableDelta:
+    """The *n* row versions one write statement replaced or added in one
+    table, in physical form: the *old* versions are rows of a
+    :meth:`Database._table_batch` batch (those under *keep*, its keys
+    *prefix* + column name), the *new* ones the boundary rows that landed.
+    A column is built on first use (:meth:`column`), so a listener pays
+    only for the columns it reads."""
+
+    def __init__(self, schema, n: int, old=None, keep=None, prefix: str = "", new=()):
+        self.schema, self.n = schema, n
+        self._old, self._keep, self._prefix, self._new = old, keep, prefix, new
+        self._built: dict[str, ColumnVector | None] = {}
+
+    def column(self, name: str) -> ColumnVector | None:
+        """Every version's value of column *name* (None: no such column)."""
+        if name not in self._built:
+            self._built[name] = self._build(name)
+        return self._built[name]
+
+    def _build(self, name: str) -> ColumnVector | None:
+        names = self.schema.column_names
+        if name not in names:
+            return None
+        at = names.index(name)
+        dtype = self.schema.columns[at][1]
+        parts = []
+        if self._old is not None:
+            vector = self._old.columns[self._prefix + name]
+            parts.append(vector if self._keep is None else vector.filter(self._keep))
+        if self._new or not parts:
+            parts.append(ColumnVector.from_boundary([row[at] for row in self._new], dtype))
+        return parts[0] if len(parts) == 1 else ColumnVector.concat(parts)
+
+
+class TouchedTables(frozenset):
+    """What one committed write statement touched, as commit listeners see it.
+
+    The set of table names (uppercase) it may have changed, plus, per name,
+    ``versions[name]`` — the table's version clock after this commit — and
+    ``deltas.get(name)``: a :class:`TableDelta` of the rows the statement
+    wrote there.  A delta is None (absent) when the rows are not known:
+    DDL, CALL, blocks, the cluster's routed inserts, or a write larger than
+    :data:`DELTA_MAX_ROWS`.
+    """
+
+    versions: dict
+    deltas: dict
+
+    def __new__(cls, names, versions: dict, deltas: dict | None = None):
+        touched = super().__new__(cls, names)
+        touched.versions = versions
+        touched.deltas = deltas or {}
+        return touched
+
 
 class Database:
     """A single dashDB Local database instance.
@@ -216,11 +278,13 @@ class Database:
 
     def add_commit_listener(self, listener) -> None:
         """Register ``listener(tables_or_None)`` to run after every committed
-        write statement.  ``tables`` is the frozenset of touched table names
-        (uppercase); ``None`` means the touched set could not be derived
-        (CALL / anonymous block / recovery) and *everything* may have
-        changed.  Listeners run under the statement lock — they must be
-        short and must only acquire locks ranked after ``database``."""
+        write statement.  ``tables`` is a :class:`TouchedTables` — the
+        frozenset of touched table names (uppercase) with each one's new
+        version and, where known, the rows the statement wrote; ``None``
+        means the touched set could not be derived (CALL / anonymous block
+        / recovery) and *everything* may have changed.  Listeners run under
+        the statement lock — they must be short and must only acquire locks
+        ranked after ``database``."""
         if listener not in self._commit_listeners:
             self._commit_listeners.append(listener)
 
@@ -264,11 +328,15 @@ class Database:
         with self._version_lock:
             return self._write_epoch
 
-    def _note_commit(self, tables: frozenset | None) -> None:
+    def _note_commit(
+        self, tables: frozenset | None, deltas: dict | None = None
+    ) -> None:
         """Bump version counters and fan out to commit listeners.
 
         Called after a write transaction commits, still under the statement
-        lock, so listeners observe invalidations in commit order."""
+        lock, so listeners observe invalidations in commit order.  *deltas*
+        are the rows the statement wrote, per table (:meth:`_note_delta`)."""
+        versions = {}
         with self._version_lock:
             self._write_epoch += 1
             if tables is None:
@@ -277,11 +345,31 @@ class Database:
                     self._table_versions[name] += 1
             else:
                 for name in tables:
-                    self._table_versions[name] = (
+                    versions[name] = self._table_versions[name] = (
                         self._table_versions.get(name, 0) + 1
                     )
-        for listener in list(self._commit_listeners):
+        listeners = list(self._commit_listeners)
+        if listeners and tables is not None:
+            tables = TouchedTables(tables, versions, deltas)
+        for listener in listeners:
             listener(tables)
+
+    def _note_delta(
+        self, table: ColumnTable, rows: int, old=None, keep=None, prefix="", new=()
+    ) -> None:
+        """Keep what a write statement did to *table* for the commit
+        listeners: *rows* old and new versions (:class:`TableDelta` says
+        what the arguments are).  Nothing is kept unless a listener is
+        attached, and a table written twice in one statement or by more
+        than :data:`DELTA_MAX_ROWS` versions has no delta."""
+        deltas = getattr(self._tls, "deltas", None)
+        if deltas is None:
+            return
+        name = table.schema.name.upper()
+        if name in deltas or rows > DELTA_MAX_ROWS:
+            deltas[name] = None
+        else:
+            deltas[name] = TableDelta(table.schema, rows, old, keep, prefix, new)
 
     #: AST node -> attribute holding the target table reference.
     _TARGET_ATTRS = {
@@ -535,6 +623,7 @@ class Database:
         build = vectors_from_batch if vectors else result_from_batch
         result = build(batch, planned.names, planned.keys, planned.dtypes)
         result.lineage = planned.lineage
+        result.filters = planned.read_filters()
         return result
 
     #: Statement classes that never mutate shared database state: they run
@@ -632,8 +721,10 @@ class Database:
             wall_start = time.perf_counter()  # lint-ok: wall-clock (wall stopwatch reported beside the sim span, never charged to the cost model)
             sim_start = self.clock.now if self.clock is not None else None
             outer_txn = self._stmt_txn()
+            outer_deltas = getattr(self._tls, "deltas", None)
             txn = self.txn.begin()
             self._tls.txn = txn
+            self._tls.deltas = {} if self._commit_listeners else None
             try:
                 with self.tracer.span(
                     "statement", statement=type(node).__name__, sql=sql
@@ -652,9 +743,12 @@ class Database:
                     if self.durability is not None:
                         self.durability.commit(txn_meta={"txn": txn.txid})
                     txn.commit()
-                    self._note_commit(self._touched_tables(node, txn))
+                    self._note_commit(
+                        self._touched_tables(node, txn), self._tls.deltas
+                    )
             finally:
                 self._tls.txn = outer_txn
+                self._tls.deltas = outer_deltas
         wall = time.perf_counter() - wall_start  # lint-ok: wall-clock (same wall stopwatch as above; reported, never charged)
         sim = self.clock.now - sim_start if sim_start is not None else None
         session.record_statement(
@@ -905,6 +999,7 @@ class Database:
             count = txn.insert(table, rows)
         else:
             count = table.insert_rows(rows)
+        self._note_delta(table, count, new=rows)
         durable = self._durable_for(session, node.table, table)
         if durable is not None and rows:
             durable.log_insert(self._table_key(node.table, table), rows)
@@ -926,24 +1021,20 @@ class Database:
         batch = Batch.from_columns(columns) if columns else Batch({}, 0)
         return batch, Scope(scope_columns), live
 
-    def _match_mask(self, table, alias, where, session) -> np.ndarray:
-        batch, scope, live = self._table_batch(table, alias)
-        if where is None:
-            return live
-        binder = ExpressionBinder(scope, session.dialect, self)
-        binder.subquery_planner = self._planner(session)
-        predicate = binder.bind(where)
-        return selection_mask(predicate, batch) & live
-
     def _execute_delete(self, node: ast.Delete, session: Session) -> Result:
         table = self._resolve_target(node.table, session)
         alias = (node.table.alias or node.table.name).upper()
-        mask = self._match_mask(table, alias, node.where, session)
+        batch, scope, mask = self._table_batch(table, alias)
+        if node.where is not None:
+            binder = ExpressionBinder(scope, session.dialect, self)
+            binder.subquery_planner = self._planner(session)
+            mask = selection_mask(binder.bind(node.where), batch) & mask
         txn = self._stmt_txn()
         if txn is not None:
             count = txn.delete(table, mask)
         else:
             count = table.apply_deletes(mask)
+        self._note_delta(table, count, batch, mask, alias + ".")
         durable = self._durable_for(session, node.table, table)
         if durable is not None and count:
             durable.log_delete(self._table_key(node.table, table), mask)
@@ -961,6 +1052,7 @@ class Database:
             mask = live
         count = int(mask.sum())
         if count == 0:
+            self._note_delta(table, 0)
             return Result(rowcount=0, message="0 row(s) updated")
         assignments = []
         for column, expr_node in node.assignments:
@@ -999,7 +1091,9 @@ class Database:
         else:
             table.apply_deletes(mask)
             table.insert_rows(rows)
-        self.bufferpool.invalidate_table(table.schema.name)
+        # No page is dropped: the old versions' regions are only stamped
+        # (``xmax``) and the new ones land in the tail.
+        self._note_delta(table, 2 * count, matched, None, alias + ".", rows)
         durable = self._durable_for(session, node.table, table)
         if durable is not None:
             # Column-store UPDATE is delete + re-insert; so is its redo.

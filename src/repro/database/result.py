@@ -20,7 +20,9 @@ class Result:
     physical :class:`ColumnVector` per column) instead of ``rows``.
     ``lineage`` is what a read's planning resolved names against
     (:class:`repro.sql.planner.PlanLineage`, sealed): what the serving
-    result cache keeps the answer under.
+    result cache keeps the answer under; ``filters`` what a row of each
+    table it read had to pass to reach this answer
+    (:meth:`repro.sql.planner.PlannedQuery.read_filters`).
     """
 
     columns: list[str] = field(default_factory=list)
@@ -30,6 +32,7 @@ class Result:
     dtypes: list = field(default_factory=list)  # DataType per column (queries)
     vectors: list | None = None  # physical columns, in place of rows
     lineage: object | None = field(default=None, repr=False, compare=False)
+    filters: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def tables(self) -> frozenset | None:

@@ -29,6 +29,7 @@ class CacheStats:
     bypass: int = 0  # statements that went around the cache, all reasons
     stale_drops: int = 0  # entries found invalid on lookup
     invalidations: int = 0  # entries dropped because what they read changed
+    spared: int = 0  # entries kept across a commit to a table they read
     evictions: int = 0  # LRU capacity evictions
 
     @property

@@ -148,6 +148,28 @@ class PlannedQuery:
                 on_scan(scan)
         return self
 
+    def read_filters(self) -> dict | None:
+        """Per base table this execution reads, what a row of it must pass
+        to reach the answer: the pushed conjunction of each of the
+        execution's scans of the table (bound, so late literals carry this
+        execution's constants — every row a scan emits passes its own), or
+        None for TRUE.  A table read any other way is TRUE: a scan with no
+        pushed predicate, or a plan whose lineage took a bypass (a
+        plan-time subquery's answer is folded into the plan).  None when
+        the plan reads nothing commits announce."""
+        lineage = self.lineage
+        if lineage is None or not lineage.tables:
+            return None
+        if lineage.bypass is not None:
+            return dict.fromkeys(lineage.tables)
+        filters = dict.fromkeys(lineage.tables, ())
+        for scan in self.scans:
+            name = scan.table.schema.name.upper()
+            held = filters.get(name)
+            if held is not None:
+                filters[name] = held + (tuple(scan.pushed),) if scan.pushed else None
+        return {name: held or None for name, held in filters.items()}
+
     def bind(self, snapshot=None, tokens=None, on_scan=None) -> "PlannedQuery":
         """One execution of this plan: a copy of the operator tree that owns
         everything an execution varies — the MVCC *snapshot* and table

@@ -557,6 +557,64 @@ class PlanCacheFillVsDdl(Scenario):
         assert db.plan_cache.stats.hits >= 1
 
 
+class ResultFillVsFilteredCommit(Scenario):
+    """A result-cache fill races a commit the cache decides about by delta.
+
+    A gateway session asks ``SELECT V FROM T WHERE K = 1`` for the first
+    time — clock read, snapshot pinned, execution, store — while a writer
+    commits ``UPDATE T ... WHERE K = 2``, whose old and new rows both fail
+    the entry's filter: the hook spares the entry if it is there, and marks
+    ``T`` checked through the commit either way.  Whichever way the two
+    interleave, the cache must then answer exactly what the table holds:
+    hit or not, and after a commit that reaches the entry (run once the
+    race is over).  The bug this catches: a table marked checked through a
+    commit an entry never saw, so that an entry born before the commit —
+    stored past the clock, or filed after the hook ran — is taken as
+    current.
+    """
+
+    name = "result-fill-vs-filtered-commit"
+    description = "first fill of a cached lookup races a commit whose delta spares it"
+
+    _QUERY = "SELECT V FROM T WHERE K = 1"
+
+    def setup(self) -> dict:
+        from repro.serving import ServingGateway
+
+        db = Database(name="MC")
+        session = db.connect()
+        session.execute("CREATE TABLE T (K INT, V INT)")
+        session.execute("INSERT INTO T VALUES (1, 10), (2, 20)")
+        session.execute(self._QUERY)  # the plan is cached; the answer is not
+        return {"db": db, "gateway": ServingGateway(db)}
+
+    def thread_specs(self, state: dict) -> list:
+        db, gateway = state["db"], state["gateway"]
+
+        def reader():
+            state["seen"] = gateway.execute(self._QUERY).rows
+
+        def writer():
+            db.connect().execute("UPDATE T SET V = V + 1 WHERE K = 2")
+
+        return [("reader", reader), ("writer", writer)]
+
+    def check(self, state: dict) -> None:
+        db, cache = state["db"], state["gateway"].result_cache
+        assert state["seen"] == [(10,)], state["seen"]
+        for _ in range(2):  # whatever the race left cached, then from the cache
+            assert cache.fetch(self._QUERY).result.rows == [(10,)]
+        assert cache.fetch(self._QUERY).hit
+        db.execute("UPDATE T SET V = V + 1 WHERE K = 2")
+        assert cache.fetch(self._QUERY).hit, "a sparing commit dropped the entry"
+        db.execute("UPDATE T SET V = 110 WHERE K = 1")
+        fetched = cache.fetch(self._QUERY)
+        assert fetched.result.rows == [(110,)], (
+            "result cache served %r after a commit that reaches it (hit=%s)"
+            % (fetched.result.rows, fetched.hit)
+        )
+
+
 #: The registry, in documentation order.
 SCENARIOS = [
     ConcurrentInsertCommit(),
@@ -568,6 +626,7 @@ SCENARIOS = [
     FirstCommitterWins(),
     CommitCrashVersions(),
     PlanCacheFillVsDdl(),
+    ResultFillVsFilteredCommit(),
 ]
 
 

@@ -381,6 +381,11 @@ def check_positions(ids, n_rows: int, emitted: int) -> None:
     raise VectorInvariantError("positional selection: %s" % problem)
 
 
+class SpareError(AssertionError):
+    """The result cache kept an entry across a commit whose delta has a row
+    passing one of the entry's filters on the written table."""
+
+
 class SharedPlanError(AssertionError):
     """Per-execution state is reachable from a plan the cache shares."""
 

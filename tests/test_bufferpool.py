@@ -115,6 +115,43 @@ class TestScanReconciliation:
         assert pages_read <= 2 * regions
 
 
+class TestWritesKeepOrDropPages:
+    """Pages are dropped only where a region index can come to mean other
+    data: DROP and TRUNCATE.  An UPDATE stamps ``xmax`` on the old versions
+    and lands the new ones in the tail; a sealed tail gets a fresh index."""
+
+    _QUERY = "SELECT ID, V FROM R WHERE W < 9 ORDER BY ID"
+
+    def test_pages_cached_before_an_update_still_hit_after_it(self):
+        db, session = TestScanReconciliation()._loaded_db()
+        before = session.query(self._QUERY)
+        session.execute("UPDATE R SET V = V + 100 WHERE ID = 7")
+        stats = db.bufferpool.stats
+        hits, misses = stats.hits, stats.misses
+        after = session.query(self._QUERY)
+        assert stats.misses == misses and stats.hits > hits  # every page a hit
+        expected = [(i, v + 100) if i == 7 else (i, v) for i, v in before]
+        assert after == expected
+        # The answer equals a read with a cold pool.
+        db.bufferpool.clear()
+        assert session.query(self._QUERY) == after
+
+    def test_drop_and_truncate_still_drop_the_pages(self):
+        db, session = TestScanReconciliation()._loaded_db()
+        session.query(self._QUERY)
+        assert len(db.bufferpool) > 0
+        session.execute("TRUNCATE TABLE R IMMEDIATE")
+        assert len(db.bufferpool) == 0
+        session.query("SELECT COUNT(*) FROM R")
+        session.execute("INSERT INTO R VALUES (1, 2, 3)")
+        from repro.workloads.tpcds import flush_tables
+
+        flush_tables(db)
+        assert session.query(self._QUERY) == [(1, 2)]  # region 0 again: new pages
+        assert len(db.bufferpool) > 0
+        session.execute("DROP TABLE R")
+        assert len(db.bufferpool) == 0
+
 
 class TestTempTablesBypassThePool:
     """Pool frames are keyed by table *name*; only the catalog keeps names

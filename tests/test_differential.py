@@ -12,6 +12,8 @@ multiplicity, and morsel merge/gather ordering).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.rowdb import RowDatabase
 from repro.database import Database
@@ -1145,3 +1147,245 @@ def test_sparse_selections_under_an_older_snapshot(sparse_engines, monkeypatch):
                 patch.setattr(operators, "POSITIONS_MAX_DENSITY", 0.0)
                 dense = db.execute_ast(parse_statement(sql), systems[name], snapshot=snapshots[name])
             assert dense.rows == got.rows, "%s forced dense: %s" % (name, sql)
+
+
+# -- invalidation by delta: a cached answer survives what its scans filter out --
+
+_SPARE_ROWS = 200  # ids 0..199 sealed in regions, id 500 in the tail
+
+
+@pytest.fixture
+def spare_gateway():
+    """A gateway over ``acct`` (branch NULL on every 7th id, note NULL on
+    every 5th) and ``pos``, sealed into small regions plus one tail row."""
+    from repro.serving import ServingGateway
+
+    db = Database(region_rows=64)
+    session = db.connect("db2")
+    session.execute(
+        "CREATE TABLE acct (id INT, bal DECIMAL(10,2), branch VARCHAR(4), note INT)"
+    )
+    session.execute("CREATE TABLE pos (id INT, qty INT)")
+    session.execute("INSERT INTO acct VALUES " + ", ".join(
+        "(%d, %d.50, %s, %s)" % (
+            i, i * 10,
+            "NULL" if i % 7 == 0 else "'b%d'" % (i % 3),
+            "NULL" if i % 5 == 0 else str(i),
+        )
+        for i in range(_SPARE_ROWS)
+    ))
+    session.execute(
+        "INSERT INTO pos VALUES " + ", ".join("(%d, %d)" % (i % 50, i) for i in range(100))
+    )
+    flush_tables(db)
+    session.execute("INSERT INTO acct VALUES (500, 1.00, 'b1', 1)")
+    gateway = ServingGateway(db)
+    yield db, session, gateway
+    gateway.close()
+
+
+def _kept_across(spare_gateway, queries, write):
+    """Cache *queries*, commit *write*, and return the queries whose entry
+    survived it.  Every answer after the write, kept or refilled, must be
+    what an uncached plan of the text answers now, row order included."""
+    db, session, gateway = spare_gateway
+    cache = gateway.result_cache
+    for sql in queries:
+        cache.fetch(sql, session)
+    session.execute(write)
+    kept = set()
+    for sql in queries:
+        fetched = cache.fetch(sql, session)
+        if fetched.hit:
+            kept.add(sql)
+        result = fetched.result
+        assert (result.columns, result.rows) == _fresh_plan(db, session, sql)[:2], sql
+    return kept
+
+
+def _lookup(acct_id):
+    return "SELECT bal FROM acct WHERE id = %d" % acct_id
+
+
+def test_a_write_that_moves_a_row_into_a_cached_predicate_drops_it(spare_gateway):
+    queries = [_lookup(3), _lookup(4), _lookup(5)]
+    # The old version passes id = 3, the new one id = 4: both go.
+    assert _kept_across(spare_gateway, queries, "UPDATE acct SET id = 4 WHERE id = 3") == {
+        _lookup(5)
+    }
+    assert spare_gateway[2].result_cache.stats.spared >= 1
+
+
+def test_a_write_to_a_non_filter_column_of_a_matching_row_drops_it(spare_gateway):
+    by_branch = "SELECT COUNT(*) FROM acct WHERE branch = 'b1'"
+    other_branch = "SELECT SUM(bal) FROM acct WHERE branch = 'b2'"
+    note = "SELECT note FROM acct WHERE id = 4"
+    queries = [_lookup(3), note, by_branch, other_branch]
+    # id 4 is in branch b1: the count cannot change, but a row it filters
+    # for was written, and only the scan filters are consulted.
+    kept = _kept_across(spare_gateway, queries, "UPDATE acct SET note = 99 WHERE id = 4")
+    assert kept == {_lookup(3), other_branch}
+
+
+def test_nulls_in_the_filter_column_fail_every_comparison(spare_gateway):
+    queries = {
+        "eq": "SELECT COUNT(*) FROM acct WHERE branch = 'b1'",
+        "ne": "SELECT COUNT(*) FROM acct WHERE branch <> 'b0'",
+        "in": "SELECT COUNT(*) FROM acct WHERE branch IN ('b0', 'b2')",
+        "null": "SELECT COUNT(*) FROM acct WHERE branch IS NULL",
+        "not-null": "SELECT MAX(id) FROM acct WHERE branch IS NOT NULL",
+    }
+    # id 7's branch is NULL (old and new): only IS NULL sees it.
+    kept = _kept_across(
+        spare_gateway, list(queries.values()), "UPDATE acct SET bal = 0 WHERE id = 7"
+    )
+    assert kept == {queries[k] for k in ("eq", "ne", "in", "not-null")}
+    # id 1 goes from 'b1' to NULL: everything but IN ('b0', 'b2') sees a version.
+    kept = _kept_across(
+        spare_gateway, list(queries.values()), "UPDATE acct SET branch = NULL WHERE id = 1"
+    )
+    assert kept == {queries["in"]}
+
+
+def test_a_self_join_keeps_one_filter_per_scan(spare_gateway):
+    pair = "SELECT a.bal, b.bal FROM acct a, acct b WHERE a.id = 1 AND b.id = 2"
+    assert _kept_across(spare_gateway, [pair], "UPDATE acct SET note = 0 WHERE id = 9") == {pair}
+    assert _kept_across(spare_gateway, [pair], "UPDATE acct SET note = 0 WHERE id = 2") == set()
+    assert _kept_across(spare_gateway, [pair], "DELETE FROM acct WHERE id = 1") == set()
+
+
+def test_a_read_through_a_view_is_filtered_by_the_view_scan(spare_gateway):
+    db, session, _ = spare_gateway
+    session.execute("CREATE VIEW rich AS SELECT id, bal FROM acct WHERE bal > 1500")
+    count = "SELECT COUNT(*) FROM rich"
+    assert _kept_across(spare_gateway, [count], "UPDATE acct SET note = 1 WHERE id = 11") == {count}
+    # 110.50 -> 1600: the new version moves into the view.
+    assert _kept_across(spare_gateway, [count], "UPDATE acct SET bal = 1600 WHERE id = 11") == set()
+
+
+def test_an_in_subquery_over_the_written_table_counts_as_true(spare_gateway):
+    nested = "SELECT qty FROM pos WHERE id IN (SELECT id FROM acct WHERE branch = 'b2')"
+    direct = "SELECT qty FROM pos WHERE id = 2"
+    # id 1 is in branch b1: it fails the subquery's filter, but the plan
+    # folded the subquery's answer in, so every write to acct drops it.
+    kept = _kept_across(spare_gateway, [nested, direct], "UPDATE acct SET note = 0 WHERE id = 1")
+    assert kept == {direct}
+    kept = _kept_across(spare_gateway, [nested, direct], "INSERT INTO pos VALUES (7, 7)")
+    assert kept == {direct}  # (7, 7) fails id = 2; pos is TRUE for the subquery plan
+
+
+def test_a_delta_larger_than_the_size_constant_invalidates_as_before(spare_gateway):
+    from repro.database.database import DELTA_MAX_ROWS
+
+    queries = [_lookup(3)]
+    rows = DELTA_MAX_ROWS // 2 + 1  # an UPDATE writes two versions per row
+    big = "UPDATE acct SET note = note WHERE id >= %d" % (_SPARE_ROWS - rows)
+    assert _kept_across(spare_gateway, queries, big) == set()
+    small = "UPDATE acct SET note = note WHERE id >= %d" % (_SPARE_ROWS - rows + 2)
+    assert _kept_across(spare_gateway, queries, small) == set(queries)
+    values = ", ".join("(%d, 0, 'b9', 0)" % (1000 + i) for i in range(DELTA_MAX_ROWS + 1))
+    assert _kept_across(spare_gateway, queries, "INSERT INTO acct VALUES " + values) == set()
+    values = ", ".join("(%d, 0, 'b9', 0)" % (2000 + i) for i in range(DELTA_MAX_ROWS))
+    assert _kept_across(spare_gateway, queries, "INSERT INTO acct VALUES " + values) == set(queries)
+
+
+def _spare_predicates(draw, alias=""):
+    k, v, s = (alias + c for c in ("k", "v", "s"))
+    small = st.integers(-2, 6)
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return "%s = %d" % (k, draw(small))
+    if choice == 1:
+        return "%s < %d" % (v, draw(small))
+    if choice == 2:
+        lo = draw(small)
+        return "%s BETWEEN %d AND %d" % (v, lo, lo + draw(st.integers(0, 3)))
+    if choice == 3:
+        return "%s IN ('a', '%s')" % (s, draw(st.sampled_from("bcd")))
+    if choice == 4:
+        return "%s IS %sNULL" % (s, draw(st.sampled_from(["", "NOT "])))
+    if choice == 5:
+        return "%s = %d AND %s <> %d" % (k, draw(small), v, draw(small))
+    if choice == 6:
+        return "%s >= %d AND %s = '%s'" % (k, draw(small), s, draw(st.sampled_from("abc")))
+    if choice == 7:
+        return "%s + 1 = %d" % (k, draw(small))  # a residual: the scan filter is TRUE
+    if choice == 8:
+        return "%s <= %d OR %s IS NULL" % (v, draw(small), v)  # no pushed conjunct
+    return "%s = %d" % (v, draw(small))
+
+
+def _spare_value_st():
+    return st.one_of(st.none(), st.integers(-2, 6))
+
+
+def _spare_value(draw):
+    return draw(_spare_value_st())
+
+
+def _sql_value(value, quote=False):
+    if value is None:
+        return "NULL"
+    return "'%s'" % "abcd"[value % 4] if quote else str(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_entry_kept_across_a_random_filtered_commit_equals_a_fresh_execution(data):
+    """Property: whatever the cached statements and the commit, an entry
+    the commit hook kept answers exactly what an uncached plan answers
+    after the commit (and the refilled ones do too)."""
+    from repro.serving import ServingGateway
+
+    draw = data.draw
+    db = Database(region_rows=16)
+    session = db.connect("db2")
+    session.execute("CREATE TABLE p (k INT, v INT, s VARCHAR(2))")
+    rows = draw(st.lists(
+        st.tuples(_spare_value_st(), _spare_value_st(), _spare_value_st()),
+        min_size=0, max_size=40,
+    ))
+    if rows:
+        session.execute("INSERT INTO p VALUES " + ", ".join(
+            "(%s, %s, %s)" % (_sql_value(k), _sql_value(v), _sql_value(s, quote=True))
+            for k, v, s in rows
+        ))
+    if draw(st.booleans()):
+        flush_tables(db)
+    gateway = ServingGateway(db)
+    shapes = [
+        lambda: "SELECT k, v, s FROM p WHERE " + _spare_predicates(draw),
+        lambda: "SELECT COUNT(*), SUM(v) FROM p WHERE " + _spare_predicates(draw),
+        lambda: "SELECT s, COUNT(*) FROM p WHERE %s GROUP BY s" % _spare_predicates(draw),
+        lambda: "SELECT x.k, y.v FROM p x, p y WHERE x.k = y.v AND %s AND %s" % (
+            _spare_predicates(draw, "x."), _spare_predicates(draw, "y.")),
+        lambda: "SELECT MIN(k) FROM p",
+    ]
+    queries = [draw(st.sampled_from(shapes))() for _ in range(draw(st.integers(1, 6)))]
+    cache = gateway.result_cache
+    for sql in queries:
+        cache.fetch(sql, session)
+    kind = draw(st.sampled_from(["update", "delete", "insert"]))
+    if kind == "update":
+        column = draw(st.sampled_from(["k", "v", "s"]))
+        value = _sql_value(_spare_value(draw), quote=column == "s")
+        write = "UPDATE p SET %s = %s WHERE %s" % (column, value, _spare_predicates(draw))
+    elif kind == "delete":
+        write = "DELETE FROM p WHERE " + _spare_predicates(draw)
+    else:
+        new = draw(st.lists(
+            st.tuples(_spare_value_st(), _spare_value_st(), _spare_value_st()),
+            min_size=1, max_size=3,
+        ))
+        write = "INSERT INTO p VALUES " + ", ".join(
+            "(%s, %s, %s)" % (_sql_value(k), _sql_value(v), _sql_value(s, quote=True))
+            for k, v, s in new
+        )
+    session.execute(write)
+    for sql in queries:
+        fetched = cache.fetch(sql, session)
+        fresh = _fresh_plan(db, session, sql)
+        assert (fetched.result.columns, fetched.result.rows) == fresh[:2], (
+            "%s answer after %r: %s" % ("kept" if fetched.hit else "refilled", write, sql)
+        )
+    gateway.close()

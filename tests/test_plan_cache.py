@@ -571,9 +571,10 @@ class TestAccounting:
         report = db.monreport()["plan_cache"]
         assert {k: report[k] for k in (
             "entries", "templates", "hits", "misses", "evictions", "invalidations",
+            "spared",
         )} == {
             "entries": 1, "templates": 1, "hits": 2, "misses": 1,
-            "evictions": 0, "invalidations": 0,
+            "evictions": 0, "invalidations": 0, "spared": 0,
         }
         assert report["bypass_reasons"]["not-a-read"] == 2  # the fixture's DDL + INSERT
         assert report["bypass"] == sum(report["bypass_reasons"].values())

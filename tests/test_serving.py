@@ -417,6 +417,235 @@ class TestResultCache:
         assert not cache.fetch("SELECT a FROM t WHERE a < 10").hit
 
 
+@pytest.fixture()
+def accounts():
+    """A gateway over 40 accounts (every 4th branch NULL) plus ``other``."""
+    db = Database("accounts", region_rows=16)
+    db.execute("CREATE TABLE acct (id INT, bal INT, branch VARCHAR(2))")
+    db.execute("CREATE TABLE other (x INT)")
+    db.execute("INSERT INTO acct VALUES " + ", ".join(
+        "(%d, %d, %s)" % (i, 10 * i, "NULL" if i % 4 == 0 else "'b%d'" % (i % 2))
+        for i in range(40)
+    ))
+    gateway = ServingGateway(db)
+    yield db, gateway
+    gateway.close()
+
+
+def _lookup(acct_id):
+    return "SELECT bal FROM acct WHERE id = %d" % acct_id
+
+
+class TestInvalidationByDelta:
+    def test_a_point_write_spares_the_other_lookups(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        for i in range(5):
+            gw.execute(_lookup(i))
+        db.execute("UPDATE acct SET bal = bal + 1 WHERE id = 2")
+        assert [cache.fetch(_lookup(i)).hit for i in range(5)] == [True, True, False, True, True]
+        assert (cache.stats.invalidations, cache.stats.spared) == (1, 4)
+        assert gw.execute(_lookup(2)).scalar() == 21
+        for report in (cache.report(), db.monreport()["serving"]["result_cache"]):
+            assert (report["invalidations"], report["spared"]) == (1, 4)
+
+    def test_a_spared_entry_is_current_without_being_restamped(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        gw.execute(_lookup(1))
+        (entry,) = cache._entries.values()
+        stamped = entry.token
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 3")
+        assert entry.token is stamped  # the commit touched no entry ...
+        assert not db.versions_valid(stamped)
+        assert cache._checked["ACCT"] == db.versions_token(["ACCT"])[1]["ACCT"]
+        assert cache.fetch(_lookup(1)).hit  # ... the table is checked through it
+        assert db.versions_valid(entry.token)  # and the hit brought it up to date
+        assert cache.stats.stale_drops == 0
+
+    def test_a_missed_commit_drops_every_entry_on_the_table(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        gw.execute(_lookup(1))
+        gw.execute(_lookup(2))
+        db.remove_commit_listener(cache.on_commit)
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 1")  # unseen by the cache
+        db.add_commit_listener(cache.on_commit)
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 9")  # would spare both
+        assert cache.stats.invalidations == 2 and cache.stats.spared == 0
+        assert gw.execute(_lookup(1)).scalar() == 0
+
+    def test_an_unseen_commit_never_validates_an_entry(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        gw.execute(_lookup(1))
+        db.remove_commit_listener(cache.on_commit)
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 1")
+        fetched = cache.fetch(_lookup(1))
+        assert not fetched.hit and fetched.result.scalar() == 0
+        assert cache.stats.stale_drops == 1
+
+    def test_an_unknown_delta_drops_every_entry_on_the_table(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        gw.execute(_lookup(1))
+        gw.execute("SELECT COUNT(*) FROM other")
+        db.execute("TRUNCATE TABLE acct")
+        assert cache.stats.invalidations == 1 and cache.report()["entries"] == 1
+        gw.execute(_lookup(1))
+        db.execute("BEGIN INSERT INTO other VALUES (1); END")
+        assert cache.report()["entries"] == 0  # a block: anything may have changed
+
+    def test_the_hook_checks_only_the_entries_a_delta_can_reach(self, accounts, monkeypatch):
+        db, gw = accounts
+        for i in range(30):
+            gw.execute(_lookup(i))
+        unindexed = [
+            "SELECT COUNT(*) FROM acct WHERE bal > 100",
+            "SELECT COUNT(*) FROM acct WHERE id = 1 OR id = 2",
+        ]
+        for sql in unindexed:
+            gw.execute(sql)
+        cache = gw.result_cache
+        checked = []
+        candidates = cache._candidates
+        monkeypatch.setattr(
+            cache, "_candidates",
+            lambda table, delta: checked.append(candidates(table, delta)) or checked[-1],
+        )
+        db.execute("UPDATE acct SET branch = 'b7' WHERE id = 5")
+        # Lookup 5 (filed under id = 5) and the two unindexed entries.
+        (found,) = checked
+        assert {text for _, text in found} == {
+            statement_key(sql).text for sql in (_lookup(5), *unindexed)
+        }
+        # Lookup 5 and the OR (no pushed conjunct: TRUE) go; bal 50 fails bal > 100.
+        assert gw.result_cache.stats.invalidations == 2
+        assert not gw.result_cache.fetch(_lookup(5)).hit
+
+    def test_an_update_matching_nothing_spares_everything(self, accounts):
+        db, gw = accounts
+        gw.execute("SELECT COUNT(*) FROM acct")  # no pushed predicate: TRUE
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 999")
+        assert gw.result_cache.fetch("SELECT COUNT(*) FROM acct").hit
+
+    def test_listeners_see_versions_and_physical_deltas(self, accounts):
+        from repro.database.database import TouchedTables
+
+        db, _ = accounts
+        seen = []
+        db.add_commit_listener(seen.append)
+        db.execute("UPDATE acct SET bal = 7, branch = NULL WHERE id = 3")
+        (touched,) = seen
+        assert isinstance(touched, TouchedTables) and touched == frozenset({"ACCT"})
+        assert touched.versions == {"ACCT": db.versions_token(["ACCT"])[1]["ACCT"]}
+        delta = touched.deltas["ACCT"]
+        assert delta.n == 2 and delta.column("NOPE") is None
+        assert delta.column("ID").values.tolist() == [3, 3]
+        assert delta.column("BAL").values.tolist() == [30, 7]
+        assert delta.column("BRANCH").null_mask().tolist() == [False, True]
+        db.execute("DELETE FROM acct WHERE id = 3")
+        db.execute("INSERT INTO acct VALUES (99, 1, 'b1')")
+        assert [t.deltas["ACCT"].column("ID").values.tolist() for t in seen[1:]] == [[3], [99]]
+        db.execute("CREATE TABLE t2 (a INT)")
+        assert seen[-1].deltas == {}  # DDL: no rows known
+
+    def test_no_delta_is_built_without_a_listener(self, monkeypatch):
+        from repro.database import database as database_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a delta was built with no listener attached")
+
+        monkeypatch.setattr(database_module, "TableDelta", refuse)
+        db = Database("quiet")
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.execute("UPDATE t SET a = 3 WHERE a = 1")
+        db.execute("DELETE FROM t WHERE a = 2")
+        assert db.execute("SELECT a FROM t").rows == [(3,)]
+
+    def test_dropping_one_column_of_the_index_keeps_the_others(self, accounts):
+        # (boolean mutant in ResultCache._drop: forgetting a table's whole
+        # index once one of its columns emptied left the entries filed under
+        # its other columns out of every later candidate set — spared.)
+        db, gw = accounts
+        cache = gw.result_cache
+        by_branch = "SELECT COUNT(*) FROM acct WHERE branch = 'b1'"
+        gw.execute(_lookup(2))
+        gw.execute(by_branch)
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 2")  # drops the id = 2 entry
+        assert set(cache._by_value["ACCT"]) == {"BRANCH"}
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 3")  # id 3 is in branch b1
+        fetched = cache.fetch(by_branch)
+        assert not fetched.hit and fetched.result.scalar() == 20
+
+    def test_a_table_no_commit_has_stamped_is_cached(self, accounts):
+        # (constant mutant in ResultCache._produce: a table absent from the
+        # clock must read as version 0, or its entries are born stale.)
+        from repro.storage.table import TableSchema
+        from repro.types.datatypes import INTEGER
+
+        db, gw = accounts
+        db.catalog.create_table(TableSchema("QUIET", (("A", INTEGER),)))
+        assert "QUIET" not in db.versions_token(None)[1]
+        gw.execute("SELECT COUNT(*) FROM quiet")
+        assert gw.result_cache.fetch("SELECT COUNT(*) FROM quiet").hit
+
+    def test_fill_hook_and_clear_touch_the_entries_under_the_cache_lock(self, accounts):
+        # (drop-lock mutants in fetch, _produce, on_commit and clear: a
+        # single-threaded suite never contends, so pin the discipline.)
+        from collections import OrderedDict
+
+        from tests.test_mutation_gaps import _RecordingLock
+
+        db, gw = accounts
+        cache = gw.result_cache
+        recorder = _RecordingLock(cache._lock)
+        held = []
+
+        class Entries(OrderedDict):
+            def get(self, key, default=None):
+                held.append(("get", recorder.held))
+                return super().get(key, default)
+
+            def __setitem__(self, key, value):
+                held.append(("set", recorder.held))
+                super().__setitem__(key, value)
+
+            def pop(self, key, *default):
+                held.append(("pop", recorder.held))
+                return super().pop(key, *default)
+
+            def clear(self):
+                held.append(("clear", recorder.held))
+                super().clear()
+
+            def __len__(self):
+                held.append(("len", recorder.held))
+                return super().__len__()
+
+        cache._lock, cache._entries = recorder, Entries()
+        gw.execute(_lookup(1))  # miss: looked up, then stored
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 1")  # the hook drops it
+        db.execute("BEGIN INSERT INTO other VALUES (1); END")  # ... drops all
+        cache.report()
+        cache.clear()
+        assert {what for what, _ in held} == {"get", "set", "pop", "len", "clear"}
+        assert all(was_held for _, was_held in held), held
+
+    def test_clear_forgets_the_index(self, accounts):
+        db, gw = accounts
+        cache = gw.result_cache
+        gw.execute(_lookup(1))
+        gw.execute("SELECT COUNT(*) FROM acct WHERE bal > 5")
+        assert cache._by_value and cache._unindexed and cache._checked
+        cache.clear()
+        assert not (cache._by_value or cache._unindexed or cache._checked or cache._by_table)
+        gw.execute(_lookup(1))
+        db.execute("UPDATE acct SET bal = 0 WHERE id = 2")
+        assert cache.fetch(_lookup(1)).hit
+
+
 class TestPlanCache:
     def test_statement_ast_reused_across_invalidation(self, served):
         """(Named for the AST cache this one replaced: what is reused across
@@ -596,6 +825,14 @@ class TestBypassReasons:
             counted = {k: v for k, v in stats.bypass_reasons.items() if v}
             assert counted == expected
             assert stats.bypass == sum(expected.values()) == 4
+
+    def test_the_result_cache_report_keys(self, served):
+        db, gw = served
+        for report in (gw.result_cache.report(), db.monreport()["serving"]["result_cache"]):
+            assert set(report) == {
+                "bypass_reasons", "hits", "misses", "stores", "bypass", "stale_drops",
+                "invalidations", "spared", "evictions", "hit_rate", "entries", "capacity",
+            }
 
     def test_reasons_reach_the_gateway_report_and_monreport(self, served):
         db, gw = served
