@@ -23,6 +23,7 @@ from repro.engine import fused
 from repro.engine.expression import Batch, Expr
 from repro.engine.operators import Operator
 from repro.errors import UnsupportedFeatureError
+from repro.parallel.morsel import morsel_ranges
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, DOUBLE, DataType, TypeKind, decimal_type
 
@@ -119,14 +120,9 @@ class GroupByOp(Operator):
         self.morsel_rows = morsel_rows
         self.stats = GroupStats()
         self.parallel_run = None
-        #: Fusion telemetry (EXPLAIN ANALYZE): "scan-agg" when the whole
-        #: scan→aggregate chain ran fused, "batch-agg" for a fused reduce
-        #: over the drained child, None for the unfused paths.
+        #: Fusion telemetry (EXPLAIN ANALYZE): "batch-agg" when the drained
+        #: child was reduced in spans on the pool, None for the DOP-1 code.
         self.fused_mode = None
-        self.fused_cache = None
-        #: Planner-assigned structural signature; part of the fused
-        #: pipeline-cache key so shape-identical queries share a pipeline.
-        self.shape_key = ""
 
     def parallel_safe(self) -> bool:
         """True when every aggregate merges exactly across morsels, i.e.
@@ -152,36 +148,22 @@ class GroupByOp(Operator):
 
     def execute(self):
         pool = self.pool
-        self.stats = GroupStats()  # this execution's own (the operator may be a copy)
-        if pool is not None and pool.is_parallel and self.parallel_safe():
-            # Whole-chain fusion: when the child is a project/filter chain
-            # over a multi-region scan, each pool task scans K regions and
-            # reduces them in place — the decoded scan output is never
-            # materialised (see repro.engine.fused).
-            plan = fused.match_scan_agg(self)
-            if plan is not None:
-                columns, n_groups, input_rows = fused.execute_scan_agg(
-                    self, plan, pool
-                )
-                self.stats.input_rows, self.stats.groups = input_rows, n_groups
-                yield Batch.from_columns(columns)
-                return
         batch = self.child.run()
-        self.stats = GroupStats(input_rows=batch.n)
+        self.stats = GroupStats(input_rows=batch.n)  # this execution's own (the operator may be a copy)
         if batch.n == 0 and not batch.columns:
             # A drained-empty child lost its schema: rebuild typed empty
             # columns for every column reference the aggregates/keys read.
             batch = _synthesize_empty(self.keys, self.aggregates)
-        if pool is not None and pool.is_parallel and batch.n > 1 and self.parallel_safe():
-            from repro.parallel.morsel import morsel_ranges
-
-            if len(morsel_ranges(batch.n, self.morsel_rows)) > 1:
-                # Fused span reduction over the drained input batch.
-                columns, self.stats.groups = fused.parallel_group_reduce(
-                    self, batch, pool
-                )
-                yield Batch.from_columns(columns)
-                return
+        if (
+            pool is not None
+            and pool.is_parallel
+            and self.parallel_safe()
+            and len(morsel_ranges(batch.n, self.morsel_rows)) > 1
+        ):
+            # Fused span reduction over the drained input batch.
+            columns, self.stats.groups = fused.parallel_group_reduce(self, batch, pool)
+            yield Batch.from_columns(columns)
+            return
         if not self.keys:
             self.stats.groups = 1
             yield self._grand_total(batch)

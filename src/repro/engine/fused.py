@@ -4,48 +4,36 @@ The paper's BLU engine gets its speed from running each query stage as a
 vectorised kernel over columnar data rather than interpreting tuples.  This
 module is the engine's one parallel aggregate.  It decides which aggregates
 merge exactly across spans (:func:`recipe_kind`; ``parallel_safe()`` of the
-group-by asks here and nowhere else) and compiles such a ``GroupByOp`` (and,
-when the plan allows, its whole project/filter/scan chain) into *fused
-kernels*: every pool task makes a handful of GIL-releasing numpy calls over
-its span of rows and returns small per-group accumulator arrays that merge
-associatively.
+group-by asks here and nowhere else) and compiles such a ``GroupByOp`` into
+*fused kernels*: every pool task makes a handful of GIL-releasing numpy
+calls over its span of the drained input and returns small per-group
+accumulator arrays that merge associatively.
 
-Two layers:
-
-* **Span reduction** (:func:`_reduce_span`): factorise the span's group
-  keys (:func:`group_codes`, over the :mod:`repro.simd.factorize`
-  kernels — a dictionary-coded string key is ranked through its
-  dictionary and never materialised, :func:`row_coding_reason` names the
-  exceptions), then reduce every aggregate with ``bincount`` /
-  ``ufunc.at`` scatter ops.  :func:`group_codes` and
-  :func:`min_max_span` are also what the whole-column operator in
-  :mod:`repro.engine.aggregate` runs at DOP 1, and the accumulator arithmetic is the same (modular int64 sums,
-  float64 division of exact integer sums for AVG), so merged results are
-  bit-identical to it for every ``parallel_safe()`` plan.
-* **Scan fusion** (:func:`match_scan_agg` / :func:`execute_scan_agg`):
-  when the group-by sits on a project/filter chain over a region-organised
-  table scan, each pool task scans K regions (synopsis skipping and
-  compressed predicates included) and reduces them in place — the full
-  decoded scan output is never materialised or concatenated.  Compiled
-  chains are cached in :data:`PIPELINE_CACHE`, an LRU keyed on plan shape.
+**Span reduction** (:func:`_reduce_span`): factorise the span's group keys
+(:func:`group_codes`, over the :mod:`repro.simd.factorize` kernels — a
+dictionary-coded string key is ranked through its dictionary and never
+materialised, :func:`row_coding_reason` names the exceptions), then reduce
+every aggregate with ``bincount`` / ``ufunc.at`` scatter ops.
+:func:`group_codes` and :func:`min_max_span` are also what the whole-column
+operator in :mod:`repro.engine.aggregate` runs at DOP 1, and the
+accumulator arithmetic is the same (modular int64 sums, float64 division of
+exact integer sums for AVG), so merged results are bit-identical to it for
+every ``parallel_safe()`` plan.
 
 Pool tasks close over the input arrays; nothing is copied to reach a worker.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.engine.expression import Batch, selection_mask
-from repro.engine.operators import FilterOp, ProjectOp, ScanStats, TableScanOp
-from repro.parallel.morsel import batch_items, batch_spans
+from repro.parallel.morsel import batch_spans
 from repro.simd.factorize import factorize, factorize_int
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, DOUBLE, TypeKind
-from repro.verify import sanitizer
 
 #: Combined radix beyond which multi-column key packing would overflow
 #: int64; :func:`group_codes` compacts the packed codes before going on.
@@ -436,279 +424,5 @@ def parallel_group_reduce(op, batch, pool):
     return columns, n_groups
 
 
-# -- pipeline cache --------------------------------------------------------------
-
-
-class PipelineCache:
-    """LRU cache of compiled fused pipelines keyed on plan shape.
-
-    Entries hold only shape-derived data (projection keep-sets, scan
-    column needs) — expression objects bind per plan instance — so a hit
-    skips the reference-walking compile step without sharing state between
-    queries.
-    """
-
-    def __init__(self, capacity: int = 128):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = sanitizer.make_lock("fused:pipeline-cache")
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key, entry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._entries),
-            }
-
-
-PIPELINE_CACHE = PipelineCache()
-
-
-def _expr_sig(expr) -> str:
-    return "%s[%s;%s]" % (
-        type(expr).__name__,
-        expr.dtype,
-        ",".join(sorted(expr.references())),
-    )
-
-
-def _shape_key(op, steps, scan) -> str:
-    """Structural signature of the group-by chain (no literal values)."""
-    bits = [getattr(op, "shape_key", "") or ""]
-    bits.append(
-        "keys:" + "|".join("%s=%s" % (a, _expr_sig(e)) for a, e in op.keys)
-    )
-    bits.append(
-        "aggs:"
-        + "|".join(
-            "%s:%s:%s(%s)"
-            % (
-                s.alias,
-                s.func.upper(),
-                int(bool(s.distinct)),
-                ",".join(_expr_sig(a) for a in s.args),
-            )
-            for s in op.aggregates
-        )
-    )
-    for kind, node in steps:
-        if kind == "project":
-            bits.append(
-                "project:"
-                + "|".join(
-                    "%s=%s" % (a, _expr_sig(e)) for a, e in node.outputs
-                )
-            )
-        else:
-            bits.append("filter:" + _expr_sig(node.predicate))
-    bits.append(
-        "scan:%s(%s)%s/%s"
-        % (
-            scan.table.schema.name,
-            ",".join(scan.columns),
-            "|".join("%s %s" % (p.column, p.op) for p in scan.pushed),
-            "" if scan.residual is None else _expr_sig(scan.residual),
-        )
-    )
-    return ";".join(bits)
-
-
-# -- scan→aggregate fusion -------------------------------------------------------
-
-
-@dataclass
-class FusedScanAgg:
-    """A compiled scan→(project/filter)*→group-by pipeline."""
-
-    scan: TableScanOp
-    steps: list            # top-down [("project", outputs) | ("filter", predicate)]
-    needed: frozenset      # scan columns to decode
-    cache_state: str       # "hit" | "miss"
-
-
-def match_scan_agg(op):
-    """Compile ``op``'s child chain into a :class:`FusedScanAgg`, or None.
-
-    Fusable shape: a (possibly instrumented) Project/Filter chain ending at
-    a multi-region :class:`TableScanOp` without stride emission, sharing
-    the group-by's worker pool.  Projections are pruned to the columns the
-    keys, aggregates, and intermediate filters actually reference, so the
-    scan decodes exactly what the reduction needs.
-    """
-    node = op.child
-    steps = []
-    while True:
-        inner = getattr(node, "inner", None)
-        if inner is not None:  # InstrumentedOp wrapper (EXPLAIN ANALYZE)
-            node = inner
-            continue
-        if isinstance(node, TableScanOp):
-            scan = node
-            break
-        if isinstance(node, (ProjectOp, FilterOp)):
-            steps.append(node)
-            node = node.child
-            continue
-        return None
-    if scan.stride_rows is not None:
-        return None
-    if len(scan.regions) < 2:
-        return None
-    if scan.pool is not None and scan.pool is not op.pool:
-        return None
-
-    tagged = [
-        ("project" if isinstance(s, ProjectOp) else "filter", s) for s in steps
-    ]
-    key = _shape_key(op, tagged, scan)
-    entry = PIPELINE_CACHE.get(key)
-    if entry is not None:
-        bound = []
-        for (kind, node), keep in zip(tagged, entry["keeps"]):
-            if kind == "project":
-                bound.append(
-                    ("project", [(a, e) for a, e in node.outputs if a in keep])
-                )
-            else:
-                bound.append(("filter", node.predicate))
-        return FusedScanAgg(
-            scan=scan, steps=bound, needed=entry["needed"], cache_state="hit"
-        )
-
-    required: set = set()
-    for _, expr in op.keys:
-        required |= expr.references()
-    for spec in op.aggregates:
-        for arg in spec.args:
-            required |= arg.references()
-    bound = []
-    keeps = []
-    for kind, node in tagged:
-        if kind == "filter":
-            required |= node.predicate.references()
-            bound.append(("filter", node.predicate))
-            keeps.append(None)
-        else:
-            available = {a for a, _ in node.outputs}
-            if not required <= available:
-                return None
-            outputs = [(a, e) for a, e in node.outputs if a in required]
-            if not outputs and node.outputs:
-                # COUNT(*)-only plans reference no columns; keep one output
-                # as a row-count carrier so batches keep their cardinality.
-                outputs = node.outputs[:1]
-            bound.append(("project", outputs))
-            keeps.append(frozenset(a for a, _ in outputs))
-            required = set()
-            for _, expr in outputs:
-                required |= expr.references()
-    if not required and scan.columns:
-        required = {scan.columns[0]}
-    if not required or not required <= set(scan.columns):
-        return None
-    needed = frozenset(
-        required
-        | (scan.residual.references() if scan.residual is not None else set())
-    )
-    PIPELINE_CACHE.put(key, {"keeps": keeps, "needed": needed})
-    return FusedScanAgg(scan=scan, steps=bound, needed=needed, cache_state="miss")
-
-
-def execute_scan_agg(op, fused: FusedScanAgg, pool):
-    """Run a fused scan→aggregate pipeline on the pool.
-
-    Each task scans its batch of regions (skipping, compressed predicates,
-    buffer-pool charging — all via the scan's own ``_scan_region``), applies
-    the pruned project/filter chain, and reduces to per-group accumulators.
-    Returns ``(columns, n_groups, input_rows)``.
-    """
-    scan = fused.scan
-    recipes, arg_exprs = compile_recipes(op.aggregates)
-    recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
-    key_exprs = [(alias, expr) for alias, expr in op.keys]
-    steps_bottom_up = list(reversed(fused.steps))
-    needed = set(fused.needed)
-
-    def apply_chain(batch):
-        for kind, payload in steps_bottom_up:
-            if kind == "filter":
-                batch = batch.filter(selection_mask(payload, batch))
-            else:
-                batch = Batch.from_columns(
-                    {alias: expr.eval(batch) for alias, expr in payload}
-                )
-            if batch.n == 0:
-                return batch
-        return batch
-
-    def reduce_batch(batch):
-        keys = [expr.eval(batch) for _, expr in key_exprs]
-        arg_pairs = []
-        for expr in arg_exprs:
-            vector = expr.eval(batch)
-            arg_pairs.append((vector.values, vector.nulls))
-        return _reduce_span(batch.n, keys, arg_pairs, recipe_kinds)
-
-    def task(group):
-        stats = ScanStats()
-        n_rows = 0
-        parts = []
-        for region_idx, region in group:
-            batch = scan._scan_region(region_idx, region, needed, stats)
-            if batch is None or batch.n == 0:
-                continue
-            batch = apply_chain(batch)
-            if batch.n == 0:
-                continue
-            n_rows += batch.n
-            parts.append(reduce_batch(batch))
-        return stats, n_rows, parts
-
-    groups = batch_items(
-        list(enumerate(scan.regions)), pool.parallelism
-    )
-    results = pool.map(
-        task, groups, label="fused-scan:%s" % scan.table.schema.name
-    )
-    run = pool.last_run
-    partials = []
-    input_rows = 0
-    for stats, n_rows, parts in results:
-        scan.stats.merge(stats)
-        input_rows += n_rows
-        partials.extend(parts)
-    tail = scan._scan_tail(needed)  # charges scan.stats itself
-    scan.note_metrics()
-    if tail is not None and tail.n:
-        tail = apply_chain(tail)
-        if tail.n:
-            input_rows += tail.n
-            partials.append(reduce_batch(tail))
-    keys_meta = [(alias, expr.dtype) for alias, expr in key_exprs]
-    columns, n_groups = merge_fused(keys_meta, recipes, partials)
-    scan.parallel_run = run
-    op.parallel_run = run
-    op.fused_mode = "scan-agg"
-    op.fused_cache = fused.cache_state
-    op.note_keys(r for p in partials for r in p[3])
-    return columns, n_groups, input_rows
+# Constant: benchmarks/e2e/layers.py reads it (engine.pipeline_cache_hit_rate); goes with ROADMAP 4(d)'s benchmark PR.
+PIPELINE_CACHE = SimpleNamespace(stats=lambda: {"hits": 0, "misses": 0})

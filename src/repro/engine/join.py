@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.engine.expression import Batch, Expr, selection_mask
 from repro.engine.operators import Operator
+from repro.parallel.morsel import batch_spans, morsel_ranges
 from repro.storage.column import ColumnVector
 
 
@@ -93,6 +94,21 @@ class HashJoinOp(Operator):
         self.parallel_run = None
 
     # -- helpers ---------------------------------------------------------------
+
+    def _probe(self, probe_span, n: int) -> tuple:
+        """Run ``probe_span`` over ``n`` live probe rows.  At DOP 1 or with a
+        single morsel it is one inline call over the whole column (no pool
+        run recorded); otherwise ``batch_spans`` (about two tasks per
+        worker) map on the pool and each returned array concatenates in
+        span order — byte-identical to the one call, since a probe row's
+        matches depend on that row alone."""
+        pool = self.pool
+        if pool is None or not pool.is_parallel or len(morsel_ranges(n, self.partition_rows)) < 2:
+            return probe_span((0, n))
+        spans = batch_spans(n, self.partition_rows, pool.parallelism)
+        parts = pool.map(probe_span, spans, label="join-probe")
+        self.parallel_run = pool.last_run
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     @staticmethod
     def _encoded_keys(probe: Batch, build: Batch, left_keys, right_keys,
@@ -182,20 +198,7 @@ class HashJoinOp(Operator):
             hit = in_range & (targets >= 0)
             return rows[hit], targets[hit]
 
-        pool = self.pool
-        if pool is not None and pool.is_parallel and probe_rows.size:
-            from repro.parallel.morsel import batch_spans
-
-            spans = batch_spans(
-                probe_rows.size, self.partition_rows, pool.parallelism
-            )
-            parts = pool.map(probe_span, spans, label="join-probe")
-            self.parallel_run = pool.last_run
-            li = np.concatenate([part[0] for part in parts])
-            ri = np.concatenate([part[1] for part in parts])
-        else:
-            # DOP 1: one whole-column probe, inline (no pool run recorded).
-            li, ri = probe_span((0, probe_rows.size))
+        li, ri = self._probe(probe_span, probe_rows.size)
         matched_left[li] = True
         return li, ri
 
@@ -246,19 +249,7 @@ class HashJoinOp(Operator):
             ri = sorted_build_rows[positions]
             return hit_rows, li.astype(np.int64), ri.astype(np.int64)
 
-        pool = self.pool
-        morsels = []
-        if pool is not None and pool.is_parallel:
-            from repro.parallel.morsel import morsel_ranges
-
-            morsels = morsel_ranges(probe_rows.size, self.partition_rows)
-        if len(morsels) > 1:
-            parts = pool.map(probe_span, morsels, label="join-probe")
-            self.parallel_run = pool.last_run
-            hit_rows, li, ri = (np.concatenate(col) for col in zip(*parts))
-        else:
-            # DOP 1: one whole-column probe, inline (no pool run recorded).
-            hit_rows, li, ri = probe_span((0, probe_rows.size))
+        hit_rows, li, ri = self._probe(probe_span, probe_rows.size)
         matched_left[hit_rows] = True
         return li, ri
 

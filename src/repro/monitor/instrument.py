@@ -147,9 +147,7 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
         )
     fused_mode = getattr(op, "fused_mode", None)
     if fused_mode is not None:
-        line += " [fused=%s cache=%s]" % (
-            fused_mode, getattr(op, "fused_cache", None) or "n/a"
-        )
+        line += " [fused=%s]" % fused_mode
     path = getattr(stats, "path", None)
     if path is not None:
         line += " [path=%s]" % path
@@ -201,8 +199,7 @@ def attach_operator_spans(tracer, parent_span, root: InstrumentedOp) -> None:
         )
     fused_mode = getattr(root.inner, "fused_mode", None)
     if fused_mode is not None:
-        span.annotate(fused={"mode": fused_mode,
-                             "cache": getattr(root.inner, "fused_cache", None)})
+        span.annotate(fused={"mode": fused_mode})
     for child in _instrumented_children(root):
         attach_operator_spans(tracer, span, child)
 

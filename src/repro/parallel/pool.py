@@ -170,7 +170,7 @@ class WorkerPool:
         name: label used in metric names and thread names.
     """
 
-    # Constant: benchmarks/e2e/layers.py reads it (parallel.thread_fallbacks); goes with ROADMAP 3(d)'s benchmark PR.
+    # Constant: benchmarks/e2e/layers.py reads it (parallel.thread_fallbacks); goes with ROADMAP 4(d)'s benchmark PR.
     process_fallbacks_total = 0
 
     def __init__(self, parallelism: int | None = None, clock=None,

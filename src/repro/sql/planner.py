@@ -963,7 +963,6 @@ class SelectPlanner:
                 pool=self.pool,
                 morsel_rows=self.morsel_rows,
             )
-            op.shape_key = _group_shape_key(op.keys, [])
         if sort_keys:
             op = SortOp(op, sort_keys)
         if hidden:
@@ -1234,7 +1233,6 @@ class SelectPlanner:
             op, keys=keys, aggregates=binder.aggregates,
             pool=self.pool, morsel_rows=self.morsel_rows,
         )
-        group_op.shape_key = _group_shape_key(keys, binder.aggregates)
         # Rewrite outputs/having: group-key subtrees -> key refs; aggregate
         # refs already point at their agg aliases.
         signatures = {
@@ -1684,27 +1682,6 @@ def _default_name(expr, index: int) -> str:
     if isinstance(expr, ast.LevelRef):
         return "LEVEL"
     return "%d" % (index + 1)
-
-
-def _group_shape_key(keys, aggregates) -> str:
-    """Stable per-plan-shape token for the fused pipeline cache.
-
-    Two queries that group and aggregate the same expressions share one
-    compiled fused pipeline; the signature deliberately ignores literal
-    filter constants (those live in the operator-chain part of the cache
-    key computed by the engine).
-    """
-    parts = [("key", name, _expr_signature(expr)) for name, expr in keys]
-    parts.extend(
-        (
-            "agg",
-            spec.func,
-            spec.distinct,
-            tuple(_expr_signature(a) for a in spec.args),
-        )
-        for spec in aggregates
-    )
-    return repr(parts)
 
 
 def _expr_signature(expr: Expr):

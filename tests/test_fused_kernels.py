@@ -446,9 +446,9 @@ def test_min_max_scatter_matches_row_loop(rows, as_double):
 
 
 def test_mixed_codec_regions_agree():
-    """Scan->aggregate fusion over regions whose columns compress with
-    *different* codecs (constant, low-cardinality dictionary, sequential,
-    wide-random) must match the serial engine exactly."""
+    """The parallel scan and span reduction over regions whose columns
+    compress with *different* codecs (constant, low-cardinality dictionary,
+    sequential, wide-random) must match the serial engine exactly."""
     from repro.database import Database
     from repro.workloads.tpcds import flush_tables
 
@@ -491,5 +491,9 @@ def test_mixed_codec_regions_agree():
     plan = "\n".join(
         row[0] for row in par.execute("EXPLAIN ANALYZE " + queries[0]).rows
     )
-    assert "fused=scan-agg" in plan, plan
+    assert "[fused=batch-agg]" in plan, plan
+    assert any(
+        "TableScanOp" in line and "[parallel tasks=" in line
+        for line in plan.splitlines()
+    ), plan
     par_db.pool.shutdown()

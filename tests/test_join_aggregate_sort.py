@@ -199,7 +199,8 @@ class TestDirectLookupProbe:
         from repro.parallel import WorkerPool
 
         rng = np.random.default_rng(5)
-        fact = {"k": rng.integers(0, 300, size=5000).tolist(), "lv": list(range(5000))}
+        # Three morsels of probe rows: a single one would probe inline.
+        fact = {"k": rng.integers(0, 300, size=20000).tolist(), "lv": list(range(20000))}
         dim = {"k": list(range(0, 300, 2)), "rv": list(range(150))}
         serial_pool = WorkerPool(1, name="join-serial")
         stats, serial = self._run(fact, dim, "inner", pool=serial_pool)
@@ -216,7 +217,7 @@ class TestDirectLookupProbe:
 
 class TestSortedProbeSpans:
     """The sorted probe is one kernel: called once over the whole column at
-    DOP 1, and over morsel spans through the pool at DOP > 1."""
+    DOP 1, and over batched morsel spans through the pool at DOP > 1."""
 
     @pytest.mark.parametrize("join_type", ["inner", "left", "full", "semi", "anti"])
     def test_duplicate_build_keys_across_spans_keep_pair_order(self, join_type):
@@ -252,7 +253,8 @@ class TestSortedProbeSpans:
         try:
             parallel_op, parallel = run(parallel_pool)
             assert parallel_pool.runs_total == 1
-            assert parallel_op.parallel_run.tasks == 11  # ceil(681 live / 64)
+            # ceil(681 live / 64) = 11 morsels, batched two per task
+            assert parallel_op.parallel_run.tasks == 6
             assert not parallel_op.parallel_run.inline
         finally:
             parallel_pool.shutdown()
