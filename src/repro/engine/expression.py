@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import DivisionByZeroError, TypeCheckError
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BOOLEAN, DOUBLE, DataType, TypeKind, promote
+from repro.types.values import INT_RANGES
 from repro.verify import sanitizer
 
 
@@ -562,18 +563,22 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
         if scale_shift >= 0:
             return values * (10 ** scale_shift)
         return values // (10 ** (-scale_shift))
-    if from_dt.kind is TypeKind.DECIMAL and target == np.float64:
-        return values.astype(np.float64) / (10 ** from_dt.scale)
-    if to_dt.kind is TypeKind.DECIMAL and values.dtype != object:
-        scaled = np.asarray(values, dtype=np.float64) * (10 ** to_dt.scale)
-        return np.round(scaled).astype(np.int64)
-    if target != object and values.dtype != object:
-        if target == np.int64 and values.dtype == np.float64:
-            return np.trunc(values).astype(np.int64)
-        return values.astype(target)
-    # Boundary path (strings <-> anything): each distinct raw value goes
-    # through the scalar conversion once, in first-appearance order so the
-    # error of the first bad row is the one raised, then rows gather.
+    if values.dtype != object:
+        if from_dt.is_numeric:
+            out = _cast_numeric(values, from_dt, to_dt, nulls)
+            if out is not None:
+                if nulls is not None:
+                    out[nulls] = 0  # the physical filler under NULL
+                return out
+        elif to_dt.kind is TypeKind.DECIMAL:
+            scaled = np.asarray(values, dtype=np.float64) * (10 ** to_dt.scale)
+            return np.round(scaled).astype(np.int64)
+        elif target != object:
+            return values.astype(target)
+    # Boundary path (strings <-> anything, and a numeric cast the arrays
+    # cannot take): each distinct raw value goes through the scalar
+    # conversion once, in first-appearance order so the error of the first
+    # bad row is the one raised, then rows gather.
     live = values if nulls is None else values[~nulls]
     raws = live.tolist()
     # Floats are keyed by bit pattern: -0.0 == 0.0 but they print apart.
@@ -587,6 +592,54 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
     out = np.full(values.size, "" if target == object else 0, dtype=target)
     out[~nulls] = gathered
     return out
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _within(values, low, high) -> bool:
+    return not values.size or (low <= values.min() and values.max() <= high)
+
+
+def _cast_numeric(values, from_dt, to_dt, nulls):
+    """Numeric ``values`` cast to ``to_dt`` in whole-array passes, or None
+    when there is no such form — a non-numeric target, DOUBLE -> DECIMAL
+    (the scalar cast rounds the value's repr) — or when a live value would
+    not convert (NaN, out of range): the boundary path then raises the
+    scalar cast's error for the first bad row."""
+    live = values if nulls is None else values[~nulls]
+    if to_dt.is_approximate:
+        if from_dt.kind is TypeKind.DECIMAL:
+            return values.astype(np.float64) / (10 ** from_dt.scale)
+        if from_dt.is_approximate and np.isnan(live).any():
+            return None  # NaN is not a SQL number
+        return values.astype(np.float64)
+    if to_dt.kind is TypeKind.DECIMAL:
+        factor = 10 ** to_dt.scale
+        if (not from_dt.is_integer or factor > _INT64_MAX
+                or not _within(live, -(2**63 // factor), _INT64_MAX // factor)):
+            return None
+        return values * factor
+    if not to_dt.is_integer:
+        return None
+    low, high = INT_RANGES[to_dt.kind]
+    if from_dt.is_approximate:
+        truncated = np.trunc(values if nulls is None else np.where(nulls, 0.0, values))
+        kept = truncated if nulls is None else truncated[~nulls]
+        # float64 holds both bounds exactly (-2**k and 2**k); NaN fails both
+        if not ((kept >= float(low)) & (kept < float(high + 1))).all():
+            return None
+        return truncated.astype(np.int64)
+    if from_dt.kind is TypeKind.DECIMAL:
+        # Descale half away from zero, as cast_value's ROUND_HALF_UP does.
+        unit = 10 ** from_dt.scale
+        if unit > _INT64_MAX:
+            return None
+        floor, rest = np.divmod(values, unit)
+        out = floor + ((2 * rest > unit) | ((2 * rest == unit) & (values >= 0)))
+    else:
+        out = values.astype(np.int64)
+    return out if _within(out if nulls is None else out[~nulls], low, high) else None
 
 
 def _cast_coded(v: ColumnVector, to_dt) -> ColumnVector:

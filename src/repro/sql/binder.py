@@ -32,6 +32,7 @@ from repro.engine.expression import (
 )
 from repro.errors import (
     BindError,
+    ConversionError,
     DialectError,
     SQLError,
     TypeCheckError,
@@ -123,8 +124,18 @@ def _number_literal(text: str) -> Literal:
     return Literal(value, BIGINT)
 
 
+def _bound_number(text: str) -> Literal:
+    """:func:`_number_literal` for a literal being bound: a value beyond the
+    int64 its type is stored in raises the ConversionError (22018) that
+    INSERT raises for it, not an ``OverflowError`` out of ``Literal.eval``."""
+    literal = _number_literal(text)
+    if not literal.dtype.is_approximate and not -(2**63) <= literal.value < 2**63:
+        raise ConversionError("value %s out of range for %s" % (text, literal.dtype))
+    return literal
+
+
 def _number_value(text: str):
-    return _number_literal(text).value
+    return _bound_number(text).value
 
 
 def literal_signature(token) -> object:
@@ -283,7 +294,7 @@ class ExpressionBinder:
         return self.slots.literal(node.slot, literal, convert)
 
     def _bind_numberlit(self, node: ast.NumberLit) -> Expr:
-        return self._literal(node, _number_literal(node.text), _number_value)
+        return self._literal(node, _bound_number(node.text), _number_value)
 
     def _bind_stringlit(self, node: ast.StringLit) -> Expr:
         value = node.value

@@ -29,6 +29,7 @@ from repro.types import (
     DATE,
     DOUBLE,
     INTEGER,
+    SMALLINT,
     char_type,
     decimal_type,
     varchar_type,
@@ -480,12 +481,14 @@ class TestVectorisedBoundaryCast:
         "string": (varchar_type(24), object, _STRINGS),
         "char": (char_type(4), object, ["a   ", "ab  ", "12  ", "    "]),
         "int": (INTEGER, np.int64, [0, 7, -12, 123456, 2**31 - 1]),
-        "double": (DOUBLE, np.float64, [0.0, -0.0, 1.5, -2.25, 1e20]),
+        "bigint": (BIGINT, np.int64, [0, 100000, -5000000000, 2**63 - 1, -(2**63)]),
+        "double": (DOUBLE, np.float64, [0.0, -0.0, 1.5, -2.25, 1e20, 1e30, -1e300,
+                                        float("nan"), float("inf"), float("-inf")]),
         "date": (DATE, np.int64, [0, 17275, -1, 20000]),
-        "decimal": (decimal_type(8, 2), np.int64, [0, 150, -275, 99999999]),
+        "decimal": (decimal_type(8, 2), np.int64, [0, 150, 249, -250, -275, 99999999]),
     }
     _STRING_TARGETS = [varchar_type(3), varchar_type(12), char_type(2), char_type(6)]
-    _OTHER_TARGETS = [INTEGER, BIGINT, DOUBLE, decimal_type(8, 2), DATE, BOOLEAN]
+    _OTHER_TARGETS = [INTEGER, BIGINT, DOUBLE, decimal_type(8, 2), DATE, BOOLEAN, SMALLINT]
 
     @staticmethod
     def _reference(values, from_dt, to_dt, nulls):
@@ -505,8 +508,9 @@ class TestVectorisedBoundaryCast:
                other_targets=_OTHER_TARGETS):
         """``(source, to_dt, picks, null_bits)``: one column to cast."""
         source = draw(st.sampled_from(sorted(sources)))
-        _from_dt, np_dtype, pool = sources[source]
-        targets = string_targets + (other_targets if np_dtype == object else [])
+        from_dt, np_dtype, pool = sources[source]
+        numeric = np_dtype == object or from_dt.is_numeric
+        targets = string_targets + (other_targets if numeric else [])
         to_dt = draw(st.sampled_from(targets))
         picks = draw(st.lists(st.sampled_from(pool), max_size=40))
         null_bits = draw(
@@ -521,6 +525,12 @@ class TestVectorisedBoundaryCast:
                    ["99999999999999999999", ""], [False, False]))
     @example(case=("string", decimal_type(8, 2),
                    ["99999999999999999999", "a"], [False, False]))
+    # Numeric sources took the array path unchecked: DECIMAL 1.50 -> 150,
+    # BIGINT past SMALLINT / INTEGER kept, 1e30 -> INT64_MIN.
+    @example(case=("decimal", INTEGER, [150, 249, -250], [False, False, False]))
+    @example(case=("bigint", SMALLINT, [0, 100000], [False, False]))
+    @example(case=("double", INTEGER, [1.5, 1e30], [False, False]))
+    @example(case=("double", decimal_type(8, 2), [1e30], [False]))
     @given(case=_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_scalar_cast_row_by_row(self, case):

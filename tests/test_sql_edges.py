@@ -234,6 +234,62 @@ class TestInconvertibleValuesAreConversionErrors:
         assert table.insert_rows([(None, None, float("inf"), None)]) == 1
 
 
+class TestNumericCastMatchesTheRowStore:
+    """CAST between numeric types answers, or fails, exactly as the row
+    store's scalar cast does (the column path once passed the scaled
+    DECIMAL integer through and skipped every range check)."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT k, CAST(d AS INTEGER) FROM n ORDER BY 1",
+        "SELECT k, CAST(d AS SMALLINT) FROM n ORDER BY 1",
+        "SELECT CAST(b AS SMALLINT) FROM n WHERE k = 1",
+        "SELECT CAST(b AS INTEGER) FROM n WHERE k = 2",
+        "SELECT CAST(f AS INTEGER) FROM n WHERE k = 1",
+        "SELECT CAST(f AS SMALLINT) FROM n WHERE k = 1",
+        "SELECT CAST(f AS DECIMAL(8,2)) FROM n WHERE k = 1",
+        "SELECT CAST(f AS INTEGER) FROM n WHERE k = 2",
+    ])
+    def test_column_cast_agrees_with_row_database(self, sql):
+        from repro.baselines.rowdb import RowDatabase
+
+        outcomes = []
+        for system in (Database().connect("db2"), RowDatabase()):
+            system.execute("CREATE TABLE n (k INT, d DECIMAL(8,2), b BIGINT, f DOUBLE)")
+            system.execute(
+                "INSERT INTO n VALUES (1, 1.50, 100000, 1e30),"
+                " (2, 2.49, 5000000000, 2.5), (3, -2.50, 7, -1.5)"
+            )
+            try:
+                outcomes.append(system.execute(sql).rows)
+            except ConversionError as exc:
+                outcomes.append(exc.sqlstate)
+        assert outcomes[0] == outcomes[1], sql
+
+    def test_decimal_descales_half_away_from_zero(self, s):
+        s.execute("CREATE TABLE m (d DECIMAL(8,2))")
+        s.execute("INSERT INTO m VALUES (1.50), (2.49), (-2.50)")
+        assert s.execute("SELECT CAST(d AS INTEGER) FROM m").rows == [(2,), (2,), (-3,)]
+
+
+class TestLiteralsBeyondInt64:
+    """A numeric literal whose stored form does not fit int64 is 22018 when
+    it is bound — on a fresh plan and on a cached one — never a raw
+    ``OverflowError`` out of ``np.full``."""
+
+    @pytest.mark.parametrize("literal", [
+        "99999999999999999999", "99999999999999999999.0", "-9223372036854775808",
+    ])
+    def test_out_of_range_literal_is_a_conversion_error(self, s, literal):
+        for _run in ("fresh", "cached"):
+            with pytest.raises(ConversionError, match="out of range") as raised:
+                s.execute("SELECT %s FROM t" % literal)
+            assert raised.value.sqlstate == "22018"
+
+    def test_largest_literals_still_bind(self, s):
+        assert s.execute("SELECT 9223372036854775807 FROM t WHERE a = 1").scalar() == 2**63 - 1
+        assert s.execute("SELECT -9223372036854775807 FROM t WHERE a = 1").scalar() == 1 - 2**63
+
+
 class TestSparkSchedulerEdges:
     def test_join_produces_two_shuffles(self):
         from repro.spark import SparkContext
