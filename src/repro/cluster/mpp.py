@@ -39,6 +39,7 @@ from repro.errors import (
     ClusterError,
     DialectError,
     NoSurvivorsError,
+    NumericOverflowError,
     SQLError,
     UnknownObjectError,
     UnsupportedFeatureError,
@@ -93,7 +94,8 @@ class QueryStats:
     rows_gathered: int = 0
     mode: str = ""  # "scatter", "two-phase", "gather-fallback", "dml", ...
     #: Why a SELECT took the gather-fallback ("set-op", "cte", "subquery",
-    #: "coordinator-object", "no-from", "unsplittable-aggregate: <agg>").
+    #: "coordinator-object", "no-from", "unsplittable-aggregate: <agg>",
+    #: "partial-overflow").
     fallback_reason: str = ""
     #: Gather-fallback only: columns pulled from the shards / columns the
     #: referenced cluster tables have.
@@ -445,7 +447,12 @@ class Cluster:
         if reason is not None:
             return self._gather_fallback(select, session, reason)
         if aggregates:
-            return self._two_phase(select, session)
+            try:
+                return self._two_phase(select, session)
+            except NumericOverflowError:
+                # A shard's partial sum left int64; whether a group's whole
+                # sum does is decided over the gathered rows.
+                return self._gather_fallback(select, session, "partial-overflow")
         # GROUP BY without aggregates deduplicates like DISTINCT; the global
         # phase must dedup across shards.
         force_distinct = bool(select.group_by)

@@ -1,16 +1,24 @@
 """Vectorised grouping and aggregation (paper II.B.7).
 
 Groups are resolved by factorising the key columns into dense codes
-(:func:`repro.engine.fused.group_codes`, the one group-coding routine at
-every DOP); aggregates then reduce with ``np.bincount`` / ``ufunc.at``
-scatter ops, so the whole operator is a handful of vectorised passes (the
-cache-efficient, partition-into-chunks strategy the paper describes,
-expressed in numpy).
+(:func:`repro.engine.fused.group_codes`); aggregates then reduce with
+``np.bincount`` / ``ufunc.at`` scatter ops, so one GROUP BY pass
+(:func:`_group`) is a handful of vectorised passes (the cache-efficient,
+partition-into-chunks strategy the paper describes, expressed in numpy).
+
+At DOP > 1 the same pass runs twice, the way MAD Skills splits a parallel
+aggregate into a transition, a merge and a final function: once per span
+of the drained input on the worker pool, then once over the concatenated
+span outputs with every aggregate replaced by its merge (:data:`_MERGE`;
+AVG rides through the spans as a SUM and a COUNT and divides once after
+the merge).  :func:`merges_exactly` says which aggregates may take that
+route, so results are identical at every DOP.
 
 Supported aggregates: COUNT(*), COUNT(x), COUNT(DISTINCT x), SUM, AVG,
 MIN, MAX, VAR_POP, VAR_SAMP/VARIANCE, STDDEV, STDDEV_POP, STDDEV_SAMP,
 MEDIAN, COVAR_POP, COVAR_SAMP/COVARIANCE, CUME_DIST/PERCENTILE via MEDIAN's
-machinery, GROUPING passthrough.
+machinery, GROUPING passthrough.  An integer (or DECIMAL) SUM whose exact
+group sum leaves int64 raises SQLSTATE 22003 instead of wrapping.
 """
 
 from __future__ import annotations
@@ -20,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import fused
-from repro.engine.expression import Batch, Expr
+from repro.engine.expression import Batch, ColumnRef, Expr
 from repro.engine.operators import Operator
-from repro.errors import UnsupportedFeatureError
-from repro.parallel.morsel import morsel_ranges
+from repro.errors import NumericOverflowError, UnsupportedFeatureError
+from repro.parallel.morsel import batch_spans, morsel_ranges
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, DOUBLE, DataType, TypeKind, decimal_type
 
@@ -43,6 +51,9 @@ _SINGLE_ARG = {
     "CUME_DIST",
 }
 _TWO_ARG = {"COVAR_POP", "COVAR_SAMP"}
+
+#: 2**63: an exact integer sum must lie in ``[-_INT64_SPAN, _INT64_SPAN)``.
+_INT64_SPAN = 1 << 63
 
 
 @dataclass
@@ -86,6 +97,53 @@ class AggregateSpec:
         return DOUBLE
 
 
+#: The aggregate that merges span partials of each parallel-safe function:
+#: the merge pass runs it over the partial column.  AVG has no entry: its
+#: spans produce a SUM and a COUNT (:func:`_span_plan`).
+_MERGE = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
+
+
+def merges_exactly(spec: AggregateSpec) -> bool:
+    """True when span partials of ``spec`` merge to exactly its one-pass
+    answer: COUNT / MIN / MAX; SUM over integers and scaled DECIMALs
+    (exact int64 sums); AVG over integers (an exact SUM and COUNT, divided
+    once).  DISTINCT forms and float-accumulating families (DOUBLE
+    SUM/AVG, variance, percentiles) round differently when re-associated.
+    """
+    func = spec.func.upper()
+    if spec.distinct:
+        return False
+    if func in ("COUNT", "MIN", "MAX"):
+        return True
+    if not spec.args:
+        return False
+    arg = spec.args[0].dtype
+    if func == "SUM":
+        return arg.is_integer or arg.kind is TypeKind.DECIMAL
+    return func == "AVG" and arg.is_integer
+
+
+def _span_plan(aggregates):
+    """The span and merge aggregate lists of a parallel-safe GROUP BY:
+    each aggregate is its own span partial, merged under its alias by
+    :data:`_MERGE`; AVG becomes SUM and COUNT partials (``<alias>#sum`` /
+    ``<alias>#n``)."""
+    span, merge = [], []
+    for spec in aggregates:
+        parts = [spec]
+        if spec.func.upper() == "AVG":
+            parts = [
+                AggregateSpec("SUM", spec.args, spec.alias + "#sum"),
+                AggregateSpec("COUNT", spec.args, spec.alias + "#n"),
+            ]
+        span += parts
+        merge += [
+            AggregateSpec(_MERGE[p.func.upper()], [ColumnRef(p.alias, p.output_type())], p.alias)
+            for p in parts
+        ]
+    return span, merge
+
+
 class GroupByOp(Operator):
     """GROUP BY with vectorised aggregate computation.
 
@@ -95,12 +153,12 @@ class GroupByOp(Operator):
             grand total).
         aggregates: the aggregate outputs.
         pool: optional :class:`~repro.parallel.pool.WorkerPool`.  With a
-            parallel pool the input splits into spans of morsels, each task
-            reduces its span to per-group accumulator arrays, and those
-            merge exactly (:mod:`repro.engine.fused`).  Only aggregates
-            whose machine arithmetic is associative take this path (see
-            :meth:`parallel_safe`); everything else stays on the serial
-            code, so results are bit-identical at any DOP.
+            parallel pool the drained input splits into spans of morsels,
+            each task runs the one GROUP BY pass over its span, and one
+            more pass merges the span outputs.  Only aggregates whose
+            partials merge exactly take this path (see
+            :meth:`parallel_safe`); everything else runs the one pass over
+            the whole input, so results are identical at any DOP.
         morsel_rows: rows per morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
     """
@@ -120,21 +178,19 @@ class GroupByOp(Operator):
         self.morsel_rows = morsel_rows
         self.stats = GroupStats()
         self.parallel_run = None
-        #: Fusion telemetry (EXPLAIN ANALYZE): "batch-agg" when the drained
-        #: child was reduced in spans on the pool, None for the DOP-1 code.
+        #: Parallel telemetry (EXPLAIN ANALYZE): "batch-agg" when the
+        #: drained child was grouped in spans on the pool, None otherwise.
         self.fused_mode = None
 
     def parallel_safe(self) -> bool:
-        """True when every aggregate merges exactly across morsels, i.e.
-        has a fused recipe (:func:`repro.engine.fused.recipe_kind` is the
-        one place that decides).  Approximate (float) group keys also stay
-        serial: NaN ordering under a partial merge is not worth the hazard.
+        """True when every aggregate merges exactly across spans
+        (:func:`merges_exactly`).  Approximate (float) group keys also
+        stay on one pass: NaN ordering under a merge is not worth the
+        hazard.
         """
         return not any(
             expr.dtype.is_approximate for _, expr in self.keys
-        ) and all(
-            fused.recipe_kind(spec) is not None for spec in self.aggregates
-        )
+        ) and all(merges_exactly(spec) for spec in self.aggregates)
 
     def note_keys(self, reasons) -> None:
         """Record how the keys were coded (``fused.row_coding_reason`` per
@@ -160,53 +216,81 @@ class GroupByOp(Operator):
             and self.parallel_safe()
             and len(morsel_ranges(batch.n, self.morsel_rows)) > 1
         ):
-            # Fused span reduction over the drained input batch.
-            columns, self.stats.groups = fused.parallel_group_reduce(self, batch, pool)
-            yield Batch.from_columns(columns)
-            return
-        if not self.keys:
-            self.stats.groups = 1
-            yield self._grand_total(batch)
-            return
-        if batch.n == 0:
-            yield Batch(
-                columns={
-                    **{alias: ColumnVector(e.dtype, np.empty(0, e.dtype.numpy_dtype), None)
-                       for alias, e in self.keys},
-                    **{s.alias: ColumnVector(s.output_type(), np.empty(0, s.output_type().numpy_dtype), None)
-                       for s in self.aggregates},
-                },
-                n=0,
-            )
-            return
-        key_vectors = [expr.eval(batch) for _, expr in self.keys]
-        self.note_keys(map(fused.row_coding_reason, key_vectors))
-        group_ids, key_cols, n_groups = fused.group_codes(key_vectors)
-        self.stats.groups = n_groups
-        columns: dict[str, ColumnVector] = {
-            alias: group for (alias, _), group in zip(self.keys, key_cols)
-        }
-        for spec in self.aggregates:
-            columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
-        yield Batch.from_columns(columns)
+            out, reasons = self._group_in_spans(batch, pool)
+        else:
+            out, reasons = _group(batch, self.keys, self.aggregates)
+        self.note_keys(reasons)
+        self.stats.groups = out.n
+        yield out
 
-    def _grand_total(self, batch: Batch) -> Batch:
-        group_ids = np.zeros(batch.n, dtype=np.int64)
-        columns = {
-            spec.alias: _compute_aggregate(spec, batch, group_ids, 1)
-            for spec in self.aggregates
-        }
-        return Batch.from_columns(columns)
+    def _group_in_spans(self, batch: Batch, pool):
+        """:func:`_group` per span on the pool, then once more over the
+        concatenated span outputs with every aggregate replaced by its
+        merge; integer AVG divides its merged SUM by its merged COUNT."""
+        span_aggs, merge_aggs = _span_plan(self.aggregates)
+
+        def task(span):
+            lo, hi = span
+            view = {name: v.take(slice(lo, hi)) for name, v in batch.columns.items()}
+            return _group(Batch(view, hi - lo), self.keys, span_aggs)
+
+        spans = batch_spans(batch.n, self.morsel_rows, pool.parallelism)
+        try:
+            parts = pool.map(task, spans, label="group-by")
+        except NumericOverflowError:
+            # One span's partial sum left int64; whether a whole group's
+            # sum does is the one-pass kernel's call.
+            self.parallel_run = pool.last_run
+            return _group(batch, self.keys, self.aggregates)
+        self.parallel_run = pool.last_run
+        self.fused_mode = "batch-agg"
+        keys = [(alias, ColumnRef(alias, expr.dtype)) for alias, expr in self.keys]
+        merged, _ = _group(Batch.concat([out for out, _ in parts]), keys, merge_aggs)
+        columns = {alias: merged.columns[alias] for alias, _ in self.keys}
+        for spec in self.aggregates:
+            if spec.func.upper() == "AVG":
+                sums = merged.columns[spec.alias + "#sum"].values
+                counts = merged.columns[spec.alias + "#n"].values
+                columns[spec.alias] = _mean(sums, counts)
+            else:
+                columns[spec.alias] = merged.columns[spec.alias]
+        return Batch.from_columns(columns), [r for _, reasons in parts for r in reasons]
+
+
+def _group(batch: Batch, keys, aggregates):
+    """One GROUP BY pass over ``batch``: ``(output batch, reasons)``, the
+    reasons being :func:`fused.row_coding_reason` per key (none for a grand
+    total or an empty input)."""
+    if not keys:
+        group_ids, key_cols, n_groups, reasons = np.zeros(batch.n, dtype=np.int64), [], 1, []
+    elif batch.n == 0:
+        return Batch(
+            columns={
+                **{alias: ColumnVector(e.dtype, np.empty(0, e.dtype.numpy_dtype), None)
+                   for alias, e in keys},
+                **{s.alias: ColumnVector(s.output_type(), np.empty(0, s.output_type().numpy_dtype), None)
+                   for s in aggregates},
+            },
+            n=0,
+        ), []
+    else:
+        key_vectors = [expr.eval(batch) for _, expr in keys]
+        reasons = [fused.row_coding_reason(v) for v in key_vectors]
+        group_ids, key_cols, n_groups = fused.group_codes(key_vectors)
+    columns: dict[str, ColumnVector] = {
+        alias: group for (alias, _), group in zip(keys, key_cols)
+    }
+    for spec in aggregates:
+        columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
+    return Batch.from_columns(columns), reasons
 
 
 def _synthesize_empty(keys, aggregates) -> Batch:
     """An empty batch whose columns cover every ColumnRef in the exprs."""
-    from repro.engine.expression import ColumnRef as _ColumnRef
-
     columns: dict[str, ColumnVector] = {}
 
     def walk(expr):
-        if isinstance(expr, _ColumnRef):
+        if isinstance(expr, ColumnRef):
             columns[expr.name] = ColumnVector(
                 expr.dtype, np.empty(0, dtype=expr.dtype.numpy_dtype), None
             )
@@ -250,14 +334,8 @@ def _compute_aggregate(
     values = vector.values[live]
     if func == "COUNT":
         if spec.distinct:
-            counts = np.zeros(n_groups, dtype=np.int64)
-            seen = set()
-            for g, v in zip(ids.tolist(), values.tolist()):
-                if (g, v) not in seen:
-                    seen.add((g, v))
-                    counts[g] += 1
-        else:
-            counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
+            ids, values = _distinct_pairs(ids, values)
+        counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
         return ColumnVector(BIGINT, counts, None)
 
     group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
@@ -268,14 +346,22 @@ def _compute_aggregate(
         ids, values = _distinct_pairs(ids, values)
         group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
         empty = group_counts == 0
-    numeric = values.astype(np.float64)
     arg_dt = spec.args[0].dtype
+    if func == "AVG" and arg_dt.is_integer and values.dtype == np.int64:
+        return _mean(_exact_sums(ids, values, n_groups), group_counts)
+    if func == "SUM" and values.dtype == np.int64:
+        # Exact integer accumulation (money sums on scaled decimals).
+        sums = _exact_sums(ids, values, n_groups)
+        return ColumnVector(out_dt, sums, empty if empty.any() else None)
+    numeric = values.astype(np.float64)
     if arg_dt.kind is TypeKind.DECIMAL:
         # Physical decimals are scaled integers; statistics need true values.
         numeric = numeric / (10 ** arg_dt.scale)
-    sums = np.bincount(ids, weights=numeric, minlength=n_groups)
+    # np.bincount of an empty (all-NULL) input ignores its float weights
+    # and returns integer zeros: keep the sums physically DOUBLE.
+    sums = np.bincount(ids, weights=numeric, minlength=n_groups).astype(np.float64, copy=False)
     if func == "SUM":
-        return _sum_result(vector, values, ids, n_groups, sums, empty, out_dt)
+        return ColumnVector(DOUBLE, sums, empty if empty.any() else None)
     safe_counts = np.maximum(group_counts, 1)
     means = sums / safe_counts
     if func == "AVG":
@@ -332,16 +418,35 @@ def _min_max(values, ids, n_groups, empty, func, out_dt):
     return ColumnVector(out_dt, out, empty if empty.any() else None)
 
 
-def _sum_result(vector, values, ids, n_groups, float_sums, empty, out_dt):
-    if vector.values.dtype == np.int64:
-        # Exact integer accumulation (money sums on scaled decimals).
-        sums = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(sums, ids, values)
-        return ColumnVector(out_dt, sums, empty if empty.any() else None)
-    # np.bincount of an empty (all-NULL) input ignores its float weights
-    # and returns integer zeros: keep the vector physically DOUBLE.
-    float_sums = float_sums.astype(np.float64, copy=False)
-    return ColumnVector(DOUBLE, float_sums, empty if empty.any() else None)
+def _exact_sums(ids, values, n_groups):
+    """Per-group int64 sums of int64 ``values``; NumericOverflowError
+    (22003) when a group's exact sum leaves int64.
+
+    ``max|v| * n < 2**63`` proves no group can overflow, so the exact
+    check runs only when that bound fails: each value splits into a high
+    and a low 32-bit half, whose per-group sums cannot overflow, and the
+    exact sums are rebuilt from them as Python integers.
+    """
+    sums = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(sums, ids, values)
+    if values.size and max(int(values.max()), -int(values.min())) * values.size >= _INT64_SPAN:
+        high = np.zeros(n_groups, dtype=np.int64)
+        low = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(high, ids, values >> 32)
+        np.add.at(low, ids, values & 0xFFFFFFFF)
+        for h, lo in zip(high.tolist(), low.tolist()):
+            exact = (h << 32) + lo
+            if not -_INT64_SPAN <= exact < _INT64_SPAN:
+                raise NumericOverflowError("integer sum out of range for BIGINT")
+    return sums
+
+
+def _mean(sums, counts):
+    """AVG from exact int64 sums and counts: one float64 division (an
+    all-NULL group is NULL over the filler 0 / 1)."""
+    empty = counts == 0
+    out = sums.astype(np.float64) / np.maximum(counts, 1)
+    return ColumnVector(DOUBLE, out, empty if empty.any() else None)
 
 
 def _covariance(spec, batch, group_ids, n_groups, sample: bool):

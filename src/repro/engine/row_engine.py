@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.engine.expression import Expr
 from repro.engine.operators import SimplePredicate
+from repro.errors import NumericOverflowError
 from repro.storage.rowtable import RowTable
 
 
@@ -299,13 +300,20 @@ class _AggState:
             return None
         if func == "SUM":
             if spec.distinct and self.values is not None:
-                return sum(set(self.values))
-            out_kind = spec.output_type().kind.value
-            if out_kind in ("DECIMAL", "BIGINT"):
-                return self.total_raw
-            return self.total
+                total = sum(set(self.values))
+            elif spec.output_type().kind.value in ("DECIMAL", "BIGINT"):
+                total = self.total_raw
+            else:
+                return self.total
+            return _in_int64(total) if isinstance(total, int) else total
         if func == "AVG":
-            return self.total / self.count
+            if not spec.args[0].dtype.is_integer:
+                return self.total / self.count
+            # One float division of the exact sum, as the column engine does.
+            values = set(self.values) if spec.distinct else None
+            if values is None:
+                return float(_in_int64(self.total_raw)) / self.count
+            return float(_in_int64(sum(values))) / len(values)
         if func == "MIN":
             return self.min
         if func == "MAX":
@@ -330,6 +338,13 @@ class _AggState:
         if func == "STDDEV_SAMP":
             return var_samp ** 0.5
         raise ValueError("row engine does not support aggregate %s" % func)
+
+
+def _in_int64(total: int) -> int:
+    """An exact integer aggregate, or 22003 when it leaves int64."""
+    if not -(1 << 63) <= total < 1 << 63:
+        raise NumericOverflowError("integer sum out of range for BIGINT")
+    return total
 
 
 class RowSort(RowOperator):

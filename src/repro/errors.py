@@ -72,6 +72,13 @@ class DivisionByZeroError(SQLError):
         super().__init__(message, sqlstate="22012")
 
 
+class NumericOverflowError(SQLError):
+    """An exact numeric result left its type's range (DB2 SQL0802N)."""
+
+    def __init__(self, message: str):
+        super().__init__(message, sqlstate="22003")
+
+
 class ConstraintViolationError(SQLError):
     """A uniqueness or not-null constraint was violated."""
 

@@ -634,6 +634,55 @@ class TestAggregateFinalizers:
         assert rows == [(None, 0)]
 
 
+    def test_cume_dist_counts_rows_equal_to_the_value(self):
+        # boundary@...::_compute_aggregate (members <= value -> <): the
+        # hypothetical row ranks after the rows equal to it.
+        o = Database().connect("oracle")
+        o.execute("CREATE TABLE t (a INT)")
+        o.execute("INSERT INTO t VALUES (1), (2), (3)")
+        value = o.execute("SELECT CUME_DIST(2) WITHIN GROUP (ORDER BY a) FROM t").scalar()
+        assert value == pytest.approx(0.75)  # (2 rows <= 2, + itself) / 4
+
+    def test_sample_statistics_of_one_row_are_null(self):
+        # boundary@...::_compute_aggregate (group_counts <= 1 -> < 1): one
+        # row has no sample variance; a one-pair COVAR_POP is 0, not NULL
+        # (constant@...::_covariance, counts == 0 -> == 1).
+        s = Database().connect("db2")
+        s.execute("CREATE TABLE t (g INT, x DOUBLE)")
+        s.execute("INSERT INTO t VALUES (1, 1.5), (1, 2.5), (2, 4.0)")
+        rows = s.query(
+            "SELECT g, VAR_SAMP(x), STDDEV_SAMP(x), COVAR_POP(x, x) FROM t GROUP BY g ORDER BY g"
+        )
+        assert rows == [
+            (1, pytest.approx(0.5), pytest.approx(0.5 ** 0.5), pytest.approx(0.25)),
+            (2, None, None, 0.0),
+        ]
+
+    def test_sum_at_exactly_two_to_the_63_is_22003(self):
+        # boundary@...::_exact_sums (bound >= 2**63 -> >): max|v| * n equal
+        # to 2**63 must still take the exact check — 2**62 + 2**62 wraps.
+        s = Database().connect("db2")
+        s.execute("CREATE TABLE t (v BIGINT)")
+        s.execute("INSERT INTO t VALUES (%d), (%d)" % (2**62, 2**62))
+        with pytest.raises(SQLError) as raised:
+            s.execute("SELECT SUM(v) FROM t")
+        assert raised.value.sqlstate == "22003"
+        assert s.execute("SELECT SUM(v) FROM t WHERE v < 0").scalar() is None
+
+    def test_one_morsel_group_by_runs_one_pass_at_dop_4(self):
+        # boundary@...::GroupByOp.execute (morsels > 1 -> >= 1): input of
+        # one morsel is grouped in one pass, never routed through the pool.
+        for morsel_rows, fused in ((1000, False), (2, True)):
+            s = Database(parallelism=4, morsel_rows=morsel_rows).connect("db2")
+            s.execute("CREATE TABLE t (g INT, a INT)")
+            s.execute("INSERT INTO t VALUES (1, 1), (1, 2), (2, 3), (2, 4), (3, 5)")
+            plan = "\n".join(
+                row[0] for row in s.execute(
+                    "EXPLAIN ANALYZE SELECT g, SUM(a) FROM t GROUP BY g"
+                ).rows
+            )
+            assert ("[fused=batch-agg]" in plan) == fused, plan
+
 # -- set operations over branches of different types ---------------------------
 
 _SETOP_DDL = [

@@ -1,17 +1,18 @@
-"""Property tests: fused vectorized region kernels == serial grouping.
+"""Property tests: the span route of GROUP BY == one pass over the input.
 
-The fused reduce (``repro.engine.fused``) compiles a group-by's
-predicate -> project -> aggregate chain into single numpy passes per
-span and merges spans with exact arithmetic.  Its contract is byte
-identity with the serial operator at any DOP, so these tests drive both
-paths over hypothesis-random inputs — including all-NULL key columns,
-empty inputs, post-filter empty morsels, and mixed-codec regions — and
-require *ordered* equality (the fused merge must also reproduce the
-serial group order: NULL first, then ascending, per key column).
+At DOP > 1 a parallel-safe group-by runs its one GROUP BY pass over each
+span of the drained input and once more to merge the span outputs
+(``repro.engine.aggregate``).  Its contract is byte identity with the
+DOP-1 pass, so these tests drive both over hypothesis-random inputs —
+including all-NULL key columns, empty inputs, post-filter empty morsels,
+and mixed-codec regions — and require *ordered* equality (the merge must
+also reproduce the DOP-1 group order: NULL first, then ascending, per key
+column).  The group coding itself (``repro.engine.fused.group_codes``) is
+checked against an ``np.unique`` reference.
 
 Floats are deliberately absent: ``parallel_safe()`` keeps
-float-accumulating aggregates and approximate keys serial (NaN ordering
-and re-association hazards), so the fused kernels never see them.
+float-accumulating aggregates and approximate keys on one pass (NaN
+ordering and re-association hazards), so the span route never sees them.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def test_fused_reduce_matches_serial(case, pool):
     expected = _rows(serial_op.run(), aliases)
     got = _rows(fused_op.run(), aliases)
     assert got == expected
-    # Above the morsel gate the fused kernel must actually have run (every
-    # aggregate the strategy draws has a fused recipe).
+    # Above the morsel gate the span route must actually have run (every
+    # aggregate the strategy draws merges exactly).
     if fused_op.stats.input_rows > _MORSEL_ROWS:
         assert fused_op.fused_mode == "batch-agg"
 
@@ -211,8 +212,9 @@ def test_projected_chain_matches_serial(pool):
     assert _rows(build(pool).run(), aliases) == _rows(build(None).run(), aliases)
 
 
-def test_merge_fused_handles_span_with_no_rows(pool):
-    """Spans whose morsels are empty after filtering still merge exactly."""
+def test_filter_keeping_one_row_of_many_morsels_matches_serial(pool):
+    """A filter that keeps one row of eight morsels: the group-by sees the
+    drained row, not the morsels it came from, and answers as DOP 1."""
     # 40 rows, but the predicate keeps only rows in the last morsel.
     g = [1] * 39 + [2]
     x = list(range(40))
@@ -248,7 +250,7 @@ def _wide_key_columns(n=600, width=7):
 def test_radix_overflow_compacts_and_stays_fused(pool):
     """Huge key domains overflow the radix combine; the group coding must
     compact the packed codes and go on — same answer at every DOP, still
-    the fused reduce, nothing wrapped around."""
+    the span route, nothing wrapped around."""
     columns = _wide_key_columns()
     names = sorted(columns)
     n = len(columns[names[0]])

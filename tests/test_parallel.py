@@ -4,9 +4,10 @@ Four layers of evidence that parallelism never changes an answer:
 
 * unit tests for the scheduling model (``greedy_makespan``), morsel
   batching and the deterministic-gather contract of :class:`WorkerPool.map`;
-* property tests that the span-partial merge is invariant to morsel size,
-  and that the one gate (``GroupByOp.parallel_safe()``) and the one
-  parallel aggregate (``repro.engine.fused``) always agree;
+* property tests that the span-partial merge is invariant to morsel size
+  (and raises 22003 exactly where a group's exact sum leaves int64), and
+  that the one gate (``GroupByOp.parallel_safe()``) and the span route
+  always agree;
 * end-to-end DOP-equivalence: the same SQL through a serial engine and a
   ``parallelism=4`` engine with tiny morsels must match byte-for-byte;
 * a mixed DDL/DML/SELECT stress with eight concurrent sessions on one
@@ -24,13 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
+from repro.errors import SQLError
 from repro.engine import (
     AggregateSpec,
     Batch,
     ColumnRef,
     GroupByOp,
     VectorSourceOp,
-    fused,
 )
 from repro.parallel import (
     DEFAULT_MORSEL_ROWS,
@@ -248,19 +249,33 @@ class TestMorselBatching:
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
+#: Small values, NULLs, and values near +-2**62 whose group sums can leave
+#: int64 (three of one sign in a group always do).
 _VALUES = st.lists(
-    st.one_of(st.none(), st.integers(min_value=-(10**6), max_value=10**6)),
+    st.one_of(
+        st.none(),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.builds(
+            lambda sign, gap: sign * (2**62 - gap),
+            st.sampled_from([1, -1]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+    ),
     min_size=0,
     max_size=60,
 )
 
-_RECIPES = [
-    fused.AggRecipe("rows", "n", BIGINT),
-    fused.AggRecipe("count", "c", BIGINT, 0),
-    fused.AggRecipe("sum", "s", BIGINT, 0),
-    fused.AggRecipe("min", "lo", BIGINT, 0),
-    fused.AggRecipe("max", "hi", BIGINT, 0),
-]
+_MERGE_ALIASES = ("n", "c", "s", "lo", "hi", "avg")
+
+#: What a GROUP BY answers when a group's exact sum leaves int64.
+_OVERFLOW = "22003"
+
+
+@pytest.fixture(scope="module")
+def dop4_pool():
+    pool = WorkerPool(parallelism=4)
+    yield pool
+    pool.shutdown()
 
 
 def _group_of(value):
@@ -268,56 +283,76 @@ def _group_of(value):
     return None if value is None else abs(value) % 3
 
 
-def _merged_spans(values, morsel_rows):
-    """GROUP BY ``_group_of(v)`` reduced per morsel by the fused span
-    kernel and merged by ``merge_fused``; one output row per group."""
-    keys = ColumnVector.from_boundary([_group_of(v) for v in values], BIGINT)
-    args = ColumnVector.from_boundary(values, BIGINT)
-    kinds = [(r.kind, r.arg_index) for r in _RECIPES]
+def _merged_spans(values, morsel_rows, pool, keyed=True):
+    """GROUP BY ``_group_of(v)`` (or a grand total) on a DOP-4 pool with
+    ``morsel_rows``: its output rows, or :data:`_OVERFLOW`."""
+    columns = {"v": ColumnVector.from_boundary(values, BIGINT)}
+    keys = []
+    if keyed:
+        columns["k"] = ColumnVector.from_boundary([_group_of(v) for v in values], BIGINT)
+        keys = [("k", ColumnRef("k", BIGINT))]
+    arg = [ColumnRef("v", BIGINT)]
+    op = GroupByOp(
+        VectorSourceOp(Batch.from_columns(columns)),
+        keys=keys,
+        aggregates=[
+            AggregateSpec("COUNT", [], "n"),
+            AggregateSpec("COUNT", arg, "c"),
+            AggregateSpec("SUM", arg, "s"),
+            AggregateSpec("MIN", arg, "lo"),
+            AggregateSpec("MAX", arg, "hi"),
+            AggregateSpec("AVG", arg, "avg"),
+        ],
+        pool=pool,
+        morsel_rows=morsel_rows,
+    )
+    try:
+        batch = op.run()
+    except SQLError as exc:
+        return exc.sqlstate
+    aliases = ("k",) * keyed + _MERGE_ALIASES
+    return list(zip(*(batch.columns[a].to_boundary() for a in aliases)))
 
-    def cut(vector, start, stop):
-        nulls = vector.nulls
-        return vector.values[start:stop], None if nulls is None else nulls[start:stop]
 
-    partials = [
-        fused._reduce_span(
-            stop - start, [keys.take(slice(start, stop))], [cut(args, start, stop)], kinds
-        )
-        for start, stop in morsel_ranges(len(values), morsel_rows)
-    ]
-    columns, n_groups = fused.merge_fused([("k", BIGINT)], _RECIPES, partials)
-    rows = list(zip(*(columns[a].to_boundary() for a in ("k", "n", "c", "s", "lo", "hi"))))
-    assert len(rows) == n_groups
-    return rows
-
-
-def _expected_groups(values):
+def _expected_groups(values, keyed=True):
     """The same aggregation in plain Python: NULL group first, then
-    ascending keys — the engine's group output order."""
+    ascending keys — the engine's group output order — and AVG as one
+    float division of the exact sum; :data:`_OVERFLOW` when a group's
+    exact sum leaves int64."""
     groups: dict = {}
     for value in values:
-        groups.setdefault(_group_of(value), []).append(value)
+        groups.setdefault(_group_of(value) if keyed else (), []).append(value)
+    if not keyed:
+        groups.setdefault((), [])
     rows = []
     for key in sorted(groups, key=lambda k: (k is not None, k)):
         live = [v for v in groups[key] if v is not None]
+        if not -(2**63) <= sum(live) < 2**63:
+            return _OVERFLOW
         rows.append(
-            (
-                key,
+            (key,) * keyed
+            + (
                 len(groups[key]),
                 len(live),
                 sum(live) if live else None,
                 min(live) if live else None,
                 max(live) if live else None,
+                float(sum(live)) / len(live) if live else None,
             )
         )
     return rows
 
 
-@given(values=_VALUES, morsel_rows=st.integers(min_value=1, max_value=61))
+@given(
+    values=_VALUES,
+    morsel_rows=st.integers(min_value=1, max_value=61),
+    keyed=st.booleans(),
+)
 @settings(max_examples=120, deadline=None)
-def test_partial_merge_invariant_to_morsel_size(values, morsel_rows):
-    """Merging per-morsel span partials == aggregating the whole input."""
-    assert _merged_spans(values, morsel_rows) == _expected_groups(values)
+def test_partial_merge_invariant_to_morsel_size(values, morsel_rows, keyed, dop4_pool):
+    """Merging per-span partials == aggregating the whole input."""
+    got = _merged_spans(values, morsel_rows, dop4_pool, keyed)
+    assert got == _expected_groups(values, keyed)
 
 
 @given(
@@ -328,10 +363,26 @@ def test_partial_merge_invariant_to_morsel_size(values, morsel_rows):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_partial_merge_two_splits_agree(values, sizes):
+def test_partial_merge_two_splits_agree(values, sizes, dop4_pool):
     """Any two morsel sizes produce identical merged output."""
-    assert _merged_spans(values, sizes[0]) == _merged_spans(values, sizes[1])
+    assert _merged_spans(values, sizes[0], dop4_pool) == _merged_spans(
+        values, sizes[1], dop4_pool
+    )
 
+
+
+def test_span_overflow_defers_to_the_whole_group_sum(dop4_pool):
+    """One span's partial sum leaves int64 while the group's whole sum
+    does not: the group-by answers the whole sum (the one-pass kernel
+    decides), and 22003 only when the whole sum leaves int64 too."""
+    big = 2**62
+    assert _merged_spans([big, big, -big, -big], 2, dop4_pool, keyed=False) == [
+        (4, 4, 0, -big, big, 0.0)
+    ]
+    assert _merged_spans([big, big, -big, 5], 2, dop4_pool, keyed=False) == [
+        (4, 4, big + 5, -big, big, float(big + 5) / 4)
+    ]
+    assert _merged_spans([big, big, big, big], 2, dop4_pool, keyed=False) == _OVERFLOW
 
 # -- the one gate and the one parallel aggregate -------------------------------
 
@@ -347,7 +398,7 @@ _GATE_KEYS = {
 }
 
 _GATE_AGGS = {
-    # exact across spans: these have a fused recipe
+    # merge exactly across spans (aggregate.merges_exactly)
     "rows": ("COUNT", None, False),
     "count_x": ("COUNT", "x", False),
     "sum_x": ("SUM", "x", False),
@@ -356,7 +407,7 @@ _GATE_AGGS = {
     "min_p": ("MIN", "p", False),
     "max_s": ("MAX", "s", False),
     "min_d": ("MIN", "d", False),
-    # order- or set-dependent: no recipe, the group-by stays serial
+    # order- or set-dependent: the group-by runs one pass
     "sum_d": ("SUM", "d", False),
     "avg_d": ("AVG", "d", False),
     "avg_p": ("AVG", "p", False),
@@ -401,13 +452,6 @@ def _gate_group_by(columns, keys, aggs, pool):
     )
 
 
-@pytest.fixture(scope="module")
-def gate_pool():
-    pool = WorkerPool(parallelism=4)
-    yield pool
-    pool.shutdown()
-
-
 @given(
     rows=st.lists(_GATE_ROW, min_size=_GATE_MORSEL_ROWS + 1, max_size=70),
     keys=st.lists(st.sampled_from(sorted(_GATE_KEYS)), max_size=3, unique=True),
@@ -416,7 +460,7 @@ def gate_pool():
     ),
 )
 @settings(max_examples=150, deadline=None)
-def test_gate_and_fused_aggregate_agree(rows, keys, aggs, gate_pool):
+def test_gate_and_fused_aggregate_agree(rows, keys, aggs, dop4_pool):
     """``parallel_safe()`` true  => the DOP-4 run is fused and equals DOP 1
     byte for byte; false => the group-by records no pool run at all and
     still equals DOP 1.  There is no third route between the two."""
@@ -432,7 +476,7 @@ def test_gate_and_fused_aggregate_agree(rows, keys, aggs, gate_pool):
         "d": ColumnVector.from_boundary(d, DOUBLE),
         "x": ColumnVector.from_boundary(x, INTEGER),
     }
-    parallel = _gate_group_by(columns, keys, aggs, gate_pool)
+    parallel = _gate_group_by(columns, keys, aggs, dop4_pool)
     serial = _gate_group_by(columns, keys, aggs, None)
     expect_safe = "d" not in keys and set(aggs) <= _GATE_FUSABLE
     assert parallel.parallel_safe() == expect_safe

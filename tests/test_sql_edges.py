@@ -290,6 +290,84 @@ class TestLiteralsBeyondInt64:
         assert s.execute("SELECT -9223372036854775807 FROM t WHERE a = 1").scalar() == 1 - 2**63
 
 
+class TestIntegerSumsStayExact:
+    """An integer SUM or AVG whose exact group sum leaves int64 is 22003
+    (DB2's SQL0802N) — never a wrapped answer — and the same statement
+    answers, or fails, identically at DOP 1, at DOP 4, on a 4-shard
+    cluster and in the row store.  AVG over integers is one float division
+    of the exact sum everywhere."""
+
+    @staticmethod
+    def _systems(values):
+        from repro.baselines.rowdb import RowDatabase
+        from repro.cluster import Cluster, HardwareSpec
+
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        assert cluster.n_shards == 4
+        systems = {
+            "dop1": Database(parallelism=1, morsel_rows=64).connect("db2"),
+            "dop4": Database(parallelism=4, morsel_rows=64).connect("db2"),
+            "cluster": cluster.connect(),
+            "row": RowDatabase(),
+        }
+        rows = ", ".join("(%d, %d, %d)" % (k, k % 3, v) for k, v in enumerate(values))
+        for name, system in systems.items():
+            distribute = " DISTRIBUTE BY HASH (k)" if name == "cluster" else ""
+            system.execute("CREATE TABLE t (k INT, g INT, v BIGINT)" + distribute)
+            system.execute("INSERT INTO t VALUES " + rows)
+        return systems
+
+    @staticmethod
+    def _outcome(system, sql):
+        try:
+            return system.execute(sql).rows
+        except SQLError as exc:
+            return exc.sqlstate
+
+    _QUERIES = [
+        "SELECT SUM(v) FROM t",
+        "SELECT AVG(v) FROM t",
+        "SELECT g, SUM(v) FROM t GROUP BY g ORDER BY g",
+        "SELECT g, AVG(v) FROM t GROUP BY g ORDER BY g",
+    ]
+
+    @pytest.mark.parametrize("sql", _QUERIES)
+    def test_sum_past_int64_is_22003_everywhere(self, sql):
+        # 2**62 on every other row of 400: every group's sum is ~3e20.
+        systems = self._systems([2**62 if k % 2 else k for k in range(400)])
+        for name, system in systems.items():
+            assert self._outcome(system, sql) == "22003", name
+
+    @pytest.mark.parametrize("sql", _QUERIES)
+    def test_partial_sums_past_int64_defer_to_the_whole_sum(self, sql):
+        # +2**62 then -2**62: spans and shards see partial sums past int64,
+        # but no group's whole sum leaves it.
+        values = [2**62 - k if k < 200 else k - 2**62 for k in range(400)]
+        systems = self._systems(values)
+        outcomes = {name: self._outcome(s, sql) for name, s in systems.items()}
+        assert outcomes["dop1"] != "22003"
+        if "GROUP BY" in sql:  # a shard's per-group partial leaves int64
+            stats = systems["cluster"].cluster.last_stats
+            assert (stats.mode, stats.fallback_reason) == ("gather-fallback", "partial-overflow")
+        assert all(o == outcomes["dop1"] for o in outcomes.values()), outcomes
+
+    def test_avg_distinct_averages_distinct_values_everywhere(self):
+        systems = self._systems([5, 5, 5, 2**40, 7])
+        expected = [(float(5 + 2**40 + 7) / 3,)]
+        for name, system in systems.items():
+            assert system.execute("SELECT AVG(DISTINCT v) FROM t").rows == expected, name
+
+    def test_large_sums_are_exact_and_avg_divides_the_exact_sum(self):
+        values = [2**60 + 7 * k for k in range(7)]
+        systems = self._systems(values)
+        total = sum(values)
+        for name, system in systems.items():
+            assert system.execute("SELECT SUM(v) FROM t").rows == [(total,)], name
+            assert system.execute("SELECT AVG(v) FROM t").rows == [
+                (float(total) / len(values),)
+            ], name
+
+
 class TestSparkSchedulerEdges:
     def test_join_produces_two_shuffles(self):
         from repro.spark import SparkContext
