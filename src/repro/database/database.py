@@ -18,10 +18,10 @@ import numpy as np
 
 from repro.bufferpool import BufferPool, make_policy
 from repro.catalog.catalog import Catalog, NicknameInfo, TableInfo, ViewInfo
-from repro.database.plancache import PlanCache
+from repro.database.plancache import PlanCache, PlannedWrite
 from repro.database.result import Result, result_from_batch, vectors_from_batch
 from repro.database.session import Session
-from repro.engine.expression import Batch, selection_mask
+from repro.engine.expression import Batch, Logical, selection_mask
 from repro.errors import (
     DialectError,
     RecoveryError,
@@ -40,15 +40,20 @@ from repro.monitor.report import database_report
 from repro.monitor.tracer import NULL_TRACER, Tracer
 from repro.mvcc.txn import Snapshot, TxnManager
 from repro.parallel import WorkerPool
-from repro.serving.normalize import StatementKey, statement_key
+from repro.serving.normalize import StatementKey, is_volatile, statement_key
 from repro.sql import ast
 from repro.sql.binder import ExpressionBinder, LiteralSlots, Scope, ScopeColumn
 from repro.sql.dialects import get_dialect, resolve_type
 from repro.sql.parser import parse_statement, parse_statements
-from repro.sql.planner import PlannedQuery, SelectPlanner
+from repro.sql.planner import (
+    PlannedQuery,
+    SelectPlanner,
+    _conjuncts,
+    _simple_predicate,
+)
 from repro.storage.column import ColumnVector, to_boundary_scalar
 from repro.storage.page import PageId
-from repro.storage.table import ColumnTable, TableSchema
+from repro.storage.table import ColumnTable, TableSchema, region_vector
 from repro.util.timer import SimClock
 from repro.verify import sanitizer
 
@@ -68,15 +73,15 @@ DELTA_MAX_ROWS = 128
 
 class TableDelta:
     """The *n* row versions one write statement replaced or added in one
-    table, in physical form: the *old* versions are rows of a
-    :meth:`Database._table_batch` batch (those under *keep*, its keys
-    *prefix* + column name), the *new* ones the boundary rows that landed.
-    A column is built on first use (:meth:`column`), so a listener pays
-    only for the columns it reads."""
+    table, in physical form: *old* is the batch of rows an UPDATE or DELETE
+    matched (:meth:`Database._match`: only those rows, every column, keys
+    *prefix* + column name), *rows* the boundary rows an INSERT or an
+    UPDATE landed.  A column is built on first use (:meth:`column`), so a
+    listener pays only for the columns it reads."""
 
-    def __init__(self, schema, n: int, old=None, keep=None, prefix: str = "", new=()):
+    def __init__(self, schema, n: int, old=None, prefix: str = "", rows=()):
         self.schema, self.n = schema, n
-        self._old, self._keep, self._prefix, self._new = old, keep, prefix, new
+        self._old, self._prefix, self._rows = old, prefix, rows
         self._built: dict[str, ColumnVector | None] = {}
 
     def column(self, name: str) -> ColumnVector | None:
@@ -93,10 +98,9 @@ class TableDelta:
         dtype = self.schema.columns[at][1]
         parts = []
         if self._old is not None:
-            vector = self._old.columns[self._prefix + name]
-            parts.append(vector if self._keep is None else vector.filter(self._keep))
-        if self._new or not parts:
-            parts.append(ColumnVector.from_boundary([row[at] for row in self._new], dtype))
+            parts.append(self._old.columns[self._prefix + name])
+        if self._rows or not parts:
+            parts.append(ColumnVector.from_boundary([row[at] for row in self._rows], dtype))
         return parts[0] if len(parts) == 1 else ColumnVector.concat(parts)
 
 
@@ -355,10 +359,10 @@ class Database:
             listener(tables)
 
     def _note_delta(
-        self, table: ColumnTable, rows: int, old=None, keep=None, prefix="", new=()
+        self, table: ColumnTable, n: int, old=None, prefix="", rows=()
     ) -> None:
         """Keep what a write statement did to *table* for the commit
-        listeners: *rows* old and new versions (:class:`TableDelta` says
+        listeners: *n* old and new versions (:class:`TableDelta` says
         what the arguments are).  Nothing is kept unless a listener is
         attached, and a table written twice in one statement or by more
         than :data:`DELTA_MAX_ROWS` versions has no delta."""
@@ -366,14 +370,16 @@ class Database:
         if deltas is None:
             return
         name = table.schema.name.upper()
-        if name in deltas or rows > DELTA_MAX_ROWS:
+        if name in deltas or n > DELTA_MAX_ROWS:
             deltas[name] = None
         else:
-            deltas[name] = TableDelta(table.schema, rows, old, keep, prefix, new)
+            deltas[name] = TableDelta(table.schema, n, old, prefix, rows)
 
-    #: AST node -> attribute holding the target table reference.
+    #: AST node (or bound UPDATE / DELETE) -> attribute holding the target
+    #: table reference.
     _TARGET_ATTRS = {
         ast.Insert: "table", ast.Update: "table", ast.Delete: "table",
+        PlannedWrite: "ref",
         ast.CreateTable: "name", ast.DropTable: "name",
         ast.TruncateTable: "name", ast.CreateView: "name",
         ast.DropView: "name",
@@ -457,15 +463,19 @@ class Database:
         *key* is ``statement_key(sql, self.plan_cache)`` when the caller
         already has it (the serving result cache does): a text is lexed at
         most once on every path, a read this engine has keyed before never.
-        A cacheable read (``key.bypass is None``) runs through the plan cache
-        and is parsed only when it has to be planned; *snapshot* pins a read
-        to an MVCC snapshot of the caller's choosing."""
+        A cacheable read (``key.bypass is None``), an UPDATE and a DELETE run
+        through the plan cache and are parsed only when they have to be
+        planned; *snapshot* pins a read to an MVCC snapshot of the caller's
+        choosing."""
         session = session or self.connect()
         if key is None:
             key = statement_key(sql, self.plan_cache)
         tokens = key.tokens
-        if tokens is None or tokens[0].key not in ("SELECT", "WITH"):
-            # Nothing the plan cache could hold: DML, DDL, VALUES, a text
+        verb = tokens[0].key if tokens is not None else None
+        if verb in ("UPDATE", "DELETE"):
+            return self._execute_write_node(None, session, sql, key)
+        if verb not in ("SELECT", "WITH"):
+            # Nothing the plan cache could hold: INSERT, DDL, VALUES, a text
             # that does not lex.  (A SELECT is counted where it is planned.)
             self.plan_cache.count(key.bypass or "values")
         elif key.bypass is None:
@@ -707,7 +717,11 @@ class Database:
         return result
 
     def _execute_write_node(
-        self, node: ast.Node, session: Session, sql: str | None = None
+        self,
+        node: ast.Node | None,
+        session: Session,
+        sql: str | None = None,
+        key: StatementKey | None = None,
     ) -> Result:
         """Write path: statement lock + one auto-commit MVCC transaction.
 
@@ -715,7 +729,10 @@ class Database:
         concurrent snapshot readers either see all of the statement's
         effects or none.  On failure both the WAL buffer (durability
         abort) and the version stamps (MVCC rollback) are reverted.
+        *node* None is an UPDATE or DELETE text (*key*), parsed only if its
+        plan is not cached (:meth:`_write_plan`).
         """
+        statement = type(node).__name__ if node is not None else key.tokens[0].key.title()
         with self._statement_lock:
             index = self._bump_statement_count()
             wall_start = time.perf_counter()  # lint-ok: wall-clock (wall stopwatch reported beside the sim span, never charged to the cost model)
@@ -726,15 +743,17 @@ class Database:
             self._tls.txn = txn
             self._tls.deltas = {} if self._commit_listeners else None
             try:
-                with self.tracer.span(
-                    "statement", statement=type(node).__name__, sql=sql
-                ):
+                with self.tracer.span("statement", statement=statement, sql=sql):
                     # Auto-commit transaction boundary: a statement's redo
                     # records reach the WAL only if it succeeds; a commit
                     # record makes them durable (group commit may defer
                     # the flush).
                     try:
-                        result = self._dispatch_node(node, session)
+                        if node is None:
+                            # the bound plan names the target, as a node would
+                            result, node = self._execute_dml(None, session, key, sql)
+                        else:
+                            result = self._dispatch_node(node, session)
                     except BaseException:
                         if self.durability is not None:
                             self.durability.abort()
@@ -752,7 +771,7 @@ class Database:
         wall = time.perf_counter() - wall_start  # lint-ok: wall-clock (same wall stopwatch as above; reported, never charged)
         sim = self.clock.now - sim_start if sim_start is not None else None
         session.record_statement(
-            type(node).__name__, result, wall, sim_seconds=sim, sql=sql, index=index
+            statement, result, wall, sim_seconds=sim, sql=sql, index=index
         )
         return result
 
@@ -772,10 +791,8 @@ class Database:
             return self._execute_values(node, session, snapshot)
         if isinstance(node, ast.Insert):
             return self._execute_insert(node, session)
-        if isinstance(node, ast.Update):
-            return self._execute_update(node, session)
-        if isinstance(node, ast.Delete):
-            return self._execute_delete(node, session)
+        if isinstance(node, (ast.Update, ast.Delete)):
+            return self._execute_dml(node, session)[0]
         if isinstance(node, ast.CreateTable):
             return self._execute_create_table(node, session)
         if isinstance(node, ast.DropTable):
@@ -944,14 +961,25 @@ class Database:
 
     # -- INSERT -------------------------------------------------------------------------
 
-    def _resolve_target(self, ref: ast.TableRef, session: Session) -> ColumnTable:
+    def _resolve_target(
+        self, ref: ast.TableRef, session: Session, lineage=None
+    ) -> ColumnTable:
+        """The table a write names; a plan being made for reuse records
+        what the name resolved through in its *lineage*."""
         if ref.schema is None or ref.schema == "SESSION":
             temp = session.get_temp_table(ref.name)
             if temp is not None:
+                if lineage is not None:
+                    lineage.single_use("temp-table", untracked=True)
                 return temp
         if ref.schema == "SESSION":
             raise UnknownObjectError("no declared temp table %s" % ref.name)
-        info = self.catalog.resolve(ref.name, ref.schema)
+        if lineage is None:
+            info = self.catalog.resolve(ref.name, ref.schema)
+        else:
+            info = self.catalog.resolve(ref.name, ref.schema, lineage.stamps)
+            if ref.schema is None:
+                lineage.names.add(ref.name.upper())
         if isinstance(info, TableInfo):
             return info.table
         raise SQLError("%s is not a base table" % ref.name)
@@ -999,7 +1027,7 @@ class Database:
             count = txn.insert(table, rows)
         else:
             count = table.insert_rows(rows)
-        self._note_delta(table, count, new=rows)
+        self._note_delta(table, count, rows=rows)
         durable = self._durable_for(session, node.table, table)
         if durable is not None and rows:
             durable.log_insert(self._table_key(node.table, table), rows)
@@ -1007,100 +1035,207 @@ class Database:
 
     # -- UPDATE / DELETE -----------------------------------------------------------------
 
-    def _table_batch(self, table: ColumnTable, alias: str) -> tuple[Batch, Scope, np.ndarray]:
-        columns = {}
-        scope_columns = []
-        for cname, dtype in table.schema.columns:
-            key = "%s.%s" % (alias, cname)
-            columns[key] = table.column_vector(cname)
-            scope_columns.append(ScopeColumn(key, cname, alias, dtype))
-        # A write statement targets only versions its snapshot can see —
-        # never another transaction's uncommitted rows.
-        txn = self._stmt_txn()
-        live = table.visible_mask(txn.snapshot if txn is not None else None)
-        batch = Batch.from_columns(columns) if columns else Batch({}, 0)
-        return batch, Scope(scope_columns), live
+    def _execute_dml(
+        self, node, session: Session, key: StatementKey | None = None, sql: str | None = None
+    ) -> tuple[Result, PlannedWrite]:
+        """Run one UPDATE or DELETE and return its result and bound plan.
 
-    def _execute_delete(self, node: ast.Delete, session: Session) -> Result:
-        table = self._resolve_target(node.table, session)
-        alias = (node.table.alias or node.table.name).upper()
-        batch, scope, mask = self._table_batch(table, alias)
-        if node.where is not None:
-            binder = ExpressionBinder(scope, session.dialect, self)
-            binder.subquery_planner = self._planner(session)
-            mask = selection_mask(binder.bind(node.where), batch) & mask
-        txn = self._stmt_txn()
-        if txn is not None:
+        The plan (:meth:`_write_plan`) says what to match; :meth:`_match`
+        reads only the rows and columns that takes.  The matched batch then
+        feeds everything else: SET, the tombstones, the commit listeners'
+        delta and the WAL records.  A column-store UPDATE is delete +
+        re-insert, and so is its redo."""
+        plan = self._write_plan(node, session, key, sql)
+        table, prefix = plan.table, plan.prefix
+        positions, matched, size = self._match(plan)
+        count = int(positions.size)
+        if plan.assignments is not None:
+            if not count:
+                self._note_delta(table, 0)
+                return Result(rowcount=0, message="0 row(s) updated"), plan
+            rows = self._new_rows(plan, matched)
+        mask = np.zeros(size, dtype=bool)
+        mask[positions] = True
+        txn = self._stmt_txn()  # DML runs only inside _execute_write_node
+        durable = self._durable_for(session, plan.ref, table)
+        wal_key = self._table_key(plan.ref, table)
+        if plan.assignments is None:
             count = txn.delete(table, mask)
-        else:
-            count = table.apply_deletes(mask)
-        self._note_delta(table, count, batch, mask, alias + ".")
-        durable = self._durable_for(session, node.table, table)
-        if durable is not None and count:
-            durable.log_delete(self._table_key(node.table, table), mask)
-        return Result(rowcount=count, message="%d row(s) deleted" % count)
-
-    def _execute_update(self, node: ast.Update, session: Session) -> Result:
-        table = self._resolve_target(node.table, session)
-        alias = (node.table.alias or node.table.name).upper()
-        batch, scope, live = self._table_batch(table, alias)
-        binder = ExpressionBinder(scope, session.dialect, self)
-        binder.subquery_planner = self._planner(session)
-        if node.where is not None:
-            mask = selection_mask(binder.bind(node.where), batch) & live
-        else:
-            mask = live
-        count = int(mask.sum())
-        if count == 0:
-            self._note_delta(table, 0)
-            return Result(rowcount=0, message="0 row(s) updated")
-        assignments = []
-        for column, expr_node in node.assignments:
-            cname = column.upper()
-            dtype = table.schema.column_type(cname)
-            assignments.append((cname, dtype, binder.bind(expr_node)))
-        # Column-store update = read matched rows, tombstone, re-insert.
-        matched = batch.filter(mask)
-        names = table.schema.column_names
-        rows = []
-        for i in range(matched.n):
-            row_ctx = {}
-            for key, vector in matched.columns.items():
-                row_ctx[key] = (
-                    None if vector.null_mask()[i] else _unwrap(vector.values[i])
-                )
-            new_row = []
-            for cname, dtype in table.schema.columns:
-                key = "%s.%s" % (alias, cname)
-                value = row_ctx[key]
-                boundary = to_boundary_scalar(value, dtype) if value is not None else None
-                new_row.append(boundary)
-            for cname, dtype, expr in assignments:
-                physical = expr.eval_row(row_ctx)
-                index = names.index(cname)
-                new_row[index] = (
-                    None if physical is None else to_boundary_scalar(
-                        _coerce_assignment(physical, expr.dtype, dtype), dtype
-                    )
-                )
-            rows.append(tuple(new_row))
-        txn = self._stmt_txn()
-        if txn is not None:
-            txn.delete(table, mask)
-            txn.insert(table, rows)
-        else:
-            table.apply_deletes(mask)
-            table.insert_rows(rows)
+            self._note_delta(table, count, matched, prefix)
+            if durable is not None and count:
+                durable.log_delete(wal_key, mask)
+            return Result(rowcount=count, message="%d row(s) deleted" % count), plan
+        txn.delete(table, mask)
+        txn.insert(table, rows)
         # No page is dropped: the old versions' regions are only stamped
         # (``xmax``) and the new ones land in the tail.
-        self._note_delta(table, 2 * count, matched, None, alias + ".", rows)
-        durable = self._durable_for(session, node.table, table)
+        self._note_delta(table, 2 * count, matched, prefix, rows)
         if durable is not None:
-            # Column-store UPDATE is delete + re-insert; so is its redo.
-            key = self._table_key(node.table, table)
-            durable.log_delete(key, mask)
-            durable.log_insert(key, rows)
-        return Result(rowcount=count, message="%d row(s) updated" % count)
+            durable.log_delete(wal_key, mask)
+            durable.log_insert(wal_key, rows)
+        return Result(rowcount=count, message="%d row(s) updated" % count), plan
+
+    def _write_plan(
+        self, node, session: Session, key: StatementKey | None = None, sql: str | None = None
+    ) -> PlannedWrite:
+        """The bound plan of one UPDATE or DELETE, cached and counted like a
+        SELECT's: a text (*key*) asks the plan cache first and is parsed
+        only when its template must be planned; an AST (*node*: blocks,
+        CALL, the cluster's shards) plans for itself (``ast-entry``)."""
+        cache = self.plan_cache
+        reason = "ast-entry" if key is None else None
+        tokens = None
+        if reason is None:
+            tokens = key.tokens
+            cached = cache.lookup(key, session, self.catalog)
+            if cached is not None:
+                try:
+                    bound = cached.bind(tokens)
+                except (TypeError, ValueError, ArithmeticError, SQLError):
+                    reason = "literal-shape"  # see _bound_select
+                else:
+                    cache.count("hit")
+                    return bound
+            # CURRENT DATE, NEXTVAL and RAND are bound per statement: such a
+            # template is never stored, so only a miss has to ask.
+            elif is_volatile(tokens):
+                reason = "volatile"
+        if node is None:
+            node = self._parse(sql, key.tokens)
+        slots = LiteralSlots() if reason is None else None
+        planned = self._plan_write(node, session, slots)
+        if slots is not None:
+            slots.seal()
+        reason = reason or planned.lineage.bypass
+        if reason is None:
+            cache.store(key, session, planned)
+        else:
+            cache.count(reason)
+        return planned.bind(tokens)
+
+    def _plan_write(
+        self, node: ast.Update | ast.Delete, session: Session, slots: LiteralSlots | None
+    ) -> PlannedWrite:
+        """Resolve an UPDATE's or DELETE's target and bind its WHERE — split
+        into pushed and residual conjuncts as the SELECT planner splits a
+        scan's — and its SET expressions."""
+        planner = self._planner(session, slots=slots)  # runs WHERE subqueries
+        lineage = planner.lineage
+        ref = node.table
+        table = self._resolve_target(ref, session, lineage)
+        alias = (ref.alias or ref.name).upper()
+        scope = Scope([
+            ScopeColumn("%s.%s" % (alias, cname), cname, alias, dtype)
+            for cname, dtype in table.schema.columns
+        ])
+        binder = ExpressionBinder(scope, session.dialect, self, slots=slots)
+        binder.subquery_planner = planner
+        pushed, residual = [], []
+        for conjunct in _conjuncts(node.where):
+            simple = _simple_predicate(conjunct, scope, binder, session.dialect)
+            if simple is None:
+                residual.append(binder.bind(conjunct))
+            else:
+                pushed.append(simple[1])
+        assignments = None
+        if isinstance(node, ast.Update):
+            assignments = [
+                (table.schema.column_index(column.upper()), binder.bind(expr))
+                for column, expr in node.assignments
+            ]
+        return PlannedWrite(
+            ref, table, pushed,
+            None if not residual else residual[0] if len(residual) == 1
+            else Logical("AND", residual),
+            assignments, slots, lineage.seal(),
+        )
+
+    def _match(self, plan: PlannedWrite) -> tuple[np.ndarray, Batch | None, int]:
+        """The rows an UPDATE or DELETE touches: their positions in the
+        table's logical scan order, a batch of every column at them (keys
+        ``ALIAS.COLUMN``; None when nothing matched), and the table's
+        physical row count.
+
+        Region by region, then the tail, it reads what it touches: the
+        synopses skip extents, the pushed predicates answer as row ids on
+        the codes (:func:`_candidates`), visibility is read at those ids
+        only, the residual is decoded and evaluated at the visible ones
+        alone — a version the statement cannot see never reaches an
+        expression — and every column is gathered at the rows that remain.
+        Regions are read directly, not through the buffer pool."""
+        table = plan.table
+        snapshot = self._stmt_txn().snapshot
+        schema = table.schema
+        positions, batches, offset = [], [], 0
+
+        def settle(ids, read) -> None:
+            ids, batch = _settle(plan, ids, read)
+            if ids.size:
+                positions.append(ids + offset)
+                batches.append(batch)
+
+        for region in list(table.regions):
+            ids = _candidates(region, plan.pushed, table.synopsis_stride)
+            if ids.size:
+                visible = region.visible_mask(snapshot, ids)
+                if visible is not None:
+                    ids = ids[visible]
+            if ids.size:
+                settle(ids, lambda name, ids, region=region: region_vector(
+                    region.columns[name], schema.column_type(name),
+                    None if ids.size == region.n_rows else ids,
+                ))
+            offset += region.n_rows
+        ids = None
+        for pred in plan.pushed:
+            vector = table.tail_vector(pred.column)
+            if ids is None:
+                ids = np.flatnonzero(pred.eval_vector(vector))
+            elif ids.size:
+                ids = ids[pred.eval_vector(vector.take(ids))]
+        if ids is None:
+            ids = np.arange(table.tail_rows)
+        if ids.size:
+            visible = table.tail_visible(snapshot, ids)
+            if visible is not None:
+                ids = ids[visible]
+        if ids.size:
+            settle(ids, lambda name, ids: table.tail_vector(name).take(ids))
+        size = offset + table.tail_rows
+        if len(positions) == 1:
+            return positions[0], batches[0], size
+        if not positions:
+            return _NO_ROWS, None, size
+        return np.concatenate(positions), Batch.concat(batches), size
+
+    def _new_rows(self, plan: PlannedWrite, matched: Batch) -> list[tuple]:
+        """An UPDATE's new row versions, as boundary rows: SET evaluated row
+        by row over the matched batch.  A SET value is handed over as a
+        boundary value of its expression's type, so the load path converts
+        it to the column's type exactly as it converts an INSERT's (range
+        checks, DECIMAL rounding).  Row by row, not ``Expr.eval`` over the
+        batch and ``append_vectors``: measured no faster for a one-row
+        UPDATE (EXPERIMENTS.md, "Point DML")."""
+        columns = plan.table.schema.columns
+        keys = [plan.prefix + name for name, _ in columns]
+        vectors = [matched.columns[key] for key in keys]
+        values = [vector.values for vector in vectors]
+        nulls = [vector.null_mask() for vector in vectors]
+        rows = []
+        for i in range(matched.n):
+            physical = [
+                None if null[i] else _unwrap(value[i]) for value, null in zip(values, nulls)
+            ]
+            row = [
+                None if p is None else to_boundary_scalar(p, dtype)
+                for p, (_, dtype) in zip(physical, columns)
+            ]
+            context = dict(zip(keys, physical))
+            for at, expr in plan.assignments:
+                value = expr.eval_row(context)
+                row[at] = None if value is None else to_boundary_scalar(value, expr.dtype)
+            rows.append(tuple(row))
+        return rows
 
     # -- DDL ---------------------------------------------------------------------------
 
@@ -1317,27 +1452,68 @@ class Database:
         return database_report(self)
 
 
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 def _unwrap(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
-def _coerce_assignment(physical, from_dt, to_dt):
-    """Adjust a physical value produced by an expression to a column type."""
-    from repro.types.datatypes import TypeKind
+def _candidates(region, pushed, stride: int) -> np.ndarray:
+    """Row ids of *region* that pass every pushed predicate, read off the
+    codes: the synopses skip extents, the lead predicate's kernel runs over
+    the surviving window and answers as row ids, and the other predicates
+    are evaluated at those ids alone."""
+    n = region.n_rows
+    if not pushed:
+        return np.arange(n)
+    keep = np.ones(-(-n // stride), dtype=bool)
+    for pred in pushed:
+        synopsis = region.synopses.get(pred.column)
+        if synopsis is not None:
+            keep &= pred.synopsis_candidates(synopsis)
+    if not keep.any():
+        return _NO_ROWS
+    lead = pushed[0]
+    column, base = region.columns[lead.column], 0
+    holes = not keep.all()
+    if holes:  # the lead kernel runs over the surviving window only
+        first = int(np.argmax(keep)) * stride
+        last = (keep.size - int(np.argmax(keep[::-1]))) * stride
+        column, base = column.slice_rows(first, min(last, n))
+    words = column.eval_words(lead.op, lead.value)
+    if words is not None:
+        ids = base + column.words_positions(words)
+    else:  # a raw column or a NULL test: no kernel words to count
+        ids = base + np.flatnonzero(column.eval(lead.op, lead.value))
+    if holes:  # interior extents the synopses skipped stay out
+        ids = ids[keep[ids // stride]]
+    for pred in pushed[1:]:
+        if not ids.size:
+            break
+        ids = ids[pred.eval_compressed(region.columns[pred.column], ids)]
+    return ids
 
-    if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
-        shift = to_dt.scale - from_dt.scale
-        if shift >= 0:
-            return physical * (10 ** shift)
-        return physical // (10 ** -shift)
-    if from_dt.kind is TypeKind.DECIMAL and to_dt.is_approximate:
-        return physical / (10 ** from_dt.scale)
-    if from_dt.is_approximate and to_dt.kind is TypeKind.DECIMAL:
-        return int(round(physical * (10 ** to_dt.scale)))
-    if from_dt.is_integer and to_dt.kind is TypeKind.DECIMAL:
-        return physical * (10 ** to_dt.scale)
-    return physical
 
-
+def _settle(plan: PlannedWrite, ids: np.ndarray, read) -> tuple[np.ndarray, Batch | None]:
+    """Of the visible candidate rows *ids*, those the residual keeps, and a
+    batch of every column at them; ``read(name, ids)`` reads one column at
+    some rows, and a column the residual read is not read again."""
+    prefix = plan.prefix
+    columns = {}
+    if plan.residual is not None:
+        for key in plan.residual.references():
+            columns[key] = read(key[len(prefix):], ids)
+        batch = Batch.from_columns(columns) if columns else Batch({}, int(ids.size))
+        keep = selection_mask(plan.residual, batch)
+        if not keep.all():
+            ids = ids[keep]
+            columns = {key: vector.filter(keep) for key, vector in columns.items()}
+    if not ids.size:
+        return ids, None
+    out = {}
+    for name in plan.table.schema.column_names:
+        key = prefix + name
+        out[key] = columns[key] if key in columns else read(name, ids)
+    return ids, Batch.from_columns(out)

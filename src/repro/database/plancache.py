@@ -3,8 +3,9 @@
 A planned SELECT (:class:`~repro.sql.planner.PlannedQuery`) holds nothing
 of an execution, so :class:`PlanCache` keeps it and every entry point
 that has SQL text (``Session.execute``, the serving gateway) executes a
-per-execution copy of it (:meth:`PlannedQuery.bind`).  A plan is a pure
-function of what its key names:
+per-execution copy of it (:meth:`PlannedQuery.bind`).  A bound UPDATE or
+DELETE (:class:`PlannedWrite`) is kept the same way, under the same key.
+A plan is a pure function of what its key names:
 
 * the statement's **template** — its normal form with every NUMBER and
   STRING literal replaced by ``?`` (:attr:`StatementKey.template`);
@@ -42,25 +43,68 @@ planning or execution.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
 from repro.monitor.metrics import CacheStats
 from repro.serving.normalize import BYPASS_REASONS
-from repro.sql.binder import literal_signature
+from repro.sql import ast
+from repro.sql.binder import LiteralSlots, literal_signature
+from repro.sql.planner import PlanLineage, _bound, _shallow_copy
 from repro.verify import sanitizer
 
-#: Why a SELECT execution planned for itself alone: the text is not a
-#: cacheable read (the three reasons :func:`statement_key` gives), it is a
-#: VALUES statement (nothing is planned), it arrived as an AST
-#: (``execute_ast``: no text, no key) or with statement-scoped relations,
-#: it reads a session temp table or a federation nickname, planning folded
-#: a subquery's answer into it, or a late-bound constant did not fit where
-#: the cached plan's did.
+#: Why a SELECT, UPDATE or DELETE execution planned for itself alone: the
+#: text is not a cacheable read (the three reasons :func:`statement_key`
+#: gives; an INSERT or DDL is ``not-a-read``), it is a VALUES statement
+#: (nothing is planned), it arrived as an AST (``execute_ast``: no text,
+#: no key) or with statement-scoped relations, it reads or writes a session
+#: temp table or reads a federation nickname, planning folded a subquery's
+#: answer into it, or a late-bound constant did not fit where the cached
+#: plan's did.
 PLAN_BYPASS_REASONS = BYPASS_REASONS + (
     "values", "ast-entry", "relations", "temp-table", "nickname",
     "plan-time-subquery", "literal-shape",
 )
 
 DEFAULT_PLAN_CAPACITY = 512
+
+
+@dataclass
+class PlannedWrite:
+    """An UPDATE or DELETE bound once for every statement of its template.
+
+    The WHERE is split like a scan's: ``pushed`` holds the conjuncts the
+    matcher answers on a region's codes (``column <op> constant``, as
+    :class:`~repro.engine.operators.SimplePredicate`), ``residual`` the
+    rest (None: TRUE).  ``assignments`` is an UPDATE's ``[(column index,
+    expression)]`` (None for a DELETE).  Like a planned SELECT it holds
+    nothing of an execution; literals bound late are resolved per
+    statement by :meth:`bind`.
+    """
+
+    ref: ast.TableRef
+    table: object  # the target ColumnTable
+    pushed: list
+    residual: object
+    assignments: list | None
+    slots: LiteralSlots | None = None
+    lineage: PlanLineage | None = None
+
+    @property
+    def prefix(self) -> str:
+        """What the target's column keys start with (``ALIAS.``)."""
+        return (self.ref.alias or self.ref.name).upper() + "."
+
+    def bind(self, tokens) -> "PlannedWrite":
+        """One statement's copy, its late literals read from *tokens*;
+        raises what a constant's conversion raises when a late literal's
+        value does not fit where the planned one did."""
+        if self.slots is None or not self.slots.late:
+            return self
+        bound = _shallow_copy(self)
+        bound.pushed = _bound(self.pushed, tokens)
+        bound.residual = _bound(self.residual, tokens)
+        bound.assignments = _bound(self.assignments, tokens)
+        return bound
 
 #: Texts the memo keeps: the serving result cache's default capacity, so
 #: every text whose answer can be cached can also be recognised.

@@ -19,7 +19,7 @@ from repro.engine.expression import Batch, Expr, selection_mask
 from repro.simd.packed import count_result_bits
 from repro.simd.predicates import COMPARISONS
 from repro.storage.column import ColumnVector
-from repro.storage.table import ColumnTable
+from repro.storage.table import ColumnTable, region_vector
 from repro.verify import sanitizer
 
 #: The one switch between the two forms of a scan's selection: when the
@@ -432,11 +432,7 @@ class TableScanOp(Operator):
 
     def _vector(self, name: str, compressed, ids=None) -> ColumnVector:
         """A column region as a vector — all of its rows, or those at ``ids``."""
-        dtype = self.table.schema.column_type(name)
-        coded = compressed.decode_coded(ids)
-        if coded is not None:  # strings stay codes until someone reads them
-            return ColumnVector.coded(dtype, *coded)
-        return ColumnVector(dtype, *compressed.decode(ids))
+        return region_vector(compressed, self.table.schema.column_type(name), ids)
 
     def _scan_tail(self, needed):
         capture = self._capture

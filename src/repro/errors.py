@@ -80,10 +80,19 @@ class NumericOverflowError(SQLError):
 
 
 class ConstraintViolationError(SQLError):
-    """A uniqueness or not-null constraint was violated."""
+    """A uniqueness or not-null constraint was violated (a unique key:
+    SQL0803N, 23505)."""
 
     def __init__(self, message: str):
         super().__init__(message, sqlstate="23505")
+
+
+class NotNullViolationError(ConstraintViolationError):
+    """A NULL was written into a NOT NULL column (SQL0407N, 23502)."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.sqlstate = "23502"
 
 
 class UnsupportedFeatureError(SQLError):

@@ -86,6 +86,9 @@ class Snapshot:
 
     def sees_vec(self, txids: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`sees` over an int64 stamp array."""
+        out = txids < self.lowater
+        if out.all():  # every stamp committed before the oldest in-flight txn
+            return out
         out = txids < self.high
         if self.active:
             out &= ~np.isin(txids, np.asarray(self.active, dtype=np.int64))

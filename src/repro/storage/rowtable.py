@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SQLError
+from repro.errors import ConstraintViolationError, NotNullViolationError, SQLError
 from repro.storage.btree import BTree
 from repro.storage.column import to_physical_scalar
 from repro.storage.table import TableSchema
@@ -20,37 +20,111 @@ from repro.types.datatypes import TypeKind
 
 
 class RowTable:
-    """A row-store table: list-of-rows plus optional secondary indexes."""
+    """A row-store table: list-of-rows plus optional secondary indexes.
 
-    def __init__(self, schema: TableSchema):
+    PRIMARY KEY / UNIQUE and NOT NULL columns are enforced as
+    :class:`~repro.storage.table.ColumnTable` enforces them: a statement's
+    rows land all or nothing, and the error raised is that of the lowest
+    offending row (within a row: column order, then the unique columns).
+    """
+
+    def __init__(
+        self,
+        schema: TableSchema,
+        unique_columns: tuple[str, ...] = (),
+        not_null_columns: tuple[str, ...] = (),
+    ):
         self.schema = schema
         self._rows: list[list] = []
         self._deleted: set[int] = set()
         self.indexes: dict[str, BTree] = {}
+        self.unique_columns = tuple(unique_columns)
+        self.not_null_columns = tuple(not_null_columns)
 
     # -- DML -----------------------------------------------------------------
 
     def insert_rows(self, rows) -> int:
         """Append boundary-value rows, maintaining any indexes."""
-        count = 0
+        physical = []
         for row in rows:
             if len(row) != len(self.schema):
                 raise SQLError(
                     "row has %d values, table %s has %d columns"
                     % (len(row), self.schema.name, len(self.schema))
                 )
-            physical = [
-                None if v is None else to_physical_scalar(v, dt)
-                for (name, dt), v in zip(self.schema.columns, row)
-            ]
+            physical.append(self._physical(row))
+        self._check_unique(physical)
+        for values in physical:
             row_id = len(self._rows)
-            self._rows.append(physical)
+            self._rows.append(values)
             for column, index in self.indexes.items():
-                key = physical[self.schema.column_index(column)]
+                key = values[self.schema.column_index(column)]
                 if key is not None:
                     index.insert(key, row_id)
-            count += 1
-        return count
+        return len(physical)
+
+    def update_rows(self, changes) -> int:
+        """Replace columns of live rows: *changes* is ``[(row id, {column:
+        boundary value})]``.  Every new row is converted and checked before
+        any is written, the rows being replaced no longer counting against
+        a unique column."""
+        names = self.schema.column_names
+        new = []
+        for row_id, values in changes:
+            row = list(self.fetch(row_id))
+            for name, value in values.items():
+                row[names.index(name)] = value
+            new.append(self._physical(row, {names.index(name) for name in values}))
+        self._check_unique(new, {row_id for row_id, _ in changes})
+        for (row_id, _), values in zip(changes, new):
+            old = self._rows[row_id]
+            for column, index in self.indexes.items():
+                at = self.schema.column_index(column)
+                if old[at] is not None:
+                    index.remove(old[at], row_id)
+                if values[at] is not None:
+                    index.insert(values[at], row_id)
+            self._rows[row_id] = values
+        return len(new)
+
+    def _physical(self, row, converted=None) -> list:
+        """*row* in physical form, the columns at positions *converted*
+        (None: every column) converted from boundary values; raises the
+        row's first conversion or NOT NULL error, in column order."""
+        out = list(row)
+        for at, (name, dt) in enumerate(self.schema.columns):
+            value = row[at]
+            if value is None:
+                if name in self.not_null_columns:
+                    raise NotNullViolationError("column %s does not accept NULL" % name)
+            elif converted is None or at in converted:
+                out[at] = to_physical_scalar(value, dt)
+        return out
+
+    def _check_unique(self, rows, replaced=frozenset()) -> None:
+        """Raise for the first of *rows* that repeats a unique value of a
+        live row (other than those *replaced*) or of an earlier one."""
+        columns = [self.schema.column_index(c) for c in self.unique_columns]
+        if not columns:
+            return
+        seen = [
+            {
+                row[at] for row_id, row in self.scan()
+                if row_id not in replaced and row[at] is not None
+            }
+            for at in columns
+        ]
+        for row in rows:
+            for at, values in zip(columns, seen):
+                value = row[at]
+                if value is None:
+                    continue
+                if value in values:
+                    raise ConstraintViolationError(
+                        "duplicate value %r for unique column %s"
+                        % (value, self.schema.columns[at][0])
+                    )
+                values.add(value)
 
     def delete_ids(self, row_ids) -> int:
         """Tombstone rows by id, maintaining indexes."""
@@ -67,22 +141,9 @@ class RowTable:
         return deleted
 
     def update_row(self, row_id: int, values: dict[str, object]) -> None:
-        """In-place update (row stores update in place, unlike the column
-        store's delete+insert)."""
-        if row_id in self._deleted or not 0 <= row_id < len(self._rows):
-            raise SQLError("no such row id %d" % row_id)
-        row = self._rows[row_id]
-        for name, value in values.items():
-            idx = self.schema.column_index(name)
-            dt = self.schema.columns[idx][1]
-            new_physical = None if value is None else to_physical_scalar(value, dt)
-            if name in self.indexes:
-                old = row[idx]
-                if old is not None:
-                    self.indexes[name].remove(old, row_id)
-                if new_physical is not None:
-                    self.indexes[name].insert(new_physical, row_id)
-            row[idx] = new_physical
+        """In-place update of one row (row stores update in place, unlike
+        the column store's delete+insert)."""
+        self.update_rows([(row_id, values)])
 
     def truncate(self) -> None:
         self._rows = []

@@ -34,6 +34,7 @@ from repro.compression.codec import CompressedColumn, compress_column
 from repro.errors import (
     ConstraintViolationError,
     ConversionError,
+    NotNullViolationError,
     SQLError,
     TransactionConflictError,
 )
@@ -471,7 +472,8 @@ class ColumnTable:
 
         A unique value has exactly one live row, so forgetting the values
         of the rows tombstoned here keeps the seen-sets exact without
-        rescanning the table (an abort rebuilds them, :meth:`rollback_txn`).
+        rescanning the table (an abort rebuilds them, :meth:`rollback_txn`);
+        only those rows of a region's unique columns are decoded.
         """
         expected = self.n_rows_physical()
         if global_mask.size != expected:
@@ -483,26 +485,23 @@ class ColumnTable:
         for region in self.regions:
             chunk = global_mask[offset : offset + region.n_rows]
             if chunk.any():
-                fresh = region.mark_deleted(chunk, txid)
-                deleted += int(fresh.sum())
+                gone = np.flatnonzero(region.mark_deleted(chunk, txid))
+                deleted += gone.size
                 for name in self.unique_columns:
-                    self._forget(name, *region.columns[name].decode(), fresh)
+                    self._forget(name, *region.columns[name].decode(gone))
             offset += region.n_rows
         tail_mask = global_mask[offset:]
         if tail_mask.any():
             n = self._tail_rows
-            fresh = _stamp_deleted(self._tail_xmax[:n], tail_mask, txid)
-            deleted += int(fresh.sum())
+            gone = np.flatnonzero(_stamp_deleted(self._tail_xmax[:n], tail_mask, txid))
+            deleted += gone.size
             for name, at in self._unique_at:
-                self._forget(
-                    name, self._tail_values[at][:n], self._tail_nulls[at][:n], fresh
-                )
+                self._forget(name, self._tail_values[at][gone], self._tail_nulls[at][gone])
         return deleted
 
-    def _forget(self, name: str, values, nulls, gone) -> None:
-        """Drop the unique values of the rows under *gone* from the seen-set."""
-        keep = gone if nulls is None else gone & ~nulls
-        self._unique_seen[name].difference_update(values[keep].tolist())
+    def _forget(self, name: str, values, nulls) -> None:
+        """Drop the unique values of deleted rows from the seen-set."""
+        self._unique_seen[name].difference_update(_present(values, nulls))
 
     def rollback_txn(self, txid: int) -> None:
         """Revert every stamp *txid* left: undo its deletes, kill its inserts.
@@ -589,6 +588,11 @@ class ColumnTable:
         """The uncompressed tail of one column as a runtime vector."""
         return self._tail_column(self.schema.column_index(name), self._tail_rows)
 
+    def tail_visible(self, snapshot: Snapshot | None, ids: np.ndarray) -> np.ndarray | None:
+        """Which of the tail rows at positions *ids* *snapshot* sees, in
+        their order (None: all of them); only their stamps are read."""
+        return _tail_visible(self._tail_xmin[ids], self._tail_xmax[ids], ids.size, snapshot)
+
     def column_vector(self, name: str) -> ColumnVector:
         """Materialise one whole column (all live and tombstoned rows).
 
@@ -607,8 +611,10 @@ class ColumnTable:
         """Mask of rows visible under *snapshot* over the logical scan order.
 
         ``snapshot=None`` degrades to :meth:`live_mask` (latest state).
-        Used by the UPDATE/DELETE match path so a write transaction only
-        targets versions its own snapshot can see.
+        The whole-table form, for core-API callers (``txn.delete(table,
+        table.visible_mask(txn.snapshot))``); UPDATE and DELETE read the
+        stamps of their candidate rows alone (:meth:`Region.visible_mask`
+        with ids, :meth:`tail_visible`).
         """
         if snapshot is None:
             return self.live_mask()
@@ -652,6 +658,16 @@ class ColumnTable:
         return self.raw_nbytes() / compressed
 
 
+def region_vector(compressed: CompressedColumn, dtype: DataType, ids=None) -> ColumnVector:
+    """One column of a region as a runtime vector — every row, or the rows
+    at positions ``ids``; a dictionary-coded string column stays codes
+    until someone reads its values."""
+    coded = compressed.decode_coded(ids)
+    if coded is not None:
+        return ColumnVector.coded(dtype, *coded)
+    return ColumnVector(dtype, *compressed.decode(ids))
+
+
 def _stamps(stamps: np.ndarray, n: int) -> np.ndarray | None:
     """A copy of the first *n* version stamps, or None when all are zero
     (the common case)."""
@@ -684,8 +700,8 @@ def _present(values, nulls: np.ndarray | None) -> list:
     return list(itertools.compress(values, (~nulls).tolist()))
 
 
-def _null_violation(name: str) -> ConstraintViolationError:
-    return ConstraintViolationError("column %s does not accept NULL" % name)
+def _null_violation(name: str) -> NotNullViolationError:
+    return NotNullViolationError("column %s does not accept NULL" % name)
 
 
 def _first_rejected(values, dt: DataType, name: str, at: int, not_null: bool):

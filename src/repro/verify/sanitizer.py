@@ -401,7 +401,8 @@ def check_shared_plan(plan) -> None:
 
     Walks what the plan is made of — operators, expressions, predicates,
     sort keys and aggregate specs (objects of the ``repro.engine`` and
-    ``repro.sql`` packages) and the lists, tuples and dicts between them —
+    ``repro.sql`` packages, and a planned UPDATE or DELETE) and the lists,
+    tuples and dicts between them —
     and looks at the class of everything they reference, without entering
     storage, pools or catalog objects.  Duck-typed by class name, so this
     module still imports nothing of the engine.
@@ -420,7 +421,9 @@ def check_shared_plan(plan) -> None:
             stack.extend((item, path) for item in obj)
         elif isinstance(obj, dict):
             stack.extend((item, path) for item in obj.values())
-        elif cls.__module__.startswith(("repro.engine", "repro.sql")):
+        elif cls.__module__.startswith(
+            ("repro.engine", "repro.sql", "repro.database.plancache")
+        ):
             stack.extend(
                 (value, "%s.%s" % (cls.__name__, attr))
                 for attr, value in getattr(obj, "__dict__", {}).items()

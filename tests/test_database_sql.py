@@ -358,6 +358,15 @@ class TestWritesSurviveACrash:
         session = self._recovered("CREATE SEQUENCE seq START WITH 7")
         assert session.execute("VALUES NEXT VALUE FOR seq").scalar() == 7
 
+    def test_truncate(self):
+        # (a drop-wal mutant of TRUNCATE survived: recovery brought the rows back)
+        session = self._recovered("TRUNCATE TABLE t", "INSERT INTO t VALUES (3, 30)")
+        assert session.execute("SELECT k, v FROM t").rows == [(3, 30)]
+
+    def test_delete_of_a_matched_row(self):
+        session = self._recovered("DELETE FROM t WHERE v > 15", "UPDATE t SET v = 0 WHERE k = 9")
+        assert session.execute("SELECT k, v FROM t").rows == [(1, 10)]
+
 
 class TestInexactPushdownConstants:
     """A constant is pushed into the scan only when the column's physical

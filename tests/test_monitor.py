@@ -508,14 +508,19 @@ class TestPlanCacheOnTheBenchmarkPools:
         for statement in statements:
             session.execute(statement.sql)
         reads = sum(s.kind in ("SELECT", "WITH", "EXPLAIN") for s in statements)
+        # UPDATE and DELETE are planned once per template too: the UPDATE's
+        # six literal signatures (sign and digits of the amount) + DELETE.
+        writes = sum(s.kind in ("UPDATE", "DELETE") for s in statements)
         report = db.monreport()["plan_cache"]
         assert sum(s.kind in ("CREATE", "DROP") for s in statements) > 300
-        assert report["hits"] + report["misses"] == reads
-        assert report["misses"] == report["templates"] == report["entries"] <= 18
-        assert report["hit_rate"] >= 0.8
+        assert report["hits"] + report["misses"] == reads + writes
+        assert report["misses"] == report["templates"] == report["entries"] <= 18 + 7
+        assert report["hit_rate"] >= 0.9
         assert report["invalidations"] == report["evictions"] == 0
         # (EXPLAIN is no read to the key, and asks the cache for its SELECT.)
-        assert self._bypasses(db) == {"not-a-read": setup + len(statements) - reads + 1}
+        assert self._bypasses(db) == {
+            "not-a-read": setup + len(statements) - reads - writes + 1
+        }
 
     def test_dashboards_long_tail_and_serving_lookups_never_bypass(self):
         from repro.serving import ServingGateway
@@ -549,7 +554,7 @@ class TestPlanCacheOnTheBenchmarkPools:
         gateway.close()
         after = self._bypasses(db)
         assert set(after) == {"not-a-read"}
-        assert after["not-a-read"] == setup["not-a-read"] + 1
+        assert after["not-a-read"] == setup["not-a-read"]  # the UPDATE is planned too
         report = db.monreport()["plan_cache"]
         assert report["misses"] == report["templates"] <= 40
         assert report["hits"] > 4 * report["misses"]
