@@ -242,4 +242,3 @@ def test_htap_reader_throughput_under_churn(benchmark):
         " (gate %.2fx) — snapshot reads must not block behind loads"
         % (ratio, QPH_FLOOR)
     )
-    db.pool.shutdown()

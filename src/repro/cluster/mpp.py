@@ -149,8 +149,8 @@ class Cluster:
         self.filesystem = filesystem or ClusterFileSystem()
         self.clock = clock
         self.durable = durable
-        #: Scatter DOP: per-shard statements dispatch concurrently on this
-        #: many workers; the gather still merges in shard-id order.
+        #: Scatter DOP: the sim clock schedules per-shard statements over
+        #: this many workers; the gather merges in shard-id order.
         self.parallelism = (
             parallelism if parallelism is not None else default_parallelism()
         )
@@ -556,7 +556,7 @@ class Cluster:
         return None
 
     def _run_on_shards(self, select: ast.Select, session) -> list[Result]:
-        """Scatter one statement to every shard, concurrently.
+        """Scatter one statement to every shard.
 
         Shards dispatch onto the cluster worker pool in ascending shard-id
         order and the pool gathers results in that same submission order,

@@ -57,9 +57,7 @@ class Shard:
                 group_commit=group_commit,
             )
         # Shard engines run serial (parallelism=1): intra-query parallelism
-        # in the cluster comes from the scatter pool dispatching shards
-        # concurrently, and nesting per-shard worker pools under it would
-        # oversubscribe the host without adding real concurrency.
+        # in the cluster is the scatter pool's modelled DOP over shards.
         self.engine = Database(
             name="SHARD%d" % shard_id,
             bufferpool_pages=bufferpool_pages,

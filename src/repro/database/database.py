@@ -189,7 +189,7 @@ class Database:
         #: Engine feature flags for scans (used by ablation baselines):
         #: {"use_skipping": bool, "use_compressed_eval": bool}.
         self.scan_options = scan_options
-        #: Shared morsel worker pool (serial/inline unless parallelism > 1).
+        #: Shared morsel worker pool (tasks inline; the DOP is modelled).
         self.pool = WorkerPool(
             parallelism,
             metrics=self.metrics if self.tracer.enabled else None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DivisionByZeroError, TypeCheckError
+from repro.errors import DivisionByZeroError, NumericOverflowError, TypeCheckError
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BOOLEAN, DOUBLE, DataType, TypeKind, promote
 from repro.types.values import INT_RANGES
@@ -784,8 +784,13 @@ class FuncCall(Expr):
             result = self.scalar_fn(args)
             if result is None:
                 nulls[i] = True
-            else:
+                continue
+            try:
                 values[i] = result
+            except OverflowError:
+                raise NumericOverflowError(
+                    "%s result out of range for %s" % (self.name, self.dtype)
+                ) from None
         return ColumnVector(self.dtype, values, nulls if nulls.any() else None)
 
     def eval_row(self, row: dict):

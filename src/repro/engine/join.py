@@ -56,7 +56,7 @@ class HashJoinOp(Operator):
             a parallel ``pool`` it doubles as the probe morsel size.
         pool: optional :class:`~repro.parallel.pool.WorkerPool`.  When
             parallel, probe morsels binary-search the (shared, read-only)
-            sorted build side concurrently; per-morsel match lists
+            sorted build side as separate pool tasks; per-morsel match lists
             concatenate in morsel order, which reproduces the serial
             probe's output exactly (each probe row's matches depend only
             on that row).

@@ -2,43 +2,42 @@
 
 The paper's engine "runs as fast as the hardware allows" through intra-query
 parallelism: scans, joins, aggregates, MPP shard scatter, and Spark stages
-all split their work into independent tasks and run them on a bounded set of
-workers.  One :class:`WorkerPool` — one thread executor, one option (the
-degree of parallelism) — provides that substrate for every layer:
+all split their work into independent tasks over a bounded set of workers.
+This repository reproduces that hardware effect the way it reproduces the
+others (PAPER.md's substitution table): on the simulated clock.  One
+:class:`WorkerPool` — one option, the degree of parallelism (DOP) — is the
+substrate for every layer:
 
-* **deterministic gather** — :meth:`WorkerPool.map` always returns results
-  in submission order, whatever order workers finish in, so parallel plans
-  produce exactly the rows a serial plan would;
-* **serial equivalence** — with ``parallelism=1`` (the default unless
-  ``REPRO_PARALLELISM`` or the caller says otherwise) tasks run inline on
-  the calling thread: byte-for-byte the pre-pool execution path, with no
-  executor, no extra threads, and no scheduling jitter;
-* **sim-clock awareness** — each run records per-task spans measured in
-  *thread CPU seconds* (wall time is kept alongside), so contention on an
-  oversubscribed host cannot inflate the model; the simulated cost of a
-  parallel phase is the *makespan* of those spans over the configured
-  workers (max of worker busy times), never their sum.  Callers that own a
+* **tasks run on the calling thread** — :meth:`WorkerPool.map` runs every
+  task inline, in submission order, at every DOP, and returns the results
+  in that order; the first failing task raises and later tasks do not run.
+  Parallel plans therefore produce exactly the rows a serial plan would;
+* **the DOP is modelled** — each run records per-task spans measured in
+  *thread CPU seconds* (wall time is kept alongside) and list-schedules
+  them over the declared workers (:func:`list_schedule`): each span's
+  ``worker`` is the worker the schedule assigns it to, and the simulated
+  cost of a parallel phase is the *makespan* of that schedule, never the
+  sum of the spans.  Callers that own a
   :class:`~repro.util.timer.SimClock` charge ``run.makespan_seconds``
   instead of ``run.total_seconds``;
 * **observability** — when wired to a
   :class:`~repro.monitor.metrics.MetricsRegistry` the pool maintains
   ``parallel.*`` counters/gauges, and every :class:`PoolRun` exposes
   per-worker busy seconds for EXPLAIN ANALYZE and MONREPORT.
+
+Concurrent *sessions* still share one pool, so the lifetime accumulators
+stay under a lock and ``last_run`` is per thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.verify import sanitizer
-
-_NULL_SPAN = contextlib.nullcontext()
 
 #: Environment override for the default degree of parallelism.
 PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
@@ -63,26 +62,32 @@ def default_parallelism(cores: int | None = None) -> int:
     return 1
 
 
-def greedy_makespan(durations, workers: int) -> float:
-    """Simulated elapsed time for ``durations`` on ``workers`` workers.
+def list_schedule(durations, workers: int) -> tuple[list[int], list[float]]:
+    """``(assignment, loads)``: the worker each of ``durations`` runs on and
+    every worker's total busy time.
 
-    Tasks are assigned in submission order to the earliest-free worker (the
-    list-scheduling model of a morsel queue).  ``workers=1`` degenerates to
-    ``sum``; ``workers>=len(durations)`` to ``max``.  Deterministic, and
-    within 2x of the optimal makespan (Graham's bound), which is accurate
-    enough for a cost model.
+    Tasks are assigned in submission order to the earliest-free worker,
+    the lowest id on a tie (the list-scheduling model of a morsel queue).
+    Deterministic, and within 2x of the optimal makespan (Graham's bound),
+    which is accurate enough for a cost model.
     """
     durations = list(durations)
-    if not durations:
-        return 0.0
-    workers = max(1, int(workers))
-    if workers == 1:
-        return float(sum(durations))
-    loads = [0.0] * min(workers, len(durations))
-    heapq.heapify(loads)
+    free = [(0.0, w) for w in range(max(1, min(int(workers), len(durations))))]
+    loads = [0.0] * len(free)
+    assignment = []
     for d in durations:
-        heapq.heappush(loads, heapq.heappop(loads) + float(d))
-    return max(loads)
+        _, w = heapq.heappop(free)
+        loads[w] += float(d)
+        heapq.heappush(free, (loads[w], w))
+        assignment.append(w)
+    return assignment, loads
+
+
+def greedy_makespan(durations, workers: int) -> float:
+    """Simulated elapsed time for ``durations`` on ``workers`` workers: the
+    busiest worker of :func:`list_schedule`.  ``workers=1`` degenerates to
+    ``sum``; ``workers>=len(durations)`` to ``max``."""
+    return max(list_schedule(durations, workers)[1])
 
 
 @dataclass
@@ -98,10 +103,9 @@ class TaskSpan:
     """
 
     index: int          # submission index (== gather position)
-    worker: int         # dense worker id within the run (0-based)
+    worker: int         # the worker the list schedule assigns it to (0-based)
     seconds: float      # charged duration (thread CPU seconds)
     wall_seconds: float = 0.0
-    label: str | None = None
 
 
 @dataclass
@@ -110,7 +114,6 @@ class PoolRun:
 
     parallelism: int
     spans: list[TaskSpan] = field(default_factory=list)
-    inline: bool = False  # ran serially on the calling thread
     label: str | None = None
 
     @property
@@ -130,7 +133,7 @@ class PoolRun:
         )
 
     def worker_busy(self) -> dict[int, float]:
-        """Measured busy seconds per worker (dense ids, gather order)."""
+        """Measured busy seconds per scheduled worker, by worker id."""
         busy: dict[int, float] = {}
         for span in self.spans:
             busy[span.worker] = busy.get(span.worker, 0.0) + span.seconds
@@ -163,23 +166,20 @@ class WorkerPool:
     Args:
         parallelism: worker count; ``None`` resolves via
             :func:`default_parallelism` (env var, else serial).
-        clock: optional :class:`~repro.util.timer.SimClock`; kept so owners
-            can call :meth:`charge_clock` after a run.
         metrics: optional :class:`~repro.monitor.metrics.MetricsRegistry`
             fed with ``parallel.*`` counters.
-        name: label used in metric names and thread names.
+        name: label used in metric and lock names.
     """
 
     # Constant: benchmarks/e2e/layers.py reads it (parallel.thread_fallbacks); goes with ROADMAP 4(d)'s benchmark PR.
     process_fallbacks_total = 0
 
-    def __init__(self, parallelism: int | None = None, clock=None,
-                 metrics=None, name: str = "pool"):
+    def __init__(self, parallelism: int | None = None, metrics=None,
+                 name: str = "pool"):
         self.parallelism = max(
             1,
             parallelism if parallelism is not None else default_parallelism(),
         )
-        self.clock = clock
         self.name = name
         self.metrics = metrics
         #: ``last_run`` is *thread-local*: concurrent sessions each read the
@@ -193,8 +193,6 @@ class WorkerPool:
         self.tasks_total = 0
         self.busy_seconds_total = 0.0      # serial-equivalent cost
         self.makespan_seconds_total = 0.0  # simulated parallel cost
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = sanitizer.make_lock("pool:%s:executor" % name)
         self._stats_lock = sanitizer.make_lock("pool:%s:stats" % name)
 
     @property
@@ -210,120 +208,40 @@ class WorkerPool:
     def is_parallel(self) -> bool:
         return self.parallelism > 1
 
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.parallelism,
-                    thread_name_prefix="repro-%s" % self.name,
-                )
-            return self._executor
-
     def shutdown(self) -> None:
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+        """A no-op (tasks run on the caller); benchmarks/e2e/workloads.py calls it."""
 
     # -- execution -------------------------------------------------------------
 
     def map(self, fn, items, label: str | None = None) -> list:
-        """Run ``fn`` over ``items``; results gather in submission order.
+        """Run ``fn`` over ``items`` on the calling thread, in submission
+        order, and return the results in that order.
 
-        With ``parallelism=1`` (or fewer than two items) the tasks run
-        inline on the calling thread in submission order — the exact serial
-        code path.  Otherwise tasks run on the executor and the first
-        failing task's exception (in submission order) propagates after all
-        futures settle, so error behaviour is deterministic too.
+        The first failing task raises and later tasks do not run; the run
+        still records the spans of the tasks before it.
         """
-        items = list(items)
-        if not self.is_parallel or len(items) <= 1:
-            return self._map_inline(fn, items, label)
-        hook = sanitizer.mc_hook()
-        if hook is not None and hook.governs_current_thread():
-            # Under the model checker, tasks become model threads so the
-            # checker explores morsel interleavings too (no real executor).
-            return self._map_modelled(hook, fn, items, label)
-        executor = self._ensure_executor()
-        worker_ids: dict[int, int] = {}
-        # lint-ok: raw-lock (per-invocation lock guarding only this call's local worker_ids dict; never shared beyond the run, so lockset tracking would be noise)
-        ids_lock = threading.Lock()
-
-        def task(index, item):
-            span = (
-                sanitizer.task_span(label or self.name)
-                if sanitizer.ENABLED
-                else _NULL_SPAN
-            )
-            with span:
-                value, cpu, wall = _timed(fn, item)
-            ident = threading.get_ident()
-            with ids_lock:
-                worker = worker_ids.setdefault(ident, len(worker_ids))
-            return value, TaskSpan(index, worker, cpu, wall, label)
-
-        futures = [executor.submit(task, i, item) for i, item in enumerate(items)]
-        results: list = [None] * len(items)
-        spans: list[TaskSpan] = []
-        first_error: BaseException | None = None
-        for i, future in enumerate(futures):
-            try:
-                results[i], span = future.result()
-            except BaseException as exc:  # lint-ok: broad-except (not a swallow: the first failure, in submission order, re-raises after every future settles — deterministic error behaviour)
-                if first_error is None:
-                    first_error = exc
-                continue
-            spans.append(span)
-        self._record(spans, inline=False, label=label)
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def _map_modelled(self, hook, fn, items, label) -> list:
-        """``map()`` with the model checker owning the schedule: each task
-        runs as a model thread, the calling thread joins, and gather order
-        / first-error semantics match the executor path."""
-
-        def task(pair):
-            index, item = pair
-            value, cpu, wall = _timed(fn, item)
-            return value, TaskSpan(index, index, cpu, wall, label)
-
-        pairs = hook.run_pool_tasks(
-            self, task, list(enumerate(items)), label or self.name
-        )
-        self._record([span for _, span in pairs], inline=False, label=label)
-        return [value for value, _ in pairs]
-
-    def _map_inline(self, fn, items, label) -> list:
         results = []
-        spans = []
-        for i, item in enumerate(items):
-            value, cpu, wall = _timed(fn, item)
-            results.append(value)
-            spans.append(TaskSpan(i, 0, cpu, wall, label))
-        self._record(spans, inline=True, label=label)
+        times = []
+        try:
+            for item in items:
+                value, cpu, wall = _timed(fn, item)
+                results.append(value)
+                times.append((cpu, wall))
+        finally:
+            self._record(times, label)
         return results
 
-    def _record(self, spans, inline: bool, label) -> None:
-        run = PoolRun(
-            parallelism=self.parallelism, spans=spans, inline=inline, label=label
-        )
+    def _record(self, times, label) -> None:
+        workers, _ = list_schedule([cpu for cpu, _ in times], self.parallelism)
+        spans = [
+            TaskSpan(i, worker, cpu, wall)
+            for i, (worker, (cpu, wall)) in enumerate(zip(workers, times))
+        ]
+        run = PoolRun(parallelism=self.parallelism, spans=spans, label=label)
         self.last_run = run
         self._note_metrics(run)
 
-    # -- sim clock / metrics ----------------------------------------------------
-
-    def charge_clock(self, run: PoolRun | None = None) -> float:
-        """Advance the sim clock by the run's makespan (max of worker
-        spans, never their sum).  Returns the seconds charged."""
-        run = run or self.last_run
-        if run is None:
-            return 0.0
-        seconds = run.makespan_seconds
-        if self.clock is not None and seconds > 0.0:
-            self.clock.advance(seconds)
-        return seconds
+    # -- metrics ---------------------------------------------------------------
 
     def _note_metrics(self, run: PoolRun) -> None:
         busy = run.total_seconds
@@ -343,8 +261,6 @@ class WorkerPool:
             return
         metrics.counter("parallel.runs").inc()
         metrics.counter("parallel.tasks").inc(run.tasks)
-        if run.inline:
-            metrics.counter("parallel.tasks_inline").inc(run.tasks)
         metrics.gauge("parallel.workers").set(self.parallelism)
         metrics.gauge("parallel.busy_seconds").add(busy)
         metrics.gauge("parallel.makespan_seconds").add(makespan)

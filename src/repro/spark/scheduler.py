@@ -37,10 +37,10 @@ class DAGScheduler:
         pool: optional :class:`~repro.parallel.pool.WorkerPool` shared with
             an embedding engine (the dashDB integration passes the cluster
             scatter pool).  The default pool resolves its width from
-            ``REPRO_PARALLELISM`` and runs inline (serial) at width 1.
-            Ready tasks of a stage — one per partition — run concurrently;
-            partition results always gather in partition order, so job
-            output is identical at any width.
+            ``REPRO_PARALLELISM``.  A stage's tasks — one per partition —
+            run on the calling thread in partition order and the pool
+            models the width on the sim clock, so job output is identical
+            at any width.
     """
 
     def __init__(self, tracer=None, pool: WorkerPool | None = None):

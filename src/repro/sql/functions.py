@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.engine.expression import Cast, Expr, FuncCall, Literal
-from repro.errors import TypeCheckError
+from repro.errors import NumericOverflowError, TypeCheckError
 from repro.storage.column import to_boundary_scalar, to_physical_scalar
 from repro.types.datatypes import (
     BIGINT,
@@ -86,6 +86,16 @@ def _numeric_value(value, dt: DataType):
     if dt.kind is TypeKind.DECIMAL:
         return value / (10 ** dt.scale)
     return value
+
+
+def _abs(values, dtypes):
+    """``|a|``; an exact result past int64 (``ABS(-2**63)``) is 22003."""
+    if values[0] is None:
+        return None
+    result = abs(values[0])
+    if isinstance(result, int) and result > 2**63 - 1:
+        raise NumericOverflowError("ABS result out of range for %s" % dtypes[0])
+    return result
 
 
 def _nullif(values, dtypes):
@@ -257,7 +267,7 @@ def register_ansi(registry: FunctionRegistry) -> None:
     r("NULLIF", simple("NULLIF", 2, 2, _t_arg0, _nullif))
 
     # -- numeric functions --
-    r("ABS", simple("ABS", 1, 1, _t_arg0, lambda v, d: None if v[0] is None else abs(v[0])))
+    r("ABS", simple("ABS", 1, 1, _t_arg0, _abs))
     r("MOD", simple("MOD", 2, 2, _t_promote_all, _mod))
     r("SIGN", simple("SIGN", 1, 1, INTEGER, lambda v, d: None if v[0] is None else (0 if _numeric_value(v[0], d[0]) == 0 else (1 if _numeric_value(v[0], d[0]) > 0 else -1))))
     r("FLOOR", simple("FLOOR", 1, 1, DOUBLE, lambda v, d: None if v[0] is None else float(math.floor(_numeric_value(v[0], d[0])))))

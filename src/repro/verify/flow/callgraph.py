@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 #: Call-receiver methods that submit their first argument to a worker
-#: pool / executor (the callable then runs on another thread or process).
+#: pool / executor (the caller reaches the callable through the pool, not
+#: by a direct call).
 _SUBMIT_METHODS = ("map", "submit")
 
 #: An attribute call on a non-``self`` receiver whose simple name matches

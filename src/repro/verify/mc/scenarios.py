@@ -45,10 +45,10 @@ class Scenario:
         """Final-state oracle for runs that completed without crashing."""
 
 
-def _make_db(group_commit: int = 1, parallelism: int | None = None) -> dict:
+def _make_db(group_commit: int = 1) -> dict:
     fs = ClusterFileSystem()
     manager = DurabilityManager(fs, path="db", group_commit=group_commit)
-    db = Database(name="MC", durability=manager, parallelism=parallelism)
+    db = Database(name="MC", durability=manager)
     return {"db": db, "fs": fs, "manager": manager}
 
 
@@ -255,56 +255,6 @@ class GroupCommitCrash(Scenario):
         assert _count(db, "TB") == 1
         db.reopen(clean=True)
         assert _count(db, "TA") == 1 and _count(db, "TB") == 1
-
-
-class Dop2MorselMerge(Scenario):
-    """A DOP-2 morsel split/merge through the real worker pool.
-
-    One session splits an aggregate into two morsel tasks (run as model
-    threads under the checker), merging partial sums.  Oracles: the merged
-    total is exact, gather order is submission order, and the pool's
-    shared accumulators count the run once (no lost update under the
-    stats lock).
-    """
-
-    name = "dop2-morsel-merge"
-    description = "two morsel tasks race through the pool; exact merged sum"
-
-    def setup(self) -> dict:
-        state = _make_db(parallelism=2)
-        session = state["db"].connect()
-        session.execute("CREATE TABLE T (A INT)")
-        session.execute("INSERT INTO T VALUES (1), (2), (3), (4)")
-        state["tasks_before"] = state["db"].pool.tasks_total
-        return state
-
-    def thread_specs(self, state: dict) -> list:
-        db = state["db"]
-
-        def morsel(predicate):
-            return int(_rows(
-                db, "SELECT SUM(A) FROM T WHERE %s" % predicate
-            )[0][0])
-
-        def run():
-            parts = db.pool.map(
-                morsel, ["A <= 2", "A > 2"], label="mc-morsel"
-            )
-            state["parts"] = parts
-            state["total"] = sum(parts)
-
-        return [("coordinator", run)]
-
-    def check(self, state: dict) -> None:
-        assert state.get("parts") == [3, 7], (
-            "morsel gather out of submission order: %r" % (state.get("parts"),)
-        )
-        assert state.get("total") == 10
-        pool = state["db"].pool
-        delta = pool.tasks_total - state["tasks_before"]
-        assert delta >= 2, (
-            "pool accumulators saw %d new task(s) for one DOP-2 run" % delta
-        )
 
 
 class SnapshotReadVsCommit(Scenario):
@@ -621,7 +571,6 @@ SCENARIOS = [
     InsertVsAbort(),
     CommitVsCheckpoint(),
     GroupCommitCrash(),
-    Dop2MorselMerge(),
     SnapshotReadVsCommit(),
     FirstCommitterWins(),
     CommitCrashVersions(),

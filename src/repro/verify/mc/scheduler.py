@@ -16,9 +16,6 @@ The instrumentation points are the ones the engine already has:
 * :func:`repro.verify.sanitizer.access` calls on shared fields (buffer
   pool frames, WAL append/commit/flush, metrics counters, worker-pool
   accumulators, statement counters);
-* :meth:`~repro.parallel.pool.WorkerPool.map` task submission — under the
-  checker, pool tasks run as model threads (see :meth:`run_pool_tasks`)
-  instead of on a real executor, so morsel interleavings are explored too;
 * an explicit ``crash`` operation, modelled as a pseudo-thread whose
   single step is enabled in every state — exploring it at every depth is
   exactly "inject a crash at any explored state".
@@ -67,11 +64,11 @@ _LOCK_KINDS = ("acquire", "release")
 class Op:
     """One visible operation a model thread is about to perform."""
 
-    kind: str           # "start" | "acquire" | "release" | "access" | "join" | "crash"
+    kind: str           # "start" | "acquire" | "release" | "access" | "crash"
     target: str = ""    # lock name, or "owner.field" for accesses
     write: bool = False
     site: str = ""
-    obj: object = None  # the TrackedLock / children tuple; not part of identity
+    obj: object = None  # the TrackedLock; not part of identity
 
     @property
     def key(self) -> tuple:
@@ -94,7 +91,7 @@ def dependent(a: Op, b: Op) -> bool:
 
     Crash is dependent with everything (it ends the world); lock ops
     conflict on the same lock; accesses conflict on the same field when at
-    least one writes.  ``start``/``join`` are thread-internal.
+    least one writes.  ``start`` is thread-internal.
     """
     if a.kind == "crash" or b.kind == "crash":
         return True
@@ -209,37 +206,6 @@ class Scheduler:
         t = self.current()
         self._yield(t, Op("access", "%s.%s" % (owner, fld), write, site))
 
-    def run_pool_tasks(self, pool, fn, items, label) -> list:
-        """WorkerPool.map under the checker: tasks become model threads.
-
-        The calling model thread blocks on a ``join`` operation that is
-        enabled once every child finished; results gather in submission
-        order and the first child error (submission order) re-raises —
-        the same contract as the real executor path.
-        """
-        parent = self.current()
-        if self._free_thread is parent:
-            # Post-crash free-run (recovery code): no exploration, inline.
-            return [fn(item) for item in items]
-        name = label or getattr(pool, "name", "pool")
-        children = []
-        results = [None] * len(items)
-
-        def make_body(i, item):
-            def body():
-                results[i] = fn(item)
-            return body
-
-        for i, item in enumerate(items):
-            children.append(
-                self.spawn("%s[%d]" % (name, i), make_body(i, item))
-            )
-        self._yield(parent, Op("join", name, obj=tuple(children)))
-        for child in children:
-            if child.error is not None:
-                raise child.error
-        return results
-
     # -- thread lifecycle ----------------------------------------------------
 
     def spawn(self, name: str, fn, is_crash: bool = False) -> ModelThread:
@@ -286,8 +252,6 @@ class Scheduler:
             return entry is None or (
                 entry[0] is t and getattr(op.obj, "reentrant", False)
             )
-        if op.kind == "join":
-            return all(c.status == "done" for c in op.obj)
         return True
 
     def _apply(self, t: ModelThread, op: Op) -> None:

@@ -12,7 +12,9 @@ project rules, in :mod:`repro.verify.flow.protocols`):
 * ``lock-discipline`` — attributes mutated inside callables submitted to a
   :class:`~repro.parallel.pool.WorkerPool` (or an executor) must be
   guarded by a declared lock (a ``with <...lock...>:`` block) or appear in
-  the module/class ``_THREAD_CONFINED`` registry.
+  the module/class ``_THREAD_CONFINED`` registry.  The pool runs its tasks
+  on the calling thread, but the sim clock schedules them on separate
+  workers, so a task must not depend on state another task writes.
 * ``broad-except`` — ``except Exception:`` / bare ``except:`` handlers
   that do not re-raise silently swallow engine bugs; the intentional ones
   (torn-tail tolerance) must carry a justified suppression.

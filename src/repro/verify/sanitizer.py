@@ -1,7 +1,7 @@
-"""Eraser-style lockset race sanitizer for the parallel engine.
+"""Eraser-style lockset race sanitizer for concurrent sessions.
 
-The morsel-parallel engine (PR 2) relies on a lock discipline that is
-documented but — until this module — never checked at runtime: shared
+Sessions share one engine, and the engine relies on a lock discipline
+that is documented but — until this module — never checked at runtime: shared
 structures (buffer pool, metrics registry, statement counters, WAL
 buffers, worker-pool accumulators) may only be mutated while holding
 their declared lock, and everything else must stay confined to the thread
@@ -204,18 +204,16 @@ class Race:
     fld: str
     threads: tuple[str, ...]
     sites: tuple[str, ...]
-    during_task: bool
 
     def render(self) -> str:
         return (
             "candidate race on %s.%s: threads %s share no lock "
-            "(access sites: %s)%s"
+            "(access sites: %s)"
             % (
                 self.owner,
                 self.fld,
                 ", ".join(self.threads),
                 "; ".join(self.sites),
-                " [inside worker-pool task span]" if self.during_task else "",
             )
         )
 
@@ -266,7 +264,6 @@ class _Sanitizer:
                         fld=fld,
                         threads=tuple(sorted(state.threads)),
                         sites=tuple(state.sites),
-                        during_task=in_task_span(),
                     )
                 )
 
@@ -428,25 +425,6 @@ def check_shared_plan(plan) -> None:
                 (value, "%s.%s" % (cls.__name__, attr))
                 for attr, value in getattr(obj, "__dict__", {}).items()
             )
-
-
-class task_span:
-    """Context manager marking 'this thread is running a pool task'."""
-
-    def __init__(self, label: str = ""):
-        self.label = label
-
-    def __enter__(self):
-        depth = getattr(_tls, "task_depth", 0)
-        _tls.task_depth = depth + 1
-        return self
-
-    def __exit__(self, *exc):
-        _tls.task_depth = getattr(_tls, "task_depth", 1) - 1
-
-
-def in_task_span() -> bool:
-    return getattr(_tls, "task_depth", 0) > 0
 
 
 def held_locks() -> set[str]:

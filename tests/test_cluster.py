@@ -197,7 +197,6 @@ class TestDistributedQueries:
             sharded.execute("SELECT d_year, COUNT(*) FROM date_dim GROUP BY 3")
         with pytest.raises(BindError, match="position 1e0 is not an integer"):
             sharded.execute("SELECT d_year, COUNT(*) FROM date_dim GROUP BY 1e0")
-        cluster.pool.shutdown()
 
 
 class TestDistributedDml:
@@ -457,7 +456,6 @@ def gather_pair(request):
         per_shard = [s.n_rows("T") for s in cluster.shards.values()]
         assert (0 in per_shard) == (request.param == "sparse")
     yield cluster, sessions[0], sessions[1]
-    cluster.pool.shutdown()
 
 
 class TestColumnarGather:

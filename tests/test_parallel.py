@@ -45,6 +45,7 @@ from repro.parallel import (
     greedy_makespan,
     morsel_ranges,
 )
+from repro.parallel.pool import list_schedule
 from repro.storage.column import ColumnVector
 from repro.types import BIGINT, DOUBLE, INTEGER, decimal_type, varchar_type
 from repro.util.rng import derive_rng
@@ -109,90 +110,73 @@ class TestWorkerPool:
         thread_ids = []
 
         def task(i):
-            # lint-ok: lock-discipline (parallelism=1 runs inline on the caller's thread — asserted below)
+            # lint-ok: lock-discipline (every task runs on the caller's thread — asserted below)
             thread_ids.append(threading.get_ident())
             return i * i
 
         assert pool.map(task, range(5)) == [0, 1, 4, 9, 16]
         assert set(thread_ids) == {threading.get_ident()}
-        assert pool.last_run.inline
-        assert pool._executor is None  # no threads ever created
+        assert pool.last_run.worker_busy().keys() == {0}
 
     def test_gather_preserves_submission_order(self):
-        import time
-
         pool = WorkerPool(parallelism=4)
-        try:
-            # Earlier tasks sleep longer, so completion order is reversed.
-            def task(i):
-                time.sleep(0.02 * (8 - i))
-                return i
-
-            assert pool.map(task, range(8)) == list(range(8))
-            assert not pool.last_run.inline
-            assert pool.last_run.tasks == 8
-        finally:
-            pool.shutdown()
+        assert pool.map(lambda i: i, range(8)) == list(range(8))
+        assert pool.last_run.tasks == 8
 
     def test_single_item_stays_inline(self):
         pool = WorkerPool(parallelism=4)
         assert pool.map(lambda x: x + 1, [41]) == [42]
-        assert pool.last_run.inline
-        assert pool._executor is None
+        assert pool.last_run.worker_busy().keys() == {0}
 
     def test_first_error_in_submission_order(self):
         pool = WorkerPool(parallelism=4)
-        try:
 
-            def task(i):
-                import time
+        def task(i):
+            if i == 5:
+                raise ValueError("late error")
+            if i == 2:
+                raise KeyError("early error")
+            return i
 
-                if i == 5:
-                    raise ValueError("late error")
-                if i == 2:
-                    time.sleep(0.05)
-                    raise KeyError("early error")
-                return i
+        with pytest.raises(KeyError, match="early error"):
+            pool.map(task, range(8))
 
-            with pytest.raises(KeyError, match="early error"):
-                pool.map(task, range(8))
-        finally:
-            pool.shutdown()
-
-    def test_first_failing_task_reraises_after_all_settle(self):
-        import time
-
+    def test_first_failing_task_reraises_and_later_tasks_do_not_run(self):
         pool = WorkerPool(parallelism=4)
         finished = [False] * 6
-        try:
 
-            def task(i):
-                if i in (1, 2):
-                    raise ZeroDivisionError("task %d" % i)
-                time.sleep(0.03)  # still running when tasks 1 and 2 fail
-                finished[i] = True
-                return i
+        def task(i):
+            if i in (1, 2):
+                raise ZeroDivisionError("task %d" % i)
+            finished[i] = True
+            return i
 
-            with pytest.raises(ZeroDivisionError, match="task 1"):
-                pool.map(task, range(6))
-            # Every other task ran to completion before the error surfaced,
-            # and the run accounts for exactly the settled ones.
-            assert finished == [True, False, False, True, True, True]
-            assert [span.index for span in pool.last_run.spans] == [0, 3, 4, 5]
-            assert pool.map(lambda x: x * x, [5, 6, 7]) == [25, 36, 49]
-        finally:
-            pool.shutdown()
+        with pytest.raises(ZeroDivisionError, match="task 1"):
+            pool.map(task, range(6))
+        # Only the task before the failure ran, and the run accounts for it.
+        assert finished == [True, False, False, False, False, False]
+        assert [span.index for span in pool.last_run.spans] == [0]
+        assert pool.runs_total == 1 and pool.tasks_total == 1
+        assert pool.map(lambda x: x * x, [5, 6, 7]) == [25, 36, 49]
+
+    def test_spans_land_on_the_list_schedule_workers(self):
+        pool = WorkerPool(parallelism=3)
+        pool.map(lambda x: sum(range(x)), [40_000, 10, 10, 10, 30_000])
+        run = pool.last_run
+        workers, loads = list_schedule([s.seconds for s in run.spans], 3)
+        assert [s.worker for s in run.spans] == workers
+        assert workers[:3] == [0, 1, 2]
+        busy = run.worker_busy()
+        assert list(busy.values()) == pytest.approx(loads)
+        assert max(busy.values()) == pytest.approx(run.makespan_seconds)
 
     def test_lifetime_accumulators(self):
         pool = WorkerPool(parallelism=2)
-        try:
-            pool.map(lambda x: x, range(4))
-            pool.map(lambda x: x, range(3))
-            assert pool.runs_total == 2
-            assert pool.tasks_total == 7
-            assert pool.busy_seconds_total >= pool.makespan_seconds_total >= 0.0
-        finally:
-            pool.shutdown()
+        pool.map(lambda x: x, range(4))
+        pool.map(lambda x: x, range(3))
+        assert pool.runs_total == 2
+        assert pool.tasks_total == 7
+        assert pool.busy_seconds_total >= pool.makespan_seconds_total >= 0.0
 
     def test_default_parallelism_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
@@ -275,7 +259,6 @@ _OVERFLOW = "22003"
 def dop4_pool():
     pool = WorkerPool(parallelism=4)
     yield pool
-    pool.shutdown()
 
 
 def _group_of(value):
@@ -483,8 +466,7 @@ def test_gate_and_fused_aggregate_agree(rows, keys, aggs, dop4_pool):
     got, want = parallel.run(), serial.run()
     if expect_safe:
         assert parallel.fused_mode == "batch-agg"
-        assert parallel.parallel_run is not None
-        assert not parallel.parallel_run.inline
+        assert parallel.parallel_run.tasks > 1
     else:
         assert parallel.fused_mode is None
         assert parallel.parallel_run is None
@@ -521,20 +503,17 @@ class TestFloatGating:
             )
 
         pool = WorkerPool(4, name="edge")
-        try:
-            op = group_by(pool)
-            assert not op.parallel_safe()
-            batch = op.run()
-            assert op.parallel_run is None, "float aggregate went parallel"
-            assert op.fused_mode is None
-            serial = group_by(None).run()
-            for alias in ("kg", "a_sum", "a_avg"):
-                assert (
-                    batch.columns[alias].to_boundary()
-                    == serial.columns[alias].to_boundary()
-                )
-        finally:
-            pool.shutdown()
+        op = group_by(pool)
+        assert not op.parallel_safe()
+        batch = op.run()
+        assert op.parallel_run is None, "float aggregate went parallel"
+        assert op.fused_mode is None
+        serial = group_by(None).run()
+        for alias in ("kg", "a_sum", "a_avg"):
+            assert (
+                batch.columns[alias].to_boundary()
+                == serial.columns[alias].to_boundary()
+            )
 
 
 @given(
@@ -548,11 +527,8 @@ def test_pool_map_invariant_to_worker_count(values, workers):
     """The same tasks through pools of any width gather identically."""
     serial = WorkerPool(parallelism=1)
     wide = WorkerPool(parallelism=workers)
-    try:
-        fn = lambda v: v * 3 + 1  # noqa: E731
-        assert serial.map(fn, values) == wide.map(fn, values)
-    finally:
-        wide.shutdown()
+    fn = lambda v: v * 3 + 1  # noqa: E731
+    assert serial.map(fn, values) == wide.map(fn, values)
 
 
 # -- end-to-end DOP equivalence ------------------------------------------------
@@ -603,7 +579,6 @@ class TestDOPEquivalence:
         flush_tables(serial_db)
         flush_tables(parallel_db)
         yield serial, parallel
-        parallel_db.pool.shutdown()
 
     @pytest.mark.parametrize("sql", _QUERIES)
     def test_parallel_engine_matches_serial(self, pair, sql):
@@ -622,6 +597,96 @@ class TestDOPEquivalence:
         first = parallel.execute(sql).rows
         for _ in range(5):
             assert parallel.execute(sql).rows == first
+
+
+# -- fan-out on the calling thread ---------------------------------------------
+
+
+def _fan_out_engines(dop):
+    """``(wide, regions)`` engines at ``dop``: in ``wide`` the tables stay in
+    their tails, so only the GROUP BY (64-row morsels) or the join probe
+    (more probe rows than one partition) fans out; in ``regions`` the scan
+    is the only fan-out, over 128-row regions."""
+    from repro.engine.join import DEFAULT_PARTITION_ROWS
+
+    wide = Database(parallelism=dop, morsel_rows=64)
+    s = wide.connect("db2")
+    s.execute("CREATE TABLE g (k INT, v INT)")
+    s.execute(
+        "INSERT INTO g VALUES "
+        + ", ".join("(%d, %d)" % (i % 7, i) for i in range(1000))
+    )
+    s.execute("CREATE TABLE p (c INT, v INT)")
+    probe = ["(%d, %d)" % (i % 13, i) for i in range(DEFAULT_PARTITION_ROWS + 900)]
+    for start in range(0, len(probe), 2000):
+        s.execute("INSERT INTO p VALUES " + ", ".join(probe[start : start + 2000]))
+    s.execute("CREATE TABLE d (c INT, w INT)")
+    s.execute("INSERT INTO d VALUES " + ", ".join("(%d, %d)" % (i, i * 10) for i in range(0, 13, 2)))
+    regions = Database(parallelism=dop, region_rows=128)
+    s = regions.connect("db2")
+    s.execute("CREATE TABLE r (a INT, b INT)")
+    s.execute(
+        "INSERT INTO r VALUES "
+        + ", ".join("(%d, %d)" % (i, i % 11) for i in range(1000))
+    )
+    flush_tables(regions)
+    return wide, regions
+
+
+_FAN_OUTS = [
+    ("wide", "SELECT k, COUNT(*), SUM(v), MIN(v), AVG(v) FROM g GROUP BY k", "group-by"),
+    ("wide", "SELECT p.v, d.w FROM p JOIN d ON p.c = d.c", "join-probe"),
+    ("regions", "SELECT a, b FROM r WHERE b > 3", "scan:R"),
+]
+
+
+class TestFanOutRunsOnTheCaller:
+    """At DOP 4 a GROUP BY, a join probe and a multi-region scan each split
+    into spans that run on the calling thread: the answer equals DOP 1 byte
+    for byte, and the busiest modelled worker carries the run's makespan."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        return dict(zip(("wide", "regions"), _fan_out_engines(1))), dict(
+            zip(("wide", "regions"), _fan_out_engines(4))
+        )
+
+    @pytest.mark.parametrize("engine, sql, label", _FAN_OUTS)
+    def test_spans_equal_dop1_and_run_on_the_caller(self, engines, monkeypatch, engine, sql, label):
+        serial, parallel = engines[0][engine], engines[1][engine]
+        pool = parallel.pool
+        map_on_pool = pool.map
+        idents = []
+
+        def map_noting_threads(fn, items, label=None):
+            def noted(item):
+                idents.append(threading.get_ident())
+                return fn(item)
+
+            return map_on_pool(noted, items, label)
+
+        monkeypatch.setattr(pool, "map", map_noting_threads)
+        runs, tasks = pool.runs_total, pool.tasks_total
+        got = parallel.connect("db2").execute(sql).rows
+        run = pool.last_run
+        assert got == serial.connect("db2").execute(sql).rows
+        assert run.label == label and run.tasks >= 2
+        assert pool.runs_total == runs + 1
+        assert pool.tasks_total == tasks + run.tasks
+        assert idents and set(idents) == {threading.get_ident()}
+        busy = run.worker_busy()
+        assert len(busy) == min(4, run.tasks)
+        assert max(busy.values()) == pytest.approx(run.makespan_seconds)
+
+    def test_explain_analyze_shows_the_modelled_workers(self, engines):
+        session = engines[1]["wide"].connect("db2")
+        plan = "\n".join(
+            row[0] for row in session.execute("EXPLAIN ANALYZE " + _FAN_OUTS[0][1]).rows
+        )
+        line = next(line for line in plan.splitlines() if "GroupByOp" in line)
+        tasks = int(line.split("[parallel tasks=")[1].split()[0])
+        workers = int(line.split(" workers=")[1].split()[0])
+        assert tasks >= 2 and workers == min(4, tasks), line
 
 
 # -- concurrent sessions stress ------------------------------------------------
@@ -718,7 +783,6 @@ class TestConcurrentSessions:
         if sanitizer.ENABLED:
             races = sanitizer.report()
             assert not races, "\n".join(r.render() for r in races)
-        db.pool.shutdown()
 
 
 # -- MPP two-phase determinism -------------------------------------------------
@@ -757,4 +821,3 @@ class TestMPPTwoPhaseDeterminism:
             assert cs.execute(sql).rows == first
         assert cluster.pool.is_parallel
         assert cluster.last_stats.parallelism == 4
-        cluster.pool.shutdown()

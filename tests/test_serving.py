@@ -1143,12 +1143,9 @@ class TestSizer:
         from repro.cluster.mpp import Cluster
 
         cluster = Cluster([self.HW] * 2, durable=False)
-        try:
-            rec = cluster.serving_recommendation(1000.0, self._measurement())
-            assert rec.slots_per_node == wlm_concurrency(self.HW)
-            assert rec == recommend(1000.0, self._measurement(), self.HW)
-        finally:
-            cluster.pool.shutdown()
+        rec = cluster.serving_recommendation(1000.0, self._measurement())
+        assert rec.slots_per_node == wlm_concurrency(self.HW)
+        assert rec == recommend(1000.0, self._measurement(), self.HW)
 
 
 # -- monreport surface ---------------------------------------------------------

@@ -368,6 +368,37 @@ class TestIntegerSumsStayExact:
             ], name
 
 
+
+class TestAbsPastInt64:
+    """``ABS`` of an integer whose magnitude leaves int64 is 22003 at DOP 1,
+    at DOP 4, on a 4-shard cluster and in the row store — not a raw
+    ``OverflowError`` and not a Python integer no BIGINT column holds."""
+
+    _systems = staticmethod(TestIntegerSumsStayExact._systems)
+    _outcome = staticmethod(TestIntegerSumsStayExact._outcome)
+
+    def test_abs_of_minus_two_to_the_63_is_22003_everywhere(self):
+        systems = self._systems([3, 1 - 2**63, -5])
+        for name, system in systems.items():
+            assert self._outcome(system, "SELECT ABS(v - 1) FROM t WHERE k = 1") == "22003", name
+            assert self._outcome(system, "SELECT k, ABS(v) FROM t ORDER BY k") == [
+                (0, 3), (1, 2**63 - 1), (2, 5)
+            ], name
+
+    def test_row_fallback_turns_an_out_of_range_result_into_22003(self):
+        from repro.engine import Batch, ColumnRef
+        from repro.engine.expression import FuncCall
+        from repro.errors import NumericOverflowError
+        from repro.storage.column import ColumnVector
+        from repro.types import BIGINT
+
+        batch = Batch.from_columns({"v": ColumnVector.from_boundary([1, 2], BIGINT)})
+        call = FuncCall("TWICE_HUGE", [ColumnRef("v", BIGINT)],
+                        scalar_fn=lambda args: args[0] * 2**63, dtype=BIGINT)
+        with pytest.raises(NumericOverflowError, match="TWICE_HUGE") as raised:
+            call.eval(batch)
+        assert raised.value.sqlstate == "22003"
+
 class TestSparkSchedulerEdges:
     def test_join_produces_two_shuffles(self):
         from repro.spark import SparkContext

@@ -263,15 +263,12 @@ class TestCostChargeCoverage:
         db, session = planned_db
         planned = _plan(db, session, "SELECT a FROM t")
         foreign = WorkerPool(parallelism=2, name="foreign")
-        try:
-            db.last_scans[0].pool = foreign
-            issues = verify_plan(planned, database=db)
-            assert any(
-                i.code == "cost-charge" and "foreign" in i.message
-                for i in issues
-            )
-        finally:
-            foreign.shutdown()
+        db.last_scans[0].pool = foreign
+        issues = verify_plan(planned, database=db)
+        assert any(
+            i.code == "cost-charge" and "foreign" in i.message
+            for i in issues
+        )
 
     def test_execute_select_hook_invokes_verifier(self, planned_db, monkeypatch):
         import repro.verify.plan as plan_mod

@@ -199,25 +199,6 @@ class TestInstrumentationPrimitives:
             assert "re" in sanitizer.held_locks()  # still held once
         assert "re" not in sanitizer.held_locks()
 
-    def test_task_span_nesting(self):
-        assert not sanitizer.in_task_span()
-        with sanitizer.task_span("outer"):
-            assert sanitizer.in_task_span()
-            with sanitizer.task_span("inner"):
-                assert sanitizer.in_task_span()
-            assert sanitizer.in_task_span()
-        assert not sanitizer.in_task_span()
-
-    def test_race_inside_task_span_is_flagged(self):
-        def task():
-            with sanitizer.task_span("morsel"):
-                sanitizer.access("op", "acc", site="task")
-
-        _run_threads(2, task)
-        races = sanitizer.report()
-        assert len(races) == 1 and races[0].during_task
-        assert "task span" in races[0].render()
-
     def test_access_is_noop_when_disabled(self):
         sanitizer.disable()
         sanitizer.access("anything", "at-all")
@@ -238,47 +219,17 @@ class TestEngineIntegration:
         from repro.parallel.pool import WorkerPool
 
         pool = WorkerPool(parallelism=4, name="san-test")
-        try:
-            # Hammer the pool from several session threads at once: the
-            # lifetime accumulators are shared and must stay lock-guarded.
-            def session():
-                for _ in range(5):
-                    pool.map(lambda x: x * x, range(32), label="san")
 
-            _run_threads(4, session)
-            races = sanitizer.report()
-            assert races == [], "\n".join(r.render() for r in races)
-            assert pool.runs_total == 20
-        finally:
-            pool.shutdown()
+        # Hammer the pool from several session threads at once: the
+        # lifetime accumulators are shared and must stay lock-guarded.
+        def session():
+            for _ in range(5):
+                pool.map(lambda x: x * x, range(32), label="san")
 
-    def test_unguarded_pool_callable_is_caught(self):
-        # The deliberate mistake the lint rule forbids statically, observed
-        # dynamically: a submitted callable bumping shared state lock-free.
-        from repro.parallel.pool import WorkerPool
-
-        import time
-
-        class BadOp:
-            count = 0
-
-            def bump(self, _):
-                sanitizer.access("badop", "count", site="BadOp.bump")
-                self.count += 1
-                # Yield so several executor threads actually participate;
-                # otherwise one fast worker can drain the whole queue and
-                # the field never becomes shared.
-                time.sleep(0.001)
-
-        pool = WorkerPool(parallelism=4, name="san-bad")
-        try:
-            op = BadOp()
-            pool.map(op.bump, range(64), label="bad")
-            races = sanitizer.report()
-            assert [(r.owner, r.fld) for r in races] == [("badop", "count")]
-            assert races[0].during_task  # flagged as inside a pool task
-        finally:
-            pool.shutdown()
+        _run_threads(4, session)
+        races = sanitizer.report()
+        assert races == [], "\n".join(r.render() for r in races)
+        assert pool.runs_total == 20
 
     def test_concurrent_sessions_race_free(self):
         from repro.database import Database
@@ -292,20 +243,18 @@ class TestEngineIntegration:
             + ", ".join("(%d, %d)" % (i % 7, i) for i in range(512))
         )
         flush_tables(db)
-        try:
-            def client():
-                conn = db.connect("db2")
-                for _ in range(3):
-                    conn.execute("SELECT a, COUNT(*), SUM(b) FROM s GROUP BY a")
 
-            _run_threads(4, client)
-            races = sanitizer.report()
-            assert races == [], "\n".join(r.render() for r in races)
-            stats = sanitizer.stats()
-            # The shared engine structures actually got exercised.
-            assert ("database:%s.statement_count" % db.name) in stats["states"]
-        finally:
-            db.pool.shutdown()
+        def client():
+            conn = db.connect("db2")
+            for _ in range(3):
+                conn.execute("SELECT a, COUNT(*), SUM(b) FROM s GROUP BY a")
+
+        _run_threads(4, client)
+        races = sanitizer.report()
+        assert races == [], "\n".join(r.render() for r in races)
+        stats = sanitizer.stats()
+        # The shared engine structures actually got exercised.
+        assert ("database:%s.statement_count" % db.name) in stats["states"]
 
 
 class TestCodedVectorInvariants:
