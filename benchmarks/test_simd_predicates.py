@@ -116,8 +116,9 @@ def test_selection_form_crossover():
     One pushed predicate's result words, read both ways, plus the decode of
     ``c`` needed columns: *positions* = count the bits, expand the non-zero
     words to row ids, gather and decode ``c`` columns at the ids; *mask* =
-    count the bits, expand every word to a bool per row, unpack and decode
-    ``c`` columns and filter them.  Hits are scattered (one per word where
+    count the bits, expand every word to a bool per row, turn the mask into
+    row ids once, unpack and decode ``c`` columns and gather each at those
+    ids (the scan's mask route).  Hits are scattered (one per word where
     they fit — the positional extractor's worst case).  The scan's switch,
     ``POSITIONS_MAX_DENSITY``, has to sit under the crossover of every
     configuration; the table goes to EXPERIMENTS.md.
@@ -155,10 +156,10 @@ def test_selection_form_crossover():
 
                     def mask():
                         count_result_bits(words)
-                        keep = column.words_mask(words)
+                        kept = np.flatnonzero(column.words_mask(words))
                         for _ in range(c):
                             decoded, _nulls = column.decode()
-                            decoded[keep]
+                            decoded[kept]
 
                     number = 100 if n < 20_000 else 30
                     pair.append(_best_us(positions, number) / _best_us(mask, number))

@@ -120,7 +120,9 @@ class CompressedColumn:
 
     Exactly one of ``packed`` (dictionary / minus codecs) or ``raw``
     (RawCodec) is set.  ``nulls`` is a boolean mask (True = NULL) or None
-    when the region has no NULLs.
+    when the region has no NULLs.  ``raw`` and ``nulls`` are read-only:
+    a decode of every row hands them out as they are, so a write through
+    a vector raises instead of changing the region.
     """
 
     codec: object
@@ -130,6 +132,19 @@ class CompressedColumn:
     nulls: np.ndarray | None = None
 
     # -- lifecycle ---------------------------------------------------------
+
+    def __post_init__(self):
+        for name in ("raw", "nulls"):
+            array = getattr(self, name)
+            if array is not None and array.flags.writeable:
+                array = array.view()  # the caller's array keeps its flags
+                array.flags.writeable = False
+                setattr(self, name, array)
+
+    def __setstate__(self, state):
+        # A checkpoint image unpickles writeable arrays.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def _nulls(self, ids) -> np.ndarray | None:
         if ids is None or self.nulls is None:

@@ -1506,10 +1506,10 @@ def _settle(plan: PlannedWrite, ids: np.ndarray, read) -> tuple[np.ndarray, Batc
         for key in plan.residual.references():
             columns[key] = read(key[len(prefix):], ids)
         batch = Batch.from_columns(columns) if columns else Batch({}, int(ids.size))
-        keep = selection_mask(plan.residual, batch)
-        if not keep.all():
+        keep = np.flatnonzero(selection_mask(plan.residual, batch))
+        if keep.size < ids.size:
             ids = ids[keep]
-            columns = {key: vector.filter(keep) for key, vector in columns.items()}
+            columns = {key: vector.take(keep) for key, vector in columns.items()}
     if not ids.size:
         return ids, None
     out = {}

@@ -329,14 +329,14 @@ def _compute_aggregate(
     if func not in _SINGLE_ARG:
         raise UnsupportedFeatureError("aggregate function %s" % func)
     vector = spec.args[0].eval(batch)
-    live = ~vector.null_mask()
-    ids = group_ids[live]
-    values = vector.values[live]
+    live = None if vector.nulls is None else np.flatnonzero(~vector.nulls)
+    ids = group_ids if live is None else group_ids[live]
     if func == "COUNT":
         if spec.distinct:
-            ids, values = _distinct_pairs(ids, values)
+            ids, _ = _distinct_pairs(ids, _distinct_keys(vector, live))
         counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
         return ColumnVector(BIGINT, counts, None)
+    values = vector.values if live is None else vector.values[live]
 
     group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
     empty = group_counts == 0  # groups where every input was NULL
@@ -402,14 +402,31 @@ def _compute_aggregate(
     return ColumnVector(DOUBLE, np.sqrt(var_samp), nulls if nulls.any() else None)
 
 
+def _distinct_keys(vector: ColumnVector, live) -> np.ndarray:
+    """What COUNT(DISTINCT) compares, at the rows ``live`` (None: all): the
+    values, or for a coded vector its codes, each replaced by the rank of
+    its dictionary entry (a dictionary may hold a string twice) — only the
+    entries some row references are ranked, and no row's string is read."""
+    codes = vector.codes
+    if codes is None:
+        return vector.values if live is None else vector.values[live]
+    used, at = np.unique(codes if live is None else codes[live], return_inverse=True)
+    _, entry_ranks = np.unique(vector.dictionary[used], return_inverse=True)
+    return entry_ranks[at]
+
+
 def _distinct_pairs(ids: np.ndarray, values: np.ndarray):
-    seen = set()
-    keep = np.zeros(ids.size, dtype=bool)
-    for i, (g, v) in enumerate(zip(ids.tolist(), values.tolist())):
-        if (g, v) not in seen:
-            seen.add((g, v))
-            keep[i] = True
-    return ids[keep], values[keep]
+    """The first row of every distinct (group id, value) pair, in row
+    order — so SUM(DISTINCT) of DOUBLE adds what it always added, in the
+    same order.  Values compare as numbers (0.0 and -0.0 are one value; a
+    NaN equals nothing, not even another NaN)."""
+    if not ids.size:
+        return ids, values
+    _, ranks = np.unique(values, return_inverse=True, equal_nan=False)
+    pairs = ids * (int(ranks.max()) + 1) + ranks
+    _, first = np.unique(pairs, return_index=True)
+    first.sort()
+    return ids[first], values[first]
 
 
 def _min_max(values, ids, n_groups, empty, func, out_dt):

@@ -45,10 +45,10 @@ class Batch:
         return cls(columns=columns, n=n)
 
     def filter(self, mask: np.ndarray) -> "Batch":
-        return Batch(
-            columns={k: v.filter(mask) for k, v in self.columns.items()},
-            n=int(mask.sum()),
-        )
+        """Keep rows where mask is True: the mask becomes row ids once and
+        each column is gathered at them; a mask that keeps every row
+        returns this batch (whose vectors nobody writes into)."""
+        return self if mask.all() else self.take(np.flatnonzero(mask))
 
     def take(self, indices: np.ndarray) -> "Batch":
         return Batch(
@@ -60,6 +60,8 @@ class Batch:
     def concat(cls, batches: list["Batch"]) -> "Batch":
         if not batches:
             return cls(columns={}, n=0)
+        if len(batches) == 1:
+            return batches[0]
         names = batches[0].columns.keys()
         merged = {
             name: ColumnVector.concat([b.columns[name] for b in batches])
@@ -562,7 +564,9 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
     if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
         if scale_shift >= 0:
             return values * (10 ** scale_shift)
-        return values // (10 ** (-scale_shift))
+        # Fewer digits truncate toward zero, as DB2's CAST does.
+        floor, rest = np.divmod(values, 10 ** (-scale_shift))
+        return floor + ((rest != 0) & (values < 0))
     if values.dtype != object:
         if from_dt.is_numeric:
             out = _cast_numeric(values, from_dt, to_dt, nulls)
@@ -678,7 +682,8 @@ def _cast_physical_scalar(value, from_dt, to_dt, scale_shift):
     if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
         if scale_shift >= 0:
             return value * (10 ** scale_shift)
-        return value // (10 ** (-scale_shift))
+        unit = 10 ** (-scale_shift)
+        return value // unit if value >= 0 else -(-value // unit)
     boundary = to_boundary_scalar(value, from_dt)
     return to_physical_scalar(boundary, to_dt)
 
@@ -704,6 +709,7 @@ class CaseExpr(Expr):
         decided = np.zeros(n, dtype=bool)
 
         def decide(rows, rv):
+            """Take the rows at ids ``rows`` from the branch vector ``rv``."""
             if not coded:
                 values[rows] = rv.values[rows]
             else:
@@ -713,18 +719,22 @@ class CaseExpr(Expr):
                     dictionaries.append(rv.dictionary)
                 else:
                     dictionaries.append(rv.values[rows])
-                    values[rows] = np.arange(offset, offset + dictionaries[-1].size)
-            nulls[rows] = rv.null_mask()[rows]
+                    values[rows] = np.arange(offset, offset + rows.size)
+            nulls[rows] = False if rv.nulls is None else rv.nulls[rows]
+            decided[rows] = True
 
         for cond, result in self.whens:
             cv = cond.eval(batch)
-            fire = (cv.values.astype(bool)) & ~cv.null_mask() & ~decided
-            if fire.any():
-                decide(fire, result.eval(batch))
-                decided |= fire
-        remaining = ~decided
-        if self.default is not None and remaining.any():
-            decide(remaining, self.default.eval(batch))
+            fire = cv.values.astype(bool) & ~decided
+            if cv.nulls is not None:
+                fire &= ~cv.nulls
+            rows = np.flatnonzero(fire)
+            if rows.size:
+                decide(rows, result.eval(batch))
+        if self.default is not None:
+            rows = np.flatnonzero(~decided)
+            if rows.size:
+                decide(rows, self.default.eval(batch))
         nulls = nulls if nulls.any() else None
         if not coded:
             return ColumnVector(self.dtype, values, nulls)

@@ -170,11 +170,9 @@ class HashJoinOp(Operator):
             return None
         if self.nulls_match and not (lv.nulls is None and rv.nulls is None):
             return None  # a NULL key is a value here; the table has no slot for it
-        b_valid = ~rv.null_mask()
-        build_rows = np.nonzero(b_valid)[0]
+        build_rows, bvals = _live_keys(rv.values, None if rv.nulls is None else ~rv.nulls)
         if not build_rows.size:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        bvals = rv.values[build_rows]
         bmin = int(bvals.min())
         bmax = int(bvals.max())
         span = bmax - bmin + 1
@@ -185,8 +183,7 @@ class HashJoinOp(Operator):
             return None
         lookup = np.full(span, -1, dtype=np.int64)
         lookup[offsets] = build_rows
-        probe_rows = np.nonzero(~lv.null_mask())[0]
-        pk_live = lv.values[probe_rows]
+        probe_rows, pk_live = _live_keys(lv.values, None if lv.nulls is None else ~lv.nulls)
 
         def probe_span(rng):
             start, stop = rng
@@ -195,7 +192,7 @@ class HashJoinOp(Operator):
             in_range = (keys >= bmin) & (keys <= bmax)
             idx = np.where(in_range, keys - bmin, 0)
             targets = lookup[idx]
-            hit = in_range & (targets >= 0)
+            hit = np.flatnonzero(in_range & (targets >= 0))
             return rows[hit], targets[hit]
 
         li, ri = self._probe(probe_span, probe_rows.size)
@@ -215,15 +212,13 @@ class HashJoinOp(Operator):
         pk, p_valid, bk, b_valid = self._encoded_keys(
             probe, build, self.left_keys, self.right_keys, self.nulls_match
         )
-        build_rows = np.nonzero(b_valid)[0]
+        build_rows, bk_live = _live_keys(bk, b_valid)
         if not build_rows.size:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        bk_live = bk[build_rows]
         order = np.argsort(bk_live, kind="stable")
         sorted_bk = bk_live[order]
         sorted_build_rows = build_rows[order]
-        probe_rows = np.nonzero(p_valid)[0]
-        pk_live = pk[probe_rows]
+        probe_rows, pk_live = _live_keys(pk, p_valid)
 
         def probe_span(rng):
             # A probe row's matches depend on that row alone (``positions =
@@ -237,7 +232,7 @@ class HashJoinOp(Operator):
             lo = np.searchsorted(sorted_bk, keys, side="left")
             hi = np.searchsorted(sorted_bk, keys, side="right")
             counts = hi - lo
-            hit_rows = rows[counts > 0]
+            hit_rows = rows[np.flatnonzero(counts)]
             total = int(counts.sum())
             if total == 0:
                 empty = np.zeros(0, dtype=np.int64)
@@ -270,11 +265,11 @@ class HashJoinOp(Operator):
 
         if self.residual is not None and li.size:
             joined = self._stitch(probe, build, li, ri)
-            keep = selection_mask(self.residual, joined)
+            keep = np.flatnonzero(selection_mask(self.residual, joined))
             # Residual failures void the match for outer bookkeeping.
-            matched_left[:] = False
-            matched_left[li[keep]] = True
             li, ri = li[keep], ri[keep]
+            matched_left[:] = False
+            matched_left[li] = True
         if ri.size:
             matched_right[ri] = True
         self.stats.matched_pairs = int(li.size)
@@ -312,9 +307,16 @@ class HashJoinOp(Operator):
             yield merged
 
     def _stitch(self, probe: Batch, build: Batch, li: np.ndarray, ri: np.ndarray) -> Batch:
-        columns = {}
-        for name, vector in probe.columns.items():
-            columns[name] = vector.take(li)
+        # Pairs come in probe-row order, so ``li`` is the identity exactly
+        # when every probe row matched once (a foreign key onto a complete
+        # dimension): the probe columns then go out as they are.
+        n = probe.n
+        identity = li.size == n and (
+            n == 0 or (li[-1] == n - 1 and bool((li[1:] > li[:-1]).all()))
+        )
+        columns = dict(probe.columns) if identity else {
+            name: vector.take(li) for name, vector in probe.columns.items()
+        }
         for name, vector in build.columns.items():
             if name not in columns:
                 columns[name] = vector.take(ri)
@@ -322,6 +324,15 @@ class HashJoinOp(Operator):
 
     def _null_extend(self, kept: Batch, other: Batch, right_null: bool) -> Batch:
         return null_extend(kept, other, right_null)
+
+
+def _live_keys(keys: np.ndarray, valid: np.ndarray | None):
+    """``(row ids, keys at them)`` of the rows ``valid`` keeps (None: all);
+    when that is every row the keys are not gathered again."""
+    if valid is None or valid.all():
+        return np.arange(keys.size), keys
+    rows = np.flatnonzero(valid)
+    return rows, keys[rows]
 
 
 def _align_key_arrays(left: np.ndarray, right: np.ndarray):

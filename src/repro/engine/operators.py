@@ -4,9 +4,10 @@ The scan is where the paper's techniques compose (II.B): for each region it
 first asks the synopsis which extents can match (data skipping), then
 evaluates pushed-down simple predicates directly on the packed codes
 (operating on compressed data via software-SIMD), and only decodes the
-columns the query actually needs, for the rows that survive: a selection is
-a bool mask while many rows are in it and a vector of row ids once the first
-predicate has left few (DESIGN.md note 19).
+columns the query actually needs, for the rows that survive: predicates
+answer as a bool mask while many rows are in it and as a vector of row ids
+once the first predicate has left few (DESIGN.md note 19); either way the
+surviving rows are gathered by their ids (note 23).
 """
 
 from __future__ import annotations
@@ -409,20 +410,27 @@ class TableScanOp(Operator):
             visible = region.visible_mask(snapshot)
             if visible is not None:
                 selection = selection & visible
-                if not selection.any():
+            if selection.all():
+                kept_ids = None  # every row: the decoded vectors go out as they are
+            else:
+                kept_ids = np.flatnonzero(selection)
+                if not kept_ids.size:
                     return None
         # 3. Decode only the needed columns, for the surviving rows: gathered
-        # at the row ids, or unpacked over the window and filtered.
+        # at the row ids, or unpacked over the window and gathered at the
+        # kept rows' ids.
         columns = {}
         for name in needed:
             if ids is not None:
                 stats.rows_decoded += ids.size
                 columns[name] = self._vector(name, fetch(name), ids)
-            else:
-                column, base = windowed(fetch(name))
-                stats.rows_decoded += column.n
-                keep = selection[base : base + column.n]
-                columns[name] = self._vector(name, column).filter(keep)
+                continue
+            column, base = windowed(fetch(name))
+            stats.rows_decoded += column.n
+            vector = self._vector(name, column)
+            if kept_ids is not None:
+                vector = vector.take(kept_ids - base if base else kept_ids)
+            columns[name] = vector
         batch = Batch.from_columns(columns)
         if sanitizer.ENABLED and ids is not None:
             sanitizer.check_positions(ids, n, batch.n if columns else ids.size)

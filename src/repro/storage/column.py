@@ -287,7 +287,9 @@ class ColumnVector:
         return to_boundary(self.values, self.nulls, self.dtype)
 
     def take(self, indices) -> "ColumnVector":
-        """Gather rows by position (an index array, or a slice for a view)."""
+        """Gather rows by position: an ``int64`` row-id array (or a slice,
+        for a view).  Row ids are the one selection form vectors gather by;
+        a bool mask goes through :meth:`filter`."""
         nulls = self.nulls[indices] if self.nulls is not None else None
         if self.codes is not None:
             return ColumnVector.coded(
@@ -296,8 +298,9 @@ class ColumnVector:
         return ColumnVector(self.dtype, self.values[indices], nulls)
 
     def filter(self, mask: np.ndarray) -> "ColumnVector":
-        """Keep rows where mask is True."""
-        return self.take(mask)
+        """Keep rows where mask is True: one gather at the mask's row ids,
+        or this vector itself when the mask keeps every row."""
+        return self if mask.all() else self.take(np.flatnonzero(mask))
 
     def null_mask(self) -> np.ndarray:
         """Boolean mask of NULL rows (materialised even when None)."""

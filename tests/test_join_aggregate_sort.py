@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     AggregateSpec,
@@ -397,6 +399,135 @@ class TestGroupBy:
         op = GroupByOp(src, keys=[], aggregates=[AggregateSpec("COUNT", [], "c")])
         batch = op.run()
         assert batch.columns["c"].values.tolist() == [0]
+
+
+class TestStitchIdentity:
+    """``_stitch`` passes the probe columns through, ungathered, exactly
+    when the match pairs are the identity: every probe row matched once,
+    in order."""
+
+    @staticmethod
+    def _columns(batch):
+        return {
+            name: (v.values.tolist(), v.null_mask().tolist()) for name, v in batch.columns.items()
+        }
+
+    def test_a_foreign_key_onto_a_complete_dimension_passes_the_probe_through(self):
+        fact = source(k=[3, 1, 2, 1], lv=[10, None, 12, 13])
+        dim = source(k=[1, 2, 3], rv=[100, 200, 300])
+        op = HashJoinOp(fact, dim, ["k"], ["k"])
+        batch = op.run()
+        assert op.stats.path == "direct"
+        for name in ("k", "lv"):
+            assert batch.columns[name] is fact.batch.columns[name]
+        assert self._columns(batch)["rv"] == ([300, 100, 200, 100], [False] * 4)
+
+    def test_a_row_matched_twice_and_a_row_matched_never_is_gathered(self):
+        # Duplicate build keys take the sorted probe: probe row 0 matches
+        # twice and row 1 never, so li = [0, 0, 2] has the probe's size.
+        fact = source(k=[1, 5, 2], lv=[10, 11, 12])
+        dim = source(k=[1, 1, 2], rv=[100, 101, 200])
+        op = HashJoinOp(fact, dim, ["k"], ["k"])
+        batch = op.run()
+        assert op.stats.path == "sorted"
+        assert batch.n == fact.batch.n == 3
+        assert batch.columns["lv"] is not fact.batch.columns["lv"]
+        assert self._columns(batch) == {
+            "k": ([1, 1, 2], [False] * 3),
+            "lv": ([10, 10, 12], [False] * 3),
+            "rv": ([100, 101, 200], [False] * 3),
+        }
+
+    def test_only_the_identity_passes_through(self):
+        probe = source(lv=[10, 11, 12]).batch
+        build = source(rv=[1, 2, 3]).batch
+        op = HashJoinOp(source(lv=[]), source(rv=[]), ["lv"], ["rv"])
+        ri = np.array([0, 1, 2])
+        for li in ([0, 0, 2], [0, 2, 2], [1, 0, 2], [0, 1, 1]):
+            out = op._stitch(probe, build, np.array(li), ri)
+            assert out.columns["lv"].values.tolist() == [[10, 11, 12][i] for i in li]
+        assert op._stitch(probe, build, np.arange(3), ri).columns["lv"] is probe.columns["lv"]
+
+
+class TestDistinctAggregates:
+    """COUNT / SUM / AVG (DISTINCT) dedupe (group, value) pairs in one
+    vectorised pass; the per-row set they replaced is the reference."""
+
+    @staticmethod
+    def _reference(ids, values):
+        seen, keep = set(), []
+        for i, pair in enumerate(zip(ids.tolist(), values.tolist())):
+            if pair not in seen:
+                seen.add(pair)
+                keep.append(i)
+        return ids[keep], values[keep]
+
+    def _group(self, g, v, func, dt=DOUBLE):
+        op = GroupByOp(
+            source(g=g, v=v),
+            keys=[("g", ColumnRef("g", INTEGER))],
+            aggregates=[AggregateSpec(func, [ColumnRef("v", dt)], "x", True)],
+        )
+        batch = op.run()
+        x = batch.columns["x"]
+        return dict(zip(batch.columns["g"].values.tolist(), x.to_boundary()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([0.1, 0.2, 0.3, -0.0, 0.0, 1e16, -1e16, 7.7, 3]),
+            ),
+            max_size=80,
+        )
+    )
+    def test_pairs_equal_the_row_loop_bit_for_bit(self, pairs):
+        from repro.engine.aggregate import _distinct_pairs
+
+        ids = np.array([g for g, _ in pairs], dtype=np.int64)
+        for values in (
+            np.array([v for _, v in pairs], dtype=np.float64),
+            np.array([int(v * 10) for _, v in pairs], dtype=np.int64),
+            np.array(["%.1f" % v for _, v in pairs], dtype=object),
+        ):
+            got_ids, got_values = _distinct_pairs(ids, values)
+            want_ids, want_values = self._reference(ids, values)
+            assert got_ids.tolist() == want_ids.tolist()
+            if values.dtype == np.float64:  # bit for bit: -0.0 is not 0.0
+                got_values, want_values = got_values.view(np.int64), want_values.view(np.int64)
+            assert got_values.tolist() == want_values.tolist()
+
+    def test_zero_and_negative_zero_are_one_value(self):
+        got = self._group([1, 1, 1, 2], [0.0, -0.0, 2.5, -0.0], "COUNT")
+        assert got == {1: 2, 2: 1}
+        sums = self._group([1, 1, 1, 2], [-0.0, 0.0, 2.5, -0.0], "SUM")
+        assert sums == {1: 2.5, 2: -0.0}
+
+    def test_null_only_groups_count_zero_and_sum_null(self):
+        g, v = [1, 1, 2, 2, 3], [None, None, 4, 4, None]
+        assert self._group(g, v, "COUNT", INTEGER) == {1: 0, 2: 1, 3: 0}
+        assert self._group(g, v, "SUM", INTEGER) == {1: None, 2: 4, 3: None}
+        assert self._group(g, v, "AVG", INTEGER) == {1: None, 2: 4.0, 3: None}
+
+    def test_a_coded_argument_dedupes_on_dictionary_ranks_without_its_strings(self):
+        # The dictionary holds "b" twice; no row's string is gathered.
+        dictionary = np.array(["b", "a", "b", "z"], dtype=object)
+        dictionary.flags.writeable = False
+        v = ColumnVector.coded(
+            varchar_type(1), np.array([0, 2, 1, 0, 2, 1]), dictionary,
+            np.array([False, False, False, False, False, True]),
+        )
+        g = ColumnVector.from_boundary([1, 1, 1, 2, 2, 2], INTEGER)
+        batch = Batch.from_columns({"g": g, "v": v})
+        op = GroupByOp(
+            VectorSourceOp(batch),
+            keys=[("g", ColumnRef("g", INTEGER))],
+            aggregates=[AggregateSpec("COUNT", [ColumnRef("v", varchar_type(1))], "x", True)],
+        )
+        out = op.run()
+        assert out.columns["x"].values.tolist() == [2, 1]
+        assert "values" not in vars(v)
 
 
 class TestSort:

@@ -591,3 +591,138 @@ class TestRunHandsBackTheLoneBatch:
                 got = db.execute_ast(parse_statement(sql), session, relations={"R": relation})
                 assert got.rows == table.execute(sql).rows, sql
         assert [v.to_boundary() for v in vectors] == before
+
+
+def _vector_of_kind(kind, rng, n):
+    """One vector of ``n`` rows: plain int, NULL-bearing double, coded
+    string (its dictionary repeats an entry), or plain object strings."""
+    from repro.types import DOUBLE
+
+    if kind == "plain":
+        return ColumnVector(INTEGER, rng.integers(-50, 50, n))
+    if kind == "nulls":
+        return ColumnVector(DOUBLE, rng.normal(size=n), rng.random(n) < 0.3)
+    words = np.array(["x", "yy", "x", "zzz"], dtype=object)
+    if kind == "object":
+        return ColumnVector(varchar_type(3), words[rng.integers(0, 4, n)])
+    words.flags.writeable = False
+    return ColumnVector.coded(varchar_type(3), rng.integers(0, 4, n), words, rng.random(n) < 0.2)
+
+
+class TestSelectionIsRowIds:
+    """A selection gathers by row ids; a mask is only a predicate's output,
+    and one that keeps every row copies nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["plain", "nulls", "coded", "object"]),
+        density=st.sampled_from([0.0, 1 / 64, 1 / 2, 1.0]),
+        n=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_filter_keeps_the_mask_semantics(self, kind, density, n, seed):
+        rng = np.random.default_rng(seed)
+        vector = _vector_of_kind(kind, rng, n)
+        mask = rng.random(n) < density if density < 1 else np.ones(n, dtype=bool)
+        want_values = vector.values[mask].tolist()
+        want_nulls = vector.null_mask()[mask].tolist()
+        for got in (vector.filter(mask), Batch.from_columns({"v": vector}).filter(mask).columns["v"]):
+            assert got.values.tolist() == want_values
+            assert got.null_mask().tolist() == want_nulls
+            assert (got.codes is None) == (vector.codes is None)
+            if mask.all():
+                assert got is vector  # kept every row: nothing copied
+        batch = Batch.from_columns({"v": vector}).filter(mask)
+        assert batch.n == int(mask.sum())
+
+    def test_concat_of_one_batch_is_that_batch(self):
+        batch = Batch.from_columns({"a": ColumnVector.from_boundary([1, None], INTEGER)})
+        assert Batch.concat([batch]) is batch
+
+    @pytest.fixture()
+    def raw_doubles(self, monkeypatch):
+        """Regions small enough for a test whose DOUBLE column stays raw."""
+        from repro.compression import codec
+
+        monkeypatch.setattr(codec, "DICTIONARY_CARDINALITY_LIMIT", 16)
+
+    @staticmethod
+    def _fill(table, n=600):
+        rng = np.random.default_rng(3)
+        table.insert_rows([
+            (i, None if i % 7 == 0 else float(rng.normal()), "ab"[i % 2]) for i in range(n)
+        ])
+        table.flush()
+        x = table.schema.column_names[1]
+        assert all(region.columns[x].codec.name == "raw" for region in table.regions)
+        return table
+
+    def _double_table(self):
+        from repro.types import DOUBLE
+
+        schema = TableSchema("m", (("id", INTEGER), ("x", DOUBLE), ("s", varchar_type(2))))
+        return self._fill(ColumnTable(schema, region_rows=200, synopsis_stride=50))
+
+    def test_a_keep_every_row_scan_hands_out_the_stored_arrays_read_only(self, raw_doubles):
+        table = self._double_table()
+        before = [region.columns["x"].raw.copy() for region in table.regions]
+        scan = TableScanOp(table, ["x", "s"], pushed=[SimplePredicate("id", ">=", 0)])
+        with forced_dense():
+            batches = list(scan.execute())
+        assert scan.stats.regions_positional == 0 and len(batches) == len(table.regions)
+        for batch, region in zip(batches, table.regions):
+            x = batch.columns["x"]
+            stored = region.columns["x"]
+            assert np.shares_memory(x.values, stored.raw)  # passed through, not copied
+            assert not x.values.flags.writeable and not x.nulls.flags.writeable
+            with pytest.raises(ValueError):
+                x.values[0] = 99.0
+            with pytest.raises(ValueError):
+                x.nulls[0] = not x.nulls[0]
+        assert all(
+            np.array_equal(r.columns["x"].raw, b) for r, b in zip(table.regions, before)
+        )
+
+    def test_a_checkpoint_image_unpickles_read_only(self, raw_doubles):
+        import pickle
+
+        column = self._double_table().regions[0].columns["x"]
+        restored = pickle.loads(pickle.dumps(column))
+        assert not restored.raw.flags.writeable and not restored.nulls.flags.writeable
+
+    BATTERY = [
+        "SELECT s, COUNT(*), SUM(x), AVG(x), COUNT(DISTINCT x) FROM m GROUP BY s ORDER BY s",
+        "SELECT CASE WHEN x > 0 THEN 'pos' WHEN x < 0 THEN 'neg' ELSE s END AS band,"
+        " COUNT(*) FROM m GROUP BY CASE WHEN x > 0 THEN 'pos' WHEN x < 0 THEN 'neg' ELSE s END"
+        " ORDER BY 1",
+        "SELECT a.id, b.x FROM m a JOIN m b ON a.id = b.id WHERE a.s = 'a' ORDER BY b.x, a.id",
+        "SELECT a.id, b.id FROM m a LEFT JOIN m b ON a.id = b.id + 300 ORDER BY a.id",
+        "SELECT id FROM m WHERE x IS NULL AND id IN (SELECT id FROM m WHERE s = 'b')",
+        "SELECT id, x FROM m ORDER BY x DESC, id FETCH FIRST 20 ROWS ONLY",
+        "SELECT id, -x, COALESCE(x, 0.5) FROM m WHERE id < 100 ORDER BY id",
+    ]
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    def test_reads_leave_every_sealed_region_byte_identical(self, dop, raw_doubles):
+        from repro.database import Database
+
+        db = Database(parallelism=dop, morsel_rows=64, region_rows=200)
+        session = db.connect()
+        session.execute("CREATE TABLE m (id INT, x DOUBLE, s VARCHAR(2))")
+        table = self._fill(db.catalog.get_table("M").table)
+
+        def image():
+            out = []
+            for region in table.regions:
+                for name, column in sorted(region.columns.items()):
+                    parts = (column.raw, column.nulls, column.packed and column.packed.words)
+                    out.append((name, [None if p is None else p.tobytes() for p in parts]))
+            return out
+
+        before = image()
+        for sql in self.BATTERY:
+            assert session.execute(sql).rows is not None
+            with forced_dense():
+                db.plan_cache.clear()
+                session.execute(sql)
+        assert image() == before

@@ -270,6 +270,31 @@ class TestNumericCastMatchesTheRowStore:
         s.execute("INSERT INTO m VALUES (1.50), (2.49), (-2.50)")
         assert s.execute("SELECT CAST(d AS INTEGER) FROM m").rows == [(2,), (2,), (-3,)]
 
+    @pytest.mark.parametrize("engine", ["dop1", "dop4", "cluster", "rowdb"])
+    def test_cast_to_a_smaller_decimal_scale_truncates_toward_zero(self, engine):
+        """DB2's CAST drops the extra digits (toward zero); it does not
+        floor, and it does not round as storing a value does."""
+        from repro.baselines.rowdb import RowDatabase
+        from repro.cluster import Cluster, HardwareSpec
+
+        ddl = "CREATE TABLE c (k INT, v DECIMAL(8,3))"
+        if engine == "cluster":
+            system = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2).connect("db2")
+            ddl += " DISTRIBUTE BY HASH (k)"
+        elif engine == "rowdb":
+            system = RowDatabase()
+        else:
+            system = Database(parallelism=1 if engine == "dop1" else 4).connect("db2")
+        system.execute(ddl)
+        system.execute("INSERT INTO c VALUES (1, -1.005), (2, -0.005), (3, 1.015)")
+        expected = [(1, Decimal("-1.00")), (2, Decimal("0.00")), (3, Decimal("1.01"))]
+        assert system.execute("SELECT k, CAST(v AS DECIMAL(6,2)) FROM c ORDER BY k").rows == expected
+        literals = system.execute(
+            "SELECT CAST(-1.005 AS DECIMAL(6,2)), CAST(-0.005 AS DECIMAL(6,2)),"
+            " CAST(1.015 AS DECIMAL(6,2)) FROM c WHERE k = 1"
+        ).rows
+        assert literals == [tuple(value for _, value in expected)]
+
 
 class TestLiteralsBeyondInt64:
     """A numeric literal whose stored form does not fit int64 is 22018 when
