@@ -94,13 +94,6 @@ class IdaDataFrame:
             "SELECT * FROM %s FETCH FIRST %d ROWS ONLY" % (self.table, n)
         ).rows
 
-    def as_pairs(self, feature: str, label: str) -> list[tuple]:
-        """(feature, label) pairs for model fitting — the one pull-out."""
-        rows = self.session.execute(
-            "SELECT %s, %s FROM %s" % (feature, label, self.table)
-        ).rows
-        return [(float(a), float(b)) for a, b in rows if a is not None and b is not None]
-
 
 def register_udx(
     registry: FunctionRegistry,

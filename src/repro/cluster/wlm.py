@@ -130,28 +130,6 @@ class WorkloadManager:
         )
 
 
-def multi_stream_jobs(
-    stream_service_times: list[list[float]],
-) -> list[Job]:
-    """Build the job list for an N-stream benchmark: each stream issues its
-    queries back-to-back (the next query arrives when the previous finishes
-    — modelled by chaining arrivals after scheduling would be circular, so
-    streams are modelled as one job per query with zero arrival gaps and
-    per-stream sequential dependencies resolved by the caller)."""
-    jobs = []
-    for stream_id, times in enumerate(stream_service_times):
-        for q, seconds in enumerate(times):
-            jobs.append(
-                Job(
-                    job_id="s%d-q%d" % (stream_id, q),
-                    service_seconds=seconds,
-                    arrival=0.0,
-                    stream=stream_id,
-                )
-            )
-    return jobs
-
-
 def schedule_streams(
     stream_service_times: list[list[float]], concurrency: int
 ) -> ScheduleResult:

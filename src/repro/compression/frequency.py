@@ -82,10 +82,6 @@ class FrequencyEncoding:
         """Bits needed for the widest (coldest) code."""
         return self._width
 
-    @property
-    def partition_count(self) -> int:
-        return len(self._partitions)
-
     def partition_of(self, code: int) -> int:
         """Index of the frequency partition a code belongs to."""
         for p in range(len(self._bases) - 1, -1, -1):

@@ -145,10 +145,12 @@ class Database:
             feeds the metrics registry.
         parallelism: intra-query degree of parallelism.  ``None`` resolves
             via :func:`~repro.parallel.pool.default_parallelism`
-            (``REPRO_PARALLELISM`` env var, else 1 = serial).  Scans, hash
-            joins, and parallel-safe aggregates split into morsels on the
-            shared worker pool; at ``parallelism=1`` every operator runs
-            the unchanged serial code path.
+            (``REPRO_PARALLELISM`` env var, else 1 = serial).  Every task
+            runs on the calling thread and the DOP is modelled on the sim
+            clock.  A scan has one path at every DOP and times each region
+            as a task when the DOP is above 1; hash-join probes and
+            parallel-safe aggregates split into spans on the shared worker
+            pool only when the DOP is above 1.
         morsel_rows: rows per aggregation morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
         durability: optional
@@ -267,10 +269,6 @@ class Database:
     def _stmt_txn(self):
         """The write transaction of the statement on this thread (or None)."""
         return getattr(self._tls, "txn", None)
-
-    def _stamp_txid(self) -> int:
-        txn = self._stmt_txn()
-        return txn.txid if txn is not None else 0
 
     def last_query_bytes(self) -> tuple[int, int]:
         """(compressed, raw-equivalent) bytes scanned by the last query."""

@@ -41,7 +41,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.faults import NULL_INJECTOR
 from repro.durability.wal import WriteAheadLog, committed_transactions
-from repro.errors import RecoveryError
+from repro.errors import CrashError, RecoveryError
 from repro.storage.filesystem import ClusterFileSystem
 from repro.storage.table import TableSchema
 from repro.verify import sanitizer
@@ -77,6 +77,28 @@ class RecoveryReport:
     records_replayed: int = 0
     torn_tail_detected: bool = False
     sim_seconds: float = 0.0
+
+
+class _Host:
+    """Whether the simulated host is up, entered around every durable step.
+
+    An injected fault kills the host, not the thread it fired on: once a
+    :class:`CrashError` escapes one step, every later step on any thread
+    raises too (no session flushes what the crash left buffered) until
+    :meth:`DurabilityManager.crash` restarts it."""
+
+    __slots__ = ("down",)
+
+    def __init__(self):
+        self.down: CrashError | None = None
+
+    def __enter__(self) -> None:
+        if self.down is not None:
+            raise CrashError("host is down (%s)" % self.down)
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, CrashError):
+            self.down = exc
 
 
 class DurabilityManager:
@@ -122,6 +144,7 @@ class DurabilityManager:
         #: Bumped by :meth:`crash` so every thread's buffered (volatile)
         #: statement ops are discarded, not just the crashing thread's.
         self._txn_epoch = 0
+        self._host = _Host()
         self._next_txid = 1
         self._unflushed_commits = 0
         self._seq_shadow: dict[str, int | None] = {}
@@ -209,7 +232,7 @@ class DurabilityManager:
         pruned: its ops never made it past a commit record, so redo never
         recreates them.  Returns True when the commit is already durable.
         """
-        with self._lock:
+        with self._lock, self._host:
             if sanitizer.ENABLED:
                 sanitizer.access(
                     "durability:%s" % self.path, "wal_append",
@@ -258,7 +281,7 @@ class DurabilityManager:
 
     def flush(self) -> int:
         """Force the group commit; returns bytes written."""
-        with self._lock:
+        with self._lock, self._host:
             if sanitizer.ENABLED:
                 sanitizer.access(
                     "durability:%s" % self.path, "wal_append",
@@ -292,7 +315,7 @@ class DurabilityManager:
         Returns the checkpoint LSN."""
         if self.database is None:
             raise RecoveryError("no database attached to checkpoint")
-        with self._lock:
+        with self._lock, self._host:
             self.flush()
             lsn = self.wal.flushed_lsn
             with self.database.tracer.span("checkpoint", lsn=lsn):
@@ -313,6 +336,7 @@ class DurabilityManager:
         statement in flight, buffered (unflushed) WAL records, and the
         commits they carried."""
         with self._lock:
+            self._host.down = None  # the host restarts
             self._txn_epoch += 1  # drops every thread's buffered ops
             lost_commits = self._unflushed_commits
             self._unflushed_commits = 0
@@ -330,7 +354,7 @@ class DurabilityManager:
             raise RecoveryError("no database attached to recover into")
         report = RecoveryReport(torn_tail_detected=self.wal.torn_tail_detected)
         sim_start = self.clock.now if self.clock is not None else None
-        with db.tracer.span("recover"):
+        with self._host, db.tracer.span("recover"):
             with db.tracer.span("checkpoint-load"):
                 loaded = self.store.load_latest()
                 if loaded is not None:

@@ -558,8 +558,6 @@ class Cast(Expr):
 
 
 def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
-    from repro.storage.column import to_boundary_scalar, to_physical_scalar
-
     target = to_dt.numpy_dtype
     if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
         if scale_shift >= 0:
@@ -589,7 +587,7 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
     keys = live.view(np.int64).tolist() if live.dtype == np.float64 else raws
     converted = dict(zip(keys, raws))
     for key, raw in converted.items():
-        converted[key] = to_physical_scalar(to_boundary_scalar(raw, from_dt), to_dt)
+        converted[key] = _cast_physical_scalar(raw, from_dt, to_dt, scale_shift)
     gathered = np.fromiter(map(converted.__getitem__, keys), target, len(keys))
     if nulls is None:
         return gathered
@@ -635,12 +633,12 @@ def _cast_numeric(values, from_dt, to_dt, nulls):
             return None
         return truncated.astype(np.int64)
     if from_dt.kind is TypeKind.DECIMAL:
-        # Descale half away from zero, as cast_value's ROUND_HALF_UP does.
+        # The fraction drops (toward zero), as DB2's CAST does.
         unit = 10 ** from_dt.scale
         if unit > _INT64_MAX:
             return None
         floor, rest = np.divmod(values, unit)
-        out = floor + ((2 * rest > unit) | ((2 * rest == unit) & (values >= 0)))
+        out = floor + ((rest != 0) & (values < 0))
     else:
         out = values.astype(np.int64)
     return out if _within(out if nulls is None else out[~nulls], low, high) else None
@@ -682,10 +680,17 @@ def _cast_physical_scalar(value, from_dt, to_dt, scale_shift):
     if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
         if scale_shift >= 0:
             return value * (10 ** scale_shift)
-        unit = 10 ** (-scale_shift)
-        return value // unit if value >= 0 else -(-value // unit)
+        return _toward_zero(value, 10 ** (-scale_shift))
+    if from_dt.kind is TypeKind.DECIMAL and to_dt.is_integer:
+        # The fraction drops, as in _cast_numeric; to_physical_scalar checks the range.
+        return to_physical_scalar(_toward_zero(value, 10 ** from_dt.scale), to_dt)
     boundary = to_boundary_scalar(value, from_dt)
     return to_physical_scalar(boundary, to_dt)
+
+
+def _toward_zero(value: int, unit: int) -> int:
+    """``value / unit`` with the fraction dropped (DB2's CAST)."""
+    return value // unit if value >= 0 else -(-value // unit)
 
 
 @dataclass

@@ -12,11 +12,12 @@ surviving rows are gathered by their ids (note 23).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine.expression import Batch, Expr, selection_mask
+from repro.parallel.pool import timed
 from repro.simd.packed import count_result_bits
 from repro.simd.predicates import COMPARISONS
 from repro.storage.column import ColumnVector
@@ -46,20 +47,6 @@ class ScanStats:
     raw_bytes_scanned: int = 0   # uncompressed equivalent of touched data
     rows_decoded: int = 0        # column rows unpacked or gathered out of their words
     regions_positional: int = 0  # regions whose selection was row ids, not a mask
-
-    def merge(self, other: "ScanStats") -> None:
-        """Fold another region's counters in (parallel scans merge their
-        per-task stats back in region order; all fields are sums)."""
-        self.regions_scanned += other.regions_scanned
-        self.extents_total += other.extents_total
-        self.extents_skipped += other.extents_skipped
-        self.rows_scanned += other.rows_scanned
-        self.rows_matched += other.rows_matched
-        self.pages_read += other.pages_read
-        self.bytes_scanned += other.bytes_scanned
-        self.raw_bytes_scanned += other.raw_bytes_scanned
-        self.rows_decoded += other.rows_decoded
-        self.regions_positional += other.regions_positional
 
 
 @dataclass
@@ -149,12 +136,13 @@ class TableScanOp(Operator):
             loader) routing page fetches through a buffer pool.
         stride_rows: if set, emit batches of at most this many rows
             (stride-at-a-time processing, II.B.7).
-        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  When the
-            pool is parallel, regions become independent morsel tasks whose
-            batches and stats gather back **in region order**, so the output
-            is identical to the serial scan.  With ``parallelism=1`` (or no
-            pool) the original incremental generator path runs untouched —
-            including its lazy early-exit behaviour under LIMIT.
+        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  The scan
+            has one path at every DOP: a lazy generator over the regions in
+            order, which stops early under LIMIT.  When the pool is parallel
+            and there is more than one region, each region's scan is timed
+            as one task and the scan hands those times to the pool as one
+            ``scan:<TABLE>`` run when it ends (``parallel_run``), so the DOP
+            is modelled on the regions it actually scanned.
 
     The operator as constructed holds nothing of an execution: no MVCC
     snapshot, no captured table state, no statistics — a planned scan can
@@ -230,57 +218,34 @@ class TableScanOp(Operator):
             needed |= self.residual.references()
         pool = self.pool
         regions = self.regions  # opens the scan if nobody has
+        # At DOP > 1 each region is one modelled task: its scan is timed
+        # and the times go to the pool as one run when the scan ends.
+        times = None
+        if pool is not None and pool.is_parallel and len(regions) > 1:
+            times = []
         try:
-            if pool is not None and pool.is_parallel and len(regions) > 1:
-                yield from self._execute_parallel(needed, pool)
-                return
             for region_idx, region in enumerate(regions):
-                batch = self._scan_region(region_idx, region, needed, self.stats)
+                if times is None:
+                    batch = self._scan_region(region_idx, region, needed, self.stats)
+                else:
+                    batch, cpu, wall = timed(
+                        self._scan_region, region_idx, region, needed, self.stats
+                    )
+                    times.append((cpu, wall))
                 if batch is not None and batch.n:
                     yield from self._emit(batch)
             tail = self._scan_tail(needed)
             if tail is not None and tail.n:
                 yield from self._emit(tail)
         finally:  # a LIMIT above may stop the scan early; what ran still counts
-            self.note_metrics()
-
-    def note_metrics(self) -> None:
-        """Total the forms this execution's selections took on the engine's
-        registry (there is one when monitoring is on)."""
-        metrics = getattr(self.pool, "metrics", None)
-        if metrics is not None:
-            stats = self.stats
-            metrics.counter("engine.scan.regions").inc(stats.regions_scanned)
-            metrics.counter("engine.scan.regions_positional").inc(stats.regions_positional)
-            metrics.counter("engine.scan.rows_decoded").inc(stats.rows_decoded)
-
-    def _execute_parallel(self, needed, pool):
-        """Morsel-parallel scan: K regions per task (batched so dispatch
-        overhead amortises), gathered in region order (deterministic),
-        per-task stats merged back in region order."""
-        from repro.parallel.morsel import batch_items
-
-        def scan_batch(group):
-            out = []
-            for region_idx, region in group:
-                stats = ScanStats()
-                batch = self._scan_region(region_idx, region, needed, stats)
-                out.append((batch, stats))
-            return out
-
-        groups = batch_items(list(enumerate(self.regions)), pool.parallelism)
-        results = pool.map(
-            scan_batch, groups, label="scan:%s" % self.table.schema.name
-        )
-        self.parallel_run = pool.last_run
-        for group_result in results:
-            for batch, stats in group_result:
-                self.stats.merge(stats)
-                if batch is not None and batch.n:
-                    yield from self._emit(batch)
-        tail = self._scan_tail(needed)
-        if tail is not None and tail.n:
-            yield from self._emit(tail)
+            if times is not None:
+                self.parallel_run = pool.record(times, "scan:%s" % self.table.schema.name)
+            metrics = getattr(pool, "metrics", None)
+            if metrics is not None:  # the forms the selections took
+                stats = self.stats
+                metrics.counter("engine.scan.regions").inc(stats.regions_scanned)
+                metrics.counter("engine.scan.regions_positional").inc(stats.regions_positional)
+                metrics.counter("engine.scan.rows_decoded").inc(stats.rows_decoded)
 
     def _emit(self, batch: Batch):
         if self.stride_rows is None or batch.n <= self.stride_rows:

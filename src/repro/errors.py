@@ -132,10 +132,6 @@ class StorageError(ReproError):
     sqlstate = "58030"
 
 
-class PageCorruptionError(StorageError):
-    """A page failed its checksum or structural validation."""
-
-
 class FileSystemError(StorageError):
     """Simulated clustered-filesystem failure (missing path, bad mount)."""
 
@@ -174,10 +170,6 @@ class NodeDownError(ClusterError):
 
 class NoSurvivorsError(ClusterError):
     """Failover was requested but no healthy node remains."""
-
-
-class RebalanceError(ClusterError):
-    """Shard reassociation could not produce a valid assignment."""
 
 
 class AdmissionError(ClusterError):

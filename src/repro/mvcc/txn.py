@@ -148,10 +148,6 @@ class TxnManager:
             if conflict:
                 self.stats["conflicts"] += 1
 
-    def active_count(self) -> int:
-        with self._lock:
-            return len(self._active)
-
     def report(self) -> dict:
         with self._lock:
             return {

@@ -147,12 +147,12 @@ class PoolRun:
         return self.total_seconds / (makespan * max(1, self.parallelism))
 
 
-def _timed(fn, item):
-    """``fn(item)`` with its thread-CPU and wall seconds: ``(value, cpu,
+def timed(fn, *args):
+    """``fn(*args)`` with its thread-CPU and wall seconds: ``(value, cpu,
     wall)``.  A CPU clock too coarse to register falls back to wall."""
     w0 = time.perf_counter()
     c0 = time.thread_time()
-    value = fn(item)
+    value = fn(*args)
     cpu = time.thread_time() - c0
     wall = time.perf_counter() - w0
     if cpu <= 0.0:
@@ -224,14 +224,16 @@ class WorkerPool:
         times = []
         try:
             for item in items:
-                value, cpu, wall = _timed(fn, item)
+                value, cpu, wall = timed(fn, item)
                 results.append(value)
                 times.append((cpu, wall))
         finally:
-            self._record(times, label)
+            self.record(times, label)
         return results
 
-    def _record(self, times, label) -> None:
+    def record(self, times, label: str | None = None) -> PoolRun:
+        """Log and return one run: a ``(cpu, wall)`` pair per task, from
+        :func:`timed`, in submission order (:meth:`map`, the table scan)."""
         workers, _ = list_schedule([cpu for cpu, _ in times], self.parallelism)
         spans = [
             TaskSpan(i, worker, cpu, wall)
@@ -240,6 +242,7 @@ class WorkerPool:
         run = PoolRun(parallelism=self.parallelism, spans=spans, label=label)
         self.last_run = run
         self._note_metrics(run)
+        return run
 
     # -- metrics ---------------------------------------------------------------
 

@@ -65,9 +65,6 @@ class SparkDataFrame:
     def take(self, n: int) -> list[dict]:
         return self.rdd.take(n)
 
-    def to_rows(self) -> list[tuple]:
-        return [tuple(row[c] for c in self.columns) for row in self.collect()]
-
 
 class GroupedFrame:
     """Result of ``group_by``: supports agg with named reducers."""

@@ -35,11 +35,6 @@ class TransferStats:
     bytes_local: int = 0
     bytes_remote: int = 0
 
-    @property
-    def remote_fraction(self) -> float:
-        total = self.rows_local + self.rows_remote
-        return self.rows_remote / total if total else 0.0
-
 
 class DashDBSparkContext(SparkContext):
     """A SparkContext wired to a dashDB Local cluster."""

@@ -541,9 +541,6 @@ class ExpressionBinder:
         args = [self.bind(a) for a in node.args]
         return builder(args, BuildContext(self.dialect, self.database))
 
-    def _is_aggregate_context(self, name: str) -> bool:
-        return self.allow_aggregates
-
     def _bind_aggregate(self, node: ast.FunctionCall, engine_func: str) -> Expr:
         if not self.allow_aggregates:
             raise TypeCheckError(

@@ -343,11 +343,3 @@ class ColumnVector:
         dictionary = np.concatenate(dictionaries)
         dictionary.flags.writeable = False
         return cls.coded(dt, np.concatenate(codes), dictionary, nulls)
-
-    def datetime_fields(self) -> np.ndarray | None:
-        """For temporal columns, decode to numpy datetime64 for calculations."""
-        if self.dtype.kind is TypeKind.DATE:
-            return self.values.astype("datetime64[D]")
-        if self.dtype.kind is TypeKind.TIMESTAMP:
-            return self.values.astype("datetime64[us]")
-        return None

@@ -30,15 +30,5 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to ``timestamp`` if it is in the future."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
-    def elapsed_since(self, t0: float) -> float:
-        """Seconds of simulated time elapsed since ``t0``."""
-        return self._now - t0
-
     def __repr__(self) -> str:
         return "SimClock(now=%.6f)" % self._now

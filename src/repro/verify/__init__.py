@@ -9,8 +9,9 @@ Six tools live here, all behind one front door, ``repro-verify``
   seeded randomness, lock discipline in pool-submitted callables, no
   silent broad excepts, no raw locks) and interprocedural project rules
   (:mod:`repro.verify.flow`: write protocol, snapshot scope, resource
-  pairing, SQLSTATE coverage), with one ``# lint-ok: rule (why)``
-  suppression grammar.  ``repro-verify lint src tests benchmarks``.
+  pairing, SQLSTATE coverage; and ``unreferenced``: no def or class that
+  nothing names), with one ``# lint-ok: rule (why)`` suppression
+  grammar.  ``repro-verify lint src tests benchmarks examples``.
 * :mod:`repro.verify.plan` — a static **plan verifier** that walks a
   compiled physical operator tree and re-derives schema, arity, and type
   propagation operator by operator, plus the ``parallel_safe()`` gate and

@@ -131,6 +131,8 @@ class ProjectIndex:
     ambiguity_limit = AMBIGUITY_LIMIT
 
     def __init__(self, files):
+        #: The parsed files, in module order.
+        self.files = sorted(files, key=lambda f: f.module)
         #: module path -> raw source lines.
         self.lines: dict[str, list[str]] = {}
         self.functions: dict[tuple[str, str], FunctionInfo] = {}
@@ -146,7 +148,7 @@ class ProjectIndex:
         self.listeners: set[tuple[str, str]] = set()
         #: (direct, closed) effect maps, filled by flow.effects.effects_of.
         self.effects = None
-        for ctx in sorted(files, key=lambda f: f.module):
+        for ctx in self.files:
             self.lines[ctx.module] = ctx.lines
             self._index_module(ctx.module, ctx)
         for module in self.lines:

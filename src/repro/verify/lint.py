@@ -13,12 +13,13 @@ and one report:
   :class:`~repro.verify.flow.callgraph.ProjectIndex`;
 * **two rule scopes** — rules register through :func:`rule`.  A *file*
   rule receives one :class:`FileContext` and yields ``(line, message)``;
-  a *project* rule (``project=True``, the interprocedural protocol rules
-  of :mod:`repro.verify.flow.protocols`) receives the index and yields
-  ``(module, line, message)``.  Project findings are kept only for
-  engine modules (:func:`engine_module`): tests, benchmarks and the
+  a *project* rule (``project=True``: the interprocedural protocol rules
+  of :mod:`repro.verify.flow.protocols`, and ``unreferenced``) receives
+  the index and yields ``(module, line, message)``.  Project findings are
+  kept only for engine modules (:func:`engine_module`) unless the rule
+  opts out (``engine_only=False``): tests, benchmarks and the
   verification tooling drive the engine in ways its protocols do not
-  bind, so one run can cover ``src tests benchmarks``;
+  bind, so one run can cover ``src tests benchmarks examples``;
 * **one suppression grammar** — a finding is suppressed per line with a
   justification comment::
 
@@ -30,9 +31,10 @@ and one report:
   on full runs a suppression naming a rule that no longer fires on its
   line is reported as ``stale-suppression``.
 
-Run it as ``python -m repro.verify.cli lint src tests benchmarks``; the
-exit status is non-zero when any unsuppressed finding remains.  The file
-rules live in :mod:`repro.verify.rules`.
+Run it as ``python -m repro.verify.cli lint src tests benchmarks
+examples``; the exit status is non-zero when any unsuppressed finding
+remains.  The file rules (and ``unreferenced``) live in
+:mod:`repro.verify.rules`.
 """
 
 from __future__ import annotations
@@ -175,25 +177,28 @@ class FileContext:
 class Rule:
     """A registered rule.  A file rule's ``check(ctx)`` yields ``(line,
     message)``; a project rule's ``check(index)`` yields ``(module, line,
-    message)``."""
+    message)``, kept for engine modules only when ``engine_only``."""
 
-    def __init__(self, name: str, description: str, check, project: bool):
+    def __init__(self, name: str, description: str, check, project: bool,
+                 engine_only: bool):
         self.name = name
         self.description = description
         self.check = check
         self.project = project
+        self.engine_only = engine_only
 
 
 _REGISTRY: dict[str, Rule] = {}
 
 
-def rule(name: str, description: str, project: bool = False):
+def rule(name: str, description: str, project: bool = False,
+         engine_only: bool = True):
     """Decorator registering a rule function in the global registry."""
 
     def decorate(fn):
         if name in _REGISTRY:
             raise ValueError("duplicate lint rule %r" % name)
-        _REGISTRY[name] = Rule(name, description, fn, project)
+        _REGISTRY[name] = Rule(name, description, fn, project, engine_only)
         return fn
 
     return decorate
@@ -296,7 +301,7 @@ def lint_files(
         index = ProjectIndex(files)
         for rule_obj in project_rules:
             for module, line, message in rule_obj.check(index):
-                if engine_module(module):
+                if engine_module(module) or not rule_obj.engine_only:
                     raw[module].append((rule_obj.name, line, message))
     findings: list[Finding] = []
     for ctx in files:

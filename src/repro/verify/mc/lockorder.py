@@ -60,11 +60,6 @@ def lock_class(name: str) -> str:
     return name.split(":", 1)[0]
 
 
-def declared_rank(name: str) -> int | None:
-    """Rank of a lock (by its class) in the declared order; None = unranked."""
-    return _RANK.get(lock_class(name))
-
-
 def rank_violation(outer: str, inner: str) -> str | None:
     """Message when acquiring ``inner`` while holding ``outer`` contradicts
     the declared order; None when the edge is allowed (or unrankable)."""

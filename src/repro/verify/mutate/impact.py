@@ -157,9 +157,6 @@ class ImpactMap:
 
     # -- queries ---------------------------------------------------------------
 
-    def test_files(self) -> list[str]:
-        return sorted(self.closure_size)
-
     def symbol_at(self, module: str, lineno: int) -> FunctionInfo | None:
         """Innermost function of *module* whose body spans *lineno*."""
         best: FunctionInfo | None = None
@@ -197,12 +194,6 @@ class ImpactMap:
             self.closure_size.get(f, 0),
             f,
         ))
-
-    def reaching_symbols(self, test_module: str) -> set[tuple[str, str]]:
-        return {
-            key for key, tests in self.reached_by.items()
-            if test_module in tests
-        }
 
 
 def _is_test_module(module: str, test_prefix: str) -> bool:

@@ -21,13 +21,18 @@ project rules, in :mod:`repro.verify.flow.protocols`):
 * ``raw-lock`` — engine code under ``repro/`` must create locks through
   ``sanitizer.make_lock``; a bare ``threading.Lock()`` is invisible to the
   lockset sanitizer and the model checker.
+* ``unreferenced`` (a project rule) — a ``def`` or ``class`` under
+  ``repro/``, tooling included, that nothing in the linted tree names is
+  deleted, not kept.  It judges only a tree with callers outside the
+  package (``src tests benchmarks examples``).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 
-from repro.verify.flow.callgraph import dotted_chain
+from repro.verify.flow.callgraph import ProjectIndex, dotted_chain
 from repro.verify.lint import FileContext, engine_module, rule
 
 # ---------------------------------------------------------------------------
@@ -444,3 +449,53 @@ def check_raw_lock(ctx: FileContext):
                 "%s() bypasses sanitizer.make_lock: the lockset sanitizer "
                 "and the model checker cannot track this lock" % name
             )
+
+
+# ---------------------------------------------------------------------------
+# unreferenced
+# ---------------------------------------------------------------------------
+
+#: Dunders, and the ``getattr`` dispatch targets of the binder
+#: (``_bind_<Node>``) and the plan verifier (``_visit_<Op>``).
+_EXEMPT = re.compile(r"__\w+__|_bind_\w*|_visit_\w*")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(node: ast.AST) -> list:
+    """What one node names: a name, an attribute, an import alias, a
+    keyword argument or an identifier-shaped string."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [*node.name.split("."), node.asname]
+    if isinstance(node, ast.keyword):
+        return [node.arg]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value] if _IDENTIFIER.fullmatch(node.value) else []
+    return []
+
+
+@rule("unreferenced", "a def or class under repro/ that nothing in the "
+      "linted tree names", project=True, engine_only=False)
+def check_unreferenced(index: ProjectIndex):
+    if all("repro/" in ctx.module for ctx in index.files):
+        return  # no caller outside the package is linted: nothing to judge by
+    named = {name for ctx in index.files for node in ctx.nodes
+             for name in _mentions(node)}
+    for ctx in index.files:
+        if "repro/" not in ctx.module:
+            continue
+        for node in ctx.nodes:
+            if (
+                isinstance(node, _DEFS)
+                and node.name not in named
+                and not _EXEMPT.fullmatch(node.name)
+                and not any(dotted_chain(getattr(d, "func", d))[-1:] == ["rule"]
+                            for d in node.decorator_list)  # an @rule check
+            ):
+                yield ctx.module, node.lineno, (
+                    "%s is never referenced: delete it" % node.name
+                )

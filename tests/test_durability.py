@@ -10,6 +10,7 @@ uncommitted-data resurrection.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -205,6 +206,27 @@ class TestCommitSemantics:
         manager._lock, manager.wal.append = recorder, spy
         session.execute("INSERT INTO t VALUES (1)")
         assert held == [True, True]  # the insert and its commit record
+
+    def test_crash_discards_under_the_manager_lock(self):
+        # (drop-lock mutant in DurabilityManager.crash: a commit on another
+        # session must not interleave with the discard of the WAL tail.)
+        from tests.test_mutation_gaps import _RecordingLock
+
+        db, _ = make_db(group_commit=100)
+        session = db.connect()
+        session.execute("CREATE TABLE t (k INT)")
+        manager = db.durability
+        recorder = _RecordingLock(manager._lock)
+        held = []
+        discard = manager.wal.discard_pending
+
+        def spy():
+            held.append(recorder.held)
+            return discard()
+
+        manager._lock, manager.wal.discard_pending = recorder, spy
+        db.reopen()
+        assert held == [True]
 
     def test_group_commit_batches_flushes(self):
         db, _ = make_db(group_commit=3)
@@ -452,6 +474,60 @@ class TestCrashMatrix:
             if not injector.fired:
                 crash_and_recover(db)
             assert injector.fired == ["%s:crash" % point], point
+
+
+class TestCrashStopsTheHost:
+    """An injected fault kills the simulated host, not one thread: every
+    later commit, on any session, raises until the engine reopens."""
+
+    def _two_sessions(self, mode):
+        injector = FaultInjector()
+        db, _ = make_db(injector=injector)
+        setup = db.connect()
+        setup.execute("CREATE TABLE a (k INT)")
+        setup.execute("CREATE TABLE b (k INT)")
+        injector.arm("wal.flush", mode=mode, fraction=0.0)
+        a_crashed = threading.Event()
+        outcome = []
+
+        def session_a():
+            try:
+                db.connect().execute("INSERT INTO a VALUES (1)")
+                outcome.append("A committed")
+            except CrashError:
+                outcome.append("A crashed")
+            finally:
+                a_crashed.set()
+
+        def session_b():
+            assert a_crashed.wait(timeout=60)
+            try:
+                db.connect().execute("INSERT INTO b VALUES (2)")
+                outcome.append("B committed")
+            except CrashError:
+                outcome.append("B crashed")
+
+        threads = [threading.Thread(target=session_a), threading.Thread(target=session_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        return db, outcome
+
+    @pytest.mark.parametrize("mode", ["crash", "torn"])
+    def test_a_second_session_cannot_flush_the_crashed_statement(self, mode):
+        db, outcome = self._two_sessions(mode)
+        assert outcome == ["A crashed", "B crashed"]
+        with pytest.raises(CrashError):
+            db.checkpoint()
+        crash_and_recover(db)
+        session = db.connect()
+        assert session.query("SELECT k FROM a") == []
+        assert session.query("SELECT k FROM b") == []
+        session.execute("INSERT INTO b VALUES (3)")  # reopened: up again
+        crash_and_recover(db)
+        assert db.connect().query("SELECT k FROM b") == [(3,)]
 
 
 # --------------------------------------------------------------------------

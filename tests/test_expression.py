@@ -388,10 +388,12 @@ class TestPhysicalAlignmentInternals:
         # boolean@src/repro/engine/expression.py:567:7 survived: the
         # decimal fast path guard (DECIMAL *and* DECIMAL) weakening to
         # *or* hijacks DECIMAL -> integer casts into raw scaled-integer
-        # passthrough (2.50 cast to BIGINT returns 250, not 3).
+        # passthrough (2.50 cast to BIGINT returns 250, not 2: CAST drops
+        # the fraction toward zero, as DB2's does).
         from repro.engine.expression import _cast_physical_scalar
 
-        assert _cast_physical_scalar(250, decimal_type(5, 2), BIGINT, 0) == 3
+        assert _cast_physical_scalar(250, decimal_type(5, 2), BIGINT, 0) == 2
+        assert _cast_physical_scalar(-250, decimal_type(5, 2), BIGINT, 0) == -2
 
     def test_decimal_multiply_result_scale_adds_operand_scales(self):
         # off-by-one@src/repro/engine/expression.py:729:53 survived: the

@@ -31,6 +31,7 @@ from repro.engine import (
     Batch,
     ColumnRef,
     GroupByOp,
+    TableScanOp,
     VectorSourceOp,
 )
 from repro.parallel import (
@@ -665,7 +666,16 @@ class TestFanOutRunsOnTheCaller:
 
             return map_on_pool(noted, items, label)
 
+        # The scan times its regions itself (one lazy path at every DOP),
+        # so its tasks are noted where they run, not through the pool.
+        scan_region = TableScanOp._scan_region
+
+        def scan_region_noting_threads(op, *args):
+            idents.append(threading.get_ident())
+            return scan_region(op, *args)
+
         monkeypatch.setattr(pool, "map", map_noting_threads)
+        monkeypatch.setattr(TableScanOp, "_scan_region", scan_region_noting_threads)
         runs, tasks = pool.runs_total, pool.tasks_total
         got = parallel.connect("db2").execute(sql).rows
         run = pool.last_run
@@ -677,6 +687,25 @@ class TestFanOutRunsOnTheCaller:
         busy = run.worker_busy()
         assert len(busy) == min(4, run.tasks)
         assert max(busy.values()) == pytest.approx(run.makespan_seconds)
+
+    def test_limit_scans_only_the_regions_it_yields(self, engines):
+        # The scan is one lazy path at every DOP: under FETCH FIRST a DOP-4
+        # scan stops where DOP 1 stops, and its run holds one task per
+        # region it scanned.
+        sql = "SELECT a, b FROM r FETCH FIRST 1 ROWS ONLY"
+        seen = []
+        for dbs in engines:
+            db = dbs["regions"]
+            runs = db.pool.runs_total
+            rows = db.connect("db2").execute(sql).rows
+            (scan,) = db.last_scans
+            seen.append((rows, scan.stats.regions_scanned, scan.parallel_run,
+                         db.pool.runs_total - runs, len(scan.regions)))
+        (rows1, scanned1, run1, runs1, regions), (rows4, scanned4, run4, runs4, _) = seen
+        assert rows4 == rows1 and len(rows1) == 1
+        assert scanned4 == scanned1 < regions == 8
+        assert run1 is None and runs1 == 0
+        assert runs4 == 1 and run4.label == "scan:R" and run4.tasks == scanned4
 
     def test_explain_analyze_shows_the_modelled_workers(self, engines):
         session = engines[1]["wide"].connect("db2")

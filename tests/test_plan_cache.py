@@ -564,6 +564,38 @@ class TestAccounting:
         assert cache.report()["entries"] == len(cache._plans)
         assert recorder.acquisitions == taken + 1
 
+    def test_remember_and_lookup_run_under_the_cache_lock(self, typed):
+        # (drop-lock mutants in PlanCache.remember and .lookup: the text
+        # and plan maps are shared by every session of the engine.)
+        from collections import OrderedDict
+
+        from tests.test_mutation_gaps import _RecordingLock
+
+        db, session = typed
+        cache = db.plan_cache
+        recorder = _RecordingLock(cache._lock)
+        held = []
+
+        def spy(name, entries):
+            class Spied(OrderedDict):
+                def __setitem__(self, key, value):
+                    held.append((name, "set", recorder.held))
+                    super().__setitem__(key, value)
+
+                def move_to_end(self, key, last=True):
+                    held.append((name, "touch", recorder.held))
+                    super().move_to_end(key, last)
+
+            return Spied(entries)
+
+        cache._lock = recorder
+        cache._texts, cache._plans = spy("texts", cache._texts), spy("plans", cache._plans)
+        sql = "SELECT b FROM t WHERE i = 7"
+        session.execute(sql)  # remember the text, store the plan
+        session.execute(sql)  # recall the text, look the plan up
+        assert ("texts", "set", True) in held and ("plans", "touch", True) in held
+        assert all(is_held for _, _, is_held in held), held
+
     def test_monreport_plan_cache_section(self, typed):
         db, session = typed
         for value in (1, 2, 3):

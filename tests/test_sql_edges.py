@@ -265,19 +265,11 @@ class TestNumericCastMatchesTheRowStore:
                 outcomes.append(exc.sqlstate)
         assert outcomes[0] == outcomes[1], sql
 
-    def test_decimal_descales_half_away_from_zero(self, s):
-        s.execute("CREATE TABLE m (d DECIMAL(8,2))")
-        s.execute("INSERT INTO m VALUES (1.50), (2.49), (-2.50)")
-        assert s.execute("SELECT CAST(d AS INTEGER) FROM m").rows == [(2,), (2,), (-3,)]
-
-    @pytest.mark.parametrize("engine", ["dop1", "dop4", "cluster", "rowdb"])
-    def test_cast_to_a_smaller_decimal_scale_truncates_toward_zero(self, engine):
-        """DB2's CAST drops the extra digits (toward zero); it does not
-        floor, and it does not round as storing a value does."""
+    @staticmethod
+    def _system(engine, ddl):
         from repro.baselines.rowdb import RowDatabase
         from repro.cluster import Cluster, HardwareSpec
 
-        ddl = "CREATE TABLE c (k INT, v DECIMAL(8,3))"
         if engine == "cluster":
             system = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2).connect("db2")
             ddl += " DISTRIBUTE BY HASH (k)"
@@ -286,6 +278,29 @@ class TestNumericCastMatchesTheRowStore:
         else:
             system = Database(parallelism=1 if engine == "dop1" else 4).connect("db2")
         system.execute(ddl)
+        return system
+
+    @pytest.mark.parametrize("engine", ["dop1", "dop4", "cluster", "rowdb"])
+    def test_decimal_cast_to_an_integer_truncates_toward_zero(self, engine):
+        """DB2's CAST drops the fraction; storing the same DECIMAL into an
+        INTEGER column still rounds half away from zero."""
+        system = self._system(engine, "CREATE TABLE m (k INT, d DECIMAL(8,2), i INT)")
+        system.execute("INSERT INTO m VALUES (1, 1.50, 1.50), (2, 2.49, 2.49), (3, -2.50, -2.50)")
+        casts = system.execute("SELECT k, CAST(d AS INTEGER) FROM m ORDER BY 1").rows
+        assert [row[1:] for row in casts] == [(1,), (2,), (-2,)]
+        literals = system.execute(
+            "SELECT CAST(1.50 AS INTEGER), CAST(2.49 AS SMALLINT), CAST(-2.50 AS BIGINT)"
+            " FROM m WHERE k = 1"
+        ).rows
+        assert literals == [(1, 2, -2)]
+        stored = system.execute("SELECT k, i FROM m ORDER BY 1").rows
+        assert [row[1:] for row in stored] == [(2,), (2,), (-3,)]
+
+    @pytest.mark.parametrize("engine", ["dop1", "dop4", "cluster", "rowdb"])
+    def test_cast_to_a_smaller_decimal_scale_truncates_toward_zero(self, engine):
+        """DB2's CAST drops the extra digits (toward zero); it does not
+        floor, and it does not round as storing a value does."""
+        system = self._system(engine, "CREATE TABLE c (k INT, v DECIMAL(8,3))")
         system.execute("INSERT INTO c VALUES (1, -1.005), (2, -0.005), (3, 1.015)")
         expected = [(1, Decimal("-1.00")), (2, Decimal("0.00")), (3, Decimal("1.01"))]
         assert system.execute("SELECT k, CAST(v AS DECIMAL(6,2)) FROM c ORDER BY k").rows == expected

@@ -1,7 +1,6 @@
 """Lexer and parser."""
 
 import json
-import time
 import zlib
 from pathlib import Path
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from repro.database.plancache import PlanCache
 from repro.errors import SQLSyntaxError
 from repro.serving.normalize import statement_key
-from repro.sql import ast
+from repro.sql import ast, lexer
 from repro.sql.lexer import EOF, IDENT, NUMBER, OP, QIDENT, STRING, tokenize
 from repro.sql.parser import Parser, parse_statement, parse_statements
 
@@ -151,17 +150,29 @@ class TestLexerEdges:
             select.value = "x"
         assert isinstance(tokenize("a"), tuple)
 
-    def test_long_statements_lex_in_linear_time(self):
-        def seconds(text):
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                try:
-                    tokenize(text)
-                except SQLSyntaxError:
-                    pass
-                best = min(best, time.perf_counter() - start)
-            return best
+    def test_long_statements_lex_in_linear_time(self, monkeypatch):
+        # The work is counted, not timed, so host load cannot move it:
+        # every regex match the lexer runs plus every token it returns.
+        matches = [0]
+
+        class Counted:
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def match(self, *args):
+                matches[0] += 1
+                return self.pattern.match(*args)
+
+        monkeypatch.setattr(lexer, "_MASTER", Counted(lexer._MASTER))
+        monkeypatch.setattr(lexer, "_NOISE_ONLY", Counted(lexer._NOISE_ONLY))
+
+        def work(text):
+            matches[0] = 0
+            try:
+                tokens = len(tokenize(text))
+            except SQLSyntaxError:
+                tokens = 0
+            return matches[0] + tokens
 
         def insert(rows):
             return "INSERT INTO t VALUES " + ", ".join(
@@ -177,8 +188,8 @@ class TestLexerEdges:
         with pytest.raises(SQLSyntaxError, match="unterminated string literal"):
             tokenize(unterminated(33_000))
         for build, small, large in ((insert, 2_500, 10_000), (unterminated, 8_250, 33_000)):
-            # 4x the text: quadratic work would be 16x the time.
-            assert seconds(build(large)) < 9 * max(seconds(build(small)), 1e-4)
+            # 4x the text: quadratic work would be 16x the count.
+            assert work(build(large)) < 9 * work(build(small))
 
 
 # -- generative round trip ---------------------------------------------------

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 from repro.verify.cli import main as cli_main
 from repro.verify.lint import (
     Finding,
     lint_paths,
     lint_source,
+    lint_sources,
     make_context,
     registered_rules,
 )
@@ -54,6 +56,7 @@ class TestFramework:
             "snapshot-scope",
             "resource-pairing",
             "sqlstate",
+            "unreferenced",
         } <= names
 
     def test_suppression_same_line(self):
@@ -668,10 +671,85 @@ class TestStaleSuppression:
         assert findings[0].justification == "kept during migration"
 
 
+# -- unreferenced -------------------------------------------------------------
+
+
+class TestUnreferenced:
+    ENGINE = textwrap.dedent(
+        """
+        from repro.verify.lint import rule
+
+
+        def dead():
+            pass
+
+
+        class Dead:
+            pass
+
+
+        def used_by_tests():
+            pass
+
+
+        class Binder:
+            def __init__(self):
+                self.bind = getattr(self, "_bind_" + "literal")
+
+            def _bind_literal(self):
+                pass
+
+            def _visit_scan(self):
+                pass
+
+
+        @rule("some-rule", "registered, never called by name")
+        def check_some_rule(ctx):
+            return []
+        """
+    )
+    CALLER = "from repro.engine.x import Binder, used_by_tests\n\nBinder()\nused_by_tests()\n"
+
+    def _unreferenced(self, sources):
+        return [
+            (f.path, f.line, f.message.split()[0])
+            for f in lint_sources(sources, ["unreferenced"])
+        ]
+
+    def test_flags_a_planted_def_and_class_only(self):
+        # Dispatch targets, @rule checks, dunders and a def that only a
+        # test calls all count as used; the two orphans do not.
+        findings = self._unreferenced({
+            "src/repro/engine/x.py": self.ENGINE,
+            "tests/test_x.py": self.CALLER,
+        })
+        assert findings == [
+            ("src/repro/engine/x.py", 5, "dead"),
+            ("src/repro/engine/x.py", 9, "Dead"),
+        ]
+
+    def test_verify_tooling_is_in_scope(self):
+        findings = self._unreferenced({
+            "src/repro/verify/x.py": "def orphan():\n    pass\n",
+            "tests/test_x.py": "",
+        })
+        assert findings == [("src/repro/verify/x.py", 1, "orphan")]
+
+    def test_a_tree_with_no_callers_is_not_judged(self):
+        assert self._unreferenced({"src/repro/engine/x.py": self.ENGINE}) == []
+
+
 # -- the repo itself ----------------------------------------------------------
 
 
 class TestRepoIsClean:
     def test_src_tree_lints_clean(self):
         findings = [f for f in lint_paths(["src"]) if not f.suppressed]
+        assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_nothing_under_repro_is_unreferenced(self):
+        root = Path(__file__).resolve().parents[1]
+        roots = [str(root / d) for d in ("src", "tests", "benchmarks", "examples")]
+        findings = [f for f in lint_paths(roots, ["unreferenced"])
+                    if not f.suppressed]
         assert findings == [], "\n".join(f.render() for f in findings)
