@@ -562,9 +562,7 @@ def _cast_physical(values, from_dt, to_dt, scale_shift, nulls):
     if from_dt.kind is TypeKind.DECIMAL and to_dt.kind is TypeKind.DECIMAL:
         if scale_shift >= 0:
             return values * (10 ** scale_shift)
-        # Fewer digits truncate toward zero, as DB2's CAST does.
-        floor, rest = np.divmod(values, 10 ** (-scale_shift))
-        return floor + ((rest != 0) & (values < 0))
+        return _toward_zero(values, 10 ** (-scale_shift))
     if values.dtype != object:
         if from_dt.is_numeric:
             out = _cast_numeric(values, from_dt, to_dt, nulls)
@@ -633,12 +631,10 @@ def _cast_numeric(values, from_dt, to_dt, nulls):
             return None
         return truncated.astype(np.int64)
     if from_dt.kind is TypeKind.DECIMAL:
-        # The fraction drops (toward zero), as DB2's CAST does.
         unit = 10 ** from_dt.scale
         if unit > _INT64_MAX:
             return None
-        floor, rest = np.divmod(values, unit)
-        out = floor + ((rest != 0) & (values < 0))
+        out = _toward_zero(values, unit)
     else:
         out = values.astype(np.int64)
     return out if _within(out if nulls is None else out[~nulls], low, high) else None
@@ -682,15 +678,18 @@ def _cast_physical_scalar(value, from_dt, to_dt, scale_shift):
             return value * (10 ** scale_shift)
         return _toward_zero(value, 10 ** (-scale_shift))
     if from_dt.kind is TypeKind.DECIMAL and to_dt.is_integer:
-        # The fraction drops, as in _cast_numeric; to_physical_scalar checks the range.
+        # to_physical_scalar checks the range.
         return to_physical_scalar(_toward_zero(value, 10 ** from_dt.scale), to_dt)
     boundary = to_boundary_scalar(value, from_dt)
     return to_physical_scalar(boundary, to_dt)
 
 
-def _toward_zero(value: int, unit: int) -> int:
-    """``value / unit`` with the fraction dropped (DB2's CAST)."""
-    return value // unit if value >= 0 else -(-value // unit)
+def _toward_zero(values, unit: int):
+    """``values / unit`` with the fraction dropped, as DB2's CAST does; for
+    an int or an int64 array alike.  Every CAST that loses digits of a
+    DECIMAL goes through here."""
+    floor, rest = divmod(values, unit)
+    return floor + ((rest != 0) & (values < 0))
 
 
 @dataclass
