@@ -32,7 +32,7 @@ from repro.cluster.autoconfig import shards_for_cluster
 from repro.cluster.hardware import HardwareSpec, detect_hardware
 from repro.cluster.node import Node
 from repro.cluster.shard import Shard, hash_value_to_shard
-from repro.database.database import Database
+from repro.database.database import Database, insert_targets, schema_rows
 from repro.database.result import Result
 from repro.database.session import Session
 from repro.errors import (
@@ -40,7 +40,6 @@ from repro.errors import (
     DialectError,
     NoSurvivorsError,
     NumericOverflowError,
-    SQLError,
     UnknownObjectError,
     UnsupportedFeatureError,
 )
@@ -341,18 +340,12 @@ class Cluster:
         info = self._dist_info(name)
         schema = self.shards[0].engine.catalog.get_table(name).table.schema
         names = schema.column_names
-        targets = [c.upper() for c in node.columns] if node.columns else names
+        targets = insert_targets(node, schema)
         if node.rows is not None:
             raw_rows = self.coordinator.evaluate_rows(node.rows, session.inner)
         else:
-            select_result = self._execute_select(node.select, session)
-            raw_rows = [list(r) for r in select_result.rows]
-        rows = []
-        for raw in raw_rows:
-            if len(raw) != len(targets):
-                raise SQLError("INSERT arity mismatch")
-            by_name = dict(zip(targets, raw))
-            rows.append(tuple(by_name.get(c) for c in names))
+            raw_rows = self._execute_select(node.select, session).rows
+        rows = schema_rows(raw_rows, targets, names)
         count = self._insert_rows(name, info, names, rows, session)
         self.last_stats.mode = "dml"
         return Result(rowcount=count, message="%d row(s) inserted" % count)

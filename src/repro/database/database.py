@@ -42,7 +42,14 @@ from repro.mvcc.txn import Snapshot, TxnManager
 from repro.parallel import WorkerPool
 from repro.serving.normalize import StatementKey, is_volatile, statement_key
 from repro.sql import ast
-from repro.sql.binder import ExpressionBinder, LiteralSlots, Scope, ScopeColumn
+from repro.sql.binder import (
+    NOT_A_LITERAL,
+    ExpressionBinder,
+    LiteralSlots,
+    Scope,
+    ScopeColumn,
+    literal_value,
+)
 from repro.sql.dialects import get_dialect, resolve_type
 from repro.sql.parser import parse_statement, parse_statements
 from repro.sql.planner import (
@@ -123,6 +130,35 @@ class TouchedTables(frozenset):
         touched.versions = versions
         touched.deltas = deltas or {}
         return touched
+
+
+def insert_targets(node: ast.Insert, schema) -> list[str]:
+    """The columns an INSERT fills, in its order: the ones it names, or
+    every column of the table."""
+    names = schema.column_names
+    if node.columns is None:
+        return names
+    targets = [c.upper() for c in node.columns]
+    for t in targets:
+        if t not in names:
+            raise SQLError("column %s not in table %s" % (t, schema.name))
+    return targets
+
+
+def schema_rows(raw_rows: list[tuple], targets: list[str], names: list[str]) -> list[tuple]:
+    """An INSERT's row tuples in table column order: *raw_rows* hold the
+    values of *targets*; a column they do not name is NULL.  Rows that are
+    already in table order are returned as they are."""
+    for raw in raw_rows:
+        if len(raw) != len(targets):
+            raise SQLError(
+                "INSERT has %d values for %d columns" % (len(raw), len(targets))
+            )
+    if targets == names:
+        return raw_rows
+    at = {t: i for i, t in enumerate(targets)}
+    order = [at.get(n) for n in names]
+    return [tuple(None if i is None else raw[i] for i in order) for raw in raw_rows]
 
 
 class Database:
@@ -516,8 +552,8 @@ class Database:
         finally:
             self._tls.relations = prev_relations
 
-    def evaluate_rows(self, ast_rows, session: Session | None = None) -> list[list]:
-        """Evaluate constant VALUES rows to boundary values."""
+    def evaluate_rows(self, ast_rows, session: Session | None = None) -> list[tuple]:
+        """Evaluate constant VALUES rows to tuples of boundary values."""
         session = session or self.connect()
         return self._evaluate_rows(ast_rows, session)
 
@@ -878,15 +914,19 @@ class Database:
         width = len(node.rows[0])
         names = ["%d" % (i + 1) for i in range(width)]
         return Result(
-            columns=names, rows=[tuple(r) for r in rows], rowcount=len(rows),
+            columns=names, rows=rows, rowcount=len(rows),
             lineage=planner.lineage.seal(),  # of its subqueries, if any
         )
 
     def _evaluate_rows(
         self, ast_rows, session: Session, planner: SelectPlanner | None = None
-    ) -> list[list]:
-        binder = ExpressionBinder(Scope([]), session.dialect, self)
-        binder.subquery_planner = planner or self._planner(session)
+    ) -> list[tuple]:
+        """VALUES rows as tuples of boundary values.  A plain literal is its
+        value (:func:`~repro.sql.binder.literal_value`); only the other
+        nodes are bound and evaluated.  The first failure in row order is
+        the one raised."""
+        dialect = session.dialect
+        binder = None
         out = []
         width = len(ast_rows[0])
         for ast_row in ast_rows:
@@ -894,10 +934,15 @@ class Database:
                 raise SQLError("VALUES rows have differing widths")
             row = []
             for expr_node in ast_row:
-                expr = binder.bind(expr_node)
-                value = expr.eval_row({})
-                row.append(to_boundary_scalar(value, expr.dtype))
-            out.append(row)
+                value = literal_value(expr_node, dialect)
+                if value is NOT_A_LITERAL:
+                    if binder is None:
+                        binder = ExpressionBinder(Scope([]), dialect, self)
+                        binder.subquery_planner = planner or self._planner(session)
+                    expr = binder.bind(expr_node)
+                    value = to_boundary_scalar(expr.eval_row({}), expr.dtype)
+                row.append(value)
+            out.append(tuple(row))
         return out
 
     # -- durability hooks ---------------------------------------------------------------
@@ -985,36 +1030,15 @@ class Database:
     def _execute_insert(self, node: ast.Insert, session: Session) -> Result:
         table = self._resolve_target(node.table, session)
         schema = table.schema
-        names = schema.column_names
-        if node.columns is not None:
-            targets = [c.upper() for c in node.columns]
-            for t in targets:
-                if t not in names:
-                    raise SQLError("column %s not in table %s" % (t, schema.name))
-        else:
-            targets = names
+        targets = insert_targets(node, schema)
         if node.rows is not None:
             raw_rows = self._evaluate_rows(node.rows, session)
         else:
             planned = self._bound_subselect(node.select, session)
-            result = result_from_batch(
+            raw_rows = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
-            )
-            raw_rows = result.rows
-        for raw in raw_rows:
-            if len(raw) != len(targets):
-                raise SQLError(
-                    "INSERT has %d values for %d columns" % (len(raw), len(targets))
-                )
-        if targets == names:
-            rows = [tuple(raw) for raw in raw_rows]
-        else:  # a column list: schema order, NULL for the columns not named
-            at = {t: i for i, t in enumerate(targets)}
-            order = [at.get(n) for n in names]
-            rows = [
-                tuple(None if i is None else raw[i] for i in order)
-                for raw in raw_rows
-            ]
+            ).rows
+        rows = schema_rows(raw_rows, targets, schema.column_names)
         oracle_strings = self.compatibility == "oracle"
         if oracle_strings:
             rows = [

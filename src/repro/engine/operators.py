@@ -500,8 +500,13 @@ class LimitOp(Operator):
         self.offset = offset
 
     def execute(self):
+        # The child is pulled only while the limit is not spent: the batch
+        # that spends it is the last one asked for, and a limit of 0 asks
+        # for none.
         to_skip = self.offset
         remaining = self.limit
+        if remaining is not None and remaining <= 0:
+            return
         for batch in self.child.execute():
             if to_skip >= batch.n:
                 to_skip -= batch.n
@@ -509,10 +514,12 @@ class LimitOp(Operator):
             if to_skip:
                 batch = batch.take(np.arange(to_skip, batch.n))
                 to_skip = 0
-            if remaining is not None:
-                if remaining <= 0:
-                    return
-                if batch.n > remaining:
-                    batch = batch.take(np.arange(remaining))
-                remaining -= batch.n
+            if remaining is None:
+                yield batch
+                continue
+            if batch.n > remaining:
+                batch = batch.take(np.arange(remaining))
+            remaining -= batch.n
             yield batch
+            if remaining <= 0:
+                return

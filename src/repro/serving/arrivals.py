@@ -79,9 +79,6 @@ class ArrivalBatch:
         span = self.span_seconds
         return len(self.times) / span if span > 0 else 0.0
 
-    def query_id(self, i: int) -> str:
-        return self.query_ids[int(self.query_index[i])]
-
     def tenant(self, i: int) -> str:
         return self.tenants[int(self.tenant_index[i])]
 

@@ -9,6 +9,7 @@ aggregate calls for the planner.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -42,7 +43,7 @@ from repro.sql import ast
 from repro.sql.dialects import Dialect, resolve_type
 from repro.sql.functions import BuildContext
 from repro.sql.lexer import NUMBER
-from repro.storage.column import to_physical_scalar
+from repro.storage.column import to_boundary_scalar, to_physical_scalar
 from repro.types.datatypes import (
     BIGINT,
     BOOLEAN,
@@ -58,6 +59,8 @@ from repro.types.datatypes import (
     varchar_type,
 )
 from repro.types.values import parse_date, parse_time, parse_timestamp
+
+_DECIMAL = TypeKind.DECIMAL
 
 
 @dataclass
@@ -109,33 +112,85 @@ class Scope:
         return out
 
 
-def _number_literal(text: str) -> Literal:
-    if "e" in text.lower():
-        return Literal(float(text), DOUBLE)
+def _number_literal(text: str) -> tuple[object, DataType]:
+    """A NUMBER token's physical value and type: an exponent makes a
+    DOUBLE, a point a DECIMAL of the digits spelled, anything else an
+    INTEGER, or a BIGINT past int32."""
+    if "e" in text or "E" in text:
+        return float(text), DOUBLE
     if "." in text:
         dec = Decimal(text)
-        scale = -dec.as_tuple().exponent
-        precision = max(len(dec.as_tuple().digits), scale + 1)
-        dtype = decimal_type(min(precision, 31), min(scale, 31))
-        return Literal(int(dec.scaleb(dtype.scale)), dtype)
+        _sign, digits, exponent = dec.as_tuple()
+        dtype = _decimal_literal_type(len(digits), -exponent)
+        return int(dec.scaleb(dtype.scale)), dtype
     value = int(text)
-    if -(2**31) <= value < 2**31:
-        return Literal(value, INTEGER)
-    return Literal(value, BIGINT)
+    return value, INTEGER if -(2**31) <= value < 2**31 else BIGINT
 
 
-def _bound_number(text: str) -> Literal:
+@functools.lru_cache(maxsize=1024)
+def _decimal_literal_type(digits: int, scale: int) -> DataType:
+    """The DECIMAL of a literal with *digits* significant digits after its
+    leading zeros and *scale* after its point; precision and scale are
+    capped at 31."""
+    return decimal_type(min(max(digits, scale + 1), 31), min(scale, 31))
+
+
+def _bound_number(text: str) -> tuple[object, DataType]:
     """:func:`_number_literal` for a literal being bound: a value beyond the
     int64 its type is stored in raises the ConversionError (22018) that
     INSERT raises for it, not an ``OverflowError`` out of ``Literal.eval``."""
-    literal = _number_literal(text)
-    if not literal.dtype.is_approximate and not -(2**63) <= literal.value < 2**63:
-        raise ConversionError("value %s out of range for %s" % (text, literal.dtype))
-    return literal
+    value, dtype = _number_literal(text)
+    if dtype is not DOUBLE and not -(2**63) <= value < 2**63:
+        raise ConversionError("value %s out of range for %s" % (text, dtype))
+    return value, dtype
 
 
 def _number_value(text: str):
-    return _bound_number(text).value
+    return _bound_number(text)[0]
+
+
+def _string_value(text: str, dialect: Dialect) -> str | None:
+    """A STRING literal's value: NULL for ``''`` where the dialect says so."""
+    return None if text == "" and dialect.empty_string_is_null else text
+
+
+def _typed_literal(type_name: str):
+    """``(type, spelling -> physical value)`` of a DATE/TIME/TIMESTAMP literal."""
+    return _TYPED_LITERALS.get(type_name, (TIMESTAMP, _timestamp_value))
+
+
+#: What :func:`literal_value` returns for a node that is not a plain literal.
+NOT_A_LITERAL = object()
+
+
+def literal_value(node: ast.ExprNode, dialect: Dialect):
+    """The boundary value of a plain literal: a NUMBER, a STRING, NULL, a
+    DATE/TIME/TIMESTAMP literal or a NUMBER under a unary minus.  It is the
+    value, of the same class and ``repr``, that binding the node and
+    evaluating it gives (``to_boundary_scalar(bind(node).eval_row({}),
+    dtype)``), and it raises what binding raises: the binder takes its
+    literals' values from the same functions.  Any other node gives
+    :data:`NOT_A_LITERAL`."""
+    kind = type(node)
+    if kind is ast.NumberLit:
+        value, dtype = _bound_number(node.text)
+    elif kind is ast.UnaryOp and node.op == "-" and type(node.operand) is ast.NumberLit:
+        value, dtype = _bound_number(node.operand.text)
+        # The binder's 0 - x: never a negative zero (-0.0 is 0.0), and a
+        # DECIMAL keeps its scale.
+        value = 0 - value
+    elif kind is ast.StringLit:
+        return _string_value(node.value, dialect)
+    elif kind is ast.NullLit:
+        return None
+    elif kind is ast.TypedLit:
+        dtype, convert = _typed_literal(node.type_name)
+        return to_boundary_scalar(convert(node.value), dtype)
+    else:
+        return NOT_A_LITERAL
+    # A number's physical value is its boundary value, but for a DECIMAL's
+    # scaled integer.
+    return to_boundary_scalar(value, dtype) if dtype.kind is _DECIMAL else value
 
 
 def literal_signature(token) -> object:
@@ -144,7 +199,7 @@ def literal_signature(token) -> object:
     statements of one template whose literals agree on this plan alike,
     unless planning looks at a value (see :class:`LiteralSlots`)."""
     if token.kind == NUMBER:
-        return _number_literal(token.value).dtype
+        return _number_literal(token.value)[1]
     return len(token.value)
 
 
@@ -294,18 +349,17 @@ class ExpressionBinder:
         return self.slots.literal(node.slot, literal, convert)
 
     def _bind_numberlit(self, node: ast.NumberLit) -> Expr:
-        return self._literal(node, _bound_number(node.text), _number_value)
+        value, dtype = _bound_number(node.text)
+        return self._literal(node, Literal(value, dtype), _number_value)
 
     def _bind_stringlit(self, node: ast.StringLit) -> Expr:
-        value = node.value
-        if self.dialect.empty_string_is_null and value == "":
+        value = _string_value(node.value, self.dialect)
+        if value is None:
             return Literal(None, varchar_type())
         return self._literal(node, Literal(value, varchar_type(len(value))), str)
 
     def _bind_typedlit(self, node: ast.TypedLit) -> Expr:
-        dtype, convert = _TYPED_LITERALS.get(
-            node.type_name, (TIMESTAMP, _timestamp_value)
-        )
+        dtype, convert = _typed_literal(node.type_name)
         return self._literal(node, Literal(convert(node.value), dtype), convert)
 
     def _bind_nulllit(self, node: ast.NullLit) -> Expr:

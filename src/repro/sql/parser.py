@@ -27,6 +27,12 @@ _PREDICATE_STARTS = _COMPARISONS | {
     "NOT", "IS", "ISNULL", "NOTNULL", "ISTRUE", "ISFALSE", "BETWEEN", "IN", "LIKE",
 }
 
+#: What ends an expression that is a single literal.
+_LITERAL_ENDS = frozenset({",", ")"})
+
+#: Keywords that, before a STRING, spell a typed literal.
+_TYPED_LITERALS = frozenset({"DATE", "TIME", "TIMESTAMP"})
+
 _TYPE_NAMES = {
     "INT", "INTEGER", "BIGINT", "SMALLINT", "INT2", "INT4", "INT8",
     "FLOAT", "FLOAT4", "FLOAT8", "REAL", "DOUBLE", "DECIMAL", "NUMERIC",
@@ -434,6 +440,32 @@ class Parser:
     # -- expressions ------------------------------------------------------------------
 
     def parse_expr(self) -> ast.ExprNode:
+        # A literal that a ',' or ')' ends (a VALUES row, an IN list, a
+        # call's arguments) is built as the node the descent below builds
+        # for it, without the descent: those two tokens end every level.
+        tokens, pos = self.tokens, self.pos
+        token = tokens[pos]
+        kind, key = token.kind, token.key
+        if kind == NUMBER or kind == STRING:
+            if tokens[pos + 1].key in _LITERAL_ENDS:
+                self.pos = pos + 1
+                if kind == NUMBER:
+                    return ast.NumberLit(token.value, pos)
+                return ast.StringLit(token.value, pos)
+        elif key == "NULL":
+            if tokens[pos + 1].key in _LITERAL_ENDS:
+                self.pos = pos + 1
+                return ast.NullLit()
+        elif key == "-":
+            operand = tokens[pos + 1]
+            if operand.kind == NUMBER and tokens[pos + 2].key in _LITERAL_ENDS:
+                self.pos = pos + 2
+                return ast.UnaryOp("-", ast.NumberLit(operand.value, pos + 1))
+        elif key in _TYPED_LITERALS:
+            operand = tokens[pos + 1]
+            if operand.kind == STRING and tokens[pos + 2].key in _LITERAL_ENDS:
+                self.pos = pos + 2
+                return ast.TypedLit(key, operand.value, pos + 1)
         return self._parse_or()
 
     def _parse_or(self) -> ast.ExprNode:
@@ -646,7 +678,7 @@ class Parser:
             subquery = self.parse_select()
             self._expect_op(")")
             return ast.ExistsExpr(subquery)
-        if keyword in ("DATE", "TIME", "TIMESTAMP") and self._peek(1).kind == STRING:
+        if keyword in _TYPED_LITERALS and self._peek(1).kind == STRING:
             self.pos += 2
             return ast.TypedLit(keyword, self._peek(-1).value, self.pos - 1)
         # Function call?

@@ -104,9 +104,10 @@ def to_boundary_scalar(value, dt: DataType):
 _EPOCH = datetime.date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
 
-#: kind -> ({the natural class of its values}, that class's NULL filler).
+#: kind -> ({the natural classes of its values}, a NULL filler).  A DECIMAL
+#: takes ints too: an integer literal in a VALUES row is one.
 _NATURAL = {
-    _DECIMAL: (frozenset({Decimal}), Decimal(0)),
+    _DECIMAL: (frozenset({Decimal, int}), 0),
     _DATE: (frozenset({datetime.date}), _EPOCH),
     _VARCHAR: (frozenset({str}), ""),
 }
@@ -138,9 +139,12 @@ def _typed_column(values, dt: DataType):
         return values if _in_range(values, *bounds) else None
     if kind is _DECIMAL:
         scale = dt.scale
-        quantum = _quantum(scale)
+        quantum, unit = _quantum(scale), 10**scale
         try:
-            scaled = [int(v.quantize(quantum).scaleb(scale)) for v in values]
+            scaled = [
+                v * unit if type(v) is int else int(v.quantize(quantum).scaleb(scale))
+                for v in values
+            ]
         except (InvalidOperation, ValueError):
             return None  # Infinity, more digits than the context holds / NaN
         return scaled if _in_range(scaled, _INT64_MIN, _INT64_MAX) else None

@@ -481,21 +481,43 @@ def _mentions(node: ast.AST) -> list:
 @rule("unreferenced", "a def or class under repro/ that nothing in the "
       "linted tree names", project=True, engine_only=False)
 def check_unreferenced(index: ProjectIndex):
+    """A method (a ``def`` directly in a class body) is reached through an
+    attribute, a string (``getattr``), a keyword or an import alias, or by
+    a bare name inside its own class (``alias = method``): a bare name
+    elsewhere is some other variable.  Any other def or class counts as
+    referenced by any mention of its name."""
     if all("repro/" in ctx.module for ctx in index.files):
         return  # no caller outside the package is linted: nothing to judge by
-    named = {name for ctx in index.files for node in ctx.nodes
-             for name in _mentions(node)}
+    named, reached = set(), set()
+    for ctx in index.files:
+        for node in ctx.nodes:
+            mentions = _mentions(node)
+            named.update(mentions)
+            if not isinstance(node, ast.Name):
+                reached.update(mentions)
     for ctx in index.files:
         if "repro/" not in ctx.module:
             continue
+        methods = {}
         for node in ctx.nodes:
-            if (
-                isinstance(node, _DEFS)
-                and node.name not in named
-                and not _EXEMPT.fullmatch(node.name)
-                and not any(dotted_chain(getattr(d, "func", d))[-1:] == ["rule"]
-                            for d in node.decorator_list)  # an @rule check
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[member] = node
+        for node in ctx.nodes:
+            if not isinstance(node, _DEFS) or _EXEMPT.fullmatch(node.name) or any(
+                dotted_chain(getattr(d, "func", d))[-1:] == ["rule"]
+                for d in node.decorator_list  # an @rule check
             ):
+                continue
+            cls = methods.get(node)
+            if cls is None:
+                referenced = node.name in named
+            else:
+                referenced = node.name in reached or any(
+                    isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(cls)
+                )
+            if not referenced:
                 yield ctx.module, node.lineno, (
                     "%s is never referenced: delete it" % node.name
                 )

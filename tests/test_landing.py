@@ -80,6 +80,10 @@ DATES = st.dates(datetime.date(1, 1, 1), datetime.date(9999, 12, 31))
 DATETIMES = st.datetimes(datetime.datetime(1900, 1, 1), datetime.datetime(2200, 1, 1))
 TIMES = st.times()
 CLASSES = [INTS, st.booleans(), FLOATS, DECIMALS, TEXTS, DATES, DATETIMES, TIMES]
+#: Ints at the int64 edges, at scale 0 and at scale 18 (|v| * 10**18).
+MIXED_DECIMAL_INTS = st.integers(-300, 300) | st.sampled_from(
+    [s * (e + d) for e in (2**63, 9, 10) for d in (-1, 0, 1) for s in (1, -1)]
+)
 
 
 @st.composite
@@ -157,10 +161,11 @@ class TestColumnConverterEqualsScalarCast:
             (decimal_type(8, 2), [Decimal("1.005"), None]), (DOUBLE, [1.5, float("inf")]),
             (REAL, [None]), (varchar_type(3), ["abc", ""]), (varchar_type(0), ["x" * 99]),
             (DATE, [today, None]), (INTEGER, []), (DATE, [None, None]),
+            (decimal_type(8, 2), [1]), (decimal_type(8, 2), [Decimal("1.5"), None, -7]),
         ]  # fmt: skip
         cast = [
             (INTEGER, [1, True]), (INTEGER, ["7"]), (INTEGER, [1, 2.0]), (INTEGER, [2**31]),
-            (SMALLINT, [-(2**15) - 1]), (decimal_type(8, 2), [1]), (decimal_type(8, 2), [1.5]),
+            (SMALLINT, [-(2**15) - 1]), (decimal_type(8, 2), [True]), (decimal_type(8, 2), [1.5]),
             (DOUBLE, [1]), (DOUBLE, [Decimal(1)]), (varchar_type(3), ["abc   "]),
             (char_type(3), ["ab"]), (DATE, [datetime.datetime(2016, 6, 1, 12)]),
             (DATE, ["2016-06-01"]), (BOOLEAN, [True]), (TIMESTAMP, [datetime.datetime(2016, 6, 1)]),
@@ -176,6 +181,40 @@ class TestColumnConverterEqualsScalarCast:
             except ConversionError:
                 pass  # a failed whole-column check is re-run by the cast, which raises
             assert (stats.values_typed, stats.values_cast) == (0, len(values)), (dt, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([decimal_type(18, 0), decimal_type(18, 18), decimal_type(31, 18),
+                         decimal_type(10, 2)]),
+        st.lists(st.none() | MIXED_DECIMAL_INTS | DECIMALS, max_size=6),
+    )  # fmt: skip
+    def test_mixed_int_and_decimal_columns_take_the_typed_loop(self, dt, values):
+        # An integer literal in a VALUES row of a DECIMAL column is an int:
+        # the typed loop scales it exactly, and a column that leaves int64
+        # falls back to the cast, which raises the same first error.
+        want = _outcome(lambda: _scalar_column(values, dt))
+        got = _outcome(lambda: _column_column(values, dt))
+        assert _same(got, want), (dt, values)
+        if got[0] == "ok":  # only a column the cast rejects too leaves the typed loop
+            stats = LandingStats()
+            physical_column(values, dt, stats)
+            assert (stats.values_typed, stats.values_cast) == (len(values), 0), (dt, values)
+
+    def test_a_cluster_load_lands_store_sales_decimals_typed(self):
+        from repro.cluster import Cluster, HardwareSpec
+        from repro.workloads import tpcds
+
+        data = tpcds.generate(scale=0.05, seed=11)
+        prices = [row[5] for row in data.store_sales] + [row[6] for row in data.store_sales]
+        assert any(p == p.to_integral_value() for p in prices)  # rendered "12": an int
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        tpcds.load_into(cluster.connect(), data)
+        landings = [
+            shard.engine.catalog.get_table("STORE_SALES").table.landing
+            for shard in cluster.shards.values()
+        ]
+        assert sum(stats.values_typed for stats in landings) == 7 * len(data.store_sales)
+        assert [stats.values_cast for stats in landings] == [0] * len(landings)
 
     @pytest.mark.parametrize(
         "dt,inside,outside",

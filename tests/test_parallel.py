@@ -703,9 +703,17 @@ class TestFanOutRunsOnTheCaller:
                          db.pool.runs_total - runs, len(scan.regions)))
         (rows1, scanned1, run1, runs1, regions), (rows4, scanned4, run4, runs4, _) = seen
         assert rows4 == rows1 and len(rows1) == 1
-        assert scanned4 == scanned1 < regions == 8
+        assert scanned4 == scanned1 == 1 and regions == 8  # the limit stops the pull
         assert run1 is None and runs1 == 0
         assert runs4 == 1 and run4.label == "scan:R" and run4.tasks == scanned4
+
+    def test_a_zero_row_limit_scans_nothing(self, engines):
+        for dbs in engines:
+            db = dbs["regions"]
+            runs = db.pool.runs_total
+            assert db.connect("db2").execute("SELECT a, b FROM r FETCH FIRST 0 ROWS ONLY").rows == []
+            (scan,) = db.last_scans
+            assert scan.stats.regions_scanned == 0 and db.pool.runs_total == runs
 
     def test_explain_analyze_shows_the_modelled_workers(self, engines):
         session = engines[1]["wide"].connect("db2")

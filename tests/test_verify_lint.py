@@ -738,6 +738,49 @@ class TestUnreferenced:
     def test_a_tree_with_no_callers_is_not_judged(self):
         assert self._unreferenced({"src/repro/engine/x.py": self.ENGINE}) == []
 
+    METHODS = textwrap.dedent(
+        """
+        class Stats:
+            def merge(self, other):
+                pass
+
+            def total(self):
+                return self._sum()
+
+            def _sum(self):
+                return 0
+
+            def _spelled(self):
+                pass
+
+            alias = _spelled
+
+
+        def fold(parts):
+            merge = sum(parts)
+            return merge
+        """
+    )
+
+    def test_a_method_is_reached_by_attribute_or_inside_its_class(self):
+        # ``merge`` is only a local variable's name elsewhere (a dead
+        # ScanStats.merge hid that way); ``_sum`` is reached through
+        # ``self._sum()`` and ``_spelled`` by ``alias = _spelled``.
+        findings = self._unreferenced({
+            "src/repro/engine/x.py": self.METHODS,
+            "tests/test_x.py": "from repro.engine.x import Stats, fold\n\nStats().total()\nfold([])\n",
+        })
+        assert findings == [("src/repro/engine/x.py", 3, "merge")]
+
+    def test_a_method_named_by_a_string_or_keyword_is_referenced(self):
+        base = "from repro.engine.x import Stats, fold\n\nStats().total()\nfold([])\n"
+        for caller in ('getattr(Stats(), "merge")\n', "Stats().total(merge=1)\n"):
+            findings = self._unreferenced({
+                "src/repro/engine/x.py": self.METHODS,
+                "tests/test_x.py": base + caller,
+            })
+            assert findings == [], caller
+
 
 # -- the repo itself ----------------------------------------------------------
 
