@@ -11,6 +11,7 @@ aggregation, ORDER BY / FETCH FIRST, and the full DML/DDL statement mix.
 
 from __future__ import annotations
 
+from repro.database.database import insert_targets, schema_rows
 from repro.database.result import Result
 from repro.engine.aggregate import AggregateSpec
 from repro.engine.expression import ColumnRef, Expr
@@ -37,7 +38,7 @@ from repro.sql import ast
 from repro.sql.binder import ExpressionBinder, Scope, ScopeColumn
 from repro.sql.dialects import get_dialect, resolve_type
 from repro.sql.parser import parse_statement
-from repro.sql.planner import _conjuncts, _default_name, _simple_predicate
+from repro.sql.planner import _conjuncts, _default_name, _simple_predicate, expand_stars
 from repro.storage.column import to_boundary_scalar
 from repro.storage.rowtable import RowTable
 from repro.storage.table import TableSchema
@@ -140,13 +141,10 @@ class RowDatabase:
 
     def _execute_insert(self, node: ast.Insert) -> Result:
         table = self.table(node.table.name)
-        names = table.schema.column_names
-        targets = [c.upper() for c in node.columns] if node.columns else names
+        targets = insert_targets(node, table.schema)
         binder = self._binder_for_constants()
-        rows = []
         if node.rows is None:
-            select_result = self._execute_select(node.select)
-            raw_rows = [list(r) for r in select_result.rows]
+            raw_rows = self._execute_select(node.select).rows
         else:
             raw_rows = []
             for ast_row in node.rows:
@@ -154,17 +152,13 @@ class RowDatabase:
                 for expr_node in ast_row:
                     expr = binder.bind(expr_node)
                     row.append(to_boundary_scalar(expr.eval_row({}), expr.dtype))
-                raw_rows.append(row)
-        for raw in raw_rows:
-            by_name = dict(zip(targets, raw))
-            rows.append(tuple(by_name.get(c) for c in names))
-        count = table.insert_rows(rows)
-        return Result(rowcount=count)
+                raw_rows.append(tuple(row))
+        rows = schema_rows(raw_rows, targets, table.schema.column_names)
+        return Result(rowcount=table.insert_rows(rows))
 
     def _match_ids(self, table: RowTable, alias: str, where) -> list[int]:
         scope, binder = self._table_scope(table, alias)
         pushed, residual = self._split_where(where, scope, binder, alias)
-        scan = RowScan(table, pushed=pushed, residual=residual)
         names = table.schema.column_names
         matched = []
         prefix = alias + "."
@@ -187,6 +181,8 @@ class RowDatabase:
         alias = (node.table.alias or node.table.name).upper()
         scope, binder = self._table_scope(table, alias)
         ids = self._match_ids(table, alias, node.where)
+        for column, _ in node.assignments:
+            table.schema.column_index(column.upper())  # BindError if it lacks one
         assignments = [
             (c.upper(), binder.bind(e)) for c, e in node.assignments
         ]
@@ -323,7 +319,7 @@ class RowDatabase:
             op = RowFilter(op, residual)
         # Aggregation and output.
         out_binder = ExpressionBinder(scope, self.dialect, None, allow_aggregates=True)
-        items = self._expand_stars(node.items, scope)
+        items = expand_stars(node.items, scope)
         bound_items = []
         for index, item in enumerate(items):
             expr = out_binder.bind(item.expr)
@@ -463,24 +459,6 @@ class RowDatabase:
         if having is not None:
             having = _rewrite_groups(having, signatures, agg_aliases)
         return group_op, new_items, having
-
-    def _expand_stars(self, items, scope):
-        out = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                for column in scope.columns_of(item.expr.qualifier):
-                    out.append(
-                        ast.SelectItem(
-                            ast.Identifier(
-                                ([column.qualifier] if column.qualifier else [])
-                                + [column.name]
-                            ),
-                            alias=column.name,
-                        )
-                    )
-            else:
-                out.append(item)
-        return out
 
     def _order_keys(self, node, bound_items, keys):
         order = []

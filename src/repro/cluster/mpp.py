@@ -567,9 +567,7 @@ class Cluster:
         def run_shard(sid: int) -> Result:
             shard = self.shards[sid]
             shard_session = shard.engine.connect(dialect)
-            return shard.engine.execute_ast(
-                select, shard_session, snapshot=pinned.get(sid), vectors=True
-            )
+            return shard.engine.execute_ast(select, shard_session, snapshot=pinned.get(sid))
 
         results = self.pool.map(run_shard, shard_ids, label="scatter")
         run = self.pool.last_run

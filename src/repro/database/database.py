@@ -19,7 +19,7 @@ import numpy as np
 from repro.bufferpool import BufferPool, make_policy
 from repro.catalog.catalog import Catalog, NicknameInfo, TableInfo, ViewInfo
 from repro.database.plancache import PlanCache, PlannedWrite
-from repro.database.result import Result, result_from_batch, vectors_from_batch
+from repro.database.result import Result, result_from_batch
 from repro.database.session import Session
 from repro.engine.expression import Batch, Logical, selection_mask
 from repro.errors import (
@@ -135,13 +135,11 @@ class TouchedTables(frozenset):
 def insert_targets(node: ast.Insert, schema) -> list[str]:
     """The columns an INSERT fills, in its order: the ones it names, or
     every column of the table."""
-    names = schema.column_names
     if node.columns is None:
-        return names
+        return schema.column_names
     targets = [c.upper() for c in node.columns]
     for t in targets:
-        if t not in names:
-            raise SQLError("column %s not in table %s" % (t, schema.name))
+        schema.column_index(t)  # BindError for a column the table lacks
     return targets
 
 
@@ -525,16 +523,12 @@ class Database:
         node: ast.Node,
         session: Session | None = None,
         snapshot: Snapshot | None = None,
-        vectors: bool = False,
         relations: dict | None = None,
     ) -> Result:
         """Execute a pre-parsed statement (used by the MPP layer, which
         rewrites ASTs for partial/global aggregation).  ``snapshot`` pins
         a read statement to an externally chosen MVCC snapshot — the
         cluster coordinator uses this for consistent cross-shard reads.
-        ``vectors`` makes a SELECT answer with its final batch's physical
-        column vectors (``Result.vectors``) instead of boundary rows: the
-        shard-to-coordinator hand-off, same statement wrapper.
         ``relations`` (name -> planner ``MaterialRel``) are in-memory
         relations this one read statement may name like tables — the
         coordinator's gathered partials; they shadow catalog objects and
@@ -546,9 +540,7 @@ class Database:
         prev_relations = getattr(self._tls, "relations", None)
         self._tls.relations = relations
         try:
-            return self._execute_node(
-                node, session, snapshot=snapshot, vectors=vectors
-            )
+            return self._execute_node(node, session, snapshot=snapshot)
         finally:
             self._tls.relations = prev_relations
 
@@ -645,7 +637,6 @@ class Database:
         node: ast.Select | None,
         session: Session,
         snapshot: Snapshot,
-        vectors: bool = False,
         key: StatementKey | None = None,
         sql: str | None = None,
     ) -> Result:
@@ -664,8 +655,7 @@ class Database:
             with tracer.span("execute") as span:
                 batch = root.run()
             attach_operator_spans(tracer, span, root)
-        build = vectors_from_batch if vectors else result_from_batch
-        result = build(batch, planned.names, planned.keys, planned.dtypes)
+        result = result_from_batch(batch, planned.names, planned.keys, planned.dtypes)
         result.lineage = planned.lineage
         result.filters = planned.read_filters()
         return result
@@ -686,18 +676,12 @@ class Database:
         session: Session,
         sql: str | None = None,
         snapshot: Snapshot | None = None,
-        vectors: bool = False,
         key: StatementKey | None = None,
     ) -> Result:
         """Statement wrapper: spans, per-statement stats, query history."""
-        if vectors and not isinstance(node, ast.Select):
-            raise SQLError("only a SELECT can answer with column vectors")
         if not isinstance(node, self._READ_NODES):
             return self._execute_write_node(node, session, sql)
-        if vectors:
-            body = lambda snap: self._execute_select(node, session, snap, vectors=True)
-        else:
-            body = lambda snap: self._dispatch_node(node, session, snap, key)
+        body = lambda snap: self._dispatch_node(node, session, snap, key)
         return self._read_statement(type(node).__name__, session, sql, snapshot, body)
 
     def _bump_statement_count(self) -> int:
@@ -1268,12 +1252,7 @@ class Database:
             result = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
             )
-            schema = TableSchema(
-                name,
-                tuple(
-                    (n.upper(), dt) for n, dt in zip(planned.names, planned.dtypes)
-                ),
-            )
+            schema = TableSchema(name, tuple(zip(result.columns, result.dtypes)))
             if node.temporary:
                 table = session.declare_temp_table(schema, region_rows=self.region_rows)
             else:

@@ -2,37 +2,65 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.storage.column import ColumnVector, to_boundary
 from repro.types.values import format_value
 
 
-@dataclass
 class Result:
     """The outcome of one statement.
 
-    For queries, ``columns`` and ``rows`` are populated (rows hold boundary
-    Python values).  For DML/DDL, ``rowcount`` and ``message`` describe the
-    effect.  A shard answering the MPP coordinator fills ``vectors`` (one
-    physical :class:`ColumnVector` per column) instead of ``rows``.
-    ``lineage`` is what a read's planning resolved names against
+    For queries, ``columns`` name the columns and ``rows`` hold boundary
+    Python values.  A query the engine answered carries its final batch's
+    physical vectors in ``vectors``, one :class:`ColumnVector` per column,
+    and builds ``rows`` from them on first read, then keeps them: a shard
+    answering the MPP coordinator is read as vectors and never builds rows.
+    Answers that start out as rows (EXPLAIN, VALUES, a row-store engine,
+    procedures) pass ``rows`` and no vectors.  For DML/DDL, ``rowcount``
+    and ``message`` describe the effect.  ``lineage`` is what a read's
+    planning resolved names against
     (:class:`repro.sql.planner.PlanLineage`, sealed): what the serving
     result cache keeps the answer under; ``filters`` what a row of each
     table it read had to pass to reach this answer
     (:meth:`repro.sql.planner.PlannedQuery.read_filters`).
     """
 
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = -1
-    message: str = ""
-    dtypes: list = field(default_factory=list)  # DataType per column (queries)
-    vectors: list | None = None  # physical columns, in place of rows
-    lineage: object | None = field(default=None, repr=False, compare=False)
-    filters: dict | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        columns: list[str] | None = None,
+        rows: list[tuple] | None = None,
+        rowcount: int = -1,
+        message: str = "",
+        dtypes: list | None = None,
+        vectors: list[ColumnVector] | None = None,
+        lineage=None,
+        filters: dict | None = None,
+    ):
+        self.columns = [] if columns is None else columns
+        self._rows = [] if rows is None and vectors is None else rows
+        self.rowcount = rowcount
+        self.message = message
+        self.dtypes = [] if dtypes is None else dtypes  # DataType per column
+        self.vectors = vectors
+        self.lineage = lineage
+        self.filters = filters
+
+    @property
+    def rows(self) -> list[tuple]:
+        rows = self._rows
+        if rows is None:
+            columns = [
+                to_boundary(v.values, v.nulls, dtype)
+                for v, dtype in zip(self.vectors, self.dtypes)
+            ]
+            rows = self._rows = list(zip(*columns))
+        return rows
+
+    def __repr__(self) -> str:
+        return "Result(columns=%r, rows=%r, rowcount=%r, message=%r)" % (
+            self.columns, self.rows, self.rowcount, self.message,
+        )
 
     @property
     def tables(self) -> frozenset | None:
@@ -49,9 +77,7 @@ class Result:
 
     def scalar(self):
         """First column of the first row (or None for empty results)."""
-        if not self.rows:
-            return None
-        return self.rows[0][0]
+        return self.rows[0][0] if self.rows else None
 
     def column(self, name: str) -> list:
         index = self.columns.index(name.upper())
@@ -82,26 +108,7 @@ class Result:
 
 
 def result_from_batch(batch, names: list[str], keys: list[str], dtypes) -> Result:
-    """Convert an engine batch into a boundary-value result set."""
-    columns = []
-    for key, dtype in zip(keys, dtypes):
-        vector = batch.columns.get(key)
-        if vector is None:
-            columns.append([])
-        else:
-            columns.append(to_boundary(vector.values, vector.nulls, dtype))
-    n = batch.n if batch.columns else 0
-    rows = [tuple(col[i] for col in columns) for i in range(n)]
-    return Result(
-        columns=[n.upper() for n in names],
-        rows=rows,
-        rowcount=len(rows),
-        dtypes=list(dtypes),
-    )
-
-
-def vectors_from_batch(batch, names: list[str], keys: list[str], dtypes) -> Result:
-    """The engine batch itself as a result: physical vectors, no rows."""
+    """An engine batch as a query result: its vectors, rows built on read."""
     vectors = []
     for key, dtype in zip(keys, dtypes):
         vector = batch.columns.get(key)

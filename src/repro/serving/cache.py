@@ -290,14 +290,14 @@ class ResultCache:
     @staticmethod
     def _replay(result: Result) -> Result:
         """A fresh Result over the same immutable rows, its rows list the
-        caller's own: no caller can mutate what the cache keeps."""
+        caller's own: no caller can mutate what the cache keeps.  It keeps
+        no vectors, so a cached entry pins only its rows."""
         return Result(
             columns=result.columns,
             rows=list(result.rows),
             rowcount=result.rowcount,
             message=result.message,
             dtypes=result.dtypes,
-            vectors=result.vectors,
             lineage=result.lineage,
         )
 

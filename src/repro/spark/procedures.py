@@ -11,10 +11,10 @@ callables (the deployed-notebook model of the paper's one-click deploy).
 
 from __future__ import annotations
 
+from repro.analytics.glm import glm_fit
 from repro.database.result import Result
 from repro.errors import SparkSubmitError, UnknownObjectError
 from repro.spark.dispatcher import SparkDispatcher
-from repro.spark.mllib import train_glm
 
 
 class SparkAppRegistry:
@@ -74,16 +74,8 @@ def install_spark_procedures(database, dispatcher: SparkDispatcher, registry: Sp
             raise SparkSubmitError(
                 "IDAX_GLM(table, label_column, feature_columns...) requires arguments"
             )
-        table, label = str(args[0]), str(args[1])
         features = [str(a) for a in args[2:]]
-        columns = ", ".join(features + [label])
-        result = db.execute("SELECT %s FROM %s" % (columns, table), session)
-        pairs = [
-            ([float(v) for v in row[:-1]], float(row[-1]))
-            for row in result.rows
-            if all(v is not None for v in row)
-        ]
-        model = train_glm(pairs, family="gaussian")
+        model = glm_fit(session, str(args[0]), str(args[1]), features)
         rows = [("INTERCEPT", float(model.coefficients[0]))]
         rows += [
             (feature.upper(), float(coef))

@@ -467,9 +467,9 @@ class ExpressionBinder:
         if node.op == "NOT":
             return Not(self.bind(node.operand))
         operand = self.bind(node.operand)
-        if node.op == "-":
+        if node.op == "-":  # 0 - operand, a string cast as in '5' + 1
             zero = Literal(0, operand.dtype if operand.dtype.is_numeric else INTEGER)
-            return make_arith("-", zero, operand)
+            return make_arith("-", *self._coerce_arith_strings(zero, operand))
         return operand
 
     # -- predicates ---------------------------------------------------------------

@@ -851,7 +851,7 @@ class SelectPlanner:
         out_binder = self._make_binder(scope, allow_aggregates=True)
         out_binder.rownum_key = "__ROWNUM" if uses_rownum else None
         out_binder.level_key = "__LEVEL" if connect_by_active else None
-        items = self._expand_stars(select.items, scope)
+        items = expand_stars(select.items, scope)
         bound_items: list[tuple[str, Expr]] = []
         for index, item in enumerate(items):
             expr = out_binder.bind(item.expr)
@@ -1388,30 +1388,26 @@ class SelectPlanner:
             self._pin(literal)
         return _const_int(expr)
 
-    # -- star expansion --------------------------------------------------------------------
-
-    def _expand_stars(self, items, scope) -> list[ast.SelectItem]:
-        out = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                for column in scope.columns_of(item.expr.qualifier):
-                    out.append(
-                        ast.SelectItem(
-                            ast.Identifier(
-                                ([column.qualifier] if column.qualifier else [])
-                                + [column.name]
-                            ),
-                            alias=column.name,
-                        )
-                    )
-            else:
-                out.append(item)
-        return out
-
 
 # --------------------------------------------------------------------------
 # Module helpers
 # --------------------------------------------------------------------------
+
+
+def expand_stars(items, scope) -> list[ast.SelectItem]:
+    """Select items with each ``*`` / ``t.*`` replaced by the columns it
+    names in *scope*, each aliased by its own name."""
+    out = []
+    for item in items:
+        if not isinstance(item.expr, ast.Star):
+            out.append(item)
+            continue
+        for column in scope.columns_of(item.expr.qualifier):
+            qualifier = [column.qualifier] if column.qualifier else []
+            out.append(
+                ast.SelectItem(ast.Identifier(qualifier + [column.name]), alias=column.name)
+            )
+    return out
 
 
 def _vchar(n):

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.compression.codec import CompressedColumn, compress_column
 from repro.errors import (
+    BindError,
     ConstraintViolationError,
     ConversionError,
     NotNullViolationError,
@@ -72,7 +73,7 @@ class TableSchema:
         for i, (c, _) in enumerate(self.columns):
             if c == name:
                 return i
-        raise KeyError("no column %r in table %s" % (name, self.name))
+        raise BindError("column %s not in table %s" % (name, self.name))
 
     def column_type(self, name: str) -> DataType:
         return self.columns[self.column_index(name)][1]

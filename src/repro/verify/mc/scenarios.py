@@ -16,7 +16,7 @@ durably committed transactions, wherever the crash landed.
 from __future__ import annotations
 
 from repro.database import Database
-from repro.durability import DurabilityManager
+from repro.durability import CrashError, DurabilityManager, FaultInjector
 from repro.durability.wal import committed_transactions
 from repro.errors import SQLError, TransactionConflictError
 from repro.mvcc import ANCIENT_TXID, visible_rows
@@ -45,9 +45,11 @@ class Scenario:
         """Final-state oracle for runs that completed without crashing."""
 
 
-def _make_db(group_commit: int = 1) -> dict:
+def _make_db(group_commit: int = 1, injector=None) -> dict:
     fs = ClusterFileSystem()
-    manager = DurabilityManager(fs, path="db", group_commit=group_commit)
+    manager = DurabilityManager(
+        fs, path="db", group_commit=group_commit, injector=injector
+    )
     db = Database(name="MC", durability=manager)
     return {"db": db, "fs": fs, "manager": manager}
 
@@ -58,6 +60,27 @@ def _rows(db, sql: str):
 
 def _count(db, table: str) -> int:
     return int(_rows(db, "SELECT COUNT(*) FROM %s" % table)[0][0])
+
+
+def _insert_each(db, outcomes: dict | None = None) -> list:
+    """Two sessions, each inserting one row: ``sessA`` into TA, ``sessB``
+    into TB.  With *outcomes*, each records ``committed`` or the
+    ``CrashError`` its statement raised, under its table's name."""
+
+    def insert(table):
+        def body():
+            try:
+                db.connect().execute("INSERT INTO %s VALUES (1)" % table)
+            except CrashError as exc:
+                if outcomes is None:
+                    raise
+                outcomes[table] = str(exc)
+            else:
+                if outcomes is not None:
+                    outcomes[table] = "committed"
+        return body
+
+    return [("sessA", insert("TA")), ("sessB", insert("TB"))]
 
 
 def _durable_insert_counts(manager) -> dict:
@@ -93,16 +116,7 @@ class ConcurrentInsertCommit(Scenario):
         return state
 
     def thread_specs(self, state: dict) -> list:
-        db = state["db"]
-
-        def insert(table):
-            def body():
-                db.connect().execute(
-                    "INSERT INTO %s VALUES (1)" % table
-                )
-            return body
-
-        return [("sessA", insert("TA")), ("sessB", insert("TB"))]
+        return _insert_each(state["db"])
 
     def check(self, state: dict) -> None:
         db = state["db"]
@@ -226,16 +240,7 @@ class GroupCommitCrash(Scenario):
         return state
 
     def thread_specs(self, state: dict) -> list:
-        db = state["db"]
-
-        def insert(table):
-            def body():
-                db.connect().execute(
-                    "INSERT INTO %s VALUES (1)" % table
-                )
-            return body
-
-        return [("sessA", insert("TA")), ("sessB", insert("TB"))]
+        return _insert_each(state["db"])
 
     def crash(self, state: dict) -> None:
         db = state["db"]
@@ -565,6 +570,47 @@ class ResultFillVsFilteredCommit(Scenario):
         )
 
 
+class CrashRacesCommit(Scenario):
+    """One session's injected crash races another session's commit.
+
+    Unlike the crash pseudo-thread, which stops every thread at once, this
+    fault fires inside one session: its WAL flush dies with its records
+    still buffered while the other session runs on.  The host is down from
+    then on, so the other commit was durable before the crash or raises
+    ``CrashError``; it never flushes the crashed statement's records.
+    Oracle after recovery: the crashed session's row is absent, the
+    other's is there exactly when its statement committed.
+    """
+
+    name = "crash-races-commit"
+    description = "one session's wal.flush crash races another session's commit"
+
+    def setup(self) -> dict:
+        injector = FaultInjector()
+        state = _make_db(injector=injector)
+        session = state["db"].connect()
+        session.execute("CREATE TABLE TA (A INT)")
+        session.execute("CREATE TABLE TB (A INT)")
+        injector.arm("wal.flush", mode="crash")  # the next flush, whoever's
+        state["outcomes"] = {}
+        return state
+
+    def thread_specs(self, state: dict) -> list:
+        return _insert_each(state["db"], state["outcomes"])
+
+    def check(self, state: dict) -> None:
+        db, outcomes = state["db"], state["outcomes"]
+        crashed = [t for t, o in outcomes.items() if o.startswith("injected")]
+        assert len(crashed) == 1, "one injected crash, got %r" % outcomes
+        db.reopen(clean=False)
+        for table, outcome in outcomes.items():
+            got = _count(db, table)
+            assert got == (outcome == "committed"), (
+                "%s holds %d row(s) after recovery; its statement ended %r"
+                % (table, got, outcome)
+            )
+
+
 #: The registry, in documentation order.
 SCENARIOS = [
     ConcurrentInsertCommit(),
@@ -576,6 +622,7 @@ SCENARIOS = [
     CommitCrashVersions(),
     PlanCacheFillVsDdl(),
     ResultFillVsFilteredCommit(),
+    CrashRacesCommit(),
 ]
 
 

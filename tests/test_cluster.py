@@ -481,14 +481,15 @@ class TestColumnarGather:
     ])
     def test_partials_stay_vectors(self, gather_pair, monkeypatch, sql):
         """The coordinator plans over the shard vectors themselves: it never
-        seals (compresses) them, only the client's answer becomes rows, and
-        once the read returns neither the session nor the engine keeps a
-        gathered table or relation."""
-        from repro.database import database as database_module
+        seals (compresses) them, no shard answer becomes rows, the client's
+        answer becomes rows once, when it is read, and once the read returns
+        neither the session nor the engine keeps a gathered table or
+        relation."""
+        from repro.database import result as result_module
         from repro.storage import table as table_module
 
         cluster, cs, _ = gather_pair
-        calls = {"compress_column": 0, "result_from_batch": 0}
+        calls = {"compress_column": 0, "to_boundary": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -500,10 +501,12 @@ class TestColumnarGather:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(table_module, "compress_column")
-        counted(database_module, "result_from_batch")
+        counted(result_module, "to_boundary")  # one call per column of a row build
         session_state = set(vars(cs.inner))
-        cs.execute(sql)
-        assert calls == {"compress_column": 0, "result_from_batch": 1}
+        result = cs.execute(sql)
+        assert calls == {"compress_column": 0, "to_boundary": 0}
+        assert result.rows is result.rows
+        assert calls == {"compress_column": 0, "to_boundary": len(result.columns)}
         assert cs.inner.temp_table_names() == []
         assert set(vars(cs.inner)) == session_state
         assert cluster.coordinator._tls.relations is None
@@ -610,12 +613,15 @@ class TestColumnarGatherContract:
         with pytest.raises(SQLError, match="int32"):
             s.query("SELECT id FROM sales")
 
-    def test_only_a_select_answers_with_vectors(self):
+    def test_a_select_answers_with_vectors_and_rows(self):
+        """One Result form: a SELECT's answer is its column vectors, and
+        its rows are built from them on read; VALUES answers with rows."""
         db = Database()
         db.execute("CREATE TABLE r (x INT)")
         db.execute("INSERT INTO r VALUES (1), (NULL)")
-        result = db.execute_ast(parse_statement("SELECT x FROM r"), vectors=True)
-        assert result.rows == [] and result.rowcount == 2
+        result = db.execute_ast(parse_statement("SELECT x FROM r"))
+        assert result.rowcount == 2
         assert result.vectors[0].to_boundary() == [1, None]
-        with pytest.raises(SQLError):
-            db.execute_ast(parse_statement("VALUES (1)"), vectors=True)
+        assert result.rows == [(1,), (None,)]
+        values = db.execute_ast(parse_statement("VALUES (1)"))
+        assert values.vectors is None and values.rows == [(1,)]

@@ -458,3 +458,69 @@ class TestSparkSchedulerEdges:
         sc = SparkContext("d")
         assert sorted(sc.parallelize([3, 1, 3, 2, 1]).distinct().collect()) == [1, 2, 3]
         assert sc.scheduler.last_metrics.shuffled_records == 5
+
+
+_ENGINES = ["dop1", "dop4", "cluster", "row"]
+
+
+def _engine(name):
+    """A session of one engine — DOP 1, DOP 4, a 4-shard cluster or the
+    row store — with ``t (k INT, v DOUBLE)`` holding one row."""
+    from repro.baselines.rowdb import RowDatabase
+    from repro.cluster import Cluster, HardwareSpec
+
+    if name == "row":
+        system = RowDatabase()
+    elif name == "cluster":
+        system = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2).connect()
+    else:
+        system = Database(parallelism=int(name[-1]), morsel_rows=64).connect("db2")
+    distribute = " DISTRIBUTE BY HASH (k)" if name == "cluster" else ""
+    system.execute("CREATE TABLE t (k INT, v DOUBLE)" + distribute)
+    system.execute("INSERT INTO t VALUES (1, 2.5)")
+    return system
+
+
+class TestUnaryMinusOverAString:
+    """``-'5'`` follows the binary rule ``0 - '5'``: the string is cast to
+    DOUBLE, and a string that is no number is 22018 — never a bare
+    ``TypeError`` from type promotion."""
+
+    @pytest.mark.parametrize("name", ["dop1", "dop4", "cluster"])
+    def test_values_negate_a_numeric_string(self, name):
+        system = _engine(name)
+        assert system.execute("VALUES (-'5')").rows == [(-5.0,)]
+        assert system.execute("VALUES (0 - '5')").rows == [(-5.0,)]
+        with pytest.raises(ConversionError) as raised:
+            system.execute("VALUES (-'x')")
+        assert raised.value.sqlstate == "22018"
+
+    def test_every_engine_agrees_on_select_and_insert(self):
+        for name in _ENGINES:
+            system = _engine(name)
+            assert system.execute("SELECT -'5', -k FROM t").rows == [(-5.0, -1)], name
+            system.execute("INSERT INTO t VALUES (2, -'7')")
+            assert system.execute("SELECT v FROM t WHERE k = 2").rows == [(-7.0,)], name
+            with pytest.raises(ConversionError) as raised:
+                system.execute("SELECT -'x' FROM t")
+            assert raised.value.sqlstate == "22018", name
+
+
+class TestWritesNameKnownColumns:
+    """A write naming a column its table lacks raises what a SELECT naming
+    one raises — ``BindError``, 42704 — on every engine, and changes
+    nothing (no silent NULL row, no bare ``KeyError``)."""
+
+    @pytest.mark.parametrize("name", ["dop1", "cluster", "row"])
+    @pytest.mark.parametrize("sql", [
+        "INSERT INTO t (nope) VALUES (1)",
+        "INSERT INTO t (k, nope) VALUES (1, 2)",
+        "UPDATE t SET nope = 1",
+        "UPDATE t SET v = 0, nope = 1 WHERE k = 1",
+    ])
+    def test_unknown_column_is_42704(self, name, sql):
+        system = _engine(name)
+        with pytest.raises(BindError, match="column NOPE not in table T") as raised:
+            system.execute(sql)
+        assert raised.value.sqlstate == "42704"
+        assert system.execute("SELECT k, v FROM t").rows == [(1, 2.5)]

@@ -276,6 +276,25 @@ class TestEngineRegressions:
         assert not report.ok
         assert "replaced view definition" in report.counterexample.render()
 
+    def test_crash_races_commit_exhausts_clean(self):
+        # One session's flush crash leaves its records buffered; the other
+        # session's commit must raise, never flush them for it.
+        report = explore(by_name("crash-races-commit"), budget=4000)
+        assert report.ok, report.counterexample.render()
+        assert report.completed, "bounded search space not exhausted"
+
+    def test_crash_races_commit_finds_a_host_that_stays_up(self, monkeypatch):
+        # The bug the scenario exists for: the crash unwinds only the
+        # thread it fired on, and the next commit makes its statement durable.
+        from repro.durability.manager import _Host
+
+        monkeypatch.setattr(_Host, "__exit__", lambda self, kind, exc, tb: None)
+        report = explore(by_name("crash-races-commit"), budget=4000)
+        assert not report.ok
+        assert "after recovery; its statement ended 'injected crash" in (
+            report.counterexample.render()
+        )
+
     def test_pinned_checkpoint_requested_mid_statement(self):
         # Pin the bad interleaving's shape: the checkpoint thread (tid 1)
         # wakes while the insert's statement is mid-flight.  Under the fix
