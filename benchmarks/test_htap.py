@@ -34,7 +34,6 @@ from repro.workloads.tpcds import flush_tables
 from conftest import banner, record
 
 DOP = 4
-MORSEL_ROWS = 4_096
 BASE_ROWS = 24_000
 BULK_ROWS = 30_000
 ROUNDS = 10
@@ -123,7 +122,7 @@ def _trickle(session, stop, count, errors):
 
 
 def test_htap_reader_throughput_under_churn(benchmark):
-    db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS)
+    db = Database(parallelism=DOP)
     session = db.connect("db2")
     _load_base(session)
     flush_tables(db)

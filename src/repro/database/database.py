@@ -181,12 +181,10 @@ class Database:
             via :func:`~repro.parallel.pool.default_parallelism`
             (``REPRO_PARALLELISM`` env var, else 1 = serial).  Every task
             runs on the calling thread and the DOP is modelled on the sim
-            clock.  A scan has one path at every DOP and times each region
-            as a task when the DOP is above 1; hash-join probes and
-            parallel-safe aggregates split into spans on the shared worker
-            pool only when the DOP is above 1.
-        morsel_rows: rows per aggregation morsel (default
-            :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
+            clock: every operator has one path at every DOP.  Above DOP 1
+            a scan times each region as a task, and a GROUP BY or a
+            hash-join probe splits its one measured pass into morsel tasks
+            by row share (:meth:`~repro.parallel.pool.WorkerPool.one_pass`).
         durability: optional
             :class:`~repro.durability.manager.DurabilityManager`.  When
             attached, every statement runs as one auto-commit transaction:
@@ -207,7 +205,6 @@ class Database:
         scan_options: dict | None = None,
         tracer: Tracer | None = None,
         parallelism: int | None = None,
-        morsel_rows: int | None = None,
         durability=None,
     ):
         self.name = name
@@ -231,7 +228,6 @@ class Database:
             metrics=self.metrics if self.tracer.enabled else None,
             name=name.lower(),
         )
-        self.morsel_rows = morsel_rows
         self.durability = durability
         if durability is not None:
             durability.attach(self)
@@ -765,20 +761,21 @@ class Database:
                     # Auto-commit transaction boundary: a statement's redo
                     # records reach the WAL only if it succeeds; a commit
                     # record makes them durable (group commit may defer
-                    # the flush).
+                    # the flush).  A commit that fails (a crashed host)
+                    # aborts the MVCC transaction like any failed statement.
                     try:
                         if node is None:
                             # the bound plan names the target, as a node would
                             result, node = self._execute_dml(None, session, key, sql)
                         else:
                             result = self._dispatch_node(node, session)
+                        if self.durability is not None:
+                            self.durability.commit(txn_meta={"txn": txn.txid})
                     except BaseException:
                         if self.durability is not None:
                             self.durability.abort()
                         txn.abort()
                         raise
-                    if self.durability is not None:
-                        self.durability.commit(txn_meta={"txn": txn.txid})
                     txn.commit()
                     self._note_commit(
                         self._touched_tables(node, txn), self._tls.deltas

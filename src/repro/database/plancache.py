@@ -140,13 +140,15 @@ class PlanCache:
             return key
 
     def remember(self, text: str, key) -> None:
-        """Keep a freshly lexed cacheable read's key for its next arrival."""
+        """Keep a freshly lexed cacheable read's key for its next arrival.
+        A new text evicts the oldest first, so the memo never holds more
+        than :data:`TEXT_CAPACITY` texts, not even between two steps."""
         with self._lock:
             texts = self._texts
-            texts[text] = key
-            if len(texts) > TEXT_CAPACITY:
+            if text not in texts and len(texts) >= TEXT_CAPACITY:
                 texts.popitem(last=False)
                 self.text_stats.evictions += 1
+            texts[text] = key
 
     @staticmethod
     def _family(key, session) -> tuple:

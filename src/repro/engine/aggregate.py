@@ -6,13 +6,10 @@ Groups are resolved by factorising the key columns into dense codes
 (:func:`_group`) is a handful of vectorised passes (the cache-efficient,
 partition-into-chunks strategy the paper describes, expressed in numpy).
 
-At DOP > 1 the same pass runs twice, the way MAD Skills splits a parallel
-aggregate into a transition, a merge and a final function: once per span
-of the drained input on the worker pool, then once over the concatenated
-span outputs with every aggregate replaced by its merge (:data:`_MERGE`;
-AVG rides through the spans as a SUM and a COUNT and divides once after
-the merge).  :func:`merges_exactly` says which aggregates may take that
-route, so results are identical at every DOP.
+That one pass is the GROUP BY at every DOP.  At DOP > 1 the pool models
+it (:meth:`~repro.parallel.pool.WorkerPool.one_pass`): the measured pass
+is split into morsel tasks by row share and list-scheduled, so the answer
+is the DOP-1 answer and the DOP shows only in the modelled run.
 
 Supported aggregates: COUNT(*), COUNT(x), COUNT(DISTINCT x), SUM, AVG,
 MIN, MAX, VAR_POP, VAR_SAMP/VARIANCE, STDDEV, STDDEV_POP, STDDEV_SAMP,
@@ -24,6 +21,7 @@ group sum leaves int64 raises SQLSTATE 22003 instead of wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from repro.engine import fused
 from repro.engine.expression import Batch, ColumnRef, Expr
 from repro.engine.operators import Operator
 from repro.errors import NumericOverflowError, UnsupportedFeatureError
-from repro.parallel.morsel import batch_spans, morsel_ranges
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, DOUBLE, DataType, TypeKind, decimal_type
 
@@ -97,53 +94,6 @@ class AggregateSpec:
         return DOUBLE
 
 
-#: The aggregate that merges span partials of each parallel-safe function:
-#: the merge pass runs it over the partial column.  AVG has no entry: its
-#: spans produce a SUM and a COUNT (:func:`_span_plan`).
-_MERGE = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
-
-
-def merges_exactly(spec: AggregateSpec) -> bool:
-    """True when span partials of ``spec`` merge to exactly its one-pass
-    answer: COUNT / MIN / MAX; SUM over integers and scaled DECIMALs
-    (exact int64 sums); AVG over integers (an exact SUM and COUNT, divided
-    once).  DISTINCT forms and float-accumulating families (DOUBLE
-    SUM/AVG, variance, percentiles) round differently when re-associated.
-    """
-    func = spec.func.upper()
-    if spec.distinct:
-        return False
-    if func in ("COUNT", "MIN", "MAX"):
-        return True
-    if not spec.args:
-        return False
-    arg = spec.args[0].dtype
-    if func == "SUM":
-        return arg.is_integer or arg.kind is TypeKind.DECIMAL
-    return func == "AVG" and arg.is_integer
-
-
-def _span_plan(aggregates):
-    """The span and merge aggregate lists of a parallel-safe GROUP BY:
-    each aggregate is its own span partial, merged under its alias by
-    :data:`_MERGE`; AVG becomes SUM and COUNT partials (``<alias>#sum`` /
-    ``<alias>#n``)."""
-    span, merge = [], []
-    for spec in aggregates:
-        parts = [spec]
-        if spec.func.upper() == "AVG":
-            parts = [
-                AggregateSpec("SUM", spec.args, spec.alias + "#sum"),
-                AggregateSpec("COUNT", spec.args, spec.alias + "#n"),
-            ]
-        span += parts
-        merge += [
-            AggregateSpec(_MERGE[p.func.upper()], [ColumnRef(p.alias, p.output_type())], p.alias)
-            for p in parts
-        ]
-    return span, merge
-
-
 class GroupByOp(Operator):
     """GROUP BY with vectorised aggregate computation.
 
@@ -152,15 +102,9 @@ class GroupByOp(Operator):
         keys: (alias, expression) pairs forming the group key (empty for a
             grand total).
         aggregates: the aggregate outputs.
-        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  With a
-            parallel pool the drained input splits into spans of morsels,
-            each task runs the one GROUP BY pass over its span, and one
-            more pass merges the span outputs.  Only aggregates whose
-            partials merge exactly take this path (see
-            :meth:`parallel_safe`); everything else runs the one pass over
-            the whole input, so results are identical at any DOP.
-        morsel_rows: rows per morsel (default
-            :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
+        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  The
+            GROUP BY pass runs once at every DOP; a parallel pool models
+            its DOP as a ``group-by`` run (``parallel_run``).
     """
 
     def __init__(
@@ -169,32 +113,17 @@ class GroupByOp(Operator):
         keys: list[tuple[str, Expr]],
         aggregates: list[AggregateSpec],
         pool=None,
-        morsel_rows: int | None = None,
     ):
         self.child = child
         self.keys = keys
         self.aggregates = aggregates
         self.pool = pool
-        self.morsel_rows = morsel_rows
         self.stats = GroupStats()
         self.parallel_run = None
-        #: Parallel telemetry (EXPLAIN ANALYZE): "batch-agg" when the
-        #: drained child was grouped in spans on the pool, None otherwise.
-        self.fused_mode = None
-
-    def parallel_safe(self) -> bool:
-        """True when every aggregate merges exactly across spans
-        (:func:`merges_exactly`).  Approximate (float) group keys also
-        stay on one pass: NaN ordering under a merge is not worth the
-        hazard.
-        """
-        return not any(
-            expr.dtype.is_approximate for _, expr in self.keys
-        ) and all(merges_exactly(spec) for spec in self.aggregates)
 
     def note_keys(self, reasons) -> None:
         """Record how the keys were coded (``fused.row_coding_reason`` per
-        key and span) on the stats and the engine's metrics registry."""
+        key) on the stats and the engine's metrics registry."""
         stats = self.stats
         stats.key_coding, stats.key_reasons = fused.key_coding(reasons)
         metrics = getattr(self.pool, "metrics", None)
@@ -203,58 +132,20 @@ class GroupByOp(Operator):
             metrics.counter("engine.group.keys_%s" % path).inc()
 
     def execute(self):
-        pool = self.pool
         batch = self.child.run()
         self.stats = GroupStats(input_rows=batch.n)  # this execution's own (the operator may be a copy)
         if batch.n == 0 and not batch.columns:
             # A drained-empty child lost its schema: rebuild typed empty
             # columns for every column reference the aggregates/keys read.
             batch = _synthesize_empty(self.keys, self.aggregates)
-        if (
-            pool is not None
-            and pool.is_parallel
-            and self.parallel_safe()
-            and len(morsel_ranges(batch.n, self.morsel_rows)) > 1
-        ):
-            out, reasons = self._group_in_spans(batch, pool)
+        group = partial(_group, batch, self.keys, self.aggregates)
+        if self.pool is None:
+            out, reasons = group()
         else:
-            out, reasons = _group(batch, self.keys, self.aggregates)
+            (out, reasons), self.parallel_run = self.pool.one_pass(group, batch.n, "group-by")
         self.note_keys(reasons)
         self.stats.groups = out.n
         yield out
-
-    def _group_in_spans(self, batch: Batch, pool):
-        """:func:`_group` per span on the pool, then once more over the
-        concatenated span outputs with every aggregate replaced by its
-        merge; integer AVG divides its merged SUM by its merged COUNT."""
-        span_aggs, merge_aggs = _span_plan(self.aggregates)
-
-        def task(span):
-            lo, hi = span
-            view = {name: v.take(slice(lo, hi)) for name, v in batch.columns.items()}
-            return _group(Batch(view, hi - lo), self.keys, span_aggs)
-
-        spans = batch_spans(batch.n, self.morsel_rows, pool.parallelism)
-        try:
-            parts = pool.map(task, spans, label="group-by")
-        except NumericOverflowError:
-            # One span's partial sum left int64; whether a whole group's
-            # sum does is the one-pass kernel's call.
-            self.parallel_run = pool.last_run
-            return _group(batch, self.keys, self.aggregates)
-        self.parallel_run = pool.last_run
-        self.fused_mode = "batch-agg"
-        keys = [(alias, ColumnRef(alias, expr.dtype)) for alias, expr in self.keys]
-        merged, _ = _group(Batch.concat([out for out, _ in parts]), keys, merge_aggs)
-        columns = {alias: merged.columns[alias] for alias, _ in self.keys}
-        for spec in self.aggregates:
-            if spec.func.upper() == "AVG":
-                sums = merged.columns[spec.alias + "#sum"].values
-                counts = merged.columns[spec.alias + "#n"].values
-                columns[spec.alias] = _mean(sums, counts)
-            else:
-                columns[spec.alias] = merged.columns[spec.alias]
-        return Batch.from_columns(columns), [r for _, reasons in parts for r in reasons]
 
 
 def _group(batch: Batch, keys, aggregates):

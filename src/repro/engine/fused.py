@@ -6,9 +6,8 @@ vectorised kernel over columnar data rather than interpreting tuples.
 into dense group ids at every DOP (over the :mod:`repro.simd.factorize`
 kernels): a dictionary-coded string key is ranked through its dictionary
 and never materialised, and :func:`row_coding_reason` names the
-exceptions.  :func:`min_max_span` is the MIN / MAX scatter.  The GROUP BY
-pass that uses both, and the parallel aggregate that runs that pass per
-span and once more to merge, live in :mod:`repro.engine.aggregate`.
+exceptions.  :func:`min_max_span` is the MIN / MAX scatter.  The one
+GROUP BY pass that uses both lives in :mod:`repro.engine.aggregate`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def row_coding_reason(vector):
 
 
 def key_coding(reasons):
-    """Fold :func:`row_coding_reason` of every key (of every span) into
+    """Fold :func:`row_coding_reason` of every key into
     ``(path, why)``: ``dictionary`` when every key was ranked through its
     dictionary, ``rows`` when none was, else ``mixed`` (None for no keys),
     and the distinct reasons rows were coded."""

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.engine.expression import Batch, Expr, selection_mask
 from repro.engine.operators import Operator
-from repro.parallel.morsel import batch_spans, morsel_ranges
 from repro.storage.column import ColumnVector
 
 
@@ -32,9 +31,6 @@ class JoinStats:
     #: binary-search); None when no probe ran.
     path: str | None = None
 
-#: Target build-partition size: rows per partition such that a small hash
-#: table stays cache-resident (an L2/L3-sized chunk in the paper's terms).
-DEFAULT_PARTITION_ROWS = 8_192
 
 _JOIN_TYPES = {"inner", "left", "right", "full", "semi", "anti"}
 
@@ -49,17 +45,9 @@ class HashJoinOp(Operator):
         join_type: inner / left / right / full / semi / anti (semi and anti
             emit only left columns).
         residual: optional non-equi condition evaluated on joined rows.
-        partition_rows: advisory partition size.  The execution strategy
-            (factorise keys, sort the build side, binary-search probes) is
-            the vectorised analogue of cache-sized partitioning: the sort
-            clusters equal keys so each probe touches one dense run.  With
-            a parallel ``pool`` it doubles as the probe morsel size.
-        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  When
-            parallel, probe morsels binary-search the (shared, read-only)
-            sorted build side as separate pool tasks; per-morsel match lists
-            concatenate in morsel order, which reproduces the serial
-            probe's output exactly (each probe row's matches depend only
-            on that row).
+        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  The probe
+            is one whole-column pass at every DOP; a parallel pool models
+            its DOP as a ``join-probe`` run (``parallel_run``).
         nulls_match: NULL equals NULL, as in DISTINCT (INTERSECT / EXCEPT
             plan as semi / anti joins with this set); an ordinary join
             leaves it off and a NULL key part never matches.
@@ -73,7 +61,6 @@ class HashJoinOp(Operator):
         right_keys: list[str],
         join_type: str = "inner",
         residual: Expr | None = None,
-        partition_rows: int = DEFAULT_PARTITION_ROWS,
         pool=None,
         nulls_match: bool = False,
     ):
@@ -87,7 +74,6 @@ class HashJoinOp(Operator):
         self.right_keys = right_keys
         self.join_type = join_type
         self.residual = residual
-        self.partition_rows = partition_rows
         self.pool = pool
         self.nulls_match = nulls_match
         self.stats = JoinStats()
@@ -95,20 +81,13 @@ class HashJoinOp(Operator):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _probe(self, probe_span, n: int) -> tuple:
-        """Run ``probe_span`` over ``n`` live probe rows.  At DOP 1 or with a
-        single morsel it is one inline call over the whole column (no pool
-        run recorded); otherwise ``batch_spans`` (about two tasks per
-        worker) map on the pool and each returned array concatenates in
-        span order — byte-identical to the one call, since a probe row's
-        matches depend on that row alone."""
-        pool = self.pool
-        if pool is None or not pool.is_parallel or len(morsel_ranges(n, self.partition_rows)) < 2:
-            return probe_span((0, n))
-        spans = batch_spans(n, self.partition_rows, pool.parallelism)
-        parts = pool.map(probe_span, spans, label="join-probe")
-        self.parallel_run = pool.last_run
-        return tuple(np.concatenate(col) for col in zip(*parts))
+    def _probe(self, probe_pass, n: int) -> tuple:
+        """``probe_pass()``, the one whole-column probe of ``n`` live rows;
+        a parallel pool models its DOP (:meth:`WorkerPool.one_pass`)."""
+        if self.pool is None:
+            return probe_pass()
+        out, self.parallel_run = self.pool.one_pass(probe_pass, n, "join-probe")
+        return out
 
     @staticmethod
     def _encoded_keys(probe: Batch, build: Batch, left_keys, right_keys,
@@ -185,17 +164,13 @@ class HashJoinOp(Operator):
         lookup[offsets] = build_rows
         probe_rows, pk_live = _live_keys(lv.values, None if lv.nulls is None else ~lv.nulls)
 
-        def probe_span(rng):
-            start, stop = rng
-            rows = probe_rows[start:stop]
-            keys = pk_live[start:stop]
-            in_range = (keys >= bmin) & (keys <= bmax)
-            idx = np.where(in_range, keys - bmin, 0)
-            targets = lookup[idx]
+        def probe_pass():
+            in_range = (pk_live >= bmin) & (pk_live <= bmax)
+            targets = lookup[np.where(in_range, pk_live - bmin, 0)]
             hit = np.flatnonzero(in_range & (targets >= 0))
-            return rows[hit], targets[hit]
+            return probe_rows[hit], targets[hit]
 
-        li, ri = self._probe(probe_span, probe_rows.size)
+        li, ri = self._probe(probe_pass, probe_rows.size)
         matched_left[li] = True
         return li, ri
 
@@ -220,31 +195,23 @@ class HashJoinOp(Operator):
         sorted_build_rows = build_rows[order]
         probe_rows, pk_live = _live_keys(pk, p_valid)
 
-        def probe_span(rng):
-            # A probe row's matches depend on that row alone (``positions =
-            # lo[r] + 0..count[r]-1``), so per-span pairs concatenated in
-            # span order are byte-identical to one whole-column probe.
-            # Tasks only read the shared arrays; ``matched_left`` is
-            # written on the gather side.
-            start, stop = rng
-            rows = probe_rows[start:stop]
-            keys = pk_live[start:stop]
-            lo = np.searchsorted(sorted_bk, keys, side="left")
-            hi = np.searchsorted(sorted_bk, keys, side="right")
+        def probe_pass():
+            lo = np.searchsorted(sorted_bk, pk_live, side="left")
+            hi = np.searchsorted(sorted_bk, pk_live, side="right")
             counts = hi - lo
-            hit_rows = rows[np.flatnonzero(counts)]
+            hit_rows = probe_rows[np.flatnonzero(counts)]
             total = int(counts.sum())
             if total == 0:
                 empty = np.zeros(0, dtype=np.int64)
                 return hit_rows, empty, empty
-            li = np.repeat(rows, counts)
+            li = np.repeat(probe_rows, counts)
             starts = np.repeat(lo, counts)
             cumulative = np.repeat(np.cumsum(counts) - counts, counts)
             positions = starts + (np.arange(total) - cumulative)
             ri = sorted_build_rows[positions]
             return hit_rows, li.astype(np.int64), ri.astype(np.int64)
 
-        hit_rows, li, ri = self._probe(probe_span, probe_rows.size)
+        hit_rows, li, ri = self._probe(probe_pass, probe_rows.size)
         matched_left[hit_rows] = True
         return li, ri
 

@@ -220,9 +220,7 @@ class TableScanOp(Operator):
         regions = self.regions  # opens the scan if nobody has
         # At DOP > 1 each region is one modelled task: its scan is timed
         # and the times go to the pool as one run when the scan ends.
-        times = None
-        if pool is not None and pool.is_parallel and len(regions) > 1:
-            times = []
+        times = [] if pool is not None and pool.models(len(regions)) else None
         try:
             for region_idx, region in enumerate(regions):
                 if times is None:

@@ -145,9 +145,6 @@ def _operator_line(wrapper: InstrumentedOp, depth: int) -> str:
             run.total_seconds * 1e3,
             run.makespan_seconds * 1e3,
         )
-    fused_mode = getattr(op, "fused_mode", None)
-    if fused_mode is not None:
-        line += " [fused=%s]" % fused_mode
     path = getattr(stats, "path", None)
     if path is not None:
         line += " [path=%s]" % path
@@ -197,9 +194,6 @@ def attach_operator_spans(tracer, parent_span, root: InstrumentedOp) -> None:
                 "worker_busy": run.worker_busy(),
             }
         )
-    fused_mode = getattr(root.inner, "fused_mode", None)
-    if fused_mode is not None:
-        span.annotate(fused={"mode": fused_mode})
     for child in _instrumented_children(root):
         attach_operator_spans(tracer, span, child)
 

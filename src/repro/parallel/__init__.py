@@ -1,13 +1,7 @@
-"""Morsel-driven parallel execution: shared worker pool + morsel batching."""
+"""Intra-query parallelism, modelled: the shared worker pool."""
 
-from repro.parallel.morsel import (
-    DEFAULT_MORSEL_ROWS,
-    batch_items,
-    batch_size,
-    batch_spans,
-    morsel_ranges,
-)
 from repro.parallel.pool import (
+    MORSEL_ROWS,
     PARALLELISM_ENV_VAR,
     PoolRun,
     TaskSpan,
@@ -17,15 +11,11 @@ from repro.parallel.pool import (
 )
 
 __all__ = [
-    "DEFAULT_MORSEL_ROWS",
+    "MORSEL_ROWS",
     "PARALLELISM_ENV_VAR",
     "PoolRun",
     "TaskSpan",
     "WorkerPool",
-    "batch_items",
-    "batch_size",
-    "batch_spans",
     "default_parallelism",
     "greedy_makespan",
-    "morsel_ranges",
 ]

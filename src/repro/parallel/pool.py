@@ -8,10 +8,15 @@ others (PAPER.md's substitution table): on the simulated clock.  One
 :class:`WorkerPool` — one option, the degree of parallelism (DOP) — is the
 substrate for every layer:
 
-* **tasks run on the calling thread** — :meth:`WorkerPool.map` runs every
-  task inline, in submission order, at every DOP, and returns the results
-  in that order; the first failing task raises and later tasks do not run.
-  Parallel plans therefore produce exactly the rows a serial plan would;
+* **tasks run on the calling thread** — :meth:`WorkerPool.map` (the MPP
+  shard scatter, Spark stages) runs every task inline, in submission
+  order, at every DOP, and returns the results in that order; the first
+  failing task raises and later tasks do not run;
+* **engine operators run one pass at every DOP** — a GROUP BY or a join
+  probe runs its DOP-1 pass once through :meth:`WorkerPool.one_pass`,
+  which splits that one measured pass into :data:`MORSEL_ROWS`-row tasks
+  by row share, and a table scan times each region it scans.  Parallel
+  plans therefore produce exactly the rows a serial plan would;
 * **the DOP is modelled** — each run records per-task spans measured in
   *thread CPU seconds* (wall time is kept alongside) and list-schedules
   them over the declared workers (:func:`list_schedule`): each span's
@@ -41,6 +46,10 @@ from repro.verify import sanitizer
 
 #: Environment override for the default degree of parallelism.
 PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
+
+#: Rows per morsel: the unit :meth:`WorkerPool.one_pass` splits one
+#: measured pass into when it models the pass's DOP.
+MORSEL_ROWS = 8_192
 
 def default_parallelism(cores: int | None = None) -> int:
     """Resolve the default degree of parallelism (DOP).
@@ -208,6 +217,11 @@ class WorkerPool:
     def is_parallel(self) -> bool:
         return self.parallelism > 1
 
+    def models(self, tasks: int) -> bool:
+        """True when a phase of ``tasks`` tasks gets a modelled run: the DOP
+        is above 1 and there is more than one task to schedule."""
+        return self.is_parallel and tasks > 1
+
     def shutdown(self) -> None:
         """A no-op (tasks run on the caller); benchmarks/e2e/workloads.py calls it."""
 
@@ -231,9 +245,24 @@ class WorkerPool:
             self.record(times, label)
         return results
 
+    def one_pass(self, fn, n_rows: int, label: str):
+        """``(fn(), run)``: ``fn`` runs once, on the caller, over ``n_rows``
+        rows.  When the DOP models the pass (:meth:`models` of its
+        :data:`MORSEL_ROWS` morsels) the call is timed and recorded as one
+        task per morsel, each carrying that morsel's row share of the
+        measured ``(cpu, wall)``; otherwise ``run`` is None and nothing is
+        recorded.  The answer is the DOP-1 answer at every DOP."""
+        starts = range(0, max(0, n_rows), MORSEL_ROWS)
+        if not self.models(len(starts)):
+            return fn(), None
+        value, cpu, wall = timed(fn)
+        shares = [min(MORSEL_ROWS, n_rows - start) / n_rows for start in starts]
+        return value, self.record([(cpu * s, wall * s) for s in shares], label)
+
     def record(self, times, label: str | None = None) -> PoolRun:
         """Log and return one run: a ``(cpu, wall)`` pair per task, from
-        :func:`timed`, in submission order (:meth:`map`, the table scan)."""
+        :func:`timed`, in submission order (:meth:`map`, :meth:`one_pass`,
+        the table scan)."""
         workers, _ = list_schedule([cpu for cpu, _ in times], self.parallelism)
         spans = [
             TaskSpan(i, worker, cpu, wall)

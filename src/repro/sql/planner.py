@@ -509,7 +509,6 @@ class SelectPlanner:
         self.page_source = page_source
         self.session = session
         self.pool = getattr(database, "pool", None)
-        self.morsel_rows = getattr(database, "morsel_rows", None)
         #: For what planning itself executes (scalar / IN / EXISTS
         #: subqueries fold to constants here): the statement's MVCC
         #: snapshot and its scan registration.  A plan does not keep them.
@@ -961,7 +960,6 @@ class SelectPlanner:
                 keys=[(k, ColumnRef(k, dt)) for k, dt in zip(keys, dtypes)],
                 aggregates=[],
                 pool=self.pool,
-                morsel_rows=self.morsel_rows,
             )
         if sort_keys:
             op = SortOp(op, sort_keys)
@@ -1230,8 +1228,7 @@ class SelectPlanner:
     def _apply_grouping(self, op, bound_items, group_exprs, binder, having_expr):
         keys = [("__KEY%d" % i, expr) for i, expr in enumerate(group_exprs)]
         group_op = GroupByOp(
-            op, keys=keys, aggregates=binder.aggregates,
-            pool=self.pool, morsel_rows=self.morsel_rows,
+            op, keys=keys, aggregates=binder.aggregates, pool=self.pool,
         )
         # Rewrite outputs/having: group-key subtrees -> key refs; aggregate
         # refs already point at their agg aliases.

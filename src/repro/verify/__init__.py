@@ -14,8 +14,7 @@ Six tools live here, all behind one front door, ``repro-verify``
   grammar.  ``repro-verify lint src tests benchmarks examples``.
 * :mod:`repro.verify.plan` — a static **plan verifier** that walks a
   compiled physical operator tree and re-derives schema, arity, and type
-  propagation operator by operator, plus the ``parallel_safe()`` gate and
-  cost-charge coverage.  Enabled before every SELECT when
+  propagation operator by operator, plus cost-charge coverage.  Enabled before every SELECT when
   ``REPRO_VERIFY_PLANS=1``; ``repro-verify plan`` sweeps a demo corpus.
 * :mod:`repro.verify.sanitizer` — an Eraser-style **lockset race
   sanitizer** that instruments worker-pool task spans and shared engine

@@ -403,7 +403,7 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("spec",
                      help="symbol spec, e.g. repro.mvcc.txn::"
                           "Transaction.commit or "
-                          "src/repro/parallel/morsel.py::morsel_ranges")
+                          "src/repro/parallel/pool.py::WorkerPool.one_pass")
     cmd.add_argument("--root", default=".",
                      help="project root holding src/ and tests/")
     return parser

@@ -578,8 +578,10 @@ class CrashRacesCommit(Scenario):
     still buffered while the other session runs on.  The host is down from
     then on, so the other commit was durable before the crash or raises
     ``CrashError``; it never flushes the crashed statement's records.
-    Oracle after recovery: the crashed session's row is absent, the
-    other's is there exactly when its statement committed.
+    Oracle: before recovery no MVCC transaction is left active (a failed
+    commit aborts its transaction); after recovery the crashed session's
+    row is absent, the other's is there exactly when its statement
+    committed.
     """
 
     name = "crash-races-commit"
@@ -602,6 +604,8 @@ class CrashRacesCommit(Scenario):
         db, outcomes = state["db"], state["outcomes"]
         crashed = [t for t, o in outcomes.items() if o.startswith("injected")]
         assert len(crashed) == 1, "one injected crash, got %r" % outcomes
+        active = db.txn.report()["active"]
+        assert active == 0, "%d transaction(s) left active by %r" % (active, outcomes)
         db.reopen(clean=False)
         for table, outcome in outcomes.items():
             got = _count(db, table)

@@ -60,7 +60,7 @@ DEFAULT_TARGET_PATHS = (
     "src/repro/storage/table.py",
     "src/repro/storage/column.py",
     "src/repro/mvcc/txn.py",
-    "src/repro/parallel/morsel.py",
+    "src/repro/parallel/pool.py",
     "src/repro/engine/aggregate.py",
     "src/repro/engine/expression.py",
     "src/repro/simd/packed.py",

@@ -223,8 +223,8 @@ def load_project_sources(root: str, dirs: tuple[str, ...] = ("src", "tests"),
 def resolve_symbol_spec(impact: ImpactMap, spec: str):
     """Resolve ``<module>::<symbol>`` to matching FunctionInfo entries.
 
-    The module part accepts a dotted module (``repro.parallel.morsel``), a
-    path (``src/repro/parallel/morsel.py``) or any unambiguous suffix of
+    The module part accepts a dotted module (``repro.parallel.pool``), a
+    path (``src/repro/parallel/pool.py``) or any unambiguous suffix of
     one; the symbol part is a qualname (``Transaction.commit``) or a bare
     name matched against qualname tails.
     """

@@ -11,10 +11,6 @@ re-derives, operator by operator, what each node consumes and produces:
   UNION ALL branches must agree column-for-column, LIMIT/OFFSET must be
   sane, and the root must produce exactly the keys/dtypes the
   :class:`~repro.sql.planner.PlannedQuery` advertises;
-* **parallel gating** — a :class:`~repro.engine.aggregate.GroupByOp`'s
-  ``parallel_safe()`` verdict is re-derived here from its aggregate specs
-  (an independent implementation of the associativity rules) and compared
-  with the operator's own answer, so the gate cannot silently drift;
 * **cost-charge coverage** — when a :class:`~repro.database.Database` is
   supplied, every scan of a catalog table must route page fetches through
   the buffer pool (``page_source``), be registered for byte accounting
@@ -90,35 +86,6 @@ def _comparable(left: DataType, right: DataType) -> bool:
     if left.is_string and right.is_string:
         return True
     return left.kind is right.kind
-
-
-def _expected_parallel_safe(op: GroupByOp) -> bool:
-    """Independent re-derivation of GroupByOp.parallel_safe().
-
-    Deliberately *not* a call into the operator: the verifier re-states
-    the associativity rules (exact merge for COUNT/MIN/MAX, int64 SUM,
-    integer AVG; everything DISTINCT, float-accumulating, or keyed by an
-    approximate type stays serial) so a drive-by edit to either copy
-    trips the differential corpus sweep.
-    """
-    for _, expr in op.keys:
-        if expr.dtype.is_approximate:
-            return False
-    for spec in op.aggregates:
-        func = spec.func.upper()
-        if spec.distinct:
-            return False
-        if func in ("COUNT", "MIN", "MAX"):
-            continue
-        if not spec.args:
-            return False
-        arg = spec.args[0].dtype
-        if func == "SUM" and (arg.is_integer or arg.kind is TypeKind.DECIMAL):
-            continue
-        if func == "AVG" and arg.is_integer:
-            continue
-        return False
-    return True
 
 
 class PlanVerifier:
@@ -425,7 +392,6 @@ class PlanVerifier:
                     "aggregate alias %r collides with a group key" % spec.alias,
                 )
             out[spec.alias] = spec.output_type()
-        self._check_parallel_gate(op)
         if self.database is not None:
             pool = getattr(self.database, "pool", None)
             if pool is not None and op.pool is not None and op.pool is not pool:
@@ -436,32 +402,6 @@ class PlanVerifier:
                     "will not charge this engine's clock or metrics",
                 )
         return out
-
-    def _check_parallel_gate(self, op: GroupByOp) -> None:
-        declared = op.parallel_safe()
-        expected = _expected_parallel_safe(op)
-        if declared != expected:
-            self._issue(
-                op,
-                "parallel-gate",
-                "parallel_safe() returned %s but the verifier derives %s "
-                "from the aggregate specs (%s): the morsel-merge gate and "
-                "the associativity rules have drifted apart"
-                % (
-                    declared,
-                    expected,
-                    ", ".join(
-                        "%s%s(%s)"
-                        % (
-                            spec.func,
-                            " DISTINCT" if spec.distinct else "",
-                            spec.args[0].dtype if spec.args else "*",
-                        )
-                        for spec in op.aggregates
-                    )
-                    or "no aggregates",
-                ),
-            )
 
 
 def verify_plan(planned, database=None) -> list[PlanIssue]:

@@ -679,18 +679,36 @@ class TestAggregateFinalizers:
         assert s.execute("SELECT SUM(v) FROM t WHERE v < 0").scalar() is None
 
     def test_one_morsel_group_by_runs_one_pass_at_dop_4(self):
-        # boundary@...::GroupByOp.execute (morsels > 1 -> >= 1): input of
-        # one morsel is grouped in one pass, never routed through the pool.
-        for morsel_rows, fused in ((1000, False), (2, True)):
-            s = Database(parallelism=4, morsel_rows=morsel_rows).connect("db2")
+        # boundary@...::WorkerPool.models (tasks > 1 -> >= 1): a GROUP BY
+        # over exactly one morsel records no run at DOP 4; over three
+        # morsels its one pass is modelled as three tasks on three workers.
+        from repro.parallel import MORSEL_ROWS
+
+        sql = "SELECT g, SUM(a) FROM t GROUP BY g ORDER BY g"
+        answers, lines = {}, {}
+        for dop in (1, 4):
+            s = Database(parallelism=dop).connect("db2")
             s.execute("CREATE TABLE t (g INT, a INT)")
-            s.execute("INSERT INTO t VALUES (1, 1), (1, 2), (2, 3), (2, 4), (3, 5)")
-            plan = "\n".join(
-                row[0] for row in s.execute(
-                    "EXPLAIN ANALYZE SELECT g, SUM(a) FROM t GROUP BY g"
-                ).rows
+            s.execute(
+                "INSERT INTO t VALUES "
+                + ", ".join("(%d, %d)" % (i % 3, i) for i in range(MORSEL_ROWS // 8))
             )
-            assert ("[fused=batch-agg]" in plan) == fused, plan
+            for _ in range(3):
+                s.execute("INSERT INTO t SELECT g, a FROM t")
+            for step in ("one", "three"):
+                if step == "three":
+                    s.execute("INSERT INTO t SELECT g, a FROM t")
+                    s.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)")
+                assert s.execute("SELECT COUNT(*) FROM t").scalar() == {
+                    "one": MORSEL_ROWS, "three": 2 * MORSEL_ROWS + 5}[step]
+                answers[dop, step] = s.execute(sql).rows
+                plan = [row[0] for row in s.execute("EXPLAIN ANALYZE " + sql).rows]
+                lines[dop, step] = next(line for line in plan if "GroupByOp" in line)
+        for step in ("one", "three"):
+            assert answers[4, step] == answers[1, step]
+            assert "[parallel" not in lines[1, step]
+        assert "[parallel" not in lines[4, "one"], lines[4, "one"]
+        assert "[parallel tasks=3 workers=3 " in lines[4, "three"], lines[4, "three"]
 
 # -- set operations over branches of different types ---------------------------
 

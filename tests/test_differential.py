@@ -1,12 +1,11 @@
 """Differential testing: random queries, three independent executions.
 
 The columnar engine (compressed scans, software-SIMD, vectorised
-operators), the same engine running morsel-parallel at DOP 4, and the
-row-store engine (B-trees, row-at-a-time interpreter) share only the SQL
-front end; agreeing on hundreds of randomised queries over data with
+operators), the same engine at DOP 4, and the row-store engine (B-trees,
+row-at-a-time interpreter) share only the SQL front end; agreeing on hundreds of randomised queries over data with
 NULLs, duplicates, and skew is strong evidence against whole classes of
 engine bugs (selection masks, null semantics, grouping, join
-multiplicity, and morsel merge/gather ordering).
+multiplicity, and gather ordering).
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ from repro.baselines.rowdb import RowDatabase
 from repro.database import Database
 from repro.util.rng import derive_rng
 from repro.workloads.tpcds import flush_tables
+
+from tests.test_parallel import _modelled, _runs_by_label
 
 N_ROWS = 3000
 _COLUMNS = ["A", "B", "C", "D"]
@@ -54,11 +55,11 @@ def _build_rows(seed):
 def engines():
     """Three-way oracle: columnar-serial, columnar-parallel, row engine.
 
-    The parallel engine runs DOP 4 with deliberately tiny morsels/regions
-    so every scan, join probe, and grouping actually splits.
+    The parallel engine runs DOP 4 with deliberately small regions, so
+    every scan is modelled over several tasks.
     """
     dash = Database().connect("db2")
-    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par_db = Database(parallelism=4, region_rows=512)
     par = par_db.connect("db2")
     rowdb = RowDatabase()
     ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
@@ -306,10 +307,10 @@ def test_dml_divergence_check(engines):
 
 @pytest.fixture(scope="module")
 def backend_engines():
-    """DOP sweep: a serial engine vs a DOP-4 engine with morsels and regions
-    small enough that every scan, probe and group-by of the corpus splits."""
+    """DOP sweep: a serial engine vs a DOP-4 engine with regions small
+    enough that every scan of the corpus is modelled over several tasks."""
     dash = Database().connect("db2")
-    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par_db = Database(parallelism=4, region_rows=512)
     par = par_db.connect("db2")
     ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
     dim_ddl = "CREATE TABLE dim (c VARCHAR(4) PRIMARY KEY, w INT)"
@@ -341,29 +342,38 @@ def test_backend_sweep_agrees(backend_engines, seed):
         )
 
 
-def test_dop4_engine_really_ran_on_the_pool(backend_engines):
-    """Guard against the sweep silently running serial twice: the DOP-4
-    engine must have split its work into several pool tasks, and the span
-    reduction must run on it over a scan and over a join alike."""
+def test_dop4_engine_really_ran_on_the_pool(backend_engines, monkeypatch):
+    """Guard against the sweep silently running serial twice: over a table
+    of three morsels the DOP-4 engine must model its scan, its join probe
+    and its group-by as pool runs (min(4, tasks) workers, the busiest
+    carrying the makespan) and still answer exactly like DOP 1."""
     dash, par = backend_engines
+    for system in (dash, par):
+        system.execute("CREATE TABLE wide (a INT, b INT, c VARCHAR(4))")
+        system.execute("INSERT INTO wide SELECT t.a, t.b, t.c FROM t, dim")  # 24,000 rows
+        flush_tables(system.database)
     probes = [
-        # group-by straight over a multi-region scan (the scan runs on the pool)
-        "SELECT a, COUNT(*), SUM(b), AVG(b) FROM t GROUP BY a",
+        # group-by straight over a multi-region scan
+        ("SELECT a, COUNT(*), SUM(b), AVG(b) FROM wide GROUP BY a",
+         ("scan:WIDE", "group-by")),
         # group-by over a join
-        "SELECT t.a, dim.w, COUNT(*), SUM(t.b), AVG(t.b)"
-        " FROM t JOIN dim ON t.c = dim.c GROUP BY t.a, dim.w",
+        ("SELECT wide.a, dim.w, COUNT(*), SUM(wide.b), AVG(wide.b)"
+         " FROM wide JOIN dim ON wide.c = dim.c GROUP BY wide.a, dim.w",
+         ("scan:WIDE", "join-probe", "group-by")),
     ]
-    pool = par.database.pool
-    for sql in probes:
+    runs = _runs_by_label(monkeypatch, par.database.pool)
+    for sql, labels in probes:
+        runs.clear()
         assert dash.execute(sql).rows == par.execute(sql).rows, sql
-        assert pool.last_run.tasks > 1
+        assert sorted(runs) == sorted(labels), sql
+        for run in runs.values():
+            assert run.tasks >= 3
+            _modelled(run)
         plan = "\n".join(
             row[0] for row in par.execute("EXPLAIN ANALYZE " + sql).rows
         )
-        assert "[fused=batch-agg]" in plan, plan
-        assert "[parallel tasks=" in plan, plan
-    assert pool.runs_total > 0
-    assert pool.tasks_total > pool.runs_total
+        group_by = next(line for line in plan.splitlines() if "GroupByOp" in line)
+        assert "[parallel tasks=3 workers=3 " in group_by, plan
 
 
 def test_dop4_agrees_after_crash_recovery():
@@ -375,7 +385,7 @@ def test_dop4_agrees_after_crash_recovery():
 
     manager = DurabilityManager(ClusterFileSystem(), path="db", group_commit=1)
     db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, durability=manager
+        parallelism=4, region_rows=512, durability=manager
     )
     session = db.connect("db2")
     oracle = Database().connect("db2")
@@ -455,7 +465,7 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
     for dop in (1, 4):
         kwargs = {}
         if dop > 1:
-            kwargs = dict(parallelism=dop, morsel_rows=257, region_rows=512)
+            kwargs = dict(parallelism=dop, region_rows=512)
         db = Database(**kwargs)
         session = db.connect("db2")
         _htap_load(session, seed=61, n_rows=1500)
@@ -510,7 +520,7 @@ def test_htap_crash_recovery_matches_serial_oracle():
 
     manager = DurabilityManager(ClusterFileSystem(), path="db", group_commit=1)
     db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, durability=manager
+        parallelism=4, region_rows=512, durability=manager
     )
     session = db.connect("db2")
     oracle = Database().connect("db2")
@@ -563,7 +573,7 @@ def test_oracle_agrees_after_crash_recovery():
     cluster = Cluster(spec, parallelism=1, group_commit=8)
     cs = cluster.connect("db2")
     dash = Database().connect("db2")
-    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par_db = Database(parallelism=4, region_rows=512)
     par = par_db.connect("db2")
     rowdb = RowDatabase()
     ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
@@ -894,7 +904,7 @@ def string_engines():
     from repro.cluster import Cluster, HardwareSpec
 
     serial_db = Database(region_rows=64)
-    par_db = Database(parallelism=4, morsel_rows=37, region_rows=64)
+    par_db = Database(parallelism=4, region_rows=64)
     cluster = Cluster([HardwareSpec(cores=2, ram_gb=8, storage_tb=1)] * 4)
     systems = {
         "row": RowDatabase(),
@@ -1047,7 +1057,7 @@ def sparse_engines():
     from repro.cluster import Cluster, HardwareSpec
 
     dash_db = Database(region_rows=700)
-    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par_db = Database(parallelism=4, region_rows=512)
     cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
     assert len(cluster.shards) == 4
     systems = {

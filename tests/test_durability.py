@@ -515,6 +515,22 @@ class TestCrashStopsTheHost:
             assert not thread.is_alive()
         return db, outcome
 
+    def test_a_failed_commit_leaves_no_transaction_open(self):
+        # The commit that crashes and the next INSERT on the down host
+        # both abort their MVCC transactions: none stays active until reopen.
+        injector = FaultInjector()
+        db, _ = make_db(injector=injector)
+        session = db.connect()
+        session.execute("CREATE TABLE a (k INT)")
+        injector.arm("wal.flush", mode="crash")
+        for value in (1, 2):
+            with pytest.raises(CrashError):
+                session.execute("INSERT INTO a VALUES (%d)" % value)
+        report = db.txn.report()
+        assert report["active"] == 0 and report["aborted"] == 2, report
+        crash_and_recover(db)
+        assert db.connect().query("SELECT k FROM a") == []
+
     @pytest.mark.parametrize("mode", ["crash", "torn"])
     def test_a_second_session_cannot_flush_the_crashed_statement(self, mode):
         db, outcome = self._two_sessions(mode)

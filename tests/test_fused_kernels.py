@@ -1,18 +1,15 @@
-"""Property tests: the span route of GROUP BY == one pass over the input.
+"""Property tests: GROUP BY at DOP 4 == GROUP BY at DOP 1.
 
-At DOP > 1 a parallel-safe group-by runs its one GROUP BY pass over each
-span of the drained input and once more to merge the span outputs
-(``repro.engine.aggregate``).  Its contract is byte identity with the
-DOP-1 pass, so these tests drive both over hypothesis-random inputs —
-including all-NULL key columns, empty inputs, post-filter empty morsels,
-and mixed-codec regions — and require *ordered* equality (the merge must
-also reproduce the DOP-1 group order: NULL first, then ascending, per key
-column).  The group coding itself (``repro.engine.fused.group_codes``) is
-checked against an ``np.unique`` reference.
-
-Floats are deliberately absent: ``parallel_safe()`` keeps
-float-accumulating aggregates and approximate keys on one pass (NaN
-ordering and re-association hazards), so the span route never sees them.
+The GROUP BY is one pass (``repro.engine.aggregate._group``) at every DOP;
+a parallel pool only models it, splitting the measured pass into morsel
+tasks by row share.  Its contract is byte identity with the DOP-1 pass, so
+these tests drive both over hypothesis-random inputs — including all-NULL
+key columns, empty inputs, filters that drain most rows, and mixed-codec
+regions — and require *ordered* equality (NULL first, then ascending, per
+key column), and over more than one morsel a modelled run with
+min(DOP, tasks) workers whose busiest carries the makespan.  The group
+coding itself (``repro.engine.fused.group_codes``) is checked against an
+``np.unique`` reference.
 """
 
 from __future__ import annotations
@@ -33,13 +30,14 @@ from repro.engine import (
 )
 from repro.engine import fused
 from repro.engine.operators import FilterOp, ProjectOp
-from repro.parallel import WorkerPool
+from repro.parallel import MORSEL_ROWS, WorkerPool
 from repro.simd import factorize
 from repro.storage.column import ColumnVector
 from repro.types import BIGINT, DOUBLE, INTEGER, varchar_type
 
+from tests.test_parallel import _modelled
+
 _VARCHAR = varchar_type(4)
-_MORSEL_ROWS = 13
 
 _INTS = st.one_of(st.none(), st.integers(-50, 50))
 _STRS = st.one_of(st.none(), st.sampled_from(["aa", "bb", "cc", "v1", "v2"]))
@@ -125,26 +123,34 @@ def pool():
     yield p
 
 
+def _assert_modelled(op):
+    """``op`` ran over more than one morsel: one modelled task per morsel."""
+    assert op.parallel_run.tasks == -(-op.stats.input_rows // MORSEL_ROWS)
+    _modelled(op.parallel_run)
+
+
 @given(case=_cases())
 @settings(max_examples=120, deadline=None)
 def test_fused_reduce_matches_serial(case, pool):
     n, g, s, x, keys, aggregates, predicate = case
+    # Repeat the drawn rows past one morsel, so DOP 4 has a pass to model.
+    reps = MORSEL_ROWS // max(n, 1) + 1
+    g, s, x = g * reps, s * reps, x * reps
     serial_op = GroupByOp(_child(g, s, x, predicate), keys=keys, aggregates=aggregates)
     fused_op = GroupByOp(
         _child(g, s, x, predicate),
         keys=keys,
         aggregates=aggregates,
         pool=pool,
-        morsel_rows=_MORSEL_ROWS,
     )
     aliases = [alias for alias, _ in keys] + [spec.alias for spec in aggregates]
     expected = _rows(serial_op.run(), aliases)
     got = _rows(fused_op.run(), aliases)
     assert got == expected
-    # Above the morsel gate the span route must actually have run (every
-    # aggregate the strategy draws merges exactly).
-    if fused_op.stats.input_rows > _MORSEL_ROWS:
-        assert fused_op.fused_mode == "batch-agg"
+    if fused_op.stats.input_rows > MORSEL_ROWS:
+        _assert_modelled(fused_op)
+    else:
+        assert fused_op.parallel_run is None
 
 
 @given(
@@ -173,8 +179,7 @@ def test_empty_input_matches_serial(pool):
     aggregates = [_AGG_CHOICES["count_star"], _AGG_CHOICES["sum_x"]]
     serial = GroupByOp(_source([], [], []), keys=keys, aggregates=aggregates).run()
     par = GroupByOp(
-        _source([], [], []), keys=keys, aggregates=aggregates,
-        pool=pool, morsel_rows=_MORSEL_ROWS,
+        _source([], [], []), keys=keys, aggregates=aggregates, pool=pool,
     ).run()
     aliases = ["kg", "ks", "a_rows", "a_sum"]
     assert _rows(par, aliases) == _rows(serial, aliases) == []
@@ -204,7 +209,6 @@ def test_projected_chain_matches_serial(pool):
                 AggregateSpec("AVG", [ColumnRef("y", INTEGER)], "a_avg"),
             ],
             pool=pool_arg,
-            morsel_rows=_MORSEL_ROWS,
         )
 
     aliases = ["kg", "a_sum", "a_avg"]
@@ -212,26 +216,27 @@ def test_projected_chain_matches_serial(pool):
 
 
 def test_filter_keeping_one_row_of_many_morsels_matches_serial(pool):
-    """A filter that keeps one row of eight morsels: the group-by sees the
-    drained row, not the morsels it came from, and answers as DOP 1."""
-    # 40 rows, but the predicate keeps only rows in the last morsel.
-    g = [1] * 39 + [2]
-    x = list(range(40))
-    predicate = ("x", ">=", 39)
+    """A filter that keeps one row of three morsels: the group-by sees the
+    drained row, not the morsels it came from, answers as DOP 1 and has
+    nothing to model."""
+    n = 2 * MORSEL_ROWS + 40
+    g = [1] * (n - 1) + [2]
+    x = list(range(n))
+    predicate = ("x", ">=", n - 1)
     serial_op = GroupByOp(
-        _child(g, ["aa"] * 40, x, predicate),
+        _child(g, ["aa"] * n, x, predicate),
         keys=[("kg", ColumnRef("g", INTEGER))],
         aggregates=[_AGG_CHOICES["count_star"]],
     )
     fused_op = GroupByOp(
-        _child(g, ["aa"] * 40, x, predicate),
+        _child(g, ["aa"] * n, x, predicate),
         keys=[("kg", ColumnRef("g", INTEGER))],
         aggregates=[_AGG_CHOICES["count_star"]],
         pool=pool,
-        morsel_rows=5,
     )
     aliases = ["kg", "a_rows"]
     assert _rows(fused_op.run(), aliases) == _rows(serial_op.run(), aliases) == [(2, 1)]
+    assert fused_op.parallel_run is None
 
 
 def _wide_key_columns(n=600, width=7):
@@ -248,9 +253,9 @@ def _wide_key_columns(n=600, width=7):
 
 def test_radix_overflow_compacts_and_stays_fused(pool):
     """Huge key domains overflow the radix combine; the group coding must
-    compact the packed codes and go on — same answer at every DOP, still
-    the span route, nothing wrapped around."""
-    columns = _wide_key_columns()
+    compact the packed codes and go on — same answer at every DOP, the
+    DOP-4 pass modelled over its morsels, nothing wrapped around."""
+    columns = _wide_key_columns(n=2 * MORSEL_ROWS + 600)
     names = sorted(columns)
     n = len(columns[names[0]])
     columns["x"] = ColumnVector.from_boundary(list(range(n)), INTEGER)
@@ -261,7 +266,6 @@ def test_radix_overflow_compacts_and_stays_fused(pool):
             keys=[(name, ColumnRef(name, BIGINT)) for name in names],
             aggregates=[_AGG_CHOICES["sum_x"]],
             pool=pool_arg,
-            morsel_rows=_MORSEL_ROWS,
         )
 
     aliases = names + ["a_sum"]
@@ -273,7 +277,7 @@ def test_radix_overflow_compacts_and_stays_fused(pool):
     serial_op, fused_op = build(None), build(pool)
     assert _rows(serial_op.run(), aliases) == expected
     assert _rows(fused_op.run(), aliases) == expected
-    assert fused_op.fused_mode == "batch-agg"
+    _assert_modelled(fused_op)
 
 
 # -- group coding vs an np.unique reference ---------------------------------------
@@ -447,8 +451,8 @@ def test_min_max_scatter_matches_row_loop(rows, as_double):
 
 
 def test_mixed_codec_regions_agree():
-    """The parallel scan and span reduction over regions whose columns
-    compress with *different* codecs (constant, low-cardinality dictionary,
+    """The DOP-4 scan and group-by over regions whose columns compress
+    with *different* codecs (constant, low-cardinality dictionary,
     sequential, wide-random) must match the serial engine exactly."""
     from repro.database import Database
     from repro.workloads.tpcds import flush_tables
@@ -464,7 +468,7 @@ def test_mixed_codec_regions_agree():
         val = "NULL" if i % 23 == 0 else str(int(rng.integers(-500, 500)))
         rows.append("(7, %s, %d, %d, %s)" % (tag, i, wide, val))
     serial = Database(region_rows=512).connect("db2")
-    par_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
+    par_db = Database(parallelism=4, region_rows=512)
     par = par_db.connect("db2")
     for system in (serial, par):
         system.execute(ddl)
@@ -472,6 +476,8 @@ def test_mixed_codec_regions_agree():
             system.execute(
                 "INSERT INTO mix VALUES " + ", ".join(rows[start : start + 500])
             )
+        for _ in range(3):  # 32,000 rows: four morsels
+            system.execute("INSERT INTO mix SELECT * FROM mix")
         flush_tables(system.database)
     table = par.database.catalog.get_table("MIX").table
     codecs = {
@@ -492,7 +498,8 @@ def test_mixed_codec_regions_agree():
     plan = "\n".join(
         row[0] for row in par.execute("EXPLAIN ANALYZE " + queries[0]).rows
     )
-    assert "[fused=batch-agg]" in plan, plan
+    group_by = next(line for line in plan.splitlines() if "GroupByOp" in line)
+    assert "[parallel tasks=4 workers=4 " in group_by, plan
     assert any(
         "TableScanOp" in line and "[parallel tasks=" in line
         for line in plan.splitlines()

@@ -106,15 +106,26 @@ class TestHashJoin:
         assert batch.columns["lv"].values.tolist() == [15]
 
     def test_partitioned_matches_monolithic(self):
+        # A DOP-4 probe, modelled as three morsel tasks, pairs rows exactly
+        # like the probe with no pool and like a dict of build rows by key.
+        from repro.parallel import MORSEL_ROWS, WorkerPool
+
         rng = np.random.default_rng(0)
-        lk = rng.integers(0, 500, 3000).tolist()
+        n = 2 * MORSEL_ROWS + 100
+        lk = rng.integers(0, 500, n).tolist()
         rk = rng.integers(0, 500, 1000).tolist()
-        left = lambda: source(k=lk, lv=list(range(3000)))
+        left = lambda: source(k=lk, lv=list(range(n)))
         right = lambda: source(k=rk, rv=list(range(1000)))
-        part = HashJoinOp(left(), right(), ["k"], ["k"], partition_rows=64).run()
-        mono = HashJoinOp(left(), right(), ["k"], ["k"], partition_rows=0).run()
+        op = HashJoinOp(left(), right(), ["k"], ["k"], pool=WorkerPool(4, name="partitioned"))
+        part = op.run()
+        mono = HashJoinOp(left(), right(), ["k"], ["k"]).run()
         key = lambda b: sorted(zip(b.columns["lv"].values.tolist(), b.columns["rv"].values.tolist()))
-        assert key(part) == key(mono)
+        build = {}
+        for r, k in enumerate(rk):
+            build.setdefault(k, []).append(r)
+        expected = sorted((i, r) for i, k in enumerate(lk) for r in build.get(k, []))
+        assert key(part) == key(mono) == expected
+        assert op.parallel_run.tasks == 3
 
     def test_validation(self):
         left = source(k=[1])
@@ -215,28 +226,30 @@ class TestDirectLookupProbe:
 
 
 class TestSortedProbeSpans:
-    """The sorted probe is one kernel: called once over the whole column at
-    DOP 1, and over batched morsel spans through the pool at DOP > 1."""
+    """The sorted probe is one kernel, called once over the whole column at
+    every DOP; at DOP > 1 the pool models that call over its morsels."""
 
     @pytest.mark.parametrize("join_type", ["inner", "left", "full", "semi", "anti"])
     def test_duplicate_build_keys_across_spans_keep_pair_order(self, join_type):
-        from repro.parallel import WorkerPool
+        from repro.parallel import MORSEL_ROWS, WorkerPool
+        from tests.test_parallel import _modelled
 
         rng = np.random.default_rng(11)
         # Every build key repeats (1-4 times), probe keys recur in every
-        # span, some probe keys have no match and some are NULL.
+        # morsel, some probe keys have no match and some are NULL.
+        n = 2 * MORSEL_ROWS + 700
         build_k = np.repeat(np.arange(0, 40), rng.integers(1, 5, size=40))
         rng.shuffle(build_k)
-        probe_k = rng.integers(0, 50, size=700).tolist()
-        for i in range(0, 700, 37):
+        probe_k = rng.integers(0, 50, size=n).tolist()
+        for i in range(0, n, 37):
             probe_k[i] = None
-        left = {"k": probe_k, "lv": list(range(700))}  # lv == probe row (li)
+        left = {"k": probe_k, "lv": list(range(n))}  # lv == probe row (li)
         right = {"k": build_k.tolist(), "rv": list(range(build_k.size))}  # rv == ri
 
         def run(pool):
             op = HashJoinOp(
                 source(**left), source(**right), ["k"], ["k"],
-                join_type=join_type, pool=pool, partition_rows=64,
+                join_type=join_type, pool=pool,
             )
             batch = op.run()
             assert op.stats.path == "sorted"
@@ -251,10 +264,11 @@ class TestSortedProbeSpans:
         parallel_pool = WorkerPool(4, name="sorted-parallel")
         parallel_op, parallel = run(parallel_pool)
         assert parallel_pool.runs_total == 1
-        # ceil(681 live / 64) = 11 morsels, batched two per task
-        assert parallel_op.parallel_run.tasks == 6
+        # ceil(16,622 live probe rows / 8,192) = 3 morsels on 3 workers
+        assert parallel_op.parallel_run.tasks == 3
+        _modelled(parallel_op.parallel_run)
         assert parallel == serial == run(None)[1]
-        assert serial_op.stats.matched_pairs == parallel_op.stats.matched_pairs > 700
+        assert serial_op.stats.matched_pairs == parallel_op.stats.matched_pairs > n
 
 
 class TestNestedLoopJoin:

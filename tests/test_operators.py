@@ -546,7 +546,7 @@ class TestRunHandsBackTheLoneBatch:
     def test_no_consumer_writes_into_a_tail_or_region_batch(self, dop):
         from repro.database import Database
 
-        db = Database(parallelism=dop, morsel_rows=7)
+        db = Database(parallelism=dop)
         session = db.connect()
         session.execute("CREATE TABLE r (k INT, g INT, s VARCHAR(3), d DATE)")
         db.catalog.get_table("R").table.insert_rows(self._rows())
@@ -581,7 +581,7 @@ class TestRunHandsBackTheLoneBatch:
         relation = vector_relation(
             "R", [n for n, _ in schema], [dt for _, dt in schema], vectors
         )
-        db = Database(parallelism=dop, morsel_rows=7)
+        db = Database(parallelism=dop)
         session = db.connect()
         table = Database().connect()
         table.execute("CREATE TABLE r (k INT, g INT, s VARCHAR(3), d DATE)")
@@ -706,7 +706,7 @@ class TestSelectionIsRowIds:
     def test_reads_leave_every_sealed_region_byte_identical(self, dop, raw_doubles):
         from repro.database import Database
 
-        db = Database(parallelism=dop, morsel_rows=64, region_rows=200)
+        db = Database(parallelism=dop, region_rows=200)
         session = db.connect()
         session.execute("CREATE TABLE m (id INT, x DOUBLE, s VARCHAR(2))")
         table = self._fill(db.catalog.get_table("M").table)

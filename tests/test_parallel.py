@@ -1,15 +1,16 @@
-"""Morsel-driven parallel execution: pool, batching, merge, concurrency.
+"""Intra-query parallelism, modelled: pool, morsel model, concurrency.
 
-Four layers of evidence that parallelism never changes an answer:
+Four layers of evidence that the DOP never changes an answer:
 
-* unit tests for the scheduling model (``greedy_makespan``), morsel
-  batching and the deterministic-gather contract of :class:`WorkerPool.map`;
-* property tests that the span-partial merge is invariant to morsel size
-  (and raises 22003 exactly where a group's exact sum leaves int64), and
-  that the one gate (``GroupByOp.parallel_safe()``) and the span route
-  always agree;
+* unit tests for the scheduling model (``greedy_makespan``), the morsel
+  model of one measured pass (``WorkerPool.one_pass``) and the
+  deterministic-gather contract of :class:`WorkerPool.map`;
+* a property test that GROUP BY at DOP 4 answers the exact Python sums
+  (and raises 22003 exactly where a group's exact sum leaves int64);
 * end-to-end DOP-equivalence: the same SQL through a serial engine and a
-  ``parallelism=4`` engine with tiny morsels must match byte-for-byte;
+  ``parallelism=4`` engine must match byte-for-byte, and every GROUP BY,
+  join probe and multi-region scan over more than one morsel shows its
+  modelled run;
 * a mixed DDL/DML/SELECT stress with eight concurrent sessions on one
   database (no cross-session leaks, statement counters reconcile) and a
   20x-identical regression for MPP two-phase aggregation.
@@ -35,20 +36,16 @@ from repro.engine import (
     VectorSourceOp,
 )
 from repro.parallel import (
-    DEFAULT_MORSEL_ROWS,
+    MORSEL_ROWS,
     PoolRun,
     TaskSpan,
     WorkerPool,
-    batch_items,
-    batch_size,
-    batch_spans,
     default_parallelism,
     greedy_makespan,
-    morsel_ranges,
 )
 from repro.parallel.pool import list_schedule
 from repro.storage.column import ColumnVector
-from repro.types import BIGINT, DOUBLE, INTEGER, decimal_type, varchar_type
+from repro.types import BIGINT, DOUBLE, INTEGER
 from repro.util.rng import derive_rng
 from repro.verify import sanitizer
 from repro.workloads.tpcds import flush_tables
@@ -191,47 +188,58 @@ class TestWorkerPool:
             default_parallelism()
 
 
-# -- morsel splitting and merge properties ------------------------------------
+# -- the morsel model of one pass ----------------------------------------------
+
+
+def _modelled(run, dop=4):
+    """``run`` is a modelled run: min(DOP, tasks) workers, and the busiest
+    of them carries the makespan."""
+    busy = run.worker_busy()
+    assert len(busy) == min(dop, run.tasks)
+    assert max(busy.values()) == pytest.approx(run.makespan_seconds)
 
 
 class TestMorselRanges:
+    """``WorkerPool.one_pass`` runs its pass once and models it as one task
+    per :data:`MORSEL_ROWS` rows, each carrying its row share."""
+
     def test_covers_exactly_once(self):
-        ranges = morsel_ranges(10, 3)
-        assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        pool = WorkerPool(parallelism=4)
+        calls = []
+        n = 2 * MORSEL_ROWS + 5
+        value, run = pool.one_pass(lambda: calls.append(1) or "done", n, "pass")
+        assert value == "done" and calls == [1]
+        assert run is pool.last_run and run.label == "pass" and run.tasks == 3
+        shares = [span.seconds / run.total_seconds for span in run.spans]
+        assert shares == pytest.approx([MORSEL_ROWS / n, MORSEL_ROWS / n, 5 / n])
+        assert [span.worker for span in run.spans] == [0, 1, 2]
+        assert pool.runs_total == 1 and pool.tasks_total == 3
+        _modelled(run)
 
     def test_empty_and_default(self):
-        assert morsel_ranges(0, 5) == []
-        assert morsel_ranges(5) == [(0, 5)]  # default morsel >> 5
-        assert DEFAULT_MORSEL_ROWS > 1024
+        assert MORSEL_ROWS == 8_192
+        wide, serial = WorkerPool(parallelism=4), WorkerPool(parallelism=1)
+        for pool, n in ((wide, 0), (wide, 1), (wide, MORSEL_ROWS), (serial, 10 * MORSEL_ROWS)):
+            calls = []
+            assert pool.one_pass(lambda: calls.append(n) or n, n, "pass") == (n, None)
+            assert calls == [n]
+        assert wide.runs_total == serial.runs_total == 0
 
     def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            morsel_ranges(10, -1)
-        assert morsel_ranges(10, 0) == [(0, 10)]  # 0 -> default size
+        # A non-positive row count is a pass with nothing to model.
+        pool = WorkerPool(parallelism=4)
+        assert pool.one_pass(lambda: 7, -5, "pass") == (7, None)
+        assert pool.runs_total == 0
 
+    def test_a_failing_pass_records_nothing(self):
+        pool = WorkerPool(parallelism=4)
 
-class TestMorselBatching:
-    def test_auto_batch_targets_two_tasks_per_worker(self):
-        # 64 items on 4 workers -> ceil(64 / 8) = 8 items per task.
-        assert batch_size(64, 4) == 8
-        assert batch_size(3, 4) == 1
-        assert batch_size(0, 4) == 1
-        # A serial pool is one worker, not two: ceil(8 / 2) = 4.
-        assert batch_size(8, 1) == batch_size(8, 0) == 4
+        def fail():
+            raise ZeroDivisionError("pass")
 
-    def test_batch_items_preserves_order(self):
-        items = list(range(10))
-        groups = batch_items(items, 2)  # ceil(10 / 4) = 3 items per task
-        assert groups == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-        assert [x for g in groups for x in g] == items
-
-    def test_batch_spans_merge_contiguous_morsels(self):
-        spans = batch_spans(100, 10, 2)  # 10 morsels, 3 per task
-        assert spans == [(0, 30), (30, 60), (60, 90), (90, 100)]
-        # Coverage is exact and ordered.
-        morsels = morsel_ranges(100, 10)
-        assert spans[0][0] == 0 and spans[-1][1] == morsels[-1][1]
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        with pytest.raises(ZeroDivisionError):
+            pool.one_pass(fail, 3 * MORSEL_ROWS, "pass")
+        assert pool.runs_total == 0 and pool.last_run is None
 
 
 #: Small values, NULLs, and values near +-2**62 whose group sums can leave
@@ -250,7 +258,7 @@ _VALUES = st.lists(
     max_size=60,
 )
 
-_MERGE_ALIASES = ("n", "c", "s", "lo", "hi", "avg")
+_AGGREGATE_ALIASES = ("n", "c", "s", "lo", "hi", "avg")
 
 #: What a GROUP BY answers when a group's exact sum leaves int64.
 _OVERFLOW = "22003"
@@ -267,9 +275,9 @@ def _group_of(value):
     return None if value is None else abs(value) % 3
 
 
-def _merged_spans(values, morsel_rows, pool, keyed=True):
-    """GROUP BY ``_group_of(v)`` (or a grand total) on a DOP-4 pool with
-    ``morsel_rows``: its output rows, or :data:`_OVERFLOW`."""
+def _grouped(values, pool, keyed=True):
+    """GROUP BY ``_group_of(v)`` (or a grand total) on ``pool``: its output
+    rows, or :data:`_OVERFLOW`."""
     columns = {"v": ColumnVector.from_boundary(values, BIGINT)}
     keys = []
     if keyed:
@@ -288,13 +296,12 @@ def _merged_spans(values, morsel_rows, pool, keyed=True):
             AggregateSpec("AVG", arg, "avg"),
         ],
         pool=pool,
-        morsel_rows=morsel_rows,
     )
     try:
         batch = op.run()
     except SQLError as exc:
         return exc.sqlstate
-    aliases = ("k",) * keyed + _MERGE_ALIASES
+    aliases = ("k",) * keyed + _AGGREGATE_ALIASES
     return list(zip(*(batch.columns[a].to_boundary() for a in aliases)))
 
 
@@ -327,165 +334,41 @@ def _expected_groups(values, keyed=True):
     return rows
 
 
-@given(
-    values=_VALUES,
-    morsel_rows=st.integers(min_value=1, max_value=61),
-    keyed=st.booleans(),
-)
+@given(values=_VALUES, keyed=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_partial_merge_invariant_to_morsel_size(values, morsel_rows, keyed, dop4_pool):
-    """Merging per-span partials == aggregating the whole input."""
-    got = _merged_spans(values, morsel_rows, dop4_pool, keyed)
-    assert got == _expected_groups(values, keyed)
-
-
-@given(
-    values=_VALUES,
-    sizes=st.tuples(
-        st.integers(min_value=1, max_value=61),
-        st.integers(min_value=1, max_value=61),
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_partial_merge_two_splits_agree(values, sizes, dop4_pool):
-    """Any two morsel sizes produce identical merged output."""
-    assert _merged_spans(values, sizes[0], dop4_pool) == _merged_spans(
-        values, sizes[1], dop4_pool
-    )
-
+def test_group_by_matches_exact_python_sums(values, keyed, dop4_pool):
+    """GROUP BY at DOP 4 == the same aggregation in plain Python."""
+    assert _grouped(values, dop4_pool, keyed) == _expected_groups(values, keyed)
 
 
 def test_span_overflow_defers_to_the_whole_group_sum(dop4_pool):
-    """One span's partial sum leaves int64 while the group's whole sum
-    does not: the group-by answers the whole sum (the one-pass kernel
-    decides), and 22003 only when the whole sum leaves int64 too."""
+    """Over three morsels, each half's partial sum would leave int64 while
+    the group's whole sum does not: the DOP-4 group-by answers the whole
+    sum, and 22003 only when the whole sum leaves int64 too."""
     big = 2**62
-    assert _merged_spans([big, big, -big, -big], 2, dop4_pool, keyed=False) == [
-        (4, 4, 0, -big, big, 0.0)
+    pad = [0] * (2 * MORSEL_ROWS)
+    n = len(pad) + 4
+    assert _grouped([big, big] + pad + [-big, -big], dop4_pool, keyed=False) == [
+        (n, n, 0, -big, big, 0.0)
     ]
-    assert _merged_spans([big, big, -big, 5], 2, dop4_pool, keyed=False) == [
-        (4, 4, big + 5, -big, big, float(big + 5) / 4)
+    run = dop4_pool.last_run
+    assert run.label == "group-by" and run.tasks == 3
+    _modelled(run)
+    assert _grouped([big, big] + pad + [-big, 5], dop4_pool, keyed=False) == [
+        (n, n, big + 5, -big, big, float(big + 5) / n)
     ]
-    assert _merged_spans([big, big, big, big], 2, dop4_pool, keyed=False) == _OVERFLOW
-
-# -- the one gate and the one parallel aggregate -------------------------------
-
-_DEC = decimal_type(6, 2)
-_STR = varchar_type(4)
-_GATE_MORSEL_ROWS = 13
-
-_GATE_KEYS = {
-    "g": ColumnRef("g", INTEGER),
-    "p": ColumnRef("p", _DEC),
-    "s": ColumnRef("s", _STR),
-    "d": ColumnRef("d", DOUBLE),  # approximate key: stays serial
-}
-
-_GATE_AGGS = {
-    # merge exactly across spans (aggregate.merges_exactly)
-    "rows": ("COUNT", None, False),
-    "count_x": ("COUNT", "x", False),
-    "sum_x": ("SUM", "x", False),
-    "sum_p": ("SUM", "p", False),
-    "avg_x": ("AVG", "x", False),
-    "min_p": ("MIN", "p", False),
-    "max_s": ("MAX", "s", False),
-    "min_d": ("MIN", "d", False),
-    # order- or set-dependent: the group-by runs one pass
-    "sum_d": ("SUM", "d", False),
-    "avg_d": ("AVG", "d", False),
-    "avg_p": ("AVG", "p", False),
-    "count_distinct_x": ("COUNT", "x", True),
-    "sum_distinct_x": ("SUM", "x", True),
-    "var_x": ("VAR_POP", "x", False),
-    "stddev_x": ("STDDEV_SAMP", "x", False),
-    "median_x": ("MEDIAN", "x", False),
-}
-_GATE_FUSABLE = {
-    "rows", "count_x", "sum_x", "sum_p", "avg_x", "min_p", "max_s", "min_d",
-}
-_GATE_TYPES = {"g": INTEGER, "p": _DEC, "s": _STR, "d": DOUBLE, "x": INTEGER}
-
-
-def _nullable(strategy):
-    return st.one_of(st.none(), strategy)
-
-
-_GATE_ROW = st.tuples(
-    _nullable(st.integers(-3, 3)),
-    _nullable(st.integers(-300, 300)),  # cents of the DECIMAL(6,2) column
-    _nullable(st.sampled_from(["aa", "bb", "cc", "v1"])),
-    _nullable(st.floats(-1e6, 1e6, allow_nan=False, width=32)),
-    _nullable(st.integers(-50, 50)),
-)
-
-
-def _gate_spec(name):
-    func, arg, distinct = _GATE_AGGS[name]
-    args = [] if arg is None else [ColumnRef(arg, _GATE_TYPES[arg])]
-    return AggregateSpec(func, args, "a_" + name, distinct=distinct)
-
-
-def _gate_group_by(columns, keys, aggs, pool):
-    return GroupByOp(
-        VectorSourceOp(Batch.from_columns(dict(columns))),
-        keys=[("k_" + name, _GATE_KEYS[name]) for name in keys],
-        aggregates=[_gate_spec(name) for name in aggs],
-        pool=pool,
-        morsel_rows=_GATE_MORSEL_ROWS,
-    )
-
-
-@given(
-    rows=st.lists(_GATE_ROW, min_size=_GATE_MORSEL_ROWS + 1, max_size=70),
-    keys=st.lists(st.sampled_from(sorted(_GATE_KEYS)), max_size=3, unique=True),
-    aggs=st.lists(
-        st.sampled_from(sorted(_GATE_AGGS)), min_size=1, max_size=4, unique=True
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_gate_and_fused_aggregate_agree(rows, keys, aggs, dop4_pool):
-    """``parallel_safe()`` true  => the DOP-4 run is fused and equals DOP 1
-    byte for byte; false => the group-by records no pool run at all and
-    still equals DOP 1.  There is no third route between the two."""
-    from decimal import Decimal
-
-    g, p, s, d, x = zip(*rows)
-    columns = {
-        "g": ColumnVector.from_boundary(g, INTEGER),
-        "p": ColumnVector.from_boundary(
-            [None if c is None else Decimal(c).scaleb(-2) for c in p], _DEC
-        ),
-        "s": ColumnVector.from_boundary(s, _STR),
-        "d": ColumnVector.from_boundary(d, DOUBLE),
-        "x": ColumnVector.from_boundary(x, INTEGER),
-    }
-    parallel = _gate_group_by(columns, keys, aggs, dop4_pool)
-    serial = _gate_group_by(columns, keys, aggs, None)
-    expect_safe = "d" not in keys and set(aggs) <= _GATE_FUSABLE
-    assert parallel.parallel_safe() == expect_safe
-    got, want = parallel.run(), serial.run()
-    if expect_safe:
-        assert parallel.fused_mode == "batch-agg"
-        assert parallel.parallel_run.tasks > 1
-    else:
-        assert parallel.fused_mode is None
-        assert parallel.parallel_run is None
-    assert list(got.columns) == list(want.columns)
-    for alias, vector in want.columns.items():
-        other = got.columns[alias]
-        assert other.dtype == vector.dtype, alias
-        assert other.values.dtype == vector.values.dtype, alias
-        assert other.to_boundary() == vector.to_boundary(), alias
+    assert _grouped([big, big] + pad + [big, big], dop4_pool, keyed=False) == _OVERFLOW
 
 
 class TestFloatGating:
-    """Order-dependent float aggregates must stay serial at any DOP."""
+    """Order-dependent float aggregates add up in the one DOP-1 pass at any
+    DOP: the DOP only models that pass."""
 
     def test_double_sum_stays_serial(self):
         rng = np.random.default_rng(9)
-        g = rng.integers(0, 6, size=200).tolist()
-        d = (rng.random(200) * 100.0).tolist()
+        n = 2 * MORSEL_ROWS + 200
+        g = rng.integers(0, 6, size=n).tolist()
+        d = (rng.random(n) * 100.0).tolist()
         columns = {
             "g": ColumnVector.from_boundary(g, INTEGER),
             "d": ColumnVector.from_boundary(d, DOUBLE),
@@ -500,15 +383,12 @@ class TestFloatGating:
                     AggregateSpec("AVG", [ColumnRef("d", DOUBLE)], "a_avg"),
                 ],
                 pool=pool,
-                morsel_rows=13,
             )
 
-        pool = WorkerPool(4, name="edge")
-        op = group_by(pool)
-        assert not op.parallel_safe()
+        op = group_by(WorkerPool(4, name="edge"))
         batch = op.run()
-        assert op.parallel_run is None, "float aggregate went parallel"
-        assert op.fused_mode is None
+        assert op.parallel_run.tasks == 3
+        _modelled(op.parallel_run)
         serial = group_by(None).run()
         for alias in ("kg", "a_sum", "a_avg"):
             assert (
@@ -566,13 +446,28 @@ def _load_engine(session):
         "INSERT INTO dim VALUES "
         + ", ".join("('v%d', %d)" % (i, i * 10) for i in range(8))
     )
+    for _ in range(3):  # 32,000 rows: four morsels
+        session.execute("INSERT INTO t SELECT a, b, c FROM t")
+
+
+def _runs_by_label(monkeypatch, pool):
+    """Every run ``pool`` records from now on, by label."""
+    runs = {}
+    record = pool.record
+
+    def noting(times, label=None):
+        runs[label] = record(times, label)
+        return runs[label]
+
+    monkeypatch.setattr(pool, "record", noting)
+    return runs
 
 
 class TestDOPEquivalence:
     @pytest.fixture(scope="class")
     def pair(self):
         serial_db = Database(parallelism=1)
-        parallel_db = Database(parallelism=4, morsel_rows=257)
+        parallel_db = Database(parallelism=4)
         serial = serial_db.connect("db2")
         parallel = parallel_db.connect("db2")
         _load_engine(serial)
@@ -586,11 +481,15 @@ class TestDOPEquivalence:
         serial, parallel = pair
         assert serial.execute(sql).rows == parallel.execute(sql).rows
 
-    def test_parallel_paths_were_exercised(self, pair):
+    def test_parallel_paths_were_exercised(self, pair, monkeypatch):
         serial, parallel = pair
         pool = parallel.database.pool
         assert pool.is_parallel
-        assert pool.runs_total > 0 and pool.tasks_total > pool.runs_total
+        runs = _runs_by_label(monkeypatch, pool)
+        for sql, label in ((_QUERIES[1], "group-by"), (_QUERIES[4], "join-probe")):
+            assert serial.execute(sql).rows == parallel.execute(sql).rows
+            assert runs[label].tasks == 4
+            _modelled(runs[label])
 
     def test_repeated_runs_identical(self, pair):
         _, parallel = pair
@@ -605,22 +504,17 @@ class TestDOPEquivalence:
 
 def _fan_out_engines(dop):
     """``(wide, regions)`` engines at ``dop``: in ``wide`` the tables stay in
-    their tails, so only the GROUP BY (64-row morsels) or the join probe
-    (more probe rows than one partition) fans out; in ``regions`` the scan
-    is the only fan-out, over 128-row regions."""
-    from repro.engine.join import DEFAULT_PARTITION_ROWS
-
-    wide = Database(parallelism=dop, morsel_rows=64)
+    their tails, so only the GROUP BY over ``g`` or the join probe over
+    ``p``, three morsels each, is modelled; in ``regions`` the scan is the only
+    modelled run, over 128-row regions."""
+    wide = Database(parallelism=dop)
     s = wide.connect("db2")
-    s.execute("CREATE TABLE g (k INT, v INT)")
-    s.execute(
-        "INSERT INTO g VALUES "
-        + ", ".join("(%d, %d)" % (i % 7, i) for i in range(1000))
-    )
     s.execute("CREATE TABLE p (c INT, v INT)")
-    probe = ["(%d, %d)" % (i % 13, i) for i in range(DEFAULT_PARTITION_ROWS + 900)]
+    probe = ["(%d, %d)" % (i % 13, i) for i in range(2 * MORSEL_ROWS + 900)]
     for start in range(0, len(probe), 2000):
         s.execute("INSERT INTO p VALUES " + ", ".join(probe[start : start + 2000]))
+    s.execute("CREATE TABLE g (k INT, v INT)")
+    s.execute("INSERT INTO g SELECT v - v / 7 * 7, v FROM p")
     s.execute("CREATE TABLE d (c INT, w INT)")
     s.execute("INSERT INTO d VALUES " + ", ".join("(%d, %d)" % (i, i * 10) for i in range(0, 13, 2)))
     regions = Database(parallelism=dop, region_rows=128)
@@ -642,9 +536,10 @@ _FAN_OUTS = [
 
 
 class TestFanOutRunsOnTheCaller:
-    """At DOP 4 a GROUP BY, a join probe and a multi-region scan each split
-    into spans that run on the calling thread: the answer equals DOP 1 byte
-    for byte, and the busiest modelled worker carries the run's makespan."""
+    """At DOP 4 a GROUP BY and a join probe each run their one pass, and a
+    multi-region scan its regions, on the calling thread: the answer equals
+    DOP 1 byte for byte, and the busiest modelled worker carries the run's
+    makespan."""
 
     @pytest.fixture(scope="class")
     def engines(self):
@@ -656,37 +551,35 @@ class TestFanOutRunsOnTheCaller:
     def test_spans_equal_dop1_and_run_on_the_caller(self, engines, monkeypatch, engine, sql, label):
         serial, parallel = engines[0][engine], engines[1][engine]
         pool = parallel.pool
-        map_on_pool = pool.map
+        one_pass = pool.one_pass
         idents = []
 
-        def map_noting_threads(fn, items, label=None):
-            def noted(item):
+        def one_pass_noting_threads(fn, n_rows, label):
+            def noted():
                 idents.append(threading.get_ident())
-                return fn(item)
+                return fn()
 
-            return map_on_pool(noted, items, label)
+            return one_pass(noted, n_rows, label)
 
-        # The scan times its regions itself (one lazy path at every DOP),
-        # so its tasks are noted where they run, not through the pool.
+        # The scan times its regions itself, so its tasks are noted where
+        # they run, not through the pool.
         scan_region = TableScanOp._scan_region
 
         def scan_region_noting_threads(op, *args):
             idents.append(threading.get_ident())
             return scan_region(op, *args)
 
-        monkeypatch.setattr(pool, "map", map_noting_threads)
+        monkeypatch.setattr(pool, "one_pass", one_pass_noting_threads)
         monkeypatch.setattr(TableScanOp, "_scan_region", scan_region_noting_threads)
         runs, tasks = pool.runs_total, pool.tasks_total
         got = parallel.connect("db2").execute(sql).rows
         run = pool.last_run
         assert got == serial.connect("db2").execute(sql).rows
-        assert run.label == label and run.tasks >= 2
+        assert run.label == label and run.tasks >= 3
         assert pool.runs_total == runs + 1
         assert pool.tasks_total == tasks + run.tasks
         assert idents and set(idents) == {threading.get_ident()}
-        busy = run.worker_busy()
-        assert len(busy) == min(4, run.tasks)
-        assert max(busy.values()) == pytest.approx(run.makespan_seconds)
+        _modelled(run)
 
     def test_limit_scans_only_the_regions_it_yields(self, engines):
         # The scan is one lazy path at every DOP: under FETCH FIRST a DOP-4
@@ -723,7 +616,7 @@ class TestFanOutRunsOnTheCaller:
         line = next(line for line in plan.splitlines() if "GroupByOp" in line)
         tasks = int(line.split("[parallel tasks=")[1].split()[0])
         workers = int(line.split(" workers=")[1].split()[0])
-        assert tasks >= 2 and workers == min(4, tasks), line
+        assert tasks == 3 and workers == min(4, tasks), line
 
 
 # -- concurrent sessions stress ------------------------------------------------

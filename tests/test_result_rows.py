@@ -167,7 +167,7 @@ def test_rows_read_after_a_write_are_the_statements_snapshot(
     """Tail vectors are views of the table's typed tail arrays and sealed
     ones may be a region's decoded arrays: a result holding them must read
     the same rows after any later write or flush of the table."""
-    db = Database(parallelism=parallelism, morsel_rows=2)
+    db = Database(parallelism=parallelism)
     session = db.connect()
     session.execute("CREATE TABLE t (k INT, s VARCHAR(4))")
     session.execute("INSERT INTO t VALUES (1, 'a'), (2, NULL), (3, 'c')")

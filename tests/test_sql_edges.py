@@ -345,8 +345,8 @@ class TestIntegerSumsStayExact:
         cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
         assert cluster.n_shards == 4
         systems = {
-            "dop1": Database(parallelism=1, morsel_rows=64).connect("db2"),
-            "dop4": Database(parallelism=4, morsel_rows=64).connect("db2"),
+            "dop1": Database(parallelism=1).connect("db2"),
+            "dop4": Database(parallelism=4).connect("db2"),
             "cluster": cluster.connect(),
             "row": RowDatabase(),
         }
@@ -474,7 +474,7 @@ def _engine(name):
     elif name == "cluster":
         system = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2).connect()
     else:
-        system = Database(parallelism=int(name[-1]), morsel_rows=64).connect("db2")
+        system = Database(parallelism=int(name[-1])).connect("db2")
     distribute = " DISTRIBUTE BY HASH (k)" if name == "cluster" else ""
     system.execute("CREATE TABLE t (k INT, v DOUBLE)" + distribute)
     system.execute("INSERT INTO t VALUES (1, 2.5)")

@@ -57,6 +57,10 @@ class TestPhysicalConversion:
         arr, nulls = to_physical([Decimal("12.34")], dt)
         assert arr[0] == 1234
         assert to_boundary(arr, None, dt) == [Decimal("12.34")]
+        # An int (a VALUES row's integer literal) scales by the same 10**2.
+        arr, nulls = to_physical([7, None, -3], dt)
+        assert list(arr) == [700, 0, -300]
+        assert to_boundary(arr, nulls, dt) == [Decimal("7.00"), None, Decimal("-3.00")]
 
     def test_roundtrip_dates(self):
         d = datetime.date(2016, 3, 1)

@@ -132,20 +132,6 @@ class TestMalformedPlans:
         codes = _codes(verify_plan(op))
         assert codes.count("duplicate-column") == 2  # A and K both collide
 
-    def test_parallel_gate_drift(self):
-        src = _source({"A": INTEGER, "D": DOUBLE})
-        op = GroupByOp(
-            src,
-            keys=[("A", ColumnRef("A", INTEGER))],
-            aggregates=[AggregateSpec("SUM", [ColumnRef("D", DOUBLE)], "S")],
-        )
-        assert op.parallel_safe() is False  # float SUM must stay serial
-        assert verify_plan(op) == []
-        op.parallel_safe = lambda: True  # simulate the gate drifting
-        issues = verify_plan(op)
-        assert _codes(issues) == ["parallel-gate"]
-        assert "drifted" in issues[0].message
-
     def test_groupby_duplicate_alias(self):
         src = _source({"A": INTEGER})
         op = GroupByOp(
@@ -287,6 +273,37 @@ class TestCostChargeCoverage:
         session.execute("SELECT a FROM t WHERE a = 1")
         assert len(calls) == 1
         assert calls[0][1] is db
+
+
+_SHAPES = [
+    ("db2", "WITH w AS (SELECT a, b FROM t WHERE a > 3) SELECT a, SUM(b) FROM w GROUP BY a",
+     "_visit_cteop"),
+    ("oracle", "SELECT a, b, LEVEL FROM t START WITH a = 1 CONNECT BY PRIOR b = a",
+     "_visit_connectbyop"),
+    ("oracle", "SELECT a, ROWNUM FROM t WHERE ROWNUM <= 5", "_visit_rownumberop"),
+    ("db2", "SELECT t.a, dim.w FROM t JOIN dim ON t.b < dim.w", "_visit_nestedloopjoinop"),
+]
+
+
+@pytest.mark.parametrize(
+    "dialect, sql, visitor", _SHAPES, ids=[visitor for _, _, visitor in _SHAPES]
+)
+def test_each_planned_shape_reaches_its_visitor_clean(planned_db, monkeypatch, dialect, sql, visitor):
+    """A CTE, a CONNECT BY, a ROWNUM and a non-equi join each plan to the
+    operator their visitor models, and the verifier passes it clean."""
+    from repro.verify.plan import PlanVerifier
+
+    db, _ = planned_db
+    visits = []
+    real = getattr(PlanVerifier, visitor)
+
+    def noting(self, op):
+        visits.append(type(op).__name__)
+        return real(self, op)
+
+    monkeypatch.setattr(PlanVerifier, visitor, noting)
+    issues = verify_plan(_plan(db, db.connect(dialect), sql), database=db)
+    assert visits and issues == [], [issue.render() for issue in issues]
 
 
 # -- the differential corpus ---------------------------------------------------

@@ -235,7 +235,7 @@ class TestEngineIntegration:
         from repro.database import Database
         from repro.workloads.tpcds import flush_tables
 
-        db = Database(parallelism=2, morsel_rows=64)
+        db = Database(parallelism=2)
         session = db.connect("db2")
         session.execute("CREATE TABLE s (a INT, b INT)")
         session.execute(
