@@ -25,8 +25,9 @@ real MPP systems).
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.autoconfig import shards_for_cluster
 from repro.cluster.hardware import HardwareSpec, detect_hardware
@@ -44,7 +45,7 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.parallel import WorkerPool, default_parallelism, greedy_makespan
-from repro.serving.normalize import statement_key
+from repro.serving.normalize import StatementKey, is_volatile, statement_key
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.planner import (
@@ -108,6 +109,21 @@ class QueryStats:
     #: Scatter degree of parallelism and per-worker busy seconds.
     parallelism: int = 1
     worker_busy: dict = field(default_factory=dict)
+    #: Where the shards' plans came from, over every shard execution of
+    #: the statement: ``cached`` or ``fresh (<why>)`` -> executions.
+    plans: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class FragmentKey:
+    """The plan-cache key a shard runs one fragment of a statement under
+    (:func:`_fragment_key`): the statement's ``tokens`` and ``bypass``, the
+    fragment's own ``template`` and the ``slots`` that occur in it."""
+
+    tokens: tuple
+    bypass: str | None
+    template: tuple
+    slots: tuple[int, ...]
 
 
 class ClusterSession:
@@ -266,30 +282,42 @@ class Cluster:
     def execute(self, sql: str, session: ClusterSession | None = None) -> Result:
         session = session or self.connect()
         # Keyed through the coordinator's text memo, like Session and the
-        # gateway: a read the cluster has seen is not lexed again.  No
-        # reference to the key outlives the parse: a bulk INSERT's tokens
-        # are big, and only a remembered read's are kept.
-        node = parse_statement(
-            sql, statement_key(sql, self.coordinator.plan_cache).tokens
-        )
-        return self.execute_ast(node, session)
+        # gateway: a read the cluster has seen is not lexed again.  The key
+        # goes down the statement's calls as an argument, so each shard
+        # can cache its fragment's plan, and nothing keeps it past the
+        # statement.  A bulk INSERT's tokens are big and nothing plans
+        # them: its key goes at the parse.
+        key = statement_key(sql, self.coordinator.plan_cache)
+        node = parse_statement(sql, key.tokens)
+        if isinstance(node, ast.Insert) and node.select is None:
+            key = None
+        return self.execute_ast(node, session, key)
 
-    def execute_ast(self, node: ast.Node, session: ClusterSession) -> Result:
+    def execute_ast(
+        self, node: ast.Node, session: ClusterSession, key: StatementKey | None = None
+    ) -> Result:
+        """Run one statement.  *key* is the ``statement_key`` of the text
+        *node* was parsed from: with it each shard caches the plan of its
+        fragment (:func:`_fragment_key`); without it shards plan afresh."""
         self.last_stats = QueryStats()
         if isinstance(node, ast.Select):
-            return self._execute_select(node, session)
+            return self._execute_select(node, session, key)
         if (
             isinstance(node, ast.ExplainStatement)
             and node.analyze
             and isinstance(node.statement, ast.Select)
         ):
-            return self._explain_analyze(node.statement, session)
+            if key is not None:  # the explained SELECT is the read
+                key = replace(
+                    key, bypass="volatile" if is_volatile(key.tokens) else None
+                )
+            return self._explain_analyze(node.statement, session, key)
         if isinstance(node, ast.CreateTable):
             return self._execute_create_table(node, session)
         if isinstance(node, ast.Insert):
-            return self._execute_insert(node, session)
+            return self._execute_insert(node, session, key)
         if isinstance(node, (ast.Update, ast.Delete)):
-            return self._broadcast_dml(node, session)
+            return self._broadcast_dml(node, session, key)
         if isinstance(node, (ast.DropTable, ast.TruncateTable)):
             return self._execute_drop_or_truncate(node, session)
         # Views, sequences, aliases, SET, EXPLAIN, VALUES, CALL: coordinator.
@@ -335,7 +363,7 @@ class Cluster:
             raise UnknownObjectError("table %s is not a cluster table" % name.upper())
         return info
 
-    def _execute_insert(self, node: ast.Insert, session) -> Result:
+    def _execute_insert(self, node: ast.Insert, session, key) -> Result:
         name = node.table.name.upper()
         info = self._dist_info(name)
         schema = self.shards[0].engine.catalog.get_table(name).table.schema
@@ -344,7 +372,7 @@ class Cluster:
         if node.rows is not None:
             raw_rows = self.coordinator.evaluate_rows(node.rows, session.inner)
         else:
-            raw_rows = self._execute_select(node.select, session).rows
+            raw_rows = self._execute_select(node.select, session, key).rows
         rows = schema_rows(raw_rows, targets, names)
         count = self._insert_rows(name, info, names, rows, session)
         self.last_stats.mode = "dml"
@@ -400,12 +428,14 @@ class Cluster:
     def _shard_table(self, shard: Shard, name: str):
         return shard.engine.catalog.get_table(name).table
 
-    def _broadcast_dml(self, node, session) -> Result:
+    def _broadcast_dml(self, node, session, key) -> Result:
+        """Run an UPDATE or DELETE on every shard.  The statement is its own
+        fragment, so its *key* is each shard's plan-cache key as it is."""
         total = 0
         for shard in self.shards.values():
             self._check_owner_alive(shard.shard_id)
             result = shard.engine.execute_ast(
-                node, shard.engine.connect(session.dialect.name)
+                node, shard.engine.connect(session.dialect.name), key=key
             )
             total += max(result.rowcount, 0)
             shard.sync_fileset()
@@ -420,14 +450,14 @@ class Cluster:
 
     # -- SELECT ------------------------------------------------------------------------
 
-    def _execute_select(self, select: ast.Select, session) -> Result:
-        global_select, relations = self._shard_phase(select, session)
+    def _execute_select(self, select: ast.Select, session, key) -> Result:
+        global_select, relations = self._shard_phase(select, session, key)
         return self.coordinator.execute_ast(
             global_select, session.inner, relations=relations
         )
 
     def _shard_phase(
-        self, select: ast.Select, session
+        self, select: ast.Select, session, key
     ) -> tuple[ast.Select, dict[str, MaterialRel]]:
         """Run the shard side of a SELECT; returns the statement left for
         the coordinator and the gathered relations it reads."""
@@ -438,24 +468,25 @@ class Cluster:
         aggregates = _collect_aggregates(select)
         reason = self._needs_gather_fallback(select) or _unsplittable(aggregates)
         if reason is not None:
-            return self._gather_fallback(select, session, reason)
+            return self._gather_fallback(select, session, reason, key)
         if aggregates:
             try:
-                return self._two_phase(select, session)
+                return self._two_phase(select, session, key)
             except NumericOverflowError:
                 # A shard's partial sum left int64; whether a group's whole
                 # sum does is decided over the gathered rows.
-                return self._gather_fallback(select, session, "partial-overflow")
+                return self._gather_fallback(select, session, "partial-overflow", key)
         # GROUP BY without aggregates deduplicates like DISTINCT; the global
         # phase must dedup across shards.
         force_distinct = bool(select.group_by)
-        return self._scatter_concat(select, session, force_distinct=force_distinct)
+        return self._scatter_concat(select, session, key, force_distinct)
 
-    def _explain_analyze(self, select: ast.Select, session) -> Result:
+    def _explain_analyze(self, select: ast.Select, session, key) -> Result:
         """Distributed EXPLAIN ANALYZE: run the shard phase, then report the
-        MPP shape (mode, shards, gather volume, skew) plus the coordinator's
-        annotated global plan over the gathered partials."""
-        global_select, relations = self._shard_phase(select, session)
+        MPP shape (mode, shards, gather volume, skew, where the shards'
+        plans came from) plus the coordinator's annotated global plan over
+        the gathered partials."""
+        global_select, relations = self._shard_phase(select, session, key)
         stats = self.last_stats
         head = "MPP %s: shards=%d rows_gathered=%d gather=%.3fms skew=%.2f" % (
             stats.mode,
@@ -463,6 +494,10 @@ class Cluster:
             stats.rows_gathered,
             stats.gather_seconds * 1e3,
             stats.skew_ratio,
+        )
+        total = sum(stats.plans.values())
+        head += " plans=" + ", ".join(
+            "%s %d/%d" % (origin, n, total) for origin, n in sorted(stats.plans.items())
         )
         if stats.fallback_reason:
             head += " columns=%d/%d reason=%s" % (
@@ -548,14 +583,17 @@ class Cluster:
             return "no-from"
         return None
 
-    def _run_on_shards(self, select: ast.Select, session) -> list[Result]:
+    def _run_on_shards(self, select: ast.Select, session, key) -> list[Result]:
         """Scatter one statement to every shard.
 
         Shards dispatch onto the cluster worker pool in ascending shard-id
         order and the pool gathers results in that same submission order,
         so downstream combines (gather table inserts, two-phase global
-        aggregation) see a deterministic shard sequence at any DOP.
+        aggregation) see a deterministic shard sequence at any DOP.  Each
+        shard runs the fragment under one key (:func:`_fragment_key`), so
+        a repeat only binds the plan its engine cached.
         """
+        fragment = _fragment_key(select, key)
         shard_ids = sorted(self.shards)
         for sid in shard_ids:
             self._check_owner_alive(sid)
@@ -567,9 +605,14 @@ class Cluster:
         def run_shard(sid: int) -> Result:
             shard = self.shards[sid]
             shard_session = shard.engine.connect(dialect)
-            return shard.engine.execute_ast(select, shard_session, snapshot=pinned.get(sid))
+            return shard.engine.execute_ast(
+                select, shard_session, snapshot=pinned.get(sid), key=fragment
+            )
 
         results = self.pool.map(run_shard, shard_ids, label="scatter")
+        plans = self.last_stats.plans
+        for result in results:
+            plans[result.plan] = plans.get(result.plan, 0) + 1
         run = self.pool.last_run
         elapsed: dict[str, float] = {}
         elapsed_shard: dict[int, float] = {}
@@ -625,7 +668,7 @@ class Cluster:
         self.last_stats.gather_seconds += time.perf_counter() - t0  # lint-ok: wall-clock (same reported wall metric as above)
         return vector_relation(name, template.columns, template.dtypes, vectors)
 
-    def _scatter_concat(self, select: ast.Select, session, force_distinct=False):
+    def _scatter_concat(self, select: ast.Select, session, key, force_distinct=False):
         """Non-aggregate scatter: shards run the body, coordinator finishes."""
         self.last_stats.mode = "scatter"
         partial = ast.Select(
@@ -641,7 +684,7 @@ class Cluster:
         if select.limit is not None and select.offset is None and not select.order_by:
             partial.limit = select.limit
             partial.limit_syntax = "fetch"
-        results = self._run_on_shards(partial, session)
+        results = self._run_on_shards(partial, session, key)
         template = results[0]
         global_select = ast.Select(
             items=[
@@ -656,7 +699,7 @@ class Cluster:
         )
         return global_select, {_GATHER_TABLE: self._gather(results)}
 
-    def _two_phase(self, select: ast.Select, session):
+    def _two_phase(self, select: ast.Select, session, key):
         """Split aggregates into shard partials plus a global combine.
 
         DISTINCT aggregates (one shared argument, see :func:`_unsplittable`)
@@ -671,7 +714,7 @@ class Cluster:
         # Partial select: group-key expressions + partial aggregates.
         partial_items = []
         for i, g in enumerate(group_by):
-            partial_items.append(ast.SelectItem(_deep(g), alias="__G%d" % i))
+            partial_items.append(ast.SelectItem(g, alias="__G%d" % i))
         global_items = []
         for index, item in enumerate(select.items):
             alias = item.alias or _default_name(item.expr, index)
@@ -695,12 +738,12 @@ class Cluster:
                         item.nulls_first,
                     )
                 )
-        partial_group_by = [_deep(g) for g in group_by]
+        partial_group_by = list(group_by)
         if rewriter.distinct_arg is not None:
             partial_items.append(
-                ast.SelectItem(_deep(rewriter.distinct_arg), alias=_DISTINCT_COLUMN)
+                ast.SelectItem(rewriter.distinct_arg, alias=_DISTINCT_COLUMN)
             )
-            partial_group_by.append(_deep(rewriter.distinct_arg))
+            partial_group_by.append(rewriter.distinct_arg)
         partial_items.extend(rewriter.partial_items)
         partial = ast.Select(
             items=partial_items,
@@ -709,7 +752,7 @@ class Cluster:
             group_by=partial_group_by,
             connect_by=select.connect_by,
         )
-        results = self._run_on_shards(partial, session)
+        results = self._run_on_shards(partial, session, key)
         global_select = ast.Select(
             items=global_items,
             from_items=[ast.TableRef([_GATHER_TABLE])],
@@ -723,7 +766,7 @@ class Cluster:
         )
         return global_select, {_GATHER_TABLE: self._gather(results)}
 
-    def _gather_fallback(self, select: ast.Select, session, reason: str):
+    def _gather_fallback(self, select: ast.Select, session, reason: str, key):
         """Gather what the statement can read of every referenced cluster
         table, under the table's own name, and run the statement locally."""
         stats = self.last_stats
@@ -745,7 +788,7 @@ class Cluster:
                 items=[ast.SelectItem(ast.Identifier([c])) for c in wanted],
                 from_items=[ast.TableRef([table])],
             )
-            relations[table] = self._gather(self._run_on_shards(pull, session), table)
+            relations[table] = self._gather(self._run_on_shards(pull, session, key), table)
         return select, relations
 
     def _reachable(self, select: ast.Select) -> tuple[set[str], set[str] | None]:
@@ -787,12 +830,6 @@ class Cluster:
 # --------------------------------------------------------------------------
 # AST utilities for the splitter
 # --------------------------------------------------------------------------
-
-
-def _deep(node):
-    import copy
-
-    return copy.deepcopy(node)
 
 
 def _ast_walk(node):
@@ -869,19 +906,52 @@ def _table_refs(item):
         yield from _table_refs(item.right)
 
 
-def _ast_signature(node) -> tuple:
+#: AST class -> the fields a node's identity is made of (a literal's
+#: token ``slot`` is not one: it is ``compare=False``).
+_IDENTITY: dict[type, tuple[str, ...]] = {}
+_SLOTTED = (ast.NumberLit, ast.StringLit, ast.TypedLit)
+
+
+def _ast_signature(node, slots: list | None = None):
+    """*node* as a hashable value, equal for equal nodes wherever in the
+    statement their literals were spelled.
+
+    Given a *slots* list, a literal that a token spelled stands as its
+    slot instead of its value, and the slot is appended to *slots*: that
+    is *node*'s template, which each statement's tokens fill in."""
+    if isinstance(node, (list, tuple)):
+        return tuple([_ast_signature(item, slots) for item in node])
     if not isinstance(node, ast.Node):
-        return ("value", node)
-    parts = [type(node).__name__]
-    for name in node.__dataclass_fields__:
-        value = getattr(node, name)
-        if isinstance(value, ast.Node):
-            parts.append(_ast_signature(value))
-        elif isinstance(value, (list, tuple)):
-            parts.append(tuple(_ast_signature(v) if isinstance(v, ast.Node) else v for v in value))
-        else:
-            parts.append(value)
-    return tuple(parts)
+        return node
+    cls = type(node)
+    if slots is not None and cls in _SLOTTED and node.slot is not None:
+        slots.append(node.slot)
+        return ("?", cls.__name__, getattr(node, "type_name", None), node.slot)
+    names = _IDENTITY.get(cls)
+    if names is None:
+        names = _IDENTITY[cls] = tuple([f.name for f in fields(cls) if f.compare])
+    return (cls.__name__,) + tuple(
+        [_ast_signature(getattr(node, name), slots) for name in names]
+    )
+
+
+def _fragment_key(fragment: ast.Select, key) -> FragmentKey | StatementKey | None:
+    """The plan-cache key the shards run *fragment* under, for the
+    statement whose *key* it was rewritten from (None: no key, and each
+    shard plans for itself).
+
+    Not the statement's template: the rewrite reads literal values
+    (``SUM(a+1)+SUM(a+2)`` makes two partial columns, ``SUM(a+3)+SUM(a+3)``
+    one), so a fragment is keyed by its own structure with each slotted
+    literal standing as its slot.  The plan cache pins every slot a plan
+    does not bind late, so a GROUP BY ordinal or ``FETCH FIRST n`` the
+    fragment holds stays exact.  A key that bypasses the cache is passed
+    as it is: the shard only counts why."""
+    if key is None or key.bypass is not None:
+        return key
+    slots: list[int] = []
+    template = _ast_signature(fragment, slots)
+    return FragmentKey(key.tokens, None, template, tuple(sorted(set(slots))))
 
 
 class _AggregateSplitter:
@@ -911,7 +981,7 @@ class _AggregateSplitter:
     def _rewrite_children(self, node, group_by):
         if not isinstance(node, ast.Node):
             return node
-        clone = _deep(node)
+        clone = copy.copy(node)
         for name in clone.__dataclass_fields__:
             value = getattr(clone, name)
             if isinstance(value, ast.ExprNode):
@@ -945,7 +1015,7 @@ class _AggregateSplitter:
             )
         elif func in ("COUNT",):
             alias = self._fresh()
-            self.partial_items.append(ast.SelectItem(_deep(call), alias=alias))
+            self.partial_items.append(ast.SelectItem(call, alias=alias))
             # A COUNT is never NULL, even when no shard answered a row
             # (shards grouping by a DISTINCT argument over no data).
             combined = ast.FunctionCall(
@@ -954,16 +1024,16 @@ class _AggregateSplitter:
             )
         elif func in ("SUM", "MIN", "MAX"):
             alias = self._fresh()
-            self.partial_items.append(ast.SelectItem(_deep(call), alias=alias))
+            self.partial_items.append(ast.SelectItem(call, alias=alias))
             combined = ast.FunctionCall(func, [ast.Identifier([alias])])
         elif func == "AVG":
             sum_alias = self._fresh()
             count_alias = self._fresh()
             self.partial_items.append(
-                ast.SelectItem(ast.FunctionCall("SUM", [_deep(call.args[0])]), alias=sum_alias)
+                ast.SelectItem(ast.FunctionCall("SUM", [call.args[0]]), alias=sum_alias)
             )
             self.partial_items.append(
-                ast.SelectItem(ast.FunctionCall("COUNT", [_deep(call.args[0])]), alias=count_alias)
+                ast.SelectItem(ast.FunctionCall("COUNT", [call.args[0]]), alias=count_alias)
             )
             combined = ast.BinaryOp(
                 "/",

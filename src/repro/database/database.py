@@ -406,8 +406,7 @@ class Database:
     #: AST node (or bound UPDATE / DELETE) -> attribute holding the target
     #: table reference.
     _TARGET_ATTRS = {
-        ast.Insert: "table", ast.Update: "table", ast.Delete: "table",
-        PlannedWrite: "ref",
+        ast.Insert: "table", PlannedWrite: "ref",
         ast.CreateTable: "name", ast.DropTable: "name",
         ast.TruncateTable: "name", ast.CreateView: "name",
         ast.DropView: "name",
@@ -520,6 +519,7 @@ class Database:
         session: Session | None = None,
         snapshot: Snapshot | None = None,
         relations: dict | None = None,
+        key=None,
     ) -> Result:
         """Execute a pre-parsed statement (used by the MPP layer, which
         rewrites ASTs for partial/global aggregation).  ``snapshot`` pins
@@ -529,14 +529,20 @@ class Database:
         relations this one read statement may name like tables — the
         coordinator's gathered partials; they shadow catalog objects and
         are gone when the statement returns: they ride a statement-scoped
-        thread-local, like the snapshot, to every planner it builds."""
+        thread-local, like the snapshot, to every planner it builds.
+
+        With a *key* (``tokens``, ``bypass``, ``template``, ``slots``, as a
+        :class:`StatementKey` has them; the literals of *node* carry slots
+        into its ``tokens``) a SELECT, UPDATE or DELETE asks the plan cache
+        exactly as a text would, and *node* is planned only on a miss.
+        Without one it plans for itself (``ast-entry``)."""
         session = session or self.connect()
         if relations and not isinstance(node, self._READ_NODES):
             raise SQLError("only a read statement can name in-memory relations")
         prev_relations = getattr(self._tls, "relations", None)
         self._tls.relations = relations
         try:
-            return self._execute_node(node, session, snapshot=snapshot)
+            return self._execute_node(node, session, snapshot=snapshot, key=key)
         finally:
             self._tls.relations = prev_relations
 
@@ -581,11 +587,11 @@ class Database:
         """The bound plan of one SELECT execution, and where it came from
         (``cached`` or ``fresh (<why>)``).
 
-        With a cacheable *key* the plan cache is asked first and *node* is
-        not needed: a miss parses *sql* from the key's tokens (whose
-        indexes are the literal slots), plans it with its literals tracked,
-        and stores the plan unless planning found it single-use.  Every
-        execution is counted once: hit, miss or a bypass reason."""
+        With a cacheable *key* the plan cache is asked first: a miss plans
+        *node* — parsed from the key's tokens (whose indexes are the
+        literal slots) when it was not handed one — with its literals
+        tracked, and stores the plan unless planning found it single-use.
+        Every execution is counted once: hit, miss or a bypass reason."""
         cache = self.plan_cache
         if getattr(self._tls, "relations", None):
             reason = "relations"
@@ -608,7 +614,8 @@ class Database:
                 else:
                     cache.count("hit")
                     return bound, "cached"
-            node = self._parse(sql, tokens)  # SELECT / WITH: always an ast.Select
+            if node is None:
+                node = self._parse(sql, tokens)  # SELECT / WITH: an ast.Select
         slots = LiteralSlots() if reason is None else None
         planner = self._planner(session, snapshot, slots)
         planned = planner.plan(node)
@@ -639,7 +646,7 @@ class Database:
         self.last_scans = []
         tracer = self.tracer
         with tracer.span("plan"):
-            planned, _origin = self._bound_select(node, session, snapshot, key, sql)
+            planned, origin = self._bound_select(node, session, snapshot, key, sql)
         if os.environ.get(VERIFY_PLANS_ENV_VAR, "") not in ("", "0"):
             from repro.verify.plan import check_plan
 
@@ -654,6 +661,7 @@ class Database:
         result = result_from_batch(batch, planned.names, planned.keys, planned.dtypes)
         result.lineage = planned.lineage
         result.filters = planned.read_filters()
+        result.plan = origin
         return result
 
     #: Statement classes that never mutate shared database state: they run
@@ -676,7 +684,7 @@ class Database:
     ) -> Result:
         """Statement wrapper: spans, per-statement stats, query history."""
         if not isinstance(node, self._READ_NODES):
-            return self._execute_write_node(node, session, sql)
+            return self._execute_write_node(node, session, sql, key)
         body = lambda snap: self._dispatch_node(node, session, snap, key)
         return self._read_statement(type(node).__name__, session, sql, snapshot, body)
 
@@ -743,8 +751,9 @@ class Database:
         concurrent snapshot readers either see all of the statement's
         effects or none.  On failure both the WAL buffer (durability
         abort) and the version stamps (MVCC rollback) are reverted.
-        *node* None is an UPDATE or DELETE text (*key*), parsed only if its
-        plan is not cached (:meth:`_write_plan`).
+        An UPDATE or DELETE with a *key* asks the plan cache first
+        (:meth:`_write_plan`); *node* None is such a text, parsed only if
+        its plan is not cached.
         """
         statement = type(node).__name__ if node is not None else key.tokens[0].key.title()
         with self._statement_lock:
@@ -764,9 +773,9 @@ class Database:
                     # the flush).  A commit that fails (a crashed host)
                     # aborts the MVCC transaction like any failed statement.
                     try:
-                        if node is None:
+                        if node is None or isinstance(node, (ast.Update, ast.Delete)):
                             # the bound plan names the target, as a node would
-                            result, node = self._execute_dml(None, session, key, sql)
+                            result, node = self._execute_dml(node, session, key, sql)
                         else:
                             result = self._dispatch_node(node, session)
                         if self.durability is not None:
@@ -806,8 +815,6 @@ class Database:
             return self._execute_values(node, session, snapshot)
         if isinstance(node, ast.Insert):
             return self._execute_insert(node, session)
-        if isinstance(node, (ast.Update, ast.Delete)):
-            return self._execute_dml(node, session)[0]
         if isinstance(node, ast.CreateTable):
             return self._execute_create_table(node, session)
         if isinstance(node, ast.DropTable):
@@ -1082,9 +1089,9 @@ class Database:
         self, node, session: Session, key: StatementKey | None = None, sql: str | None = None
     ) -> PlannedWrite:
         """The bound plan of one UPDATE or DELETE, cached and counted like a
-        SELECT's: a text (*key*) asks the plan cache first and is parsed
-        only when its template must be planned; an AST (*node*: blocks,
-        CALL, the cluster's shards) plans for itself (``ast-entry``)."""
+        SELECT's: with a *key* the plan cache is asked first, and a text
+        is parsed only when its template must be planned; an AST with no
+        key (blocks, CALL) plans for itself (``ast-entry``)."""
         cache = self.plan_cache
         reason = "ast-entry" if key is None else None
         tokens = None

@@ -55,11 +55,12 @@ from repro.verify import sanitizer
 #: Why a SELECT, UPDATE or DELETE execution planned for itself alone: the
 #: text is not a cacheable read (the three reasons :func:`statement_key`
 #: gives; an INSERT or DDL is ``not-a-read``), it is a VALUES statement
-#: (nothing is planned), it arrived as an AST (``execute_ast``: no text,
-#: no key) or with statement-scoped relations, it reads or writes a session
-#: temp table or reads a federation nickname, planning folded a subquery's
-#: answer into it, or a late-bound constant did not fit where the cached
-#: plan's did.
+#: (nothing is planned), it arrived as an AST with no key (``ast-entry``:
+#: a statement of a block, or a direct ``execute_ast`` call; a cluster
+#: passes its shards the statement's key) or with statement-scoped
+#: relations, it reads or writes a session temp table or reads a
+#: federation nickname, planning folded a subquery's answer into it, or a
+#: late-bound constant did not fit where the cached plan's did.
 PLAN_BYPASS_REASONS = BYPASS_REASONS + (
     "values", "ast-entry", "relations", "temp-table", "nickname",
     "plan-time-subquery", "literal-shape",

@@ -23,7 +23,9 @@ class Result:
     (:class:`repro.sql.planner.PlanLineage`, sealed): what the serving
     result cache keeps the answer under; ``filters`` what a row of each
     table it read had to pass to reach this answer
-    (:meth:`repro.sql.planner.PlannedQuery.read_filters`).
+    (:meth:`repro.sql.planner.PlannedQuery.read_filters`); ``plan`` where
+    a SELECT's plan came from, as EXPLAIN prints it (``cached`` or ``fresh
+    (<why>)``; None for any other statement).
     """
 
     def __init__(
@@ -45,6 +47,7 @@ class Result:
         self.vectors = vectors
         self.lineage = lineage
         self.filters = filters
+        self.plan = None
 
     @property
     def rows(self) -> list[tuple]:

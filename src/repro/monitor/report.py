@@ -141,14 +141,43 @@ def cluster_report(cluster) -> dict:
             "gather_seconds": last.gather_seconds,
             "parallelism": last.parallelism,
             "worker_busy": dict(last.worker_busy),
+            "plans": dict(last.plans),
         },
         "gather_fallbacks": dict(cluster.fallback_counts),
+        "plan_cache": _shard_plan_cache_report(cluster),
         "parallel": worker_pool_report(cluster.pool),
         "tables": {
             name: cluster.total_rows(name) for name in sorted(cluster.tables)
         },
         "coordinator": database_report(cluster.coordinator),
         "durability": _cluster_durability_report(cluster),
+    }
+
+
+def _shard_plan_cache_report(cluster) -> dict:
+    """The shard engines' plan caches — hits, misses and bypasses by
+    reason — summed and per shard.  (The coordinator's own is under
+    ``coordinator``.)"""
+    hits = misses = 0
+    reasons: dict[str, int] = {}
+    per_shard = {}
+    for sid in sorted(cluster.shards):
+        report = cluster.shards[sid].engine.plan_cache.report()
+        per_shard[sid] = {
+            "hits": report["hits"],
+            "misses": report["misses"],
+            "bypass_reasons": report["bypass_reasons"],
+        }
+        hits += report["hits"]
+        misses += report["misses"]
+        for reason, n in report["bypass_reasons"].items():
+            reasons[reason] = reasons.get(reason, 0) + n
+    return {
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "bypass_reasons": reasons,
+        "per_shard": per_shard,
     }
 
 

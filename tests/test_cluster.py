@@ -565,9 +565,9 @@ class TestColumnarGather:
         asked = []
         run_on_shards = cluster._run_on_shards
 
-        def recording(select, session):
+        def recording(select, session, key):
             asked.append([item.expr.parts[-1] for item in select.items])
-            return run_on_shards(select, session)
+            return run_on_shards(select, session, key)
 
         monkeypatch.setattr(cluster, "_run_on_shards", recording)
         got, want = cs.execute(sql), single.execute(sql)

@@ -246,6 +246,131 @@ def test_parallel_cluster_really_scattered_concurrently(mpp_engines):
     assert cluster.pool.runs_total > 0
 
 
+#: Statements for the cluster's cached-fragment oracle, in running order:
+#: ``(sql, compared with single node by)`` — ``"rows"`` (sorted) or
+#: ``"count"`` (a FETCH FIRST with no ORDER BY: which rows is the
+#: engine's choice).  Each template comes back with other literals, so a
+#: fragment plan cached for the wrong statement answers wrongly.
+_FRAGMENT_STATEMENTS = [
+    # the rewrite reads literal values: one partial, then two; a statement
+    # keyed by its own template would bind (5, 3) to the one-partial plan
+    ("SELECT SUM(a + 3) + SUM(a + 3) FROM t", "rows"),
+    ("SELECT SUM(a + 1) + SUM(a + 2) FROM t", "rows"),
+    ("SELECT SUM(a + 5) + SUM(a + 3) FROM t", "rows"),
+    ("SELECT SUM(a + 3) + SUM(a + 3) FROM t", "rows"),
+    ("SELECT c, SUM(b + 1) + SUM(b + 2), COUNT(*) FROM t GROUP BY c ORDER BY 1", "rows"),
+    ("SELECT c, SUM(b + 3) + SUM(b + 3), COUNT(*) FROM t GROUP BY c ORDER BY 1", "rows"),
+    ("SELECT c, SUM(b + 1) + SUM(b + 2), COUNT(*) FROM t GROUP BY c ORDER BY 1", "rows"),
+    # GROUP BY / ORDER BY ordinals of different values
+    ("SELECT c, a % 3, SUM(b) FROM t GROUP BY 1, 2 ORDER BY 3, 1, 2", "rows"),
+    ("SELECT c, a % 4, SUM(b) FROM t GROUP BY 2, 1 ORDER BY 2, 1, 3", "rows"),
+    ("SELECT a % 3, c FROM t GROUP BY 1, 2 ORDER BY 1, 2", "rows"),  # scatter
+    ("SELECT c, a % 4 FROM t GROUP BY 2, 1 ORDER BY 2, 1", "rows"),
+    ("SELECT a, b FROM t WHERE b > 900 ORDER BY 2, 1", "rows"),
+    ("SELECT a, b FROM t WHERE b > 950 ORDER BY 1, 2", "rows"),
+    # FETCH FIRST n, pushed to the shards: one n under, one over the rows
+    ("SELECT a, b FROM t WHERE a < 3 FETCH FIRST 2 ROWS ONLY", "count"),
+    ("SELECT a, b FROM t WHERE a < 3 FETCH FIRST 900 ROWS ONLY", "count"),
+    ("SELECT a, b FROM t WHERE a < 3 FETCH FIRST 2 ROWS ONLY", "count"),
+    ("SELECT a, b FROM t WHERE a < 4 ORDER BY 1, 2 FETCH FIRST 3 ROWS ONLY", "rows"),
+    # exact in INT and bound late, then a constant that does not fit
+    ("SELECT COUNT(*), SUM(b) FROM t WHERE a <= 2.0", "rows"),
+    ("SELECT COUNT(*), SUM(b) FROM t WHERE a <= 2.5", "rows"),
+    ("SELECT COUNT(*), SUM(b) FROM t WHERE a <= 7.0", "rows"),
+    # volatile: never stored on a shard
+    ("SELECT COUNT(*) FROM t WHERE RAND() < 2", "rows"),
+    ("SELECT COUNT(*), MIN(b) FROM t WHERE CURRENT_DATE > DATE '2000-01-01'", "rows"),
+    # a side table, dropped and created again with other types (below)
+    ("SELECT k, x FROM u WHERE k >= 1 ORDER BY 1", "rows"),
+    ("SELECT COUNT(*), MAX(x) FROM u WHERE k > 0", "rows"),
+]
+
+_FRAGMENT_SHAPES = [
+    ("CREATE TABLE u (k INT, x INT)", "INSERT INTO u VALUES (1, 10), (2, 20), (3, 30)"),
+    ("CREATE TABLE u (k INT, x VARCHAR(6))", "INSERT INTO u VALUES (1, 'ten'), (2, 'twenty')"),
+]
+
+
+@pytest.mark.parametrize("dop", [1, 4])
+def test_cluster_cached_fragment_plans_equal_fresh_ones(dop):
+    """Each shard caches its fragment's plan under the fragment's own
+    template.  Every statement runs on a cluster through its shards'
+    caches, on a twin cluster whose shard caches were just cleared, and on
+    a single node: the cached run equals the fresh one exactly (columns,
+    rows in order, dtypes, or the error class) and both answer like the
+    single node.  The list runs forward, then backward after ``u`` changed
+    its column types, so each statement binds a plan that a statement of
+    other literals left."""
+    from repro.cluster import Cluster, HardwareSpec
+    from repro.errors import SQLError
+
+    single = Database().connect("db2")
+    hw = HardwareSpec(cores=2, ram_gb=16, storage_tb=1)
+    cached_cluster, fresh_cluster = (
+        Cluster([hw, hw], parallelism=dop) for _ in range(2)
+    )
+    cached_session, fresh_session = cached_cluster.connect("db2"), fresh_cluster.connect("db2")
+    sessions = (single, cached_session, fresh_session)
+    ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
+    single.execute(ddl)
+    cached_session.execute(ddl + " DISTRIBUTE BY HASH (a)")
+    fresh_session.execute(ddl + " DISTRIBUTE BY HASH (a)")
+    rows = "INSERT INTO t VALUES " + ", ".join(_build_rows(61)[:1200])
+    for session in sessions:
+        session.execute(rows)
+        for statement in _FRAGMENT_SHAPES[0]:
+            session.execute(statement)
+
+    def outcome(session, sql):
+        try:
+            result = session.execute(sql)
+        except SQLError as exc:
+            return type(exc).__name__
+        return result.columns, result.rows, [str(d) for d in result.dtypes]
+
+    shards = [shard.engine for shard in cached_cluster.shards.values()]
+    origins: dict[str, list] = {}
+    for round_, statements in enumerate(
+        (_FRAGMENT_STATEMENTS, _FRAGMENT_STATEMENTS[::-1])
+    ):
+        if round_:
+            for session in sessions:
+                session.execute("DROP TABLE u")
+                for statement in _FRAGMENT_SHAPES[1]:
+                    session.execute(statement)
+        for sql, by in statements:
+            cached = outcome(cached_session, sql)
+            origins.setdefault(sql, []).append(dict(cached_cluster.last_stats.plans))
+            for shard in fresh_cluster.shards.values():
+                shard.engine.plan_cache.clear()
+            fresh = outcome(fresh_session, sql)
+            assert cached == fresh, "cached fragment plan diverges (DOP %d): %s" % (dop, sql)
+            want = outcome(single, sql)
+            assert not isinstance(want, str), (sql, want)  # every statement answers
+            assert not isinstance(fresh, str), (sql, fresh)
+            if by == "count":
+                assert len(fresh[1]) == len(want[1]), sql
+            else:
+                assert _normalise(fresh[1]) == _normalise(want[1]), sql
+    n = cached_cluster.n_shards
+    miss, hit = {"fresh (miss)": n}, {"cached": n}
+    # The SUM pairs share the statement's template, not a fragment's.
+    assert origins["SELECT SUM(a + 3) + SUM(a + 3) FROM t"] == [miss, hit, hit, hit]
+    assert origins["SELECT SUM(a + 1) + SUM(a + 2) FROM t"][0] == miss
+    assert origins["SELECT SUM(a + 5) + SUM(a + 3) FROM t"][0] == hit
+    assert origins["SELECT a, b FROM t WHERE b > 950 ORDER BY 1, 2"][0] == hit
+    assert origins["SELECT a, b FROM t WHERE a < 3 FETCH FIRST 900 ROWS ONLY"][0] == miss
+    assert origins["SELECT COUNT(*), SUM(b) FROM t WHERE a <= 2.5"][0] == {
+        "fresh (literal-shape)": n
+    }
+    for sql in ("SELECT COUNT(*) FROM t WHERE RAND() < 2",
+                "SELECT COUNT(*), MIN(b) FROM t WHERE CURRENT_DATE > DATE '2000-01-01'"):
+        assert origins[sql] == [{"fresh (volatile)": n}] * 2
+    assert origins["SELECT k, x FROM u WHERE k >= 1 ORDER BY 1"] == [miss, miss]
+    assert all(engine.plan_cache.stats.invalidations >= 2 for engine in shards)
+    assert sum(engine.plan_cache.stats.hits for engine in shards) >= 15 * n
+
+
 @pytest.fixture(scope="module")
 def traced_pair():
     """The same data loaded into a traced and an untraced engine."""

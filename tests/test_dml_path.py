@@ -438,6 +438,33 @@ class TestDmlPlanCache:
         assert other.execute(sql % 10).rowcount == 1  # the catalog table's
         assert other.execute("SELECT branch FROM accounts").rows == [(10,)]
 
+    def test_a_broadcast_update_hits_every_shards_cached_write(self):
+        cluster = Cluster([HardwareSpec(cores=2, ram_gb=16, storage_tb=1.0)] * 2)
+        shards = [shard.engine for shard in cluster.shards.values()]
+        assert len(shards) == 4
+        single = Database().connect("db2")
+        cs = cluster.connect("db2")
+        single.execute("CREATE TABLE z (k INT, v INT)")
+        cs.execute("CREATE TABLE z (k INT, v INT) DISTRIBUTE BY HASH (k)")
+        rows = "INSERT INTO z VALUES " + ", ".join("(%d, %d)" % (k, k % 5) for k in range(40))
+        sql = "UPDATE z SET v = v + %d WHERE k < %d"
+        for session in (single, cs):
+            session.execute(rows)
+            session.execute(sql % (2, 10))
+        counts = [(db.plan_cache.stats.hits, db.plan_cache.stats.misses) for db in shards]
+        assert all(misses == 1 for _, misses in counts)
+        for session in (single, cs):
+            assert session.execute(sql % (3, 25)).rowcount == 25
+            session.execute("DELETE FROM z WHERE v = %d" % 4)
+            session.execute("DELETE FROM z WHERE v = %d" % 5)
+        # the second UPDATE and DELETE of each template bind the shard's plan
+        assert [
+            (db.plan_cache.stats.hits - hits, db.plan_cache.stats.misses - misses)
+            for db, (hits, misses) in zip(shards, counts)
+        ] == [(2, 1)] * 4
+        query = "SELECT k, v FROM z ORDER BY 1"
+        assert cs.execute(query).rows == single.execute(query).rows
+
 
 _ORACLE_TABLES = {
     "p": "CREATE TABLE p (k INT, g INT, s VARCHAR(4))",

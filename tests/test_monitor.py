@@ -474,7 +474,8 @@ class TestPlanCacheOnTheBenchmarkPools:
     those pools that goes around the plan cache (a literal that stopped
     fitting, a plan-time subquery somebody added to a dashboard) would
     silently put planning back on the serving path, so it fails here.
-    Only the cluster's engines bypass by design — they are entered by AST."""
+    Only the cluster's coordinator bypasses by design: its global statement
+    reads the gathered partials (``relations``)."""
 
     @staticmethod
     def _bypasses(db) -> dict:
@@ -559,14 +560,40 @@ class TestPlanCacheOnTheBenchmarkPools:
         assert report["misses"] == report["templates"] <= 40
         assert report["hits"] > 4 * report["misses"]
 
-    def test_cluster_engines_bypass_as_ast_entry_and_nothing_else(self, cluster):
+    def test_cluster_shards_hit_their_fragment_plans(self, cluster):
+        # Each shard caches its fragment's plan: the second statement of a
+        # template binds it.  An INSERT ... SELECT's fragment is no read to
+        # its key (``not-a-read``).
         cluster, session = cluster
-        session.execute("SELECT AMT, COUNT(*) FROM F GROUP BY AMT")
-        session.execute("SELECT ID FROM F WHERE AMT > 5 ORDER BY 1")
         engines = [shard.engine for shard in cluster.shards.values()]
-        for engine in engines + [cluster.coordinator]:
-            assert set(self._bypasses(engine)) <= {"ast-entry", "relations", "not-a-read"}
-        assert all("ast-entry" in self._bypasses(engine) for engine in engines)
+        for engine in engines:
+            engine.plan_cache.clear()
+
+        def counts(db):
+            stats = db.plan_cache.stats
+            return stats.hits, stats.misses, dict(stats.bypass_reasons)
+
+        before = {id(db): counts(db) for db in engines + [cluster.coordinator]}
+        for sql in (
+            "SELECT AMT, COUNT(*) FROM F GROUP BY AMT",
+            "SELECT AMT, COUNT(*) FROM F GROUP BY AMT",
+            "SELECT ID FROM F WHERE AMT > 5 ORDER BY 1",
+            "SELECT ID FROM F WHERE AMT > 7 ORDER BY 1",
+            "INSERT INTO F SELECT ID + 1000, AMT FROM F WHERE ID = 1",
+            "DELETE FROM F WHERE ID > 1000",
+        ):
+            session.execute(sql)
+
+        def delta(db):
+            (h0, m0, r0), (h1, m1, r1) = before[id(db)], counts(db)
+            return h1 - h0, m1 - m0, {r: n - r0[r] for r, n in r1.items() if n != r0[r]}
+
+        for engine in engines:
+            # hits: the repeat of each SELECT template; misses: the two
+            # SELECT templates and the DELETE
+            assert delta(engine) == (2, 3, {"not-a-read": 1})
+        assert delta(cluster.coordinator) == (0, 0, {"relations": 5})
+        assert cluster.total_rows("F") == 40
 
 
 class TestLandingOnTheBenchmarkLoads:
@@ -735,7 +762,7 @@ class TestClusterObservability:
         report = cl.monreport()
         assert sorted(report) == [
             "bufferpool", "cluster", "coordinator", "durability",
-            "gather_fallbacks", "last_query", "parallel", "tables",
+            "gather_fallbacks", "last_query", "parallel", "plan_cache", "tables",
         ]
         assert report["gather_fallbacks"] == {}  # nothing fell back yet
         assert report["parallel"]["parallelism"] == cl.parallelism
@@ -746,9 +773,10 @@ class TestClusterObservability:
         assert sorted(last) == [
             "columns_pulled", "columns_total", "elapsed_by_node",
             "elapsed_by_shard", "fallback_reason", "gather_seconds", "mode",
-            "parallelism", "rows_gathered", "shards_touched", "skew_ratio",
-            "worker_busy",
+            "parallelism", "plans", "rows_gathered", "shards_touched",
+            "skew_ratio", "worker_busy",
         ]
+        assert sum(last["plans"].values()) == cl.n_shards
         assert last["mode"] == "two-phase"
         assert last["shards_touched"] == cl.n_shards
         assert last["rows_gathered"] >= 1
@@ -777,6 +805,45 @@ class TestClusterObservability:
         assert any(re.match(r"^  shard \d+ \(node\d+\): ", l) for l in lines)
         assert "  coordinator plan:" in lines
         assert any("__MPP_GATHER" in l and "rows=" in l for l in lines)
+
+    def test_monreport_sums_the_shard_plan_caches(self, cluster):
+        cl, session = cluster
+        for amt in (3, 4, 5):
+            session.execute("SELECT COUNT(*) FROM F WHERE AMT > %d" % amt)
+        assert cl.last_stats.plans == {"cached": cl.n_shards}
+        report = cl.monreport()["plan_cache"]
+        per_shard = report["per_shard"]
+        assert sorted(per_shard) == sorted(cl.shards)
+        for name in ("hits", "misses"):
+            assert report[name] == sum(shard[name] for shard in per_shard.values())
+        assert all(shard["hits"] >= 2 for shard in per_shard.values())
+        assert report["bypass_reasons"] == {
+            reason: sum(shard["bypass_reasons"][reason] for shard in per_shard.values())
+            for reason in report["bypass_reasons"]
+        }
+        assert report["hit_rate"] == report["hits"] / (report["hits"] + report["misses"])
+        engine = cl.shards[0].engine
+        assert per_shard[0]["hits"] == engine.monreport()["plan_cache"]["hits"]
+
+    def test_cluster_explain_analyze_names_the_shards_plan_origin(self, cluster):
+        cl, session = cluster
+        n = cl.n_shards
+        sql = "EXPLAIN ANALYZE SELECT AMT, SUM(ID) FROM F WHERE ID > %d GROUP BY AMT"
+        assert session.execute(sql % 900).rows[0][0].endswith(
+            "plans=fresh (miss) %d/%d" % (n, n)
+        )
+        assert session.execute(sql % 901).rows[0][0].endswith(
+            "plans=cached %d/%d" % (n, n)
+        )
+        # RAND() is never stored: the shards say why they planned
+        head = session.execute(
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM F WHERE AMT > RAND()"
+        ).rows[0][0]
+        assert head.endswith("plans=fresh (volatile) %d/%d" % (n, n))
+        head = session.execute(
+            "EXPLAIN ANALYZE SELECT ID, MEDIAN(AMT) FROM F GROUP BY ID"
+        ).rows[0][0]  # a fallback pulls F's two columns from every shard
+        assert " plans=" in head and head.endswith("reason=unsplittable-aggregate: MEDIAN")
 
     def test_plain_explain_still_coordinator_only(self, cluster):
         _, session = cluster

@@ -62,6 +62,28 @@ class TestRouting:
             )
 
 
+class TestExpressionsMatchWhereverTheyAreSpelled:
+    """The splitter compares expressions without their literals' token
+    positions: the same expression spelled twice is one expression."""
+
+    def test_group_by_an_expression_named_again_in_the_select_list(self, cluster):
+        sql = "SELECT v + 1, COUNT(*) FROM f WHERE k < 5 GROUP BY v + 1 ORDER BY 1"
+        rows = cluster.connect("db2").execute(sql).rows
+        assert cluster.last_stats.mode == "two-phase"
+        assert rows == [(k + 1, 1) for k in range(5)]
+
+    def test_distinct_aggregates_of_one_expression_split(self, cluster):
+        sql = "SELECT COUNT(DISTINCT v + 1), SUM(DISTINCT v + 1) FROM f"
+        assert cluster.connect("db2").execute(sql).rows == [(100, sum(range(1, 101)))]
+        assert cluster.last_stats.mode == "two-phase"
+        assert cluster.last_stats.fallback_reason == ""
+
+    def test_an_aggregate_over_a_case_splits(self, cluster):
+        sql = "SELECT SUM(CASE WHEN v < 10 THEN 1 ELSE 0 END) FROM f"
+        assert cluster.connect("db2").execute(sql).rows == [(10,)]
+        assert cluster.last_stats.mode == "two-phase"
+
+
 class TestFailureVisibility:
     def test_query_on_unfailed_cluster_with_down_node_raises(self, cluster):
         # A node marked dead *without* failover: its shards are orphaned and
