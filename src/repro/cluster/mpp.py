@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.autoconfig import shards_for_cluster
@@ -286,7 +287,9 @@ class Cluster:
         # goes down the statement's calls as an argument, so each shard
         # can cache its fragment's plan, and nothing keeps it past the
         # statement.  A bulk INSERT's tokens are big and nothing plans
-        # them: its key goes at the parse.
+        # them: its key goes at the parse.  A text that fails to lex or
+        # parse still replaces the previous statement's stats.
+        self.last_stats = QueryStats()
         key = statement_key(sql, self.coordinator.plan_cache)
         node = parse_statement(sql, key.tokens)
         if isinstance(node, ast.Insert) and node.select is None:
@@ -397,24 +400,30 @@ class Cluster:
         # Stage: stamp every shard's rows with an in-flight txn (invisible
         # to snapshot readers), make them durable, then commit all the
         # per-shard transactions under the coordinator commit lock so the
-        # insert becomes visible atomically across shards.
-        staged = []
-        for sid, shard_rows in sorted(by_shard.items()):
-            shard = self.shards[sid]
-            txn = shard.engine.txn.begin()
-            txn.insert(self._shard_table(shard, name), shard_rows)
-            shard.log_committed_insert(name, shard_rows, txid=txn.txid)
-            shard.sync_fileset()
-            staged.append((shard, txn))
-        with self._commit_lock:
-            for shard, txn in staged:
-                txn.commit()
-                # This coordinator path commits raw per-shard transactions,
-                # bypassing Database._execute_write_node — so it must bump
-                # each shard engine's commit-version clock itself, or
-                # serving caches attached to shard engines keep replaying
-                # pre-insert results as valid.
-                shard.engine._note_commit(frozenset({name}))
+        # insert becomes visible atomically across shards.  Each touched
+        # shard's statement lock is held throughout, taken in shard-id
+        # order: a shard checkpoint must not snapshot between the WAL
+        # commit and the MVCC commit, or recovery replays the insert on
+        # top of its own snapshotted rows.
+        with ExitStack() as locks:
+            staged = []
+            for sid, shard_rows in sorted(by_shard.items()):
+                shard = self.shards[sid]
+                locks.enter_context(shard.engine._statement_lock)
+                txn = shard.engine.txn.begin()
+                txn.insert(self._shard_table(shard, name), shard_rows)
+                shard.log_committed_insert(name, shard_rows, txid=txn.txid)
+                shard.sync_fileset()
+                staged.append((shard, txn))
+            with self._commit_lock:
+                for shard, txn in staged:
+                    txn.commit()
+                    # This coordinator path commits raw per-shard
+                    # transactions, bypassing Database._execute_write_node —
+                    # so it must bump each shard engine's commit-version
+                    # clock itself, or serving caches attached to shard
+                    # engines keep replaying pre-insert results as valid.
+                    shard.engine._note_commit(frozenset({name}))
         return len(rows)
 
     def _pin_snapshots(self) -> dict[int, object]:

@@ -822,58 +822,35 @@ class Database:
         if isinstance(node, ast.TruncateTable):
             return self._execute_truncate(node, session)
         if isinstance(node, ast.CreateView):
-            return self._execute_create_view(node, session)
+            # The creating session's dialect is pinned to the view (II.C.2).
+            self._ddl((
+                "create_view",
+                node.name.schema,
+                node.name.name,
+                node.select_text,
+                session.dialect.name,
+                node.column_names,
+                node.or_replace,
+            ))
+            return Result(message="view %s created" % node.name.name.upper())
         if isinstance(node, ast.DropView):
-            self.catalog.drop(node.name.name, node.name.schema)
-            if self.durability is not None:
-                self.durability.log_op(
-                    "ddl", None, ("drop_view", node.name.schema, node.name.name)
-                )
+            self._ddl(("drop_view", node.name.schema, node.name.name))
             return Result(message="view dropped")
         if isinstance(node, ast.CreateSequence):
-            self.catalog.create_sequence(
-                node.name,
-                start=node.start,
-                increment=node.increment,
-                minvalue=node.minvalue,
-                maxvalue=node.maxvalue,
-                cycle=node.cycle,
-            )
-            if self.durability is not None:
-                self.durability.log_op(
-                    "ddl",
-                    None,
-                    (
-                        "create_sequence",
-                        node.name,
-                        {
-                            "start": node.start,
-                            "increment": node.increment,
-                            "minvalue": node.minvalue,
-                            "maxvalue": node.maxvalue,
-                            "cycle": node.cycle,
-                        },
-                    ),
-                )
+            options = {
+                "start": node.start,
+                "increment": node.increment,
+                "minvalue": node.minvalue,
+                "maxvalue": node.maxvalue,
+                "cycle": node.cycle,
+            }
+            self._ddl(("create_sequence", node.name, options))
             return Result(message="sequence created")
         if isinstance(node, ast.DropSequence):
-            self.catalog.drop_sequence(node.name)
-            if self.durability is not None:
-                self.durability.log_op("ddl", None, ("drop_sequence", node.name))
+            self._ddl(("drop_sequence", node.name))
             return Result(message="sequence dropped")
         if isinstance(node, ast.CreateAlias):
-            self.catalog.create_alias(node.name.name, node.target.name, node.name.schema)
-            if self.durability is not None:
-                self.durability.log_op(
-                    "ddl",
-                    None,
-                    (
-                        "create_alias",
-                        node.name.schema,
-                        node.name.name,
-                        node.target.name,
-                    ),
-                )
+            self._ddl(("create_alias", node.name.schema, node.name.name, node.target.name))
             return Result(message="alias created")
         if isinstance(node, ast.SetStatement):
             return self._execute_set(node, session)
@@ -1032,11 +1009,7 @@ class Database:
             rows = [
                 tuple(None if v == "" else v for v in row) for row in rows
             ]
-        txn = self._stmt_txn()
-        if txn is not None:
-            count = txn.insert(table, rows)
-        else:
-            count = table.insert_rows(rows)
+        count = self._stmt_txn().insert(table, rows)
         self._note_delta(table, count, rows=rows)
         durable = self._durable_for(session, node.table, table)
         if durable is not None and rows:
@@ -1249,99 +1222,103 @@ class Database:
 
     # -- DDL ---------------------------------------------------------------------------
 
+    def apply_ddl(self, payload: tuple):
+        """Give one DDL redo record its catalog effect; returns what the
+        catalog call returns (a ``create_table`` record's TableInfo).
+
+        A DDL statement builds its record and runs it here
+        (:meth:`_ddl`), and recovery replays the logged record here too,
+        so the record *is* the statement's implementation: what replays
+        is what ran."""
+        op = payload[0]
+        if op == "create_table":
+            _, schema_name, name, columns, options = payload
+            return self.catalog.create_table(
+                TableSchema(name, tuple(columns)), schema_name, **options
+            )
+        if op in ("drop_table", "drop_view"):
+            _, schema_name, name = payload
+            self.catalog.drop(name, schema_name)
+            if op == "drop_table":
+                self.bufferpool.invalidate_table(name)
+            return None
+        if op == "create_view":
+            _, schema_name, name, text, dialect, column_names, replace = payload
+            return self.catalog.create_view(
+                name, text, dialect, schema_name, column_names, replace=replace
+            )
+        if op == "create_sequence":
+            _, name, options = payload
+            return self.catalog.create_sequence(name, **options)
+        if op == "drop_sequence":
+            return self.catalog.drop_sequence(payload[1])
+        if op == "create_alias":
+            _, schema_name, name, target = payload
+            return self.catalog.create_alias(name, target, schema_name)
+        raise RecoveryError("unknown DDL redo op %r" % op)
+
+    def _ddl(self, payload: tuple):
+        """Run one DDL record (:meth:`apply_ddl`), then log that same
+        record for redo; returns the record's catalog effect."""
+        effect = self.apply_ddl(payload)
+        if self.durability is not None:
+            self.durability.log_op("ddl", None, payload)
+        return effect
+
     def _execute_create_table(self, node: ast.CreateTable, session: Session) -> Result:
+        """CREATE TABLE, plain or AS SELECT.  A temp table is declared in
+        the session and never logged; a catalog table is a ``create_table``
+        record.  CTAS then inserts its rows like an INSERT, and logs them
+        only into a catalog table."""
         name = node.name.name.upper()
         if node.as_select is not None:
             planned = self._bound_subselect(node.as_select, session)
             result = result_from_batch(
                 planned.run(), planned.names, planned.keys, planned.dtypes
             )
-            schema = TableSchema(name, tuple(zip(result.columns, result.dtypes)))
-            if node.temporary:
-                table = session.declare_temp_table(schema, region_rows=self.region_rows)
-            else:
-                table = self.catalog.create_table(
-                    schema, node.name.schema, region_rows=self.region_rows
-                ).table
-            txn = self._stmt_txn()
-            if txn is not None:
-                txn.insert(table, result.rows)
-            else:
-                table.insert_rows(result.rows)
-            if self.durability is not None and not node.temporary:
-                self.durability.log_op(
-                    "ddl",
-                    None,
-                    (
-                        "create_table",
-                        node.name.schema,
-                        name,
-                        list(schema.columns),
-                        {"region_rows": self.region_rows},
-                    ),
-                )
-                if result.rows:
-                    self.durability.log_insert((node.name.schema, name), result.rows)
-            return Result(message="table %s created (%d rows)" % (name, len(result.rows)))
-        columns = []
-        unique = []
-        not_null = []
-        for cdef in node.columns:
-            dtype = resolve_type(cdef.type_name, cdef.length, cdef.precision, cdef.scale)
-            columns.append((cdef.name.upper(), dtype))
-            if cdef.unique or cdef.primary_key:
-                unique.append(cdef.name.upper())
-            if cdef.not_null:
-                not_null.append(cdef.name.upper())
-        schema = TableSchema(name, tuple(columns))
+            columns = list(zip(result.columns, result.dtypes))
+            options = {"region_rows": self.region_rows}
+        else:
+            columns = []
+            unique = []
+            not_null = []
+            for cdef in node.columns:
+                dtype = resolve_type(cdef.type_name, cdef.length, cdef.precision, cdef.scale)
+                columns.append((cdef.name.upper(), dtype))
+                if cdef.unique or cdef.primary_key:
+                    unique.append(cdef.name.upper())
+                if cdef.not_null:
+                    not_null.append(cdef.name.upper())
+            options = {
+                "region_rows": self.region_rows,
+                "unique_columns": tuple(unique),
+                "not_null_columns": tuple(not_null),
+            }
         if node.temporary:
-            session.declare_temp_table(
-                schema,
-                region_rows=self.region_rows,
-                unique_columns=tuple(unique),
-                not_null_columns=tuple(not_null),
+            table = session.declare_temp_table(
+                TableSchema(name, tuple(columns)), **options
             )
-            return Result(message="temporary table %s declared" % name)
-        self.catalog.create_table(
-            schema,
-            node.name.schema,
-            region_rows=self.region_rows,
-            unique_columns=tuple(unique),
-            not_null_columns=tuple(not_null),
-        )
-        if self.durability is not None:
-            self.durability.log_op(
-                "ddl",
-                None,
-                (
-                    "create_table",
-                    node.name.schema,
-                    name,
-                    columns,
-                    {
-                        "region_rows": self.region_rows,
-                        "unique_columns": tuple(unique),
-                        "not_null_columns": tuple(not_null),
-                    },
-                ),
-            )
-        return Result(message="table %s created" % name)
+        else:
+            record = ("create_table", node.name.schema, name, columns, options)
+            table = self._ddl(record).table
+        if node.as_select is None:
+            declared = "temporary table %s declared" if node.temporary else "table %s created"
+            return Result(message=declared % name)
+        self._stmt_txn().insert(table, result.rows)
+        if self.durability is not None and not node.temporary and result.rows:
+            self.durability.log_insert((node.name.schema, name), result.rows)
+        return Result(message="table %s created (%d rows)" % (name, len(result.rows)))
 
     def _execute_drop_table(self, node: ast.DropTable, session: Session) -> Result:
         name = node.name.name
         if node.name.schema is None and session.drop_temp_table(name):
             return Result(message="temporary table %s dropped" % name.upper())
         try:
-            self.catalog.drop(name, node.name.schema)
+            self._ddl(("drop_table", node.name.schema, name.upper()))
         except UnknownObjectError:
             if node.if_exists:
                 return Result(message="table %s did not exist" % name.upper())
             raise
-        self.bufferpool.invalidate_table(name.upper())
-        if self.durability is not None:
-            self.durability.log_op(
-                "ddl", None, ("drop_table", node.name.schema, name.upper())
-            )
         return Result(message="table %s dropped" % name.upper())
 
     def _execute_truncate(self, node: ast.TruncateTable, session: Session) -> Result:
@@ -1352,32 +1329,6 @@ class Database:
         if durable is not None:
             durable.log_op("truncate", self._table_key(node.name, table), None)
         return Result(message="table %s truncated" % table.schema.name)
-
-    def _execute_create_view(self, node: ast.CreateView, session: Session) -> Result:
-        # The creating session's dialect is pinned to the view (II.C.2).
-        self.catalog.create_view(
-            node.name.name,
-            node.select_text,
-            session.dialect.name,
-            node.name.schema,
-            node.column_names,
-            replace=node.or_replace,
-        )
-        if self.durability is not None:
-            self.durability.log_op(
-                "ddl",
-                None,
-                (
-                    "create_view",
-                    node.name.schema,
-                    node.name.name,
-                    node.select_text,
-                    session.dialect.name,
-                    node.column_names,
-                    node.or_replace,
-                ),
-            )
-        return Result(message="view %s created" % node.name.name.upper())
 
     # -- SET / EXPLAIN / CALL -------------------------------------------------------------
 

@@ -43,7 +43,6 @@ from repro.durability.faults import NULL_INJECTOR
 from repro.durability.wal import WriteAheadLog, committed_transactions
 from repro.errors import CrashError, RecoveryError
 from repro.storage.filesystem import ClusterFileSystem
-from repro.storage.table import TableSchema
 from repro.verify import sanitizer
 
 
@@ -456,38 +455,7 @@ def _apply_record(db, record) -> None:
         for name, current in payload.items():
             db.catalog.get_sequence(name)._current = current
     elif record.kind == "ddl":
-        _apply_ddl(db, payload)
+        db.apply_ddl(payload)
     else:
         raise RecoveryError("unknown WAL record kind %r" % record.kind)
 
-
-def _apply_ddl(db, payload) -> None:
-    op = payload[0]
-    if op == "create_table":
-        _, schema_name, name, columns, options = payload
-        db.catalog.create_table(
-            TableSchema(name, tuple(columns)), schema_name, **options
-        )
-    elif op == "drop_table":
-        _, schema_name, name = payload
-        db.catalog.drop(name, schema_name)
-        db.bufferpool.invalidate_table(name)
-    elif op == "create_view":
-        _, schema_name, name, text, dialect, column_names, replace = payload
-        db.catalog.create_view(
-            name, text, dialect, schema_name, column_names, replace=replace
-        )
-    elif op == "drop_view":
-        _, schema_name, name = payload
-        db.catalog.drop(name, schema_name)
-    elif op == "create_sequence":
-        _, name, kwargs = payload
-        db.catalog.create_sequence(name, **kwargs)
-    elif op == "drop_sequence":
-        _, name = payload
-        db.catalog.drop_sequence(name)
-    elif op == "create_alias":
-        _, schema_name, name, target = payload
-        db.catalog.create_alias(name, target, schema_name)
-    else:
-        raise RecoveryError("unknown DDL redo op %r" % op)

@@ -381,7 +381,8 @@ class ExpressionBinder:
         if len(node.parts) == 1:
             builder = self.dialect.lookup_function(node.parts[0])
             if builder is not None and node.parts[0].upper() in (
-                "SYSDATE", "CURRENT_DATE", "CURRENT_TIMESTAMP", "TODAY", "NOW",
+                "SYSDATE", "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP",
+                "TODAY", "NOW",
             ):
                 return builder([], BuildContext(self.dialect, self.database))
         raise BindError("column %s not found" % ".".join(node.parts))
@@ -530,9 +531,9 @@ class ExpressionBinder:
         if node.subquery is not None:
             if self.subquery_planner is None:
                 raise UnsupportedFeatureError("IN (subquery) not available here")
-            values = self.subquery_planner.scalar_column(node.subquery, self.scope)
-            return InList(operand, values, negated=node.negated)
-        items = [self.bind(item) for item in node.items]
+            items = self.subquery_planner.scalar_column(node.subquery, self.scope)
+        else:
+            items = [self.bind(item) for item in node.items]
         values = _exact_constants(items, operand.dtype)
         if values is not None:
             return InList(operand, values, negated=node.negated)
@@ -683,7 +684,12 @@ def _as_literal(expr: Expr) -> Literal | None:
 
 def _exact_constants(items: list[Expr], target: DataType) -> list | None:
     """The items as physical constants of *target*'s domain, or None when
-    one is not constant or not exactly a value of that domain."""
+    one is not constant or not exactly a value of that domain.
+
+    An exact number that an exact numeric domain cannot hold (``1.5``
+    against an INTEGER operand) equals no value of it, so it is left out:
+    IN and NOT IN answer the same without it, and a long IN (subquery)
+    stays one hash probe."""
     values = []
     for item in items:
         literal = _as_literal(item)
@@ -692,7 +698,9 @@ def _exact_constants(items: list[Expr], target: DataType) -> list | None:
         try:
             values.append(_physical_for(literal, target))
         except ValueError:
-            return None
+            exact = (literal.dtype, target)
+            if not all(t.is_numeric and not t.is_approximate for t in exact):
+                return None
     return values
 
 

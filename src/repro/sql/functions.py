@@ -27,6 +27,7 @@ from repro.types.datatypes import (
     DATE,
     DOUBLE,
     INTEGER,
+    TIME,
     TIMESTAMP,
     DataType,
     TypeKind,
@@ -307,6 +308,7 @@ def register_ansi(registry: FunctionRegistry) -> None:
     r("SYSDATE", _build_current_date)
     r("TODAY", _build_current_date)
     r("CURRENT_TIMESTAMP", _build_current_timestamp)
+    r("CURRENT_TIME", _build_current_time)
 
     # -- misc --
     r("GREATEST", simple("GREATEST", 2, None, _t_promote_all, lambda v, d: None if any(x is None for x in v) else max(v)))
@@ -512,13 +514,20 @@ def _build_current_date(args, ctx):
     return Literal(date_to_days(today), DATE)
 
 
+def _now(ctx) -> datetime.datetime:
+    if ctx.database is not None:
+        return ctx.database.current_timestamp()
+    return datetime.datetime.now()
+
+
 def _build_current_timestamp(args, ctx):
     check_arity("CURRENT_TIMESTAMP", args, 0, 0)
-    if ctx.database is not None:
-        now = ctx.database.current_timestamp()
-    else:
-        now = datetime.datetime.now()
-    return Literal(to_physical_scalar(now, TIMESTAMP), TIMESTAMP)
+    return Literal(to_physical_scalar(_now(ctx), TIMESTAMP), TIMESTAMP)
+
+
+def _build_current_time(args, ctx):
+    check_arity("CURRENT_TIME", args, 0, 0)
+    return Literal(to_physical_scalar(_now(ctx).time(), TIME), TIME)
 
 
 def _build_coalesce(args, ctx):

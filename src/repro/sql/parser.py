@@ -678,6 +678,10 @@ class Parser:
             subquery = self.parse_select()
             self._expect_op(")")
             return ast.ExistsExpr(subquery)
+        if keyword == "CURRENT" and self._peek(1).key in ("DATE", "TIME", "TIMESTAMP"):
+            # DB2's two-word special registers: CURRENT DATE is CURRENT_DATE
+            self.pos += 2
+            return ast.Identifier(["CURRENT_" + self._peek(-1).key])
         if keyword in _TYPED_LITERALS and self._peek(1).kind == STRING:
             self.pos += 2
             return ast.TypedLit(keyword, self._peek(-1).value, self.pos - 1)

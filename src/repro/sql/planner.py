@@ -586,16 +586,20 @@ class SelectPlanner:
             value = value.item()
         return Literal(value, dtype)
 
-    def scalar_column(self, select: ast.Select, scope: Scope) -> list:
+    def scalar_column(self, select: ast.Select, scope: Scope) -> list[Literal]:
+        """An IN subquery's rows as constants of its output type, which
+        the binder then reads like a literal list."""
         planned, batch = self._run_now(select)
         if len(planned.keys) != 1:
             raise SQLError("IN subquery must return exactly one column")
-        vector = batch.columns[planned.keys[0]] if batch.n else None
-        if vector is None:
+        if not batch.n:
             return []
+        vector = batch.columns[planned.keys[0]]
         nulls = vector.null_mask()
+        dtype = planned.dtypes[0]
         return [
-            None if nulls[i] else _unwrap(vector.values[i]) for i in range(batch.n)
+            Literal(None if nulls[i] else _unwrap(vector.values[i]), dtype)
+            for i in range(batch.n)
         ]
 
     def exists(self, select: ast.Select, scope: Scope) -> bool:

@@ -786,6 +786,138 @@ def test_any_wal_prefix_replays_to_committed_prefix(seed, cut_fraction):
 
 
 # --------------------------------------------------------------------------
+# DDL redo: a catalog statement replays to the catalog it made
+# --------------------------------------------------------------------------
+
+_DDL_SETUP = [
+    "CREATE TABLE base (k INT PRIMARY KEY, v VARCHAR(8) NOT NULL)",
+    "INSERT INTO base VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+    "CREATE TABLE trail (n INT)",
+]
+
+#: Each catalog statement kind, with what it needs before it.
+_DDL_CASES = {
+    "create-table": [
+        "CREATE TABLE c (id INT PRIMARY KEY, name VARCHAR(10) NOT NULL, amt DECIMAL(7,2))",
+        "INSERT INTO c VALUES (1, 'x', 1.25), (2, 'y', NULL)",
+    ],
+    "ctas": ["CREATE TABLE c AS (SELECT k, v FROM base WHERE k > 1) WITH DATA"],
+    "ctas-empty": ["CREATE TABLE c AS (SELECT k FROM base WHERE k > 9) WITH DATA"],
+    # A temp table is never logged, whatever schema its statement names.
+    "ctas-temp": ["CREATE TEMPORARY TABLE app.tmp AS (SELECT k FROM base) WITH DATA"],
+    "ctas-temp-beside-table": [
+        "CREATE TABLE tmp (k INT)",
+        "CREATE TEMPORARY TABLE public.tmp AS (SELECT k FROM base) WITH DATA",
+    ],
+    "drop-table": ["DROP TABLE base"],
+    "drop-table-if-exists": ["DROP TABLE IF EXISTS base", "DROP TABLE IF EXISTS gone"],
+    "create-view": ["CREATE VIEW w (key) AS SELECT k FROM base WHERE k < 3"],
+    "create-or-replace-view": [
+        "CREATE VIEW w AS SELECT k FROM base",
+        "CREATE OR REPLACE VIEW w AS SELECT v FROM base WHERE k = 2",
+    ],
+    "drop-view": ["CREATE VIEW w AS SELECT k FROM base", "DROP VIEW w"],
+    "create-sequence": [
+        "CREATE SEQUENCE s START WITH 10 INCREMENT BY 5",
+        "INSERT INTO base VALUES (NEXT VALUE FOR s, 's')",
+    ],
+    "drop-sequence": ["CREATE SEQUENCE s", "DROP SEQUENCE s"],
+    "create-alias": ["CREATE ALIAS a FOR base"],
+    "truncate": ["TRUNCATE TABLE base IMMEDIATE"],
+}
+
+
+def catalog_state(db) -> dict:
+    """Every catalog object's definition and answers, and every
+    sequence's definition and position."""
+    from repro.catalog.catalog import TableInfo
+
+    session = db.connect()
+    state = {}
+    for name, obj in db.catalog.entries():
+        if isinstance(obj, TableInfo):
+            table = obj.table
+            definition = (
+                table.schema.columns, table.unique_columns, table.not_null_columns
+            )
+        else:
+            definition = obj
+        rows = sorted(map(repr, session.query("SELECT * FROM %s" % name)))
+        state[name] = (type(obj).__name__, definition, rows)
+    for name in db.catalog.sequence_names():
+        seq = db.catalog.get_sequence(name)
+        state["sequence " + name] = (
+            seq.start, seq.increment, seq.minvalue, seq.maxvalue, seq.cycle,
+            seq._current,
+        )
+    return state
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["wal", "checkpoint+wal"])
+@pytest.mark.parametrize("kind", sorted(_DDL_CASES))
+def test_catalog_statement_replays_to_its_catalog(kind, checkpoint):
+    """Recovery gives each catalog statement's catalog and answers back,
+    replayed from the WAL alone or restored from a checkpoint taken after
+    it with later records replayed on top."""
+    db, _ = make_db()
+    session = db.connect()
+    for sql in _DDL_SETUP + _DDL_CASES[kind]:
+        session.execute(sql)
+    if checkpoint:
+        db.checkpoint()
+    session.execute("INSERT INTO trail VALUES (1)")
+    before = catalog_state(db)
+    report = crash_and_recover(db)
+    assert report.records_replayed > 0
+    assert (report.checkpoint_lsn > 0) == checkpoint
+    assert catalog_state(db) == before
+    # the recovered catalog takes further DDL like the original did
+    session = db.connect()
+    session.execute("CREATE TABLE later (n INT)")
+    session.execute("DROP TABLE later")
+
+
+def test_ddl_records_keep_their_payload_shape():
+    """The WAL payload of each catalog statement, exactly: a log written
+    by an older build must replay through :meth:`Database.apply_ddl`."""
+    from repro.types.datatypes import INTEGER
+
+    db, _ = make_db()
+    session = db.connect()
+    for sql in [
+        "CREATE TABLE t (k INT PRIMARY KEY, v INT NOT NULL)",
+        "CREATE TABLE c AS (SELECT k FROM t) WITH DATA",
+        "CREATE VIEW w (x) AS SELECT k FROM t",
+        "DROP VIEW w",
+        "CREATE SEQUENCE s START WITH 3",
+        "DROP SEQUENCE s",
+        "CREATE ALIAS a FOR t",
+        "DROP TABLE c",
+    ]:
+        session.execute(sql)
+    db.durability.flush()
+    payloads = [r.payload for r in db.durability.wal.records() if r.kind == "ddl"]
+    assert payloads == [
+        (None, ("create_table", None, "T", [("K", INTEGER), ("V", INTEGER)], {
+            "region_rows": db.region_rows,
+            "unique_columns": ("K",),
+            "not_null_columns": ("K", "V"),
+        })),
+        (None, ("create_table", None, "C", [("K", INTEGER)],
+                {"region_rows": db.region_rows})),
+        (None, ("create_view", None, "W", "SELECT k FROM t", "db2", ["X"], False)),
+        (None, ("drop_view", None, "W")),
+        (None, ("create_sequence", "S", {
+            "start": 3, "increment": 1, "minvalue": None, "maxvalue": None,
+            "cycle": False,
+        })),
+        (None, ("drop_sequence", "S")),
+        (None, ("create_alias", None, "A", "T")),
+        (None, ("drop_table", None, "C")),
+    ]
+
+
+# --------------------------------------------------------------------------
 # Cluster failover under pending writes
 # --------------------------------------------------------------------------
 
@@ -862,6 +994,40 @@ class TestClusterDurability:
             assert report.checkpoint_lsn > 0
             assert report.transactions_replayed <= 1  # only the post-ckpt insert
         assert session.query("SELECT COUNT(*) FROM c") == [(42,)]
+
+    def test_shard_checkpoint_waits_for_a_routed_insert(self, monkeypatch):
+        """A shard checkpoint racing a cluster INSERT between its WAL
+        commit and its MVCC commit must wait for the MVCC commit: a
+        snapshot taken in between holds the rows *and* precedes nothing
+        of them in the log, so recovery would replay them twice."""
+        from repro.cluster.shard import Shard
+
+        cluster = _small_cluster()
+        session = cluster.connect()
+        session.execute("CREATE TABLE r (id INT, x INT) DISTRIBUTE ON (id)")
+        session.execute("INSERT INTO r VALUES (1000, 0)")
+        log_committed_insert = Shard.log_committed_insert
+        checkpoints, blocked = [], []
+
+        def log_then_checkpoint(shard, name, rows, txid=None):
+            log_committed_insert(shard, name, rows, txid)
+            worker = threading.Thread(target=shard.engine.checkpoint)
+            worker.start()
+            worker.join(timeout=0.1)
+            blocked.append(worker.is_alive())
+            checkpoints.append(worker)
+
+        monkeypatch.setattr(Shard, "log_committed_insert", log_then_checkpoint)
+        session.execute(
+            "INSERT INTO r VALUES " + ", ".join("(%d, 1)" % i for i in range(40))
+        )
+        for worker in checkpoints:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert checkpoints and all(blocked)
+        for shard in cluster.shards.values():
+            shard.engine.reopen(clean=False)
+        assert session.query("SELECT COUNT(*) FROM r") == [(41,)]
 
     def test_monreport_has_durability_section(self):
         cluster = _small_cluster()

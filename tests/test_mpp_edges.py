@@ -6,6 +6,7 @@ from repro.cluster import Cluster, HardwareSpec, fail_node
 from repro.errors import (
     DialectError,
     NodeDownError,
+    SQLSyntaxError,
     UnknownObjectError,
     UnsupportedFeatureError,
 )
@@ -121,3 +122,15 @@ class TestStats:
         s.execute("SELECT COUNT(*) FROM f")
         # Two-phase gathers one partial row per shard with data.
         assert 0 < cluster.last_stats.rows_gathered <= cluster.n_shards
+
+
+class TestStatsPerStatement:
+    def test_a_statement_that_fails_to_parse_resets_last_stats(self, cluster):
+        s = cluster.connect("db2")
+        s.execute("SELECT COUNT(*) FROM f")
+        assert cluster.last_stats.mode == "two-phase"
+        for text in ("SELEC k FROM f", "SELECT 'open FROM f"):
+            with pytest.raises(SQLSyntaxError):
+                s.execute(text)
+            assert cluster.last_stats.mode == ""
+            assert cluster.monreport()["last_query"]["mode"] == ""

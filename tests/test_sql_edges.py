@@ -524,3 +524,105 @@ class TestWritesNameKnownColumns:
             system.execute(sql)
         assert raised.value.sqlstate == "42704"
         assert system.execute("SELECT k, v FROM t").rows == [(1, 2.5)]
+
+
+def _distributed(name, column):
+    return " DISTRIBUTE BY HASH (%s)" % column if name == "cluster" else ""
+
+
+class TestInSubqueryReadsLikeItsLiteralList:
+    """``x IN (SELECT c ...)`` answers what ``x IN (<c's rows as
+    literals>)`` answers: the rows are constants of the subquery's output
+    type, so an INT operand meets DECIMAL rows by value, and back.  On a
+    cluster the statement is a ``subquery`` gather fallback."""
+
+    @pytest.mark.parametrize("name", ["dop1", "dop4", "cluster"])
+    @pytest.mark.parametrize("subquery, literals, expected", [
+        ("a IN (SELECT d FROM u WHERE d IS NOT NULL)", "a IN (1.00, 2.00)", [(1,), (2,)]),
+        ("d IN (SELECT i FROM u WHERE i IS NOT NULL)", "d IN (1, 2)", [(2,)]),
+        ("a IN (SELECT d FROM u)", "a IN (1.00, 2.00, NULL)", [(1,), (2,)]),
+        ("a NOT IN (SELECT d FROM u WHERE d > 1)", "a NOT IN (2.00)", [(1,), (3,)]),
+        ("a NOT IN (SELECT d FROM u)", "a NOT IN (1.00, 2.00, NULL)", []),
+        ("d NOT IN (SELECT i FROM u)", "d NOT IN (1, 2, NULL)", []),
+        ("a IN (SELECT d FROM w)", "a IN (1.50, 2.00, NULL)", [(2,)]),
+        ("a NOT IN (SELECT d FROM w WHERE d < 2)", "a NOT IN (1.50)", [(1,), (2,), (3,)]),
+    ])
+    def test_subquery_answers_like_its_literal_list(self, name, subquery, literals, expected):
+        system = _engine(name)
+        system.execute("CREATE TABLE w (a INT, d DECIMAL(5,2))" + _distributed(name, "a"))
+        system.execute("INSERT INTO w VALUES (1, 1.50), (2, 2.00), (3, NULL)")
+        system.execute("CREATE TABLE u (d DECIMAL(5,2), i INT)" + _distributed(name, "i"))
+        system.execute("INSERT INTO u VALUES (1.00, 1), (2.00, 2), (NULL, NULL)")
+        for where in (subquery, literals):
+            rows = system.execute("SELECT a FROM w WHERE %s ORDER BY a" % where).rows
+            assert rows == expected, where
+        if name == "cluster":
+            system.execute("SELECT a FROM w WHERE %s" % subquery)
+            assert system.cluster.last_stats.fallback_reason == "subquery"
+
+    def test_an_exact_number_outside_the_domain_is_left_out(self):
+        """``1.50`` equals no INTEGER, so it leaves the probe's constants
+        and the list stays one hash probe; an approximate ``1.1`` may
+        meet a DECIMAL in DOUBLE, so it still falls back to comparisons."""
+        from repro.engine.expression import Literal
+        from repro.sql.binder import _exact_constants
+        from repro.types.datatypes import DOUBLE, INTEGER, decimal_type
+
+        dec = decimal_type(5, 2)
+        members = [Literal(150, dec), Literal(200, dec), Literal(None, dec)]
+        assert _exact_constants(members, INTEGER) == [2, None]
+        assert _exact_constants([Literal(1.1, DOUBLE)], dec) is None
+        assert _exact_constants([Literal(1, INTEGER)], dec) == [100]
+
+    @pytest.mark.parametrize("name", ["dop1", "cluster"])
+    def test_a_null_operand_stays_unknown_when_every_member_is_left_out(self, name):
+        system = _engine(name)
+        system.execute("CREATE TABLE n (a INT, d DECIMAL(5,2))" + _distributed(name, "a"))
+        system.execute("INSERT INTO n VALUES (1, 1.50), (NULL, 2.50)")
+        for where in ("a NOT IN (SELECT d FROM n)", "a NOT IN (1.50, 2.50)"):
+            rows = system.execute("SELECT a FROM n WHERE %s" % where).rows
+            assert rows == [(1,)], where
+
+
+class TestTwoWordSpecialRegisters:
+    """DB2's ``CURRENT DATE`` / ``CURRENT TIME`` / ``CURRENT TIMESTAMP``
+    are the one-word functions, in the select list, in WHERE, in VALUES
+    and in an INSERT's rows, on every engine."""
+
+    @pytest.mark.parametrize("name", ["dop1", "cluster", "row"])
+    def test_two_words_are_the_one_word_register(self, name):
+        system = _engine(name)
+        before = datetime.datetime.now()
+        day, time_of_day, stamp = system.execute(
+            "SELECT CURRENT DATE, CURRENT TIME, CURRENT TIMESTAMP FROM t"
+        ).rows[0]
+        after = datetime.datetime.now()
+        assert before.date() <= day <= after.date()
+        assert isinstance(time_of_day, datetime.time)
+        assert before <= stamp <= after
+        assert system.execute(
+            "SELECT k FROM t WHERE CURRENT DATE > DATE '2000-01-01'"
+            " AND CURRENT TIMESTAMP > TIMESTAMP '2000-01-01 00:00:00'"
+        ).rows == [(1,)]
+        system.execute("CREATE TABLE days (k INT, day DATE)" + _distributed(name, "k"))
+        system.execute("INSERT INTO days VALUES (1, CURRENT DATE)")
+        assert system.execute(
+            "SELECT k FROM days WHERE day = CURRENT_DATE"
+        ).rows == [(1,)]
+
+    @pytest.mark.parametrize("name", ["dop1", "cluster"])
+    def test_values_reads_a_two_word_register(self, name):
+        system = _engine(name)
+        before = datetime.date.today()
+        (day,), = system.execute("VALUES CURRENT DATE").rows
+        assert before <= day <= datetime.date.today()
+        (time_of_day, stamp), = system.execute(
+            "VALUES (CURRENT TIME, CURRENT TIMESTAMP)"
+        ).rows
+        assert isinstance(time_of_day, datetime.time)
+        assert isinstance(stamp, datetime.datetime)
+
+    def test_set_current_schema_still_parses(self):
+        session = Database().connect("db2")
+        assert session.execute("SET CURRENT SCHEMA = FOO").message == "schema set to FOO"
+        assert session.current_schema == "FOO"
